@@ -11,7 +11,7 @@
 //! rules exactly as they do on FMDV rules, so the evaluation harness and
 //! the validation service dispatch every method through one `dyn Validator`.
 
-use av_core::{CheckScratch, Report, Tally, ValidationSession, Validator, Verdict};
+use av_core::{Report, Tally, ValidationSession, Validator, Verdict};
 
 /// A rule inferred from training data, applied to future columns.
 ///
@@ -91,10 +91,6 @@ impl Validator for InferredRule {
 
     fn check(&self, value: &str) -> Verdict {
         self.inner.check(value)
-    }
-
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        self.inner.check_with(value, scratch)
     }
 
     fn finish(&self, tally: Tally) -> Report {

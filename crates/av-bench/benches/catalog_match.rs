@@ -7,9 +7,15 @@
 //! ~independent of catalog size once the lazy DFA is warm, while the loop
 //! pays one full program match per rule — so the gap must widen linearly
 //! with the catalog (≥10× at 1 000 rules).
+//!
+//! The `rules = 1` point asks the opposite question: is a one-rule catalog
+//! automaton as fast as the backtracking program `validate` runs per value?
+//! It uses the FMDV-VH timestamp rule of the `validator_api` bench, so the
+//! numbers sit next to that bench's `check` medians (and the ledger's
+//! `pattern.match_ns`); ROADMAP's "One engine" item records the outcome.
 
 use av_match::CatalogMatcher;
-use av_pattern::{CompiledPattern, Pattern, Token};
+use av_pattern::{parse, CompiledPattern, Pattern, Token};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -51,6 +57,36 @@ fn probes(n: usize) -> Vec<String> {
         "zzz-no-rule-starts-here".to_string(),
         format!("id{:04}x", n),
     ]
+}
+
+/// One rule, one value per iteration: the automaton (`classify_into`, its
+/// allocation-free form) against the rule's own compiled program.
+fn bench_single_rule(c: &mut Criterion) {
+    let program = CompiledPattern::compile(
+        &parse("<digit>+/<digit>{2}/<digit>{4} <digit>+:<digit>{2}:<digit>{2} <letter>{2}")
+            .expect("variadic pattern"),
+    );
+    let mut matcher = CatalogMatcher::new();
+    matcher.insert(0, &program);
+    let mut hits = Vec::new();
+    let mut group = c.benchmark_group("catalog_match");
+    for (label, value) in [
+        ("conforming", "9/07/2019 12:01:32 PM"),
+        ("drifted", "drift-42"),
+    ] {
+        matcher.classify_into(value, &mut hits);
+        assert_eq!(!hits.is_empty(), program.matches(value), "{value:?}");
+        group.bench_function(format!("classify/1 {label}"), |b| {
+            b.iter(|| {
+                matcher.classify_into(black_box(value), &mut hits);
+                hits.len()
+            })
+        });
+        group.bench_function(format!("loop/1 {label}"), |b| {
+            b.iter(|| black_box(program.matches(black_box(value))))
+        });
+    }
+    group.finish();
 }
 
 fn bench_catalog_scaling(c: &mut Criterion) {
@@ -99,6 +135,6 @@ fn bench_catalog_scaling(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_catalog_scaling
+    targets = bench_single_rule, bench_catalog_scaling
 }
 criterion_main!(benches);

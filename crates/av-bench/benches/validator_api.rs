@@ -10,7 +10,7 @@ use av_baselines::{baseline_by_name, InferredRule};
 use av_core::{AutoValidate, FmdvConfig, ValidationRule, Validator, Variant};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
-use av_pattern::{matches, parse, CompiledPattern, MatchScratch};
+use av_pattern::{matches, parse, CompiledPattern};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -123,12 +123,6 @@ fn bench_matcher_compiled_vs_reference(c: &mut Criterion) {
     });
     group.bench_function("compiled variadic conforming", |b| {
         b.iter(|| black_box(variadic_c.matches(black_box("9/07/2019 12:01:32 PM"))))
-    });
-    let mut scratch = MatchScratch::default();
-    group.bench_function("compiled variadic conforming (scratch)", |b| {
-        b.iter(|| {
-            black_box(variadic_c.matches_with(black_box("9/07/2019 12:01:32 PM"), &mut scratch))
-        })
     });
     group.finish();
 }

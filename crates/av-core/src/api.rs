@@ -91,31 +91,6 @@ impl Tally {
     }
 }
 
-/// Reusable working memory for [`Validator::check_with`].
-///
-/// Pattern rules run their compiled matching programs through the held
-/// [`av_pattern::MatchScratch`] (backtracking stack + failure memo); other
-/// rule kinds ignore it. Buffers keep their capacity across checks, so a
-/// scratch reused over a stream of values makes steady-state validation
-/// allocation-free. Creating one allocates nothing.
-#[derive(Debug, Default)]
-pub struct CheckScratch {
-    pattern: av_pattern::MatchScratch,
-}
-
-impl CheckScratch {
-    /// A fresh scratch (no allocation until first use).
-    pub fn new() -> CheckScratch {
-        CheckScratch::default()
-    }
-
-    /// The pattern-matching scratch, for validators backed by an
-    /// [`av_pattern::CompiledPattern`].
-    pub fn pattern_scratch(&mut self) -> &mut av_pattern::MatchScratch {
-        &mut self.pattern
-    }
-}
-
 /// Why a single value failed a rule — the detail behind a
 /// [`Verdict::Nonconform`].
 ///
@@ -155,9 +130,9 @@ impl Explanation {
 
 /// A learned validation rule, usable one value at a time or over batches.
 ///
-/// Object-safe core: [`Validator::describe`], [`Validator::check`] /
-/// [`Validator::check_with`], [`Validator::explain`] and
-/// [`Validator::finish`] make up the vtable, so heterogeneous rules
+/// Object-safe core: [`Validator::describe`], [`Validator::check`],
+/// [`Validator::explain`] and [`Validator::finish`] make up the vtable, so
+/// heterogeneous rules
 /// dispatch behind `Box<dyn Validator>` / `Arc<dyn Validator>` (the trait
 /// requires `Send + Sync`, so boxed validators cross threads freely). The
 /// provided [`Validator::validate_batch`] and [`Validator::session`] build
@@ -168,16 +143,6 @@ pub trait Validator: Send + Sync {
 
     /// Check a single borrowed value.
     fn check(&self, value: &str) -> Verdict;
-
-    /// Check a single borrowed value using caller-owned working memory.
-    ///
-    /// Must return exactly the verdict of [`Validator::check`] — the
-    /// scratch only lets hot paths (sessions, batch workers) reuse buffers
-    /// instead of allocating per value. The default ignores the scratch.
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        let _ = scratch;
-        self.check(value)
-    }
 
     /// Explain why `value` does not conform.
     ///
@@ -231,9 +196,6 @@ impl<V: Validator + ?Sized> Validator for &V {
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
     }
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        (**self).check_with(value, scratch)
-    }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
     }
@@ -249,9 +211,6 @@ impl<V: Validator + ?Sized> Validator for Box<V> {
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
     }
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        (**self).check_with(value, scratch)
-    }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
     }
@@ -266,9 +225,6 @@ impl<V: Validator + ?Sized> Validator for std::sync::Arc<V> {
     }
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
-    }
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        (**self).check_with(value, scratch)
     }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
@@ -319,32 +275,20 @@ where
 {
     validator: &'v V,
     tally: Tally,
-    /// Reused across every [`ValidationSession::push`], so steady-state
-    /// checking allocates nothing (the compiled pattern matcher's stack and
-    /// memo grow once, then stay).
-    scratch: CheckScratch,
 }
 
 impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
     /// Begin a session over `validator` (works for unsized `dyn Validator`).
     pub fn new(validator: &'v V) -> ValidationSession<'v, V> {
-        ValidationSession::with_scratch(validator, CheckScratch::new())
-    }
-
-    /// Begin a session with caller-provided working memory — the way batch
-    /// workers run many sessions back to back without re-growing buffers.
-    /// Recover the scratch with [`ValidationSession::finish_with_scratch`].
-    pub fn with_scratch(validator: &'v V, scratch: CheckScratch) -> ValidationSession<'v, V> {
         ValidationSession {
             validator,
             tally: Tally::default(),
-            scratch,
         }
     }
 
     /// Feed one value; returns its verdict.
     pub fn push(&mut self, value: &str) -> Verdict {
-        let verdict = self.validator.check_with(value, &mut self.scratch);
+        let verdict = self.validator.check(value);
         self.tally.record(verdict);
         verdict
     }
@@ -364,11 +308,6 @@ impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
     /// Conclude the column.
     pub fn finish(self) -> Report {
         self.validator.finish(self.tally)
-    }
-
-    /// Conclude the column and hand the scratch back for the next session.
-    pub fn finish_with_scratch(self) -> (Report, CheckScratch) {
-        (self.validator.finish(self.tally), self.scratch)
     }
 }
 

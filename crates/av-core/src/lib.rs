@@ -57,8 +57,7 @@ mod vertical;
 mod wire;
 
 pub use api::{
-    AutoValidateBuilder, CheckScratch, Explanation, Report, Tally, ValidationSession, Validator,
-    Verdict,
+    AutoValidateBuilder, Explanation, Report, Tally, ValidationSession, Validator, Verdict,
 };
 pub use autotag::{infer_tag, TagRule, TagSet};
 pub use classify::{RuleCheck, RuleSet};
@@ -179,14 +178,6 @@ impl Validator for AnyRule {
             AnyRule::Pattern(r) => r.check(value),
             AnyRule::Numeric(r) => r.check(value),
             AnyRule::Dictionary(r) => r.check(value),
-        }
-    }
-
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        match self {
-            AnyRule::Pattern(r) => r.check_with(value, scratch),
-            AnyRule::Numeric(r) => r.check_with(value, scratch),
-            AnyRule::Dictionary(r) => r.check_with(value, scratch),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Validation rules and the test-time distributional check (§4).
 
-use crate::api::{CheckScratch, Explanation, Tally, ValidationSession, Validator, Verdict};
+use crate::api::{Explanation, Tally, ValidationSession, Validator, Verdict};
 use av_pattern::{CompiledPattern, Pattern};
 use av_stats::{HomogeneityTest, Table2x2};
 
@@ -161,10 +161,6 @@ impl Validator for ValidationRule {
 
     fn check(&self, value: &str) -> Verdict {
         Verdict::conforming(self.conforms(value))
-    }
-
-    fn check_with(&self, value: &str, scratch: &mut CheckScratch) -> Verdict {
-        Verdict::conforming(self.compiled.matches_with(value, scratch.pattern_scratch()))
     }
 
     fn explain(&self, value: &str) -> Option<Explanation> {

@@ -39,24 +39,27 @@ impl Hasher for IdentityHasher {
 
 pub(crate) type FastMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
 
+/// Columns a worker claims per queue pop. One gives the best balance
+/// under skewed column sizes, and no caller ever asked for another value.
+const QUEUE_BATCH: usize = 1;
+
 /// The shared dynamic work queue of the map side: workers claim
-/// `queue_batch`-sized column ranges off one atomic cursor, so a handful
+/// [`QUEUE_BATCH`]-sized column ranges off one atomic cursor, so a handful
 /// of giant columns cannot strand the other workers the way static
 /// chunking does.
 pub(crate) struct WorkQueue {
     cursor: AtomicUsize,
-    batch: usize,
     len: usize,
 }
 
 impl WorkQueue {
     /// Claim the next range of column indices, or `None` when drained.
     pub(crate) fn next_range(&self) -> Option<std::ops::Range<usize>> {
-        let start = self.cursor.fetch_add(self.batch, Ordering::Relaxed);
+        let start = self.cursor.fetch_add(QUEUE_BATCH, Ordering::Relaxed);
         if start >= self.len {
             None
         } else {
-            Some(start..self.len.min(start + self.batch))
+            Some(start..self.len.min(start + QUEUE_BATCH))
         }
     }
 }
@@ -74,7 +77,6 @@ where
     let workers = config.num_threads.max(1).min(len.max(1));
     let queue = WorkQueue {
         cursor: AtomicUsize::new(0),
-        batch: config.queue_batch.max(1),
         len,
     };
     std::thread::scope(|scope| {
@@ -92,13 +94,13 @@ where
 ///
 /// Threading model: columns are distributed to `num_threads` workers
 /// through a shared atomic cursor (a dynamic work queue), each worker
-/// claiming `queue_batch` columns at a time. Every worker folds into its
+/// claiming one column at a time. Every worker folds into its
 /// own thread-local accumulator map and carries one reusable column
 /// scratch (enumeration bitset pool + per-column fingerprint map), so
 /// steady-state profiling performs no per-column allocation. Because the
 /// fixed-point impurity accumulators merge with exact associativity and
 /// commutativity, the built index is bit-for-bit identical for every
-/// thread count, batch size, and scheduling order.
+/// thread count and scheduling order.
 #[derive(Debug, Clone)]
 pub struct IndexConfig {
     /// Pattern-generation knobs. For indexing, `max_patterns` bounds the
@@ -110,10 +112,6 @@ pub struct IndexConfig {
     pub tau: usize,
     /// Worker threads for the work-queue build.
     pub num_threads: usize,
-    /// Columns a worker claims per queue pop. `1` (the default) gives the
-    /// best balance under skewed column sizes; raise it only when columns
-    /// are uniformly tiny and cursor contention ever shows up in profiles.
-    pub queue_batch: usize,
     /// log₂ of the shard count the index is partitioned into (clamped to
     /// 12). More shards mean a finer copy-on-write granularity for
     /// [`PatternIndex::merge_delta`] — a small delta republishes a smaller
@@ -137,7 +135,6 @@ impl Default for IndexConfig {
             num_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            queue_batch: 1,
             shard_bits: DEFAULT_SHARD_BITS,
             keep_patterns: false,
         }
@@ -629,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_and_batch_size_do_not_change_bytes() {
+    fn thread_count_does_not_change_bytes() {
         let corpus = generate_lake(&LakeProfile::tiny(), 9);
         let cols: Vec<&Column> = corpus.columns().collect();
         let reference = PatternIndex::build(
@@ -640,20 +637,15 @@ mod tests {
             },
         )
         .to_bytes();
-        for (threads, batch) in [(4usize, 1usize), (4, 7), (3, 100), (64, 2)] {
+        for threads in [3usize, 4, 64] {
             let built = PatternIndex::build(
                 &cols,
                 &IndexConfig {
                     num_threads: threads,
-                    queue_batch: batch,
                     ..Default::default()
                 },
             );
-            assert_eq!(
-                built.to_bytes(),
-                reference,
-                "threads={threads} batch={batch}"
-            );
+            assert_eq!(built.to_bytes(), reference, "threads={threads}");
         }
     }
 

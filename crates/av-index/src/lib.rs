@@ -9,9 +9,9 @@
 //!
 //! The build is a shard-and-merge map/reduce over OS threads (the paper
 //! uses a production Map-Reduce cluster — same dataflow). Indexes persist
-//! to a compact binary format (AVIX v4, a per-shard directory; v3
-//! single-shard images still load) and are orders of magnitude smaller
-//! than the corpus they summarize.
+//! to a compact binary format (AVIX v4, a per-shard directory — the only
+//! version read) and are orders of magnitude smaller than the corpus they
+//! summarize.
 //!
 //! ## Sharded copy-on-write maintenance
 //!

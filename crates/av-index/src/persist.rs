@@ -13,13 +13,11 @@
 //!
 //! Entries are sorted by fingerprint within each shard; because shard
 //! routing uses the fingerprint's *top* bits, the concatenation of the
-//! shard sections is still globally fingerprint-sorted — a 1-shard v4
-//! image is byte-identical to the old single-section v3 body, differing
-//! only in the header. Version 3 images (no `shard_bits` field, one
-//! global entry/string section) still load, landing in a single shard
-//! that callers [reshard](PatternIndex::reshard) as needed.
+//! shard sections is still globally fingerprint-sorted. Version 4 is the
+//! only version read: no deployment ever wrote an earlier one, and every
+//! other version number is refused.
 //!
-//! Both versions store the **raw fixed-point impurity accumulator**
+//! The format stores the **raw fixed-point impurity accumulator**
 //! (`imp_fp`, scaled by 2³²) instead of the finished `fpr` float, so a
 //! reloaded index remains exactly mergeable with later
 //! [`crate::IndexDelta`]s — the persist → reload → merge path is
@@ -36,11 +34,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"AVIX";
-// v4: sharded directory layout (see module docs). v3 (single-shard) still
-// loads; v2 and earlier predate the CharClass whitespace change — their
-// statistics are not comparable and they are refused.
+// v4: sharded directory layout (see module docs); the only version read.
 const VERSION: u32 = 4;
-const OLD_SINGLE_SHARD_VERSION: u32 = 3;
 
 /// Errors from loading a persisted index.
 #[derive(Debug)]
@@ -208,38 +203,31 @@ impl PatternIndex {
         ))
     }
 
-    /// Deserialize from bytes. Accepts v4 (sharded) and v3 (single-shard;
-    /// the result has one shard — [`PatternIndex::reshard`] spreads it).
+    /// Deserialize from bytes (AVIX v4; any other version is refused).
     pub fn from_bytes(mut buf: &[u8]) -> Result<PatternIndex, PersistError> {
         let err = |m: &str| PersistError::Format(m.to_string());
         if buf.remaining() < 4 || &buf[..4] != MAGIC {
             return Err(err("bad magic"));
         }
         buf.advance(4);
-        if buf.remaining() < 20 {
+        if buf.remaining() < 24 {
             return Err(err("truncated header"));
         }
         let version = buf.get_u32_le();
+        if version != VERSION {
+            return Err(PersistError::Format(format!(
+                "unsupported version {version}"
+            )));
+        }
         let num_columns = buf.get_u64_le();
         let tau = buf.get_u64_le() as usize;
-        let (shard_bits, sections) = match version {
-            VERSION => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated header"));
-                }
-                let bits = buf.get_u32_le();
-                if bits > MAX_SHARD_BITS {
-                    return Err(PersistError::Format(format!(
-                        "implausible shard_bits {bits}"
-                    )));
-                }
-                (bits, 1usize << bits)
-            }
-            OLD_SINGLE_SHARD_VERSION => (0, 1),
-            other => {
-                return Err(PersistError::Format(format!("unsupported version {other}")));
-            }
-        };
+        let shard_bits = buf.get_u32_le();
+        if shard_bits > MAX_SHARD_BITS {
+            return Err(PersistError::Format(format!(
+                "implausible shard_bits {shard_bits}"
+            )));
+        }
+        let sections = 1usize << shard_bits;
         let mut index = PatternIndex::with_capacity(0, num_columns, tau, shard_bits);
         for section in 0..sections {
             if buf.remaining() < 8 {
@@ -333,6 +321,7 @@ impl PatternIndex {
 #[cfg(test)]
 mod tests {
 
+    use super::PersistError;
     use crate::build::{IndexConfig, PatternIndex};
     use av_corpus::{generate_lake, Column, LakeProfile};
 
@@ -363,10 +352,12 @@ mod tests {
         assert_eq!(restored.to_bytes(), bytes);
     }
 
-    /// A single-shard v4 image carries exactly the v3 body after its
-    /// header, and the v3 loader still accepts the old framing.
+    /// v4 is the only version read: the old single-section v3 framing (the
+    /// same body behind a header without `shard_bits`) is refused by its
+    /// version number, while a single-shard v4 image loads and reshards to
+    /// exactly what a native build at the default layout produces.
     #[test]
-    fn one_shard_v4_is_v3_modulo_header_and_v3_still_loads() {
+    fn v3_images_are_refused_and_one_shard_v4_reshards_to_native() {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(60), 3);
         let cols: Vec<&Column> = corpus.columns().collect();
         let config = IndexConfig {
@@ -384,14 +375,14 @@ mod tests {
         v3.extend_from_slice(&3u32.to_le_bytes());
         v3.extend_from_slice(&index.num_columns.to_le_bytes());
         v3.extend_from_slice(&(index.tau as u64).to_le_bytes());
-        v3.extend_from_slice(&v4[28..]); // body, bit-identical by design
+        v3.extend_from_slice(&v4[28..]);
+        match PatternIndex::from_bytes(&v3) {
+            Err(PersistError::Format(m)) => assert_eq!(m, "unsupported version 3"),
+            other => panic!("v3 image must be refused, got {other:?}"),
+        }
 
-        let loaded = PatternIndex::from_bytes(&v3).expect("v3 image loads");
+        let loaded = PatternIndex::from_bytes(&v4).expect("v4 image loads");
         assert_eq!(loaded.shard_count(), 1);
-        assert_eq!(loaded.len(), index.len());
-        // Re-serializing the v3-loaded index produces the v4 image again.
-        assert_eq!(loaded.to_bytes(), v4);
-        // And resharding it to the default layout matches a native build.
         let native = PatternIndex::build(
             &cols,
             &IndexConfig {

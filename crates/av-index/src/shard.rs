@@ -167,8 +167,8 @@ impl ShardedIndex {
 
     /// Replace the live index wholesale (e.g. after loading a persisted
     /// image). The replacement is resharded to this wrapper's shard count
-    /// when it arrives with a different one — a v3 single-shard image
-    /// loads as one shard and is spread out here. Taking every merge lock
+    /// when it arrives with a different one (an image persisted under
+    /// another `shard_bits` setting). Taking every merge lock
     /// first keeps a concurrent [`ShardedIndex::merge_delta`] from
     /// grafting shards of the outgoing index onto the new epoch.
     pub fn install(&self, index: PatternIndex) {

@@ -35,64 +35,6 @@ use crate::pattern::Pattern;
 use crate::token::Token;
 use std::cell::RefCell;
 
-/// Character class an instruction scans. Mirrors [`Token::class_contains`]:
-/// the first six are pure-ASCII alphabets, `Sym` and `Any` also accept
-/// multi-byte characters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Digit,
-    Upper,
-    Lower,
-    Letter,
-    Alnum,
-    Space,
-    Sym,
-    Any,
-}
-
-impl Class {
-    /// Membership test for an ASCII byte (callers route non-ASCII
-    /// separately via [`Class::accepts_multibyte`]).
-    #[inline]
-    fn contains_ascii(self, b: u8) -> bool {
-        const fn is_ascii_space(b: u8) -> bool {
-            matches!(b, b' ' | b'\t' | b'\r' | b'\n' | 0x0B | 0x0C)
-        }
-        match self {
-            Class::Digit => b.is_ascii_digit(),
-            Class::Upper => b.is_ascii_uppercase(),
-            Class::Lower => b.is_ascii_lowercase(),
-            Class::Letter => b.is_ascii_alphabetic(),
-            Class::Alnum => b.is_ascii_alphanumeric(),
-            Class::Space => is_ascii_space(b),
-            // Same set as `CharClass::of(c) == Symbol` restricted to ASCII.
-            Class::Sym => !b.is_ascii_alphanumeric() && !is_ascii_space(b),
-            Class::Any => true,
-        }
-    }
-
-    /// Does the class accept non-ASCII characters? (`CharClass::of` sends
-    /// every non-ASCII `char` to `Symbol`, so `<sym>` and `<any>` do.)
-    #[inline]
-    fn accepts_multibyte(self) -> bool {
-        matches!(self, Class::Sym | Class::Any)
-    }
-
-    /// Class name for explanation text.
-    fn name(self) -> &'static str {
-        match self {
-            Class::Digit => "digit",
-            Class::Upper => "uppercase",
-            Class::Lower => "lowercase",
-            Class::Letter => "letter",
-            Class::Alnum => "alphanumeric",
-            Class::Space => "whitespace",
-            Class::Sym => "symbol",
-            Class::Any => "any",
-        }
-    }
-}
-
 /// Encoded length of the character starting with lead byte `lead`
 /// (callers guarantee `lead >= 0x80` came from a valid `&str` boundary).
 #[inline]
@@ -109,7 +51,7 @@ fn utf8_len(lead: u8) -> usize {
 /// Consume one character of `class` at byte `pos`; returns the byte
 /// position after it, or `None` when the position holds no such character.
 #[inline]
-fn eat_char(bytes: &[u8], pos: usize, class: Class) -> Option<usize> {
+fn eat_char(bytes: &[u8], pos: usize, class: ClassView) -> Option<usize> {
     let b = *bytes.get(pos)?;
     if b < 0x80 {
         if class.contains_ascii(b) {
@@ -130,10 +72,10 @@ enum Inst {
     /// Match these exact bytes.
     Lit(Box<[u8]>),
     /// Exactly `chars` characters of `class` (fused fixed-width tokens).
-    Fixed { class: Class, chars: u32 },
+    Fixed { class: ClassView, chars: u32 },
     /// `min_chars` or more characters of `class` (fused variadic runs;
     /// adjacent fixed widths of the same class fold into the minimum).
-    Var { class: Class, min_chars: u32 },
+    Var { class: ClassView, min_chars: u32 },
     /// `<num>` = `\d+(\.\d+)?`, with full backtracking over end positions.
     Num,
 }
@@ -156,11 +98,12 @@ impl Inst {
     }
 }
 
-/// Character class of an instruction, as seen through
-/// [`CompiledPattern::instructions`]. Mirrors the internal class exactly:
-/// the first six are pure-ASCII alphabets; [`ClassView::Sym`] and
-/// [`ClassView::Any`] also accept every multi-byte character (the paper's
-/// generalization hierarchy sends all non-ASCII `char`s to `Symbol`).
+/// Character class an instruction scans — the matcher's own type, also
+/// seen through [`CompiledPattern::instructions`]. Mirrors
+/// [`Token::class_contains`]: the first six are pure-ASCII alphabets;
+/// [`ClassView::Sym`] and [`ClassView::Any`] also accept every multi-byte
+/// character (the paper's generalization hierarchy sends all non-ASCII
+/// `char`s to `Symbol`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassView {
     /// `0-9`.
@@ -182,33 +125,47 @@ pub enum ClassView {
 }
 
 impl ClassView {
-    #[inline]
-    fn class(self) -> Class {
-        match self {
-            ClassView::Digit => Class::Digit,
-            ClassView::Upper => Class::Upper,
-            ClassView::Lower => Class::Lower,
-            ClassView::Letter => Class::Letter,
-            ClassView::Alnum => Class::Alnum,
-            ClassView::Space => Class::Space,
-            ClassView::Sym => Class::Sym,
-            ClassView::Any => Class::Any,
-        }
-    }
-
     /// Membership test for an ASCII byte (`b < 0x80`). Non-ASCII lead
     /// bytes are routed through [`ClassView::accepts_multibyte`] instead.
     #[inline]
     pub fn contains_ascii(self, b: u8) -> bool {
-        self.class().contains_ascii(b)
+        const fn is_ascii_space(b: u8) -> bool {
+            matches!(b, b' ' | b'\t' | b'\r' | b'\n' | 0x0B | 0x0C)
+        }
+        match self {
+            ClassView::Digit => b.is_ascii_digit(),
+            ClassView::Upper => b.is_ascii_uppercase(),
+            ClassView::Lower => b.is_ascii_lowercase(),
+            ClassView::Letter => b.is_ascii_alphabetic(),
+            ClassView::Alnum => b.is_ascii_alphanumeric(),
+            ClassView::Space => is_ascii_space(b),
+            // Same set as `CharClass::of(c) == Symbol` restricted to ASCII.
+            ClassView::Sym => !b.is_ascii_alphanumeric() && !is_ascii_space(b),
+            ClassView::Any => true,
+        }
     }
 
-    /// Does the class accept non-ASCII characters? Matching steps over a
-    /// multi-byte character as a unit — lead byte plus its continuation
-    /// bytes — never through its interior.
+    /// Does the class accept non-ASCII characters? (`CharClass::of` sends
+    /// every non-ASCII `char` to `Symbol`, so `<sym>` and `<any>` do.)
+    /// Matching steps over a multi-byte character as a unit — lead byte
+    /// plus its continuation bytes — never through its interior.
     #[inline]
     pub fn accepts_multibyte(self) -> bool {
-        self.class().accepts_multibyte()
+        matches!(self, ClassView::Sym | ClassView::Any)
+    }
+
+    /// Class name for explanation text.
+    fn name(self) -> &'static str {
+        match self {
+            ClassView::Digit => "digit",
+            ClassView::Upper => "uppercase",
+            ClassView::Lower => "lowercase",
+            ClassView::Letter => "letter",
+            ClassView::Alnum => "alphanumeric",
+            ClassView::Space => "whitespace",
+            ClassView::Sym => "symbol",
+            ClassView::Any => "any",
+        }
     }
 }
 
@@ -243,43 +200,29 @@ pub enum InstView<'p> {
 
 impl Inst {
     fn view(&self) -> InstView<'_> {
-        fn view_class(c: Class) -> ClassView {
-            match c {
-                Class::Digit => ClassView::Digit,
-                Class::Upper => ClassView::Upper,
-                Class::Lower => ClassView::Lower,
-                Class::Letter => ClassView::Letter,
-                Class::Alnum => ClassView::Alnum,
-                Class::Space => ClassView::Space,
-                Class::Sym => ClassView::Sym,
-                Class::Any => ClassView::Any,
-            }
-        }
-        match self {
-            Inst::Lit(b) => InstView::Lit(b),
-            Inst::Fixed { class, chars } => InstView::Fixed {
-                class: view_class(*class),
-                chars: *chars,
-            },
-            Inst::Var { class, min_chars } => InstView::Var {
-                class: view_class(*class),
-                min_chars: *min_chars,
-            },
+        match *self {
+            Inst::Lit(ref b) => InstView::Lit(b),
+            Inst::Fixed { class, chars } => InstView::Fixed { class, chars },
+            Inst::Var { class, min_chars } => InstView::Var { class, min_chars },
             Inst::Num => InstView::Num,
         }
     }
 }
 
-/// Reusable working memory for [`CompiledPattern::matches_with`].
-///
-/// Holds the backtracking stack and the failure memo. Both retain their
-/// capacity across calls, so a scratch reused over a stream of values makes
-/// steady-state matching allocation-free. A fresh `MatchScratch` is two
-/// empty `Vec`s — creating one does not allocate.
-#[derive(Debug, Default, Clone)]
-pub struct MatchScratch {
+/// Working memory of the backtracking search: the explicit stack and the
+/// failure memo. One per thread (see `SCRATCH`); both buffers keep their
+/// capacity across calls, so steady-state matching is allocation-free.
+#[derive(Default)]
+struct MatchScratch {
     stack: Vec<Frame>,
     memo: Vec<u64>,
+}
+
+thread_local! {
+    /// The one scratch every backtracking search on this thread runs in.
+    /// Deterministic programs — and values rejected before the first branch
+    /// instruction — never touch it.
+    static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
 }
 
 /// A suspended branch instruction: which candidate end positions remain.
@@ -348,6 +291,27 @@ impl MatchTrace {
     }
 }
 
+/// What the search loop reports its progress to. The loop is generic over
+/// this and monomorphised per implementation: `()` records nothing and
+/// keeps the minimum-width prune (the verdict path, [`CompiledPattern::matches`]);
+/// [`TraceState`] records every byte of partial progress and turns the prune
+/// off (the explanation path, [`CompiledPattern::explain`]) — a branch that
+/// cannot complete can still carry the furthest reach.
+trait Recorder {
+    /// Track partial progress exactly instead of pruning hopeless positions.
+    const TRACING: bool;
+
+    /// `inst` consumed input up to byte `pos`.
+    fn reach(&mut self, inst: usize, pos: usize);
+}
+
+impl Recorder for () {
+    const TRACING: bool = false;
+
+    #[inline(always)]
+    fn reach(&mut self, _inst: usize, _pos: usize) {}
+}
+
 /// Running maximum of `(position, instruction)` over an explain search.
 #[derive(Clone, Copy)]
 struct TraceState {
@@ -355,10 +319,11 @@ struct TraceState {
     inst: usize,
 }
 
-impl TraceState {
-    /// Record that `inst` consumed input up to byte `pos`. Ties on position
-    /// keep the latest instruction — the one deepest into the program is
-    /// the most precise thing to report.
+impl Recorder for TraceState {
+    const TRACING: bool = true;
+
+    /// Ties on position keep the latest instruction — the one deepest into
+    /// the program is the most precise thing to report.
     #[inline]
     fn reach(&mut self, inst: usize, pos: usize) {
         if pos > self.furthest || (pos == self.furthest && inst > self.inst) {
@@ -370,21 +335,16 @@ impl TraceState {
 
 /// A [`Pattern`] lowered to a flat byte-matching program.
 ///
-/// Compile once at inference time, then [`CompiledPattern::matches`] (or
-/// [`CompiledPattern::matches_with`] with a caller-owned scratch) answers
-/// `h ∈ P(v)` with no per-call allocation and no recursion.
+/// Compile once at inference time, then [`CompiledPattern::matches`]
+/// answers `h ∈ P(v)` with no per-call allocation and no recursion.
 ///
 /// ```
-/// use av_pattern::{parse, CompiledPattern, MatchScratch};
+/// use av_pattern::{parse, CompiledPattern};
 ///
 /// let pattern = parse("<letter>{3} <digit>{2} <digit>{4}").unwrap();
 /// let compiled = CompiledPattern::compile(&pattern);
 /// assert!(compiled.matches("Mar 01 2019"));
 /// assert!(!compiled.matches("Mar 1 2019"));
-///
-/// // Hot loops reuse one scratch across values.
-/// let mut scratch = MatchScratch::default();
-/// assert!(compiled.matches_with("Apr 30 2020", &mut scratch));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
@@ -407,20 +367,20 @@ impl CompiledPattern {
             match t {
                 Token::Lit(s) => insts.push(Inst::Lit(s.as_bytes().into())),
                 Token::Num => insts.push(Inst::Num),
-                Token::Digit(n) => push_class(&mut insts, Class::Digit, *n as u32, false),
-                Token::Upper(n) => push_class(&mut insts, Class::Upper, *n as u32, false),
-                Token::Lower(n) => push_class(&mut insts, Class::Lower, *n as u32, false),
-                Token::Letter(n) => push_class(&mut insts, Class::Letter, *n as u32, false),
-                Token::Alnum(n) => push_class(&mut insts, Class::Alnum, *n as u32, false),
-                Token::Sym(n) => push_class(&mut insts, Class::Sym, *n as u32, false),
-                Token::DigitPlus => push_class(&mut insts, Class::Digit, 1, true),
-                Token::UpperPlus => push_class(&mut insts, Class::Upper, 1, true),
-                Token::LowerPlus => push_class(&mut insts, Class::Lower, 1, true),
-                Token::LetterPlus => push_class(&mut insts, Class::Letter, 1, true),
-                Token::AlnumPlus => push_class(&mut insts, Class::Alnum, 1, true),
-                Token::SymPlus => push_class(&mut insts, Class::Sym, 1, true),
-                Token::SpacePlus => push_class(&mut insts, Class::Space, 1, true),
-                Token::AnyPlus => push_class(&mut insts, Class::Any, 1, true),
+                Token::Digit(n) => push_class(&mut insts, ClassView::Digit, *n as u32, false),
+                Token::Upper(n) => push_class(&mut insts, ClassView::Upper, *n as u32, false),
+                Token::Lower(n) => push_class(&mut insts, ClassView::Lower, *n as u32, false),
+                Token::Letter(n) => push_class(&mut insts, ClassView::Letter, *n as u32, false),
+                Token::Alnum(n) => push_class(&mut insts, ClassView::Alnum, *n as u32, false),
+                Token::Sym(n) => push_class(&mut insts, ClassView::Sym, *n as u32, false),
+                Token::DigitPlus => push_class(&mut insts, ClassView::Digit, 1, true),
+                Token::UpperPlus => push_class(&mut insts, ClassView::Upper, 1, true),
+                Token::LowerPlus => push_class(&mut insts, ClassView::Lower, 1, true),
+                Token::LetterPlus => push_class(&mut insts, ClassView::Letter, 1, true),
+                Token::AlnumPlus => push_class(&mut insts, ClassView::Alnum, 1, true),
+                Token::SymPlus => push_class(&mut insts, ClassView::Sym, 1, true),
+                Token::SpacePlus => push_class(&mut insts, ClassView::Space, 1, true),
+                Token::AnyPlus => push_class(&mut insts, ClassView::Any, 1, true),
             }
         }
         let mut min_tail = vec![0usize; insts.len() + 1];
@@ -471,43 +431,39 @@ impl CompiledPattern {
 
     /// Does the program accept the *entire* `value`?
     ///
-    /// Deterministic programs match with no working memory at all; for
-    /// backtracking programs a thread-local [`MatchScratch`] is reused, so
-    /// steady-state calls are allocation-free either way. Hot loops that
-    /// want the scratch under their own control use
-    /// [`CompiledPattern::matches_with`].
+    /// Deterministic programs match with no working memory at all;
+    /// backtracking programs reuse a thread-local scratch, so steady-state
+    /// calls are allocation-free either way.
     pub fn matches(&self, value: &str) -> bool {
-        if self.nbranch == 0 {
-            // The scratch is untouched on this path, and a fresh one does
-            // not allocate.
-            return self.matches_with(value, &mut MatchScratch::default());
-        }
-        thread_local! {
-            static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
-        }
-        SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.matches_with(value, &mut scratch),
-            // Unreachable in practice (matching never re-enters), but a
-            // fallback beats a panic.
-            Err(_) => self.matches_with(value, &mut MatchScratch::default()),
-        })
+        self.search(value.as_bytes(), &mut ())
     }
 
-    /// [`CompiledPattern::matches`] with caller-owned working memory.
-    ///
-    /// The scratch keeps its buffers between calls; reusing one across a
-    /// stream of values makes every call after the first allocation-free.
-    pub fn matches_with(&self, value: &str, scratch: &mut MatchScratch) -> bool {
-        let bytes = value.as_bytes();
-        if bytes.len() < self.min_tail[0] {
+    /// The one search loop behind [`CompiledPattern::matches`] and
+    /// [`CompiledPattern::explain`]: run the deterministic prefix, then
+    /// depth-first over the candidate ends of each branch instruction,
+    /// longest first, reporting progress to `rec`.
+    fn search<R: Recorder>(&self, bytes: &[u8], rec: &mut R) -> bool {
+        if !R::TRACING && bytes.len() < self.min_tail[0] {
             return false;
         }
-        // Entry: run the deterministic prefix.
-        let (inst, pos) = match self.advance(bytes, 0, 0) {
+        let (inst, pos) = match self.advance(bytes, 0, 0, rec) {
             Step::Accept => return true,
             Step::Reject => return false,
             Step::Branch { inst, pos } => (inst, pos),
         };
+        SCRATCH.with_borrow_mut(|scratch| self.backtrack(bytes, inst, pos, scratch, rec))
+    }
+
+    /// Explore the branch state `(inst, pos)` and everything reachable from
+    /// it.
+    fn backtrack<R: Recorder>(
+        &self,
+        bytes: &[u8],
+        inst: usize,
+        pos: usize,
+        scratch: &mut MatchScratch,
+        rec: &mut R,
+    ) -> bool {
         // With a single branch instruction no (inst, pos) state can be
         // reached twice, so the failure memo would be pure overhead.
         let use_memo = self.nbranch > 1;
@@ -517,7 +473,7 @@ impl CompiledPattern {
             scratch.memo.resize(states.div_ceil(64), 0);
         }
         scratch.stack.clear();
-        scratch.stack.push(self.init_frame(bytes, inst, pos));
+        scratch.stack.push(self.init_frame(bytes, inst, pos, rec));
 
         while let Some(mut frame) = scratch.stack.pop() {
             let Some(end) = self.next_candidate(bytes, &mut frame) else {
@@ -529,7 +485,7 @@ impl CompiledPattern {
                 continue;
             };
             scratch.stack.push(frame); // updated cursor, back on the stack
-            match self.advance(bytes, frame.inst + 1, end) {
+            match self.advance(bytes, frame.inst + 1, end, rec) {
                 Step::Accept => return true,
                 Step::Reject => {}
                 Step::Branch { inst, pos } => {
@@ -538,7 +494,7 @@ impl CompiledPattern {
                         scratch.memo[key / 64] & (1 << (key % 64)) != 0
                     };
                     if !failed {
-                        scratch.stack.push(self.init_frame(bytes, inst, pos));
+                        scratch.stack.push(self.init_frame(bytes, inst, pos, rec));
                     }
                 }
             }
@@ -547,9 +503,18 @@ impl CompiledPattern {
     }
 
     /// Run deterministic instructions from `(inst, pos)` until the program
-    /// ends, a dead end, or a branch instruction.
-    fn advance(&self, bytes: &[u8], mut inst: usize, mut pos: usize) -> Step {
+    /// ends, a dead end, or a branch instruction. Bytes a literal or
+    /// fixed-class instruction consumed before its mismatch are a prefix of
+    /// some accepted string, so they are reported to `rec` too.
+    fn advance<R: Recorder>(
+        &self,
+        bytes: &[u8],
+        mut inst: usize,
+        mut pos: usize,
+        rec: &mut R,
+    ) -> Step {
         loop {
+            rec.reach(inst, pos);
             if inst == self.insts.len() {
                 return if pos == bytes.len() {
                     Step::Accept
@@ -557,7 +522,7 @@ impl CompiledPattern {
                     Step::Reject
                 };
             }
-            if bytes.len() - pos < self.min_tail[inst] {
+            if !R::TRACING && bytes.len() - pos < self.min_tail[inst] {
                 return Step::Reject;
             }
             match &self.insts[inst] {
@@ -565,13 +530,31 @@ impl CompiledPattern {
                     if bytes[pos..].starts_with(lit) {
                         pos += lit.len();
                     } else {
+                        if R::TRACING {
+                            // Partial literal progress, rounded down to a
+                            // char boundary of the value (the shared bytes
+                            // may end inside a multi-byte character).
+                            let common = lit
+                                .iter()
+                                .zip(&bytes[pos..])
+                                .take_while(|(a, b)| a == b)
+                                .count();
+                            let mut p = pos + common;
+                            while p < bytes.len() && bytes[p] & 0xC0 == 0x80 {
+                                p -= 1;
+                            }
+                            rec.reach(inst, p);
+                        }
                         return Step::Reject;
                     }
                 }
                 Inst::Fixed { class, chars } => {
                     for _ in 0..*chars {
                         match eat_char(bytes, pos, *class) {
-                            Some(next) => pos = next,
+                            Some(next) => {
+                                pos = next;
+                                rec.reach(inst, pos);
+                            }
                             None => return Step::Reject,
                         }
                     }
@@ -583,7 +566,10 @@ impl CompiledPattern {
     }
 
     /// Build the candidate-end cursor for a branch instruction at `pos`.
-    fn init_frame(&self, bytes: &[u8], inst: usize, pos: usize) -> Frame {
+    /// The greedy scan of a variadic run (and `<num>`'s integer/fraction
+    /// scans) is itself partial progress, even when too short to yield any
+    /// candidate.
+    fn init_frame<R: Recorder>(&self, bytes: &[u8], inst: usize, pos: usize, rec: &mut R) -> Frame {
         match &self.insts[inst] {
             Inst::Var { class, min_chars } => {
                 // Greedy scan of the maximal run, remembering the byte end
@@ -598,6 +584,7 @@ impl CompiledPattern {
                         min_end = p;
                     }
                 }
+                rec.reach(inst, p);
                 if count < *min_chars {
                     Frame {
                         inst,
@@ -628,6 +615,13 @@ impl CompiledPattern {
                         b: 0,
                     }
                 } else {
+                    rec.reach(inst, ie);
+                    if R::TRACING {
+                        // "123." is a prefix of "123.4": the dot (and any
+                        // fraction digits) extend the reach even when no
+                        // legal candidate end comes of it.
+                        rec.reach(inst, frac_scan(bytes, ie));
+                    }
                     Frame {
                         inst,
                         pos,
@@ -691,10 +685,11 @@ impl CompiledPattern {
     /// [`MatchTrace::matched_prefix`]) the prefix that did match. Returns
     /// `None` exactly when [`CompiledPattern::matches`] returns true.
     ///
-    /// This is the cold half of the matcher: callers run it only after a
-    /// failed `matches`, so it trades the minimum-width prune for exact
-    /// partial-progress tracking (a pruned branch may still hold the
-    /// deepest partial match). The furthest-reached position is the longest
+    /// This is the verdict's own search with a recorder attached: the same
+    /// loop, the same exploration order, but the minimum-width prune is
+    /// traded for exact partial-progress tracking (a pruned branch may
+    /// still hold the deepest partial match). Callers run it only after a
+    /// failed `matches`. The furthest-reached position is the longest
     /// prefix of `value` that is also a prefix of some accepted string —
     /// the same quantity [`crate::furthest_mismatch`] computes on the
     /// reference matcher, which pins this implementation in proptests.
@@ -709,24 +704,12 @@ impl CompiledPattern {
     /// assert!(compiled.explain("Mar 01 2019").is_none());
     /// ```
     pub fn explain(&self, value: &str) -> Option<MatchTrace> {
-        thread_local! {
-            static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
-        }
-        SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.explain_with(value, &mut scratch),
-            Err(_) => self.explain_with(value, &mut MatchScratch::default()),
-        })
-    }
-
-    /// [`CompiledPattern::explain`] with caller-owned working memory (the
-    /// same [`MatchScratch`] the hot path already carries).
-    pub fn explain_with(&self, value: &str, scratch: &mut MatchScratch) -> Option<MatchTrace> {
         let bytes = value.as_bytes();
         let mut tr = TraceState {
             furthest: 0,
             inst: 0,
         };
-        if self.explain_search(bytes, scratch, &mut tr) {
+        if self.search(bytes, &mut tr) {
             return None;
         }
         let span_end = match bytes.get(tr.furthest) {
@@ -783,209 +766,30 @@ impl CompiledPattern {
         }
         prev[b.len()]
     }
+}
 
-    /// The explain-mode search: same exploration order as
-    /// [`CompiledPattern::matches_with`], but every byte of partial
-    /// progress is recorded in `tr`, and the minimum-width prune is off —
-    /// a branch that cannot complete can still carry the furthest reach.
-    fn explain_search(
-        &self,
-        bytes: &[u8],
-        scratch: &mut MatchScratch,
-        tr: &mut TraceState,
-    ) -> bool {
-        let (inst, pos) = match self.explain_advance(bytes, 0, 0, tr) {
-            Step::Accept => return true,
-            Step::Reject => return false,
-            Step::Branch { inst, pos } => (inst, pos),
-        };
-        let use_memo = self.nbranch > 1;
-        if use_memo {
-            let states = self.nbranch * (bytes.len() + 1);
-            scratch.memo.clear();
-            scratch.memo.resize(states.div_ceil(64), 0);
-        }
-        scratch.stack.clear();
-        scratch
-            .stack
-            .push(self.explain_init_frame(bytes, inst, pos, tr));
-
-        while let Some(mut frame) = scratch.stack.pop() {
-            let Some(end) = self.next_candidate(bytes, &mut frame) else {
-                if use_memo {
-                    let key = self.branch_ord[frame.inst] * (bytes.len() + 1) + frame.pos;
-                    scratch.memo[key / 64] |= 1 << (key % 64);
-                }
-                continue;
-            };
-            scratch.stack.push(frame);
-            match self.explain_advance(bytes, frame.inst + 1, end, tr) {
-                Step::Accept => return true,
-                Step::Reject => {}
-                Step::Branch { inst, pos } => {
-                    let failed = use_memo && {
-                        let key = self.branch_ord[inst] * (bytes.len() + 1) + pos;
-                        scratch.memo[key / 64] & (1 << (key % 64)) != 0
-                    };
-                    if !failed {
-                        scratch
-                            .stack
-                            .push(self.explain_init_frame(bytes, inst, pos, tr));
-                    }
-                }
-            }
-        }
-        false
+/// Position after a `'.'` at integer end `ie` and the digits following it
+/// (`ie` itself when there is no dot).
+fn frac_scan(bytes: &[u8], ie: usize) -> usize {
+    if ie == bytes.len() || bytes[ie] != b'.' {
+        return ie;
     }
-
-    /// [`CompiledPattern::advance`] with reach tracking and no prune.
-    /// Literal and fixed-class instructions record partial progress: the
-    /// bytes they consumed before the mismatch are part of a prefix of some
-    /// accepted string, so they count toward the furthest reach.
-    fn explain_advance(
-        &self,
-        bytes: &[u8],
-        mut inst: usize,
-        mut pos: usize,
-        tr: &mut TraceState,
-    ) -> Step {
-        loop {
-            tr.reach(inst, pos);
-            if inst == self.insts.len() {
-                return if pos == bytes.len() {
-                    Step::Accept
-                } else {
-                    Step::Reject
-                };
-            }
-            match &self.insts[inst] {
-                Inst::Lit(lit) => {
-                    let rest = &bytes[pos..];
-                    let common = lit
-                        .iter()
-                        .zip(rest.iter())
-                        .take_while(|(a, b)| a == b)
-                        .count();
-                    if common == lit.len() {
-                        pos += common;
-                    } else {
-                        // Partial literal progress, rounded down to a char
-                        // boundary of the value (the shared bytes may end
-                        // inside a multi-byte character).
-                        let mut p = pos + common;
-                        while p < bytes.len() && bytes[p] & 0xC0 == 0x80 {
-                            p -= 1;
-                        }
-                        tr.reach(inst, p);
-                        return Step::Reject;
-                    }
-                }
-                Inst::Fixed { class, chars } => {
-                    for _ in 0..*chars {
-                        match eat_char(bytes, pos, *class) {
-                            Some(next) => {
-                                pos = next;
-                                tr.reach(inst, pos);
-                            }
-                            None => return Step::Reject,
-                        }
-                    }
-                }
-                Inst::Var { .. } | Inst::Num => return Step::Branch { inst, pos },
-            }
-            inst += 1;
-        }
+    let mut fe = ie + 1;
+    while fe < bytes.len() && bytes[fe].is_ascii_digit() {
+        fe += 1;
     }
-
-    /// [`CompiledPattern::init_frame`] with reach tracking: the greedy scan
-    /// of a variadic run (and `<num>`'s integer/fraction scans) is itself
-    /// partial progress, even when too short to yield any candidate.
-    fn explain_init_frame(
-        &self,
-        bytes: &[u8],
-        inst: usize,
-        pos: usize,
-        tr: &mut TraceState,
-    ) -> Frame {
-        match &self.insts[inst] {
-            Inst::Var { class, min_chars } => {
-                let mut count = 0u32;
-                let mut p = pos;
-                let mut min_end = pos;
-                while let Some(next) = eat_char(bytes, p, *class) {
-                    count += 1;
-                    p = next;
-                    if count == *min_chars {
-                        min_end = p;
-                    }
-                }
-                tr.reach(inst, p);
-                if count < *min_chars {
-                    Frame {
-                        inst,
-                        pos,
-                        a: 0,
-                        b: 1,
-                    }
-                } else {
-                    Frame {
-                        inst,
-                        pos,
-                        a: p,
-                        b: min_end,
-                    }
-                }
-            }
-            Inst::Num => {
-                let mut ie = pos;
-                while ie < bytes.len() && bytes[ie].is_ascii_digit() {
-                    ie += 1;
-                }
-                if ie == pos {
-                    Frame {
-                        inst,
-                        pos,
-                        a: pos,
-                        b: 0,
-                    }
-                } else {
-                    tr.reach(inst, ie);
-                    // "123." is a prefix of "123.4": the dot (and any
-                    // fraction digits) extend the reach even when no legal
-                    // candidate end comes of it.
-                    if ie < bytes.len() && bytes[ie] == b'.' {
-                        let mut fe = ie + 1;
-                        while fe < bytes.len() && bytes[fe].is_ascii_digit() {
-                            fe += 1;
-                        }
-                        tr.reach(inst, fe);
-                    }
-                    Frame {
-                        inst,
-                        pos,
-                        a: ie,
-                        b: frac_end(bytes, ie),
-                    }
-                }
-            }
-            _ => unreachable!("explain_init_frame on a deterministic instruction"),
-        }
-    }
+    fe
 }
 
 /// Longest fraction end after integer end `ie` (`'.'` plus ≥ 1 digit), or
 /// 0 when the position has no legal fraction.
 fn frac_end(bytes: &[u8], ie: usize) -> usize {
-    if ie < bytes.len() && bytes[ie] == b'.' {
-        let mut fe = ie + 1;
-        while fe < bytes.len() && bytes[fe].is_ascii_digit() {
-            fe += 1;
-        }
-        if fe >= ie + 2 {
-            return fe;
-        }
+    let fe = frac_scan(bytes, ie);
+    if fe >= ie + 2 {
+        fe
+    } else {
+        0
     }
-    0
 }
 
 /// Push a class token, fusing with a trailing instruction of the same
@@ -993,7 +797,7 @@ fn frac_end(bytes: &[u8], ie: usize) -> usize {
 /// variadic+variadic fold into one `Var` with the summed minimum — the
 /// concatenation of same-class tokens accepts exactly "total width" (or
 /// "total minimum or more") characters of that class.
-fn push_class(insts: &mut Vec<Inst>, class: Class, n: u32, variadic: bool) {
+fn push_class(insts: &mut Vec<Inst>, class: ClassView, n: u32, variadic: bool) {
     enum Fused {
         No,
         Done,
@@ -1049,12 +853,6 @@ mod tests {
     fn check_both(pattern: &Pattern, value: &str) -> bool {
         let compiled = CompiledPattern::compile(pattern);
         let byte_verdict = compiled.matches(value);
-        let mut scratch = MatchScratch::default();
-        assert_eq!(
-            byte_verdict,
-            compiled.matches_with(value, &mut scratch),
-            "scratch path diverged on {pattern} vs {value:?}"
-        );
         assert_eq!(
             byte_verdict,
             matches(pattern, value),
@@ -1290,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_searches_past_the_min_width_prune() {
+    fn explain_looks_past_the_min_width_prune() {
         // matches() rejects "abc1" on length alone; explain still finds
         // the deepest partial match (the whole value is a valid prefix).
         let p = Pattern::new(vec![Token::AnyPlus, Token::Digit(4)]);
@@ -1336,11 +1134,10 @@ mod tests {
     fn scratch_reuse_across_values() {
         let p = parse("<digit>+:<digit>{2}").unwrap();
         let c = CompiledPattern::compile(&p);
-        let mut scratch = MatchScratch::default();
         for i in 0..50 {
             let good = format!("{}:{:02}", i, i % 60);
-            assert!(c.matches_with(&good, &mut scratch), "{good}");
-            assert!(!c.matches_with("drift", &mut scratch));
+            assert!(c.matches(&good), "{good}");
+            assert!(!c.matches("drift"));
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   test time), the character-level reference matcher used as the oracle;
 //! * [`CompiledPattern`] — patterns lowered once into flat byte-level
 //!   matching programs (fused scans, pre-encoded literals, explicit-stack
-//!   backtracking) whose steady-state [`CompiledPattern::matches`] /
-//!   [`CompiledPattern::matches_with`] calls allocate nothing — the matcher
-//!   every hot validation path in the workspace runs on;
+//!   backtracking) whose steady-state [`CompiledPattern::matches`] calls
+//!   allocate nothing — the matcher every hot validation path in the
+//!   workspace runs on;
 //! * [`analyze_column`] / [`hypothesis_space`] / [`patterns_of_value`] —
 //!   Algorithm 1: coarse grouping plus per-position drill-down, producing
 //!   `P(v)`, `P(D)` and `H(C)`;
@@ -56,7 +56,7 @@ pub use analyze::{
     patterns_of_value, stream_column_profile, BitSet, CoarseGroup, ColumnAnalysis, EnumScratch,
     PositionOptions, StreamedPattern, SupportedPattern,
 };
-pub use compile::{ClassView, CompiledPattern, InstView, MatchScratch, MatchTrace};
+pub use compile::{ClassView, CompiledPattern, InstView, MatchTrace};
 pub use generalize::{coarse_pattern, PatternConfig};
 pub use matcher::{furthest_mismatch, matches};
 pub use parser::{parse, ParseError};

@@ -9,7 +9,7 @@
 //! never what it is. `explain` must also return `None` exactly when
 //! `matches` returns true.
 
-use av_pattern::{furthest_mismatch, CompiledPattern, MatchScratch, Pattern, Token};
+use av_pattern::{furthest_mismatch, CompiledPattern, Pattern, Token};
 use proptest::prelude::*;
 
 /// Strategy: one arbitrary token, covering every variant (widths include 0,
@@ -88,14 +88,15 @@ fn value_from(pattern: &Pattern, stretch: usize) -> String {
 }
 
 /// The invariant under test: explain agrees with the reference on both the
-/// verdict (None ⇔ matches) and the furthest-reached byte offset, through
-/// the thread-local path and a reused scratch alike. Traces must also be
+/// verdict (None ⇔ matches) and the furthest-reached byte offset, on a
+/// first call and on a repeat that reuses the thread's scratch as the
+/// previous search left it. Traces must also be
 /// internally consistent: char-aligned offsets, a valid span, an
 /// instruction index within the program.
-fn assert_explain_matches_reference(pattern: &Pattern, value: &str, scratch: &mut MatchScratch) {
+fn assert_explain_matches_reference(pattern: &Pattern, value: &str) {
     let compiled = CompiledPattern::compile(pattern);
     let oracle = furthest_mismatch(pattern, value);
-    let trace = compiled.explain_with(value, scratch);
+    let trace = compiled.explain(value);
     assert_eq!(
         trace.as_ref().map(|t| t.failed_at),
         oracle,
@@ -104,7 +105,7 @@ fn assert_explain_matches_reference(pattern: &Pattern, value: &str, scratch: &mu
     assert_eq!(
         compiled.explain(value).as_ref().map(|t| t.failed_at),
         oracle,
-        "explain (thread-local path) vs reference on {pattern} ~ {value:?}"
+        "explain (repeat call, reused scratch) vs reference on {pattern} ~ {value:?}"
     );
     assert_eq!(
         trace.is_none(),
@@ -129,8 +130,7 @@ proptest! {
         p in arb_pattern(),
         v in arb_value(),
     ) {
-        let mut scratch = MatchScratch::default();
-        assert_explain_matches_reference(&p, &v, &mut scratch);
+        assert_explain_matches_reference(&p, &v);
     }
 
     /// Pattern-derived values and their corruptions: near-misses fail deep
@@ -141,13 +141,12 @@ proptest! {
         p in arb_pattern(),
         stretch in 0usize..3,
     ) {
-        let mut scratch = MatchScratch::default();
         let derived = value_from(&p, stretch);
-        assert_explain_matches_reference(&p, &derived, &mut scratch);
+        assert_explain_matches_reference(&p, &derived);
         let mut truncated = derived.clone();
         truncated.pop();
-        assert_explain_matches_reference(&p, &truncated, &mut scratch);
-        assert_explain_matches_reference(&p, &format!("{derived}~"), &mut scratch);
-        assert_explain_matches_reference(&p, "", &mut scratch);
+        assert_explain_matches_reference(&p, &truncated);
+        assert_explain_matches_reference(&p, &format!("{derived}~"));
+        assert_explain_matches_reference(&p, "");
     }
 }

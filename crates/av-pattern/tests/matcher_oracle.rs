@@ -7,7 +7,7 @@
 //! explicit backtracking stack are allowed to change how fast the answer
 //! arrives, never what it is.
 
-use av_pattern::{matches, CompiledPattern, MatchScratch, Pattern, Token};
+use av_pattern::{matches, CompiledPattern, Pattern, Token};
 use proptest::prelude::*;
 
 /// Strategy: one arbitrary token, covering every variant (widths include 0,
@@ -85,7 +85,7 @@ fn value_from(pattern: &Pattern, stretch: usize) -> String {
     out
 }
 
-fn assert_equivalent(pattern: &Pattern, value: &str, scratch: &mut MatchScratch) {
+fn assert_equivalent(pattern: &Pattern, value: &str) {
     let compiled = CompiledPattern::compile(pattern);
     let oracle = matches(pattern, value);
     assert_eq!(
@@ -94,9 +94,9 @@ fn assert_equivalent(pattern: &Pattern, value: &str, scratch: &mut MatchScratch)
         "compiled vs oracle on {pattern} ~ {value:?}"
     );
     assert_eq!(
-        compiled.matches_with(value, scratch),
+        compiled.matches(value),
         oracle,
-        "compiled (reused scratch) vs oracle on {pattern} ~ {value:?}"
+        "compiled (scratch reused from the call above) vs oracle on {pattern} ~ {value:?}"
     );
 }
 
@@ -112,21 +112,21 @@ proptest! {
     }
 
     /// Pattern-derived values (mostly accepting, with variadic stretching)
-    /// and their single-character corruptions: identical verdicts, both
-    /// through the thread-local path and a reused scratch.
+    /// and their single-character corruptions: identical verdicts, on a
+    /// fresh call and on one that reuses the thread's scratch as the previous
+    /// search left it.
     #[test]
     fn compiled_equals_reference_on_derived_values(
         p in arb_pattern(),
         stretch in 0usize..3,
     ) {
-        let mut scratch = MatchScratch::default();
         let derived = value_from(&p, stretch);
-        assert_equivalent(&p, &derived, &mut scratch);
+        assert_equivalent(&p, &derived);
         let mut corrupted = derived.clone();
         corrupted.pop();
-        assert_equivalent(&p, &corrupted, &mut scratch);
-        assert_equivalent(&p, &format!("{derived}~"), &mut scratch);
-        assert_equivalent(&p, "", &mut scratch);
+        assert_equivalent(&p, &corrupted);
+        assert_equivalent(&p, &format!("{derived}~"));
+        assert_equivalent(&p, "");
     }
 }
 
@@ -148,18 +148,17 @@ fn ten_thousand_token_pattern_runs_on_the_heap() {
     let compiled = CompiledPattern::compile(&pattern);
     assert_eq!(compiled.num_instructions(), 10_000);
 
-    let mut scratch = MatchScratch::default();
     let good = "1-".repeat(5_000);
-    assert!(compiled.matches_with(&good, &mut scratch));
+    assert!(compiled.matches(&good));
     let wide = "123-".repeat(5_000);
-    assert!(compiled.matches_with(&wide, &mut scratch));
+    assert!(compiled.matches(&wide));
     // One byte short: rejected by the minimum-width prune alone.
-    assert!(!compiled.matches_with(&good[..good.len() - 1], &mut scratch));
+    assert!(!compiled.matches(&good[..good.len() - 1]));
     // Right length, wrong byte in the middle.
     let mut bad = good.clone().into_bytes();
     bad[5_001] = b'x';
     let bad = String::from_utf8(bad).unwrap();
-    assert!(!compiled.matches_with(&bad, &mut scratch));
+    assert!(!compiled.matches(&bad));
 }
 
 /// Same shape at a width the oracle *can* handle on a main-thread stack:

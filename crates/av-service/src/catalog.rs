@@ -13,10 +13,9 @@
 //! ```
 //!
 //! The footer turns silent bit rot into a load error that names the file
-//! and the byte offset of the mismatch. `AVCAT 2` files (written before
-//! the footer existed) still load; `AVCAT 1` files predate the
-//! whitespace-tokenization change and are refused rather than
-//! reinterpreted.
+//! and the byte offset of the mismatch. `AVCAT 3` is the only version
+//! read: the header line is the version, and a file under any other is
+//! refused rather than reinterpreted.
 //!
 //! Saves are atomic and durable (sibling temp file, `fsync`, rename,
 //! parent-directory `fsync`), so a crash mid-save never corrupts the
@@ -85,12 +84,9 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
-// v2: rules serialized before the whitespace-tokenization change (CR/LF as
-// symbol runs) would silently change meaning if reloaded; the header bump
-// turns that into a clean load error instead.
-// v3: adds the CRC-32 footer line. v2 files (no footer) still load.
+// AVCAT 3 (CRC-32 footer line) is the only version read; the header line
+// is the version, and any other is a clean load error.
 const HEADER: &str = "AVCAT 3";
-const HEADER_V2: &str = "AVCAT 2";
 const FOOTER_PREFIX: &str = "#crc32=";
 
 /// An in-memory collection of named rules with disk persistence.
@@ -149,45 +145,39 @@ impl RuleCatalog {
         out
     }
 
-    /// Parse a catalog from its text form. Accepts AVCAT 3 (footer
-    /// verified) and AVCAT 2 (no footer).
+    /// Parse a catalog from its text form (AVCAT 3, footer verified; any
+    /// other header is refused).
     pub fn from_text(text: &str) -> Result<RuleCatalog, CatalogError> {
-        let mut lines = text.lines();
-        let v3 = match lines.next() {
-            Some(h) if h.trim() == HEADER => true,
-            Some(h) if h.trim() == HEADER_V2 => false,
+        match text.lines().next() {
+            Some(h) if h.trim() == HEADER => {}
             other => {
                 return Err(CatalogError::Format(format!(
-                    "bad header {other:?}, expected {HEADER:?}"
+                    "unsupported version: header {other:?}, expected {HEADER:?}"
                 )))
             }
-        };
-        let body = if v3 {
-            // The footer must be the last non-empty line; its CRC covers
-            // every byte before the footer line itself.
-            let trimmed = text.trim_end_matches(['\n', '\r']);
-            let footer_start = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            let footer = &trimmed[footer_start..];
-            let stored = footer
-                .strip_prefix(FOOTER_PREFIX)
-                .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
-                .ok_or_else(|| CatalogError::Corrupt {
-                    file: String::new(),
-                    offset: footer_start as u64,
-                    detail: format!("missing {FOOTER_PREFIX:?} footer line"),
-                })?;
-            let computed = crc32(&text.as_bytes()[..footer_start]);
-            if stored != computed {
-                return Err(CatalogError::Corrupt {
-                    file: String::new(),
-                    offset: footer_start as u64,
-                    detail: format!("crc32 mismatch: stored {stored:08x}, computed {computed:08x}"),
-                });
-            }
-            &text[..footer_start]
-        } else {
-            text
-        };
+        }
+        // The footer must be the last non-empty line; its CRC covers every
+        // byte before the footer line itself.
+        let trimmed = text.trim_end_matches(['\n', '\r']);
+        let footer_start = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
+        let footer = &trimmed[footer_start..];
+        let stored = footer
+            .strip_prefix(FOOTER_PREFIX)
+            .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
+            .ok_or_else(|| CatalogError::Corrupt {
+                file: String::new(),
+                offset: footer_start as u64,
+                detail: format!("missing {FOOTER_PREFIX:?} footer line"),
+            })?;
+        let computed = crc32(&text.as_bytes()[..footer_start]);
+        if stored != computed {
+            return Err(CatalogError::Corrupt {
+                file: String::new(),
+                offset: footer_start as u64,
+                detail: format!("crc32 mismatch: stored {stored:08x}, computed {computed:08x}"),
+            });
+        }
+        let body = &text[..footer_start];
         let mut catalog = RuleCatalog::new();
         for (i, line) in body.lines().skip(1).enumerate() {
             let line = line.trim();
@@ -358,10 +348,11 @@ mod tests {
     fn bad_input_is_rejected() {
         assert!(RuleCatalog::from_text("").is_err());
         assert!(RuleCatalog::from_text("NOT A CATALOG\n").is_err());
-        assert!(RuleCatalog::from_text("AVCAT 2\ngarbage line\n").is_err());
-        // Header alone is a valid empty catalog.
-        assert!(RuleCatalog::from_text("AVCAT 2\n").unwrap().is_empty());
-        // Pre-whitespace-change catalogs are refused, not reinterpreted.
+        assert!(RuleCatalog::from_text("AVCAT 3\ngarbage line\n").is_err());
+        // Header plus footer alone is a valid empty catalog.
+        let empty = RuleCatalog::new().to_text();
+        assert!(RuleCatalog::from_text(&empty).unwrap().is_empty());
+        // Older versions are refused, not reinterpreted.
         assert!(RuleCatalog::from_text("AVCAT 1\n").is_err());
     }
 
@@ -410,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_catalogs_without_footer_still_load() {
+    fn v2_catalogs_are_refused() {
         let mut cat = RuleCatalog::new();
         cat.insert(entry("r1", "<num>"));
         // Render a v2 image by hand: v3 text minus the footer, with the
@@ -418,9 +409,9 @@ mod tests {
         let v3 = cat.to_text();
         let body_end = v3.rfind("#crc32=").unwrap();
         let v2 = format!("AVCAT 2\n{}", &v3["AVCAT 3\n".len()..body_end]);
-        let loaded = RuleCatalog::from_text(&v2).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.get("r1").unwrap().rule.conforms("42"));
+        let err = RuleCatalog::from_text(&v2).unwrap_err().to_string();
+        assert!(err.contains("unsupported version"), "{err}");
+        assert!(err.contains("AVCAT 2"), "{err}");
     }
 
     #[test]

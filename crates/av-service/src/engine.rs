@@ -26,8 +26,8 @@ use crate::lockorder;
 use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
 use av_baselines::baseline_by_name;
 use av_core::{
-    AnyRule, AutoValidate, CheckScratch, Explanation, FmdvConfig, InferError, RuleSet,
-    ValidationReport, ValidationSession, Validator, Variant,
+    AnyRule, AutoValidate, Explanation, FmdvConfig, InferError, RuleSet, ValidationReport,
+    Validator, Variant,
 };
 use av_corpus::Column;
 use av_durable::{DurableError, OsStorage, Storage};
@@ -388,8 +388,8 @@ impl ValidationService {
 
     /// Open a service, reloading any persisted index and catalog from the
     /// configured data directory. Missing files mean a cold start — not an
-    /// error. A v3 (single-shard) index image is resharded to the
-    /// configured shard count on install.
+    /// error. An index image written under a different shard count is
+    /// resharded to the configured one on install.
     ///
     /// In durable mode this is crash **recovery**: the newest checkpoint
     /// manifest that verifies is loaded (corrupt shard files are
@@ -531,10 +531,10 @@ impl ValidationService {
     /// offline scan, applied incrementally). Returns what changed.
     ///
     /// Profiling streams `(fingerprint, support, len)` triples straight
-    /// into per-worker accumulators — columns are pulled off a dynamic
-    /// work queue sized by `config.index.num_threads` / `queue_batch`, so
-    /// one giant column cannot strand the other workers — and no pattern
-    /// is materialized unless `keep_patterns` asks for display strings.
+    /// into per-worker accumulators — columns are pulled one at a time off
+    /// a dynamic work queue shared by `config.index.num_threads` workers,
+    /// so one giant column cannot strand the others — and no pattern is
+    /// materialized unless `keep_patterns` asks for display strings.
     ///
     /// The merge republishes **only the shards the delta touches**
     /// (O(delta), not O(index)); concurrent ingests whose deltas land on
@@ -849,25 +849,8 @@ impl ValidationService {
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
-        self.validate_with_scratch(rule, values, &mut CheckScratch::new())
-    }
-
-    /// [`ValidationService::validate`] with caller-owned session scratch:
-    /// the batch path hands each worker one scratch reused across all its
-    /// items, so per-value matching state is never rebuilt.
-    fn validate_with_scratch<S: AsRef<str>>(
-        &self,
-        rule: &str,
-        values: &[S],
-        scratch: &mut CheckScratch,
-    ) -> Result<ValidationReport, ServiceError> {
         let (report, exemplar) = self.with_validator(rule, |validator| {
-            let mut session = ValidationSession::with_scratch(validator, std::mem::take(scratch));
-            for v in values {
-                session.push(v.as_ref());
-            }
-            let (report, returned) = session.finish_with_scratch();
-            *scratch = returned;
+            let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
             // Cold path: only a flagged column pays for the exemplar
             // re-scan and the explanation's allocations.
             let exemplar = if report.flagged {
@@ -1040,18 +1023,14 @@ impl ValidationService {
         .min(items.len().max(1));
 
         if workers <= 1 {
-            let mut scratch = CheckScratch::new();
             return items
                 .iter()
-                .map(|item| self.validate_with_scratch(item.rule, &item.values, &mut scratch))
+                .map(|item| self.validate(item.rule, &item.values))
                 .collect();
         }
 
         // Dynamic work-stealing over an atomic cursor: workers drain items
         // at their own pace, then results are restitched in input order.
-        // Each worker owns one session scratch for its whole run — the
-        // compiled matcher's stack and memo grow to steady state once per
-        // worker instead of once per value.
         let cursor = AtomicU64::new(0);
         let mut indexed: Vec<(usize, Result<ValidationReport, ServiceError>)> =
             std::thread::scope(|scope| {
@@ -1059,20 +1038,12 @@ impl ValidationService {
                     .map(|_| {
                         scope.spawn(|| {
                             let mut local = Vec::new();
-                            let mut scratch = CheckScratch::new();
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
                                 if i >= items.len() {
                                     break;
                                 }
-                                local.push((
-                                    i,
-                                    self.validate_with_scratch(
-                                        items[i].rule,
-                                        &items[i].values,
-                                        &mut scratch,
-                                    ),
-                                ));
+                                local.push((i, self.validate(items[i].rule, &items[i].values)));
                             }
                             local
                         })

@@ -1286,6 +1286,31 @@ mod tests {
         );
     }
 
+    /// The telemetry op table and the dispatcher name the same closed set:
+    /// a frame naming each table entry is counted under that very name —
+    /// except `invalid` and `unknown`, which are not ops and so both count
+    /// as `unknown`, while `invalid` is what an unparseable frame counts as.
+    #[test]
+    fn every_telemetry_slot_is_a_dispatched_op() {
+        use crate::telemetry::OPS;
+        let service = ValidationService::new(ServiceConfig::default());
+        for op in OPS {
+            handle_line(&service, &format!(r#"{{"op":"{op}"}}"#));
+        }
+        handle_line(&service, "not json");
+        let recorded: Vec<(String, u64)> = service
+            .telemetry()
+            .op_snapshots()
+            .into_iter()
+            .map(|o| (o.op, o.requests))
+            .collect();
+        let expected: Vec<(String, u64)> = OPS
+            .iter()
+            .map(|op| (op.to_string(), if *op == "unknown" { 2 } else { 1 }))
+            .collect();
+        assert_eq!(recorded, expected);
+    }
+
     #[test]
     fn watch_op_acknowledges_and_hands_params_to_the_serve_loop() {
         let service = ValidationService::new(ServiceConfig::default());

@@ -42,6 +42,35 @@ pub const LATENCY_BUCKETS: usize = 24;
 /// Most recent failure exemplars retained per rule.
 pub const EXEMPLAR_CAPACITY: usize = 8;
 
+/// The protocol's closed op set — the 17 ops plus `invalid` (the request
+/// never resolved to an op) and `unknown` (it named one that does not
+/// exist) — sorted by name: [`ServiceTelemetry::record_op`] binary-searches
+/// it, and [`ServiceTelemetry::op_snapshots`] reports in this order.
+pub(crate) const OPS: [&str; 19] = [
+    "catalog",
+    "classify",
+    "compare",
+    "delete_rule",
+    "explain",
+    "infer",
+    "infer_baseline",
+    "ingest",
+    "invalid",
+    "metrics",
+    "persist",
+    "ping",
+    "rule",
+    "shutdown",
+    "stats",
+    "unknown",
+    "validate",
+    "validate_batch",
+    "watch",
+];
+
+/// Index of `"unknown"` in [`OPS`]: where a name outside the set counts.
+const UNKNOWN_OP: usize = 15;
+
 /// Telemetry knobs, embedded in `ServiceConfig`.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
@@ -387,15 +416,17 @@ pub struct OpSnapshot {
     pub latency: LatencySnapshot,
 }
 
-/// The service-wide telemetry registry: per-rule drift telemetry plus
-/// per-op request counters, all behind get-or-create maps whose entries
-/// are `Arc`s — recording holds no map lock beyond the initial lookup.
+/// The service-wide telemetry registry: per-rule drift telemetry behind a
+/// get-or-create map whose entries are `Arc`s (recording holds no map lock
+/// beyond the initial lookup), plus per-op request counters in a fixed
+/// table — the op set is closed, so recording an op takes no lock at all.
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     start: Instant,
     config: TelemetryConfig,
     rules: RwLock<HashMap<String, Arc<RuleTelemetry>>>,
-    ops: RwLock<HashMap<String, Arc<OpTelemetry>>>,
+    /// One slot per entry of [`OPS`], same order.
+    ops: [OpTelemetry; OPS.len()],
 }
 
 impl ServiceTelemetry {
@@ -408,7 +439,7 @@ impl ServiceTelemetry {
                 ..config
             },
             rules: RwLock::new(HashMap::new()),
-            ops: RwLock::new(HashMap::new()),
+            ops: std::array::from_fn(|_| OpTelemetry::default()),
         }
     }
 
@@ -457,21 +488,10 @@ impl ServiceTelemetry {
             .remove(name);
     }
 
-    /// Record one protocol op dispatch.
+    /// Record one protocol op dispatch. A name outside the protocol's op
+    /// set counts as `unknown`.
     pub fn record_op(&self, op: &str, elapsed: Duration, ok: bool) {
-        let slot = {
-            let ops = self.ops.read().expect("op telemetry lock poisoned");
-            ops.get(op).cloned()
-        };
-        let slot = slot.unwrap_or_else(|| {
-            Arc::clone(
-                self.ops
-                    .write()
-                    .expect("op telemetry lock poisoned")
-                    .entry(op.to_string())
-                    .or_default(),
-            )
-        });
+        let slot = &self.ops[OPS.binary_search(&op).unwrap_or(UNKNOWN_OP)];
         slot.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             slot.errors.fetch_add(1, Ordering::Relaxed);
@@ -507,25 +527,19 @@ impl ServiceTelemetry {
         slot.map(|t| t.snapshot(name, self.epoch(), self.config.alert_flag_rate))
     }
 
-    /// Owned snapshots of every op's counters, sorted by op name.
+    /// Owned snapshots of every op dispatched at least once, sorted by op
+    /// name.
     pub fn op_snapshots(&self) -> Vec<OpSnapshot> {
-        let slots: Vec<(String, Arc<OpTelemetry>)> = {
-            let ops = self.ops.read().expect("op telemetry lock poisoned");
-            ops.iter()
-                .map(|(name, t)| (name.clone(), Arc::clone(t)))
-                .collect()
-        };
-        let mut out: Vec<OpSnapshot> = slots
-            .iter()
+        OPS.iter()
+            .zip(&self.ops)
+            .filter(|(_, t)| t.requests.load(Ordering::Relaxed) > 0)
             .map(|(name, t)| OpSnapshot {
-                op: name.clone(),
+                op: name.to_string(),
                 requests: t.requests.load(Ordering::Relaxed),
                 errors: t.errors.load(Ordering::Relaxed),
                 latency: t.latency.snapshot(),
             })
-            .collect();
-        out.sort_by(|a, b| a.op.cmp(&b.op));
-        out
+            .collect()
     }
 }
 
@@ -665,5 +679,18 @@ mod tests {
         assert_eq!(ops[1].requests, 2);
         assert_eq!(ops[1].errors, 1);
         assert_eq!(ops[1].latency.count, 2);
+    }
+
+    #[test]
+    fn op_table_is_sorted_and_names_outside_it_count_as_unknown() {
+        assert!(
+            OPS.windows(2).all(|w| w[0] < w[1]),
+            "binary search needs it"
+        );
+        let registry = frozen_registry();
+        registry.record_op("no-such-op", Duration::from_micros(1), false);
+        let ops = registry.op_snapshots();
+        assert_eq!(ops.len(), 1);
+        assert_eq!((ops[0].op.as_str(), ops[0].errors), ("unknown", 1));
     }
 }

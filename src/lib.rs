@@ -60,7 +60,6 @@
 //! | [`av_corpus`] | synthetic data lakes, domain generators, benchmarks |
 //! | [`av_baselines`] | TFDV, Deequ, Potter's Wheel, Grok, schema matching, … |
 //! | [`av_eval`] | the §5.1 evaluation methodology |
-//! | [`av_ml`] | GBDT + encoders for the Fig. 15 case study |
 //! | [`av_regex`] | small regex engine (NFA/Pike VM) used by baselines |
 //! | [`av_service`] | long-running validation service: shared live index, persistent rule catalog, concurrent batch validation, incremental ingestion, `dyn Validator` dispatch of FMDV + baseline rules |
 //!
@@ -103,7 +102,6 @@ pub use av_corpus;
 pub use av_eval;
 pub use av_index;
 pub use av_match;
-pub use av_ml;
 pub use av_pattern;
 pub use av_regex;
 pub use av_service;
