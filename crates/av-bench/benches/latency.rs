@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for online inference latency (Fig. 14's
 //! measurement at micro scale): per-variant rule inference on a prebuilt
-//! index, plus pattern matching and hypothesis enumeration.
+//! index, the index probe itself (hit and miss), plus pattern matching and
+//! hypothesis enumeration.
 
 use av_core::{AutoValidate, FmdvConfig, Variant};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
-use av_pattern::{hypothesis_space, matches, parse, PatternConfig};
+use av_pattern::{fnv1a, hypothesis_space, matches, parse, PatternConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -47,7 +48,54 @@ fn bench_inference(c: &mut Criterion) {
             b.iter(|| black_box(engine.infer(black_box(&composite), variant)))
         });
     }
+    // A 12-position clock column, 20 training values: the inference the
+    // service ledger's `onboard_lake` 90th percentile is made of.
+    let timestamps: Vec<String> = (0..20)
+        .map(|i| {
+            format!(
+                "2026-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+                (i % 12) + 1,
+                (i * 5 % 28) + 1,
+                (i * 11) % 24,
+                (i * 7) % 60,
+                (i * 13) % 60
+            )
+        })
+        .collect();
+    group.bench_function("FMDV-VH timestamp-12", |b| {
+        b.iter(|| black_box(engine.infer(black_box(&timestamps), Variant::FmdvVH)))
+    });
     group.finish();
+}
+
+/// The probe under every vertical-cut inference: 10 000 fingerprint
+/// lookups per iteration, all present or all absent (a DP sweep's probes
+/// are ~98 % misses). Hits are visited in an order unrelated to shard or
+/// bucket order.
+fn bench_index_lookup(c: &mut Criterion) {
+    const PROBES: usize = 10_000;
+    let (index, _, _) = setup();
+    let mut hits: Vec<u64> = index.entries().map(|(fp, _)| fp).collect();
+    hits.sort_unstable_by_key(|fp| fp.rotate_left(32));
+    hits.truncate(PROBES);
+    let misses: Vec<u64> = (0u64..)
+        .map(|i| fnv1a(&i.to_le_bytes()))
+        .filter(|fp| index.lookup_fingerprint(*fp).is_none())
+        .take(PROBES)
+        .collect();
+    assert_eq!(hits.len(), PROBES, "index smaller than the probe set");
+    for (name, probes) in [("index lookup hit", &hits), ("index lookup miss", &misses)] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    black_box(probes)
+                        .iter()
+                        .filter(|fp| index.lookup_fingerprint(**fp).is_some())
+                        .count(),
+                )
+            })
+        });
+    }
 }
 
 fn bench_primitives(c: &mut Criterion) {
@@ -75,6 +123,6 @@ fn bench_primitives(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_inference, bench_primitives
+    targets = bench_inference, bench_index_lookup, bench_primitives
 }
 criterion_main!(benches);

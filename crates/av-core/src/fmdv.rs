@@ -82,6 +82,16 @@ pub(crate) enum SelectObjective {
     LowestFpr,
 }
 
+/// The index's `(fpr, cov)` for one streamed emission; a pattern the
+/// index has never seen reads `(1.0, 0)`, as in [`lookup_candidates`].
+#[inline]
+pub(crate) fn probe(index: &PatternIndex, sp: &av_pattern::StreamedPattern<'_>) -> (f64, u64) {
+    match index.lookup_fingerprint(sp.fingerprint) {
+        Some(stats) => (stats.fpr, stats.cov),
+        None => (1.0, 0),
+    }
+}
+
 /// Streaming candidate selection: folds enumeration emissions one at a
 /// time, keeping only the current winner. Equivalent to collecting every
 /// candidate and running the corresponding `select_*` vector pass (same
@@ -116,21 +126,36 @@ impl StreamingSelect {
         index: &PatternIndex,
         sp: &av_pattern::StreamedPattern<'_>,
     ) {
-        let (fpr, cov) = match index.lookup_fingerprint(sp.fingerprint) {
-            Some(stats) => (stats.fpr, stats.cov),
-            None => (1.0, 0),
-        };
-        self.consider(sp.specificity(), fpr, cov, || sp.to_pattern());
+        self.offer_probed(sp, probe(index, sp));
+    }
+
+    /// Offer an emission whose `(fpr, cov)` the caller already
+    /// [`probe`]d — the vertical sweep feeds one probe to a selector per
+    /// objective.
+    pub(crate) fn offer_probed(
+        &mut self,
+        sp: &av_pattern::StreamedPattern<'_>,
+        (fpr, cov): (f64, u64),
+    ) {
+        self.consider(fpr, cov, || sp.specificity(), || sp.to_pattern());
     }
 
     /// Offer a pre-built candidate (e.g. a structural-literal segment).
     pub(crate) fn offer(&mut self, c: Candidate) {
         let spec = c.specificity();
-        let (fpr, cov) = (c.fpr, c.cov);
-        self.consider(spec, fpr, cov, move || c.pattern);
+        self.consider(c.fpr, c.cov, || spec, move || c.pattern);
     }
 
-    fn consider(&mut self, spec: u32, fpr: f64, cov: u64, pattern: impl FnOnce() -> Pattern) {
+    /// Feasibility comes first and reads only the two numbers: nearly
+    /// every offer of a vertical sweep is an index miss, and neither
+    /// `spec` (a sum over the token stack) nor `pattern` runs for it.
+    fn consider(
+        &mut self,
+        fpr: f64,
+        cov: u64,
+        spec: impl FnOnce() -> u32,
+        pattern: impl FnOnce() -> Pattern,
+    ) {
         use std::cmp::Ordering;
         if !(fpr <= self.r && cov >= self.m) {
             return;
@@ -144,14 +169,14 @@ impl StreamingSelect {
             return;
         };
         let scalar = match self.objective {
-            SelectObjective::SpecificFirst => spec
+            SelectObjective::SpecificFirst => spec()
                 .cmp(&best.specificity())
                 .then_with(|| fpr.partial_cmp(&best.fpr).expect("FPRs are finite"))
                 .then_with(|| best.cov.cmp(&cov)),
             SelectObjective::LowestFpr => fpr
                 .partial_cmp(&best.fpr)
                 .expect("FPRs are finite")
-                .then_with(|| spec.cmp(&best.specificity())),
+                .then_with(|| spec().cmp(&best.specificity())),
         };
         match scalar {
             Ordering::Greater => {}
@@ -287,7 +312,8 @@ mod tests {
     }
 
     /// The streaming selector must agree with the vector pass on every
-    /// candidate set, including scalar ties resolved by pattern order.
+    /// candidate set, including scalar ties resolved by pattern order and
+    /// infeasible offers, which it must reject without materializing.
     #[test]
     fn streaming_select_matches_vector_select() {
         let sets: Vec<Vec<Candidate>> = vec![
@@ -316,7 +342,19 @@ mod tests {
                 let vector = select_min_fpr(cands, r, m);
                 let mut sel = StreamingSelect::new(SelectObjective::SpecificFirst, r, m);
                 for c in cands {
-                    sel.offer(c.clone());
+                    if c.fpr <= r && c.cov >= m {
+                        sel.offer(c.clone());
+                    } else {
+                        // Feasibility first: an infeasible offer is dropped
+                        // on its two numbers alone — neither its
+                        // specificity nor its pattern is ever asked for.
+                        sel.consider(
+                            c.fpr,
+                            c.cov,
+                            || panic!("specificity of an infeasible offer"),
+                            || panic!("pattern of an infeasible offer"),
+                        );
+                    }
                 }
                 let streamed = sel.into_best();
                 assert_eq!(

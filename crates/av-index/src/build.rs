@@ -18,26 +18,42 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Identity hasher: index keys are already 64-bit FNV fingerprints, so
-/// rehashing them would be wasted work.
+/// Hasher for maps keyed by 64-bit FNV pattern fingerprints: one
+/// Fibonacci multiply (2⁶⁴/φ, odd), nothing else.
+///
+/// The keys are already hashes, but they cannot be used *as* the hash.
+/// std's `HashMap` takes the bucket index from the low bits of the hash
+/// and a 7-bit control tag — what a probe compares before it reads a
+/// bucket — from the **top** 7 bits, and [`crate::shard`] routes by the
+/// fingerprint's top `shard_bits` bits: inside one of the default 64
+/// shards every key shares 6 of its 7 tag bits (all 7 from 128 shards
+/// up), so half of the occupied slots a probe passes "match" and each
+/// false match costs a bucket read. The multiply fixes both ends at once:
+/// the low `k` bits of the product are a bijection of the key's low `k`
+/// bits (the constant is odd), so bucket placement stays as uniform as the
+/// fingerprint's low bits, and the top bits of the product depend on every
+/// key bit below them, so the tag is uniform even with the top 12 key
+/// bits constant. Shard routing reads the fingerprint, not this hash, and
+/// nothing observable depends on map iteration order (persistence sorts).
 #[derive(Default)]
-pub struct IdentityHasher(u64);
+pub struct FingerprintHasher(u64);
 
-impl Hasher for IdentityHasher {
+impl Hasher for FingerprintHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("identity hasher only accepts u64 keys");
+        unreachable!("fingerprint hasher only accepts u64 keys");
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.0 = v;
+        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
-pub(crate) type FastMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
+pub(crate) type FastMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
 
 /// Columns a worker claims per queue pop. One gives the best balance
 /// under skewed column sizes, and no caller ever asked for another value.
@@ -362,7 +378,7 @@ impl PatternIndex {
     }
 
     /// Look up pre-computed stats by pattern fingerprint: route to the
-    /// fingerprint's shard, then one identity-hash probe inside it.
+    /// fingerprint's shard, then one [`FingerprintHasher`] probe inside it.
     /// Inference callers that stream enumeration
     /// (`CoarseGroup::for_each_pattern`) already hold the fingerprint, so
     /// this skips re-hashing the token sequence.
@@ -777,6 +793,41 @@ mod tests {
                 assert_eq!(f1.to_bits(), f2.to_bits(), "threads={threads}");
                 assert_eq!(c1, c2, "threads={threads}");
             }
+        }
+    }
+
+    /// The defect this hasher replaced: with identity hashing, top-bit
+    /// shard routing left one shard's keys with 2 distinct control tags at
+    /// 6 shard bits and 1 at 12, so every probe "matched" half or all of
+    /// the occupied slots it passed. Both ends of the hash std's map reads
+    /// — the top 7 bits (tag) and the low bits (bucket) — must stay spread
+    /// over fingerprints that share a shard.
+    #[test]
+    fn hasher_spreads_tags_and_buckets_within_one_shard() {
+        use std::hash::BuildHasher;
+        const SAMPLE: usize = 16_384;
+        let hasher = BuildHasherDefault::<FingerprintHasher>::default();
+        let fingerprint = |i: u32| av_pattern::fnv1a(&i.to_le_bytes());
+        for shard_bits in [0u32, 6, 12] {
+            let shard = shard_of(fingerprint(0), shard_bits);
+            let mut tags = [false; 128];
+            let mut buckets = [false; 4096];
+            (0u32..)
+                .map(fingerprint)
+                .filter(|fp| shard_of(*fp, shard_bits) == shard)
+                .take(SAMPLE)
+                .for_each(|fp| {
+                    let h = hasher.hash_one(fp);
+                    tags[(h >> 57) as usize] = true;
+                    buckets[(h & 0xfff) as usize] = true;
+                });
+            let tags = tags.iter().filter(|t| **t).count();
+            let buckets = buckets.iter().filter(|b| **b).count();
+            assert!(tags >= 120, "shard_bits={shard_bits}: {tags} of 128 tags");
+            assert!(
+                buckets >= 3_500,
+                "shard_bits={shard_bits}: {buckets} of 4096 low-12-bit values"
+            );
         }
     }
 

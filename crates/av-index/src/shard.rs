@@ -1,8 +1,12 @@
 //! Fingerprint-sharded index storage and the concurrent RCU wrapper.
 //!
 //! The index is partitioned into a power-of-two number of [`IndexShard`]s
-//! by the **top bits** of the pattern fingerprint (the low bits stay free
-//! for the identity-hashed bucket index inside each shard's map). Shards
+//! by the **top bits** of the pattern fingerprint. That leaves the low
+//! bits uniform inside a shard, but not the top ones, and a shard's map
+//! draws its 7-bit control tags from the top of the *hash* — so the maps
+//! hash fingerprints through [`crate::FingerprintHasher`], which keeps
+//! both the bucket index and the tag uniform with up to 12 top key bits
+//! constant; routing itself always reads the raw fingerprint. Shards
 //! are held behind `Arc`s, which is what turns ingest from O(index) into
 //! O(delta): merging an [`crate::IndexDelta`] clones and republishes only
 //! the shards the delta's fingerprints land in, while every untouched
@@ -36,10 +40,11 @@ pub(crate) const DEFAULT_SHARD_BITS: u32 = 6;
 pub(crate) const MAX_SHARD_BITS: u32 = 12;
 
 /// Which shard a fingerprint belongs to: the top `shard_bits` bits.
-/// Using the *top* bits keeps the low bits — which the identity-hashed
-/// shard maps use for bucket placement — uniformly distributed within a
-/// shard, and makes ascending (shard, fingerprint) order identical to
-/// ascending global fingerprint order (the persist layout relies on it).
+/// Using the *top* bits makes ascending (shard, fingerprint) order
+/// identical to ascending global fingerprint order (the persist layout
+/// relies on it). It also makes those bits constant within a shard, which
+/// is why the shard maps do not hash fingerprints with the identity
+/// function (see [`crate::FingerprintHasher`]).
 #[inline]
 pub(crate) fn shard_of(fingerprint: u64, shard_bits: u32) -> usize {
     if shard_bits == 0 {
