@@ -8,6 +8,12 @@
 //! every response, and closes. Throughput is reported per request, so
 //! the per-connection overhead (accept, register, state machine, close)
 //! is amortized exactly as it is in production.
+//!
+//! Fresh connections ride the kernel's quick-ACK phase and never see a
+//! delayed-ACK timer, so the last rung keeps one connection across
+//! iterations: one 32-frame burst per iteration, every reply drained
+//! (Point 10 — 44 ms a burst when replies left one `write` each on a
+//! socket without `TCP_NODELAY`).
 
 use av_service::{serve_listener, std_listener, ServiceConfig, ValidationService};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -64,6 +70,20 @@ fn round(addr: SocketAddr, conns: usize) {
     }
 }
 
+/// Frames per burst on the kept-alive connection.
+const BURST: usize = 32;
+
+/// One burst down a connection that stays open: send, drain, return.
+fn kept_alive_burst(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, burst: &str) {
+    writer.write_all(burst.as_bytes()).unwrap();
+    let mut line = String::new();
+    for _ in 0..BURST {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"ok\":true"), "{line}");
+    }
+}
+
 fn bench_serve_loop(c: &mut Criterion) {
     let (service, addr) = start_server();
     let mut group = c.benchmark_group("serve_loop");
@@ -74,6 +94,18 @@ fn bench_serve_loop(c: &mut Criterion) {
             b.iter(|| round(addr, conns))
         });
     }
+    let mut writer = TcpStream::connect(addr).unwrap();
+    writer
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let burst: String = (0..BURST)
+        .map(|i| format!("{{\"op\":\"classify\",\"value\":\"k{i}\"}}\n"))
+        .collect();
+    group.throughput(Throughput::Elements(BURST as u64));
+    group.bench_function(format!("kept-alive 1 conn x {BURST} pipelined"), |b| {
+        b.iter(|| kept_alive_burst(&mut writer, &mut reader, &burst))
+    });
     group.finish();
     service.request_shutdown();
 }

@@ -314,6 +314,14 @@ pub struct ServiceStats {
     /// Connections shed for making zero write-drain progress past
     /// `ServiceConfig::stall_deadline_ms` (peer stopped reading).
     pub stalls_shed: u64,
+    /// Request frames executed by the TCP worker pool.
+    pub frames_executed: u64,
+    /// Runs of pipelined frames handed to a worker: one queue hop each,
+    /// so `frames_executed / runs_dispatched` is the mean run length.
+    pub runs_dispatched: u64,
+    /// Socket `write` calls that moved response bytes
+    /// (`frames_executed / socket_writes`: how well replies coalesce).
+    pub socket_writes: u64,
 }
 
 /// The shared, long-running validation service. All methods take `&self`;
@@ -356,6 +364,9 @@ pub struct ValidationService {
     connections_rejected: AtomicU64,
     requests_shed: AtomicU64,
     stalls_shed: AtomicU64,
+    frames_executed: AtomicU64,
+    runs_dispatched: AtomicU64,
+    socket_writes: AtomicU64,
 }
 
 impl ValidationService {
@@ -382,6 +393,9 @@ impl ValidationService {
             connections_rejected: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
             stalls_shed: AtomicU64::new(0),
+            frames_executed: AtomicU64::new(0),
+            runs_dispatched: AtomicU64::new(0),
+            socket_writes: AtomicU64::new(0),
             config,
         }
     }
@@ -1170,6 +1184,9 @@ impl ValidationService {
             connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
             stalls_shed: self.stalls_shed.load(Ordering::Relaxed),
+            frames_executed: self.frames_executed.load(Ordering::Relaxed),
+            runs_dispatched: self.runs_dispatched.load(Ordering::Relaxed),
+            socket_writes: self.socket_writes.load(Ordering::Relaxed),
         }
     }
 
@@ -1205,6 +1222,17 @@ impl ValidationService {
     /// Record a connection shed at the write-stall deadline.
     pub(crate) fn record_stall_shed(&self) {
         self.stalls_shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one worker turn: a run of `frames` executed frames.
+    pub(crate) fn record_run(&self, frames: u64) {
+        self.runs_dispatched.fetch_add(1, Ordering::Relaxed);
+        self.frames_executed.fetch_add(frames, Ordering::Relaxed);
+    }
+
+    /// Record `n` socket `write`s that moved response bytes.
+    pub(crate) fn record_socket_writes(&self, n: u64) {
+        self.socket_writes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Ask every serve loop to wind down: sets the flag, wakes every

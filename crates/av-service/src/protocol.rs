@@ -71,7 +71,10 @@
 //! refused at the admission gate), `requests_shed` (pipelined frames
 //! answered `overloaded`), and `stalls_shed` (connections dropped after
 //! making zero write progress for the stall deadline); `metrics` carries
-//! the same three counters under `"overload"`.
+//! the same three counters under `"overload"`. `stats` also says how well
+//! the loop coalesces pipelined traffic: `frames_executed`,
+//! `runs_dispatched` (worker hand-offs; frames ÷ runs is the mean run
+//! length) and `socket_writes` (frames ÷ writes is replies per `write`).
 //!
 //! **`watch`** turns the connection into a telemetry stream: after the
 //! acknowledgement, the server emits one JSONL frame of per-rule window
@@ -128,7 +131,7 @@ pub struct Handled {
 }
 
 /// What a serve loop must do after writing the response line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LineOutcome {
     /// True when the request asked the service to shut down.
     pub shutdown: bool,
@@ -896,6 +899,9 @@ fn handle_stats(service: &ValidationService) -> Reply {
         ),
         ("requests_shed", Json::Num(s.requests_shed as f64)),
         ("stalls_shed", Json::Num(s.stalls_shed as f64)),
+        ("frames_executed", Json::Num(s.frames_executed as f64)),
+        ("runs_dispatched", Json::Num(s.runs_dispatched as f64)),
+        ("socket_writes", Json::Num(s.socket_writes as f64)),
         ("index_patterns", Json::Num(index.len() as f64)),
         ("index_columns", Json::Num(index.num_columns as f64)),
         ("index_shards", Json::Num(index.shard_count() as f64)),

@@ -3,9 +3,9 @@
 //! that drive idle/stall shedding.
 //!
 //! A connection moves through four logical phases — reading a frame,
-//! executing (a worker holds one of its frames), draining response
+//! executing (a worker holds a run of its frames), draining response
 //! bytes, streaming `watch` frames — but the phases overlap by design:
-//! pipelined frames queue while one executes, and the write buffer
+//! pipelined frames queue while a run executes, and the write buffer
 //! drains whenever the socket accepts bytes, whatever else is going on.
 //! All mutation happens on the reactor thread; workers never touch a
 //! connection (they return completions through a queue), which is what
@@ -19,9 +19,10 @@ use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
 
-/// Most request frames a connection may have parsed-but-unexecuted. A
-/// client pipelining past this gets `overloaded` replies for the excess
-/// (see `ServiceStats::requests_shed`).
+/// Most request frames a connection may have accepted and not yet
+/// answered, the run a worker holds included. A client pipelining past
+/// this gets `overloaded` replies for the excess (see
+/// `ServiceStats::requests_shed`).
 pub(crate) const PIPELINE_CAP: usize = 128;
 
 /// Write buffer size above which the connection stops reading new
@@ -56,14 +57,18 @@ pub(crate) struct Conn {
     pub(crate) sock: Box<dyn NetSocket>,
     /// Raw request bytes not yet split into frames.
     pub(crate) read_buf: Vec<u8>,
+    /// Prefix of `read_buf` already searched and holding no newline, so a
+    /// frame arriving in many reads has each byte examined once.
+    pub(crate) scanned: usize,
     /// Peer sent FIN (a trailing unterminated line was already promoted
     /// to a frame).
     pub(crate) read_closed: bool,
     /// Parsed frames waiting to execute, oldest first.
     pub(crate) pending: VecDeque<PendingFrame>,
-    /// A worker currently holds one frame from this connection (at most
-    /// one, which is what keeps pipelined responses in request order).
-    pub(crate) in_flight: bool,
+    /// Frames in the run a worker currently holds (at most one run is
+    /// out, which is what keeps pipelined responses in request order).
+    /// They count against [`PIPELINE_CAP`] like the ones in `pending`.
+    pub(crate) out_frames: usize,
     /// Response bytes not yet accepted by the socket.
     pub(crate) write_buf: Vec<u8>,
     /// Consumed prefix of `write_buf` (compacted when fully drained).
@@ -104,9 +109,10 @@ impl Conn {
         Conn {
             sock,
             read_buf: Vec::new(),
+            scanned: 0,
             read_closed: false,
             pending: VecDeque::new(),
-            in_flight: false,
+            out_frames: 0,
             write_buf: Vec::new(),
             write_pos: 0,
             registered: (true, false),
@@ -128,39 +134,45 @@ impl Conn {
     /// buffer only ever grows by whole frames.
     pub(crate) fn queue_frame(&mut self, frame: &str, now: Instant) {
         self.write_buf.extend_from_slice(frame.as_bytes());
-        self.write_buf.push(b'\n');
+        self.queue_replies("\n", now);
+    }
+
+    /// Queue a run's replies: whole frames, each already newline-terminated.
+    pub(crate) fn queue_replies(&mut self, replies: &str, now: Instant) {
+        self.write_buf.extend_from_slice(replies.as_bytes());
         if self.stalled_since.is_none() {
             self.stalled_since = Some(now);
         }
     }
 
-    /// Push buffered bytes into the socket until drained or blocked.
-    pub(crate) fn flush(&mut self, now: Instant) -> Flush {
-        let mut progressed = false;
+    /// Push buffered bytes into the socket until drained or blocked;
+    /// also returns how many `write`s moved bytes.
+    pub(crate) fn flush(&mut self, now: Instant) -> (Flush, u64) {
+        let mut writes = 0;
         while let Some(bytes) = self.write_buf.get(self.write_pos..) {
             if bytes.is_empty() {
                 break;
             }
             match self.sock.write(bytes) {
-                Ok(0) => return Flush::Failed,
+                Ok(0) => return (Flush::Failed, writes),
                 Ok(n) => {
                     self.write_pos += n;
-                    progressed = true;
+                    writes += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if progressed {
+                    if writes > 0 {
                         self.stalled_since = Some(now);
                     }
-                    return Flush::Blocked;
+                    return (Flush::Blocked, writes);
                 }
-                Err(_) => return Flush::Failed,
+                Err(_) => return (Flush::Failed, writes),
             }
         }
         self.write_buf.clear();
         self.write_pos = 0;
         self.stalled_since = None;
-        Flush::Drained
+        (Flush::Drained, writes)
     }
 
     /// Should the reactor poll this connection readable? Not once the
@@ -171,7 +183,7 @@ impl Conn {
         !self.read_closed
             && !self.close_after_flush
             && self.fatal.is_none()
-            && self.pending.len() < PIPELINE_CAP
+            && self.pending.len() + self.out_frames < PIPELINE_CAP
             && self.backlog() < WRITE_HIGH_WATER
     }
 
@@ -199,7 +211,7 @@ impl Conn {
             return self.backlog() == 0;
         }
         self.read_closed
-            && !self.in_flight
+            && self.out_frames == 0
             && self.pending.is_empty()
             && self.fatal.is_none()
             && self.backlog() == 0

@@ -6,24 +6,36 @@
 //! ## Division of labor
 //!
 //! The **reactor** is the only thread that reads or writes sockets. It
-//! accepts connections, splits request bytes into frames, hands one
-//! frame per connection at a time to the run queue, copies finished
-//! responses into per-connection write buffers, paces `watch` streams
-//! off a timer heap, and enforces every deadline. **Workers** only pop
-//! `(connection, line)` jobs, run the protocol handler, and push the
-//! rendered response onto a completion queue, waking the reactor
-//! through the poller. Because responses reach the socket solely via
-//! the reactor appending whole frames to one buffer, response frames
-//! cannot tear or interleave no matter how faulty the transport is.
+//! accepts connections, splits request bytes into frames, hands each
+//! connection's **run** of pipelined frames to the run queue as one job
+//! (at most one run per connection is out at a time), appends a finished
+//! run's replies to the connection's write buffer and flushes them with
+//! one `write`, paces `watch` streams off a timer heap, and enforces
+//! every deadline. **Workers** only pop `(connection, lines)` jobs, run
+//! the protocol handler over the lines in order, and push the rendered
+//! replies onto a completion queue, waking the reactor through the
+//! poller. Because responses reach the socket solely via the reactor
+//! appending whole frames to one buffer, response frames cannot tear or
+//! interleave no matter how faulty the transport is.
+//!
+//! A worker's turn on a connection ends in one of four ways: the run is
+//! exhausted; a frame's outcome is `shutdown` or `watch` (nothing behind
+//! either may execute yet); the replies pass [`WRITE_LOW_WATER`]; or the
+//! turn has used [`TURN_SLICE`] while another job waits. Unexecuted
+//! frames go back to the **front** of the connection's pipeline, so a
+//! depth-1 request is simply a run of length one — there is one dispatch
+//! path. Accepted sockets always have `TCP_NODELAY` set (see
+//! [`super::std_listener`]): coalescing is this module's job, not a
+//! kernel timer's.
 //!
 //! ## Overload ladder
 //!
 //! 1. *Admission*: past `max_connections`, a new connection gets one
 //!    `overloaded` frame and is closed (`connections_rejected`).
 //! 2. *Pipelining cap*: frames parsed past [`PIPELINE_CAP`] per
-//!    connection are answered `overloaded` in order (`requests_shed`);
-//!    reading pauses at the cap so the cap is only exceeded by frames
-//!    already inside one read burst.
+//!    connection — the run a worker holds counts — are answered
+//!    `overloaded` in order (`requests_shed`); reading pauses at the cap
+//!    so the cap is only exceeded by frames already inside one read burst.
 //! 3. *Write backpressure*: past [`WRITE_HIGH_WATER`] buffered response
 //!    bytes, the reactor stops polling the connection readable (and
 //!    stops rendering its watch frames) until the peer drains below
@@ -37,7 +49,7 @@ use super::conn::{
 };
 use super::netfault::NetListener;
 use crate::engine::ValidationService;
-use crate::protocol::{handle_line_into, render_error_into, render_overloaded_into};
+use crate::protocol::{handle_line_into, render_error_into, render_overloaded_into, LineOutcome};
 use polling::{Event, Poller};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -60,9 +72,27 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 /// Bytes per read attempt.
 const READ_CHUNK: usize = 8192;
 
+/// How long a worker's turn on one connection may run while another job
+/// waits. A yield costs this connection one reactor↔worker hop (~20 µs),
+/// so the slice is an order above the hop: a 64-frame `classify` run
+/// fits inside it, and a request behind a heavy pipeline waits one slice
+/// or one frame, whichever is longer. Measured, it is the shortest slice
+/// on the throughput plateau — at 100 µs and below light runs lose up to
+/// a third to hops, at 1 ms and above the waiting request's latency is
+/// the slice (`PERF.md` Point 10 has the sweep).
+const TURN_SLICE: Duration = Duration::from_micros(250);
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes `split_frames` compared against `\n` on this thread.
+    static BYTES_EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Vet one complete line into the pipeline (or arm a fatal error).
+/// `held` is how many frames a worker holds: they fill the cap too.
 fn accept_frame(
     pending: &mut VecDeque<PendingFrame>,
+    held: usize,
     fatal: &mut Option<String>,
     line: &[u8],
     max_request: usize,
@@ -78,25 +108,73 @@ fn accept_frame(
     if text.trim().is_empty() {
         return;
     }
-    if pending.len() >= PIPELINE_CAP {
+    if pending.len() + held >= PIPELINE_CAP {
         pending.push_back(PendingFrame::Shed);
     } else {
         pending.push_back(PendingFrame::Line(text.to_string()));
     }
 }
 
-/// A frame on its way to a worker.
-struct Job {
-    key: usize,
-    line: String,
+/// Split `read_buf` into frames. Complete lines become pipeline
+/// entries ([`PendingFrame::Shed`] past the cap); an overlong or
+/// non-UTF-8 line arms the connection's fatal error instead. At EOF
+/// a trailing unterminated line is served as the final frame. The
+/// search resumes at `scanned`, so a frame that arrives over many reads
+/// costs one pass over its bytes, not one pass per read.
+fn split_frames(conn: &mut Conn, max_request: usize, at_eof: bool) {
+    // Split borrows: line slices borrow `read_buf` while frames are
+    // vetted into `pending`/`fatal`.
+    let read_buf = &mut conn.read_buf;
+    let pending = &mut conn.pending;
+    let fatal = &mut conn.fatal;
+    let (mut start, mut scan) = (0, conn.scanned);
+    while fatal.is_none() {
+        let Some(tail) = read_buf.get(scan..) else {
+            break;
+        };
+        let found = tail.iter().position(|b| *b == b'\n');
+        #[cfg(test)]
+        BYTES_EXAMINED.with(|n| n.set(n.get() + found.map_or(tail.len(), |pos| pos + 1)));
+        let Some(end) = found.map(|pos| scan + pos) else {
+            break;
+        };
+        let Some(line) = read_buf.get(start..end) else {
+            break;
+        };
+        accept_frame(pending, conn.out_frames, fatal, line, max_request);
+        start = end + 1;
+        scan = start;
+    }
+    read_buf.drain(..start);
+    if fatal.is_none() && read_buf.len() > max_request {
+        *fatal = Some(format!("request line exceeds {max_request} bytes"));
+        read_buf.clear();
+    }
+    if at_eof && fatal.is_none() && !read_buf.is_empty() {
+        let line = std::mem::take(read_buf);
+        accept_frame(pending, conn.out_frames, fatal, &line, max_request);
+    }
+    // Whatever stays buffered was searched to its end (a fatal error
+    // stops reading for good, so its remainder is never searched again).
+    conn.scanned = conn.read_buf.len();
 }
 
-/// A rendered response on its way back to the reactor.
+/// A connection's run of pipelined frames on its way to a worker.
+struct Job {
+    key: usize,
+    lines: VecDeque<String>,
+}
+
+/// One worker turn on its way back to the reactor.
 struct Completion {
     key: usize,
-    response: String,
-    shutdown: bool,
-    watch: Option<crate::protocol::WatchParams>,
+    /// The executed frames' replies in request order, each
+    /// newline-terminated.
+    replies: String,
+    /// Frames the turn ended before; they return to the pipeline's front.
+    unexecuted: VecDeque<String>,
+    /// What the last executed frame asked of the serve loop.
+    outcome: LineOutcome,
 }
 
 /// Run queue (reactor → workers) and completion queue (workers →
@@ -151,6 +229,12 @@ impl Queues {
         }
     }
 
+    /// Is a job waiting for a worker?
+    fn job_waiting(&self) -> bool {
+        let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        !jobs.queue.is_empty()
+    }
+
     fn close(&self) {
         self.jobs.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.job_ready.notify_all();
@@ -183,15 +267,40 @@ fn worker_count(service: &ValidationService) -> usize {
     }
 }
 
+/// One turn per job: execute the run's frames in order into one reply
+/// buffer until the turn ends (module docs: the four ways).
 fn worker_loop(service: &ValidationService, queues: &Queues, poller: &Poller) {
     let mut response = String::new();
-    while let Some(job) = queues.pop_job() {
-        let outcome = handle_line_into(service, &job.line, &mut response);
+    while let Some(Job { key, mut lines }) = queues.pop_job() {
+        let started = Instant::now();
+        let mut replies = String::new();
+        let mut executed = 0;
+        let mut outcome = LineOutcome::default();
+        while let Some(line) = lines.pop_front() {
+            outcome = handle_line_into(service, &line, &mut response);
+            replies.push_str(&response);
+            replies.push('\n');
+            executed += 1;
+            // The reply cap is the write buffer's low watermark: a run
+            // parks at most that plus one reply in a worker, and hands the
+            // reactor no more than a backpressured peer resumes at. An
+            // exhausted run ends the turn before the clock or the run
+            // queue's lock is consulted: a depth-1 frame pays for neither.
+            if lines.is_empty()
+                || outcome.shutdown
+                || outcome.watch.is_some()
+                || replies.len() >= WRITE_LOW_WATER
+                || (started.elapsed() >= TURN_SLICE && queues.job_waiting())
+            {
+                break;
+            }
+        }
+        service.record_run(executed);
         queues.push_completion(Completion {
-            key: job.key,
-            response: std::mem::take(&mut response),
-            shutdown: outcome.shutdown,
-            watch: outcome.watch,
+            key,
+            replies,
+            unexecuted: lines,
+            outcome,
         });
         let _ = poller.notify();
     }
@@ -291,7 +400,7 @@ impl Reactor<'_> {
             match conn.sock.read(&mut chunk) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    self.parse_frames(key, max_request, true);
+                    split_frames(conn, max_request, true);
                     return;
                 }
                 Ok(n) => {
@@ -299,7 +408,7 @@ impl Reactor<'_> {
                     if let Some(bytes) = chunk.get(..n) {
                         conn.read_buf.extend_from_slice(bytes);
                     }
-                    self.parse_frames(key, max_request, false);
+                    split_frames(conn, max_request, false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -318,46 +427,8 @@ impl Reactor<'_> {
         }
     }
 
-    /// Split `read_buf` into frames. Complete lines become pipeline
-    /// entries ([`PendingFrame::Shed`] past the cap); an overlong or
-    /// non-UTF-8 line arms the connection's fatal error instead. At EOF
-    /// a trailing unterminated line is served as the final frame.
-    fn parse_frames(&mut self, key: usize, max_request: usize, at_eof: bool) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        // Split borrows: line slices borrow `read_buf` while frames are
-        // vetted into `pending`/`fatal`.
-        let read_buf = &mut conn.read_buf;
-        let pending = &mut conn.pending;
-        let fatal = &mut conn.fatal;
-        let mut start = 0;
-        while fatal.is_none() {
-            let Some(tail) = read_buf.get(start..) else {
-                break;
-            };
-            let Some(pos) = tail.iter().position(|b| *b == b'\n') else {
-                break;
-            };
-            let Some(line) = tail.get(..pos) else {
-                break;
-            };
-            accept_frame(pending, fatal, line, max_request);
-            start += pos + 1;
-        }
-        read_buf.drain(..start);
-        if fatal.is_none() && read_buf.len() > max_request {
-            *fatal = Some(format!("request line exceeds {max_request} bytes"));
-            read_buf.clear();
-        }
-        if at_eof && fatal.is_none() && !read_buf.is_empty() {
-            let line = std::mem::take(read_buf);
-            accept_frame(pending, fatal, &line, max_request);
-        }
-    }
-
     /// Drive one connection forward after anything happened to it:
-    /// answer shed frames, dispatch the next frame to the run queue,
+    /// answer shed frames, dispatch the next run to the run queue,
     /// surface a deferred fatal error, flush, close when complete, and
     /// re-register interest. Idempotent — safe to call repeatedly.
     fn advance(&mut self, key: usize, now: Instant) {
@@ -367,7 +438,7 @@ impl Reactor<'_> {
             };
             // Dispatch while the connection is executable: not waiting
             // on a worker, not mid-watch, not closing.
-            if conn.in_flight || conn.watch.is_some() || conn.close_after_flush {
+            if conn.out_frames > 0 || conn.watch.is_some() || conn.close_after_flush {
                 break;
             }
             match conn.pending.pop_front() {
@@ -382,20 +453,27 @@ impl Reactor<'_> {
                     self.service.record_requests_shed(1);
                     continue;
                 }
-                Some(PendingFrame::Line(line)) => {
-                    conn.in_flight = true;
-                    if !self.queues.push_job(Job { key, line }, self.run_queue_cap) {
-                        // Run queue full: answer this frame overloaded
-                        // and keep going — the connection stays up.
-                        let Some(conn) = self.conns.get_mut(&key) else {
-                            return;
-                        };
-                        conn.in_flight = false;
+                Some(PendingFrame::Line(first)) => {
+                    // The run: every consecutive line up to the first shed
+                    // frame (which must be answered in its place) — at most
+                    // `PIPELINE_CAP` of them, the cap let no more in.
+                    let mut lines = VecDeque::from([first]);
+                    while let Some(PendingFrame::Line(_)) = conn.pending.front() {
+                        if let Some(PendingFrame::Line(line)) = conn.pending.pop_front() {
+                            lines.push_back(line);
+                        }
+                    }
+                    let frames = lines.len();
+                    if self.queues.push_job(Job { key, lines }, self.run_queue_cap) {
+                        conn.out_frames = frames;
+                    } else {
+                        // Run queue full: answer the run overloaded frame
+                        // by frame and keep going — the connection stays up.
                         render_overloaded_into("run queue full; request shed", &mut self.scratch);
-                        let frame = std::mem::take(&mut self.scratch);
-                        conn.queue_frame(&frame, now);
-                        self.scratch = frame;
-                        self.service.record_requests_shed(1);
+                        for _ in 0..frames {
+                            conn.queue_frame(&self.scratch, now);
+                        }
+                        self.service.record_requests_shed(frames as u64);
                     }
                     continue;
                 }
@@ -419,7 +497,9 @@ impl Reactor<'_> {
             return;
         };
         if conn.backlog() > 0 {
-            if let Flush::Failed = conn.flush(now) {
+            let (flushed, writes) = conn.flush(now);
+            self.service.record_socket_writes(writes);
+            if let Flush::Failed = flushed {
                 conn.error = true;
                 self.close_conn(key);
                 return;
@@ -516,7 +596,7 @@ impl Reactor<'_> {
             }
             if let Some(idle) = self.idle_timeout {
                 let quiescent = conn.watch.is_none()
-                    && !conn.in_flight
+                    && conn.out_frames == 0
                     && conn.pending.is_empty()
                     && conn.backlog() == 0;
                 if quiescent && now.duration_since(conn.last_activity) >= idle {
@@ -544,14 +624,17 @@ impl Reactor<'_> {
         let mut touched = Vec::new();
         for done in self.queues.drain_completions() {
             let Some(conn) = self.conns.get_mut(&done.key) else {
-                continue; // connection closed while its frame executed
+                continue; // connection closed while its run executed
             };
-            conn.in_flight = false;
-            conn.queue_frame(&done.response, now);
-            if done.shutdown {
+            conn.out_frames = 0;
+            conn.queue_replies(&done.replies, now);
+            for line in done.unexecuted.into_iter().rev() {
+                conn.pending.push_front(PendingFrame::Line(line));
+            }
+            if done.outcome.shutdown {
                 conn.close_after_flush = true;
             }
-            if let Some(params) = done.watch {
+            if let Some(params) = done.outcome.watch {
                 let started = now;
                 self.watch_timers
                     .push(Reverse((started + params.interval, done.key, 0)));
@@ -673,7 +756,7 @@ pub fn serve_listener(
     let now = Instant::now();
     for key in reactor.apply_completions(now) {
         if let Some(conn) = reactor.conns.get_mut(&key) {
-            let _ = conn.flush(now);
+            service.record_socket_writes(conn.flush(now).1);
         }
     }
     // Connections owing nothing close immediately; the rest get a
@@ -706,7 +789,9 @@ pub fn serve_listener(
             let Some(conn) = reactor.conns.get_mut(&key) else {
                 return false;
             };
-            match conn.flush(now) {
+            let (flushed, writes) = conn.flush(now);
+            service.record_socket_writes(writes);
+            match flushed {
                 Flush::Drained => {
                     reactor.close_conn(key);
                     false
@@ -730,4 +815,97 @@ pub fn serve_listener(
         reactor.close_conn(key);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct NoSocket;
+
+    impl super::super::netfault::NetSocket for NoSocket {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn raw_fd(&self) -> i32 {
+            -1
+        }
+        fn shutdown_write(&mut self) {}
+    }
+
+    /// Feed `reads` the way `read_ready` does (reading stops at a fatal
+    /// error, EOF follows the last read); returns the pipeline (`None` is
+    /// a shed frame) and the fatal error.
+    fn feed(reads: &[&[u8]], max_request: usize) -> (Vec<Option<String>>, Option<String>) {
+        let mut conn = Conn::new(Box::new(NoSocket), Instant::now());
+        for bytes in reads {
+            if conn.want_read() {
+                conn.read_buf.extend_from_slice(bytes);
+                split_frames(&mut conn, max_request, false);
+            }
+        }
+        if conn.want_read() {
+            split_frames(&mut conn, max_request, true);
+        }
+        let frames = conn.pending.into_iter().map(|frame| match frame {
+            PendingFrame::Line(line) => Some(line),
+            PendingFrame::Shed => None,
+        });
+        (frames.collect(), conn.fatal)
+    }
+
+    /// The rescan regression: a newline-free frame arriving in 8 KiB reads
+    /// used to be searched from byte 0 on every read (128 passes over a
+    /// 1 MiB frame, on the thread that serves every connection).
+    #[test]
+    fn a_frame_arriving_in_many_reads_is_examined_once() {
+        let mut frame = vec![b'a'; 1 << 20];
+        frame.push(b'\n');
+        let reads: Vec<&[u8]> = frame.chunks(READ_CHUNK).collect();
+        BYTES_EXAMINED.with(|n| n.set(0));
+        let (frames, fatal) = feed(&reads, 1 << 20);
+        assert_eq!((frames.len(), fatal), (1, None));
+        let examined = BYTES_EXAMINED.with(|n| n.get());
+        assert!(examined <= 2 * frame.len(), "{examined} bytes examined");
+    }
+
+    /// Wherever two cuts fall, three reads yield what one read yields:
+    /// blank lines skipped and the unterminated tail served at EOF; a
+    /// non-UTF-8 or oversize line fatal after the frames before it.
+    #[test]
+    fn frames_split_across_three_reads_match_one_read() {
+        let cases: [(&[u8], usize, usize, bool); 3] = [
+            (
+                b"{\"op\":\"ping\"}\n\r\n{\"op\":\"stats\"}\n{\"op\":\"tail\"}",
+                64,
+                3,
+                false,
+            ),
+            (
+                b"{\"op\":\"ping\"}\n\xff\xfe\n{\"op\":\"ping\"}\n",
+                64,
+                1,
+                true,
+            ),
+            (
+                b"{\"op\":\"ping\"}\n{\"op\":\"a-line-past-the-limit\"}\n{\"op\":\"ping\"}",
+                16,
+                1,
+                true,
+            ),
+        ];
+        for (stream, max_request, frames, fatal) in cases {
+            let whole = feed(&[stream], max_request);
+            assert_eq!((whole.0.len(), whole.1.is_some()), (frames, fatal));
+            for a in 0..=stream.len() {
+                for b in a..=stream.len() {
+                    let reads = [&stream[..a], &stream[a..b], &stream[b..]];
+                    assert_eq!(feed(&reads, max_request), whole, "cuts {a},{b}");
+                }
+            }
+        }
+    }
 }

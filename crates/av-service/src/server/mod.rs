@@ -16,8 +16,14 @@
 //!   and are closed (counted in
 //!   [`ServiceStats::connections_rejected`](crate::ServiceStats));
 //! * **pipelining with a cap** — many frames may be in flight per
-//!   connection; frames past the per-connection cap are answered
-//!   `overloaded` in request order (`requests_shed`);
+//!   connection, and a connection's run of them is the unit of work: one
+//!   job to a worker, one completion back, one `write` for its replies
+//!   (sockets are `TCP_NODELAY`, always: the loop coalesces, so a kernel
+//!   timer has nothing to add). A worker's turn ends when the run is
+//!   exhausted, at a `shutdown` or `watch` frame, past 64 KiB of replies,
+//!   or after a time slice while another job waits. Frames past the
+//!   per-connection cap are answered `overloaded` in request order
+//!   (`requests_shed`);
 //! * **bounded buffers with backpressure** — request lines are capped
 //!   (`ServiceConfig::max_request_bytes`), and a connection whose write
 //!   buffer passes the high watermark stops being polled readable until

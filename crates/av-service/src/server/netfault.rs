@@ -13,6 +13,10 @@
 //! level-triggered poller simply reports it again), a short I/O clamps
 //! progress to one byte, and a reset kills that socket's shim without
 //! tearing bytes already on the wire.
+//!
+//! [`std_listener`] sets `TCP_NODELAY` on every socket it accepts, and
+//! [`FaultListener`] wraps `std_listener`'s sockets, so the chaos matrix
+//! runs with the same socket options as production.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,16 +68,29 @@ impl NetSocket for StdSocket {
 
 struct StdListener(TcpListener);
 
-impl NetListener for StdListener {
-    fn accept(&mut self) -> io::Result<Option<Box<dyn NetSocket>>> {
+impl StdListener {
+    /// Accept one pending stream, configured the way the reactor needs it.
+    fn accept_stream(&self) -> io::Result<Option<TcpStream>> {
         match self.0.accept() {
             Ok((stream, _peer)) => {
                 stream.set_nonblocking(true)?;
-                Ok(Some(Box::new(StdSocket(stream))))
+                // Unconditional: the reactor only ever writes whole
+                // response frames from its own buffer, so Nagle has nothing
+                // to coalesce that the server does not coalesce itself — it
+                // could only hold a reply for the peer's delayed ACK.
+                stream.set_nodelay(true)?;
+                Ok(Some(stream))
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e),
         }
+    }
+}
+
+impl NetListener for StdListener {
+    fn accept(&mut self) -> io::Result<Option<Box<dyn NetSocket>>> {
+        let stream = self.accept_stream()?;
+        Ok(stream.map(|s| Box::new(StdSocket(s)) as Box<dyn NetSocket>))
     }
     fn raw_fd(&self) -> i32 {
         self.0.as_raw_fd()
@@ -282,5 +299,29 @@ impl NetListener for FaultListener {
 
     fn local_addr(&self) -> io::Result<SocketAddr> {
         self.inner.local_addr()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The socket option cannot silently go away: without it every reply
+    /// after a connection's first waits out the peer's delayed-ACK timer.
+    #[test]
+    fn accepted_streams_are_nodelay_and_nonblocking() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let listener = StdListener(listener);
+        let mut stream = loop {
+            if let Some(stream) = listener.accept_stream().unwrap() {
+                break stream;
+            }
+        };
+        assert!(stream.nodelay().unwrap());
+        // Nonblocking: nothing was sent, so a read must not wait.
+        let err = io::Read::read(&mut stream, &mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 }

@@ -30,61 +30,73 @@ use std::time::Duration;
 
 const CLIENTS: usize = 3;
 const FRAMES: usize = 6;
+/// Bursts per session. A burst's replies leave the server in one write,
+/// so a session of one burst is four socket ops; the second burst, sent
+/// once the first is answered, keeps the reference workload above twenty
+/// and gives the matrix injection points between the runs of one
+/// connection (a short-I/O window also tears a run's write mid-reply).
+const BURSTS: usize = 2;
 
-/// One scripted client session: a pipelined burst of ping/classify
-/// frames, then read every response back. `Ok(())` means the session
-/// completed exactly as scripted; `Err` describes how it was cut short.
+/// One scripted client session: pipelined bursts of ping/classify
+/// frames, each read back in full before the next is sent. `Ok(())`
+/// means the session completed exactly as scripted; `Err` describes how
+/// it was cut short.
 fn run_client(addr: SocketAddr, client: usize) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut burst = String::new();
-    for i in 0..FRAMES {
-        if i % 2 == 0 {
-            burst.push_str("{\"op\":\"ping\"}\n");
-        } else {
-            burst.push_str(&format!(
-                "{{\"op\":\"classify\",\"value\":\"c{client}-{i}\"}}\n"
-            ));
-        }
-    }
     let mut writer = stream.try_clone().unwrap();
-    writer
-        .write_all(burst.as_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut reader = BufReader::new(stream);
-    for i in 0..FRAMES {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Err(format!("eof after {i} responses")),
-            Ok(_) => {}
-            Err(e) => return Err(format!("read after {i} responses: {e}")),
+    for burst in 0..BURSTS {
+        let frames = burst * FRAMES..(burst + 1) * FRAMES;
+        let mut text = String::new();
+        for i in frames.clone() {
+            if i % 2 == 0 {
+                text.push_str("{\"op\":\"ping\"}\n");
+            } else {
+                text.push_str(&format!(
+                    "{{\"op\":\"classify\",\"value\":\"c{client}-{i}\"}}\n"
+                ));
+            }
         }
-        // Torn-frame check: whatever else the fault did, a delivered
-        // line is one complete JSON object with an `ok` field.
-        assert!(line.ends_with('\n'), "client {client}: torn line {line:?}");
-        let v = av_service::json::parse(line.trim_end())
-            .unwrap_or_else(|e| panic!("client {client}: invalid frame {line:?}: {e:?}"));
-        assert_eq!(
-            v.get("ok").and_then(|j| j.as_bool()),
-            Some(true),
-            "client {client} frame {i}: {line}"
-        );
-        if i % 2 == 1 {
-            // Responses must arrive in request order: the classify echo
-            // carries this frame's marker.
-            let value = v.get("results").and_then(|r| r.as_arr()).and_then(|a| {
-                a.first()
-                    .and_then(|r| r.get("value"))
-                    .and_then(|s| s.as_str())
-            });
+        writer
+            .write_all(text.as_bytes())
+            .map_err(|e| format!("write: {e}"))?;
+        if burst + 1 == BURSTS {
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+        }
+        for i in frames {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) => return Err(format!("eof after {i} responses")),
+                Ok(_) => {}
+                Err(e) => return Err(format!("read after {i} responses: {e}")),
+            }
+            // Torn-frame check: whatever else the fault did, a delivered
+            // line is one complete JSON object with an `ok` field.
+            assert!(line.ends_with('\n'), "client {client}: torn line {line:?}");
+            let v = av_service::json::parse(line.trim_end())
+                .unwrap_or_else(|e| panic!("client {client}: invalid frame {line:?}: {e:?}"));
             assert_eq!(
-                value,
-                Some(format!("c{client}-{i}").as_str()),
-                "client {client}: out-of-order response {line}"
+                v.get("ok").and_then(|j| j.as_bool()),
+                Some(true),
+                "client {client} frame {i}: {line}"
             );
+            if i % 2 == 1 {
+                // Responses must arrive in request order: the classify echo
+                // carries this frame's marker.
+                let value = v.get("results").and_then(|r| r.as_arr()).and_then(|a| {
+                    a.first()
+                        .and_then(|r| r.get("value"))
+                        .and_then(|s| s.as_str())
+                });
+                assert_eq!(
+                    value,
+                    Some(format!("c{client}-{i}").as_str()),
+                    "client {client}: out-of-order response {line}"
+                );
+            }
         }
     }
     // A clean disconnect follows the final response.
