@@ -1,15 +1,41 @@
 //! Minimal JSON support for the service protocol — hand-rolled because the
-//! build environment is offline (no serde). Implements exactly RFC 8259
-//! minus number exotica: parsing and serialization of null / bool / f64 /
-//! string / array / object, with `\uXXXX` escapes (including surrogate
-//! pairs).
+//! build environment is offline (no serde). Parsing and serialization of
+//! null / bool / f64 / string / array / object, with `\uXXXX` escapes
+//! (including surrogate pairs).
+//!
+//! **Linear.** [`parse`] examines each input byte a bounded number of
+//! times: a string is scanned to its next `"` or `\` and taken as one
+//! slice of the input, and only a backslash is decoded. A frame costs time
+//! proportional to its length whatever it holds, so a request just under
+//! `max_request_bytes` occupies a worker for milliseconds.
+//!
+//! **Borrowing.** [`Json`] carries the lifetime of the text it was parsed
+//! from. A string or object key without an escape — every data value a
+//! well-behaved client sends — is a [`Cow::Borrowed`] slice of the request
+//! frame; only a string with an escape is decoded into an owned one. The
+//! protocol handlers pass those slices straight to the engine, so a
+//! validated value is never copied between the socket buffer and the
+//! matcher. Replies are built from owned strings and `&'static str` keys
+//! and are `Json<'static>`.
+//!
+//! **Bounded depth.** Arrays and objects may nest 64 deep
+//! (`MAX_DEPTH`); a deeper document is a parse error, not a stack
+//! overflow.
+//!
+//! Where it departs from RFC 8259: numbers are whatever `f64::from_str`
+//! accepts over the characters `-+.eE0-9` (so `1.` and `01` pass and every
+//! number is held as `f64`), a raw control byte (below U+0020) inside a
+//! string is accepted rather than rejected, and a repeated object key
+//! keeps its last value.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A JSON value.
+/// A JSON value, borrowing escape-free strings from the text it was
+/// parsed from (`Json<'static>` when built in code).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -17,16 +43,16 @@ pub enum Json {
     /// Any number (always held as `f64`).
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object. Key order is normalized (sorted) — fine for a protocol.
-    Obj(BTreeMap<String, Json>),
+    Obj(BTreeMap<Cow<'a, str>, Json<'a>>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Object member by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(m) => m.get(key),
             _ => None,
@@ -76,7 +102,7 @@ impl Json {
     }
 
     /// Array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -84,12 +110,17 @@ impl Json {
     }
 
     /// Build an object from key/value pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json<'a>)>) -> Json<'a> {
+        Json::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (Cow::Borrowed(k), v))
+                .collect(),
+        )
     }
 
-    /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Json {
+    /// Build a string value: a `&str` is borrowed, a `String` is moved in.
+    pub fn str(s: impl Into<Cow<'a, str>>) -> Json<'a> {
         Json::Str(s.into())
     }
 
@@ -187,27 +218,47 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. `value` →
+/// `array` / `object` → `value` recurses on the worker's stack (2 MiB), and
+/// a frame of nothing but `[` is far cheaper to send than `max_request_bytes`
+/// allows: unbounded, 8 KB of it overflowed the stack and aborted the
+/// process. The deepest legitimate request (`ingest`: object → array →
+/// object → array) nests 4.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse(input: &str) -> Result<Json, JsonError> {
+/// Linear in `input.len()`; the result borrows its escape-free strings
+/// from `input`.
+pub fn parse(input: &str) -> Result<Json<'_>, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing garbage"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-impl Parser<'_> {
+#[cfg(test)]
+thread_local! {
+    /// Bytes `Parser::string` has looked at on this thread — what the
+    /// linearity tests bound by a multiple of the input length.
+    static STRING_BYTES_EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl<'a> Parser<'a> {
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             message: msg.into(),
@@ -216,7 +267,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -234,8 +285,8 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, value: Json<'a>) -> Result<Json<'a>, JsonError> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -243,20 +294,35 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<Json<'a>, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    /// Descend into the array or object opening at `pos`, unless that
+    /// would nest deeper than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json<'a>, JsonError>,
+    ) -> Result<Json<'a>, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Json<'a>, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -279,7 +345,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self) -> Result<Json<'a>, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -307,83 +373,108 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// One string, opening quote at `pos`. Scans bytes to the next `"` or
+    /// `\` — both ASCII, so every cut falls on a char boundary of `src` —
+    /// and takes the run between as one slice. A string with no escape is
+    /// returned borrowed; the first backslash starts an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let src = self.src;
+        let mut run = self.pos; // start of the run not yet copied to `decoded`
+        let mut decoded: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: the next escape must be a
-                                // low surrogate, or the string is invalid.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err(
-                                            "high surrogate not followed by a low surrogate",
-                                        ));
-                                    }
-                                    let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.err("bad surrogate pair"))?
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced
-                        }
-                        _ => return Err(self.err("bad escape")),
+            let stop = src.as_bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            #[cfg(test)]
+            STRING_BYTES_EXAMINED
+                .with(|n| n.set(n.get() + stop.map_or(src.len() - self.pos, |at| at + 1)));
+            let Some(stop) = stop else {
+                self.pos = src.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += stop;
+            let text = &src[run..self.pos];
+            if src.as_bytes()[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match decoded {
+                    None => Cow::Borrowed(text),
+                    Some(mut out) => {
+                        out.push_str(text);
+                        Cow::Owned(out)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))
-                        .and_then(|s| s.chars().next().ok_or_else(|| self.err("empty")))?;
-                    out.push(s);
-                    self.pos += s.len_utf8();
-                }
+                });
             }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(text);
+            self.pos += 1;
+            out.push(self.escape()?);
+            run = self.pos;
         }
     }
 
+    /// The char an escape stands for; `pos` is just past its backslash and
+    /// ends just past the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        #[cfg(test)]
+        STRING_BYTES_EXAMINED.with(|n| n.set(n.get() + 1));
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                if !(0xD800..0xDC00).contains(&hi) {
+                    return char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"));
+                }
+                // Surrogate pair: the next escape must be a low surrogate,
+                // or the string is invalid.
+                if self.peek() != Some(b'\\') {
+                    return Err(self.err("lone high surrogate"));
+                }
+                self.pos += 1;
+                self.expect(b'u')?;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.err("high surrogate not followed by a low surrogate"));
+                }
+                let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return char::from_u32(combined).ok_or_else(|| self.err("bad surrogate pair"));
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` alone would
+    /// also take a sign: `\u+041`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
+        #[cfg(test)]
+        STRING_BYTES_EXAMINED.with(|n| n.set(n.get() + 4));
         let hex = self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let mut v = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -392,7 +483,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("bad number {text:?}")))
@@ -402,6 +493,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_nested() {
@@ -419,12 +511,9 @@ mod tests {
     #[test]
     fn unicode_escapes() {
         let v = parse(r#""é€😀""#).unwrap();
-        assert_eq!(v, Json::Str("é€😀".to_string()));
+        assert_eq!(v, Json::str("é€😀"));
         // \uXXXX escapes, including a surrogate pair for 😀 (U+1F600).
-        assert_eq!(
-            parse(r#""\u00e9\ud83d\ude00""#).unwrap(),
-            Json::Str("é😀".to_string())
-        );
+        assert_eq!(parse(r#""\u00e9\ud83d\ude00""#).unwrap(), Json::str("é😀"));
         // Invalid surrogate sequences are rejected, not silently mangled.
         assert!(parse(r#""\ud800A""#).is_err(), "bad low surrogate");
         assert!(parse(r#""\ud800x""#).is_err(), "lone high surrogate");
@@ -479,5 +568,273 @@ mod tests {
         // Negative and fractional numbers still refuse.
         assert_eq!(parse("-1").unwrap().as_usize(), None);
         assert_eq!(parse("3.5").unwrap().as_usize(), None);
+    }
+
+    /// The document an `ingest` sends nests 4 deep; 64 is allowed, 65 is an
+    /// error at the byte that would open the 65th level — and a frame of
+    /// nothing but openers is an error too, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        let too_deep = JsonError {
+            message: "nesting deeper than 64".to_string(),
+            offset: MAX_DEPTH,
+        };
+        assert_eq!(
+            parse(&nested("[", "]", MAX_DEPTH + 1)),
+            Err(too_deep.clone())
+        );
+        assert_eq!(parse(&"[".repeat(1 << 20)), Err(too_deep));
+        let e = parse(&"{\"a\":".repeat(1 << 18)).unwrap_err();
+        assert_eq!(
+            (e.message.as_str(), e.offset),
+            ("nesting deeper than 64", 5 * MAX_DEPTH)
+        );
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9\u20AC""#), Ok(Json::str("Aé€")));
+        let bad = |doc: &str, message: &str, offset: usize| {
+            let e = parse(doc).unwrap_err();
+            assert_eq!((e.message.as_str(), e.offset), (message, offset), "{doc}");
+        };
+        // `u32::from_str_radix` takes a sign; an escape does not.
+        bad(r#""\u+041""#, "bad \\u escape", 3);
+        bad(r#""\u-041""#, "bad \\u escape", 3);
+        bad(r#""\u00g0""#, "bad \\u escape", 3);
+        bad("\"\\u00é\"", "bad \\u escape", 3);
+        bad(r#""\u00"#, "truncated \\u escape", 3);
+        bad(r#""\ud800A""#, "lone high surrogate", 7);
+        bad(r#""\ud800\n""#, "expected 'u'", 8);
+        bad(
+            r#""\ud800\u0041""#,
+            "high surrogate not followed by a low surrogate",
+            13,
+        );
+        bad(r#""\ud83d\u+e00""#, "bad \\u escape", 9);
+        bad(r#""\udc00""#, "bad \\u escape", 7);
+        bad(r#""\ude00\ud83d""#, "bad \\u escape", 7);
+    }
+
+    /// Escape-free strings and keys are slices of the input; a string with
+    /// an escape is decoded into its own buffer.
+    #[test]
+    fn escape_free_strings_borrow_the_input() {
+        let src = r#"{"op":"validate","k\u0065y":1,"values":["plain","ünï €","tab\there",""]}"#;
+        let inside = |s: &str| src.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        let Json::Obj(members) = parse(src).unwrap() else {
+            panic!("not an object");
+        };
+        for key in members.keys() {
+            match key {
+                Cow::Borrowed(k) => assert!(inside(k), "{k}"),
+                Cow::Owned(k) => assert_eq!(k, "key"),
+            }
+        }
+        let values = members["values"].as_arr().unwrap();
+        for (value, text) in values.iter().zip(["plain", "ünï €"]) {
+            let Json::Str(Cow::Borrowed(v)) = value else {
+                panic!("{text:?} was copied: {value:?}");
+            };
+            assert!(*v == text && inside(v));
+        }
+        assert!(matches!(&values[2], Json::Str(Cow::Owned(v)) if v == "tab\there"));
+        assert!(matches!(values[3], Json::Str(Cow::Borrowed(""))));
+    }
+
+    fn string_bytes_examined(doc: &str) -> usize {
+        STRING_BYTES_EXAMINED.with(|n| n.set(0));
+        assert!(parse(doc).is_ok());
+        STRING_BYTES_EXAMINED.with(std::cell::Cell::get)
+    }
+
+    /// The string scanner looks at each byte a bounded number of times,
+    /// whatever the string holds. (At char-at-a-time-with-revalidation the
+    /// first of these examined ~2³⁹ bytes.)
+    #[test]
+    fn string_scanning_is_linear() {
+        const MIB: usize = 1 << 20;
+        let values: Vec<String> = (0..MIB / 8)
+            .map(|i| format!("\"v{:04}\"", i % 10_000))
+            .collect();
+        for (what, doc) in [
+            ("escape-free", format!("\"{}\"", "a".repeat(MIB))),
+            ("escapes", format!("\"{}\"", "a\\n".repeat(MIB / 3))),
+            (
+                "\\u escapes",
+                format!("\"{}\"", "\\ud83d\\ude00".repeat(MIB / 12)),
+            ),
+            ("3-byte chars", format!("\"{}\"", "€".repeat(MIB / 3))),
+            (
+                "array of short strings",
+                format!("{{\"op\":\"validate\",\"values\":[{}]}}", values.join(",")),
+            ),
+        ] {
+            let examined = string_bytes_examined(&doc);
+            assert!(
+                examined <= 2 * doc.len(),
+                "{what}: {examined} bytes examined for a {}-byte document",
+                doc.len()
+            );
+        }
+    }
+
+    /// The string decoder as it stood before it was made linear — one char
+    /// at a time, re-validating the rest of the input for each — kept
+    /// verbatim as the reference the differential test compares against.
+    struct ReferenceParser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl ReferenceParser<'_> {
+        fn err(&self, msg: impl Into<String>) -> JsonError {
+            JsonError {
+                message: msg.into(),
+                offset: self.pos,
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.err(format!("expected {:?}", b as char)))
+            }
+        }
+
+        fn string(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                self.pos += 1;
+                                let hi = self.hex4()?;
+                                let c = if (0xD800..0xDC00).contains(&hi) {
+                                    // Surrogate pair: the next escape must be a
+                                    // low surrogate, or the string is invalid.
+                                    if self.peek() == Some(b'\\') {
+                                        self.pos += 1;
+                                        self.expect(b'u')?;
+                                        let lo = self.hex4()?;
+                                        if !(0xDC00..0xE000).contains(&lo) {
+                                            return Err(self.err(
+                                                "high surrogate not followed by a low surrogate",
+                                            ));
+                                        }
+                                        let combined =
+                                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                        char::from_u32(combined)
+                                            .ok_or_else(|| self.err("bad surrogate pair"))?
+                                    } else {
+                                        return Err(self.err("lone high surrogate"));
+                                    }
+                                } else {
+                                    char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"))?
+                                };
+                                out.push(c);
+                                continue; // hex4 already advanced
+                            }
+                            _ => return Err(self.err("bad escape")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        // Consume one UTF-8 encoded char.
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest)
+                            .map_err(|_| self.err("invalid utf-8"))
+                            .and_then(|s| s.chars().next().ok_or_else(|| self.err("empty")))?;
+                        out.push(s);
+                        self.pos += s.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn hex4(&mut self) -> Result<u32, JsonError> {
+            let hex = self
+                .bytes
+                .get(self.pos..self.pos + 4)
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
+            let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+            let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+            self.pos += 4;
+            Ok(v)
+        }
+    }
+
+    /// Pieces a string body is assembled from: plain and multibyte text,
+    /// every escape, surrogate escapes in every arrangement, raw control
+    /// bytes (accepted), malformed escapes, and a bare quote (which ends
+    /// the string early).
+    #[rustfmt::skip]
+    const FRAGMENTS: &[&str] = &[
+        "a", "xyz 0-9", " ", "/", "é", "€", "😀", "\u{1}", "\t", "\u{7f}", "\\\"", "\\\\",
+        "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\u20AC",
+        "\\u0000", "\\uFFFF", "\\ud83d\\ude00", "\\ud800", "\\udbff", "\\udc00",
+        "\\ude00\\ud83d", "\\ud800\\u0041", "\\ud800\\n", "\\ud83d\\ud83d", "\\x",
+        "\\U0041", "\\u00g0", "\\u12", "\\u", "\\", "\\u+041", "\\u-041", "\\ud83d\\u+e00",
+        "\\u00é", "\"",
+    ];
+
+    proptest! {
+        /// At every prefix of a string assembled from [`FRAGMENTS`], the
+        /// linear decoder and the reference agree: the same value and end
+        /// position, or the same message at the same offset. The one
+        /// divergence is the sign the reference let through in `\u+XXX`.
+        #[test]
+        fn string_decoding_matches_the_reference(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..12),
+            closed in any::<bool>(),
+        ) {
+            let mut doc = String::from("\"");
+            doc.extend(picks.iter().map(|&i| FRAGMENTS[i]));
+            if closed {
+                doc.push('"');
+            }
+            for cut in (0..=doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+                let src = &doc[..cut];
+                let mut new = Parser { src, pos: 0, depth: 0 };
+                let got = new.string().map(|s| (s.into_owned(), new.pos));
+                let mut old = ReferenceParser { bytes: src.as_bytes(), pos: 0 };
+                let want = old.string().map(|s| (s, old.pos));
+                if got != want {
+                    let sign_refused = matches!(
+                        &got,
+                        Err(e) if e.message == "bad \\u escape" && src.as_bytes()[e.offset] == b'+'
+                    );
+                    prop_assert!(sign_refused, "{src:?}: {got:?}, reference {want:?}");
+                }
+            }
+        }
     }
 }

@@ -156,13 +156,13 @@ pub struct WatchParams {
 /// should do next. Serve loops render it through [`handle_line_into`] so
 /// one output buffer is reused across every response of a connection.
 struct Reply {
-    json: Json,
+    json: Json<'static>,
     ok: bool,
     shutdown: bool,
     watch: Option<WatchParams>,
 }
 
-fn ok(fields: Vec<(&'static str, Json)>) -> Reply {
+fn ok(fields: Vec<(&'static str, Json<'static>)>) -> Reply {
     let mut all = vec![("ok", Json::Bool(true))];
     all.extend(fields);
     Reply {
@@ -212,7 +212,7 @@ pub(crate) fn render_overloaded_into(message: &str, out: &mut String) {
     .dump_into(out);
 }
 
-fn report_json(r: &ValidationReport) -> Vec<(&'static str, Json)> {
+fn report_json(r: &ValidationReport) -> Vec<(&'static str, Json<'static>)> {
     vec![
         ("checked", Json::Num(r.checked as f64)),
         ("nonconforming", Json::Num(r.nonconforming as f64)),
@@ -222,9 +222,11 @@ fn report_json(r: &ValidationReport) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Borrow a `&str` array straight out of the parsed request — validation
-/// paths never copy values (the satellite fix for the old per-item
-/// `to_string()` churn in `validate_batch`).
+/// Borrow a `&str` array straight out of the parsed request. An
+/// escape-free value there is itself a slice of the request frame
+/// ([`Json`] borrows from the text it was parsed from), so validation
+/// paths hand the engine the connection's own buffer and never copy a
+/// value.
 fn str_array<'a>(v: &'a Json, field: &str) -> Result<Vec<&'a str>, String> {
     v.get(field)
         .and_then(Json::as_arr)
@@ -237,9 +239,29 @@ fn str_array<'a>(v: &'a Json, field: &str) -> Result<Vec<&'a str>, String> {
         .collect()
 }
 
+/// Move a member out of a request object.
+fn take_field<'a>(v: Json<'a>, field: &str) -> Option<Json<'a>> {
+    match v {
+        Json::Obj(mut members) => members.remove(field),
+        _ => None,
+    }
+}
+
 /// Owned variant for ingestion, where columns must outlive the request.
-fn string_array(v: &Json, field: &str) -> Result<Vec<String>, String> {
-    str_array(v, field).map(|vals| vals.into_iter().map(str::to_string).collect())
+/// Consumes the parsed array, so each value is copied out of the frame
+/// once (one that had an escape was decoded into its own `String` already
+/// and is moved).
+fn string_array(v: Json, field: &str) -> Result<Vec<String>, String> {
+    let Some(Json::Arr(items)) = take_field(v, field) else {
+        return Err(format!("missing array field {field:?}"));
+    };
+    items
+        .into_iter()
+        .map(|item| match item {
+            Json::Str(s) => Ok(s.into_owned()),
+            _ => Err(format!("{field:?} must contain only strings")),
+        })
+        .collect()
 }
 
 fn parse_variant(v: &Json) -> Result<Option<Variant>, String> {
@@ -305,7 +327,7 @@ fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Reply) {
     };
     match op {
         "ping" => ("ping", ok(vec![("pong", Json::Bool(true))])),
-        "ingest" => ("ingest", handle_ingest(service, &req)),
+        "ingest" => ("ingest", handle_ingest(service, req)),
         "infer" => ("infer", handle_infer(service, &req)),
         "infer_baseline" => ("infer_baseline", handle_infer_baseline(service, &req)),
         "validate" => ("validate", handle_validate(service, &req)),
@@ -342,13 +364,12 @@ fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Reply) {
     }
 }
 
-fn handle_ingest(service: &ValidationService, req: &Json) -> Reply {
-    let cols = match req.get("columns").and_then(Json::as_arr) {
-        Some(c) => c,
-        None => return fail("missing array field \"columns\""),
+fn handle_ingest(service: &ValidationService, req: Json) -> Reply {
+    let Some(Json::Arr(cols)) = take_field(req, "columns") else {
+        return fail("missing array field \"columns\"");
     };
     let mut columns = Vec::with_capacity(cols.len());
-    for (i, c) in cols.iter().enumerate() {
+    for (i, c) in cols.into_iter().enumerate() {
         let name = c
             .get("name")
             .and_then(Json::as_str)
@@ -426,8 +447,8 @@ fn handle_infer_baseline(service: &ValidationService, req: &Json) -> Reply {
     };
     match service.infer_baseline(name, method, &values) {
         Ok(describe) => ok(vec![
-            ("rule", Json::str(name)),
-            ("method", Json::str(method)),
+            ("rule", Json::str(name.to_string())),
+            ("method", Json::str(method.to_string())),
             ("describe", Json::str(describe)),
         ]),
         Err(e) => fail(e.to_string()),
@@ -543,7 +564,7 @@ fn handle_delete(service: &ValidationService, req: &Json) -> Reply {
         None => return fail("missing string field \"name\""),
     };
     match service.delete_rule(name) {
-        Ok(()) => ok(vec![("deleted", Json::str(name))]),
+        Ok(()) => ok(vec![("deleted", Json::str(name.to_string()))]),
         Err(e) => fail(e.to_string()),
     }
 }
@@ -567,7 +588,7 @@ fn handle_classify(service: &ValidationService, req: &Json) -> Reply {
         .zip(&values)
         .map(|(outcome, value)| {
             let mut fields = vec![
-                ("value", Json::str(*value)),
+                ("value", Json::str(value.to_string())),
                 (
                     "rules",
                     Json::Arr(outcome.matches.into_iter().map(Json::str).collect()),
@@ -588,7 +609,7 @@ fn handle_classify(service: &ValidationService, req: &Json) -> Reply {
     ])
 }
 
-fn explanation_fields(e: Explanation, fields: &mut Vec<(&'static str, Json)>) {
+fn explanation_fields(e: Explanation, fields: &mut Vec<(&'static str, Json<'static>)>) {
     fields.push(("reason", Json::str(e.reason)));
     if let Some(at) = e.failed_at {
         fields.push(("failed_at", Json::Num(at as f64)));
@@ -619,8 +640,8 @@ fn handle_explain(service: &ValidationService, req: &Json) -> Reply {
     match service.explain(name, value) {
         Ok(outcome) => {
             let mut fields = vec![
-                ("rule", Json::str(name)),
-                ("value", Json::str(value)),
+                ("rule", Json::str(name.to_string())),
+                ("value", Json::str(value.to_string())),
                 ("conforms", Json::Bool(outcome.conforms)),
                 ("describe", Json::str(outcome.describe)),
             ];
@@ -642,7 +663,7 @@ fn handle_explain(service: &ValidationService, req: &Json) -> Reply {
     }
 }
 
-fn window_json(w: &crate::telemetry::WindowSnapshot) -> Json {
+fn window_json(w: &crate::telemetry::WindowSnapshot) -> Json<'static> {
     Json::obj([
         ("validations", Json::Num(w.validations as f64)),
         ("flagged", Json::Num(w.flagged as f64)),
@@ -751,7 +772,7 @@ fn handle_metrics(service: &ValidationService) -> Reply {
 
 /// Serialize a [`crate::DurabilitySnapshot`] for `persist` / `stats` /
 /// `metrics` responses.
-fn durability_json(d: &crate::DurabilitySnapshot) -> Json {
+fn durability_json(d: &crate::DurabilitySnapshot) -> Json<'static> {
     Json::obj([
         (
             "checkpoint_generation",
@@ -876,7 +897,7 @@ fn handle_stats(service: &ValidationService) -> Reply {
             .into_iter()
             .map(|o| {
                 (
-                    o.op,
+                    o.op.into(),
                     Json::obj([
                         ("requests", Json::Num(o.requests as f64)),
                         ("errors", Json::Num(o.errors as f64)),
