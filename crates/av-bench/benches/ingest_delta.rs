@@ -1,34 +1,45 @@
-//! The `ingest_delta` group: incremental-merge latency vs shard count.
+//! The `ingest_delta` group: what an ingest costs after profiling, as the
+//! service pays it — `ShardedIndex::merge_delta` on a live index.
 //!
-//! The service's ingest path is `clone live index → merge delta → publish`.
-//! With a monolithic index (1 shard) the clone+merge republishes every
-//! entry, so the latency grows with the lake; with fingerprint sharding it
-//! clones only the shards the delta touches — O(delta), not O(index).
+//! The merge routes the delta to its shards with no lock held and applies
+//! it under the epoch's write lock: in place when no snapshot is alive,
+//! after cloning the touched shards a snapshot still shares otherwise.
+//! `alone` rows measure the first case and must stay flat as the lake
+//! grows (O(delta)); `held` rows take a snapshot before every merge, the
+//! worst a reader can do to a writer, and grow with the touched shards'
+//! share of the index. A row's time is also the longest a `snapshot()`
+//! call can wait behind that merge; `merge_bulk` is that bound for a
+//! whole-lake load.
 //!
 //! Two batch shapes bracket the behavior:
 //!
 //! * `narrow` — four enum-style feed columns (status/level/env/region, a
 //!   few dozen distinct patterns total): touches a small fraction of the
-//!   shards, so merge latency should drop roughly with the shard count;
+//!   shards;
 //! * `diverse` — four columns sampled from the synthetic lake (hundreds
-//!   of patterns each): touches nearly every shard, the worst case, and
-//!   must not regress versus the monolithic merge.
+//!   of patterns each): touches nearly every shard.
 //!
-//! `profile_small_batch` measures the lock-free profiling half for
-//! context. PERF.md Point 4 records the trajectory on a 10k-column lake
+//! Every merge row clones its delta inside the timed loop (the merge
+//! consumes it); the `clone_delta` rows are that share, to subtract.
+//! `profile_*` measure the lock-free profiling half for context — a
+//! 48-value batch runs on the calling thread alone, a 300-value one asks
+//! for helpers — and `spawn_join` is the price of one helper, which is
+//! what `HELPER_MIN_VALUES` in `av-index` is set against. PERF.md
+//! Point 12 records the table on 2000- and 10k-column lakes
 //! (`AV_INGEST_BENCH_COLS=10000`).
 
 use av_corpus::{generate_lake, Column, ColumnMeta, LakeProfile};
-use av_index::{IndexConfig, IndexDelta, PatternIndex};
+use av_index::{IndexConfig, IndexDelta, PatternIndex, ShardedIndex};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// Lake size (columns); CI smoke keeps it modest, PERF runs override.
-fn lake_cols() -> usize {
+/// The second lake size (columns), next to the fixed 2000; CI smoke keeps
+/// it modest, PERF runs override.
+fn large_lake_cols() -> usize {
     std::env::var("AV_INGEST_BENCH_COLS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(2000)
+        .unwrap_or(4000)
 }
 
 fn enum_column(name: &str, vocab: &[&str], rows: usize) -> Column {
@@ -43,60 +54,85 @@ fn enum_column(name: &str, vocab: &[&str], rows: usize) -> Column {
 
 /// A recurring telemetry feed: categorical columns whose handful of
 /// shapes land in a handful of shards.
-fn narrow_batch() -> Vec<Column> {
+fn narrow_batch(rows: usize) -> Vec<Column> {
     vec![
-        enum_column("status", &["OK", "RETRY", "FAIL"], 90),
-        enum_column("level", &["INFO", "WARN", "ERROR", "DEBUG"], 80),
-        enum_column("env", &["prod", "staging"], 60),
-        enum_column("region", &["useast", "uswest", "eucentral"], 70),
+        enum_column("status", &["OK", "RETRY", "FAIL"], rows),
+        enum_column("level", &["INFO", "WARN", "ERROR", "DEBUG"], rows),
+        enum_column("env", &["prod", "staging"], rows),
+        enum_column("region", &["useast", "uswest", "eucentral"], rows),
     ]
 }
 
 fn bench_ingest_delta(c: &mut Criterion) {
-    let corpus = generate_lake(&LakeProfile::tiny().scaled(lake_cols()), 11);
-    let cols: Vec<&Column> = corpus.columns().collect();
-    let narrow = narrow_batch();
+    let config = IndexConfig::default();
+    let narrow = narrow_batch(75);
     let diverse = generate_lake(&LakeProfile::tiny().scaled(4), 23);
-    let batches: Vec<(&str, Vec<&Column>)> = vec![
-        ("narrow", narrow.iter().collect()),
-        ("diverse", diverse.columns().collect()),
+    let batches: Vec<(&str, IndexDelta)> = vec![
+        (
+            "narrow",
+            IndexDelta::profile(&narrow.iter().collect::<Vec<_>>(), &config),
+        ),
+        (
+            "diverse",
+            IndexDelta::profile(&diverse.columns().collect::<Vec<_>>(), &config),
+        ),
     ];
 
     let mut group = c.benchmark_group("ingest_delta");
     group.sample_size(10);
-    for shard_bits in [0u32, 4, 6, 8] {
-        let config = IndexConfig {
-            shard_bits,
-            ..Default::default()
-        };
-        let index = PatternIndex::build(&cols, &config);
-        for (label, batch_cols) in &batches {
-            let delta = IndexDelta::profile(batch_cols, &config);
-            let touched = delta.touched_shards(shard_bits);
-            group.bench_function(
-                format!(
-                    "merge_{label}/shards{:04}_touch{touched:04}",
-                    1usize << shard_bits
-                ),
-                |b| {
-                    // The service's post-profiling ingest: COW-clone the
-                    // live epoch, merge (clones touched shards only),
-                    // republish.
-                    b.iter(|| {
-                        let mut next = index.clone();
-                        next.merge_delta(black_box(delta.clone())).unwrap();
-                        black_box(next.num_columns)
-                    })
-                },
-            );
+    for (label, delta) in &batches {
+        group.bench_function(format!("clone_delta_{label}"), |b| {
+            b.iter(|| black_box(delta.clone()).len())
+        });
+    }
+    for lake_cols in [2000, large_lake_cols()] {
+        let corpus = generate_lake(&LakeProfile::tiny().scaled(lake_cols), 11);
+        let cols: Vec<&Column> = corpus.columns().collect();
+        let index = ShardedIndex::new(PatternIndex::build(&cols, &config));
+        for (label, delta) in &batches {
+            let touched = delta.touched_shards(config.shard_bits);
+            let row =
+                |held: &str| format!("merge_{label}/cols{lake_cols}_touch{touched:02}_{held}");
+            group.bench_function(row("alone"), |b| {
+                b.iter(|| index.merge_delta(black_box(delta.clone())).unwrap())
+            });
+            group.bench_function(row("held"), |b| {
+                b.iter(|| {
+                    let reader = index.snapshot();
+                    let merged = index.merge_delta(black_box(delta.clone())).unwrap();
+                    (merged, reader.num_columns)
+                })
+            });
         }
     }
 
-    // The lock-free half of ingest for scale: profiling a batch itself.
-    let config = IndexConfig::default();
-    let narrow_refs: Vec<&Column> = narrow.iter().collect();
-    group.bench_function("profile_small_batch", |b| {
-        b.iter(|| black_box(IndexDelta::profile(black_box(&narrow_refs), &config).len()))
+    // A whole-lake load into an empty index: the longest apply there is.
+    let corpus = generate_lake(&LakeProfile::tiny().scaled(2000), 11);
+    let bulk = IndexDelta::profile(&corpus.columns().collect::<Vec<_>>(), &config);
+    group.bench_function("clone_delta_bulk", |b| {
+        b.iter(|| black_box(bulk.clone()).len())
+    });
+    // (Timed with the throwaway index's construction and teardown.)
+    let row = format!("merge_bulk/cols2000_{}patterns_into_empty", bulk.len());
+    group.bench_function(row, |b| {
+        b.iter(|| {
+            let index = ShardedIndex::new(PatternIndex::build(&[], &config));
+            index.merge_delta(black_box(bulk.clone())).unwrap()
+        })
+    });
+
+    // The lock-free half of ingest, on either side of the helper threshold.
+    for (label, batch) in [
+        ("profile_48_values", narrow_batch(12)),
+        ("profile_300_values", narrow),
+    ] {
+        let refs: Vec<&Column> = batch.iter().collect();
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(IndexDelta::profile(black_box(&refs), &config).len()))
+        });
+    }
+    group.bench_function("spawn_join_one_scoped_thread", |b| {
+        b.iter(|| std::thread::scope(|scope| scope.spawn(|| black_box(1)).join()))
     });
     group.finish();
 }

@@ -16,9 +16,6 @@ pub struct LockEntry {
     /// Rank: acquisitions must be strictly ascending in rank within a
     /// function (gaps left for future locks).
     pub rank: u32,
-    /// Same-rank re-acquisition allowed: a family of per-shard locks
-    /// taken in ascending index order counts as one rank.
-    pub multi: bool,
     /// Where the lock lives and what it protects.
     pub doc: &'static str,
 }
@@ -31,49 +28,36 @@ pub const LOCK_HIERARCHY: &[LockEntry] = &[
     LockEntry {
         name: "ckpt",
         rank: 10,
-        multi: false,
         doc: "av-service DurableState.ckpt — serializes checkpoints; taken before the WAL fence",
     },
     LockEntry {
         name: "wal",
         rank: 20,
-        multi: false,
         doc: "av-service DurableState.wal — the WAL fence; outermost lock of every durable mutating path",
     },
     LockEntry {
         name: "in_flight",
         rank: 30,
-        multi: false,
         doc: "av-service DurableState.in_flight — logged-but-unmerged LSNs, drained under the WAL fence",
-    },
-    LockEntry {
-        name: "merge_locks",
-        rank: 40,
-        multi: true,
-        doc: "av-index ShardedIndex.merge_locks — per-shard merge mutexes, taken in ascending shard order",
     },
     LockEntry {
         name: "epoch",
         rank: 50,
-        multi: false,
-        doc: "av-index ShardedIndex.epoch — the published index epoch; swapped while merge locks are held",
+        doc: "av-index ShardedIndex.epoch — the live index epoch; deltas applied under write, snapshots cloned under read, nothing acquired while held",
     },
     LockEntry {
         name: "baselines",
         rank: 60,
-        multi: false,
         doc: "av-service ValidationService.baselines — session-scoped baseline rules",
     },
     LockEntry {
         name: "catalog",
         rank: 70,
-        multi: false,
         doc: "av-service ValidationService.catalog — the persistent rule catalog",
     },
     LockEntry {
         name: "classifier",
         rank: 80,
-        multi: false,
         doc: "av-service ValidationService.classifier — the catalog automaton; always innermost",
     },
 ];

@@ -12,7 +12,8 @@
 //!   **empty parens** whose receiver resolves to a hierarchy name
 //!   (nearest preceding identifier over bracket groups, falling back to
 //!   any hierarchy identifier earlier in the statement — which catches
-//!   `merge_locks.iter().map(|m| m.lock())`);
+//!   a lock reached through a closure parameter,
+//!   `[&self.wal].iter().map(|m| m.lock())`);
 //! * the guard is **bound** (held to end of scope) iff the call chain —
 //!   after skipping `.unwrap()`/`.expect("…")` — ends at `;` inside a
 //!   `let` statement, or ends a tuple literal that is a `let`
@@ -22,10 +23,8 @@
 //!   boundaries, so sibling arms don't see each other's temporaries);
 //! * `drop(ident)` releases the bound guard named `ident`; closing `}`
 //!   releases everything acquired inside the block;
-//! * same-rank re-acquisition is allowed only for `multi` families
-//!   (`merge_locks`, whose per-shard mutexes are taken in ascending
-//!   shard order — an order this pass trusts, the runtime tracker
-//!   checks).
+//! * re-acquiring a held lock is an inversion like any other: no lock in
+//!   the hierarchy is a family of same-rank instances.
 
 use crate::config::{lock_by_name, LockEntry};
 use crate::diag::Finding;
@@ -87,12 +86,7 @@ fn check_fn(sf: &SourceFile, span: &FnSpan, out: &mut Vec<Finding>) {
         } else if is_acquisition(toks, i) {
             if let Some(entry) = resolve(toks, i, stmt_start) {
                 for h in &held {
-                    let inverted = if h.entry.rank == entry.rank {
-                        !(entry.multi && h.entry.name == entry.name)
-                    } else {
-                        h.entry.rank > entry.rank
-                    };
-                    if inverted {
+                    if h.entry.rank >= entry.rank {
                         out.push(Finding {
                             rule: "G1",
                             file: sf.rel_path.clone(),
@@ -302,15 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_rank_family_allows_same_rank() {
-        assert!(findings(
-            r#"fn good(&self) {
-                let a = self.merge_locks[i].lock().expect("p");
-                let b = self.merge_locks[j].lock().expect("p");
-                let mut epoch = self.epoch.write().expect("p");
-            }"#,
-        )
-        .is_empty());
+    fn same_lock_twice_is_flagged() {
         let out = findings(
             r#"fn bad(&self) {
                 let a = self.wal.lock().expect("p");
@@ -324,14 +310,14 @@ mod tests {
     fn closure_receiver_falls_back_to_statement() {
         assert!(findings(
             r#"fn good(&self) {
-                let _guards: Vec<_> = self.merge_locks.iter().map(|m| m.lock().expect("p")).collect();
+                let _guards: Vec<_> = [&self.wal].iter().map(|m| m.lock().expect("p")).collect();
             }"#,
         )
         .is_empty());
         let out = findings(
             r#"fn bad(&self) {
                 let c = self.classifier.read().expect("p");
-                let _guards: Vec<_> = self.merge_locks.iter().map(|m| m.lock().expect("p")).collect();
+                let _guards: Vec<_> = [&self.wal].iter().map(|m| m.lock().expect("p")).collect();
             }"#,
         );
         assert_eq!(out.len(), 1);

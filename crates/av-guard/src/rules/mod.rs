@@ -77,7 +77,7 @@ pub(crate) fn matching_close_forward(toks: &[Tok], open: usize) -> usize {
 /// Resolve the receiver identifier of the method call whose name is at
 /// `name_idx` (so `toks[name_idx - 1]` is the `.`): the nearest
 /// preceding identifier, walking back over `[...]`/`(...)` groups and
-/// `?`. `merge_locks[i].lock()` resolves to `merge_locks`;
+/// `?`. `shards[i].lock()` resolves to `shards`;
 /// `self.epoch.read()` to `epoch`.
 pub(crate) fn receiver_of(toks: &[Tok], name_idx: usize, floor: usize) -> Option<&str> {
     let mut j = name_idx.checked_sub(2)?;

@@ -8,7 +8,7 @@
 //! [`crate::shard`]), which is what later makes incremental ingest
 //! O(touched shards) instead of O(index).
 
-use crate::delta::DeltaError;
+use crate::delta::{DeltaError, ShardParts};
 use crate::shard::{shard_of, IndexShard, DEFAULT_SHARD_BITS, MAX_SHARD_BITS};
 use crate::stats::{PatternStats, StatsAcc};
 use av_corpus::Column;
@@ -80,35 +80,59 @@ impl WorkQueue {
     }
 }
 
-/// Run `worker` on `min(num_threads, len)` scoped threads sharing one
-/// [`WorkQueue`] over `len` columns; returns the per-worker results for
-/// an order-independent reduce. Both the offline build/delta profiling
-/// and the no-index corpus scan run on this scaffolding, so their
-/// scheduling semantics can never diverge.
-pub(crate) fn run_work_queue<T, F>(len: usize, config: &IndexConfig, worker: F) -> Vec<T>
+/// Values a batch must hold before profiling it asks for helper threads.
+/// Spawning and joining one scoped thread costs 63–72 µs on the dev
+/// container against ~1.5 µs of profiling per value (0.5 µs in enum-like
+/// columns, several in pattern-rich ones), and a helper saves at most
+/// half the work — less when one column is most of a small batch. With
+/// helpers forced on, every measured batch under 200 values got slower
+/// (a 48-value enum feed 44 → 72 µs) and every one of 600 or more faster;
+/// between the two it depends on the columns (`PERF.md` Point 12).
+const HELPER_MIN_VALUES: usize = 256;
+
+/// Run `worker` over one [`WorkQueue`] of `columns`: on the calling thread,
+/// plus `min(num_threads, columns) − 1` scoped helpers when the batch holds
+/// at least [`HELPER_MIN_VALUES`] values. Returns the caller's result and
+/// the helpers' for an order-independent reduce. Both the offline
+/// build/delta profiling and the no-index corpus scan run on this
+/// scaffolding, so their scheduling semantics can never diverge.
+pub(crate) fn run_work_queue<T, F>(
+    columns: &[&Column],
+    config: &IndexConfig,
+    worker: F,
+) -> (T, Vec<T>)
 where
     T: Send,
     F: Fn(&WorkQueue) -> T + Sync,
 {
-    let workers = config.num_threads.max(1).min(len.max(1));
+    let values: usize = columns.iter().map(|c| c.values.len()).sum();
+    let workers = if values < HELPER_MIN_VALUES {
+        1
+    } else {
+        config.num_threads.min(columns.len())
+    };
     let queue = WorkQueue {
         cursor: AtomicUsize::new(0),
-        len,
+        len: columns.len(),
     };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let helpers: Vec<_> = (1..workers)
             .map(|_| scope.spawn(|| worker(&queue)))
             .collect();
-        handles
+        let own = worker(&queue);
+        let helped = helpers
             .into_iter()
             .map(|h| h.join().expect("index worker panicked"))
-            .collect()
+            .collect();
+        (own, helped)
     })
 }
 
 /// Configuration of the offline build.
 ///
-/// Threading model: columns are distributed to `num_threads` workers
+/// Threading model: columns are distributed to `num_threads` workers —
+/// the calling thread and `num_threads − 1` helpers, or the calling
+/// thread alone for a batch too small to pay for a spawn —
 /// through a shared atomic cursor (a dynamic work queue), each worker
 /// claiming one column at a time. Every worker folds into its
 /// own thread-local accumulator map and carries one reusable column
@@ -130,10 +154,11 @@ pub struct IndexConfig {
     pub num_threads: usize,
     /// log₂ of the shard count the index is partitioned into (clamped to
     /// 12). More shards mean a finer copy-on-write granularity for
-    /// [`PatternIndex::merge_delta`] — a small delta republishes a smaller
-    /// fraction of the index — at a small per-shard fixed cost. The shard
-    /// a pattern lands in depends only on its fingerprint, so the indexed
-    /// *statistics* are identical for every value of this knob.
+    /// [`PatternIndex::merge_delta`] — a small delta merged while a
+    /// snapshot is alive copies a smaller fraction of the index — at a
+    /// small per-shard fixed cost. The shard a pattern lands in depends
+    /// only on its fingerprint, so the indexed *statistics* are identical
+    /// for every value of this knob.
     pub shard_bits: u32,
     /// Keep pattern display strings (needed only for head-pattern analyses
     /// like Fig. 3 / Fig. 13b labels; costs memory on big corpora).
@@ -177,8 +202,9 @@ impl IndexConfig {
 /// shards, each behind an [`Arc`] (see [`crate::shard`]). Cloning an index
 /// is therefore cheap — shard pointers, not shard data — and
 /// [`PatternIndex::merge_delta`] is **copy-on-write at shard granularity**:
-/// only shards the delta touches are cloned and rebuilt, every other shard
-/// stays shared with the pre-merge clone. Statistics are kept as raw
+/// a touched shard is copied only if a clone of the index still shares it
+/// (otherwise it is updated in place), and every untouched shard stays
+/// shared with the pre-merge clones. Statistics are kept as raw
 /// fixed-point accumulators, so an incremental [`crate::IndexDelta`] merge
 /// is bit-for-bit identical to a from-scratch rebuild on the union corpus.
 #[derive(Debug, Clone)]
@@ -238,8 +264,8 @@ impl PatternIndex {
         }
     }
 
-    /// Assemble an index from already-built shards (the concurrent
-    /// [`crate::ShardedIndex`] publishing a new epoch).
+    /// Assemble an index from already-built shards (deserialization of a
+    /// checkpoint's shard files).
     pub(crate) fn from_parts(
         shards: Vec<Arc<IndexShard>>,
         shard_bits: u32,
@@ -296,11 +322,13 @@ impl PatternIndex {
     /// accumulators, the result is bit-for-bit identical to rebuilding
     /// from scratch over the union corpus — no stop-the-world rescan.
     ///
-    /// The delta splits into per-shard sub-deltas and only the touched
-    /// shards are cloned (when shared) and rebuilt: merging a small delta
-    /// into a large index costs O(delta + touched shard data), not
-    /// O(index). Untouched shards keep their `Arc` identity, so clones of
-    /// the pre-merge index keep serving unchanged.
+    /// The delta splits into per-shard sub-deltas, and each touched shard
+    /// is updated through `Arc::make_mut`: in place when this index is the
+    /// shard's only holder, on a fresh copy when a clone of the index (a
+    /// snapshot) still points to it — the clone keeps serving the old one.
+    /// Merging a small delta into a large index therefore costs O(delta),
+    /// plus the data of those touched shards a snapshot shares, never
+    /// O(index). Untouched shards keep their `Arc` identity either way.
     ///
     /// Fails when the delta was profiled with a different token-limit τ
     /// (its patterns would be incomparable with the index's population).
@@ -311,14 +339,23 @@ impl PatternIndex {
                 delta_tau: delta.tau(),
             });
         }
-        let parts = delta.into_shard_parts(self.shard_bits);
-        for (i, part) in parts.parts.into_iter().enumerate() {
+        self.apply_parts(delta.into_shard_parts(self.shard_bits));
+        Ok(())
+    }
+
+    /// Fold a delta already routed to this index's shard count (and
+    /// already checked for τ) into it. Returns how many of the touched
+    /// shards were shared, and so cloned before the write.
+    pub(crate) fn apply_parts(&mut self, parts: ShardParts) -> usize {
+        let mut copied = 0;
+        for (shard, part) in self.shards.iter_mut().zip(parts.parts) {
             if let Some(part) = part {
-                Arc::make_mut(&mut self.shards[i]).apply(part);
+                copied += usize::from(Arc::get_mut(shard).is_none());
+                Arc::make_mut(shard).apply(part);
             }
         }
         self.num_columns += parts.num_columns;
-        Ok(())
+        copied
     }
 
     /// Redistribute the index over a different shard count. Statistics are
@@ -550,7 +587,7 @@ pub fn scan_corpus_fpr(
         .enumerate()
         .map(|(i, p)| (p.fingerprint(), i))
         .collect();
-    let per_worker: Vec<Vec<StatsAcc>> = run_work_queue(columns.len(), config, |queue| {
+    let (mut merged, helped) = run_work_queue(columns, config, |queue| {
         let mut accs: Vec<StatsAcc> = vec![StatsAcc::default(); patterns.len()];
         let mut scratch = EnumScratch::default();
         let mut col_frac: Vec<f64> = vec![0.0; patterns.len()];
@@ -583,8 +620,7 @@ pub fn scan_corpus_fpr(
         }
         accs
     });
-    let mut merged: Vec<StatsAcc> = vec![StatsAcc::default(); patterns.len()];
-    for accs in per_worker {
+    for accs in helped {
         for (m, a) in merged.iter_mut().zip(&accs) {
             m.merge(a);
         }

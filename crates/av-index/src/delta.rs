@@ -12,8 +12,9 @@
 //! At merge time a delta [splits](IndexDelta::into_shard_parts) into
 //! per-shard sub-deltas routed by fingerprint, which is what lets
 //! [`PatternIndex::merge_delta`] (and the concurrent
-//! [`crate::ShardedIndex`]) clone and republish **only the shards the
-//! delta touches** — update cost tracks the delta, not the database.
+//! [`crate::ShardedIndex`]) write to **only the shards the delta
+//! touches**, copying one first only while a snapshot still shares it —
+//! update cost tracks the delta, not the database.
 
 use crate::build::{index_one_column, FastMap, IndexConfig};
 use crate::persist::PersistError;
@@ -73,11 +74,14 @@ impl IndexDelta {
     /// dynamic work queue, so a handful of giant columns cannot strand the
     /// other workers the way static chunking does), fold into thread-local
     /// accumulators with a per-worker reusable scratch, and merge at the
-    /// end. The fixed-point accumulator merge is order-independent, so the
-    /// result is bit-identical for every thread count and schedule.
+    /// end. The calling thread is one of the workers — the only one for a
+    /// batch too small to pay for a thread spawn — and the reduce folds the
+    /// helpers' maps into the caller's. The fixed-point accumulator merge
+    /// is order-independent, so the result is bit-identical for every
+    /// thread count and schedule.
     pub fn profile(columns: &[&Column], config: &IndexConfig) -> IndexDelta {
-        let results: Vec<(FastMap<StatsAcc>, FastMap<String>)> =
-            crate::build::run_work_queue(columns.len(), config, |queue| {
+        let ((mut acc, mut names), helped) =
+            crate::build::run_work_queue(columns, config, |queue| {
                 let mut acc: FastMap<StatsAcc> = FastMap::default();
                 let mut names: FastMap<String> = FastMap::default();
                 let mut scratch = crate::build::ColumnScratch::default();
@@ -88,16 +92,14 @@ impl IndexDelta {
                 }
                 (acc, names)
             });
-        let mut merged: FastMap<StatsAcc> = FastMap::default();
-        let mut names: FastMap<String> = FastMap::default();
-        for (shard, shard_names) in results {
-            for (k, v) in shard {
-                merged.entry(k).or_default().merge(&v);
+        for (helper_acc, helper_names) in helped {
+            for (k, v) in helper_acc {
+                acc.entry(k).or_default().merge(&v);
             }
-            names.extend(shard_names);
+            names.extend(helper_names);
         }
         IndexDelta {
-            acc: merged,
+            acc,
             names,
             num_columns: columns.len() as u64,
             tau: config.tau,
@@ -125,8 +127,8 @@ impl IndexDelta {
     }
 
     /// How many of `2^shard_bits` fingerprint shards this delta would
-    /// touch if merged into an index sharded that way — the number of
-    /// shards an ingest has to clone and republish.
+    /// touch if merged into an index sharded that way — the shards an
+    /// ingest writes to (and the most it can have to copy).
     pub fn touched_shards(&self, shard_bits: u32) -> usize {
         // Clamp once and route with the same value — clamping only the
         // count while routing with the raw bits would index out of range.
@@ -145,9 +147,9 @@ impl IndexDelta {
     /// delta whose merge effect is bit-identical to the original's.
     pub fn to_bytes(&self) -> Vec<u8> {
         // Sized for the whole record (header + entries + names) and built
-        // straight into the returned Vec: this runs under the WAL lock on
-        // every durable ingest, so reallocation and a trailing copy both
-        // show up as acknowledge latency.
+        // straight into the returned Vec: every durable ingest encodes its
+        // delta before it takes the WAL lock, so reallocation and a
+        // trailing copy both show up as acknowledge latency.
         let names_bytes: usize = self.names.values().map(|s| 12 + s.len()).sum();
         let mut buf: Vec<u8> = Vec::with_capacity(32 + self.acc.len() * 25 + 8 + names_bytes);
         buf.put_slice(DELTA_MAGIC);

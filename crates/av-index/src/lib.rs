@@ -20,14 +20,16 @@
 //! deployments that makes **incremental maintenance O(delta), not
 //! O(index)**: profile new columns into an [`IndexDelta`], and
 //! [`PatternIndex::merge_delta`] splits it into per-shard sub-deltas and
-//! clones/rebuilds *only the shards the delta touches* — bit-for-bit
-//! identical to a from-scratch rebuild on the union corpus, while every
-//! untouched shard is shared by pointer with the pre-merge index.
+//! writes to *only the shards the delta touches* — in place, unless a
+//! clone of the index still shares the shard, in which case the clone
+//! keeps the old one and the merge works on a copy. The result is
+//! bit-for-bit identical to a from-scratch rebuild on the union corpus.
 //!
 //! Concurrent serving goes through [`ShardedIndex`]: readers take
-//! wait-free, internally consistent `Arc<PatternIndex>` epoch snapshots;
-//! ingests touching disjoint shards run their merge work in parallel and
-//! publish atomically (see [`shard`]).
+//! internally consistent `Arc<PatternIndex>` epoch snapshots that no later
+//! merge writes to; an ingest routes its delta with no lock held and
+//! applies it under the epoch's write lock, for as long as the delta is
+//! large (see [`shard`]).
 
 mod build;
 mod delta;

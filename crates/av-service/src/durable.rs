@@ -25,10 +25,13 @@
 //! catalog text — so the snapshot holds exactly the operations with LSN
 //! ≤ `W`. It then writes **only the shards whose `Arc` changed since the
 //! previous checkpoint** (untouched shards are pointer-shared across
-//! merges, so the previous generation's files are re-referenced), writes
-//! the catalog, and commits by atomically publishing a generation-numbered
-//! [`Manifest`]. Only after the manifest is durable are covered WAL
-//! segments removed and unreferenced files of older generations collected.
+//! merges, so the previous generation's files are re-referenced; ingests
+//! merge in place, but never into a shard the previous checkpoint's epoch
+//! still points to — that one is shared, so the first merge to touch it
+//! works on a copy under a new pointer), writes the catalog, and commits
+//! by atomically publishing a generation-numbered [`Manifest`]. Only after
+//! the manifest is durable are covered WAL segments removed and
+//! unreferenced files of older generations collected.
 //!
 //! ## Recovery
 //!
@@ -174,6 +177,9 @@ pub(crate) struct CheckpointBase {
     pub generation: u64,
     /// The index epoch the base files encode. `None` forces a full shard
     /// rewrite (fresh service, or a recovery that resharded the image).
+    /// Holding it is what makes the pointer comparison in
+    /// [`write_checkpoint`] sound: a shard this epoch points to is shared,
+    /// and a shared shard is copied, never written to, by a merge.
     pub index: Option<Arc<PatternIndex>>,
     /// Per-shard file entries of the base manifest; `None` for a shard
     /// with no reusable file (e.g. quarantined during recovery).

@@ -4,19 +4,29 @@
 //!
 //! Concurrency model:
 //!
-//! * **Readers never block.** Every inference/validation takes an
-//!   `Arc<PatternIndex>` **epoch** snapshot from the [`ShardedIndex`]
-//!   (one `RwLock` read to clone the `Arc`). An epoch is a vector of
-//!   shard `Arc`s published atomically, so a snapshot taken during an
-//!   ingest sees either the whole pre-ingest index or the whole
-//!   post-ingest index — never a torn mixture.
-//! * **Ingestion is copy-on-write at shard granularity.** New columns are
-//!   profiled into an [`IndexDelta`] with no lock held (the expensive
-//!   part); the delta then splits into per-shard sub-deltas and only the
-//!   touched shards are cloned and republished — O(delta), not O(index).
-//! * **Disjoint ingests commit concurrently.** Per-shard merge locks
-//!   serialize only ingests whose deltas overlap; the final epoch swap is
-//!   a few pointer copies under one brief write lock.
+//! * **Readers never see a torn index, and wait only for a delta's apply.**
+//!   Every inference takes an `Arc<PatternIndex>` **epoch** snapshot from
+//!   the [`ShardedIndex`] (one `RwLock` read to clone the `Arc`). An
+//!   ingest applies its delta under that lock's write side, so a snapshot
+//!   taken during an ingest sees either the whole pre-ingest index or the
+//!   whole post-ingest index, and what it holds is never written to
+//!   afterwards. The read may wait for the apply in progress (and any
+//!   queued ahead of it): ~0.2 ms for a ten-column ingest, under 10 ms
+//!   for a 2000-column bulk load (`PERF.md` Point 12). Only `infer_rule`,
+//!   `stats`, `persist` and checkpoints take snapshots, all on worker
+//!   threads; validation reads the catalog, not the index, and the
+//!   reactor reads the atomic generation only.
+//! * **Ingestion costs what its delta costs.** New columns are profiled
+//!   into an [`IndexDelta`] with no lock held (the expensive part), on the
+//!   calling worker, with helper threads only for batches large enough to
+//!   pay for them; the delta then splits into per-shard sub-deltas and is
+//!   merged into the touched shards in place — O(delta), not O(index).
+//! * **Copy only what a live snapshot still shares.** A touched shard
+//!   that an in-flight `infer`, a running checkpoint or the last
+//!   checkpoint's base still points to is cloned before the write, and the
+//!   holder keeps the old one; `stats` counts those clones as
+//!   `index_shards_copied`. Ingests are serialized by the epoch lock for
+//!   the length of their apply.
 
 use crate::catalog::{self, CatalogEntry, CatalogError, RuleCatalog};
 use crate::durable::{
@@ -236,8 +246,8 @@ pub struct IngestReport {
     pub columns_added: u64,
     /// Distinct patterns contributed by the batch (pre-merge).
     pub delta_patterns: usize,
-    /// Index shards the delta touched — only these were cloned and
-    /// republished; every other shard is shared with the previous epoch.
+    /// Index shards the delta has entries for — only these were written
+    /// to; every other shard is shared with the previous epoch.
     pub touched_shards: usize,
     /// Live corpus size after the merge.
     pub total_columns: u64,
@@ -291,6 +301,11 @@ pub struct ServiceStats {
     pub columns_ingested: u64,
     /// Ingest batches merged.
     pub ingest_batches: u64,
+    /// Index shards ingests had to clone before writing to them, because a
+    /// snapshot (an in-flight `infer`, a checkpoint, the last checkpoint's
+    /// base) still shared them. Ingest is O(delta) while this grows much
+    /// slower than `ingest_batches` × the index's shard count.
+    pub index_shards_copied: u64,
     /// Rules inferred.
     pub rules_inferred: u64,
     /// Columns validated.
@@ -356,6 +371,7 @@ pub struct ValidationService {
     shutdown_wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     columns_ingested: AtomicU64,
     ingest_batches: AtomicU64,
+    index_shards_copied: AtomicU64,
     rules_inferred: AtomicU64,
     validations: AtomicU64,
     flagged: AtomicU64,
@@ -385,6 +401,7 @@ impl ValidationService {
             shutdown_wakers: Mutex::new(Vec::new()),
             columns_ingested: AtomicU64::new(0),
             ingest_batches: AtomicU64::new(0),
+            index_shards_copied: AtomicU64::new(0),
             rules_inferred: AtomicU64::new(0),
             validations: AtomicU64::new(0),
             flagged: AtomicU64::new(0),
@@ -533,10 +550,12 @@ impl ValidationService {
         &self.config
     }
 
-    /// A wait-free snapshot of the live index: the current epoch of shard
-    /// `Arc`s. Snapshots are immutable and internally consistent — an
-    /// ingest committing concurrently swaps in a whole new epoch, so a
-    /// holder sees either the old or the new index, never a torn one.
+    /// A snapshot of the live index: the current epoch of shard `Arc`s.
+    /// Snapshots are internally consistent and never written to — an
+    /// ingest applies its delta under the epoch's write lock and copies
+    /// whatever a snapshot still shares first, so a holder sees either the
+    /// old or the new index, never a torn one. Taking one may wait for the
+    /// apply in progress (see the module docs for the bound).
     pub fn snapshot(&self) -> Arc<PatternIndex> {
         self.index.snapshot()
     }
@@ -545,15 +564,17 @@ impl ValidationService {
     /// offline scan, applied incrementally). Returns what changed.
     ///
     /// Profiling streams `(fingerprint, support, len)` triples straight
-    /// into per-worker accumulators — columns are pulled one at a time off
-    /// a dynamic work queue shared by `config.index.num_threads` workers,
-    /// so one giant column cannot strand the others — and no pattern is
-    /// materialized unless `keep_patterns` asks for display strings.
+    /// into per-worker accumulators — the calling thread pulls columns one
+    /// at a time off a dynamic work queue, joined by up to
+    /// `config.index.num_threads − 1` helpers when the batch is large
+    /// enough to pay for them, so one giant column cannot strand the
+    /// others — and no pattern is materialized unless `keep_patterns` asks
+    /// for display strings.
     ///
-    /// The merge republishes **only the shards the delta touches**
-    /// (O(delta), not O(index)); concurrent ingests whose deltas land on
-    /// disjoint shards commit in parallel. The resulting index is
-    /// bit-identical for every schedule.
+    /// The merge writes to **only the shards the delta touches**, in place
+    /// unless a snapshot still shares one (O(delta), not O(index));
+    /// concurrent ingests take turns for the length of that apply. The
+    /// resulting index is bit-identical for every schedule.
     pub fn ingest(&self, columns: &[Column]) -> Result<IngestReport, ServiceError> {
         let refs: Vec<&Column> = columns.iter().collect();
         // Expensive profiling happens with no lock held.
@@ -602,6 +623,8 @@ impl ValidationService {
         self.columns_ingested
             .fetch_add(columns.len() as u64, Ordering::Relaxed);
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
+        self.index_shards_copied
+            .fetch_add(merge.copied_shards as u64, Ordering::Relaxed);
         self.note_durable_record();
         Ok(report)
     }
@@ -1043,30 +1066,28 @@ impl ValidationService {
                 .collect();
         }
 
-        // Dynamic work-stealing over an atomic cursor: workers drain items
-        // at their own pace, then results are restitched in input order.
+        // Dynamic work-stealing over an atomic cursor: the caller and
+        // `workers − 1` helpers drain items at their own pace, then results
+        // are restitched in input order.
         let cursor = AtomicU64::new(0);
+        let drain = || {
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
+                if i >= items.len() {
+                    break local;
+                }
+                local.push((i, self.validate(items[i].rule, &items[i].values)));
+            }
+        };
         let mut indexed: Vec<(usize, Result<ValidationReport, ServiceError>)> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                                if i >= items.len() {
-                                    break;
-                                }
-                                local.push((i, self.validate(items[i].rule, &items[i].values)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("validation worker panicked"))
-                    .collect()
+                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+                let mut all = drain();
+                for h in helpers {
+                    all.extend(h.join().expect("validation worker panicked"));
+                }
+                all
             });
         indexed.sort_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, r)| r).collect()
@@ -1176,6 +1197,7 @@ impl ValidationService {
         ServiceStats {
             columns_ingested: self.columns_ingested.load(Ordering::Relaxed),
             ingest_batches: self.ingest_batches.load(Ordering::Relaxed),
+            index_shards_copied: self.index_shards_copied.load(Ordering::Relaxed),
             rules_inferred: self.rules_inferred.load(Ordering::Relaxed),
             validations: self.validations.load(Ordering::Relaxed),
             flagged: self.flagged.load(Ordering::Relaxed),

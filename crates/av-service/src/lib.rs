@@ -5,19 +5,19 @@
 //! validated against cataloged rules on every run. This crate is that
 //! deployment shape for the rest of the workspace:
 //!
-//! * **Shared live index** — readers take wait-free `Arc<PatternIndex>`
-//!   **epoch** snapshots from an [`av_index::ShardedIndex`]; nothing
-//!   blocks while rules are inferred or columns are validated, and a
-//!   snapshot taken during an ingest is never torn — it is exactly the
-//!   pre- or post-ingest index.
-//! * **Incremental ingestion, O(touched shards)** — new corpus columns
-//!   are profiled into an [`av_index::IndexDelta`] that splits into
-//!   per-shard sub-deltas; the merge clones and republishes only the
-//!   fingerprint shards the delta touches, so ingest cost tracks the
-//!   delta, not the lake, and ingests on disjoint shards commit
-//!   concurrently. Statistics stay bit-for-bit identical to a full
-//!   rebuild (`av-index`'s fixed-point accumulators make the merge
-//!   exact).
+//! * **Shared live index** — readers take `Arc<PatternIndex>` **epoch**
+//!   snapshots from an [`av_index::ShardedIndex`]; a snapshot is never
+//!   written to once taken and never torn — taken during an ingest, it is
+//!   exactly the pre- or post-ingest index — and taking one waits for
+//!   nothing but a delta being applied. Validation reads the catalog, not
+//!   the index, and waits for no ingest.
+//! * **Incremental ingestion, O(delta)** — new corpus columns are
+//!   profiled on the calling worker into an [`av_index::IndexDelta`] that
+//!   splits into per-shard sub-deltas; the merge writes only to the
+//!   fingerprint shards the delta touches, in place unless a live
+//!   snapshot still shares one, so ingest cost tracks the delta, not the
+//!   lake. Statistics stay bit-for-bit identical to a full rebuild
+//!   (`av-index`'s fixed-point accumulators make the merge exact).
 //! * **Persistent rule catalog** — rules are inferred once (FMDV and its
 //!   fallbacks), named, serialized to `rules.avcat`, and reloaded on
 //!   restart, so a service restart never re-infers or loses a rule.

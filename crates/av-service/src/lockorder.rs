@@ -15,8 +15,7 @@
 //! | 10 | `ckpt` | `DurableState` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
 //! | 20 | `wal` | `DurableState` | The WAL fence: the outermost lock of every durable mutating path. Holding it across the snapshot is what makes the checkpoint watermark exact. |
 //! | 30 | `in_flight` | `DurableState` | Logged-but-unmerged LSNs, drained under the WAL fence before a watermark is declared. |
-//! | 40 | `merge_locks` | `av-index::ShardedIndex` | Per-shard merge mutexes, taken in ascending shard order (a *multi* family: same-rank re-acquisition is the design). |
-//! | 50 | `epoch` | `av-index::ShardedIndex` | The published index epoch, swapped while merge locks are held so readers never observe a half-merged epoch. |
+//! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
 //! | 60 | `baselines` | `ValidationService` | Session-scoped baseline rules. |
 //! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths. |
 //! | 80 | `classifier` | `ValidationService` | The catalog automaton — always innermost: it is rebuilt/patched *from* catalog state and must never wait on anything while held. |
@@ -55,9 +54,7 @@ pub(crate) const CKPT: u32 = 10;
 pub(crate) const WAL: u32 = 20;
 /// Rank of `DurableState.in_flight`.
 pub(crate) const IN_FLIGHT: u32 = 30;
-/// Rank of `av-index`'s per-shard merge mutexes (a multi family).
-pub(crate) const MERGE_LOCKS: u32 = 40;
-/// Rank of `av-index`'s published epoch lock.
+/// Rank of `av-index`'s epoch lock.
 pub(crate) const EPOCH: u32 = 50;
 /// Rank of `ValidationService.baselines`.
 pub(crate) const BASELINES: u32 = 60;
@@ -80,25 +77,14 @@ pub(crate) struct RankGuard {
 }
 
 /// Record acquisition of `rank`, asserting it exceeds every held rank.
-pub(crate) fn rank_guard(rank: u32) -> RankGuard {
-    push(rank, false)
-}
-
-/// Like [`rank_guard`] but for a *multi* family ([`MERGE_LOCKS`]): a
-/// same-rank re-acquisition is allowed (per-shard locks taken in
-/// ascending shard order share one rank).
-pub(crate) fn rank_guard_multi(rank: u32) -> RankGuard {
-    push(rank, true)
-}
-
 #[cfg(debug_assertions)]
-fn push(rank: u32, multi: bool) -> RankGuard {
+pub(crate) fn rank_guard(rank: u32) -> RankGuard {
     // Assert outside the RefCell borrow: a failing assert unwinds
     // through live RankGuards whose Drop needs the cell.
     let max = HELD.with(|h| h.borrow().iter().max().copied());
     if let Some(max) = max {
         debug_assert!(
-            rank > max || (multi && rank == max),
+            rank > max,
             "lock-order violation: acquiring rank {rank} while holding rank {max} \
              (see the hierarchy table in lockorder.rs)"
         );
@@ -107,8 +93,9 @@ fn push(rank: u32, multi: bool) -> RankGuard {
     RankGuard { rank }
 }
 
+/// Release builds track nothing.
 #[cfg(not(debug_assertions))]
-fn push(_rank: u32, _multi: bool) -> RankGuard {
+pub(crate) fn rank_guard(_rank: u32) -> RankGuard {
     RankGuard {}
 }
 
@@ -135,13 +122,6 @@ mod tests {
         let _a = rank_guard(WAL);
         let _b = rank_guard(CATALOG);
         let _c = rank_guard(CLASSIFIER);
-    }
-
-    #[test]
-    fn multi_family_allows_same_rank() {
-        let _a = rank_guard_multi(MERGE_LOCKS);
-        let _b = rank_guard_multi(MERGE_LOCKS);
-        let _c = rank_guard(EPOCH);
     }
 
     #[test]

@@ -75,6 +75,13 @@
 //! the loop coalesces pipelined traffic: `frames_executed`,
 //! `runs_dispatched` (worker hand-offs; frames ÷ runs is the mean run
 //! length) and `socket_writes` (frames ÷ writes is replies per `write`).
+//! And whether ingest still costs what its delta costs: next to
+//! `ingest_batches`, `index_shards_copied` counts the index shards an
+//! ingest had to clone before writing to them because a snapshot (an
+//! in-flight `infer`, a checkpoint, the last checkpoint's base) still
+//! shared them — an `ingest` reply's `touched_shards` is how many it wrote
+//! to, so copied ÷ touched near 1 over a long run means every ingest is
+//! paying for a copy of what it touches.
 //!
 //! **`watch`** turns the connection into a telemetry stream: after the
 //! acknowledgement, the server emits one JSONL frame of per-rule window
@@ -909,6 +916,10 @@ fn handle_stats(service: &ValidationService) -> Reply {
     let mut fields = vec![
         ("columns_ingested", Json::Num(s.columns_ingested as f64)),
         ("ingest_batches", Json::Num(s.ingest_batches as f64)),
+        (
+            "index_shards_copied",
+            Json::Num(s.index_shards_copied as f64),
+        ),
         ("rules_inferred", Json::Num(s.rules_inferred as f64)),
         ("validations", Json::Num(s.validations as f64)),
         ("flagged", Json::Num(s.flagged as f64)),

@@ -282,3 +282,107 @@ fn recovery_replays_only_records_since_checkpoint() {
     );
     assert_eq!(d.checkpoint_generation, 2, "{d:?}");
 }
+
+/// Shard indices whose checkpoint file was written at `generation`
+/// (`shard-<index>-g<generation>.avsh`).
+fn shards_written_at(mem: &MemStorage, generation: u64) -> Vec<usize> {
+    let suffix = format!("-g{generation:016x}.avsh");
+    let mut shards: Vec<usize> = mem
+        .list(Path::new("/data"))
+        .unwrap()
+        .iter()
+        .filter_map(|name| name.strip_prefix("shard-")?.strip_suffix(suffix.as_str()))
+        .map(|index| usize::from_str_radix(index, 16).unwrap())
+        .collect();
+    shards.sort_unstable();
+    shards
+}
+
+/// Where each live shard is allocated. The snapshot is gone when this
+/// returns, so reading the addresses shares nothing.
+fn shard_addresses(service: &ValidationService) -> Vec<*const av_index::IndexShard> {
+    service
+        .snapshot()
+        .shards()
+        .iter()
+        .map(Arc::as_ptr)
+        .collect()
+}
+
+/// Ingests merge in place, and the incremental checkpoint decides what to
+/// rewrite by shard pointer — sound only because a shard the checkpoint
+/// base still points to is shared, so the first ingest after a checkpoint
+/// copies it, and only the copy is written in place from then on.
+#[test]
+fn in_place_ingests_between_checkpoints_are_all_checkpointed() {
+    let mem = MemStorage::new();
+    let mut config = durable_config(&mem);
+    config.durability.checkpoint_every_records = 0;
+    let narrow = |name: &str| vec![owned_column(name, vec!["WORD".to_string(); 30])];
+    let ops = [
+        Op::Ingest(lake(85, 25)),
+        Op::Infer("feeds/date", dates(1)),
+        Op::Persist,
+        Op::Ingest(narrow("first")),
+        Op::Ingest(narrow("again")),
+        Op::Persist,
+        Op::Persist,
+    ];
+
+    let service = ValidationService::open(config.clone()).unwrap();
+    let shard_count = service.snapshot().shard_count();
+    let mut addresses = vec![shard_addresses(&service)];
+    let mut copied = vec![0];
+    let mut checkpointed = Vec::new();
+    for op in &ops {
+        apply(&service, op).unwrap();
+        addresses.push(shard_addresses(&service));
+        copied.push(service.stats().index_shards_copied);
+        if matches!(op, Op::Persist) {
+            // Read now: a later checkpoint collects files it superseded.
+            let generation = checkpointed.len() as u64 + 1;
+            checkpointed.push(shards_written_at(&mem, generation));
+        }
+    }
+    let moved = |from: usize, to: usize| -> Vec<usize> {
+        (0..shard_count)
+            .filter(|&i| addresses[from][i] != addresses[to][i])
+            .collect()
+    };
+
+    // Checkpoint 1 (after op 3) wrote every shard. The first narrow ingest
+    // found its shards shared with that checkpoint's base and copied them;
+    // the second landed in the same shards and moved nothing.
+    assert_eq!(checkpointed[0].len(), shard_count);
+    let touched = moved(3, 4);
+    assert!(!touched.is_empty() && touched.len() < shard_count / 2);
+    assert_eq!(copied[4] - copied[3], touched.len() as u64);
+    assert_eq!(
+        moved(4, 5),
+        Vec::<usize>::new(),
+        "second ingest was not in place"
+    );
+    assert_eq!(copied[5], copied[4]);
+    // Checkpoint 2 rewrote exactly those shards, checkpoint 3 none.
+    assert_eq!(checkpointed[1], touched);
+    assert_eq!(checkpointed[2], Vec::<usize>::new());
+    assert_eq!(service.durability().unwrap().checkpoint_generation, 3);
+    drop(service);
+
+    // Unclean stop: reopen from what an fsync-honest disk holds.
+    config.storage = Arc::new(mem.crashed_view());
+    let recovered = ValidationService::open(config).unwrap();
+    assert_eq!(recovered.durability().unwrap().replayed_records, 0);
+    let oracle = ValidationService::new(ServiceConfig {
+        rule_clock_unix: Some(CLOCK),
+        ..ServiceConfig::default()
+    });
+    for op in ops.iter().filter(|op| !matches!(op, Op::Persist)) {
+        apply(&oracle, op).unwrap();
+    }
+    assert_eq!(
+        recovered.snapshot().content_digest(),
+        oracle.snapshot().content_digest()
+    );
+    assert_eq!(state_of(&recovered), state_of(&oracle));
+}
