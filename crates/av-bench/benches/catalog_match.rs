@@ -13,11 +13,17 @@
 //! It uses the FMDV-VH timestamp rule of the `validator_api` bench, so the
 //! numbers sit next to that bench's `check` medians (and the ledger's
 //! `pattern.match_ns`); ROADMAP's "One engine" item records the outcome.
+//!
+//! The `insert/at_N` rungs are the write side: one `insert` into a catalog
+//! that already holds N pattern rules. An insert appends its fragment's
+//! closure to the start key, so the three must read alike — a service
+//! catalogs one rule per `infer`, and must not slow down as it learns.
 
 use av_match::CatalogMatcher;
 use av_pattern::{parse, CompiledPattern, Pattern, Token};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// `n` distinct machine-data shapes: a literal feed prefix plus a mix of
 /// digit/upper/lower runs, cycling widths so no two rules share a program.
@@ -132,9 +138,43 @@ fn bench_catalog_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// `insert` at a fixed catalog size: each timed batch of `n / 10` inserts
+/// runs on a freshly built `n`-rule matcher (built outside the clock), so
+/// the catalog a measured insert meets holds `n` to `1.1 n` rules.
+fn bench_insert(c: &mut Criterion) {
+    let mut group = c.benchmark_group("catalog_match");
+    group.sample_size(10);
+    for n in [100usize, 1_000, 10_000] {
+        let programs = synthetic_catalog(n + n / 10);
+        let (base, extra) = programs.split_at(n);
+        group.bench_function(format!("insert/at_{n}"), |b| {
+            b.iter_custom(|iters| {
+                let mut elapsed = Duration::ZERO;
+                let mut left = iters as usize;
+                while left > 0 {
+                    let mut matcher = CatalogMatcher::new();
+                    for (i, p) in base.iter().enumerate() {
+                        matcher.insert(i as u32, p);
+                    }
+                    let batch = &extra[..left.min(extra.len())];
+                    let start = Instant::now();
+                    for (i, p) in batch.iter().enumerate() {
+                        matcher.insert((n + i) as u32, black_box(p));
+                    }
+                    elapsed += start.elapsed();
+                    left -= batch.len();
+                    black_box(matcher.len());
+                }
+                elapsed
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_single_rule, bench_catalog_scaling
+    targets = bench_single_rule, bench_catalog_scaling, bench_insert
 }
 criterion_main!(benches);

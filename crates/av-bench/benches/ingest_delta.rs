@@ -22,11 +22,11 @@
 //! Every merge row clones its delta inside the timed loop (the merge
 //! consumes it); the `clone_delta` rows are that share, to subtract.
 //! `profile_*` measure the lock-free profiling half for context — a
-//! 48-value batch runs on the calling thread alone, a 300-value one asks
+//! 48-value batch runs on the calling thread alone, a 1200-value one asks
 //! for helpers — and `spawn_join` is the price of one helper, which is
-//! what `HELPER_MIN_VALUES` in `av-index` is set against. PERF.md
-//! Point 12 records the table on 2000- and 10k-column lakes
-//! (`AV_INGEST_BENCH_COLS=10000`).
+//! what `HELPER_MIN_VALUES` in `av-index` is set against (PERF.md
+//! Point 13). Point 12 records the merge table on 2000- and 10k-column
+//! lakes (`AV_INGEST_BENCH_COLS=10000`).
 
 use av_corpus::{generate_lake, Column, ColumnMeta, LakeProfile};
 use av_index::{IndexConfig, IndexDelta, PatternIndex, ShardedIndex};
@@ -124,7 +124,7 @@ fn bench_ingest_delta(c: &mut Criterion) {
     // The lock-free half of ingest, on either side of the helper threshold.
     for (label, batch) in [
         ("profile_48_values", narrow_batch(12)),
-        ("profile_300_values", narrow),
+        ("profile_1200_values", narrow_batch(300)),
     ] {
         let refs: Vec<&Column> = batch.iter().collect();
         group.bench_function(label, |b| {

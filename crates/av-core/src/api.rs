@@ -394,12 +394,11 @@ impl AutoValidateBuilder {
         self
     }
 
-    /// Token limit τ (§2.4), applied consistently to offline indexing, the
-    /// analyzer's per-value limit, and the vertical-cut segment cap.
+    /// Token limit τ (§2.4), applied consistently to offline indexing —
+    /// `IndexConfig::tau`, the per-value limit the analyzer profiles the
+    /// corpus under — and the vertical-cut segment cap.
     pub fn tau(mut self, tau: usize) -> Self {
         self.index.tau = tau;
-        self.index.pattern.max_tokens = tau;
-        self.fmdv.pattern.max_tokens = tau;
         self.fmdv.max_segment_tokens = tau;
         self
     }
@@ -553,9 +552,7 @@ mod tests {
         assert_eq!(b.fmdv_config().theta, 0.2);
         assert_eq!(b.fmdv_config().alpha, 0.001);
         assert_eq!(b.fmdv_config().max_segment_tokens, 9);
-        assert_eq!(b.fmdv_config().pattern.max_tokens, 9);
         assert_eq!(b.index_config().tau, 9);
-        assert_eq!(b.index_config().pattern.max_tokens, 9);
         assert_eq!(b.fmdv_config().pattern.sample_values, 64);
         assert_eq!(b.fmdv_config().pattern.max_patterns, 1024);
         assert_eq!(b.index_config().num_threads, 2);

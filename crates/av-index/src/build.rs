@@ -81,14 +81,15 @@ impl WorkQueue {
 }
 
 /// Values a batch must hold before profiling it asks for helper threads.
-/// Spawning and joining one scoped thread costs 63–72 µs on the dev
-/// container against ~1.5 µs of profiling per value (0.5 µs in enum-like
-/// columns, several in pattern-rich ones), and a helper saves at most
-/// half the work — less when one column is most of a small batch. With
-/// helpers forced on, every measured batch under 200 values got slower
-/// (a 48-value enum feed 44 → 72 µs) and every one of 600 or more faster;
-/// between the two it depends on the columns (`PERF.md` Point 12).
-const HELPER_MIN_VALUES: usize = 256;
+/// Spawning and joining one scoped thread costs 13–58 µs on the dev
+/// container — and a helper starts on a cold allocator arena and an empty
+/// scratch — against ~0.45 µs of profiling per value across a lake: 0.03 µs
+/// in enum-like columns, where a helper loses at every size measured, over
+/// 1 µs in pattern-rich ones, where the enumeration is the cost and the
+/// analyzer's scan a fifth of it. With helpers forced on, lake batches from
+/// 1 100 values up got faster in every run and batches under 650 slower in
+/// most; the rows between went either way (`PERF.md` Point 13).
+const HELPER_MIN_VALUES: usize = 1024;
 
 /// Run `worker` over one [`WorkQueue`] of `columns`: on the calling thread,
 /// plus `min(num_threads, columns) − 1` scoped helpers when the batch holds
@@ -136,8 +137,9 @@ where
 /// through a shared atomic cursor (a dynamic work queue), each worker
 /// claiming one column at a time. Every worker folds into its
 /// own thread-local accumulator map and carries one reusable column
-/// scratch (enumeration bitset pool + per-column fingerprint map), so
-/// steady-state profiling performs no per-column allocation. Because the
+/// scratch (the analyzer's run table and support arena, the enumeration
+/// bitset pool, the per-column fingerprint map), so steady-state profiling
+/// allocates per column only the options the analysis returns. Because the
 /// fixed-point impurity accumulators merge with exact associativity and
 /// commutativity, the built index is bit-for-bit identical for every
 /// thread count and scheduling order.
@@ -520,9 +522,10 @@ struct FracAcc {
     token_len: u8,
 }
 
-/// Reusable per-worker scratch for column indexing: the enumeration DFS
-/// pool plus the per-column fingerprint → fraction map. Both keep their
-/// capacity across columns, so a worker's steady state allocates nothing.
+/// Reusable per-worker scratch for column indexing: the analyzer's tables
+/// and the enumeration DFS pool (both inside [`EnumScratch`]) plus the
+/// per-column fingerprint → fraction map. All keep their capacity across
+/// columns.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnScratch {
     enumeration: EnumScratch,

@@ -247,7 +247,7 @@ pub struct CatalogMatcher {
     fragments: BTreeMap<u32, Fragment>,
     residuals: BTreeMap<u32, Residual>,
     /// Sorted ε-closure of every live fragment entry — the start state key.
-    start_key: Box<[u32]>,
+    start_key: Vec<u32>,
     dfa: DfaCache,
     scratch_a: ThreadSet,
     scratch_b: ThreadSet,
@@ -280,7 +280,7 @@ impl CatalogMatcher {
             nfa: Nfa::default(),
             fragments: BTreeMap::new(),
             residuals: BTreeMap::new(),
-            start_key: Box::new([]),
+            start_key: Vec::new(),
             dfa: DfaCache::default(),
             scratch_a: ThreadSet::new(),
             scratch_b: ThreadSet::new(),
@@ -331,19 +331,22 @@ impl CatalogMatcher {
 
     /// Add (or replace) a pattern rule.
     ///
-    /// Appends an edge-disjoint NFA fragment and recomputes the start
-    /// key. No cached DFA state is invalidated: the anchored automaton
-    /// reaches the new fragment only through the (re-pointed) start key,
-    /// and stepping any previously cached state-set cannot produce
-    /// new-fragment states.
+    /// Appends an edge-disjoint NFA fragment and extends the start key
+    /// with the fragment's own closure: the arena only grows at its end,
+    /// so the new ids lie above every id already in the key and the key
+    /// stays sorted — an insert costs its fragment, not the catalog. No
+    /// cached DFA state is invalidated: the anchored automaton reaches the
+    /// new fragment only through the (re-pointed) start key, and stepping
+    /// any previously cached state-set cannot produce new-fragment states.
     pub fn insert(&mut self, rule_id: u32, program: &CompiledPattern) {
         if self.contains(rule_id) {
             self.remove(rule_id);
             self.generation -= 1; // net one bump per insert
         }
         let frag = self.nfa.build_fragment(rule_id, program);
+        self.start_key.extend(self.nfa.entry_closure(&frag));
+        self.dfa.start = UNKNOWN;
         self.fragments.insert(rule_id, frag);
-        self.rebuild_start();
         self.generation += 1;
     }
 
@@ -432,7 +435,7 @@ impl CatalogMatcher {
     fn scan(&mut self, value: &str, out: &mut Vec<u32>) {
         let bytes = value.as_bytes();
         let Some(mut sid) = self.ensure_start() else {
-            let seed: Vec<u32> = self.start_key.to_vec();
+            let seed = self.start_key.clone();
             self.nfa_finish(bytes, &seed, out);
             return;
         };
@@ -467,7 +470,7 @@ impl CatalogMatcher {
         if self.dfa.start != UNKNOWN {
             return Some(self.dfa.start);
         }
-        let key = self.start_key.clone();
+        let key = self.start_key.as_slice().into();
         let sid = self.intern_state(key)?;
         self.dfa.start = sid;
         Some(sid)
@@ -581,7 +584,8 @@ impl CatalogMatcher {
     }
 
     /// Recompute the start key (the ε-closure of every live fragment
-    /// entry) and re-point the start state.
+    /// entry) from scratch and re-point the start state: what a removal
+    /// or a compaction needs, and what every insert's append must equal.
     fn rebuild_start(&mut self) {
         let CatalogMatcher {
             nfa,
@@ -593,9 +597,9 @@ impl CatalogMatcher {
         for frag in fragments.values() {
             nfa.add_closure(frag.entry, scratch_a);
         }
-        let mut key: Vec<u32> = scratch_a.as_slice().to_vec();
-        key.sort_unstable();
-        self.start_key = key.into_boxed_slice();
+        self.start_key.clear();
+        self.start_key.extend_from_slice(scratch_a.as_slice());
+        self.start_key.sort_unstable();
         self.dfa.start = UNKNOWN;
     }
 
@@ -705,6 +709,59 @@ mod tests {
         assert_eq!(m.stats().dfa_states, warm);
         assert_eq!(m.classify("12:34"), vec![0]);
         assert_eq!(m.classify("abc"), vec![1]);
+    }
+
+    /// An insert appends its fragment's closure to the start key instead
+    /// of re-closing the catalog. After any sequence of inserts, replaces
+    /// and removes (some of which compact the arena) the key must be what
+    /// `rebuild_start` derives from scratch, and verdicts the per-rule
+    /// loop's.
+    #[test]
+    fn appended_start_key_equals_a_rebuild_after_any_update_sequence() {
+        use proptest::prelude::*;
+        use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
+        let shapes = [
+            "<digit>{2}:<digit>{2}",
+            "<lower>+",
+            "<upper>{2}-<digit>+",
+            "<num>",
+            "<any>+",
+            "id<alnum>+",
+            "<letter>+ <digit>{4}",
+            "<sym>+",
+        ];
+        let probes = [
+            "12:34", "abc", "AB-7", "0.5", "idx9", "Mar 2019", "--", "é€", "",
+        ];
+        let sequence = proptest::collection::vec((0u32..12, 0usize..shapes.len() + 3), 1..60);
+        let mut rng = StdRng::seed_from_u64(0x5747);
+        for _ in 0..ProptestConfig::default().cases {
+            let mut m = CatalogMatcher::new();
+            let mut live: BTreeMap<u32, CompiledPattern> = BTreeMap::new();
+            for (rule, shape) in sequence.sample_value(&mut rng) {
+                match shapes.get(shape) {
+                    Some(shape) => {
+                        m.insert(rule, &compiled(shape));
+                        live.insert(rule, compiled(shape));
+                    }
+                    None => assert_eq!(m.remove(rule), live.remove(&rule).is_some()),
+                }
+                let appended = m.start_key.clone();
+                m.rebuild_start();
+                assert_eq!(appended, m.start_key, "after {rule} / {shape}");
+                // Sometimes with the start state cached, sometimes not.
+                if rng.random_range(0..3) > 0 {
+                    for v in probes {
+                        let want: Vec<u32> = live
+                            .iter()
+                            .filter(|(_, p)| p.matches(v))
+                            .map(|(rule, _)| *rule)
+                            .collect();
+                        assert_eq!(m.classify(v), want, "value {v:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

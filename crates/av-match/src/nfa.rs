@@ -270,6 +270,27 @@ impl Nfa {
         }
     }
 
+    /// The ε-closure of `frag`'s entry, sorted: the states a value's first
+    /// byte meets in this fragment. Every edge stays inside the fragment,
+    /// so the walk is the size of the fragment, not of the arena.
+    pub fn entry_closure(&self, frag: &Fragment) -> Vec<u32> {
+        let mut seen = vec![false; frag.range.len()];
+        let mut closure = Vec::new();
+        let mut pending = vec![frag.entry];
+        while let Some(sid) = pending.pop() {
+            if std::mem::replace(&mut seen[(sid - frag.range.start) as usize], true) {
+                continue;
+            }
+            match self.states[sid as usize] {
+                NState::Split { a, b } => pending.extend([a, b]),
+                NState::Byte { .. } | NState::Accept { .. } => closure.push(sid),
+                NState::Dead => {}
+            }
+        }
+        closure.sort_unstable();
+        closure
+    }
+
     /// Advance every state in `current` over byte `b` into `next` (one
     /// subset-construction / NFA-simulation step).
     pub fn step(&self, current: &[u32], b: u8, next: &mut ThreadSet) {

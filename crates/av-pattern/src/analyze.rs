@@ -12,12 +12,26 @@
 //! generate it, so for any enumerated pattern `p` we know exactly how many
 //! values `v` have `p ∈ P(v)` — which is precisely the quantity behind the
 //! impurity `Imp_D(p)` of Definition 1.
+//!
+//! **A column is read once.** The analyzer scans each value a single time,
+//! byte by byte through a 256-entry class table, into a reusable **run
+//! table**: per strict run its byte range, its width in characters and its
+//! shape (class, with a letter run's uniform case), per merged run the
+//! index of its first strict run, per value its merged-class sequence —
+//! which finds the value's group, and counts against τ, without a
+//! `Pattern` or a vector per value. Positions are then flattened over the
+//! sampled members' rows of that table. Every class token a run supports
+//! is a function of the run's **signature** (shape and width) alone, so a
+//! position keeps one bitset per distinct signature — a handful — and ORs
+//! it into the signature's class tokens once; literals are found by text
+//! in an open-addressing table over an arena of bitset words. Only the
+//! options that survive the support floor become a `(Token, BitSet)`.
 
-use crate::generalize::{for_each_run_option, PatternConfig, RunOption};
-use crate::pattern::{FingerprintState, Pattern};
+use crate::generalize::{for_each_class_token, PatternConfig, RunShape};
+use crate::pattern::{fnv1a, FingerprintState, Pattern};
 use crate::token::{CharClass, Token};
-use crate::tokenize::{tokenize, Run};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// A fixed-capacity bitset over the sampled values of one coarse group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,101 +114,104 @@ impl BitSet {
     }
 }
 
-/// Class of a merged (alnum-fused) run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MergedClass {
-    Alnum,
-    Sym,
-    Space,
+/// What one byte adds to a run, one bit each, so the OR over a run's bytes
+/// says which kinds the run holds.
+mod kind {
+    pub const DIGIT: u8 = 1;
+    pub const UPPER: u8 = 1 << 1;
+    pub const LOWER: u8 = 1 << 2;
+    pub const SPACE: u8 = 1 << 3;
+    pub const SYMBOL: u8 = 1 << 4;
+    /// A UTF-8 continuation byte: part of the symbol its lead byte began.
+    pub const CONT: u8 = 1 << 5;
+
+    /// The strict classes of [`crate::CharClass`] that span several kinds,
+    /// and the merged class that fuses digits and letters.
+    pub const LETTER: u8 = UPPER | LOWER;
+    pub const SYMBOLIC: u8 = SYMBOL | CONT;
+    pub const ALNUM: u8 = DIGIT | LETTER;
 }
 
-/// A merged run: adjacent digit/letter runs fuse into one `Alnum` segment.
-struct MergedRun<'a> {
-    class: MergedClass,
-    text: &'a str,
-    subs: Vec<Run<'a>>,
-}
-
-/// Merge the strict runs of `value` into alnum/sym/space segments.
-fn merged_runs(value: &str) -> Vec<MergedRun<'_>> {
-    let runs = tokenize(value);
-    let mut out: Vec<MergedRun<'_>> = Vec::with_capacity(runs.len());
-    let mut offset = 0usize; // byte offset where the current run starts
-    for run in runs {
-        let end = offset + run.text.len();
-        let class = merge_class(run.class);
-        match out.last_mut() {
-            Some(last) if last.class == MergedClass::Alnum && class == MergedClass::Alnum => {
-                let start = end - last.text.len() - run.text.len();
-                last.text = &value[start..end];
-                last.subs.push(run);
-            }
-            _ => {
-                out.push(MergedRun {
-                    class,
-                    text: &value[offset..end],
-                    subs: vec![run],
-                });
-            }
-        }
-        offset = end;
+/// Byte → kind. ASCII follows [`CharClass::of`]; every byte of a
+/// multi-byte character is a symbol, as the character is.
+const KIND: [u8; 256] = {
+    let mut table = [kind::SYMBOL; 256];
+    let mut b = 0usize;
+    while b < 0x80 {
+        let c = b as u8 as char;
+        table[b] = match CharClass::of(c) {
+            CharClass::Digit => kind::DIGIT,
+            CharClass::Letter if c.is_ascii_uppercase() => kind::UPPER,
+            CharClass::Letter => kind::LOWER,
+            CharClass::Space => kind::SPACE,
+            CharClass::Symbol => kind::SYMBOL,
+        };
+        b += 1;
     }
-    out
+    while b < 0xC0 {
+        table[b] = kind::CONT;
+        b += 1;
+    }
+    table
+};
+
+/// The kinds of the strict class a byte of kind `k` belongs to.
+#[inline]
+fn strict_class(k: u8) -> u8 {
+    if k & kind::LETTER != 0 {
+        kind::LETTER
+    } else if k & kind::SYMBOLIC != 0 {
+        kind::SYMBOLIC
+    } else {
+        k
+    }
 }
 
-/// The class-merge rule: digit/letter fuse into alnum.
+/// The kinds of the merged class a byte of kind `k` belongs to: digit and
+/// letter runs fuse into one alphanumeric segment.
 #[inline]
-fn merge_class(class: CharClass) -> MergedClass {
+fn merged_class(k: u8) -> u8 {
+    if k & kind::ALNUM != 0 {
+        kind::ALNUM
+    } else {
+        strict_class(k)
+    }
+}
+
+/// The coarse token of a merged class.
+fn merged_token(class: u8) -> Token {
     match class {
-        CharClass::Digit | CharClass::Letter => MergedClass::Alnum,
-        CharClass::Symbol => MergedClass::Sym,
-        CharClass::Space => MergedClass::Space,
+        kind::ALNUM => Token::AlnumPlus,
+        kind::SYMBOLIC => Token::SymPlus,
+        _ => Token::SpacePlus,
     }
 }
 
-/// Merged class of a single character.
-#[inline]
-fn merged_class_of(c: char) -> MergedClass {
-    merge_class(CharClass::of(c))
+/// The merged classes of `value`'s runs, in order.
+fn merged_classes(value: &str) -> impl Iterator<Item = u8> + '_ {
+    let mut open = 0u8;
+    value.bytes().filter_map(move |b| {
+        let k = KIND[b as usize];
+        (k & open == 0).then(|| {
+            open = merged_class(k);
+            open
+        })
+    })
 }
 
 /// Number of merged tokens in a value — the effective position count of
 /// the analyzer (adjacent digit/letter runs count once). This is the width
 /// measure the τ token-limit applies to: hex/GUID-like values alternate
 /// digit and letter runs and would absurdly exceed any strict-run limit
-/// while having few *positions*. Counted by a direct character scan — the
-/// offline indexer calls this for every corpus value, so it must not
-/// materialize run vectors just to take their length.
+/// while having few *positions*.
 pub fn merged_token_count(value: &str) -> usize {
-    let mut count = 0usize;
-    let mut cur: Option<MergedClass> = None;
-    for c in value.chars() {
-        let class = merged_class_of(c);
-        if cur != Some(class) {
-            count += 1;
-            cur = Some(class);
-        }
-    }
-    count
+    merged_classes(value).count()
 }
 
 /// The merged coarse key of a value: one class token per merged run. Values
 /// sharing a key are structurally compatible and analyzed together.
 pub fn merged_key(value: &str) -> Pattern {
-    let mut tokens: Vec<Token> = Vec::new();
-    let mut cur: Option<MergedClass> = None;
-    for c in value.chars() {
-        let class = merged_class_of(c);
-        if cur != Some(class) {
-            tokens.push(match class {
-                MergedClass::Alnum => Token::AlnumPlus,
-                MergedClass::Sym => Token::SymPlus,
-                MergedClass::Space => Token::SpacePlus,
-            });
-            cur = Some(class);
-        }
-    }
-    Pattern::new(tokens)
+    Pattern::new(merged_classes(value).map(merged_token).collect())
 }
 
 /// Candidate tokens with support, for one (flattened) position.
@@ -340,7 +357,9 @@ impl CoarseGroup {
         }
         let positions = &self.positions[start..end];
         let n = positions.len();
-        let EnumScratch { levels, offsets } = scratch;
+        let EnumScratch {
+            levels, offsets, ..
+        } = scratch;
         // Trim to fit the cap: drop options from the *front* of the widest
         // position (options are stored in trim order) by advancing a
         // per-position offset — no option vector is ever copied.
@@ -441,14 +460,17 @@ impl StreamedPattern<'_> {
     }
 }
 
-/// Reusable scratch for the streaming enumeration DFS: one support bitset
-/// per depth plus the cap-trim offsets. One instance serves any number of
-/// groups, columns, and segment calls; steady-state enumeration performs no
-/// heap allocation besides one small pointer stack per segment.
+/// Reusable scratch for profiling columns: the streaming enumeration DFS's
+/// one support bitset per depth and cap-trim offsets, and — for
+/// [`stream_column_profile`], which analyzes before it enumerates — the
+/// analyzer's run table and support arena. One instance serves any number
+/// of groups, columns, and segment calls; steady-state enumeration performs
+/// no heap allocation besides one small pointer stack per segment.
 #[derive(Debug, Default)]
 pub struct EnumScratch {
     levels: Vec<BitSet>,
     offsets: Vec<usize>,
+    analysis: AnalyzeScratch,
 }
 
 thread_local! {
@@ -456,8 +478,8 @@ thread_local! {
         std::cell::RefCell::new(EnumScratch::default());
 }
 
-/// Run `f` with the thread-local enumeration scratch (used by the
-/// materializing wrappers; hot loops hold their own [`EnumScratch`]).
+/// Run `f` with the thread-local scratch (used by [`analyze_column`] and
+/// the materializing wrappers; hot loops hold their own [`EnumScratch`]).
 fn with_enum_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
     ENUM_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
@@ -541,64 +563,375 @@ impl ColumnAnalysis {
     }
 }
 
-/// Merged-level generalization options for one merged run of a value.
-fn for_each_merged_option<'a>(m: &MergedRun<'a>, mut f: impl FnMut(RunOption<'a>)) {
-    let w = m.text.chars().count() as u16;
-    f(RunOption::Lit(m.text));
-    match m.class {
-        MergedClass::Alnum => {
-            f(RunOption::Tok(Token::Alnum(w)));
-            f(RunOption::Tok(Token::AlnumPlus));
-        }
-        MergedClass::Sym => {
-            f(RunOption::Tok(Token::Sym(w)));
-            f(RunOption::Tok(Token::SymPlus));
-        }
-        MergedClass::Space => {
-            f(RunOption::Tok(Token::SpacePlus));
-        }
-    }
-    f(RunOption::Tok(Token::AnyPlus));
+/// "No entry" in the analyzer's index-linked tables.
+const NONE: usize = usize::MAX;
+
+/// One strict run of a sampled value, as the scan leaves it in the run
+/// table: where its text lies in the value, how many *characters* it
+/// holds (wrapped to 16 bits, the width of a fixed-width token) and what
+/// its class and case make it to the generalization chain.
+#[derive(Debug, Clone, Copy)]
+struct StrictRun {
+    start: usize,
+    end: usize,
+    width: u16,
+    shape: RunShape,
 }
 
-/// Record value `vi` as supporting `opt` at one position. Options are kept
-/// in a small vector probed linearly — positions rarely exceed a dozen
-/// distinct candidates, and this avoids hashing tokens (and boxing literal
-/// text) once per *value* instead of once per *distinct option*.
-fn note_option(options: &mut Vec<(Token, BitSet)>, opt: RunOption<'_>, vi: usize, sample: usize) {
-    if let Some((_, bits)) = options.iter_mut().find(|(t, _)| opt.is_token(t)) {
-        bits.set(vi);
-        return;
-    }
-    let mut bits = BitSet::new(sample);
-    bits.set(vi);
-    options.push((opt.into_token(), bits));
+/// A sampled value: which one, where its merged-run boundaries start in
+/// the boundary table, and the next sampled member of its group.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    value: usize,
+    bounds: usize,
+    next: usize,
 }
 
-/// Analyze a column: group by merged coarse key, flatten positions (strict
-/// sub-runs where the whole group agrees on sub-structure, merged segments
-/// otherwise) and record per-token supports.
-pub fn analyze_column<S: AsRef<str>>(values: &[S], cfg: &PatternConfig) -> ColumnAnalysis {
-    let total = values.len();
-    // 1. Group value indices by merged key.
-    let mut groups: HashMap<Pattern, Vec<usize>> = HashMap::new();
-    for (i, v) in values.iter().enumerate() {
-        groups.entry(merged_key(v.as_ref())).or_default().push(i);
+/// A coarse group while the column is being scanned.
+#[derive(Debug)]
+struct Group {
+    /// Keyed hash of the merged-class sequence.
+    hash: u64,
+    /// The sequence itself: `arity` classes from this offset of the arena.
+    classes: usize,
+    arity: usize,
+    /// Values in the group, and how many of them were sampled.
+    count: usize,
+    sampled: usize,
+    /// First and last sampled member, in value order.
+    head: usize,
+    tail: usize,
+}
+
+/// The sampled values sharing one run signature — shape and width — at the
+/// position being flattened. Every class token is a function of the
+/// signature, so supports are counted per signature and OR-ed into the
+/// tokens once, not noted per value.
+#[derive(Debug)]
+struct Signature {
+    shape: RunShape,
+    width: u16,
+    /// Offset of the support bitset in the word arena.
+    words: usize,
+}
+
+/// A distinct literal at the position being flattened: the hash of its
+/// text, where the text lies (in the first value that showed it), how many
+/// sampled values show it and their bitset in the word arena.
+#[derive(Debug)]
+struct Literal {
+    hash: u64,
+    value: usize,
+    start: usize,
+    end: usize,
+    count: usize,
+    words: usize,
+}
+
+/// An open-addressing index over entries the caller stores: a slot holds
+/// an entry's id plus one, zero while empty. Entries keep their own hash,
+/// and a probe that lands on one is only a hit once the caller's
+/// comparison has confirmed it.
+#[derive(Debug, Default)]
+struct ProbeTable {
+    slots: Vec<usize>,
+}
+
+impl ProbeTable {
+    /// Empty the table and size it to hold `entries` at half load.
+    fn reset(&mut self, entries: usize) {
+        self.slots.clear();
+        self.slots
+            .resize((2 * entries).next_power_of_two().max(8), 0);
     }
-    let min_count = ((cfg.coverage_frac * total as f64).ceil() as usize).max(1);
-    let mut out: Vec<CoarseGroup> = Vec::new();
-    for (key, members) in groups {
-        if members.len() < min_count {
-            continue;
+
+    /// Walk `hash`'s probe sequence: the first entry `confirm` accepts, or
+    /// the empty slot the sequence ends in.
+    fn find(&self, hash: u64, mut confirm: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                id if confirm(id - 1) => return Ok(id - 1),
+                _ => slot = (slot + 1) & mask,
+            }
         }
-        let sample: Vec<&str> = members
+    }
+
+    fn fill(&mut self, slot: usize, id: usize) {
+        self.slots[slot] = id + 1;
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Value bytes the scan looked up in [`KIND`] on this thread.
+    static BYTES_CLASSIFIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Make every group and literal hash on this thread the same number.
+    static CONSTANT_HASH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Hash of a literal's text. Unkeyed on purpose: the table it feeds holds
+/// at most `sample_values` entries, so texts built to collide cost one
+/// position the linear probe over its distinct literals — the bound the
+/// sample cap sets — and nothing grows with the column.
+fn literal_hash(text: &[u8]) -> u64 {
+    #[cfg(test)]
+    if CONSTANT_HASH.with(std::cell::Cell::get) {
+        return 0;
+    }
+    fnv1a(text)
+}
+
+/// Append a zeroed support bitset of `n` words to the arena.
+fn new_support(words: &mut Vec<u64>, n: usize) -> usize {
+    let at = words.len();
+    words.resize(at + n, 0);
+    at
+}
+
+/// Record sampled member `slot` in the support bitset at `at`.
+#[inline]
+fn support(words: &mut [u64], at: usize, slot: usize) {
+    words[at + slot / 64] |= 1u64 << (slot % 64);
+}
+
+/// Reusable scratch of the column analyzer.
+///
+/// **The run table.** Each value is scanned once, byte by byte, into flat
+/// tables: its strict runs ([`StrictRun`]), the index of the run that opens
+/// each merged run (plus an end sentinel), and its merged-class sequence.
+/// The sequence finds the value's coarse group — compared with the previous
+/// value's group first, hashed and probed otherwise — and the runs stay in
+/// the table only while the group still samples; nothing is allocated per
+/// value, and no `Pattern` is built to group by.
+///
+/// **Signature supports.** A retained group's positions are then flattened
+/// one at a time over its sampled members: each member's run adds its slot
+/// to the bitset of its [`Signature`] (a handful per position) and to that
+/// of its [`Literal`], found by text in an open-addressing table. Bitsets
+/// live in one word arena; an owned [`BitSet`] and a boxed `Token::Lit` are
+/// made only for the options that survive the support floor.
+#[derive(Debug, Default)]
+struct AnalyzeScratch {
+    runs: Vec<StrictRun>,
+    bounds: Vec<usize>,
+    members: Vec<Member>,
+    /// Arena of merged-class sequences, one per group.
+    classes: Vec<u8>,
+    groups: Vec<Group>,
+    group_table: ProbeTable,
+    /// Keys the group hash: the number of groups is bounded only by the
+    /// column, and its values come from outside the program.
+    group_hasher: std::hash::RandomState,
+    /// The group being flattened: `(value, bounds)` of its sampled members,
+    /// in slot order.
+    slots: Vec<(usize, usize)>,
+    /// The position being flattened.
+    words: Vec<u64>,
+    signatures: Vec<Signature>,
+    class_tokens: Vec<(Token, usize)>,
+    literals: Vec<Literal>,
+    literal_table: ProbeTable,
+}
+
+impl AnalyzeScratch {
+    /// Algorithm 1 over the values of at most `tau` merged tokens: group by
+    /// merged coarse key, flatten positions (strict sub-runs where the
+    /// whole group agrees on sub-structure, merged segments otherwise) and
+    /// record per-token supports. `total_values` counts the values within τ.
+    fn analyze<S: AsRef<str>>(
+        &mut self,
+        values: &[S],
+        cfg: &PatternConfig,
+        tau: usize,
+    ) -> ColumnAnalysis {
+        self.runs.clear();
+        self.bounds.clear();
+        self.members.clear();
+        self.classes.clear();
+        self.groups.clear();
+        self.group_table.reset(0);
+        let mut total = 0usize;
+        let mut previous = NONE;
+        for (value, text) in values.iter().enumerate() {
+            let (runs, bounds, classes) = (self.runs.len(), self.bounds.len(), self.classes.len());
+            if !self.scan(text.as_ref(), cfg.case_tokens, tau) {
+                self.runs.truncate(runs);
+                self.bounds.truncate(bounds);
+                self.classes.truncate(classes);
+                continue;
+            }
+            total += 1;
+            previous = self.group_of(classes, previous);
+            let group = &mut self.groups[previous];
+            group.count += 1;
+            if group.sampled == cfg.sample_values {
+                self.runs.truncate(runs);
+                self.bounds.truncate(bounds);
+                continue;
+            }
+            group.sampled += 1;
+            let member = self.members.len();
+            self.members.push(Member {
+                value,
+                bounds,
+                next: NONE,
+            });
+            match group.tail {
+                NONE => group.head = member,
+                tail => self.members[tail].next = member,
+            }
+            group.tail = member;
+        }
+        let min_count = ((cfg.coverage_frac * total as f64).ceil() as usize).max(1);
+        let mut groups: Vec<CoarseGroup> = Vec::new();
+        for g in 0..self.groups.len() {
+            if self.groups[g].count >= min_count {
+                groups.push(self.flatten(g, values, cfg));
+            }
+        }
+        groups.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
+        ColumnAnalysis {
+            groups,
+            total_values: total,
+        }
+    }
+
+    /// Scan one value into the tables: a [`StrictRun`] per strict run, a
+    /// boundary and a class per merged run, an end sentinel. Returns
+    /// `false`, with the tables part-written, as soon as the value shows
+    /// more than `tau` merged runs.
+    fn scan(&mut self, value: &str, case_tokens: bool, tau: usize) -> bool {
+        let bytes = value.as_bytes();
+        // The open strict and merged runs, as the kinds that extend them
+        // (none before the first byte), and what the strict run has shown.
+        let (mut strict, mut merged) = (0u8, 0u8);
+        let (mut start, mut kinds, mut continuations) = (0usize, 0u8, 0usize);
+        let mut merged_runs = 0usize;
+        for (i, &b) in bytes.iter().enumerate() {
+            let k = KIND[b as usize];
+            #[cfg(test)]
+            BYTES_CLASSIFIED.with(|n| n.set(n.get() + 1));
+            if k & strict == 0 {
+                if i != 0 {
+                    let shape = run_shape(strict, kinds, case_tokens);
+                    self.close_run(start, i, continuations, shape);
+                }
+                if k & merged == 0 {
+                    merged_runs += 1;
+                    if merged_runs > tau {
+                        return false;
+                    }
+                    merged = merged_class(k);
+                    self.bounds.push(self.runs.len());
+                    self.classes.push(merged);
+                }
+                strict = strict_class(k);
+                (start, kinds, continuations) = (i, 0, 0);
+            }
+            kinds |= k;
+            continuations += usize::from(k == kind::CONT);
+        }
+        if !bytes.is_empty() {
+            let shape = run_shape(strict, kinds, case_tokens);
+            self.close_run(start, bytes.len(), continuations, shape);
+        }
+        self.bounds.push(self.runs.len());
+        true
+    }
+
+    #[inline]
+    fn close_run(&mut self, start: usize, end: usize, continuations: usize, shape: RunShape) {
+        self.runs.push(StrictRun {
+            start,
+            end,
+            // Characters, not bytes; wraps as `chars().count() as u16` does.
+            width: (end - start - continuations) as u16,
+            shape,
+        });
+    }
+
+    /// The group of the value whose merged classes are the arena's tail
+    /// from `classes` on: `previous` if it fits, else the one the table
+    /// finds, else a new one. The tail stays only as a new group's key.
+    fn group_of(&mut self, classes: usize, previous: usize) -> usize {
+        let (known, key) = self.classes.split_at(classes);
+        let groups = &self.groups;
+        let has_key = |g: usize| &known[groups[g].classes..][..groups[g].arity] == key;
+        if previous != NONE && has_key(previous) {
+            self.classes.truncate(classes);
+            return previous;
+        }
+        let hash = self.group_hash(key);
+        match self
+            .group_table
+            .find(hash, |g| groups[g].hash == hash && has_key(g))
+        {
+            Ok(found) => {
+                self.classes.truncate(classes);
+                found
+            }
+            Err(slot) => {
+                let new = self.groups.len();
+                self.groups.push(Group {
+                    hash,
+                    classes,
+                    arity: key.len(),
+                    count: 0,
+                    sampled: 0,
+                    head: NONE,
+                    tail: NONE,
+                });
+                self.group_table.fill(slot, new);
+                if 2 * self.groups.len() > self.group_table.slots.len() {
+                    self.group_table.reset(2 * self.groups.len());
+                    for (g, group) in self.groups.iter().enumerate() {
+                        let slot = self
+                            .group_table
+                            .find(group.hash, |_| false)
+                            .expect_err("nothing confirms, so the probe ends in an empty slot");
+                        self.group_table.fill(slot, g);
+                    }
+                }
+                new
+            }
+        }
+    }
+
+    fn group_hash(&self, classes: &[u8]) -> u64 {
+        #[cfg(test)]
+        if CONSTANT_HASH.with(std::cell::Cell::get) {
+            return 0;
+        }
+        self.group_hasher.hash_one(classes)
+    }
+
+    /// Flatten retained group `g` into per-position options with supports.
+    fn flatten<S: AsRef<str>>(
+        &mut self,
+        g: usize,
+        values: &[S],
+        cfg: &PatternConfig,
+    ) -> CoarseGroup {
+        let group = &self.groups[g];
+        let (count, sample_size, arity) = (group.count, group.sampled, group.arity);
+        let key = self.classes[group.classes..][..arity]
             .iter()
-            .take(cfg.sample_values)
-            .map(|&i| values[i].as_ref())
+            .map(|class| merged_token(*class))
             .collect();
-        let sample_size = sample.len();
-        let parsed: Vec<Vec<MergedRun<'_>>> = sample.iter().map(|v| merged_runs(v)).collect();
-        let arity = key.len();
+        self.slots.clear();
+        let mut member = group.head;
+        while member != NONE {
+            let Member {
+                value,
+                bounds,
+                next,
+            } = self.members[member];
+            self.slots.push((value, bounds));
+            member = next;
+        }
         // Drill-down retention (Alg. 1): a candidate token must cover at
         // least the configured fraction of values — and never fewer than 2
         // once the sample is big enough to tell ("seeing a pattern once or
@@ -606,79 +939,199 @@ pub fn analyze_column<S: AsRef<str>>(values: &[S], cfg: &PatternConfig) -> Colum
         // short test columns) keep everything.
         let floor = if sample_size >= 8 { 2 } else { 1 };
         let min_support = ((cfg.coverage_frac * sample_size as f64).ceil() as usize).max(floor);
-        let mut positions: Vec<PositionOptions> = Vec::new();
-        for j in 0..arity {
-            // Does the whole group share the strict sub-structure here?
-            let first_classes: Vec<CharClass> = parsed[0][j].subs.iter().map(|r| r.class).collect();
-            let consistent = parsed.iter().all(|mr| {
-                mr[j].subs.len() == first_classes.len()
-                    && mr[j]
-                        .subs
-                        .iter()
-                        .zip(&first_classes)
-                        .all(|(r, c)| r.class == *c)
-            });
-            if consistent {
-                for s in 0..first_classes.len() {
-                    let mut options: Vec<(Token, BitSet)> = Vec::new();
-                    for (vi, mr) in parsed.iter().enumerate() {
-                        for_each_run_option(&mr[j].subs[s], cfg, |opt| {
-                            note_option(&mut options, opt, vi, sample_size);
-                        });
-                    }
-                    positions.push(collect_options(options, min_support, sample_size));
+        let mut positions: Vec<PositionOptions> = Vec::with_capacity(arity);
+        // With `sample_values` 0 nothing is sampled, so nothing to flatten.
+        let flattened = if self.slots.is_empty() { 0 } else { arity };
+        for j in 0..flattened {
+            // Does the whole sample share the strict sub-structure here?
+            // Strict runs inside a merged run alternate between digits and
+            // letters, so their number and the first one's class fix it.
+            let structure = |bounds: usize| {
+                let (lo, hi) = (self.bounds[bounds + j], self.bounds[bounds + j + 1]);
+                (hi - lo, self.runs[lo].shape == RunShape::Digit)
+            };
+            let shared = structure(self.slots[0].1);
+            if self
+                .slots
+                .iter()
+                .all(|(_, bounds)| structure(*bounds) == shared)
+            {
+                for sub in 0..shared.0 {
+                    positions.push(self.position(values, j, Some(sub), min_support));
                 }
             } else {
-                let mut options: Vec<(Token, BitSet)> = Vec::new();
-                for (vi, mr) in parsed.iter().enumerate() {
-                    for_each_merged_option(&mr[j], |opt| {
-                        note_option(&mut options, opt, vi, sample_size);
-                    });
-                }
-                positions.push(collect_options(options, min_support, sample_size));
+                positions.push(self.position(values, j, None, min_support));
             }
         }
-        out.push(CoarseGroup {
-            key,
-            count: members.len(),
+        CoarseGroup {
+            key: Pattern::new(key),
+            count,
             sample_size,
             positions,
-        });
+        }
     }
-    out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
-    ColumnAnalysis {
-        groups: out,
-        total_values: total,
+
+    /// The options of one flattened position of the group in `slots`:
+    /// strict sub-run `sub` of merged run `j`, or the whole merged
+    /// (alphanumeric) run for `None`.
+    fn position<S: AsRef<str>>(
+        &mut self,
+        values: &[S],
+        j: usize,
+        sub: Option<usize>,
+        min_support: usize,
+    ) -> PositionOptions {
+        let AnalyzeScratch {
+            runs,
+            bounds,
+            slots,
+            words,
+            signatures,
+            class_tokens,
+            literals,
+            literal_table,
+            ..
+        } = self;
+        let sample_size = slots.len();
+        let n = sample_size.div_ceil(64);
+        words.clear();
+        signatures.clear();
+        class_tokens.clear();
+        literals.clear();
+        literal_table.reset(sample_size);
+        let text = |value: usize, start: usize, end: usize| -> &[u8] {
+            &values[value].as_ref().as_bytes()[start..end]
+        };
+        // Neighbouring values mostly repeat the signature, and at a
+        // delimiter the literal: try the last hit before searching.
+        let mut signature = NONE;
+        let (mut literal, mut literal_text) = (NONE, &[][..]);
+        for (slot, &(value, at)) in slots.iter().enumerate() {
+            let lo = bounds[at + j];
+            let (shape, width, start, end) = match sub {
+                Some(sub) => {
+                    let run = runs[lo + sub];
+                    (run.shape, run.width, run.start, run.end)
+                }
+                None => {
+                    let subs = &runs[lo..bounds[at + j + 1]];
+                    let width = subs.iter().fold(0u16, |w, run| w.wrapping_add(run.width));
+                    (
+                        RunShape::Alnum,
+                        width,
+                        subs[0].start,
+                        subs[subs.len() - 1].end,
+                    )
+                }
+            };
+            let same = |s: &Signature| s.shape == shape && s.width == width;
+            if signature == NONE || !same(&signatures[signature]) {
+                signature = signatures.iter().position(same).unwrap_or_else(|| {
+                    signatures.push(Signature {
+                        shape,
+                        width,
+                        words: new_support(words, n),
+                    });
+                    signatures.len() - 1
+                });
+            }
+            support(words, signatures[signature].words, slot);
+
+            let run_text = text(value, start, end);
+            if literal == NONE || literal_text != run_text {
+                let hash = literal_hash(run_text);
+                let same =
+                    |l: &Literal| l.hash == hash && text(l.value, l.start, l.end) == run_text;
+                literal = match literal_table.find(hash, |l| same(&literals[l])) {
+                    Ok(found) => found,
+                    Err(free) => {
+                        literal_table.fill(free, literals.len());
+                        literals.push(Literal {
+                            hash,
+                            value,
+                            start,
+                            end,
+                            count: 0,
+                            words: new_support(words, n),
+                        });
+                        literals.len() - 1
+                    }
+                };
+                literal_text = run_text;
+            }
+            literals[literal].count += 1;
+            support(words, literals[literal].words, slot);
+        }
+        for signature in signatures.iter() {
+            for_each_class_token(signature.shape, signature.width, |token| {
+                let at = match class_tokens.iter().find(|(t, _)| *t == token) {
+                    Some((_, at)) => *at,
+                    None => {
+                        class_tokens.push((token, new_support(words, n)));
+                        class_tokens[class_tokens.len() - 1].1
+                    }
+                };
+                for w in 0..n {
+                    words[at + w] |= words[signature.words + w];
+                }
+            });
+        }
+        // Filter by support threshold (class-level tokens always have full
+        // support and survive); only survivors get a token and a bitset.
+        let count = |at: usize| -> usize {
+            let words = &words[at..at + n];
+            words.iter().map(|w| w.count_ones() as usize).sum()
+        };
+        let bits = |at: usize| BitSet {
+            words: words[at..at + n].to_vec(),
+            len: sample_size,
+        };
+        let keyed = |token: Token, bits: BitSet, count: usize| {
+            (trim_rank(&token, count == sample_size), count, token, bits)
+        };
+        let mut options: Vec<(u8, usize, Token, BitSet)> =
+            Vec::with_capacity(class_tokens.len() + 1);
+        for (token, at) in class_tokens.drain(..) {
+            let count = count(at);
+            if count >= min_support {
+                options.push(keyed(token, bits(at), count));
+            }
+        }
+        for l in literals.iter().filter(|l| l.count >= min_support) {
+            let text = &values[l.value].as_ref()[l.start..l.end];
+            options.push(keyed(Token::lit(text), bits(l.words), l.count));
+        }
+        // Order for trimming: partial-support options first (lowest support
+        // earliest), then full-support by expendability rank, with a token
+        // tie-break — a total order over a position's distinct tokens, so
+        // the order they were discovered in cannot show.
+        options.sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
+        PositionOptions {
+            options: options.into_iter().map(|(.., t, bits)| (t, bits)).collect(),
+        }
     }
 }
 
-/// Filter by support threshold (class-level tokens always have full support
-/// and survive), then order for trimming: partial-support options first
-/// (lowest support earliest), then full-support by expendability rank, with
-/// a deterministic token tie-break.
-fn collect_options(
-    map: Vec<(Token, BitSet)>,
-    min_support: usize,
-    sample_size: usize,
-) -> PositionOptions {
-    // Counts are computed once up front — the sort comparator would
-    // otherwise popcount each side O(n log n) times.
-    let mut options: Vec<(Token, BitSet, usize)> = map
-        .into_iter()
-        .filter_map(|(t, bits)| {
-            let count = bits.count();
-            (count >= min_support).then_some((t, bits, count))
-        })
-        .collect();
-    options.sort_by(|(a, _, acount), (b, _, bcount)| {
-        trim_rank(a, *acount == sample_size)
-            .cmp(&trim_rank(b, *bcount == sample_size))
-            .then_with(|| acount.cmp(bcount))
-            .then_with(|| a.cmp(b))
-    });
-    PositionOptions {
-        options: options.into_iter().map(|(t, bits, _)| (t, bits)).collect(),
+/// What a closed strict run of class `strict` holding `kinds` is to the
+/// generalization chain. Case is a property of letter runs, and only when
+/// case tokens are on.
+#[inline]
+fn run_shape(strict: u8, kinds: u8, case_tokens: bool) -> RunShape {
+    match strict {
+        kind::DIGIT => RunShape::Digit,
+        kind::LETTER if case_tokens && kinds == kind::UPPER => RunShape::Upper,
+        kind::LETTER if case_tokens && kinds == kind::LOWER => RunShape::Lower,
+        kind::LETTER => RunShape::Letter,
+        kind::SPACE => RunShape::Space,
+        _ => RunShape::Symbol,
     }
+}
+
+/// Analyze a column: group by merged coarse key, flatten positions (strict
+/// sub-runs where the whole group agrees on sub-structure, merged segments
+/// otherwise) and record per-token supports.
+pub fn analyze_column<S: AsRef<str>>(values: &[S], cfg: &PatternConfig) -> ColumnAnalysis {
+    with_enum_scratch(|scratch| scratch.analysis.analyze(values, cfg, usize::MAX))
 }
 
 /// The hypothesis space `H(C) = ∩_{v∈C} P(v) \ ".*"` (§2.1): patterns
@@ -749,16 +1202,8 @@ pub fn stream_column_profile<S: AsRef<str>>(
     scratch: &mut EnumScratch,
     mut sink: impl FnMut(&StreamedPattern<'_>, f64),
 ) {
-    let narrow: Vec<&str> = values
-        .iter()
-        .map(|v| v.as_ref())
-        .filter(|v| merged_token_count(v) <= tau)
-        .collect();
-    if narrow.is_empty() {
-        return;
-    }
     let total = values.len();
-    let analysis = analyze_column(&narrow, cfg);
+    let analysis = scratch.analysis.analyze(values, cfg, tau);
     for g in &analysis.groups {
         if g.sample_size == 0 {
             continue;
@@ -802,12 +1247,83 @@ mod tests {
         assert_eq!(k1.to_string(), "<alnum>+<sym>+<alnum>+<sym>+<alnum>+");
     }
 
+    /// Columns that exercise every look-up of the analyzer: many coarse
+    /// groups, interleaved so a value's group is rarely the previous
+    /// value's; positions with one literal and with a distinct literal per
+    /// value; inconsistent sub-structure; non-ASCII runs; empty strings; a
+    /// value past any τ.
+    fn look_up_heavy_columns() -> Vec<Vec<String>> {
+        let interleaved = (0..120)
+            .map(|i| match i % 12 {
+                0 => format!("{i}"),
+                1 => format!("{i}-{i}"),
+                2 => format!("{i} {i}"),
+                3 => format!("{i}:{i}:{i}"),
+                4 => format!("x{i}/y"),
+                5 => format!("-{i}"),
+                6 => format!(" {i}"),
+                7 => format!("{i}.{i}.{i}.{i}"),
+                8 => format!("é{i}日本"),
+                9 => String::new(),
+                10 => format!("a{i}b-{i}c"),
+                _ => "1/2/3 4:5:6 7-8".to_string(),
+            })
+            .collect();
+        let ids = (0..300).map(|i| format!("id-{:04x}-{}", i * 7919, i % 3));
+        vec![interleaved, ids.collect()]
+    }
+
+    /// A hit in either open-addressing table is confirmed by comparing the
+    /// merged classes or the literal's text, never taken on the hash's
+    /// word: with every hash forced equal — every probe a collision, the
+    /// group table regrown through one chain — the analysis is unchanged.
     #[test]
-    fn merged_runs_reconstruct_text() {
-        for v in ["550e8400-e29b", "Mar 01 2019", "..ab12..", ""] {
-            let ms = merged_runs(v);
-            let joined: String = ms.iter().map(|m| m.text).collect();
-            assert_eq!(joined, v);
+    fn colliding_hashes_change_no_answer() {
+        for cfg in [
+            PatternConfig::default(),
+            PatternConfig {
+                coverage_frac: 0.0,
+                sample_values: 40,
+                ..Default::default()
+            },
+        ] {
+            for column in look_up_heavy_columns() {
+                let hashed = format!("{:?}", analyze_column(&column, &cfg));
+                CONSTANT_HASH.with(|on| on.set(true));
+                let collided = format!("{:?}", analyze_column(&column, &cfg));
+                CONSTANT_HASH.with(|on| on.set(false));
+                assert_eq!(collided, hashed);
+            }
+        }
+    }
+
+    /// The scan is the only place a value's bytes are classified, and it
+    /// passes over each once — whatever the number of groups, positions
+    /// and sampled members; behind τ it stops at the byte that shows a
+    /// value too wide.
+    #[test]
+    fn each_value_byte_is_classified_once() {
+        let classified = |run: &dyn Fn()| {
+            BYTES_CLASSIFIED.with(|n| n.set(0));
+            run();
+            BYTES_CLASSIFIED.with(|n| n.get())
+        };
+        let cfg = PatternConfig {
+            sample_values: 16,
+            ..Default::default()
+        };
+        for column in look_up_heavy_columns() {
+            let bytes: usize = column.iter().map(String::len).sum();
+            let whole = classified(&|| {
+                analyze_column(&column, &cfg);
+            });
+            assert_eq!(whole, bytes);
+            let too_wide = column.iter().filter(|v| merged_token_count(v) > 5).count();
+            let narrow = classified(&|| {
+                stream_column_profile(&column, &cfg, 5, &mut EnumScratch::default(), |_, _| {});
+            });
+            assert!(narrow <= bytes, "{narrow} of {bytes} bytes classified");
+            assert_eq!(narrow < bytes, too_wide > 0);
         }
     }
 

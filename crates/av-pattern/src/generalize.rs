@@ -8,14 +8,11 @@
 
 use crate::pattern::Pattern;
 use crate::token::{CharClass, Token};
-use crate::tokenize::{tokenize, Run};
+use crate::tokenize::tokenize;
 
 /// Tuning knobs for pattern generation.
 #[derive(Debug, Clone)]
 pub struct PatternConfig {
-    /// Token-limit τ (§2.4): values with more than this many coarse tokens
-    /// are skipped during offline indexing (vertical cuts compensate, §3).
-    pub max_tokens: usize,
     /// Minimum fraction of a column's values a coarse group or a drilled
     /// token must cover to be retained (Algorithm 1's "sufficient coverage").
     pub coverage_frac: f64,
@@ -32,21 +29,10 @@ pub struct PatternConfig {
 impl Default for PatternConfig {
     fn default() -> Self {
         PatternConfig {
-            max_tokens: 13,
             coverage_frac: 0.05,
             max_patterns: 4096,
             case_tokens: true,
             sample_values: 256,
-        }
-    }
-}
-
-impl PatternConfig {
-    /// Config with a given τ, other knobs default.
-    pub fn with_tau(max_tokens: usize) -> Self {
-        PatternConfig {
-            max_tokens,
-            ..Default::default()
         }
     }
 }
@@ -66,86 +52,78 @@ pub fn coarse_pattern(value: &str) -> Pattern {
         .collect()
 }
 
-/// One candidate generalization of a run, in borrowed form: literals stay
-/// `&str` slices of the value so option *enumeration* allocates nothing —
-/// a `Token::Lit` box is only built when a position first records the
-/// literal (see `analyze`).
-#[derive(Debug, Clone)]
-pub(crate) enum RunOption<'a> {
-    /// The literal constant (leaf of the hierarchy).
-    Lit(&'a str),
-    /// A class token (never `Token::Lit`).
-    Tok(Token),
+/// What a run is to the generalization hierarchy: its character class —
+/// with a letter run's uniform case folded in where case tokens are on — or
+/// the digit/letter fusion of a merged `<alnum>` segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunShape {
+    /// ASCII digits.
+    Digit,
+    /// Letters, all uppercase.
+    Upper,
+    /// Letters, all lowercase.
+    Lower,
+    /// Letters of mixed case, or of any case with `case_tokens` off.
+    Letter,
+    /// ASCII whitespace.
+    Space,
+    /// Everything else.
+    Symbol,
+    /// Adjacent digit and letter runs taken as one segment.
+    Alnum,
 }
 
-impl RunOption<'_> {
-    /// Materialize the owned token.
-    pub(crate) fn into_token(self) -> Token {
-        match self {
-            RunOption::Lit(s) => Token::lit(s),
-            RunOption::Tok(t) => t,
+/// The class tokens generalizing a `k`-character run of `shape`, most
+/// specific first. Behind the run's own text as a constant this is the §1
+/// chain (`"9"`, `<digit>{1}`, `<digit>+`, `<num>`, `<alnum>{1}`,
+/// `<alnum>+`, `<any>+`), extended with case-specific letter tokens.
+pub(crate) fn for_each_class_token(shape: RunShape, k: u16, mut f: impl FnMut(Token)) {
+    match shape {
+        RunShape::Digit => {
+            f(Token::Digit(k));
+            f(Token::DigitPlus);
+            f(Token::Num);
         }
-    }
-
-    /// Does this option denote the same token as `t`?
-    #[inline]
-    pub(crate) fn is_token(&self, t: &Token) -> bool {
-        match (self, t) {
-            (RunOption::Lit(s), Token::Lit(l)) => *s == &**l,
-            (RunOption::Lit(_), _) => false,
-            (RunOption::Tok(o), t) => o == t,
+        RunShape::Upper => {
+            f(Token::Upper(k));
+            f(Token::UpperPlus);
         }
+        RunShape::Lower => {
+            f(Token::Lower(k));
+            f(Token::LowerPlus);
+        }
+        RunShape::Space => f(Token::SpacePlus),
+        RunShape::Symbol => {
+            f(Token::Sym(k));
+            f(Token::SymPlus);
+        }
+        RunShape::Letter | RunShape::Alnum => {}
     }
+    if matches!(shape, RunShape::Upper | RunShape::Lower | RunShape::Letter) {
+        f(Token::Letter(k));
+        f(Token::LetterPlus);
+    }
+    if !matches!(shape, RunShape::Space | RunShape::Symbol) {
+        f(Token::Alnum(k));
+        f(Token::AlnumPlus);
+    }
+    f(Token::AnyPlus);
 }
 
-/// Per-position generalization options for one strict run, most specific
-/// first. This is the §1 chain, extended with case-specific letter tokens.
-pub(crate) fn for_each_run_option<'a>(
-    run: &Run<'a>,
-    cfg: &PatternConfig,
-    mut f: impl FnMut(RunOption<'a>),
-) {
-    let k = run.len() as u16;
-    f(RunOption::Lit(run.text));
-    match run.class {
-        CharClass::Digit => {
-            f(RunOption::Tok(Token::Digit(k)));
-            f(RunOption::Tok(Token::DigitPlus));
-            f(RunOption::Tok(Token::Num));
-            f(RunOption::Tok(Token::Alnum(k)));
-            f(RunOption::Tok(Token::AlnumPlus));
-        }
-        CharClass::Letter => {
-            if cfg.case_tokens {
-                if run.text.chars().all(|c| c.is_ascii_uppercase()) {
-                    f(RunOption::Tok(Token::Upper(k)));
-                    f(RunOption::Tok(Token::UpperPlus));
-                } else if run.text.chars().all(|c| c.is_ascii_lowercase()) {
-                    f(RunOption::Tok(Token::Lower(k)));
-                    f(RunOption::Tok(Token::LowerPlus));
-                }
-            }
-            f(RunOption::Tok(Token::Letter(k)));
-            f(RunOption::Tok(Token::LetterPlus));
-            f(RunOption::Tok(Token::Alnum(k)));
-            f(RunOption::Tok(Token::AlnumPlus));
-        }
-        CharClass::Space => {
-            f(RunOption::Tok(Token::SpacePlus));
-        }
-        CharClass::Symbol => {
-            f(RunOption::Tok(Token::Sym(k)));
-            f(RunOption::Tok(Token::SymPlus));
-        }
-    }
-    f(RunOption::Tok(Token::AnyPlus));
-}
-
-/// Owned-token form of [`for_each_run_option`] (tests and one-off callers).
+/// Every generalization of one strict run, its literal first (tests).
 #[cfg(test)]
-pub(crate) fn run_options(run: &Run<'_>, cfg: &PatternConfig) -> Vec<Token> {
-    let mut opts = Vec::with_capacity(8);
-    for_each_run_option(run, cfg, |o| opts.push(o.into_token()));
+pub(crate) fn run_options(run: &crate::tokenize::Run<'_>, cfg: &PatternConfig) -> Vec<Token> {
+    let all = |f: fn(&char) -> bool| run.text.chars().all(|c| f(&c));
+    let shape = match run.class {
+        CharClass::Digit => RunShape::Digit,
+        CharClass::Letter if cfg.case_tokens && all(char::is_ascii_uppercase) => RunShape::Upper,
+        CharClass::Letter if cfg.case_tokens && all(char::is_ascii_lowercase) => RunShape::Lower,
+        CharClass::Letter => RunShape::Letter,
+        CharClass::Space => RunShape::Space,
+        CharClass::Symbol => RunShape::Symbol,
+    };
+    let mut opts = vec![Token::lit(run.text)];
+    for_each_class_token(shape, run.len() as u16, |t| opts.push(t));
     opts
 }
 

@@ -29,7 +29,7 @@ impl CharClass {
     /// spurious symbol run and make CRLF-bearing columns structurally
     /// different from their clean counterparts.
     #[inline]
-    pub fn of(c: char) -> CharClass {
+    pub const fn of(c: char) -> CharClass {
         if c.is_ascii_digit() {
             CharClass::Digit
         } else if c.is_ascii_alphabetic() {
