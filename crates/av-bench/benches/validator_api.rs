@@ -1,7 +1,9 @@
 //! Micro-benchmarks for the unified `Validator` API: single-value `check()`
 //! latency and batch `validate_batch` throughput, FMDV-VH vs the grok
 //! baseline, both dispatched statically and through `dyn Validator` (the
-//! service's dispatch mode).
+//! service's dispatch mode) — and `ValidationService::validate_batch` at
+//! three batch sizes either side of the point where it calls for helper
+//! threads (`PERF.md` Point 14).
 //!
 //! Measured numbers are recorded as the perf trajectory in
 //! `crates/av-bench/PERF.md`.
@@ -11,6 +13,7 @@ use av_core::{AutoValidate, FmdvConfig, ValidationRule, Validator, Variant};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
 use av_pattern::{matches, parse, CompiledPattern};
+use av_service::{BatchItem, ServiceConfig, ValidationService};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -90,6 +93,40 @@ fn bench_batch_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// The service's batch op under the default config, by batch shape: a
+/// two-column frame (what a client pairing two feeds sends), and two sizes
+/// around the values-per-batch point below which the calling thread
+/// validates alone. Every column is the conforming time feed, ~5% drifted.
+fn bench_service_validate_batch(c: &mut Criterion) {
+    let service = ValidationService::new(ServiceConfig::default());
+    let lake = generate_lake(&LakeProfile::tiny(), 7);
+    let columns: Vec<Column> = lake.columns().cloned().collect();
+    service.ingest(&columns).expect("ingest");
+    service
+        .infer_rule("time", &train_column(), None)
+        .expect("catalog rule");
+    let feed = future_batch();
+    let mut group = c.benchmark_group("service.validate_batch");
+    for (items, values) in [(2, 60), (64, 300), (256, 300)] {
+        let batch: Vec<BatchItem<'_>> = (0..items)
+            .map(|i| BatchItem {
+                rule: "time",
+                values: feed
+                    .iter()
+                    .cycle()
+                    .skip(i * 7)
+                    .take(values)
+                    .map(String::as_str)
+                    .collect(),
+            })
+            .collect();
+        group.bench_function(format!("{items} items x {values} values"), |b| {
+            b.iter(|| black_box(service.validate_batch(black_box(&batch))))
+        });
+    }
+    group.finish();
+}
+
 /// Compiled vs interpreted matching on the same patterns: the fixed-width
 /// FMDV-VH shape (deterministic program) and a variadic date-time shape
 /// (backtracking program), each on a conforming and a drifted value.
@@ -147,7 +184,7 @@ fn bench_compile_cost(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_check_latency, bench_batch_throughput,
+    targets = bench_check_latency, bench_batch_throughput, bench_service_validate_batch,
         bench_matcher_compiled_vs_reference, bench_compile_cost
 }
 criterion_main!(benches);

@@ -50,7 +50,6 @@ mod config;
 mod dictionary;
 mod fmdv;
 mod horizontal;
-mod msa;
 mod numeric;
 mod rule;
 mod vertical;
@@ -63,7 +62,6 @@ pub use autotag::{infer_tag, TagRule, TagSet};
 pub use classify::{RuleCheck, RuleSet};
 pub use config::{FmdvConfig, InferError, Variant};
 pub use dictionary::DictionaryRule;
-pub use msa::{align_pair, alignment_gap_distance, Aligned};
 pub use numeric::NumericRule;
 pub use rule::{ValidationReport, ValidationRule};
 pub use wire::{pct_decode, pct_encode, WireError};

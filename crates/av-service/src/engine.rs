@@ -75,7 +75,10 @@ pub struct ServiceConfig {
     /// FMDV knobs. `None` re-scales the coverage floor `m` to the live
     /// corpus size at each inference ([`FmdvConfig::scaled_for_corpus`]).
     pub fmdv: Option<FmdvConfig>,
-    /// Worker threads for batch validation (0 → available parallelism).
+    /// Worker threads (0 → available parallelism): the size of the TCP
+    /// serve loop's worker pool (never under two when left at 0), and the
+    /// most threads one `validate_batch` call spreads a large batch over
+    /// (the caller plus `workers − 1` helpers).
     pub workers: usize,
     /// Directory holding `index.avix` + `rules.avcat`; `None` disables
     /// persistence.
@@ -209,6 +212,14 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// The wire's error text is the error's `Display`, so a protocol handler's
+/// `?` turns a failed engine call into its `{"ok":false,"error":…}` reply.
+impl From<ServiceError> for String {
+    fn from(e: ServiceError) -> String {
+        e.to_string()
+    }
+}
+
 impl From<InferError> for ServiceError {
     fn from(e: InferError) -> Self {
         ServiceError::Infer(e)
@@ -339,6 +350,18 @@ pub struct ServiceStats {
     pub socket_writes: u64,
 }
 
+/// Values a batch must hold before [`ValidationService::validate_batch`]
+/// asks for helper threads. Spawning and joining one scoped helper costs
+/// 30–80 µs on the dev container against ~28 ns of validation per value,
+/// and the caller is itself a serve-loop worker on a pool sized to the
+/// cores. With helpers forced on, batches under 4 800 values were slower in
+/// most runs (a 120-value frame 35–85 µs against 3.3 alone) and batches
+/// from 14 400 values up faster by a fifth to a half in every run that had
+/// both cores — and at most a tenth slower in the runs where the scheduler
+/// kept both threads on one; the sizes between went either way (`PERF.md`
+/// Point 14).
+const BATCH_HELPER_MIN_VALUES: usize = 16_384;
+
 /// The shared, long-running validation service. All methods take `&self`;
 /// wrap in an [`Arc`] and hand clones to as many threads as you like.
 pub struct ValidationService {
@@ -369,6 +392,12 @@ pub struct ValidationService {
     /// Wake callbacks registered by live serve loops (each typically a
     /// poller `notify`). Fired once, then drained, on `request_shutdown`.
     shutdown_wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    counters: Counters,
+}
+
+/// The live side of [`ServiceStats`], field for field.
+#[derive(Default)]
+struct Counters {
     columns_ingested: AtomicU64,
     ingest_batches: AtomicU64,
     index_shards_copied: AtomicU64,
@@ -399,20 +428,7 @@ impl ValidationService {
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(()), Condvar::new()),
             shutdown_wakers: Mutex::new(Vec::new()),
-            columns_ingested: AtomicU64::new(0),
-            ingest_batches: AtomicU64::new(0),
-            index_shards_copied: AtomicU64::new(0),
-            rules_inferred: AtomicU64::new(0),
-            validations: AtomicU64::new(0),
-            flagged: AtomicU64::new(0),
-            classifications: AtomicU64::new(0),
-            connection_errors: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            requests_shed: AtomicU64::new(0),
-            stalls_shed: AtomicU64::new(0),
-            frames_executed: AtomicU64::new(0),
-            runs_dispatched: AtomicU64::new(0),
-            socket_writes: AtomicU64::new(0),
+            counters: Counters::default(),
             config,
         }
     }
@@ -439,26 +455,33 @@ impl ValidationService {
             if storage.exists(&index_path) {
                 let loaded = PatternIndex::load_with(storage.as_ref(), &index_path)?;
                 service
+                    .counters
                     .columns_ingested
                     .store(loaded.num_columns, Ordering::Relaxed);
                 service.index.install(loaded);
             }
             let catalog_path = dir.join(CATALOG_FILE);
             if storage.exists(&catalog_path) {
-                let loaded = RuleCatalog::load_with(storage.as_ref(), &catalog_path)?;
-                {
-                    let (_classifier_rank, mut classifier) = (
-                        lockorder::rank_guard(lockorder::CLASSIFIER),
-                        service.classifier.lock().expect("classifier poisoned"),
-                    );
-                    for entry in loaded.iter() {
-                        classifier.insert(&entry.name, entry.rule.clone());
-                    }
-                }
-                *service.catalog.write().expect("catalog lock poisoned") = loaded;
+                service.load_catalog(RuleCatalog::load_with(storage.as_ref(), &catalog_path)?);
             }
         }
         Ok(service)
+    }
+
+    /// Install a loaded or recovered catalog into a service that is not
+    /// shared yet: every rule joins the automaton, then the catalog is
+    /// swapped in.
+    fn load_catalog(&self, catalog: RuleCatalog) {
+        {
+            let (_classifier_rank, mut classifier) = (
+                lockorder::rank_guard(lockorder::CLASSIFIER),
+                self.classifier.lock().expect("classifier poisoned"),
+            );
+            for entry in catalog.iter() {
+                classifier.insert(&entry.name, entry.rule.clone());
+            }
+        }
+        *self.catalog.write().expect("catalog lock poisoned") = catalog;
     }
 
     /// The durable-mode open path: recover checkpoint + WAL into a fresh
@@ -507,18 +530,10 @@ impl ValidationService {
             }
         }
         service
+            .counters
             .columns_ingested
             .store(service.index.snapshot().num_columns, Ordering::Relaxed);
-        {
-            let (_classifier_rank, mut classifier) = (
-                lockorder::rank_guard(lockorder::CLASSIFIER),
-                service.classifier.lock().expect("classifier poisoned"),
-            );
-            for entry in catalog.iter() {
-                classifier.insert(&entry.name, entry.rule.clone());
-            }
-        }
-        *service.catalog.write().expect("catalog lock poisoned") = catalog;
+        service.load_catalog(catalog);
 
         service.durable = Some(DurableState {
             storage,
@@ -620,10 +635,12 @@ impl ValidationService {
             total_columns: merge.num_columns,
             total_patterns: merge.total_patterns,
         };
-        self.columns_ingested
+        self.counters
+            .columns_ingested
             .fetch_add(columns.len() as u64, Ordering::Relaxed);
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        self.index_shards_copied
+        self.counters.ingest_batches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .index_shards_copied
             .fetch_add(merge.copied_shards as u64, Ordering::Relaxed);
         self.note_durable_record();
         Ok(report)
@@ -674,23 +691,20 @@ impl ValidationService {
         // Durable mode: log-then-apply under the WAL lock, so a checkpoint
         // can never truncate a logged record whose catalog effect is not
         // yet in the snapshot it wrote.
-        if let Some(d) = &self.durable {
-            let payload = durable::encode_infer(&catalog::entry_line(&entry));
-            let (_wal_rank, mut wal) = (
+        let mut fence = self.durable.as_ref().map(|d| {
+            (
                 lockorder::rank_guard(lockorder::WAL),
                 d.wal.lock().expect("wal lock poisoned"),
-            );
-            wal.append(&payload)?;
-            self.catalog
-                .write()
-                .expect("catalog lock poisoned")
-                .insert(entry.clone());
-        } else {
-            self.catalog
-                .write()
-                .expect("catalog lock poisoned")
-                .insert(entry.clone());
+            )
+        });
+        if let Some((_, wal)) = &mut fence {
+            wal.append(&durable::encode_infer(&catalog::entry_line(&entry)))?;
         }
+        self.catalog
+            .write()
+            .expect("catalog lock poisoned")
+            .insert(entry.clone());
+        drop(fence);
         self.baselines
             .write()
             .expect("baselines lock poisoned")
@@ -701,7 +715,7 @@ impl ValidationService {
             .lock()
             .expect("classifier poisoned")
             .insert(name, entry.rule.clone());
-        self.rules_inferred.fetch_add(1, Ordering::Relaxed);
+        self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
         self.note_durable_record();
         Ok(entry)
     }
@@ -735,11 +749,8 @@ impl ValidationService {
             );
             if catalog.get(name).is_some() {
                 wal.append(&durable::encode_delete(name))?;
-                catalog.remove(name);
-                true
-            } else {
-                false
             }
+            catalog.remove(name).is_some()
         } else {
             self.catalog
                 .write()
@@ -747,27 +758,22 @@ impl ValidationService {
                 .remove(name)
                 .is_some()
         };
-        if removed_cataloged {
-            self.telemetry.forget_rule(name);
-            self.classifier
-                .lock()
-                .expect("classifier poisoned")
-                .remove(name);
-            self.note_durable_record();
-            return Ok(());
+        if !removed_cataloged {
+            self.baselines
+                .write()
+                .expect("baselines lock poisoned")
+                .remove(name)
+                .ok_or_else(|| ServiceError::UnknownRule(name.to_string()))?;
         }
-        self.baselines
-            .write()
-            .expect("baselines lock poisoned")
-            .remove(name)
-            .map(|_| {
-                self.telemetry.forget_rule(name);
-                self.classifier
-                    .lock()
-                    .expect("classifier poisoned")
-                    .remove(name);
-            })
-            .ok_or_else(|| ServiceError::UnknownRule(name.to_string()))
+        self.telemetry.forget_rule(name);
+        self.classifier
+            .lock()
+            .expect("classifier poisoned")
+            .remove(name);
+        if removed_cataloged {
+            self.note_durable_record();
+        }
+        Ok(())
     }
 
     /// Names and descriptions of all cataloged rules.
@@ -781,14 +787,15 @@ impl ValidationService {
     }
 
     /// Run `f` against the named rule as a `&dyn Validator` — catalog rules
-    /// first, then session-scoped baseline rules. Catalog lookups run under
-    /// the shared read lock (batch workers still overlap) instead of
-    /// cloning the entry — a dictionary rule's whole vocabulary would
-    /// otherwise be copied per validation.
+    /// first (`f` is handed the [`AnyRule`] too), then session-scoped
+    /// baseline rules. Catalog lookups run under the shared read lock
+    /// (batch workers still overlap) instead of cloning the entry — a
+    /// dictionary rule's whole vocabulary would otherwise be copied per
+    /// validation.
     fn with_validator<R>(
         &self,
         name: &str,
-        f: impl FnOnce(&dyn Validator) -> R,
+        f: impl FnOnce(&dyn Validator, Option<&AnyRule>) -> R,
     ) -> Result<R, ServiceError> {
         {
             let (_catalog_rank, catalog) = (
@@ -796,7 +803,7 @@ impl ValidationService {
                 self.catalog.read().expect("catalog lock poisoned"),
             );
             if let Some(entry) = catalog.get(name) {
-                return Ok(f(&entry.rule));
+                return Ok(f(&entry.rule, Some(&entry.rule)));
             }
         }
         let baseline = {
@@ -807,7 +814,7 @@ impl ValidationService {
             baselines.get(name).cloned()
         };
         match baseline {
-            Some(v) => Ok(f(v.as_ref())),
+            Some(v) => Ok(f(v.as_ref(), None)),
             None => Err(ServiceError::UnknownRule(name.to_string())),
         }
     }
@@ -859,7 +866,7 @@ impl ValidationService {
             .lock()
             .expect("classifier poisoned")
             .insert_check(name, Box::new(move |v| validator.check(v).is_conform()));
-        self.rules_inferred.fetch_add(1, Ordering::Relaxed);
+        self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
         Ok(description)
     }
 
@@ -886,7 +893,7 @@ impl ValidationService {
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
-        let (report, exemplar) = self.with_validator(rule, |validator| {
+        let (report, exemplar) = self.with_validator(rule, |validator, _| {
             let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
             // Cold path: only a flagged column pays for the exemplar
             // re-scan and the explanation's allocations.
@@ -911,9 +918,9 @@ impl ValidationService {
         if let Some(exemplar) = exemplar {
             slot.push_exemplar(exemplar);
         }
-        self.validations.fetch_add(1, Ordering::Relaxed);
+        self.counters.validations.fetch_add(1, Ordering::Relaxed);
         if report.flagged {
-            self.flagged.fetch_add(1, Ordering::Relaxed);
+            self.counters.flagged.fetch_add(1, Ordering::Relaxed);
         }
         Ok(report)
     }
@@ -931,51 +938,28 @@ impl ValidationService {
     /// are distance-ranked — O(matches), not O(catalog) — with the same
     /// winner the full loop would pick.
     pub fn explain(&self, rule: &str, value: &str) -> Result<ExplainOutcome, ServiceError> {
-        {
-            let (_catalog_rank, catalog) = (
-                lockorder::rank_guard(lockorder::CATALOG),
-                self.catalog.read().expect("catalog lock poisoned"),
-            );
-            if let Some(entry) = catalog.get(rule) {
-                let conforms = entry.rule.conforms(value);
-                let (explanation, suggestion) = if conforms {
-                    (None, None)
-                } else {
-                    (
-                        Validator::explain(&entry.rule, value),
+        self.with_validator(rule, |validator, cataloged| {
+            let conforms = validator.check(value).is_conform();
+            let (explanation, suggestion) = if conforms {
+                (None, None)
+            } else {
+                (
+                    validator.explain(value),
+                    cataloged.and_then(|failed| {
                         self.classifier
                             .lock()
                             .expect("classifier poisoned")
-                            .nearest_conforming(value, &entry.rule, rule),
-                    )
-                };
-                return Ok(ExplainOutcome {
-                    conforms,
-                    describe: entry.rule.describe(),
-                    explanation,
-                    suggestion,
-                });
+                            .nearest_conforming(value, failed, rule)
+                    }),
+                )
+            };
+            ExplainOutcome {
+                conforms,
+                describe: validator.describe(),
+                explanation,
+                suggestion,
             }
-        }
-        let baseline = {
-            let (_baselines_rank, baselines) = (
-                lockorder::rank_guard(lockorder::BASELINES),
-                self.baselines.read().expect("baselines lock poisoned"),
-            );
-            baselines.get(rule).cloned()
-        };
-        match baseline {
-            Some(v) => {
-                let conforms = v.check(value).is_conform();
-                Ok(ExplainOutcome {
-                    conforms,
-                    describe: v.describe(),
-                    explanation: if conforms { None } else { v.explain(value) },
-                    suggestion: None,
-                })
-            }
-            None => Err(ServiceError::UnknownRule(rule.to_string())),
-        }
+        })
     }
 
     /// A/B-compare two named rules (either side may be an FMDV catalog rule
@@ -996,14 +980,8 @@ impl ValidationService {
     /// rules and session baselines alike) in a single scan of the value,
     /// returning every conforming rule ranked most-specific-first.
     pub fn classify_value(&self, value: &str) -> ClassifyOutcome {
-        let (_classifier_rank, mut classifier) = (
-            lockorder::rank_guard(lockorder::CLASSIFIER),
-            self.classifier.lock().expect("classifier poisoned"),
-        );
-        let outcome = Self::classify_locked(&mut classifier, value);
-        drop(classifier);
-        self.classifications.fetch_add(1, Ordering::Relaxed);
-        outcome
+        let mut batch = self.classify_batch(&[value]);
+        batch.pop().expect("one outcome per value")
     }
 
     /// Classify a batch of values, holding the automaton lock once for the
@@ -1016,18 +994,17 @@ impl ValidationService {
         );
         let out = values
             .iter()
-            .map(|v| Self::classify_locked(&mut classifier, v.as_ref()))
+            .map(|v| {
+                let matches = classifier.classify(v.as_ref());
+                let best = matches.first().cloned();
+                ClassifyOutcome { matches, best }
+            })
             .collect();
         drop(classifier);
-        self.classifications
+        self.counters
+            .classifications
             .fetch_add(values.len() as u64, Ordering::Relaxed);
         out
-    }
-
-    fn classify_locked(classifier: &mut RuleSet, value: &str) -> ClassifyOutcome {
-        let matches = classifier.classify(value);
-        let best = matches.first().cloned();
-        ClassifyOutcome { matches, best }
     }
 
     /// Update generation of the catalog automaton (bumped per rule
@@ -1040,7 +1017,10 @@ impl ValidationService {
             .generation()
     }
 
-    /// Validate a batch of columns concurrently across the worker pool.
+    /// Validate a batch of columns: on the calling thread — a serve-loop
+    /// worker, on a pool already sized to the cores — joined by up to
+    /// `config.workers − 1` scoped helpers only when the batch holds at
+    /// least `BATCH_HELPER_MIN_VALUES` (16 384) values.
     ///
     /// Results come back in input order, and each equals exactly what the
     /// sequential [`ValidationService::validate`] would produce: items are
@@ -1050,14 +1030,17 @@ impl ValidationService {
         &self,
         items: &[BatchItem<'_>],
     ) -> Vec<Result<ValidationReport, ServiceError>> {
-        let workers = if self.config.workers > 0 {
+        let values: usize = items.iter().map(|item| item.values.len()).sum();
+        let workers = if values < BATCH_HELPER_MIN_VALUES {
+            1
+        } else if self.config.workers > 0 {
             self.config.workers
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
         }
-        .min(items.len().max(1));
+        .min(items.len());
 
         if workers <= 1 {
             return items
@@ -1194,21 +1177,22 @@ impl ValidationService {
 
     /// Current operation counters.
     pub fn stats(&self) -> ServiceStats {
+        let c = &self.counters;
         ServiceStats {
-            columns_ingested: self.columns_ingested.load(Ordering::Relaxed),
-            ingest_batches: self.ingest_batches.load(Ordering::Relaxed),
-            index_shards_copied: self.index_shards_copied.load(Ordering::Relaxed),
-            rules_inferred: self.rules_inferred.load(Ordering::Relaxed),
-            validations: self.validations.load(Ordering::Relaxed),
-            flagged: self.flagged.load(Ordering::Relaxed),
-            classifications: self.classifications.load(Ordering::Relaxed),
-            connection_errors: self.connection_errors.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            stalls_shed: self.stalls_shed.load(Ordering::Relaxed),
-            frames_executed: self.frames_executed.load(Ordering::Relaxed),
-            runs_dispatched: self.runs_dispatched.load(Ordering::Relaxed),
-            socket_writes: self.socket_writes.load(Ordering::Relaxed),
+            columns_ingested: c.columns_ingested.load(Ordering::Relaxed),
+            ingest_batches: c.ingest_batches.load(Ordering::Relaxed),
+            index_shards_copied: c.index_shards_copied.load(Ordering::Relaxed),
+            rules_inferred: c.rules_inferred.load(Ordering::Relaxed),
+            validations: c.validations.load(Ordering::Relaxed),
+            flagged: c.flagged.load(Ordering::Relaxed),
+            classifications: c.classifications.load(Ordering::Relaxed),
+            connection_errors: c.connection_errors.load(Ordering::Relaxed),
+            connections_rejected: c.connections_rejected.load(Ordering::Relaxed),
+            requests_shed: c.requests_shed.load(Ordering::Relaxed),
+            stalls_shed: c.stalls_shed.load(Ordering::Relaxed),
+            frames_executed: c.frames_executed.load(Ordering::Relaxed),
+            runs_dispatched: c.runs_dispatched.load(Ordering::Relaxed),
+            socket_writes: c.socket_writes.load(Ordering::Relaxed),
         }
     }
 
@@ -1227,34 +1211,42 @@ impl ValidationService {
     /// Record a TCP connection thread that ended in an I/O error or panic
     /// (called by the serve loop when joining reaped workers).
     pub(crate) fn record_connection_error(&self) {
-        self.connection_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .connection_errors
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a connection turned away by admission control.
     pub(crate) fn record_connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .connections_rejected
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `n` request frames answered with `overloaded` because the
     /// run queue was full.
     pub(crate) fn record_requests_shed(&self, n: u64) {
-        self.requests_shed.fetch_add(n, Ordering::Relaxed);
+        self.counters.requests_shed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record a connection shed at the write-stall deadline.
     pub(crate) fn record_stall_shed(&self) {
-        self.stalls_shed.fetch_add(1, Ordering::Relaxed);
+        self.counters.stalls_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one worker turn: a run of `frames` executed frames.
     pub(crate) fn record_run(&self, frames: u64) {
-        self.runs_dispatched.fetch_add(1, Ordering::Relaxed);
-        self.frames_executed.fetch_add(frames, Ordering::Relaxed);
+        self.counters
+            .runs_dispatched
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .frames_executed
+            .fetch_add(frames, Ordering::Relaxed);
     }
 
     /// Record `n` socket `write`s that moved response bytes.
     pub(crate) fn record_socket_writes(&self, n: u64) {
-        self.socket_writes.fetch_add(n, Ordering::Relaxed);
+        self.counters.socket_writes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Ask every serve loop to wind down: sets the flag, wakes every
@@ -1449,43 +1441,51 @@ mod tests {
         ));
     }
 
+    /// Both sides of [`BATCH_HELPER_MIN_VALUES`]: a batch the calling
+    /// thread validates alone, and one it calls three helpers for.
     #[test]
     fn batch_matches_sequential() {
-        let service = ValidationService::new(ServiceConfig::default());
+        let service = ValidationService::new(ServiceConfig {
+            workers: 4,
+            ..ServiceConfig::default()
+        });
         service.ingest(&lake_columns(7)).unwrap();
         service.infer_rule("dates", &date_values(3), None).unwrap();
-        let owned: Vec<(&str, Vec<String>)> = (0..32)
-            .map(|i| {
-                (
-                    if i % 5 == 4 { "missing" } else { "dates" },
-                    if i % 2 == 0 {
-                        date_values(1 + (i as u32 % 12))
-                    } else {
-                        (0..40).map(|j| format!("drift-{i}-{j}")).collect()
-                    },
-                )
-            })
-            .collect();
-        let items: Vec<BatchItem<'_>> = owned
-            .iter()
-            .map(|(rule, values)| BatchItem {
-                rule,
-                values: values.iter().map(String::as_str).collect(),
-            })
-            .collect();
-        let sequential: Vec<_> = items
-            .iter()
-            .map(|it| service.validate(it.rule, &it.values))
-            .collect();
-        let batched = service.validate_batch(&items);
-        assert_eq!(batched.len(), sequential.len());
-        for (b, s) in batched.iter().zip(&sequential) {
-            match (b, s) {
-                (Ok(br), Ok(sr)) => assert_eq!(br, sr),
-                (Err(ServiceError::UnknownRule(x)), Err(ServiceError::UnknownRule(y))) => {
-                    assert_eq!(x, y)
+        // Every item holds at least 28 values.
+        for n in [32, BATCH_HELPER_MIN_VALUES / 28 + 1] {
+            let owned: Vec<(&str, Vec<String>)> = (0..n)
+                .map(|i| {
+                    (
+                        if i % 5 == 4 { "missing" } else { "dates" },
+                        if i % 2 == 0 {
+                            date_values(1 + (i as u32 % 12))
+                        } else {
+                            (0..40).map(|j| format!("drift-{i}-{j}")).collect()
+                        },
+                    )
+                })
+                .collect();
+            let items: Vec<BatchItem<'_>> = owned
+                .iter()
+                .map(|(rule, values)| BatchItem {
+                    rule,
+                    values: values.iter().map(String::as_str).collect(),
+                })
+                .collect();
+            let sequential: Vec<_> = items
+                .iter()
+                .map(|it| service.validate(it.rule, &it.values))
+                .collect();
+            let batched = service.validate_batch(&items);
+            assert_eq!(batched.len(), sequential.len());
+            for (b, s) in batched.iter().zip(&sequential) {
+                match (b, s) {
+                    (Ok(br), Ok(sr)) => assert_eq!(br, sr),
+                    (Err(ServiceError::UnknownRule(x)), Err(ServiceError::UnknownRule(y))) => {
+                        assert_eq!(x, y)
+                    }
+                    other => panic!("mismatched outcomes: {other:?}"),
                 }
-                other => panic!("mismatched outcomes: {other:?}"),
             }
         }
     }

@@ -21,9 +21,9 @@
 //! * **Persistent rule catalog** — rules are inferred once (FMDV and its
 //!   fallbacks), named, serialized to `rules.avcat`, and reloaded on
 //!   restart, so a service restart never re-infers or loses a rule.
-//! * **Concurrent batch validation** — a worker pool fans a batch of
-//!   columns across threads; reports are deterministic and identical to
-//!   sequential runs.
+//! * **Concurrent batch validation** — a batch large enough to pay for
+//!   helper threads is fanned across them, a small one runs on the calling
+//!   worker; reports are deterministic and identical to sequential runs.
 //! * **One dispatch path** — the engine validates exclusively through
 //!   `dyn av_core::Validator` streaming sessions over borrowed `&str`
 //!   values, so FMDV catalog rules and session-scoped baseline rules

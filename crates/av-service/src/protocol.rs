@@ -13,6 +13,40 @@
 //! ← {"ok":true,"flagged":true,"nonconforming":1,...}
 //! ```
 //!
+//! ## The op set
+//!
+//! An op is one row, one handler, one golden frame: a row of the sorted op
+//! table names it (the dispatcher searches that table and the per-op
+//! telemetry is sized and named from it), its handler reads the request's
+//! fields, calls the engine and returns the reply's members, and
+//! `tests/golden_session.rs` pins its reply bytes. A missing or wrong-typed
+//! field is refused with that field's message (`missing string field
+//! "rule"`, `item 3: missing array field "values"`), fields being checked
+//! in the order listed (`tests/field_errors.rs`):
+//!
+//! | op | request fields | reply |
+//! |----|----------------|-------|
+//! | `catalog` | — | every cataloged rule, every session baseline |
+//! | `classify` | `values`, or a single `value` | per value, every conforming rule, most specific first |
+//! | `compare` | `a`, `b`, `values` | both rules' reports on the same column |
+//! | `delete_rule` | `name` | the name deleted (catalog first, then baselines) |
+//! | `explain` | `rule`, `value` | where and why the value fails, and the nearest rule it fits |
+//! | `infer` | `rule`, `values`, optional `variant` | the cataloged entry and its wire form |
+//! | `infer_baseline` | `rule`, `method`, `values` | the session baseline's description |
+//! | `ingest` | `columns`, each `values` and an optional `name` | what the merge changed |
+//! | `metrics` | — | the telemetry registry |
+//! | `persist` | — | the checkpoint written |
+//! | `ping` | — | `pong` |
+//! | `rule` | `name` | one catalog entry |
+//! | `shutdown` | — | `bye`; every serve loop winds down |
+//! | `stats` | — | counters, index and catalog sizes, requests and errors per op |
+//! | `validate` | `rule`, `values` | the column's report |
+//! | `validate_batch` | `items`, each `rule` and `values` | one report or error per item, in order |
+//! | `watch` | optional `interval_ms`, `frames`, `rules` | the acknowledgement; frames follow |
+//!
+//! A frame that is not JSON or names no op is counted as `invalid`, one
+//! naming an op with no row as `unknown`.
+//!
 //! ## Observability ops
 //!
 //! **`explain`** asks *why* a single value fails a rule: the failing byte
@@ -123,8 +157,10 @@
 //! replay; `checkpoint_failures` counts auto-checkpoints that failed
 //! after their trigger op was already safely logged.
 
-use crate::engine::{BatchItem, ValidationService};
+use crate::catalog::CatalogEntry;
+use crate::engine::{owned_column, BatchItem, ValidationService};
 use crate::json::{parse, Json};
+use crate::telemetry::{FailureExemplar, WindowSnapshot, INVALID, UNKNOWN};
 use av_core::{AnyRule, Explanation, ValidationReport, Variant};
 use std::time::Duration;
 
@@ -159,138 +195,44 @@ pub struct WatchParams {
     pub rules: Option<Vec<String>>,
 }
 
-/// A response before serialization: the JSON tree plus what the serve loop
-/// should do next. Serve loops render it through [`handle_line_into`] so
-/// one output buffer is reused across every response of a connection.
-struct Reply {
-    json: Json<'static>,
-    ok: bool,
-    shutdown: bool,
-    watch: Option<WatchParams>,
-}
+/// The members of a successful reply, `"ok":true` aside.
+type Members = Vec<(&'static str, Json<'static>)>;
 
-fn ok(fields: Vec<(&'static str, Json<'static>)>) -> Reply {
-    let mut all = vec![("ok", Json::Bool(true))];
-    all.extend(fields);
-    Reply {
-        json: Json::obj(all),
-        ok: true,
-        shutdown: false,
-        watch: None,
-    }
-}
+/// What a handler returns: the reply's members and what the serve loop
+/// must do once they are written, or the message of the
+/// `{"ok":false,"error":…}` reply. Field accessors return the same error
+/// type and a [`crate::ServiceError`] converts to its `Display` text, so a
+/// handler's failure paths are all `?`, turned into an error reply in one
+/// place ([`handle_line_into`]).
+type Outcome = Result<(Members, LineOutcome), String>;
 
-fn fail(message: impl Into<String>) -> Reply {
-    Reply {
-        json: Json::obj([
-            ("ok", Json::Bool(false)),
-            ("error", Json::str(message.into())),
-        ]),
-        ok: false,
-        shutdown: false,
-        watch: None,
-    }
-}
+/// One op: read the request's fields, call the engine, return the reply's
+/// members.
+type Handler = fn(&ValidationService, Json<'_>) -> Outcome;
 
-/// Render a bare protocol-error line into a caller-owned buffer. Serve
-/// loops use this for transport-level failures (oversized or undecodable
-/// request frames) that never reach [`handle_line_into`], so those
-/// responses share the exact `{"ok":false,"error":…}` shape of every
-/// other failure.
-pub(crate) fn render_error_into(message: &str, out: &mut String) {
-    fail(message).json.dump_into(out);
-}
-
-/// Render an overload-shed error line: the ordinary failure shape plus an
-/// `"overloaded":true` marker so clients can tell "retry later" apart
-/// from "your request was wrong". The serve loop sends it when admission
-/// control rejects a connection, when a pipeline overflows its cap, or
-/// when the run queue is full:
-///
-/// ```text
-/// {"ok":false,"error":"service at max_connections (2); connection rejected","overloaded":true}
-/// ```
-pub(crate) fn render_overloaded_into(message: &str, out: &mut String) {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        ("error", Json::str(message.to_string())),
-        ("overloaded", Json::Bool(true)),
-    ])
-    .dump_into(out);
-}
-
-fn report_json(r: &ValidationReport) -> Vec<(&'static str, Json<'static>)> {
-    vec![
-        ("checked", Json::Num(r.checked as f64)),
-        ("nonconforming", Json::Num(r.nonconforming as f64)),
-        ("nonconforming_frac", Json::Num(r.nonconforming_frac)),
-        ("p_value", Json::Num(r.p_value)),
-        ("flagged", Json::Bool(r.flagged)),
-    ]
-}
-
-/// Borrow a `&str` array straight out of the parsed request. An
-/// escape-free value there is itself a slice of the request frame
-/// ([`Json`] borrows from the text it was parsed from), so validation
-/// paths hand the engine the connection's own buffer and never copy a
-/// value.
-fn str_array<'a>(v: &'a Json, field: &str) -> Result<Vec<&'a str>, String> {
-    v.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field {field:?}"))?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .ok_or_else(|| format!("{field:?} must contain only strings"))
-        })
-        .collect()
-}
-
-/// Move a member out of a request object.
-fn take_field<'a>(v: Json<'a>, field: &str) -> Option<Json<'a>> {
-    match v {
-        Json::Obj(mut members) => members.remove(field),
-        _ => None,
-    }
-}
-
-/// Owned variant for ingestion, where columns must outlive the request.
-/// Consumes the parsed array, so each value is copied out of the frame
-/// once (one that had an escape was decoded into its own `String` already
-/// and is moved).
-fn string_array(v: Json, field: &str) -> Result<Vec<String>, String> {
-    let Some(Json::Arr(items)) = take_field(v, field) else {
-        return Err(format!("missing array field {field:?}"));
-    };
-    items
-        .into_iter()
-        .map(|item| match item {
-            Json::Str(s) => Ok(s.into_owned()),
-            _ => Err(format!("{field:?} must contain only strings")),
-        })
-        .collect()
-}
-
-fn parse_variant(v: &Json) -> Result<Option<Variant>, String> {
-    match v.get("variant").and_then(Json::as_str) {
-        None => Ok(None),
-        Some("auto") => Ok(None),
-        Some("fmdv") => Ok(Some(Variant::Fmdv)),
-        Some("v") | Some("fmdv-v") => Ok(Some(Variant::FmdvV)),
-        Some("h") | Some("fmdv-h") => Ok(Some(Variant::FmdvH)),
-        Some("vh") | Some("fmdv-vh") => Ok(Some(Variant::FmdvVH)),
-        Some("cmdv") => Ok(Some(Variant::Cmdv)),
-        Some(other) => Err(format!("unknown variant {other:?}")),
-    }
-}
-
-fn rule_kind(rule: &AnyRule) -> &'static str {
-    match rule {
-        AnyRule::Pattern(_) => "pattern",
-        AnyRule::Numeric(_) => "numeric",
-        AnyRule::Dictionary(_) => "dictionary",
-    }
-}
+/// The op set, sorted by name — [`dispatch`] binary-searches it, the
+/// per-op telemetry is sized and named from it ([`crate::telemetry::OPS`]),
+/// and nothing else lists the ops. A new op is a row here, its handler
+/// below, and a frame in `tests/golden_session.rs`.
+pub(crate) const OP_TABLE: [(&str, Handler); 17] = [
+    ("catalog", catalog),
+    ("classify", classify),
+    ("compare", compare),
+    ("delete_rule", delete_rule),
+    ("explain", explain),
+    ("infer", infer),
+    ("infer_baseline", infer_baseline),
+    ("ingest", ingest),
+    ("metrics", metrics),
+    ("persist", persist),
+    ("ping", ping),
+    ("rule", rule),
+    ("shutdown", shutdown),
+    ("stats", stats),
+    ("validate", validate),
+    ("validate_batch", validate_batch),
+    ("watch", watch),
+];
 
 /// Handle one JSONL request line against the service, returning an owned
 /// response — the one-shot convenience API for embedded clients and tests.
@@ -314,226 +256,334 @@ pub fn handle_line(service: &ValidationService, line: &str) -> Handled {
 /// per-op telemetry (request count, error count, handling latency).
 pub fn handle_line_into(service: &ValidationService, line: &str, out: &mut String) -> LineOutcome {
     let start = std::time::Instant::now();
-    let (op, reply) = dispatch(service, line);
-    service.telemetry().record_op(op, start.elapsed(), reply.ok);
-    reply.json.dump_into(out);
-    LineOutcome {
-        shutdown: reply.shutdown,
-        watch: reply.watch,
+    let (op, outcome) = dispatch(service, line);
+    service
+        .telemetry()
+        .record_op(op, start.elapsed(), outcome.is_ok());
+    match outcome {
+        Ok((members, next)) => {
+            ok_json(members).dump_into(out);
+            next
+        }
+        Err(message) => {
+            error_json(message, false).dump_into(out);
+            LineOutcome::default()
+        }
     }
 }
 
-fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Reply) {
+/// Parse the frame, find its op's row and run it. Returns the name the
+/// frame is counted under: the row's, or one of the two non-rows.
+fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Outcome) {
     let req = match parse(line) {
         Ok(v) => v,
-        Err(e) => return ("invalid", fail(format!("bad request json: {e}"))),
+        Err(e) => return (INVALID, Err(format!("bad request json: {e}"))),
     };
-    let op = match req.get("op").and_then(Json::as_str) {
-        Some(op) => op,
-        None => return ("invalid", fail("missing \"op\" field")),
+    let Some(op) = req.get("op").and_then(Json::as_str) else {
+        return (INVALID, Err("missing \"op\" field".into()));
     };
-    match op {
-        "ping" => ("ping", ok(vec![("pong", Json::Bool(true))])),
-        "ingest" => ("ingest", handle_ingest(service, req)),
-        "infer" => ("infer", handle_infer(service, &req)),
-        "infer_baseline" => ("infer_baseline", handle_infer_baseline(service, &req)),
-        "validate" => ("validate", handle_validate(service, &req)),
-        "validate_batch" => ("validate_batch", handle_validate_batch(service, &req)),
-        "compare" => ("compare", handle_compare(service, &req)),
-        "catalog" => ("catalog", handle_catalog(service)),
-        "rule" => ("rule", handle_rule(service, &req)),
-        "delete_rule" => ("delete_rule", handle_delete(service, &req)),
-        "classify" => ("classify", handle_classify(service, &req)),
-        "explain" => ("explain", handle_explain(service, &req)),
-        "metrics" => ("metrics", handle_metrics(service)),
-        "watch" => ("watch", handle_watch(&req)),
-        "persist" => (
-            "persist",
-            match service.persist() {
-                Ok(()) => {
-                    let mut fields = vec![("persisted", Json::Bool(true))];
-                    if let Some(d) = service.durability() {
-                        fields.push(("durability", durability_json(&d)));
-                    }
-                    ok(fields)
-                }
-                Err(e) => fail(e.to_string()),
-            },
-        ),
-        "stats" => ("stats", handle_stats(service)),
-        "shutdown" => {
-            service.request_shutdown();
-            let mut h = ok(vec![("bye", Json::Bool(true))]);
-            h.shutdown = true;
-            ("shutdown", h)
-        }
-        other => ("unknown", fail(format!("unknown op {other:?}"))),
+    match OP_TABLE.binary_search_by(|row| row.0.cmp(op)) {
+        Ok(row) => (OP_TABLE[row].0, OP_TABLE[row].1(service, req)),
+        Err(_) => (UNKNOWN, Err(format!("unknown op {op:?}"))),
     }
 }
 
-fn handle_ingest(service: &ValidationService, req: Json) -> Reply {
-    let Some(Json::Arr(cols)) = take_field(req, "columns") else {
-        return fail("missing array field \"columns\"");
+fn ok(members: Members) -> Outcome {
+    Ok((members, LineOutcome::default()))
+}
+
+/// The success shape, of a reply or of one `validate_batch` result.
+fn ok_json(mut members: Members) -> Json<'static> {
+    members.push(("ok", Json::Bool(true)));
+    Json::obj(members)
+}
+
+/// The failure shape, of a reply or of one `validate_batch` result;
+/// `overloaded` adds the marker by which clients tell "retry later" apart
+/// from "your request was wrong".
+fn error_json(message: String, overloaded: bool) -> Json<'static> {
+    let mut members = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
+    if overloaded {
+        members.push(("overloaded", Json::Bool(true)));
+    }
+    Json::obj(members)
+}
+
+/// Render a bare protocol-error line into a caller-owned buffer. Serve
+/// loops use this for transport-level failures (oversized or undecodable
+/// request frames) that never reach [`handle_line_into`], so those
+/// responses share the exact `{"ok":false,"error":…}` shape of every
+/// other failure.
+pub(crate) fn render_error_into(message: &str, out: &mut String) {
+    error_json(message.to_string(), false).dump_into(out);
+}
+
+/// Render an overload-shed error line. The serve loop sends it when
+/// admission control rejects a connection, when a pipeline overflows its
+/// cap, or when the run queue is full:
+///
+/// ```text
+/// {"ok":false,"error":"service at max_connections (2); connection rejected","overloaded":true}
+/// ```
+pub(crate) fn render_overloaded_into(message: &str, out: &mut String) {
+    error_json(message.to_string(), true).dump_into(out);
+}
+
+/// A required string member of a request, or of one item of it.
+fn text<'a>(v: &'a Json, field: &str) -> Result<&'a str, String> {
+    v.get(field)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("missing string field {field:?}"))
+}
+
+/// A required array member.
+fn array<'a, 'j>(v: &'a Json<'j>, field: &str) -> Result<&'a [Json<'j>], String> {
+    v.get(field)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing array field {field:?}"))
+}
+
+/// Borrow a `&str` array straight out of the parsed request. An
+/// escape-free value there is itself a slice of the request frame
+/// ([`Json`] borrows from the text it was parsed from), so validation
+/// paths hand the engine the connection's own buffer and never copy a
+/// value.
+fn str_array<'a>(v: &'a Json, field: &str) -> Result<Vec<&'a str>, String> {
+    array(v, field)?
+        .iter()
+        .map(|item| {
+            item.as_str()
+                .ok_or_else(|| format!("{field:?} must contain only strings"))
+        })
+        .collect()
+}
+
+/// Move a required array member out of a request object.
+fn take_array<'a>(v: Json<'a>, field: &str) -> Result<Vec<Json<'a>>, String> {
+    if let Json::Obj(mut members) = v {
+        if let Some(Json::Arr(items)) = members.remove(field) {
+            return Ok(items);
+        }
+    }
+    Err(format!("missing array field {field:?}"))
+}
+
+/// Owned variant for ingestion, where columns must outlive the request.
+/// Consumes the parsed array, so each value is copied out of the frame
+/// once (one that had an escape was decoded into its own `String` already
+/// and is moved).
+fn string_array(v: Json, field: &str) -> Result<Vec<String>, String> {
+    take_array(v, field)?
+        .into_iter()
+        .map(|item| match item {
+            Json::Str(s) => Ok(s.into_owned()),
+            _ => Err(format!("{field:?} must contain only strings")),
+        })
+        .collect()
+}
+
+/// An optional integer member no smaller than `min`.
+fn at_least(v: &Json, field: &str, min: usize) -> Result<Option<u64>, String> {
+    match v.get(field).map(Json::as_usize) {
+        None => Ok(None),
+        Some(Some(n)) if n >= min => Ok(Some(n as u64)),
+        Some(_) => Err(format!("{field:?} must be an integer >= {min}")),
+    }
+}
+
+fn parse_variant(v: &Json) -> Result<Option<Variant>, String> {
+    match v.get("variant").and_then(Json::as_str) {
+        None => Ok(None),
+        Some("auto") => Ok(None),
+        Some("fmdv") => Ok(Some(Variant::Fmdv)),
+        Some("v") | Some("fmdv-v") => Ok(Some(Variant::FmdvV)),
+        Some("h") | Some("fmdv-h") => Ok(Some(Variant::FmdvH)),
+        Some("vh") | Some("fmdv-vh") => Ok(Some(Variant::FmdvVH)),
+        Some("cmdv") => Ok(Some(Variant::Cmdv)),
+        Some(other) => Err(format!("unknown variant {other:?}")),
+    }
+}
+
+fn report_members(r: &ValidationReport) -> Members {
+    vec![
+        ("checked", Json::Num(r.checked as f64)),
+        ("nonconforming", Json::Num(r.nonconforming as f64)),
+        ("nonconforming_frac", Json::Num(r.nonconforming_frac)),
+        ("p_value", Json::Num(r.p_value)),
+        ("flagged", Json::Bool(r.flagged)),
+    ]
+}
+
+/// What `infer`, `rule` and `catalog` all say of a catalog entry; `rule`
+/// and `catalog` add when it was created, `infer` and `rule` its wire form.
+fn entry_members(e: &CatalogEntry) -> Members {
+    let kind = match e.rule {
+        AnyRule::Pattern(_) => "pattern",
+        AnyRule::Numeric(_) => "numeric",
+        AnyRule::Dictionary(_) => "dictionary",
     };
+    vec![
+        ("rule", Json::str(e.name.clone())),
+        ("kind", Json::str(kind)),
+        ("variant", Json::str(e.variant.clone())),
+        ("describe", Json::str(e.rule.describe())),
+    ]
+}
+
+fn created_unix(e: &CatalogEntry) -> (&'static str, Json<'static>) {
+    ("created_unix", Json::Num(e.created_unix as f64))
+}
+
+fn wire(e: &CatalogEntry) -> (&'static str, Json<'static>) {
+    ("wire", Json::str(e.rule.to_wire()))
+}
+
+/// Where and why a value failed a rule: what an `explain` reply and a
+/// `metrics` exemplar both say.
+fn failure_members(e: Explanation, members: &mut Members) {
+    members.push(("reason", Json::str(e.reason)));
+    if let Some(at) = e.failed_at {
+        members.push(("failed_at", Json::Num(at as f64)));
+    }
+    if let Some((start, end)) = e.span {
+        members.push((
+            "span",
+            Json::Arr(vec![Json::Num(start as f64), Json::Num(end as f64)]),
+        ));
+    }
+    if let Some(expected) = e.expected {
+        members.push(("expected", Json::str(expected)));
+    }
+    if let Some(prefix) = e.matched_prefix {
+        members.push(("matched_prefix", Json::str(prefix)));
+    }
+}
+
+/// Finish a `persist` / `stats` / `metrics` reply: in durable mode it
+/// carries the [`crate::DurabilitySnapshot`] as its `durability` member.
+fn with_durability(service: &ValidationService, mut members: Members) -> Outcome {
+    if let Some(d) = service.durability() {
+        let durability = Json::obj([
+            (
+                "checkpoint_generation",
+                Json::Num(d.checkpoint_generation as f64),
+            ),
+            ("wal_segments", Json::Num(d.wal_segments as f64)),
+            ("wal_bytes", Json::Num(d.wal_bytes as f64)),
+            (
+                "records_since_checkpoint",
+                Json::Num(d.records_since_checkpoint as f64),
+            ),
+            ("replayed_records", Json::Num(d.replayed_records as f64)),
+            (
+                "truncated_tail_bytes",
+                Json::Num(d.truncated_tail_bytes as f64),
+            ),
+            ("quarantined_files", Json::Num(d.quarantined_files as f64)),
+            ("skipped_records", Json::Num(d.skipped_records as f64)),
+            (
+                "checkpoints_completed",
+                Json::Num(d.checkpoints_completed as f64),
+            ),
+            (
+                "checkpoint_failures",
+                Json::Num(d.checkpoint_failures as f64),
+            ),
+        ]);
+        members.push(("durability", durability));
+    }
+    ok(members)
+}
+
+fn ping(_: &ValidationService, _: Json) -> Outcome {
+    ok(vec![("pong", Json::Bool(true))])
+}
+
+fn ingest(service: &ValidationService, req: Json) -> Outcome {
+    let cols = take_array(req, "columns")?;
     let mut columns = Vec::with_capacity(cols.len());
     for (i, c) in cols.into_iter().enumerate() {
-        let name = c
-            .get("name")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("ingest-{i}"));
-        match string_array(c, "values") {
-            Ok(values) => columns.push(crate::engine::owned_column(&name, values)),
-            Err(e) => return fail(format!("column {i}: {e}")),
-        }
+        let name = match c.get("name").and_then(Json::as_str) {
+            Some(name) => name.to_string(),
+            None => format!("ingest-{i}"),
+        };
+        let values = string_array(c, "values").map_err(|e| format!("column {i}: {e}"))?;
+        columns.push(owned_column(&name, values));
     }
-    match service.ingest(&columns) {
-        Ok(r) => ok(vec![
-            ("columns_added", Json::Num(r.columns_added as f64)),
-            ("delta_patterns", Json::Num(r.delta_patterns as f64)),
-            ("touched_shards", Json::Num(r.touched_shards as f64)),
-            ("total_columns", Json::Num(r.total_columns as f64)),
-            ("total_patterns", Json::Num(r.total_patterns as f64)),
-        ]),
-        Err(e) => fail(e.to_string()),
-    }
+    let r = service.ingest(&columns)?;
+    ok(vec![
+        ("columns_added", Json::Num(r.columns_added as f64)),
+        ("delta_patterns", Json::Num(r.delta_patterns as f64)),
+        ("touched_shards", Json::Num(r.touched_shards as f64)),
+        ("total_columns", Json::Num(r.total_columns as f64)),
+        ("total_patterns", Json::Num(r.total_patterns as f64)),
+    ])
 }
 
-fn handle_infer(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("rule").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"rule\""),
-    };
-    let values = match str_array(req, "values") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let variant = match parse_variant(req) {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    match service.infer_rule(name, &values, variant) {
-        Ok(entry) => ok(vec![
-            ("rule", Json::str(entry.name)),
-            ("kind", Json::str(rule_kind(&entry.rule))),
-            ("variant", Json::str(entry.variant)),
-            ("describe", Json::str(entry.rule.describe())),
-            ("wire", Json::str(entry.rule.to_wire())),
-        ]),
-        Err(e) => fail(e.to_string()),
-    }
+fn infer(service: &ValidationService, req: Json) -> Outcome {
+    let (name, values) = (text(&req, "rule")?, str_array(&req, "values")?);
+    let entry = service.infer_rule(name, &values, parse_variant(&req)?)?;
+    let mut members = entry_members(&entry);
+    members.push(wire(&entry));
+    ok(members)
 }
 
-fn handle_validate(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("rule").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"rule\""),
-    };
-    let values = match str_array(req, "values") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    match service.validate(name, &values) {
-        Ok(report) => ok(report_json(&report)),
-        Err(e) => fail(e.to_string()),
-    }
+fn validate(service: &ValidationService, req: Json) -> Outcome {
+    let (name, values) = (text(&req, "rule")?, str_array(&req, "values")?);
+    ok(report_members(&service.validate(name, &values)?))
 }
 
-fn handle_infer_baseline(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("rule").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"rule\""),
-    };
-    let method = match req.get("method").and_then(Json::as_str) {
-        Some(m) => m,
-        None => return fail("missing string field \"method\""),
-    };
-    let values = match str_array(req, "values") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    match service.infer_baseline(name, method, &values) {
-        Ok(describe) => ok(vec![
-            ("rule", Json::str(name.to_string())),
-            ("method", Json::str(method.to_string())),
-            ("describe", Json::str(describe)),
-        ]),
-        Err(e) => fail(e.to_string()),
-    }
+fn infer_baseline(service: &ValidationService, req: Json) -> Outcome {
+    let (name, method) = (text(&req, "rule")?, text(&req, "method")?);
+    let describe = service.infer_baseline(name, method, &str_array(&req, "values")?)?;
+    ok(vec![
+        ("rule", Json::str(name.to_string())),
+        ("method", Json::str(method.to_string())),
+        ("describe", Json::str(describe)),
+    ])
 }
 
-fn handle_compare(service: &ValidationService, req: &Json) -> Reply {
-    let left = match req.get("a").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"a\""),
-    };
-    let right = match req.get("b").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"b\""),
-    };
-    let values = match str_array(req, "values") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    match service.compare(left, right, &values) {
-        Ok((ra, rb)) => ok(vec![
-            ("a", Json::obj(report_json(&ra))),
-            ("b", Json::obj(report_json(&rb))),
-            ("agree", Json::Bool(ra.flagged == rb.flagged)),
-        ]),
-        Err(e) => fail(e.to_string()),
-    }
+fn compare(service: &ValidationService, req: Json) -> Outcome {
+    let (left, right) = (text(&req, "a")?, text(&req, "b")?);
+    let (ra, rb) = service.compare(left, right, &str_array(&req, "values")?)?;
+    ok(vec![
+        ("a", Json::obj(report_members(&ra))),
+        ("b", Json::obj(report_members(&rb))),
+        ("agree", Json::Bool(ra.flagged == rb.flagged)),
+    ])
 }
 
-fn handle_validate_batch(service: &ValidationService, req: &Json) -> Reply {
-    let raw = match req.get("items").and_then(Json::as_arr) {
-        Some(items) => items,
-        None => return fail("missing array field \"items\""),
-    };
+fn validate_batch(service: &ValidationService, req: Json) -> Outcome {
+    let raw = array(&req, "items")?;
     let mut items = Vec::with_capacity(raw.len());
     for (i, item) in raw.iter().enumerate() {
-        let rule = match item.get("rule").and_then(Json::as_str) {
-            Some(r) => r,
-            None => return fail(format!("item {i}: missing string field \"rule\"")),
-        };
-        match str_array(item, "values") {
-            Ok(values) => items.push(BatchItem { rule, values }),
-            Err(e) => return fail(format!("item {i}: {e}")),
-        }
+        let in_item = |e| format!("item {i}: {e}");
+        let rule = text(item, "rule").map_err(in_item)?;
+        let values = str_array(item, "values").map_err(in_item)?;
+        items.push(BatchItem { rule, values });
     }
-    let results: Vec<Json> = service
+    let results = service
         .validate_batch(&items)
         .into_iter()
         .map(|r| match r {
-            Ok(report) => {
-                let mut fields = vec![("ok", Json::Bool(true))];
-                fields.extend(report_json(&report));
-                Json::obj(fields)
-            }
-            Err(e) => Json::obj([
-                ("ok", Json::Bool(false)),
-                ("error", Json::str(e.to_string())),
-            ]),
+            Ok(report) => ok_json(report_members(&report)),
+            Err(e) => error_json(e.to_string(), false),
         })
         .collect();
     ok(vec![("results", Json::Arr(results))])
 }
 
-fn handle_catalog(service: &ValidationService) -> Reply {
+fn catalog(service: &ValidationService, _: Json) -> Outcome {
     let rules: Vec<Json> = service
         .catalog_entries()
-        .into_iter()
+        .iter()
         .map(|e| {
-            Json::obj([
-                ("rule", Json::str(e.name)),
-                ("kind", Json::str(rule_kind(&e.rule))),
-                ("variant", Json::str(e.variant)),
-                ("created_unix", Json::Num(e.created_unix as f64)),
-                ("describe", Json::str(e.rule.describe())),
-            ])
+            let mut members = entry_members(e);
+            members.push(created_unix(e));
+            Json::obj(members)
         })
         .collect();
-    let baselines: Vec<Json> = service
+    let baselines = service
         .baseline_rules()
         .into_iter()
         .map(|(name, describe)| {
@@ -547,54 +597,34 @@ fn handle_catalog(service: &ValidationService) -> Reply {
     ])
 }
 
-fn handle_rule(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("name").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"name\""),
-    };
-    match service.rule(name) {
-        Ok(e) => ok(vec![
-            ("rule", Json::str(e.name)),
-            ("kind", Json::str(rule_kind(&e.rule))),
-            ("variant", Json::str(e.variant)),
-            ("created_unix", Json::Num(e.created_unix as f64)),
-            ("describe", Json::str(e.rule.describe())),
-            ("wire", Json::str(e.rule.to_wire())),
-        ]),
-        Err(e) => fail(e.to_string()),
-    }
+fn rule(service: &ValidationService, req: Json) -> Outcome {
+    let entry = service.rule(text(&req, "name")?)?;
+    let mut members = entry_members(&entry);
+    members.extend([created_unix(&entry), wire(&entry)]);
+    ok(members)
 }
 
-fn handle_delete(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("name").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"name\""),
-    };
-    match service.delete_rule(name) {
-        Ok(()) => ok(vec![("deleted", Json::str(name.to_string()))]),
-        Err(e) => fail(e.to_string()),
-    }
+fn delete_rule(service: &ValidationService, req: Json) -> Outcome {
+    let name = text(&req, "name")?;
+    service.delete_rule(name)?;
+    ok(vec![("deleted", Json::str(name.to_string()))])
 }
 
-fn handle_classify(service: &ValidationService, req: &Json) -> Reply {
+fn classify(service: &ValidationService, req: Json) -> Outcome {
     // A batch of "values", or a single "value" for interactive probing.
-    let values: Vec<&str> = if req.get("values").is_some() {
-        match str_array(req, "values") {
-            Ok(v) => v,
-            Err(e) => return fail(e),
-        }
-    } else {
-        match req.get("value").and_then(Json::as_str) {
-            Some(v) => vec![v],
-            None => return fail("missing array field \"values\" (or string field \"value\")"),
-        }
+    let values = match req.get("values") {
+        Some(_) => str_array(&req, "values")?,
+        None => match req.get("value").and_then(Json::as_str) {
+            Some(value) => vec![value],
+            None => return Err("missing array field \"values\" (or string field \"value\")".into()),
+        },
     };
     let results: Vec<Json> = service
         .classify_batch(&values)
         .into_iter()
         .zip(&values)
         .map(|(outcome, value)| {
-            let mut fields = vec![
+            let mut members = vec![
                 ("value", Json::str(value.to_string())),
                 (
                     "rules",
@@ -602,9 +632,9 @@ fn handle_classify(service: &ValidationService, req: &Json) -> Reply {
                 ),
             ];
             if let Some(best) = outcome.best {
-                fields.push(("best", Json::str(best)));
+                members.push(("best", Json::str(best)));
             }
-            Json::obj(fields)
+            Json::obj(members)
         })
         .collect();
     ok(vec![
@@ -616,61 +646,31 @@ fn handle_classify(service: &ValidationService, req: &Json) -> Reply {
     ])
 }
 
-fn explanation_fields(e: Explanation, fields: &mut Vec<(&'static str, Json<'static>)>) {
-    fields.push(("reason", Json::str(e.reason)));
-    if let Some(at) = e.failed_at {
-        fields.push(("failed_at", Json::Num(at as f64)));
+fn explain(service: &ValidationService, req: Json) -> Outcome {
+    let (name, value) = (text(&req, "rule")?, text(&req, "value")?);
+    let outcome = service.explain(name, value)?;
+    let mut members = vec![
+        ("rule", Json::str(name.to_string())),
+        ("value", Json::str(value.to_string())),
+        ("conforms", Json::Bool(outcome.conforms)),
+        ("describe", Json::str(outcome.describe)),
+    ];
+    if let Some(e) = outcome.explanation {
+        failure_members(e, &mut members);
     }
-    if let Some((start, end)) = e.span {
-        fields.push((
-            "span",
-            Json::Arr(vec![Json::Num(start as f64), Json::Num(end as f64)]),
+    if let Some((rule, distance)) = outcome.suggestion {
+        members.push((
+            "suggestion",
+            Json::obj([
+                ("rule", Json::str(rule)),
+                ("distance", Json::Num(distance as f64)),
+            ]),
         ));
     }
-    if let Some(expected) = e.expected {
-        fields.push(("expected", Json::str(expected)));
-    }
-    if let Some(prefix) = e.matched_prefix {
-        fields.push(("matched_prefix", Json::str(prefix)));
-    }
+    ok(members)
 }
 
-fn handle_explain(service: &ValidationService, req: &Json) -> Reply {
-    let name = match req.get("rule").and_then(Json::as_str) {
-        Some(n) => n,
-        None => return fail("missing string field \"rule\""),
-    };
-    let value = match req.get("value").and_then(Json::as_str) {
-        Some(v) => v,
-        None => return fail("missing string field \"value\""),
-    };
-    match service.explain(name, value) {
-        Ok(outcome) => {
-            let mut fields = vec![
-                ("rule", Json::str(name.to_string())),
-                ("value", Json::str(value.to_string())),
-                ("conforms", Json::Bool(outcome.conforms)),
-                ("describe", Json::str(outcome.describe)),
-            ];
-            if let Some(e) = outcome.explanation {
-                explanation_fields(e, &mut fields);
-            }
-            if let Some((rule, distance)) = outcome.suggestion {
-                fields.push((
-                    "suggestion",
-                    Json::obj([
-                        ("rule", Json::str(rule)),
-                        ("distance", Json::Num(distance as f64)),
-                    ]),
-                ));
-            }
-            ok(fields)
-        }
-        Err(e) => fail(e.to_string()),
-    }
-}
-
-fn window_json(w: &crate::telemetry::WindowSnapshot) -> Json<'static> {
+fn window_json(w: &WindowSnapshot) -> Json<'static> {
     Json::obj([
         ("validations", Json::Num(w.validations as f64)),
         ("flagged", Json::Num(w.flagged as f64)),
@@ -680,7 +680,20 @@ fn window_json(w: &crate::telemetry::WindowSnapshot) -> Json<'static> {
     ])
 }
 
-fn handle_metrics(service: &ValidationService) -> Reply {
+fn exemplar_json(x: FailureExemplar) -> Json<'static> {
+    let mut members = vec![("value", Json::str(x.value))];
+    let failure = Explanation {
+        reason: x.reason,
+        failed_at: x.failed_at,
+        span: x.span,
+        expected: x.expected,
+        matched_prefix: None,
+    };
+    failure_members(failure, &mut members);
+    Json::obj(members)
+}
+
+fn metrics(service: &ValidationService, _: Json) -> Outcome {
     // Snapshot everything first; serialization (and the serve loop's
     // socket write) then runs with no service lock held.
     let telemetry = service.telemetry();
@@ -688,29 +701,7 @@ fn handle_metrics(service: &ValidationService) -> Reply {
         .rule_snapshots()
         .into_iter()
         .map(|r| {
-            let exemplars: Vec<Json> = r
-                .exemplars
-                .into_iter()
-                .map(|x| {
-                    let mut fields = vec![
-                        ("value", Json::str(x.value)),
-                        ("reason", Json::str(x.reason)),
-                    ];
-                    if let Some(at) = x.failed_at {
-                        fields.push(("failed_at", Json::Num(at as f64)));
-                    }
-                    if let Some((start, end)) = x.span {
-                        fields.push((
-                            "span",
-                            Json::Arr(vec![Json::Num(start as f64), Json::Num(end as f64)]),
-                        ));
-                    }
-                    if let Some(expected) = x.expected {
-                        fields.push(("expected", Json::str(expected)));
-                    }
-                    Json::obj(fields)
-                })
-                .collect();
+            let exemplars: Vec<Json> = r.exemplars.into_iter().map(exemplar_json).collect();
             Json::obj([
                 ("rule", Json::str(r.rule)),
                 ("validations", Json::Num(r.validations as f64)),
@@ -761,7 +752,7 @@ fn handle_metrics(service: &ValidationService) -> Reply {
             ("stalls_shed", Json::Num(s.stalls_shed as f64)),
         ])
     };
-    let mut fields = vec![
+    let members = vec![
         ("rules", Json::Arr(rules)),
         ("ops", Json::Arr(ops)),
         (
@@ -771,80 +762,36 @@ fn handle_metrics(service: &ValidationService) -> Reply {
         ("window_millis", Json::Num(telemetry.window_millis() as f64)),
         ("overload", overload),
     ];
-    if let Some(d) = service.durability() {
-        fields.push(("durability", durability_json(&d)));
-    }
-    ok(fields)
+    with_durability(service, members)
 }
 
-/// Serialize a [`crate::DurabilitySnapshot`] for `persist` / `stats` /
-/// `metrics` responses.
-fn durability_json(d: &crate::DurabilitySnapshot) -> Json<'static> {
-    Json::obj([
-        (
-            "checkpoint_generation",
-            Json::Num(d.checkpoint_generation as f64),
-        ),
-        ("wal_segments", Json::Num(d.wal_segments as f64)),
-        ("wal_bytes", Json::Num(d.wal_bytes as f64)),
-        (
-            "records_since_checkpoint",
-            Json::Num(d.records_since_checkpoint as f64),
-        ),
-        ("replayed_records", Json::Num(d.replayed_records as f64)),
-        (
-            "truncated_tail_bytes",
-            Json::Num(d.truncated_tail_bytes as f64),
-        ),
-        ("quarantined_files", Json::Num(d.quarantined_files as f64)),
-        ("skipped_records", Json::Num(d.skipped_records as f64)),
-        (
-            "checkpoints_completed",
-            Json::Num(d.checkpoints_completed as f64),
-        ),
-        (
-            "checkpoint_failures",
-            Json::Num(d.checkpoint_failures as f64),
-        ),
-    ])
-}
-
-fn handle_watch(req: &Json) -> Reply {
-    let interval_ms = match req.get("interval_ms") {
-        None => 1_000,
-        Some(v) => match v.as_usize() {
-            Some(ms) if ms >= 10 => ms as u64,
-            _ => return fail("\"interval_ms\" must be an integer >= 10"),
-        },
-    };
-    let frames = match req.get("frames") {
-        None => None,
-        Some(v) => match v.as_usize() {
-            Some(n) if n >= 1 => Some(n as u64),
-            _ => return fail("\"frames\" must be an integer >= 1"),
-        },
-    };
+fn watch(_: &ValidationService, req: Json) -> Outcome {
+    let interval_ms = at_least(&req, "interval_ms", 10)?.unwrap_or(1_000);
+    let frames = at_least(&req, "frames", 1)?;
     let rules = match req.get("rules") {
         None => None,
-        Some(_) => match str_array(req, "rules") {
-            Ok(names) => Some(names.into_iter().map(str::to_string).collect()),
-            Err(e) => return fail(e),
-        },
+        Some(_) => {
+            let names = str_array(&req, "rules")?;
+            Some(names.into_iter().map(str::to_string).collect())
+        }
     };
-    let mut fields = vec![
+    let mut members = vec![
         ("watching", Json::Bool(true)),
         ("interval_ms", Json::Num(interval_ms as f64)),
     ];
     if let Some(n) = frames {
-        fields.push(("frames", Json::Num(n as f64)));
+        members.push(("frames", Json::Num(n as f64)));
     }
-    let mut reply = ok(fields);
-    reply.watch = Some(WatchParams {
+    let watch = WatchParams {
         interval: Duration::from_millis(interval_ms),
         frames,
         rules,
-    });
-    reply
+    };
+    let next = LineOutcome {
+        watch: Some(watch),
+        ..LineOutcome::default()
+    };
+    Ok((members, next))
 }
 
 /// Render one `watch` telemetry frame into `out` (cleared first). The
@@ -894,7 +841,12 @@ pub(crate) fn render_watch_frame(
     .dump_into(out);
 }
 
-fn handle_stats(service: &ValidationService) -> Reply {
+fn persist(service: &ValidationService, _: Json) -> Outcome {
+    service.persist()?;
+    with_durability(service, vec![("persisted", Json::Bool(true))])
+}
+
+fn stats(service: &ValidationService, _: Json) -> Outcome {
     let s = service.stats();
     let index = service.snapshot();
     let ops = Json::Obj(
@@ -913,7 +865,7 @@ fn handle_stats(service: &ValidationService) -> Reply {
             })
             .collect(),
     );
-    let mut fields = vec![
+    let members = vec![
         ("columns_ingested", Json::Num(s.columns_ingested as f64)),
         ("ingest_batches", Json::Num(s.ingest_batches as f64)),
         (
@@ -951,10 +903,16 @@ fn handle_stats(service: &ValidationService) -> Reply {
             Json::Num(service.classifier_generation() as f64),
         ),
     ];
-    if let Some(d) = service.durability() {
-        fields.push(("durability", durability_json(&d)));
-    }
-    ok(fields)
+    with_durability(service, members)
+}
+
+fn shutdown(service: &ValidationService, _: Json) -> Outcome {
+    service.request_shutdown();
+    let next = LineOutcome {
+        shutdown: true,
+        ..LineOutcome::default()
+    };
+    Ok((vec![("bye", Json::Bool(true))], next))
 }
 
 /// Did a response line report success? (Convenience for clients/tests.)

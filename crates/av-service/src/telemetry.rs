@@ -24,6 +24,7 @@
 //! after, so no service lock is ever held while a response is written to a
 //! possibly-stalled client.
 
+use crate::protocol::OP_TABLE;
 use av_core::{Explanation, Validator};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,34 +43,43 @@ pub const LATENCY_BUCKETS: usize = 24;
 /// Most recent failure exemplars retained per rule.
 pub const EXEMPLAR_CAPACITY: usize = 8;
 
-/// The protocol's closed op set — the 17 ops plus `invalid` (the request
-/// never resolved to an op) and `unknown` (it named one that does not
-/// exist) — sorted by name: [`ServiceTelemetry::record_op`] binary-searches
-/// it, and [`ServiceTelemetry::op_snapshots`] reports in this order.
-pub(crate) const OPS: [&str; 19] = [
-    "catalog",
-    "classify",
-    "compare",
-    "delete_rule",
-    "explain",
-    "infer",
-    "infer_baseline",
-    "ingest",
-    "invalid",
-    "metrics",
-    "persist",
-    "ping",
-    "rule",
-    "shutdown",
-    "stats",
-    "unknown",
-    "validate",
-    "validate_batch",
-    "watch",
-];
+/// What a frame that is not JSON, or names no op, is counted as.
+pub(crate) const INVALID: &str = "invalid";
+/// What a frame naming an op with no row in the op table is counted as.
+pub(crate) const UNKNOWN: &str = "unknown";
 
-/// Index of `"unknown"` in [`OPS`]: where a name outside the set counts.
-const UNKNOWN_OP: usize = 15;
+/// Every name a frame can be counted under, sorted: the rows of the
+/// dispatcher's op table and its two non-rows, `invalid` and `unknown`,
+/// merged at compile time — so the table is the only list of the ops.
+/// [`ServiceTelemetry::record_op`] binary-searches these names and
+/// [`ServiceTelemetry::op_snapshots`] reports in this order.
+pub const OPS: [&str; OP_TABLE.len() + 2] = {
+    let non_rows = [INVALID, UNKNOWN];
+    let mut names = [""; OP_TABLE.len() + 2];
+    let (mut row, mut non_row) = (0, 0);
+    while row + non_row < names.len() {
+        if row == OP_TABLE.len()
+            || non_row < non_rows.len() && sorts_before(non_rows[non_row], OP_TABLE[row].0)
+        {
+            names[row + non_row] = non_rows[non_row];
+            non_row += 1;
+        } else {
+            names[row + non_row] = OP_TABLE[row].0;
+            row += 1;
+        }
+    }
+    names
+};
+
+/// `a < b`, for [`OPS`]' compile-time merge (`str`'s `Ord` is not `const`).
+const fn sorts_before(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i < b.len() && (i == a.len() || a[i] < b[i])
+}
 
 /// Telemetry knobs, embedded in `ServiceConfig`.
 #[derive(Debug, Clone)]
@@ -488,10 +498,13 @@ impl ServiceTelemetry {
             .remove(name);
     }
 
-    /// Record one protocol op dispatch. A name outside the protocol's op
-    /// set counts as `unknown`.
+    /// Record one protocol op dispatch. A name outside [`OPS`] counts as
+    /// `unknown`.
     pub fn record_op(&self, op: &str, elapsed: Duration, ok: bool) {
-        let slot = &self.ops[OPS.binary_search(&op).unwrap_or(UNKNOWN_OP)];
+        let slot = OPS
+            .binary_search(&op)
+            .or_else(|_| OPS.binary_search(&UNKNOWN));
+        let slot = &self.ops[slot.expect("`unknown` is a slot")];
         slot.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             slot.errors.fetch_add(1, Ordering::Relaxed);

@@ -4,12 +4,17 @@
 //! This is the referee for request-path and matcher refactors: any change
 //! to a response byte — field order, float formatting, an explanation's
 //! span, an error message — fails here and must be blessed on purpose
-//! (`AV_BLESS=1 cargo test --test golden_session`). Timing-bearing ops
-//! (`metrics`, `stats`, `watch`) stay out; the rule clock is pinned.
+//! (`AV_BLESS=1 cargo test --test golden_session`). The rule clock and the
+//! telemetry window are pinned; `metrics` has its timing members masked,
+//! and `watch` is pinned up to its acknowledgement (streaming frames is the
+//! serve loops' job). An op is one row, one handler, one golden frame: the
+//! session ends on a `stats` whose `ops` must name every slot of
+//! [`av_service::telemetry::OPS`], so a new op without a frame here fails.
 
 use av_corpus::{generate_lake, LakeProfile};
 use av_service::json::Json;
-use av_service::{handle_line, ServiceConfig, ValidationService};
+use av_service::telemetry::OPS;
+use av_service::{handle_line, ServiceConfig, TelemetryConfig, ValidationService};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = concat!(
@@ -207,15 +212,53 @@ fn script() -> Vec<String> {
         lines.push(bad.to_string());
     }
     lines.push(r#"{"op":"shutdown"}"#.into());
+
+    // The observability ops (a handled `shutdown` only sets a flag the serve
+    // loops read, so the session goes on): the `watch` acknowledgement and
+    // its three parameter errors, `stats` twice — a reply is built before
+    // its own frame is counted, so the last one names every op —, `metrics`.
+    lines.push(r#"{"op":"watch","interval_ms":50,"frames":3,"rules":["dates"]}"#.into());
+    lines.push(r#"{"op":"watch"}"#.into());
+    lines.push(r#"{"op":"watch","interval_ms":1}"#.into());
+    lines.push(r#"{"op":"watch","frames":0}"#.into());
+    lines.push(r#"{"op":"watch","rules":[1]}"#.into());
+    lines.push(r#"{"op":"stats"}"#.into());
+    lines.push(r#"{"op":"metrics"}"#.into());
+    lines.push(r#"{"op":"stats"}"#.into());
     lines
 }
 
+/// Replace every timing-bearing member of a `metrics` reply (`latency_*`,
+/// `mean_micros`) with `"*"`: the field set and the order of `ops` stay
+/// pinned, the microseconds do not.
+fn mask_timings(v: &mut Json) {
+    match v {
+        Json::Obj(members) => {
+            for (key, member) in members.iter_mut() {
+                if key.starts_with("latency_") || key == "mean_micros" {
+                    *member = Json::str("*");
+                } else {
+                    mask_timings(member);
+                }
+            }
+        }
+        Json::Arr(items) => items.iter_mut().for_each(mask_timings),
+        _ => {}
+    }
+}
+
 fn transcript() -> String {
+    // An hour-wide telemetry bucket: no window count can age out mid-run.
     let service = ValidationService::new(ServiceConfig {
         rule_clock_unix: Some(1_600_000_000),
+        telemetry: TelemetryConfig {
+            bucket_millis: 3_600_000,
+            ..TelemetryConfig::default()
+        },
         ..ServiceConfig::default()
     });
     let mut out = String::new();
+    let mut last = String::new();
     for line in script() {
         if line.len() <= REQUEST_ECHO_LIMIT {
             writeln!(out, "> {line}").unwrap();
@@ -229,9 +272,22 @@ fn transcript() -> String {
             )
             .unwrap();
         }
-        let handled = handle_line(&service, &line);
-        writeln!(out, "< {}", handled.response).unwrap();
+        last = handle_line(&service, &line).response;
+        if line == r#"{"op":"metrics"}"# {
+            let mut reply = av_service::json::parse(&last).unwrap();
+            mask_timings(&mut reply);
+            last = reply.dump();
+        }
+        writeln!(out, "< {last}").unwrap();
     }
+    // The closing `stats` names every op the dispatcher can count a frame
+    // under, so each has at least one golden frame above.
+    let stats = av_service::json::parse(&last).unwrap();
+    let Some(Json::Obj(ops)) = stats.get("ops") else {
+        panic!("the session must end on a stats reply, got {last}");
+    };
+    let counted: Vec<&str> = ops.keys().map(|name| name.as_ref()).collect();
+    assert_eq!(counted, OPS, "an op has no frame in the golden session");
     out
 }
 

@@ -113,19 +113,23 @@ fn threads_sharing_one_engine_match_sequential() {
     }
 }
 
-/// The built-in worker-pool batch API is also exactly sequential-equivalent.
+/// The built-in worker-pool batch API is also exactly sequential-equivalent
+/// — for a batch small enough that the calling thread validates it alone
+/// (1 200 values) and for one it calls helper threads for (20 000).
 #[test]
 fn worker_pool_batch_matches_sequential() {
     let service = service_with_rules();
-    let owned = workload(48);
-    let items = borrow(&owned);
-    let expected = run_sequential(&service, &items);
-    let batched: Vec<Result<ValidationReport, String>> = service
-        .validate_batch(&items)
-        .into_iter()
-        .map(|r| r.map_err(|e| e.to_string()))
-        .collect();
-    assert_eq!(batched, expected);
+    for n in [48, 800] {
+        let owned = workload(n);
+        let items = borrow(&owned);
+        let expected = run_sequential(&service, &items);
+        let batched: Vec<Result<ValidationReport, String>> = service
+            .validate_batch(&items)
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(batched, expected);
+    }
 }
 
 /// Validators keep producing consistent reports while another thread
