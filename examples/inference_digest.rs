@@ -13,16 +13,24 @@
 //! to enumeration, index lookup or the DP chose a different rule
 //! somewhere. Re-pin only when a rule is *meant* to change.
 //!
+//! A second digest pins the whole-column half of the variant family on
+//! the same 60 query columns, at full length: plain FMDV, FMDV-H, the
+//! CMDV ablation and the Auto-Tag dual at FNR budgets 0 and 0.05 — the
+//! four searches that differ only in the horizontal cut and the selection
+//! objective.
+//!
 //! ```text
 //! cargo run --release --example inference_digest
 //! ```
 
-use av_core::{AnyRule, AutoValidate, FmdvConfig, InferError, Variant};
+use av_core::{AnyRule, AutoValidate, FmdvConfig, InferError, TagRule, Variant};
 use av_corpus::{generate_lake, Benchmark, ColumnKind, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
 
 /// FNV-1a over every inference outcome, in sample order.
 const EXPECTED_DIGEST: u64 = 0xd70aa01607102243;
+/// FNV-1a over the whole-column variants' outcomes, in sample order.
+const EXPECTED_WHOLE_COLUMN_DIGEST: u64 = 0x919cd2fc88882d81;
 const QUERY_COLUMNS: usize = 60;
 
 fn fnv1a64(digest: u64, bytes: &[u8]) -> u64 {
@@ -34,31 +42,88 @@ fn fnv1a64(digest: u64, bytes: &[u8]) -> u64 {
     d
 }
 
-/// Fold one outcome: the wire string carries the pattern, θ and the
-/// printed statistics; a pattern rule's FPR bits and coverage are folded
-/// raw as well so a last-bit drift cannot hide behind float formatting.
-/// Returns the digest and the outcome's row in the printed tally.
-fn fold(digest: u64, tag: &str, outcome: &Result<AnyRule, InferError>) -> (u64, &'static str) {
-    let d = fnv1a64(digest, tag.as_bytes());
-    match outcome {
-        Ok(rule) => {
-            let d = fnv1a64(d, rule.to_wire().as_bytes());
-            match rule {
-                AnyRule::Pattern(r) => {
-                    let d = fnv1a64(d, &r.expected_fpr.to_bits().to_le_bytes());
-                    (fnv1a64(d, &r.coverage.to_le_bytes()), "pattern rule")
+/// One pinned digest under construction, with the tally printed next to it.
+struct Pinned {
+    digest: u64,
+    kinds: std::collections::BTreeMap<String, usize>,
+}
+
+impl Pinned {
+    fn new() -> Pinned {
+        Pinned {
+            digest: 0xcbf29ce484222325,
+            kinds: Default::default(),
+        }
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        self.digest = fnv1a64(self.digest, bytes);
+    }
+
+    /// Fold one outcome: the wire string carries the pattern, θ and the
+    /// printed statistics; a pattern rule's FPR bits and coverage are folded
+    /// raw as well so a last-bit drift cannot hide behind float formatting.
+    fn record(&mut self, tag: &str, outcome: Result<AnyRule, InferError>) {
+        self.fold(tag.as_bytes());
+        let kind = match &outcome {
+            Ok(rule) => {
+                self.fold(rule.to_wire().as_bytes());
+                match rule {
+                    AnyRule::Pattern(r) => {
+                        self.fold(&r.expected_fpr.to_bits().to_le_bytes());
+                        self.fold(&r.coverage.to_le_bytes());
+                        "pattern rule"
+                    }
+                    AnyRule::Numeric(_) => "numeric rule",
+                    AnyRule::Dictionary(_) => "dictionary rule",
                 }
-                AnyRule::Numeric(_) => (d, "numeric rule"),
-                AnyRule::Dictionary(_) => (d, "dictionary rule"),
             }
+            Err(e) => self.fold_error(e),
+        };
+        *self.kinds.entry(format!("{tag} {kind}")).or_default() += 1;
+    }
+
+    /// Fold one Auto-Tag outcome: the pattern, its reach and the observed
+    /// FNR to the bit.
+    fn record_tag(&mut self, tag: &str, outcome: Result<TagRule, InferError>) {
+        self.fold(tag.as_bytes());
+        let kind = match &outcome {
+            Ok(rule) => {
+                self.fold(rule.pattern().to_string().as_bytes());
+                self.fold(&rule.coverage.to_le_bytes());
+                self.fold(&rule.train_fnr.to_bits().to_le_bytes());
+                "tag rule"
+            }
+            Err(e) => self.fold_error(e),
+        };
+        *self.kinds.entry(format!("{tag} {kind}")).or_default() += 1;
+    }
+
+    fn fold_error(&mut self, e: &InferError) -> &'static str {
+        self.fold(format!("error: {e}").as_bytes());
+        match e {
+            InferError::NoFeasible => "no feasible cover",
+            _ => "no hypothesis",
         }
-        Err(e) => {
-            let kind = match e {
-                InferError::NoFeasible => "no feasible cover",
-                _ => "no hypothesis",
-            };
-            (fnv1a64(d, format!("error: {e}").as_bytes()), kind)
+    }
+
+    /// Print the tally and hold the digest to its pinned value.
+    fn check(&self, expected: u64, index: &PatternIndex, start: std::time::Instant) {
+        for (kind, count) in &self.kinds {
+            println!("{kind:>28}: {count}");
         }
+        println!(
+            "{} inferences over a {}-pattern index in {:.1?}, digest 0x{:016x}",
+            self.kinds.values().sum::<usize>(),
+            index.len(),
+            start.elapsed(),
+            self.digest,
+        );
+        assert_eq!(
+            self.digest, expected,
+            "an inferred rule drifted from the pinned run; if a rule changed \
+             on purpose, read the diff of this example's output and re-pin"
+        );
     }
 }
 
@@ -81,18 +146,12 @@ fn main() {
     let engine = AutoValidate::new(&index, cfg);
 
     let start = std::time::Instant::now();
-    let mut digest = 0xcbf29ce484222325u64;
-    let mut kinds: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    let mut record = |tag: &str, outcome: Result<AnyRule, InferError>| {
-        let (d, kind) = fold(digest, tag, &outcome);
-        digest = d;
-        *kinds.entry(format!("{tag} {kind}")).or_default() += 1;
-    };
+    let mut pinned = Pinned::new();
 
     let benchmark = Benchmark::sample(&corpus, QUERY_COLUMNS, 20, 1000, 7);
     assert_eq!(benchmark.len(), QUERY_COLUMNS);
     for case in &benchmark.cases {
-        record("auto:", engine.infer_auto(&case.train));
+        pinned.record("auto:", engine.infer_auto(&case.train));
     }
 
     // Composite columns at full length: wide enough (9–25 positions) that
@@ -107,23 +166,31 @@ fn main() {
             ("vh-tight:", &tight, Variant::FmdvVH),
         ] {
             let outcome = engine.infer(&col.values, variant);
-            record(tag, outcome.map(AnyRule::Pattern));
+            pinned.record(tag, outcome.map(AnyRule::Pattern));
         }
     }
+    pinned.check(EXPECTED_DIGEST, &index, start);
 
-    for (kind, count) in &kinds {
-        println!("{kind:>28}: {count}");
+    // The whole-column variants: one search, three objectives, and a
+    // horizontal cut at θ = 0 (FMDV, CMDV), `cfg.theta` (FMDV-H) or the
+    // FNR budget (Auto-Tag). On the query columns at full length (20–60
+    // values, where a dirty column's one or two ad-hoc specials fall
+    // inside a 5–10 % tolerance and the cut has something to discard).
+    let start = std::time::Instant::now();
+    let mut whole = Pinned::new();
+    for case in &benchmark.cases {
+        for (tag, variant) in [
+            ("fmdv:", Variant::Fmdv),
+            ("h:", Variant::FmdvH),
+            ("cmdv:", Variant::Cmdv),
+        ] {
+            let outcome = engine.infer(&case.column.values, variant);
+            whole.record(tag, outcome.map(AnyRule::Pattern));
+        }
+        for (tag, fnr_budget) in [("tag@0:", 0.0), ("tag@0.05:", 0.05)] {
+            whole.record_tag(tag, engine.infer_tag(&case.column.values, fnr_budget));
+        }
     }
-    println!(
-        "{} inferences over a {}-pattern index in {:.1?}, digest 0x{digest:016x}",
-        kinds.values().sum::<usize>(),
-        index.len(),
-        start.elapsed(),
-    );
-    assert_eq!(
-        digest, EXPECTED_DIGEST,
-        "an inferred rule drifted from the pinned run; if a rule changed \
-         on purpose, read the diff of this example's output and re-pin"
-    );
+    whole.check(EXPECTED_WHOLE_COLUMN_DIGEST, &index, start);
     println!("ok: every inferred rule is identical to the pinned run");
 }
