@@ -43,7 +43,6 @@ fn bench_infer(c: &mut Criterion) {
     let cols: Vec<&Column> = corpus.columns().collect();
     let index = PatternIndex::build(&cols, &IndexConfig::default());
     let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-    cfg.max_segment_tokens = index.tau;
     cfg.theta = 0.05;
     let engine = AutoValidate::new(&index, cfg);
 

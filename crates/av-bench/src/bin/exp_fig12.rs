@@ -94,9 +94,7 @@ fn main() {
         };
         let env_tau = prepare_with(&args, ic, None);
         for variant in VARIANTS {
-            let mut c = env_tau.fmdv.clone();
-            c.max_segment_tokens = tau;
-            let (p, rec) = eval_point(&env_tau, c, variant, &cfg);
+            let (p, rec) = eval_point(&env_tau, env_tau.fmdv.clone(), variant, &cfg);
             println!("  τ={tau:<3} {:<8} P={p:.3} R={rec:.3}", variant.label());
             rows.push(vec![
                 "tau".into(),

@@ -66,7 +66,7 @@ fn main() {
     }
     // No-index FMDV is orders of magnitude slower: measure on fewer columns.
     let columns = Arc::new(env.corpus.columns().cloned().collect::<Vec<_>>());
-    let no_index = NoIndexFmdv::new(columns, env.fmdv.clone());
+    let no_index = NoIndexFmdv::new(columns, env.fmdv.clone(), env.index.tau);
     let slow_sample: Vec<Vec<String>> = trains.iter().take(5).cloned().collect();
     results.push((
         no_index.name().to_string(),

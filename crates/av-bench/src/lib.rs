@@ -163,8 +163,7 @@ pub fn prepare_with(args: &ExpArgs, index_config: IndexConfig, cases: Option<usi
         value_cap,
         args.seed.wrapping_add(1),
     );
-    let mut fmdv = FmdvConfig::scaled_for_corpus(index.num_columns);
-    fmdv.max_segment_tokens = index.tau;
+    let fmdv = FmdvConfig::scaled_for_corpus(index.num_columns);
     Env {
         corpus,
         index,

@@ -315,11 +315,6 @@ impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
 /// covering the offline index (τ, threads), pattern generation (sampling and
 /// enumeration caps), and the FMDV optimization knobs (r, m, θ, α, test).
 ///
-/// The builder keeps the paired knobs coherent — [`AutoValidateBuilder::tau`]
-/// sets the indexing τ, the analyzer's token limit, *and* the vertical-cut
-/// segment cap together, which previously required editing three structs in
-/// lockstep.
-///
 /// ```no_run
 /// use av_core::{AutoValidateBuilder, Validator, Variant};
 ///
@@ -394,12 +389,12 @@ impl AutoValidateBuilder {
         self
     }
 
-    /// Token limit τ (§2.4), applied consistently to offline indexing —
-    /// `IndexConfig::tau`, the per-value limit the analyzer profiles the
-    /// corpus under — and the vertical-cut segment cap.
+    /// Token limit τ (§2.4) of offline indexing: `IndexConfig::tau`, the
+    /// per-value limit the analyzer profiles the corpus under. Inference
+    /// reads it back from the index — it is also the widest segment a
+    /// vertical cut may keep whole.
     pub fn tau(mut self, tau: usize) -> Self {
         self.index.tau = tau;
-        self.fmdv.max_segment_tokens = tau;
         self
     }
 
@@ -551,7 +546,6 @@ mod tests {
         assert_eq!(b.fmdv_config().r, 0.05);
         assert_eq!(b.fmdv_config().theta, 0.2);
         assert_eq!(b.fmdv_config().alpha, 0.001);
-        assert_eq!(b.fmdv_config().max_segment_tokens, 9);
         assert_eq!(b.index_config().tau, 9);
         assert_eq!(b.fmdv_config().pattern.sample_values, 64);
         assert_eq!(b.fmdv_config().pattern.max_patterns, 1024);

@@ -8,8 +8,9 @@
 //! across the lake.
 
 use crate::config::{FmdvConfig, InferError};
+use crate::fmdv::{infer_pattern, Search, SelectObjective, StreamingSelect};
 use av_index::PatternIndex;
-use av_pattern::{analyze_column, CompiledPattern, Pattern};
+use av_pattern::{CompiledPattern, Pattern};
 
 /// An inferred tagging pattern.
 #[derive(Debug, Clone)]
@@ -164,6 +165,11 @@ impl TagSet {
 /// matching at least `(1 - fnr_budget)` of the training values and having
 /// non-trivial corpus support. Accepts any iterator of string-likes; values
 /// are borrowed throughout.
+///
+/// The inference pipeline of the validation variants, with the FNR budget
+/// as the horizontal cut's tolerance and a selector that admits every
+/// indexed pattern — no FPR budget, one corpus column of coverage — and
+/// keeps the one with the smallest reach.
 pub fn infer_tag<I>(
     index: &PatternIndex,
     cfg: &FmdvConfig,
@@ -174,70 +180,14 @@ where
     I: IntoIterator,
     I::Item: AsRef<str>,
 {
-    let held: Vec<I::Item> = train.into_iter().collect();
-    let train: Vec<&str> = held.iter().map(|v| v.as_ref()).collect();
-    infer_tag_borrowed(index, cfg, &train, fnr_budget)
-}
-
-/// Monomorphic core of [`infer_tag`].
-pub(crate) fn infer_tag_borrowed(
-    index: &PatternIndex,
-    cfg: &FmdvConfig,
-    train: &[&str],
-    fnr_budget: f64,
-) -> Result<TagRule, InferError> {
-    if train.is_empty() {
-        return Err(InferError::EmptyColumn);
-    }
-    let analysis = analyze_column(train, &cfg.pattern);
-    let group = analysis.dominant().ok_or(InferError::NoHypothesis)?;
-    let group_frac = group.count as f64 / analysis.total_values as f64;
-    if group_frac + 1e-12 < 1.0 - fnr_budget {
-        return Err(InferError::NoHypothesis);
-    }
-    let need = ((1.0 - fnr_budget) * analysis.total_values as f64 / group.count as f64
-        * group.sample_size as f64)
-        .ceil() as usize;
-    // Streaming min-coverage selection: rank every emission by its
-    // fingerprint-looked-up coverage, materialize a pattern only when it
-    // wins (or ties on coverage and needs the deterministic pattern
-    // tie-break) — same first-minimal semantics as the old `min_by` over
-    // a collected candidate vector.
-    let mut scratch = av_pattern::EnumScratch::default();
-    let mut best: Option<crate::fmdv::Candidate> = None;
-    group.for_each_pattern(
-        0,
-        group.positions.len(),
-        need.clamp(1, group.sample_size),
-        &cfg.pattern,
-        &mut scratch,
-        |sp| {
-            let (fpr, cov) = match index.lookup_fingerprint(sp.fingerprint) {
-                Some(stats) => (stats.fpr, stats.cov),
-                None => (1.0, 0),
-            };
-            if cov < 1 {
-                return;
-            }
-            let pattern = match &best {
-                None => sp.to_pattern(),
-                Some(b) if cov < b.cov => sp.to_pattern(),
-                Some(b) if cov == b.cov => {
-                    let p = sp.to_pattern();
-                    if p < b.pattern {
-                        p
-                    } else {
-                        return;
-                    }
-                }
-                Some(_) => return,
-            };
-            best = Some(crate::fmdv::Candidate { pattern, fpr, cov });
-        },
-    );
-    let best = best.ok_or(InferError::NoFeasible)?;
+    let train: Vec<I::Item> = train.into_iter().collect();
+    let select = StreamingSelect::new(SelectObjective::TagReach, f64::INFINITY, 1);
+    let best = infer_pattern(index, cfg, &train, fnr_budget, Search::WholeColumn(select))?;
     let rule = TagRule::new(best.pattern, best.cov, 0.0);
-    let miss = train.iter().filter(|v| !rule.tags_value(v)).count();
+    let miss = train
+        .iter()
+        .filter(|v| !rule.tags_value(v.as_ref()))
+        .count();
     Ok(TagRule {
         train_fnr: miss as f64 / train.len() as f64,
         ..rule
@@ -264,13 +214,14 @@ mod tests {
             .map(|i| format!("{:02}:{:02}:{:02}", i % 24, (i * 7) % 60, (i * 13) % 60))
             .collect();
         let tag = infer_tag(&index, &cfg, &train, 0.0).expect("tag inference");
-        let train_refs: Vec<&str> = train.iter().map(String::as_str).collect();
-        let rule = crate::fmdv::infer_fmdv(&index, &cfg, &train_refs, false).expect("fmdv");
+        let rule = crate::AutoValidate::new(&index, cfg)
+            .infer(&train, crate::Variant::Fmdv)
+            .expect("fmdv");
         assert!(
-            tag.coverage <= rule.cov,
+            tag.coverage <= rule.coverage,
             "tag cov {} should be ≤ validation cov {}",
             tag.coverage,
-            rule.cov
+            rule.coverage
         );
         assert_eq!(tag.train_fnr, 0.0);
         assert!(tag.tags(&train));

@@ -33,6 +33,24 @@ impl Variant {
     }
 }
 
+/// A variant by name, as the wire protocol and the CLI spell it: the
+/// label in lower case (`fmdv-vh`) or, for the cut variants, the cuts
+/// alone (`vh`). The error is the message both report.
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Variant, String> {
+        match name {
+            "fmdv" => Ok(Variant::Fmdv),
+            "v" | "fmdv-v" => Ok(Variant::FmdvV),
+            "h" | "fmdv-h" => Ok(Variant::FmdvH),
+            "vh" | "fmdv-vh" => Ok(Variant::FmdvVH),
+            "cmdv" => Ok(Variant::Cmdv),
+            other => Err(format!("unknown variant {other:?}")),
+        }
+    }
+}
+
 /// Knobs of the FMDV family (Eq. 5–16).
 #[derive(Debug, Clone)]
 pub struct FmdvConfig {
@@ -49,11 +67,8 @@ pub struct FmdvConfig {
     pub alpha: f64,
     /// Which homogeneity test to use.
     pub test: HomogeneityTest,
-    /// Pattern-generation knobs (τ, caps, coverage threshold).
+    /// Pattern-generation knobs (caps, coverage threshold).
     pub pattern: PatternConfig,
-    /// Maximum tokens per vertical-cut segment — must not exceed the τ used
-    /// to build the offline index, or segments will miss index entries.
-    pub max_segment_tokens: usize,
     /// Use `max` instead of `sum` when aggregating segment FPRs in the
     /// vertical DP (the paper's "optimistic" alternative — reported less
     /// effective; exposed for the ablation bench).
@@ -69,7 +84,6 @@ impl Default for FmdvConfig {
             alpha: 0.01,
             test: HomogeneityTest::FisherExact,
             pattern: PatternConfig::default(),
-            max_segment_tokens: 13,
             optimistic_vertical: false,
         }
     }
@@ -140,5 +154,24 @@ mod tests {
     fn labels() {
         assert_eq!(Variant::FmdvVH.label(), "FMDV-VH");
         assert_eq!(Variant::Cmdv.label(), "CMDV");
+    }
+
+    #[test]
+    fn every_label_parses_back_and_a_typo_does_not() {
+        for v in [
+            Variant::Fmdv,
+            Variant::FmdvV,
+            Variant::FmdvH,
+            Variant::FmdvVH,
+            Variant::Cmdv,
+        ] {
+            assert_eq!(v.label().to_lowercase().parse(), Ok(v));
+        }
+        assert_eq!("vh".parse(), Ok(Variant::FmdvVH));
+        assert_eq!(
+            "banana".parse::<Variant>(),
+            Err("unknown variant \"banana\"".to_string())
+        );
+        assert!("FMDV".parse::<Variant>().is_err(), "names are lower case");
     }
 }

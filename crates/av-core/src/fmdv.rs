@@ -1,8 +1,14 @@
-//! The basic FMDV optimization (§2.3, Eq. 5–7) and the CMDV ablation.
+//! The one inference pipeline (§2.3–§4): analyze the column, cut it
+//! horizontally to its conforming group, enumerate the group's patterns,
+//! probe each in the offline index, select. Every variant — FMDV (Eq. 5–7),
+//! FMDV-H (Eq. 12–16), FMDV-V / -VH (Eq. 8–11), the CMDV ablation and the
+//! Auto-Tag dual — is [`infer_pattern`] under a different θ and [`Search`].
 
 use crate::config::{FmdvConfig, InferError};
+use crate::horizontal::conforming_group;
+use crate::vertical::solve_vertical;
 use av_index::PatternIndex;
-use av_pattern::{hypothesis_space, Pattern};
+use av_pattern::{analyze_column, EnumScratch, Pattern, StreamedPattern};
 
 /// A hypothesis pattern with its index-provided statistics.
 #[derive(Debug, Clone)]
@@ -20,84 +26,108 @@ impl Candidate {
     }
 }
 
-/// Look up candidates in the offline index. Patterns the index has never
-/// seen get coverage 0 (and are therefore infeasible under Eq. 7).
-pub(crate) fn lookup_candidates(
+/// How the conforming group is searched — besides θ, all a variant is.
+#[derive(Debug)]
+pub(crate) enum Search {
+    /// One pattern for the whole column: every enumerated hypothesis is
+    /// probed and offered to the selector, whose objective and
+    /// feasibility bounds are the variant's.
+    WholeColumn(StreamingSelect),
+    /// Vertical cuts (§3): one pattern per segment, by the Eq. 11 DP.
+    VerticalCuts,
+}
+
+/// Infer the pattern of `train`: `θ` is the fraction of values the
+/// horizontal cut may discard (0 demands a homogeneous column), `search`
+/// how the rest is covered. The column is analyzed once, and each
+/// enumerated hypothesis costs one index probe — no `H(C)` is
+/// materialized.
+pub(crate) fn infer_pattern<S: AsRef<str>>(
     index: &PatternIndex,
-    patterns: impl IntoIterator<Item = Pattern>,
-) -> Vec<Candidate> {
-    patterns
-        .into_iter()
-        .map(|pattern| match index.lookup(&pattern) {
-            Some(stats) => Candidate {
-                pattern,
-                fpr: stats.fpr,
-                cov: stats.cov,
-            },
-            None => Candidate {
-                pattern,
-                fpr: 1.0,
-                cov: 0,
-            },
-        })
-        .collect()
+    cfg: &FmdvConfig,
+    train: &[S],
+    theta: f64,
+    search: Search,
+) -> Result<Candidate, InferError> {
+    if train.is_empty() {
+        return Err(InferError::EmptyColumn);
+    }
+    let analysis = analyze_column(train, &cfg.pattern);
+    let (group, min_support) = conforming_group(&analysis, theta)?;
+    match search {
+        Search::WholeColumn(mut select) => {
+            let n = group.positions.len();
+            let mut scratch = EnumScratch::default();
+            group.for_each_pattern(0, n, min_support, &cfg.pattern, &mut scratch, |sp| {
+                select.offer_probed(sp, probe(index, sp))
+            });
+            select.into_best().ok_or(InferError::NoFeasible)
+        }
+        Search::VerticalCuts => {
+            let solution = solve_vertical(index, cfg, group, min_support)?;
+            Ok(Candidate {
+                pattern: solution.full_pattern(),
+                fpr: solution.total_fpr,
+                cov: solution.min_coverage(),
+            })
+        }
+    }
 }
 
-/// FMDV selection (Eq. 5–7): among candidates satisfying `FPR ≤ r` and
-/// `Cov ≥ m`, pick the **most specific** pattern, breaking ties toward
-/// lower FPR, then higher coverage.
+/// Objective of a [`StreamingSelect`] pass, each a lexicographic order
+/// that ends in the pattern itself, so a winner never depends on the
+/// order of the offers.
 ///
-/// Rationale: the FPR constraint is what prunes under-generalization —
-/// Lemma 1 shows any pattern narrower than the true domain accumulates
-/// impurity evidence and violates `FPR ≤ r`. Over-generalization, however,
-/// is *not* penalized by FPR at all: a near-trivial pattern matches
-/// everything, is never impure, and so has FPR ≈ 0 by construction. Taking
-/// the literal minimum over FPR therefore degenerates to the most general
-/// survivor; the useful minimizer — and the only reading consistent with
-/// the paper's measured recall — is the most specific pattern inside the
+/// [`SelectObjective::SpecificFirst`] is how Eq. 5 is read here. The FPR
+/// constraint is what prunes under-generalization — Lemma 1 shows any
+/// pattern narrower than the true domain accumulates impurity evidence
+/// and violates `FPR ≤ r`. Over-generalization, however, is *not*
+/// penalized by FPR at all: a near-trivial pattern matches everything, is
+/// never impure, and so has FPR ≈ 0 by construction. Taking the literal
+/// minimum over FPR therefore degenerates to the most general survivor;
+/// the useful minimizer — and the only reading consistent with the
+/// paper's measured recall — is the most specific pattern inside the
 /// feasible region, with FPR as the safety constraint.
-pub(crate) fn select_min_fpr(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
-    candidates
-        .iter()
-        .filter(|c| c.fpr <= r && c.cov >= m)
-        .min_by(|a, b| {
-            a.specificity()
-                .cmp(&b.specificity())
-                .then_with(|| a.fpr.partial_cmp(&b.fpr).expect("FPRs are finite"))
-                .then_with(|| b.cov.cmp(&a.cov))
-                .then_with(|| a.pattern.cmp(&b.pattern))
-        })
-        .cloned()
-}
-
-/// Objective of a [`StreamingSelect`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SelectObjective {
-    /// `(specificity, fpr, coverage desc, pattern)` — the
-    /// [`select_min_fpr`] ordering.
+    /// `(specificity, fpr, coverage desc, pattern)` — FMDV, FMDV-H and
+    /// the vertical DP's first pass.
     SpecificFirst,
     /// `(fpr, specificity, pattern)` — the literal Eq. 5 objective, used
     /// by the vertical DP's conservative fallback pass when the
     /// specificity-first segmentation exceeds the Eq. 9 budget.
     LowestFpr,
+    /// `(coverage, fpr, pattern)` — CMDV (§2.3 alternative): minimize
+    /// coverage instead. The paper reports this is less effective in
+    /// practice — kept for the ablation.
+    LeastCoverage,
+    /// `(coverage, pattern)` — Auto-Tag (§2.3 dual): the most restrictive
+    /// pattern, whatever its FPR. Not [`SelectObjective::LeastCoverage`]
+    /// minus a tie-break: where patterns share the smallest coverage the
+    /// two orders pick different ones, so neither replaces the other.
+    TagReach,
 }
 
 /// The index's `(fpr, cov)` for one streamed emission; a pattern the
-/// index has never seen reads `(1.0, 0)`, as in [`lookup_candidates`].
+/// index has never seen reads `(1.0, 0)` and is therefore infeasible under
+/// Eq. 7. The lookup routes straight to the fingerprint's index shard, so
+/// a concurrent ingest republishing *other* shards never contends with
+/// this hot path — the snapshot's shard `Arc`s are immutable.
 #[inline]
-pub(crate) fn probe(index: &PatternIndex, sp: &av_pattern::StreamedPattern<'_>) -> (f64, u64) {
+pub(crate) fn probe(index: &PatternIndex, sp: &StreamedPattern<'_>) -> (f64, u64) {
     match index.lookup_fingerprint(sp.fingerprint) {
         Some(stats) => (stats.fpr, stats.cov),
         None => (1.0, 0),
     }
 }
 
-/// Streaming candidate selection: folds enumeration emissions one at a
-/// time, keeping only the current winner. Equivalent to collecting every
-/// candidate and running the corresponding `select_*` vector pass (same
-/// ordering, same first-minimal tie behavior), but a [`Pattern`] is
-/// materialized only when an emission actually wins (or fully ties) —
-/// the vertical DP offers thousands of candidates per cell and keeps one.
+/// Streaming candidate selection (Eq. 5–7): among offers satisfying
+/// `FPR ≤ r` and `Cov ≥ m`, keep the minimum under the objective. Folds
+/// enumeration emissions one at a time, keeping only the current winner —
+/// equivalent to collecting every candidate and taking the vector minimum
+/// (the tests' `select_min_*` references), but a [`Pattern`] is
+/// materialized only when an emission actually wins (or fully ties): the
+/// vertical DP offers thousands of candidates per cell and keeps one.
 #[derive(Debug)]
 pub(crate) struct StreamingSelect {
     objective: SelectObjective,
@@ -116,27 +146,10 @@ impl StreamingSelect {
         }
     }
 
-    /// Offer one streamed enumeration emission, looked up by fingerprint.
-    /// The lookup routes straight to the fingerprint's index shard
-    /// ([`PatternIndex::lookup_fingerprint`]), so a concurrent ingest
-    /// republishing *other* shards never contends with this hot path —
-    /// the snapshot's shard `Arc`s are immutable.
-    pub(crate) fn offer_streamed(
-        &mut self,
-        index: &PatternIndex,
-        sp: &av_pattern::StreamedPattern<'_>,
-    ) {
-        self.offer_probed(sp, probe(index, sp));
-    }
-
-    /// Offer an emission whose `(fpr, cov)` the caller already
-    /// [`probe`]d — the vertical sweep feeds one probe to a selector per
+    /// Offer an emission with the `(fpr, cov)` the caller [`probe`]d for
+    /// it — the vertical sweep feeds one probe to a selector per
     /// objective.
-    pub(crate) fn offer_probed(
-        &mut self,
-        sp: &av_pattern::StreamedPattern<'_>,
-        (fpr, cov): (f64, u64),
-    ) {
+    pub(crate) fn offer_probed(&mut self, sp: &StreamedPattern<'_>, (fpr, cov): (f64, u64)) {
         self.consider(fpr, cov, || sp.specificity(), || sp.to_pattern());
     }
 
@@ -168,15 +181,15 @@ impl StreamingSelect {
             });
             return;
         };
+        let by_fpr = || fpr.partial_cmp(&best.fpr).expect("FPRs are finite");
         let scalar = match self.objective {
             SelectObjective::SpecificFirst => spec()
                 .cmp(&best.specificity())
-                .then_with(|| fpr.partial_cmp(&best.fpr).expect("FPRs are finite"))
+                .then_with(by_fpr)
                 .then_with(|| best.cov.cmp(&cov)),
-            SelectObjective::LowestFpr => fpr
-                .partial_cmp(&best.fpr)
-                .expect("FPRs are finite")
-                .then_with(|| spec().cmp(&best.specificity())),
+            SelectObjective::LowestFpr => by_fpr().then_with(|| spec().cmp(&best.specificity())),
+            SelectObjective::LeastCoverage => cov.cmp(&best.cov).then_with(by_fpr),
+            SelectObjective::TagReach => cov.cmp(&best.cov),
         };
         match scalar {
             Ordering::Greater => {}
@@ -189,8 +202,7 @@ impl StreamingSelect {
             }
             Ordering::Equal => {
                 // Full scalar tie: materialize for the deterministic
-                // pattern tie-break (earlier offers win ties, matching
-                // `min_by`'s first-minimal semantics).
+                // pattern tie-break.
                 let p = pattern();
                 if p < best.pattern {
                     self.best = Some(Candidate {
@@ -209,49 +221,55 @@ impl StreamingSelect {
     }
 }
 
-/// CMDV selection (§2.3 alternative): minimize coverage instead. The paper
-/// reports this is less effective in practice — kept for the ablation.
-pub(crate) fn select_min_cov(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
-    candidates
-        .iter()
-        .filter(|c| c.fpr <= r && c.cov >= m)
-        .min_by(|a, b| {
-            a.cov
-                .cmp(&b.cov)
-                .then_with(|| a.fpr.partial_cmp(&b.fpr).expect("finite"))
-                .then_with(|| a.pattern.cmp(&b.pattern))
-        })
-        .cloned()
-}
-
-/// Basic FMDV (§2.3): enumerate `H(C)`, look up pre-computed stats, pick the
-/// feasible minimizer. Training values are borrowed end to end.
-pub(crate) fn infer_fmdv(
-    index: &PatternIndex,
-    cfg: &FmdvConfig,
-    train: &[&str],
-    minimize_coverage: bool,
-) -> Result<Candidate, InferError> {
-    if train.is_empty() {
-        return Err(InferError::EmptyColumn);
-    }
-    let hypotheses = hypothesis_space(train, &cfg.pattern);
-    if hypotheses.is_empty() {
-        return Err(InferError::NoHypothesis);
-    }
-    let candidates = lookup_candidates(index, hypotheses);
-    let chosen = if minimize_coverage {
-        select_min_cov(&candidates, cfg.r, cfg.m)
-    } else {
-        select_min_fpr(&candidates, cfg.r, cfg.m)
-    };
-    chosen.ok_or(InferError::NoFeasible)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use av_pattern::parse;
+
+    /// The vector pass [`StreamingSelect`] replaced, kept as its
+    /// reference: the feasible minimum under
+    /// [`SelectObjective::SpecificFirst`].
+    fn select_min_fpr(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
+        candidates
+            .iter()
+            .filter(|c| c.fpr <= r && c.cov >= m)
+            .min_by(|a, b| {
+                a.specificity()
+                    .cmp(&b.specificity())
+                    .then_with(|| a.fpr.partial_cmp(&b.fpr).expect("FPRs are finite"))
+                    .then_with(|| b.cov.cmp(&a.cov))
+                    .then_with(|| a.pattern.cmp(&b.pattern))
+            })
+            .cloned()
+    }
+
+    /// The same for [`SelectObjective::LeastCoverage`] (CMDV).
+    fn select_min_cov(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
+        candidates
+            .iter()
+            .filter(|c| c.fpr <= r && c.cov >= m)
+            .min_by(|a, b| {
+                a.cov
+                    .cmp(&b.cov)
+                    .then_with(|| a.fpr.partial_cmp(&b.fpr).expect("finite"))
+                    .then_with(|| a.pattern.cmp(&b.pattern))
+            })
+            .cloned()
+    }
+
+    /// The selector's pick among `candidates`.
+    fn select(
+        objective: SelectObjective,
+        candidates: &[Candidate],
+        r: f64,
+        m: u64,
+    ) -> Option<Candidate> {
+        let mut sel = StreamingSelect::new(objective, r, m);
+        for c in candidates {
+            sel.offer(c.clone());
+        }
+        sel.into_best()
+    }
 
     fn cand(p: &str, fpr: f64, cov: u64) -> Candidate {
         Candidate {
@@ -269,21 +287,21 @@ mod tests {
             cand("<digit>+:<digit>{2}", 0.0004, 5000), // h5-like
             cand("<digit>+:<digit>+", 0.002, 6000),
         ];
-        let best = select_min_fpr(&cands, 0.001, 100).unwrap();
+        let best = select(SelectObjective::SpecificFirst, &cands, 0.001, 100).unwrap();
         assert_eq!(best.pattern, parse("<digit>+:<digit>{2}").unwrap());
     }
 
     #[test]
     fn coverage_constraint_excludes_rare_patterns() {
         let cands = vec![cand("<digit>{7}", 0.0, 5), cand("<digit>+", 0.001, 900)];
-        let best = select_min_fpr(&cands, 0.1, 100).unwrap();
+        let best = select(SelectObjective::SpecificFirst, &cands, 0.1, 100).unwrap();
         assert_eq!(best.pattern, parse("<digit>+").unwrap());
     }
 
     #[test]
     fn infeasible_when_all_violate() {
         let cands = vec![cand("<digit>{7}", 0.5, 5000)];
-        assert!(select_min_fpr(&cands, 0.1, 100).is_none());
+        assert!(select(SelectObjective::SpecificFirst, &cands, 0.1, 100).is_none());
     }
 
     #[test]
@@ -291,7 +309,7 @@ mod tests {
         // Both feasible: the specific one catches more issues; FPR already
         // certifies it as safe. Min-FPR-first would degenerate here.
         let cands = vec![cand("<digit>{4}", 0.001, 200), cand("<digit>+", 0.0, 9000)];
-        let best = select_min_fpr(&cands, 0.1, 100).unwrap();
+        let best = select(SelectObjective::SpecificFirst, &cands, 0.1, 100).unwrap();
         assert_eq!(best.pattern, parse("<digit>{4}").unwrap());
     }
 
@@ -300,14 +318,14 @@ mod tests {
         // The specific pattern violates the FPR budget (Lemma 1's pruning);
         // the general one is the only lawful choice.
         let cands = vec![cand("<digit>{4}", 0.4, 200), cand("<digit>+", 0.001, 9000)];
-        let best = select_min_fpr(&cands, 0.1, 100).unwrap();
+        let best = select(SelectObjective::SpecificFirst, &cands, 0.1, 100).unwrap();
         assert_eq!(best.pattern, parse("<digit>+").unwrap());
     }
 
     #[test]
     fn cmdv_prefers_restrictive_patterns() {
         let cands = vec![cand("<digit>{4}", 0.0, 200), cand("<digit>+", 0.0, 9000)];
-        let best = select_min_cov(&cands, 0.1, 100).unwrap();
+        let best = select(SelectObjective::LeastCoverage, &cands, 0.1, 100).unwrap();
         assert_eq!(best.pattern, parse("<digit>{4}").unwrap());
     }
 
@@ -336,34 +354,65 @@ mod tests {
                 cand("<digit>{2}:<digit>{2}", 0.05, 120),
                 cand("<letter>+", 0.02, 40),
             ],
+            // Coverage ties: FPR breaks them for CMDV.
+            vec![
+                cand("<digit>{2}", 0.02, 300),
+                cand("<alnum>{2}", 0.01, 300),
+                cand("<digit>+", 0.0, 900),
+            ],
+        ];
+        type Reference = fn(&[Candidate], f64, u64) -> Option<Candidate>;
+        let references: [(SelectObjective, Reference); 2] = [
+            (SelectObjective::SpecificFirst, select_min_fpr),
+            (SelectObjective::LeastCoverage, select_min_cov),
         ];
         for cands in &sets {
             for (r, m) in [(0.1, 100), (0.001, 100), (1.0, 0), (0.05, 250)] {
-                let vector = select_min_fpr(cands, r, m);
-                let mut sel = StreamingSelect::new(SelectObjective::SpecificFirst, r, m);
-                for c in cands {
-                    if c.fpr <= r && c.cov >= m {
-                        sel.offer(c.clone());
-                    } else {
-                        // Feasibility first: an infeasible offer is dropped
-                        // on its two numbers alone — neither its
-                        // specificity nor its pattern is ever asked for.
-                        sel.consider(
-                            c.fpr,
-                            c.cov,
-                            || panic!("specificity of an infeasible offer"),
-                            || panic!("pattern of an infeasible offer"),
-                        );
+                for (objective, reference) in references {
+                    let vector = reference(cands, r, m);
+                    let mut sel = StreamingSelect::new(objective, r, m);
+                    for c in cands {
+                        if c.fpr <= r && c.cov >= m {
+                            sel.offer(c.clone());
+                        } else {
+                            // Feasibility first: an infeasible offer is
+                            // dropped on its two numbers alone — neither
+                            // its specificity nor its pattern is ever
+                            // asked for.
+                            sel.consider(
+                                c.fpr,
+                                c.cov,
+                                || panic!("specificity of an infeasible offer"),
+                                || panic!("pattern of an infeasible offer"),
+                            );
+                        }
                     }
+                    let streamed = sel.into_best();
+                    assert_eq!(
+                        vector.as_ref().map(|c| (&c.pattern, c.fpr, c.cov)),
+                        streamed.as_ref().map(|c| (&c.pattern, c.fpr, c.cov)),
+                        "{objective:?} r={r} m={m}"
+                    );
                 }
-                let streamed = sel.into_best();
-                assert_eq!(
-                    vector.as_ref().map(|c| (&c.pattern, c.fpr, c.cov)),
-                    streamed.as_ref().map(|c| (&c.pattern, c.fpr, c.cov)),
-                    "r={r} m={m}"
-                );
             }
         }
+    }
+
+    /// The two coverage-first orders are different orders: on a coverage
+    /// tie CMDV takes the lower FPR, Auto-Tag the smaller pattern.
+    #[test]
+    fn tag_reach_breaks_coverage_ties_by_pattern_not_fpr() {
+        let (a, b) = (parse("<digit>{2}").unwrap(), parse("<alnum>{2}").unwrap());
+        let (smaller, larger) = (a.clone().min(b.clone()), a.max(b));
+        // The larger pattern carries the lower FPR.
+        let cands = vec![
+            cand(&smaller.to_string(), 0.02, 300),
+            cand(&larger.to_string(), 0.01, 300),
+            cand("<digit>+", 0.0, 900),
+        ];
+        let pick = |objective| select(objective, &cands, f64::INFINITY, 1).unwrap().pattern;
+        assert_eq!(pick(SelectObjective::TagReach), smaller);
+        assert_eq!(pick(SelectObjective::LeastCoverage), larger);
     }
 
     /// `LowestFpr` reproduces the literal Eq. 5 ordering the vertical DP's
@@ -375,11 +424,8 @@ mod tests {
             cand("<digit>+", 0.001, 900),
             cand("<alnum>+", 0.001, 900),
         ];
-        let mut sel = StreamingSelect::new(SelectObjective::LowestFpr, 0.1, 100);
-        for c in &cands {
-            sel.offer(c.clone());
-        }
+        let best = select(SelectObjective::LowestFpr, &cands, 0.1, 100).unwrap();
         // <digit>+ and <alnum>+ tie on fpr; <digit>+ is more specific.
-        assert_eq!(sel.into_best().unwrap().pattern, parse("<digit>+").unwrap());
+        assert_eq!(best.pattern, parse("<digit>+").unwrap());
     }
 }

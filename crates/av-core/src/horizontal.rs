@@ -8,84 +8,37 @@
 //! Our grouped analysis makes this direct — the dominant coarse group *is*
 //! the conforming subset.
 
-use crate::config::{FmdvConfig, InferError};
-use crate::fmdv::{Candidate, SelectObjective, StreamingSelect};
-use crate::vertical::{solve_vertical, VerticalSolution};
-use av_index::PatternIndex;
-use av_pattern::{analyze_column, CoarseGroup, EnumScratch};
+use crate::config::InferError;
+use av_pattern::{CoarseGroup, ColumnAnalysis};
 
-/// Pick the dominant group if it covers at least `(1-θ)` of the column
-/// (Eq. 16's feasibility precondition under the greedy strategy).
-fn dominant_group(
-    analysis: &av_pattern::ColumnAnalysis,
+/// The horizontal cut every variant starts with: the dominant group, if it
+/// covers at least `(1-θ)` of the column (Eq. 16's feasibility
+/// precondition under the greedy strategy), and the support floor inside
+/// it at which global support still satisfies Eq. 16,
+/// `matched ≥ (1-θ)|C|`. At θ = 0 that is "the column is homogeneous" and
+/// "every sampled value" — the requirements of FMDV and FMDV-V.
+pub(crate) fn conforming_group(
+    analysis: &ColumnAnalysis,
     theta: f64,
-) -> Result<&CoarseGroup, InferError> {
+) -> Result<(&CoarseGroup, usize), InferError> {
     let group = analysis.dominant().ok_or(InferError::NoHypothesis)?;
-    let frac = group.count as f64 / analysis.total_values as f64;
-    if frac + 1e-12 < 1.0 - theta {
+    let total = analysis.total_values as f64;
+    if group.count as f64 / total + 1e-12 < 1.0 - theta {
         return Err(InferError::NoHypothesis);
     }
-    Ok(group)
-}
-
-/// Support floor inside the dominant group so that global support satisfies
-/// Eq. 16: `matched ≥ (1-θ)|C|`, given the group already covers
-/// `count/total` of the column.
-fn group_min_support(group: &CoarseGroup, total: usize, theta: f64) -> usize {
-    let need_global = (1.0 - theta) * total as f64;
-    let group_frac = group.count as f64 / group.sample_size as f64;
     // support/sample × count/total ≥ 1-θ  ⇒  support ≥ (1-θ)·total·sample/count
-    let min = (need_global / group_frac).ceil() as usize;
-    min.clamp(1, group.sample_size)
-}
-
-/// FMDV-H (Eq. 12–16): single-pattern inference tolerating θ outliers.
-pub(crate) fn infer_fmdv_h(
-    index: &PatternIndex,
-    cfg: &FmdvConfig,
-    train: &[&str],
-) -> Result<Candidate, InferError> {
-    if train.is_empty() {
-        return Err(InferError::EmptyColumn);
-    }
-    let analysis = analyze_column(train, &cfg.pattern);
-    let group = dominant_group(&analysis, cfg.theta)?;
-    let min_support = group_min_support(group, analysis.total_values, cfg.theta);
-    let mut scratch = EnumScratch::default();
-    let mut sel = StreamingSelect::new(SelectObjective::SpecificFirst, cfg.r, cfg.m);
-    group.for_each_pattern(
-        0,
-        group.positions.len(),
-        min_support,
-        &cfg.pattern,
-        &mut scratch,
-        |sp| sel.offer_streamed(index, sp),
-    );
-    sel.into_best().ok_or(InferError::NoFeasible)
-}
-
-/// FMDV-VH: horizontal cut to the dominant group, then the vertical DP with
-/// the relaxed support floor.
-pub(crate) fn infer_fmdv_vh(
-    index: &PatternIndex,
-    cfg: &FmdvConfig,
-    train: &[&str],
-) -> Result<VerticalSolution, InferError> {
-    if train.is_empty() {
-        return Err(InferError::EmptyColumn);
-    }
-    let analysis = analyze_column(train, &cfg.pattern);
-    let group = dominant_group(&analysis, cfg.theta)?;
-    let min_support = group_min_support(group, analysis.total_values, cfg.theta);
-    solve_vertical(index, cfg, group, min_support)
+    let group_frac = group.count as f64 / group.sample_size as f64;
+    let min_support = ((1.0 - theta) * total / group_frac).ceil() as usize;
+    Ok((group, min_support.clamp(1, group.sample_size)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AutoValidate, FmdvConfig, Variant};
     use av_corpus::{generate_lake, Column, LakeProfile};
     use av_index::{IndexConfig, PatternIndex};
-    use av_pattern::matches;
+    use av_pattern::{analyze_column, matches};
 
     fn test_index() -> PatternIndex {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(800), 77);
@@ -93,8 +46,10 @@ mod tests {
         PatternIndex::build(&cols, &IndexConfig::default())
     }
 
-    fn refs(v: &[String]) -> Vec<&str> {
-        v.iter().map(String::as_str).collect()
+    fn engine(index: &PatternIndex, theta: f64) -> AutoValidate<'_> {
+        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
+        cfg.theta = theta;
+        AutoValidate::new(index, cfg)
     }
 
     /// Fig. 9-style column: a corpus-popular domain (24h times) with one
@@ -110,57 +65,48 @@ mod tests {
     #[test]
     fn horizontal_cut_tolerates_adhoc_values() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.theta = 0.05;
+        let engine = engine(&index, 0.05);
         let train = dirty_column();
-        let result = infer_fmdv_h(&index, &cfg, &refs(&train));
         // Basic FMDV fails on this column (no common hypothesis)…
-        assert!(matches!(
-            crate::fmdv::infer_fmdv(&index, &cfg, &refs(&train), false),
-            Err(InferError::NoHypothesis)
-        ));
-        // …but FMDV-H finds the digit-group pattern of Example 9.
-        let c = result.expect("FMDV-H should succeed");
-        let conforming = train.iter().filter(|v| matches(&c.pattern, v)).count();
-        assert!(conforming >= 99, "pattern must cover the 99 normal values");
-        assert!(
-            !matches(&c.pattern, "-"),
-            "the outlier stays non-conforming"
+        assert_eq!(
+            engine.infer(&train, Variant::Fmdv).err(),
+            Some(InferError::NoHypothesis)
         );
+        // …but FMDV-H finds the digit-group pattern of Example 9.
+        let rule = engine
+            .infer(&train, Variant::FmdvH)
+            .expect("FMDV-H should succeed");
+        let conforming = train.iter().filter(|v| rule.conforms(v)).count();
+        assert!(conforming >= 99, "pattern must cover the 99 normal values");
+        assert!(!rule.conforms("-"), "the outlier stays non-conforming");
     }
 
     #[test]
     fn tolerance_zero_requires_full_coverage() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.theta = 0.0;
-        let train = dirty_column();
-        assert!(matches!(
-            infer_fmdv_h(&index, &cfg, &refs(&train)),
-            Err(InferError::NoHypothesis)
-        ));
+        assert_eq!(
+            engine(&index, 0.0)
+                .infer(dirty_column(), Variant::FmdvH)
+                .err(),
+            Some(InferError::NoHypothesis)
+        );
     }
 
     #[test]
     fn too_many_outliers_exceed_tolerance() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.theta = 0.05;
         // 20% outliers > θ = 5%.
         let mut train: Vec<String> = (0..80).map(|i| format!("{:05}", i)).collect();
         train.extend((0..20).map(|_| "-".to_string()));
-        assert!(matches!(
-            infer_fmdv_h(&index, &cfg, &refs(&train)),
-            Err(InferError::NoHypothesis)
-        ));
+        assert_eq!(
+            engine(&index, 0.05).infer(&train, Variant::FmdvH).err(),
+            Some(InferError::NoHypothesis)
+        );
     }
 
     #[test]
     fn vh_combines_both_cuts() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.theta = 0.05;
-        cfg.max_segment_tokens = index.tau;
         // Wide composite column with an ad-hoc special value.
         let mut train: Vec<String> = (0..99)
             .map(|i| {
@@ -176,26 +122,32 @@ mod tests {
             })
             .collect();
         train.push("NULL".to_string());
-        let sol = infer_fmdv_vh(&index, &cfg, &refs(&train)).expect("VH should succeed");
-        let full = sol.full_pattern();
-        let conforming = train.iter().filter(|v| matches(&full, v)).count();
+        let rule = engine(&index, 0.05)
+            .infer(&train, Variant::FmdvVH)
+            .expect("VH should succeed");
+        let full = rule.pattern();
+        let conforming = train.iter().filter(|v| matches(full, v)).count();
         assert_eq!(conforming, 99, "{full}");
     }
 
     #[test]
-    fn group_min_support_bounds() {
+    fn support_floor_bounds() {
         // Group covering 99/100 values, sample 99, θ = 0.05:
         // support ≥ 0.95·100·99/99 = 95.
         let train = dirty_column();
         let cfg = FmdvConfig::default();
         let analysis = analyze_column(&train, &cfg.pattern);
-        let g = analysis.dominant().unwrap();
-        let ms = group_min_support(g, analysis.total_values, 0.05);
-        assert_eq!(ms, 95);
+        let (g, floor) = conforming_group(&analysis, 0.05).unwrap();
+        assert_eq!((g.count, floor), (99, 95));
+        // The same column at θ = 0 has no conforming group.
+        assert_eq!(
+            conforming_group(&analysis, 0.0).err(),
+            Some(InferError::NoHypothesis)
+        );
         // θ = 0 on a fully-covering group needs full support.
         let clean: Vec<String> = (0..50).map(|i| i.to_string()).collect();
         let a2 = analyze_column(&clean, &cfg.pattern);
-        let g2 = a2.dominant().unwrap();
-        assert_eq!(group_min_support(g2, 50, 0.0), g2.sample_size);
+        let (g2, floor) = conforming_group(&a2, 0.0).unwrap();
+        assert_eq!(floor, g2.sample_size);
     }
 }

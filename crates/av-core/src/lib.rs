@@ -1,17 +1,27 @@
 //! # av-core — the Auto-Validate inference engine
 //!
-//! Implements the paper's four FMDV variants (§2–§4) on top of the offline
-//! [`av_index::PatternIndex`]:
+//! Implements the paper's FMDV family (§2–§4) on top of the offline
+//! [`av_index::PatternIndex`] as **one pipeline** — analyze the column, cut
+//! it horizontally to its conforming group, enumerate that group's
+//! patterns, probe each in the index, select among those with
+//! `FPR_T(h) ≤ r` and `Cov_T(h) ≥ m` — of which every variant is one point
+//! of a lattice:
 //!
-//! * **FMDV** (Eq. 5–7): minimum-FPR pattern from the hypothesis space
-//!   `H(C)` subject to `FPR_T(h) ≤ r` and `Cov_T(h) ≥ m`;
-//! * **FMDV-V** (§3): vertical cuts — the Eq. 11 segmentation DP for
-//!   composite columns;
-//! * **FMDV-H** (§4): horizontal cuts — tolerate a θ fraction of ad-hoc
-//!   non-conforming values, with a two-sample homogeneity test at
-//!   validation time;
-//! * **FMDV-VH**: both, the paper's best variant;
-//! * plus the **CMDV** ablation and the **Auto-Tag** dual (§2.3).
+//! | variant | θ of the horizontal cut | cuts | objective |
+//! |---|---|---|---|
+//! | **FMDV** (Eq. 5–7) | 0 | whole column | most specific, then lowest FPR |
+//! | **FMDV-H** (§4, Eq. 12–16) | `theta` | whole column | as FMDV |
+//! | **FMDV-V** (§3, Eq. 8–11) | 0 | vertical: a pattern per segment, by the Eq. 11 DP | as FMDV per segment and summed; lowest summed FPR if that busts `r` |
+//! | **FMDV-VH** | `theta` | vertical | as FMDV-V — the paper's best variant |
+//! | **CMDV** (§2.3 ablation) | 0 | whole column | least coverage, then lowest FPR |
+//! | **Auto-Tag** (§2.3 dual) | the FNR budget | whole column | least coverage, over every indexed pattern (no `r`, `m` = 1) |
+//!
+//! θ is the fraction of ad-hoc non-conforming values the cut may discard;
+//! at 0 it demands a homogeneous column, so FMDV *is* FMDV-H at θ = 0 and
+//! FMDV-V is FMDV-VH at θ = 0 (`tests/variant_identities.rs` holds them to
+//! it). Validation then runs a two-sample homogeneity test against the
+//! training-time non-conforming rate. The widest segment a vertical cut
+//! keeps whole is the index's own τ — nothing wider was ever indexed.
 //!
 //! Every inferred rule — pattern, numeric, or dictionary — implements the
 //! unified [`Validator`] trait: `check(&str)` for single
@@ -197,6 +207,7 @@ impl Validator for AnyRule {
 }
 
 use av_index::PatternIndex;
+use fmdv::{infer_pattern, Candidate, Search, SelectObjective, StreamingSelect};
 
 /// The Auto-Validate inference engine: an offline index plus configuration.
 pub struct AutoValidate<'a> {
@@ -232,48 +243,34 @@ impl<'a> AutoValidate<'a> {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let held: Vec<I::Item> = train.into_iter().collect();
-        let train: Vec<&str> = held.iter().map(|v| v.as_ref()).collect();
-        self.infer_borrowed(&train, variant)
+        let train: Vec<I::Item> = train.into_iter().collect();
+        self.infer_variant(&train, variant)
     }
 
-    fn infer_borrowed(
+    fn infer_variant<S: AsRef<str>>(
         &self,
-        train: &[&str],
+        train: &[S],
         variant: Variant,
     ) -> Result<ValidationRule, InferError> {
         let cfg = &self.config;
-        let (pattern, fpr, cov) = match variant {
-            Variant::Fmdv => {
-                let c = fmdv::infer_fmdv(self.index, cfg, train, false)?;
-                (c.pattern, c.fpr, c.cov)
-            }
-            Variant::Cmdv => {
-                let c = fmdv::infer_fmdv(self.index, cfg, train, true)?;
-                (c.pattern, c.fpr, c.cov)
-            }
-            Variant::FmdvV => {
-                let sol = vertical::infer_fmdv_v(self.index, cfg, train)?;
-                let cov = sol.min_coverage();
-                (sol.full_pattern(), sol.total_fpr, cov)
-            }
-            Variant::FmdvH => {
-                let c = horizontal::infer_fmdv_h(self.index, cfg, train)?;
-                (c.pattern, c.fpr, c.cov)
-            }
-            Variant::FmdvVH => {
-                let sol = horizontal::infer_fmdv_vh(self.index, cfg, train)?;
-                let cov = sol.min_coverage();
-                (sol.full_pattern(), sol.total_fpr, cov)
-            }
+        let whole = |objective| Search::WholeColumn(StreamingSelect::new(objective, cfg.r, cfg.m));
+        // The variant lattice (see the crate docs): the horizontal cut's θ
+        // and how the conforming group is searched.
+        let (theta, search) = match variant {
+            Variant::Fmdv => (0.0, whole(SelectObjective::SpecificFirst)),
+            Variant::FmdvH => (cfg.theta, whole(SelectObjective::SpecificFirst)),
+            Variant::Cmdv => (0.0, whole(SelectObjective::LeastCoverage)),
+            Variant::FmdvV => (0.0, Search::VerticalCuts),
+            Variant::FmdvVH => (cfg.theta, Search::VerticalCuts),
         };
+        let Candidate { pattern, fpr, cov } = infer_pattern(self.index, cfg, train, theta, search)?;
         // Building the rule compiles the pattern; the exact training-time
         // non-conforming fraction θ_C(h) (§4) is then counted through the
         // compiled program rather than the reference matcher.
         let mut rule =
             ValidationRule::new(pattern, 0.0, train.len(), fpr, cov, cfg.test, cfg.alpha);
-        let miss = train.iter().filter(|v| !rule.conforms(v)).count();
-        rule.train_nonconforming = miss as f64 / train.len().max(1) as f64;
+        let miss = train.iter().filter(|v| !rule.conforms(v.as_ref())).count();
+        rule.train_nonconforming = miss as f64 / train.len() as f64;
         Ok(rule)
     }
 
@@ -292,9 +289,7 @@ impl<'a> AutoValidate<'a> {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let held: Vec<I::Item> = train.into_iter().collect();
-        let train: Vec<&str> = held.iter().map(|v| v.as_ref()).collect();
-        autotag::infer_tag_borrowed(self.index, &self.config, &train, fnr_budget)
+        infer_tag(self.index, &self.config, train, fnr_budget)
     }
 
     /// Infer a rule with automatic fallback: try the pattern engine
@@ -306,9 +301,8 @@ impl<'a> AutoValidate<'a> {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let held: Vec<I::Item> = train.into_iter().collect();
-        let train: Vec<&str> = held.iter().map(|v| v.as_ref()).collect();
-        match self.infer_borrowed(&train, Variant::FmdvVH) {
+        let train: Vec<I::Item> = train.into_iter().collect();
+        match self.infer_variant(&train, Variant::FmdvVH) {
             Ok(rule) => Ok(AnyRule::Pattern(rule)),
             Err(InferError::EmptyColumn) => Err(InferError::EmptyColumn),
             Err(first) => {

@@ -5,7 +5,7 @@
 use crate::config::{FmdvConfig, InferError};
 use crate::fmdv::{probe, Candidate, SelectObjective, StreamingSelect};
 use av_index::PatternIndex;
-use av_pattern::{analyze_column, CoarseGroup, EnumScratch, Pattern, Token};
+use av_pattern::{CoarseGroup, EnumScratch, Pattern, Token};
 
 /// A "structural" segment candidate: when a segment consists purely of
 /// symbol/whitespace positions whose literal is constant across all
@@ -133,8 +133,9 @@ thread_local! {
 }
 
 /// The one pass that touches the index: enumerate every cell `[s, e)` no
-/// wider than `max_segment_tokens` once, probe each emission once, and let
-/// a selector per objective keep its winner. Indexed `[s][e]`.
+/// wider than the index's τ once — the offline scan recorded no wider
+/// pattern, so a wider cell could only miss — probe each emission once,
+/// and let a selector per objective keep its winner. Indexed `[s][e]`.
 ///
 /// Per-segment constraints: coverage (Eq. 10). The FPR budget (Eq. 9) is
 /// enforced on the aggregate at the end, but no single segment may exceed
@@ -151,7 +152,7 @@ fn sweep_direct(
     let mut direct = vec![vec![Direct::default(); n + 1]; n + 1];
     // One enumeration scratch serves every cell of this sweep.
     let mut scratch = EnumScratch::default();
-    for width in 1..=n.min(cfg.max_segment_tokens) {
+    for width in 1..=n.min(index.tau) {
         for (s, row) in direct.iter_mut().enumerate().take(n - width + 1) {
             let e = s + width;
             #[cfg(test)]
@@ -270,11 +271,12 @@ fn combine(
     })
 }
 
-/// Solve FMDV-V / the vertical part of FMDV-VH on an analyzed group.
+/// Solve FMDV-V / the vertical part of FMDV-VH on a column's conforming
+/// group.
 ///
 /// `min_support` controls the per-segment hypothesis space: the group's
-/// sample size for pure vertical cuts (every value must conform), or
-/// `⌈(1−θ)·sample⌉` when combined with horizontal cuts.
+/// sample size for pure vertical cuts (every value must conform), or the
+/// relaxed Eq. 16 floor when combined with horizontal cuts.
 ///
 /// One [`sweep_direct`] streams thousands of candidate segments per cell
 /// through [`crate::fmdv::StreamingSelect`]; every probe is one
@@ -312,30 +314,13 @@ pub(crate) fn solve_vertical(
     Ok(safest)
 }
 
-/// FMDV-V entry point: requires a homogeneous column (all values share one
-/// coarse structure); heterogeneity is FMDV-H's job (§4).
-pub(crate) fn infer_fmdv_v(
-    index: &PatternIndex,
-    cfg: &FmdvConfig,
-    train: &[&str],
-) -> Result<VerticalSolution, InferError> {
-    if train.is_empty() {
-        return Err(InferError::EmptyColumn);
-    }
-    let analysis = analyze_column(train, &cfg.pattern);
-    if !analysis.is_homogeneous() {
-        return Err(InferError::NoHypothesis);
-    }
-    let group = &analysis.groups[0];
-    solve_vertical(index, cfg, group, group.sample_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AutoValidate, Variant};
     use av_corpus::{generate_lake, machine_domains, Column, CompositeDomain, Domain, LakeProfile};
     use av_index::{IndexConfig, PatternIndex};
-    use av_pattern::matches;
+    use av_pattern::analyze_column;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -453,7 +438,7 @@ mod tests {
             for s in 0..=(n - width) {
                 let e = s + width;
                 let mut best = TwoSweepCell::Infeasible;
-                if width <= cfg.max_segment_tokens {
+                if width <= index.tau {
                     CELLS_ENUMERATED.with(|c| c.set(c.get() + 1));
                     let objective = match mode {
                         DpMode::SpecificFirst => SelectObjective::SpecificFirst,
@@ -461,7 +446,7 @@ mod tests {
                     };
                     let mut sel = StreamingSelect::new(objective, cfg.r, cfg.m);
                     group.for_each_pattern(s, e, min_support, &cfg.pattern, &mut scratch, |sp| {
-                        sel.offer_streamed(index, sp);
+                        sel.offer_probed(sp, probe(index, sp));
                     });
                     if let Some(p) = structural_literal(group, s, e, min_support) {
                         sel.offer(Candidate {
@@ -528,9 +513,10 @@ mod tests {
         (out, CELLS_ENUMERATED.with(|c| c.get()) - before)
     }
 
-    /// Cells `[s, e)` no wider than `max_segment_tokens`: one sweep.
-    fn cells_per_sweep(n: usize, cfg: &FmdvConfig) -> usize {
-        (1..=n.min(cfg.max_segment_tokens)).map(|w| n - w + 1).sum()
+    /// Cells `[s, e)` no wider than the index's τ, Σ_{w ≤ τ}(n − w + 1):
+    /// one sweep.
+    fn cells_per_sweep(n: usize, index: &PatternIndex) -> usize {
+        (1..=n.min(index.tau)).map(|w| n - w + 1).sum()
     }
 
     /// Everything a rule is made of.
@@ -597,8 +583,7 @@ mod tests {
 
     fn index_and_config() -> (PatternIndex, FmdvConfig) {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.max_segment_tokens = index.tau;
+        let cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
         (index, cfg)
     }
 
@@ -665,11 +650,11 @@ mod tests {
 
         let (fused, cells) =
             cells_enumerated_by(|| solve_vertical(&index, &cfg, group, group.sample_size));
-        assert_eq!(cells, cells_per_sweep(n, &cfg), "exactly one sweep");
+        assert_eq!(cells, cells_per_sweep(n, &index), "exactly one sweep");
         // The reference pays for the second objective with a second sweep.
         let ((reference, exit), cells) =
             cells_enumerated_by(|| two_sweep_solve(&index, &cfg, group, group.sample_size));
-        assert_eq!(cells, 2 * cells_per_sweep(n, &cfg));
+        assert_eq!(cells, 2 * cells_per_sweep(n, &index));
         assert_ne!(exit, Exit::Accepted);
         assert_eq!(summary(&fused), summary(&reference));
         if let Ok(sol) = &fused {
@@ -678,52 +663,58 @@ mod tests {
     }
 
     /// With no cover under one objective there is none under the other:
-    /// the solve says so after its one sweep instead of trying again.
+    /// the solve says so after its one sweep instead of trying again —
+    /// and a sweep stops at the τ of the index it probes, whatever that
+    /// is (8 here, not the default 13).
     #[test]
     fn infeasible_column_fails_after_one_sweep() {
         // An index that has never seen a column covers no segment; only
         // the separators (structural literals) are feasible cells.
-        let index = PatternIndex::build(&[], &IndexConfig::default());
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.max_segment_tokens = index.tau;
+        let index = PatternIndex::build(&[], &IndexConfig::with_tau(8));
+        let cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
         let train = composite_column(60, 5);
         let analysis = analyze_column(&refs(&train), &cfg.pattern);
         let group = &analysis.groups[0];
+        let n = group.positions.len();
+        assert!(n > index.tau, "the cap binds: a default τ would sweep more");
         let (result, cells) =
             cells_enumerated_by(|| solve_vertical(&index, &cfg, group, group.sample_size));
         assert_eq!(result.err(), Some(InferError::NoFeasible));
-        assert_eq!(
-            cells,
-            cells_per_sweep(group.positions.len(), &cfg),
-            "exactly one sweep"
-        );
+        assert_eq!(cells, cells_per_sweep(n, &index), "exactly one sweep");
+    }
+
+    fn engine(index: &PatternIndex) -> AutoValidate<'_> {
+        AutoValidate::new(index, FmdvConfig::scaled_for_corpus(index.num_columns))
     }
 
     #[test]
     fn vertical_cut_handles_wide_composite_columns() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.max_segment_tokens = index.tau;
+        let engine = engine(&index);
         let train = composite_column(60, 5);
-        let solution = infer_fmdv_v(&index, &cfg, &refs(&train));
         // The composite column is ~19 tokens wide — too wide for any single
         // indexed pattern — yet the DP must find a feasible segmentation.
-        let solution = solution.expect("vertical cut should find a solution");
-        assert!(solution.segments.len() >= 2, "should actually cut");
-        let full = solution.full_pattern();
+        assert_eq!(
+            engine.infer(&train, Variant::Fmdv).err(),
+            Some(InferError::NoFeasible),
+            "a rule for this column has to cut it"
+        );
+        let rule = engine
+            .infer(&train, Variant::FmdvV)
+            .expect("vertical cut should find a solution");
         for v in &train {
-            assert!(matches(&full, v), "{full} !~ {v}");
+            assert!(rule.conforms(v), "{} !~ {v}", rule.pattern());
         }
-        assert!(solution.total_fpr <= cfg.r);
+        assert!(rule.expected_fpr <= engine.config.r);
     }
 
     #[test]
     fn heterogeneous_column_is_rejected() {
         let index = test_index();
-        let cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        let train = vec!["123".to_string(), "abc-def".to_string()];
         assert_eq!(
-            infer_fmdv_v(&index, &cfg, &refs(&train)).err(),
+            engine(&index)
+                .infer(["123", "abc-def"], Variant::FmdvV)
+                .err(),
             Some(InferError::NoHypothesis)
         );
     }
@@ -731,22 +722,18 @@ mod tests {
     #[test]
     fn empty_train_is_rejected() {
         let index = test_index();
-        let cfg = FmdvConfig::default();
-        let train: Vec<String> = vec![];
-        assert!(matches!(
-            infer_fmdv_v(&index, &cfg, &refs(&train)),
-            Err(InferError::EmptyColumn)
-        ));
+        assert_eq!(
+            engine(&index).infer([""; 0], Variant::FmdvV).err(),
+            Some(InferError::EmptyColumn)
+        );
     }
 
     #[test]
     fn solution_reports_min_coverage() {
         let index = test_index();
-        let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-        cfg.max_segment_tokens = index.tau;
-        let train = composite_column(40, 9);
-        if let Ok(sol) = infer_fmdv_v(&index, &cfg, &refs(&train)) {
-            assert!(sol.min_coverage() >= cfg.m);
+        let engine = engine(&index);
+        if let Ok(rule) = engine.infer(composite_column(40, 9), Variant::FmdvV) {
+            assert!(rule.coverage >= engine.config.m);
         }
     }
 
@@ -756,18 +743,21 @@ mod tests {
         // must produce budget-respecting solutions on the same column
         // (their chosen segmentations may legitimately differ).
         let index = test_index();
-        let mut pess = FmdvConfig::scaled_for_corpus(index.num_columns);
-        pess.max_segment_tokens = index.tau;
-        let mut opt = pess.clone();
-        opt.optimistic_vertical = true;
+        let pess = engine(&index);
+        let mut opt = engine(&index);
+        opt.config.optimistic_vertical = true;
         let train = composite_column(40, 11);
-        let a = infer_fmdv_v(&index, &pess, &refs(&train)).expect("pessimistic solves");
-        let b = infer_fmdv_v(&index, &opt, &refs(&train)).expect("optimistic solves");
-        assert!(a.total_fpr <= pess.r);
-        assert!(b.total_fpr <= opt.r);
+        let a = pess
+            .infer(&train, Variant::FmdvV)
+            .expect("pessimistic solves");
+        let b = opt
+            .infer(&train, Variant::FmdvV)
+            .expect("optimistic solves");
+        assert!(a.expected_fpr <= pess.config.r);
+        assert!(b.expected_fpr <= opt.config.r);
         for v in &train {
-            assert!(av_pattern::matches(&a.full_pattern(), v));
-            assert!(av_pattern::matches(&b.full_pattern(), v));
+            assert!(a.conforms(v));
+            assert!(b.conforms(v));
         }
     }
 }

@@ -66,18 +66,14 @@ pub struct NoIndexFmdv {
 }
 
 impl NoIndexFmdv {
-    /// Wrap corpus columns directly.
-    pub fn new(columns: Arc<Vec<Column>>, config: FmdvConfig) -> NoIndexFmdv {
+    /// Wrap corpus columns directly, to be scanned under token limit `tau`.
+    pub fn new(columns: Arc<Vec<Column>>, config: FmdvConfig, tau: usize) -> NoIndexFmdv {
         // The scan must mirror the offline build's enumeration exactly
         // (same caps, same τ), or borderline patterns get different stats.
-        let index_config = IndexConfig {
-            tau: config.max_segment_tokens,
-            ..Default::default()
-        };
         NoIndexFmdv {
             columns,
             config,
-            index_config,
+            index_config: IndexConfig::with_tau(tau),
         }
     }
 }
@@ -153,8 +149,9 @@ mod tests {
         let col_refs: Vec<&Column> = columns.iter().collect();
         let index = Arc::new(PatternIndex::build(&col_refs, &IndexConfig::default()));
         let config = FmdvConfig::scaled_for_corpus(index.num_columns);
+        let tau = index.tau;
         let indexed = FmdvValidator::new(index, config.clone(), Variant::Fmdv);
-        let scanning = NoIndexFmdv::new(columns.clone(), config);
+        let scanning = NoIndexFmdv::new(columns.clone(), config, tau);
         let train: Vec<String> = (0..30)
             .map(|i| format!("{:02}:{:02}:{:02}", i % 24, (i * 7) % 60, (i * 13) % 60))
             .collect();

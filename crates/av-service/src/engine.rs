@@ -1358,6 +1358,37 @@ mod tests {
         assert_eq!(stats.rules_inferred, 1);
     }
 
+    /// The widest segment a vertical cut keeps whole is the τ this service
+    /// indexes under, not a constant of its own: a lake of 15-position
+    /// values indexed under τ = 16 holds whole-value patterns only, so a
+    /// rule exists only if the sweep tries the full width.
+    #[test]
+    fn inference_sweeps_up_to_the_configured_tau() {
+        let wide = |k: usize| -> Vec<String> {
+            (0..30)
+                .map(|i| {
+                    let groups: Vec<String> = (0..8)
+                        .map(|g| format!("{:02}", (7 * i + 13 * g + k) % 100))
+                        .collect();
+                    groups.join("-")
+                })
+                .collect()
+        };
+        let service = ValidationService::new(ServiceConfig {
+            index: IndexConfig::with_tau(16),
+            ..Default::default()
+        });
+        let columns: Vec<Column> = (0..4)
+            .map(|k| owned_column(&format!("wide-{k}"), wide(k)))
+            .collect();
+        service.ingest(&columns).unwrap();
+        let entry = service
+            .infer_rule("wide", &wide(9), Some(Variant::FmdvVH))
+            .expect("the 15-position pattern is indexed");
+        assert!(entry.rule.conforms("01-02-03-04-05-06-07-08"));
+        assert!(!entry.rule.conforms("01-02-03-04-05-06-07"));
+    }
+
     #[test]
     fn incremental_ingest_equals_bulk_ingest() {
         let all = lake_columns(23);

@@ -393,14 +393,8 @@ fn at_least(v: &Json, field: &str, min: usize) -> Result<Option<u64>, String> {
 
 fn parse_variant(v: &Json) -> Result<Option<Variant>, String> {
     match v.get("variant").and_then(Json::as_str) {
-        None => Ok(None),
-        Some("auto") => Ok(None),
-        Some("fmdv") => Ok(Some(Variant::Fmdv)),
-        Some("v") | Some("fmdv-v") => Ok(Some(Variant::FmdvV)),
-        Some("h") | Some("fmdv-h") => Ok(Some(Variant::FmdvH)),
-        Some("vh") | Some("fmdv-vh") => Ok(Some(Variant::FmdvVH)),
-        Some("cmdv") => Ok(Some(Variant::Cmdv)),
-        Some(other) => Err(format!("unknown variant {other:?}")),
+        None | Some("auto") => Ok(None),
+        Some(name) => name.parse().map(Some),
     }
 }
 

@@ -131,8 +131,7 @@ fn main() {
     let corpus = generate_lake(&LakeProfile::tiny().scaled(800), 42);
     let cols: Vec<_> = corpus.columns().collect();
     let index = PatternIndex::build(&cols, &IndexConfig::default());
-    let mut cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
-    cfg.max_segment_tokens = index.tau;
+    let cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
     // A thousandth of the FPR budget: segments that fit `r` above are
     // refused here, so some composites lose their cover and the DP's
     // infeasible exit is pinned too.

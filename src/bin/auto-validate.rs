@@ -27,8 +27,9 @@ fn usage() -> ExitCode {
         "usage:
   auto-validate index <dir> [-o index.avix] [--tau N]
       Scan a directory of column files (one value per line) into an index.
-  auto-validate infer -i <index.avix> <column.txt> [--variant fmdv|v|h|vh]
-      Infer a validation rule for a column and print it (with regex export).
+  auto-validate infer -i <index.avix> <column.txt> [--variant fmdv|v|h|vh|cmdv]
+      Infer a validation rule for a column and print it (with regex export);
+      the default variant is vh, and fmdv-v, fmdv-h, fmdv-vh are also names.
   auto-validate validate -i <index.avix> --train <a.txt> --test <b.txt>
       Train a rule on one file and validate another; exit 1 when flagged.
   auto-validate demo
@@ -123,28 +124,18 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
 fn load_engine(args: &[String]) -> Result<(PatternIndex, FmdvConfig), String> {
     let index_path = flag_value(args, "-i").ok_or("missing -i <index.avix>")?;
     let index = PatternIndex::load(&index_path).map_err(|e| e.to_string())?;
-    let mut config = FmdvConfig::scaled_for_corpus(index.num_columns);
-    config.max_segment_tokens = index.tau;
+    let config = FmdvConfig::scaled_for_corpus(index.num_columns);
     Ok((index, config))
 }
 
-fn parse_variant(args: &[String]) -> Variant {
-    match flag_value(args, "--variant").as_deref() {
-        Some("fmdv") => Variant::Fmdv,
-        Some("v") => Variant::FmdvV,
-        Some("h") => Variant::FmdvH,
-        _ => Variant::FmdvVH,
-    }
-}
-
-fn cmd_infer(args: &[String]) -> Result<(), String> {
+fn cmd_infer(args: &[String], variant: Variant) -> Result<(), String> {
     let (index, config) = load_engine(args)?;
     let pos = positional(args);
     let column_path = pos.first().ok_or("missing column file")?;
     let train = read_column(Path::new(column_path))?;
     let engine = AutoValidate::new(&index, config);
     let t0 = std::time::Instant::now();
-    match engine.infer(&train, parse_variant(args)) {
+    match engine.infer(&train, variant) {
         Ok(rule) => {
             println!("rule     : {rule}");
             println!("regex    : /{}/", rule.to_regex());
@@ -233,7 +224,16 @@ fn main() -> ExitCode {
     let rest: Vec<String> = args[1..].to_vec();
     let result = match cmd.as_str() {
         "index" => cmd_index(&rest).map(|()| false),
-        "infer" => cmd_infer(&rest).map(|()| false),
+        "infer" => {
+            let named = flag_value(&rest, "--variant");
+            match named.map_or(Ok(Variant::default()), |name| name.parse()) {
+                Ok(variant) => cmd_infer(&rest, variant).map(|()| false),
+                Err(unknown) => {
+                    eprintln!("error: {unknown}");
+                    return usage();
+                }
+            }
+        }
         "validate" => cmd_validate(&rest),
         "demo" => cmd_demo().map(|()| false),
         _ => return usage(),

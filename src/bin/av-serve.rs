@@ -29,6 +29,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
+    // The op table's names: every telemetry slot but the two that count
+    // frames naming no op.
+    let ops: Vec<&str> = av_service::telemetry::OPS
+        .into_iter()
+        .filter(|op| !matches!(*op, "invalid" | "unknown"))
+        .collect();
+    let op_lines: Vec<String> = ops.chunks(6).map(|line| line.join(", ")).collect();
     eprintln!(
         "usage:
   av-serve [--data DIR] [--workers N]             serve stdin/stdout (JSONL)
@@ -64,9 +71,9 @@ options:
                  auto-checkpoint after N logged records (default 1024;
                  0 = only on explicit \"persist\")
 
-protocol ops: ping, ingest, infer, infer_baseline, validate,
-validate_batch, compare, catalog, rule, delete_rule, persist, stats,
-shutdown"
+protocol ops:
+  {}",
+        op_lines.join(",\n  ")
     );
     ExitCode::FAILURE
 }

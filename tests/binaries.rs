@@ -1,0 +1,56 @@
+//! The two binaries' command lines: what `--help` lists and what a
+//! mistyped argument gets.
+
+use std::process::Command;
+
+/// `av-serve --help` names every op the dispatcher has a row for — the
+/// list is printed from the op table, so it cannot fall behind it.
+#[test]
+fn av_serve_help_lists_every_op() {
+    let out = Command::new(env!("CARGO_BIN_EXE_av-serve"))
+        .arg("--help")
+        .output()
+        .expect("run av-serve");
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stderr).expect("utf-8 help");
+    let listed = help
+        .split_once("protocol ops:")
+        .expect("the help lists the ops")
+        .1;
+    let listed: Vec<&str> = listed.split(',').map(str::trim).collect();
+    let rows: Vec<&str> = av_service::telemetry::OPS
+        .into_iter()
+        .filter(|op| !matches!(*op, "invalid" | "unknown"))
+        .collect();
+    assert_eq!(rows.len(), av_service::telemetry::OPS.len() - 2);
+    assert_eq!(listed, rows);
+    for op in ["classify", "explain", "metrics", "watch"] {
+        assert!(listed.contains(&op), "{op} is an op");
+    }
+}
+
+/// A variant `auto-validate` does not know is an error with the usage,
+/// not a silent FMDV-VH; every name the wire protocol takes is known.
+#[test]
+fn auto_validate_refuses_an_unknown_variant() {
+    let infer = |variant: &str| {
+        Command::new(env!("CARGO_BIN_EXE_auto-validate"))
+            .args(["infer", "-i", "/nonexistent/lake.avix", "column.txt"])
+            .args(["--variant", variant])
+            .output()
+            .expect("run auto-validate")
+    };
+    let out = infer("banana");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("unknown variant \"banana\""), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    for known in [
+        "fmdv", "v", "fmdv-v", "h", "fmdv-h", "vh", "fmdv-vh", "cmdv",
+    ] {
+        // Past the variant, the missing index is what stops it.
+        let stderr = String::from_utf8(infer(known).stderr).expect("utf-8 stderr");
+        assert!(!stderr.contains("unknown variant"), "{known}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{known}: {stderr}");
+    }
+}
