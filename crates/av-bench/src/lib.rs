@@ -6,16 +6,22 @@
 //! and output-directory plumbing. Results are printed as aligned tables and
 //! written as CSV under `results/`.
 
+mod experiments;
+mod table;
+
+pub use experiments::{Experiment, EXPERIMENTS};
+pub use table::{Cell, Table};
+
 use av_baselines::{
     ColumnValidator, DeequCat, DeequFra, FlashProfile, Grok, PottersWheel, SchemaMatchCorpus,
     SmInstance, SmPattern, Ssis, Tfdv, XSystem,
 };
 use av_core::{FmdvConfig, Variant};
 use av_corpus::{generate_lake, Benchmark, Column, Corpus, LakeProfile};
-use av_eval::FmdvValidator;
+use av_eval::{evaluate_method, EvalConfig, FmdvValidator, MethodResult};
 use av_index::{IndexConfig, PatternIndex};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +69,19 @@ pub struct ExpArgs {
     pub out_dir: PathBuf,
     /// Master seed (`--seed N`).
     pub seed: u64,
+}
+
+/// `small` / enterprise / `results/` / 42 — the configuration
+/// `fidelity.expected` was recorded at.
+impl Default for ExpArgs {
+    fn default() -> Self {
+        ExpArgs {
+            scale: Scale::Small,
+            profile: LakeProfile::enterprise(),
+            out_dir: PathBuf::from("results"),
+            seed: 42,
+        }
+    }
 }
 
 impl ExpArgs {
@@ -205,6 +224,80 @@ pub fn full_roster(env: &Env) -> Vec<Box<dyn ColumnValidator>> {
     roster.push(Box::new(SmPattern::majority(sm.clone())));
     roster.push(Box::new(SmPattern::plurality(sm)));
     roster
+}
+
+/// An experiment's context: the flags, and the [`Env`] they describe,
+/// built on first use and then shared by every experiment of the process.
+pub struct Lab {
+    /// The flags.
+    pub args: ExpArgs,
+    env: OnceLock<Env>,
+}
+
+impl Lab {
+    /// A lab for these flags; nothing is generated until asked for.
+    pub fn new(args: ExpArgs) -> Lab {
+        Lab {
+            args,
+            env: OnceLock::new(),
+        }
+    }
+
+    /// Generate corpus → build index → sample benchmark, once.
+    pub fn env(&self) -> &Env {
+        self.env.get_or_init(|| {
+            let args = &self.args;
+            let columns = args.scale.corpus_columns(&args.profile);
+            eprintln!(
+                "[setup] generating {columns} {} columns…",
+                args.profile.name
+            );
+            let corpus = generate_lake(&args.profile.scaled(columns), args.seed);
+            let index = build_index(&corpus, &IndexConfig::default());
+            Env {
+                benchmark: sample_benchmark(args, &corpus, args.scale.benchmark_cases()),
+                fmdv: FmdvConfig::scaled_for_corpus(index.num_columns),
+                corpus,
+                index,
+            }
+        })
+    }
+
+    /// A benchmark of another size over the same lake.
+    pub fn benchmark(&self, cases: usize) -> Benchmark {
+        sample_benchmark(&self.args, &self.env().corpus, cases)
+    }
+
+    /// Another index (a different τ, or pattern strings kept) over the
+    /// same lake.
+    pub fn index_with(&self, config: &IndexConfig) -> Arc<PatternIndex> {
+        build_index(&self.env().corpus, config)
+    }
+
+    /// The §5.1 harness at this scale's recall sample.
+    pub fn evaluate(&self, validator: &dyn ColumnValidator, benchmark: &Benchmark) -> MethodResult {
+        eprintln!("[eval] {}…", validator.name());
+        let config = EvalConfig {
+            recall_sample: self.args.scale.recall_sample(),
+            ..Default::default()
+        };
+        evaluate_method(validator, benchmark, &config)
+    }
+}
+
+fn build_index(corpus: &Corpus, config: &IndexConfig) -> Arc<PatternIndex> {
+    eprintln!("[setup] indexing (τ = {})…", config.tau);
+    let cols: Vec<&Column> = corpus.columns().collect();
+    Arc::new(PatternIndex::build(&cols, config))
+}
+
+fn sample_benchmark(args: &ExpArgs, corpus: &Corpus, cases: usize) -> Benchmark {
+    let value_cap = if args.profile.name == "government" {
+        100
+    } else {
+        1000
+    };
+    Benchmark::sample(corpus, cases, 20, value_cap, args.seed.wrapping_add(1))
 }
 
 #[cfg(test)]
