@@ -10,7 +10,7 @@
 //! where the domain varies, class instead of literal) versus pinning what
 //! they saw, and how often they produce a broken regex altogether.
 //! Authoring wall-clock time cannot be simulated; the paper's measured
-//! times are carried in EXPERIMENTS.md.
+//! times are carried by `av-bench`'s `table3` experiment.
 
 use crate::validator::{ColumnValidator, InferredRule};
 use av_pattern::{tokenize, CharClass};

@@ -16,7 +16,7 @@ use av_baselines::{
 };
 use av_core::{AutoValidate, FmdvConfig, Variant};
 use av_corpus::{generate_lake, kaggle_tasks, Column, ColumnMeta, KaggleTask, LakeProfile};
-use av_eval::{evaluate_method, EvalConfig, FmdvValidator, MethodResult, NoIndexFmdv};
+use av_eval::{evaluate_method, FmdvValidator, MethodResult, NoIndexFmdv};
 use av_index::{profile_columns, IndexConfig, PatternIndex};
 use av_ml::{average_precision, r2_score, CategoryEncoder, Gbdt, GbdtConfig};
 use av_stats::HomogeneityTest;
@@ -501,11 +501,7 @@ fn table3(lab: &Lab) -> Vec<Table> {
     let mut table = Table::new("table3_user_study", title, header);
     // 20 cases: test each rule against all the others, like the paper.
     let mut participant = |validator: &dyn ColumnValidator, paper_seconds: Option<f64>| {
-        let all_others = EvalConfig {
-            recall_sample: 0,
-            ..Default::default()
-        };
-        let r = evaluate_method(validator, &benchmark, &all_others);
+        let r = evaluate_method(validator, &benchmark, 0);
         let seconds = paper_seconds.unwrap_or(r.avg_latency_ms / 1000.0);
         let quality = [Timing(seconds), Real(r.precision), Real(r.recall)];
         table.push(once(Cell::Text(r.method)).chain(quality));

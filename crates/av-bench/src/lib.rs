@@ -1,10 +1,13 @@
-//! # av-bench — experiment harness shared by every table/figure binary
+//! # av-bench — the paper's §5 tables as data the build checks
 //!
-//! Each `exp_*` binary regenerates one artifact of the paper's §5 (see
-//! DESIGN.md's experiment index). This library holds the shared setup:
-//! scale presets, corpus/index construction, the standard method roster,
-//! and output-directory plumbing. Results are printed as aligned tables and
-//! written as CSV under `results/`.
+//! Every table and figure of the paper's evaluation is one row of
+//! [`EXPERIMENTS`]: a name and a function from a [`Lab`] — the lake, its
+//! τ = 13 index and the sampled benchmark, built once per process — to the
+//! [`Table`]s it reports. The `exp` binary prints any of them and writes
+//! its CSV from the same rows; `tests/fidelity.rs` runs all of them at
+//! `small` / enterprise / seed 42 and compares against the checked-in
+//! `fidelity.expected`. This file holds the shared setup: scale presets,
+//! the four flags and the lab.
 
 mod experiments;
 mod table;
@@ -12,13 +15,10 @@ mod table;
 pub use experiments::{Experiment, EXPERIMENTS};
 pub use table::{Cell, Table};
 
-use av_baselines::{
-    ColumnValidator, DeequCat, DeequFra, FlashProfile, Grok, PottersWheel, SchemaMatchCorpus,
-    SmInstance, SmPattern, Ssis, Tfdv, XSystem,
-};
-use av_core::{FmdvConfig, Variant};
+use av_baselines::ColumnValidator;
+use av_core::FmdvConfig;
 use av_corpus::{generate_lake, Benchmark, Column, Corpus, LakeProfile};
-use av_eval::{evaluate_method, EvalConfig, FmdvValidator, MethodResult};
+use av_eval::{evaluate_method, MethodResult};
 use av_index::{IndexConfig, PatternIndex};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -58,14 +58,14 @@ impl Scale {
     }
 }
 
-/// Common command-line arguments for experiment binaries.
+/// The four flags every experiment takes.
 #[derive(Debug, Clone)]
 pub struct ExpArgs {
     /// Scale preset (`--scale small|full`).
     pub scale: Scale,
     /// Base corpus profile (`--profile enterprise|government`).
     pub profile: LakeProfile,
-    /// Output directory for CSVs (`--out DIR`, default `results/`).
+    /// Output directory for CSVs (`--out DIR`).
     pub out_dir: PathBuf,
     /// Master seed (`--seed N`).
     pub seed: u64,
@@ -85,145 +85,44 @@ impl Default for ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parse from `std::env::args`, with defaults.
-    pub fn parse() -> ExpArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = Scale::Small;
-        let mut profile = LakeProfile::enterprise();
-        let mut out_dir = PathBuf::from("results");
-        let mut seed = 42u64;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    scale = match args.get(i).map(|s| s.as_str()) {
-                        Some("full") => Scale::Full,
-                        _ => Scale::Small,
-                    };
+    /// Parse `--flag value` pairs over the defaults. Anything else — an
+    /// unknown flag, a missing or unknown value — is an error naming it.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<ExpArgs, String> {
+        let mut parsed = ExpArgs::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let value = args.next().ok_or(format!("{flag} needs a value"))?;
+            match (flag.as_str(), value.as_str()) {
+                ("--scale", "small") => parsed.scale = Scale::Small,
+                ("--scale", "full") => parsed.scale = Scale::Full,
+                ("--profile", "enterprise") => parsed.profile = LakeProfile::enterprise(),
+                ("--profile", "government") => parsed.profile = LakeProfile::government(),
+                ("--out", dir) => parsed.out_dir = PathBuf::from(dir),
+                ("--seed", n) => {
+                    parsed.seed = n
+                        .parse()
+                        .map_err(|_| format!("--seed {n:?} is not a number"))?
                 }
-                "--profile" => {
-                    i += 1;
-                    profile = match args.get(i).map(|s| s.as_str()) {
-                        Some("government") => LakeProfile::government(),
-                        _ => LakeProfile::enterprise(),
-                    };
+                ("--scale" | "--profile", other) => {
+                    return Err(format!("unknown {} {other:?}", &flag[2..]))
                 }
-                "--out" => {
-                    i += 1;
-                    out_dir = PathBuf::from(args.get(i).cloned().unwrap_or_default());
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-                }
-                other => {
-                    eprintln!("ignoring unknown argument {other:?}");
-                }
+                _ => return Err(format!("unknown argument {flag:?}")),
             }
-            i += 1;
         }
-        ExpArgs {
-            scale,
-            profile,
-            out_dir,
-            seed,
-        }
+        Ok(parsed)
     }
 }
 
-/// A fully prepared experiment environment.
+/// What every experiment shares.
 pub struct Env {
     /// The simulated lake.
     pub corpus: Corpus,
-    /// Offline index over it.
+    /// Offline index over it (τ = 13).
     pub index: Arc<PatternIndex>,
     /// Benchmark of sampled query columns with 10/90 splits.
     pub benchmark: Benchmark,
     /// FMDV configuration scaled to the corpus.
     pub fmdv: FmdvConfig,
-}
-
-/// Generate corpus → build index → sample benchmark.
-pub fn prepare(args: &ExpArgs) -> Env {
-    prepare_with(args, IndexConfig::default(), None)
-}
-
-/// Like [`prepare`] but with a custom index configuration and an optional
-/// override of benchmark size.
-pub fn prepare_with(args: &ExpArgs, index_config: IndexConfig, cases: Option<usize>) -> Env {
-    let profile = args
-        .profile
-        .scaled(args.scale.corpus_columns(&args.profile));
-    eprintln!(
-        "[setup] generating {} corpus: {} columns…",
-        profile.name, profile.num_columns
-    );
-    let corpus = generate_lake(&profile, args.seed);
-    eprintln!("[setup] indexing (τ = {})…", index_config.tau);
-    let t0 = std::time::Instant::now();
-    let cols: Vec<&Column> = corpus.columns().collect();
-    let index = Arc::new(PatternIndex::build(&cols, &index_config));
-    eprintln!(
-        "[setup] indexed {} columns → {} patterns in {:.1?}",
-        index.num_columns,
-        index.len(),
-        t0.elapsed()
-    );
-    let value_cap = if profile.name == "government" {
-        100
-    } else {
-        1000
-    };
-    let benchmark = Benchmark::sample(
-        &corpus,
-        cases.unwrap_or(args.scale.benchmark_cases()),
-        20,
-        value_cap,
-        args.seed.wrapping_add(1),
-    );
-    let fmdv = FmdvConfig::scaled_for_corpus(index.num_columns);
-    Env {
-        corpus,
-        index,
-        benchmark,
-        fmdv,
-    }
-}
-
-/// The four FMDV variants under the environment's config.
-pub fn fmdv_roster(env: &Env) -> Vec<Box<dyn ColumnValidator>> {
-    [
-        Variant::Fmdv,
-        Variant::FmdvV,
-        Variant::FmdvH,
-        Variant::FmdvVH,
-    ]
-    .into_iter()
-    .map(|v| {
-        Box::new(FmdvValidator::new(env.index.clone(), env.fmdv.clone(), v))
-            as Box<dyn ColumnValidator>
-    })
-    .collect()
-}
-
-/// The full §5.2 roster: FMDV variants + every baseline.
-pub fn full_roster(env: &Env) -> Vec<Box<dyn ColumnValidator>> {
-    let mut roster = fmdv_roster(env);
-    roster.push(Box::new(PottersWheel));
-    roster.push(Box::new(Ssis));
-    roster.push(Box::new(XSystem::default()));
-    roster.push(Box::new(FlashProfile::default()));
-    roster.push(Box::new(Grok::default()));
-    roster.push(Box::new(Tfdv));
-    roster.push(Box::new(DeequCat::default()));
-    roster.push(Box::new(DeequFra::default()));
-    let sm = SchemaMatchCorpus::new(&env.corpus);
-    roster.push(Box::new(SmInstance::new(sm.clone(), 1)));
-    roster.push(Box::new(SmInstance::new(sm.clone(), 10)));
-    roster.push(Box::new(SmPattern::majority(sm.clone())));
-    roster.push(Box::new(SmPattern::plurality(sm)));
-    roster
 }
 
 /// An experiment's context: the flags, and the [`Env`] they describe,
@@ -277,11 +176,7 @@ impl Lab {
     /// The §5.1 harness at this scale's recall sample.
     pub fn evaluate(&self, validator: &dyn ColumnValidator, benchmark: &Benchmark) -> MethodResult {
         eprintln!("[eval] {}…", validator.name());
-        let config = EvalConfig {
-            recall_sample: self.args.scale.recall_sample(),
-            ..Default::default()
-        };
-        evaluate_method(validator, benchmark, &config)
+        evaluate_method(validator, benchmark, self.args.scale.recall_sample())
     }
 }
 
@@ -310,38 +205,5 @@ mod tests {
         assert_eq!(Scale::Full.corpus_columns(&e), 20_000);
         assert_eq!(Scale::Small.corpus_columns(&e), 4_000);
         assert_eq!(Scale::Full.benchmark_cases(), 1000);
-    }
-
-    #[test]
-    fn roster_contains_all_paper_methods() {
-        let args = ExpArgs {
-            scale: Scale::Small,
-            profile: LakeProfile::tiny(),
-            out_dir: PathBuf::from("/tmp/av-bench-test"),
-            seed: 3,
-        };
-        let env = prepare(&args);
-        let roster = full_roster(&env);
-        let names: Vec<String> = roster.iter().map(|v| v.name().to_string()).collect();
-        for want in [
-            "FMDV",
-            "FMDV-V",
-            "FMDV-H",
-            "FMDV-VH",
-            "PWheel",
-            "SSIS",
-            "XSystem",
-            "FlashProfile",
-            "Grok",
-            "TFDV",
-            "Deequ-Cat",
-            "Deequ-Fra",
-            "SM-I-1",
-            "SM-I-10",
-            "SM-P-M",
-            "SM-P-P",
-        ] {
-            assert!(names.iter().any(|n| n == want), "missing {want}");
-        }
     }
 }

@@ -19,7 +19,6 @@ pub struct FmdvValidator {
     index: Arc<PatternIndex>,
     config: FmdvConfig,
     variant: Variant,
-    label: String,
 }
 
 impl FmdvValidator {
@@ -29,20 +28,13 @@ impl FmdvValidator {
             index,
             config,
             variant,
-            label: variant.label().to_string(),
         }
-    }
-
-    /// Override the display label (used by sensitivity sweeps).
-    pub fn with_label(mut self, label: impl Into<String>) -> FmdvValidator {
-        self.label = label.into();
-        self
     }
 }
 
 impl ColumnValidator for FmdvValidator {
     fn name(&self) -> &str {
-        &self.label
+        self.variant.label()
     }
 
     fn infer(&self, train: &[&str]) -> Option<InferredRule> {

@@ -16,8 +16,6 @@
 
 mod fmdv_validator;
 mod methodology;
-mod report;
 
 pub use fmdv_validator::{FmdvValidator, NoIndexFmdv};
-pub use methodology::{evaluate_method, CaseResult, EvalConfig, MethodResult};
-pub use report::{latency_table, precision_recall_table, write_results_csv, write_series_csv};
+pub use methodology::{evaluate_method, CaseResult, MethodResult};

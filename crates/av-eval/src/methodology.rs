@@ -21,31 +21,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Harness knobs.
-#[derive(Debug, Clone)]
-pub struct EvalConfig {
-    /// How many other columns each case's rule is tested against for
-    /// recall (0 = all of them, the paper's exact setting; a sample keeps
-    /// n² work bounded on large benchmarks).
-    pub recall_sample: usize,
-    /// Cap on test values fed to each pass/fail decision.
-    pub test_value_cap: usize,
-    /// Seed for the recall sample.
-    pub seed: u64,
-    /// Evaluate only pattern-eligible cases (the paper's 571/1000 subset).
-    pub eligible_only: bool,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            recall_sample: 100,
-            test_value_cap: 200,
-            seed: 0xAE57,
-            eligible_only: true,
-        }
-    }
-}
+/// Cap on the test values fed to each pass/fail decision.
+const TEST_VALUE_CAP: usize = 200;
+/// Seed of the per-case recall sample.
+const RECALL_SEED: u64 = 0xAE57;
 
 /// Per-case outcome.
 #[derive(Debug, Clone)]
@@ -102,17 +81,16 @@ impl MethodResult {
     }
 }
 
-/// Evaluate one method over a benchmark.
+/// Evaluate one method over a benchmark's pattern-eligible cases (the
+/// paper's 571 / 1000 subset). Each case's rule is tested for recall
+/// against `recall_sample` other columns (0 = all of them, the paper's
+/// exact setting; a sample keeps the n² work bounded on large benchmarks).
 pub fn evaluate_method(
     validator: &dyn ColumnValidator,
     benchmark: &Benchmark,
-    cfg: &EvalConfig,
+    recall_sample: usize,
 ) -> MethodResult {
-    let cases: Vec<&BenchmarkCase> = if cfg.eligible_only {
-        benchmark.eligible_cases().collect()
-    } else {
-        benchmark.cases.iter().collect()
-    };
+    let cases: Vec<&BenchmarkCase> = benchmark.eligible_cases().collect();
     let results: Vec<CaseResult> = std::thread::scope(|scope| {
         let shards = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -128,7 +106,13 @@ pub fn evaluate_method(
                     let mut out = Vec::with_capacity(shard.len());
                     for (k, case) in shard.iter().enumerate() {
                         let case_index = shard_id * chunk + k;
-                        out.push(evaluate_case(validator, case, case_index, all, cfg));
+                        out.push(evaluate_case(
+                            validator,
+                            case,
+                            case_index,
+                            all,
+                            recall_sample,
+                        ));
                     }
                     out
                 })
@@ -156,7 +140,7 @@ fn evaluate_case(
     case: &BenchmarkCase,
     case_index: usize,
     all: &[&BenchmarkCase],
-    cfg: &EvalConfig,
+    recall_sample: usize,
 ) -> CaseResult {
     let train: Vec<&str> = case.train.iter().map(String::as_str).collect();
     let start = Instant::now();
@@ -180,7 +164,7 @@ fn evaluate_case(
     let test: Vec<&str> = case
         .test
         .iter()
-        .take(cfg.test_value_cap)
+        .take(TEST_VALUE_CAP)
         .map(String::as_str)
         .collect();
     let precision = if rule.passes(test.iter().copied()) {
@@ -208,22 +192,22 @@ fn evaluate_case(
         None => precision,
     };
     // Recall over other columns.
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(case_index as u64));
+    let mut rng = StdRng::seed_from_u64(RECALL_SEED.wrapping_add(case_index as u64));
     let mut others: Vec<&BenchmarkCase> = all
         .iter()
         .enumerate()
         .filter(|(j, _)| *j != case_index)
         .map(|(_, c)| *c)
         .collect();
-    if cfg.recall_sample > 0 && others.len() > cfg.recall_sample {
+    if recall_sample > 0 && others.len() > recall_sample {
         others.shuffle(&mut rng);
-        others.truncate(cfg.recall_sample);
+        others.truncate(recall_sample);
     }
     let mut flagged = 0usize;
     let mut flagged_gt = 0usize;
     let mut total_gt = 0usize;
     for other in &others {
-        let other_vals = other.test.iter().take(cfg.test_value_cap);
+        let other_vals = other.test.iter().take(TEST_VALUE_CAP);
         let caught = !rule.passes(other_vals);
         if caught {
             flagged += 1;
@@ -274,12 +258,8 @@ mod tests {
     #[test]
     fn results_are_within_bounds() {
         let b = bench();
-        let cfg = EvalConfig {
-            recall_sample: 20,
-            ..Default::default()
-        };
         for validator in [&Tfdv as &dyn ColumnValidator, &PottersWheel] {
-            let r = evaluate_method(validator, &b, &cfg);
+            let r = evaluate_method(validator, &b, 20);
             assert!((0.0..=1.0).contains(&r.precision), "{}", r.method);
             assert!((0.0..=1.0).contains(&r.recall));
             assert!(
@@ -294,11 +274,7 @@ mod tests {
     fn tfdv_has_poor_precision_on_machine_data() {
         // The paper: TFDV false-alarms on >90% of string columns.
         let b = bench();
-        let cfg = EvalConfig {
-            recall_sample: 10,
-            ..Default::default()
-        };
-        let r = evaluate_method(&Tfdv, &b, &cfg);
+        let r = evaluate_method(&Tfdv, &b, 10);
         assert!(
             r.precision < 0.5,
             "dictionaries should false-alarm heavily, got {}",
@@ -327,11 +303,7 @@ mod tests {
             }
         }
         let b = bench();
-        let cfg = EvalConfig {
-            recall_sample: 10,
-            ..Default::default()
-        };
-        let r = evaluate_method(&Oracle, &b, &cfg);
+        let r = evaluate_method(&Oracle, &b, 10);
         assert!(r.precision > 0.8, "oracle precision {}", r.precision);
         assert!(r.recall > 0.5, "oracle recall {}", r.recall);
     }
@@ -349,11 +321,7 @@ mod tests {
             }
         }
         let b = bench();
-        let cfg = EvalConfig {
-            recall_sample: 5,
-            ..Default::default()
-        };
-        let r = evaluate_method(&AlwaysFlag, &b, &cfg);
+        let r = evaluate_method(&AlwaysFlag, &b, 5);
         assert_eq!(r.precision, 0.0);
         assert_eq!(r.recall, 0.0, "squashed despite flagging everything");
     }

@@ -2,7 +2,7 @@
 //! validation → evaluation, across crate boundaries.
 
 use auto_validate::prelude::*;
-use av_eval::{evaluate_method, EvalConfig, FmdvValidator};
+use av_eval::{evaluate_method, FmdvValidator};
 use std::sync::{Arc, OnceLock};
 
 fn shared() -> &'static (Corpus, Arc<PatternIndex>) {
@@ -20,12 +20,8 @@ fn full_pipeline_quality_floor() {
     let (corpus, index) = shared();
     let benchmark = Benchmark::sample(corpus, 120, 20, 500, 5);
     let config = FmdvConfig::scaled_for_corpus(index.num_columns);
-    let cfg = EvalConfig {
-        recall_sample: 30,
-        ..Default::default()
-    };
     let vh = FmdvValidator::new(index.clone(), config.clone(), Variant::FmdvVH);
-    let r_vh = evaluate_method(&vh, &benchmark, &cfg);
+    let r_vh = evaluate_method(&vh, &benchmark, 30);
     assert!(
         r_vh.precision >= 0.9,
         "FMDV-VH precision {} below floor",
@@ -39,7 +35,7 @@ fn full_pipeline_quality_floor() {
     // The combined variant must not lose to basic FMDV (the paper's Fig. 10
     // ordering, weak form).
     let basic = FmdvValidator::new(index.clone(), config, Variant::Fmdv);
-    let r_basic = evaluate_method(&basic, &benchmark, &cfg);
+    let r_basic = evaluate_method(&basic, &benchmark, 30);
     assert!(
         r_vh.f1() + 1e-9 >= r_basic.f1(),
         "VH f1 {} < FMDV f1 {}",
