@@ -38,6 +38,7 @@ fn bench_profile_column(c: &mut Criterion) {
                 &cfg,
                 13,
                 &mut scratch,
+                |_, _| true,
                 |sp, frac| {
                     n += 1;
                     sum = sum.wrapping_add(sp.fingerprint ^ frac.to_bits());

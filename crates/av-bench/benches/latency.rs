@@ -4,7 +4,7 @@
 //! hypothesis enumeration.
 
 use av_core::{AutoValidate, FmdvConfig, Variant};
-use av_corpus::{generate_lake, Column, LakeProfile};
+use av_corpus::{generate_lake, Benchmark, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
 use av_pattern::{fnv1a, hypothesis_space, matches, parse, PatternConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -64,6 +64,24 @@ fn bench_inference(c: &mut Criterion) {
         .collect();
     group.bench_function("FMDV-VH timestamp-12", |b| {
         b.iter(|| black_box(engine.infer(black_box(&timestamps), Variant::FmdvVH)))
+    });
+    // What the service ledger's read workloads set up: a 2000-column
+    // enterprise lake, then FMDV-VH on the training tenths of 200 sampled
+    // columns — the lake-wide cost, one iteration for all 200.
+    let lake = generate_lake(&LakeProfile::enterprise().scaled(2000), 42);
+    let lake_cols: Vec<&Column> = lake.columns().collect();
+    let lake_index = PatternIndex::build(&lake_cols, &IndexConfig::default());
+    let lake_engine = AutoValidate::new(
+        &lake_index,
+        FmdvConfig::scaled_for_corpus(lake_index.num_columns),
+    );
+    let cases = Benchmark::sample(&lake, 200, 20, 1000, 7);
+    group.bench_function("FMDV-VH enterprise-200", |b| {
+        b.iter(|| {
+            for case in &cases.cases {
+                black_box(lake_engine.infer(black_box(&case.train), Variant::FmdvVH)).ok();
+            }
+        })
     });
     group.finish();
 }

@@ -3,6 +3,11 @@
 //! probe each in the offline index, select. Every variant — FMDV (Eq. 5–7),
 //! FMDV-H (Eq. 12–16), FMDV-V / -VH (Eq. 8–11), the CMDV ablation and the
 //! Auto-Tag dual — is [`infer_pattern`] under a different θ and [`Search`].
+//!
+//! The enumeration only descends below a prefix some indexed pattern
+//! starts with ([`within_index`]). Everything it skips would probe as a
+//! miss, `(1.0, 0)`, which no selector accepts (coverage is at least 1),
+//! so skipping changes no answer — only what it costs.
 
 use crate::config::{FmdvConfig, InferError};
 use crate::horizontal::conforming_group;
@@ -58,9 +63,15 @@ pub(crate) fn infer_pattern<S: AsRef<str>>(
         Search::WholeColumn(mut select) => {
             let n = group.positions.len();
             let mut scratch = EnumScratch::default();
-            group.for_each_pattern(0, n, min_support, &cfg.pattern, &mut scratch, |sp| {
-                select.offer_probed(sp, probe(index, sp))
-            });
+            group.for_each_pattern(
+                0,
+                n,
+                min_support,
+                &cfg.pattern,
+                &mut scratch,
+                within_index(index),
+                |sp| select.offer_probed(sp, probe(index, sp)),
+            );
             select.into_best().ok_or(InferError::NoFeasible)
         }
         Search::VerticalCuts => {
@@ -108,11 +119,32 @@ pub(crate) enum SelectObjective {
     TagReach,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Make [`within_index`] admit every prefix on this thread: the
+    /// enumeration then emits what it emitted before it asked the index.
+    pub(crate) static KEEP_EVERY_PREFIX: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The enumeration's prefix hook at inference: descend below a prefix
+/// only when [`PatternIndex::admits_prefix`] says an indexed pattern may
+/// extend it.
+pub(crate) fn within_index(index: &PatternIndex) -> impl FnMut(u64, usize) -> bool + '_ {
+    move |key, len| {
+        #[cfg(test)]
+        if KEEP_EVERY_PREFIX.with(std::cell::Cell::get) {
+            return true;
+        }
+        index.admits_prefix(key, len)
+    }
+}
+
 /// The index's `(fpr, cov)` for one streamed emission; a pattern the
-/// index has never seen reads `(1.0, 0)` and is therefore infeasible under
-/// Eq. 7. The lookup routes straight to the fingerprint's index shard, so
-/// a concurrent ingest republishing *other* shards never contends with
-/// this hot path — the snapshot's shard `Arc`s are immutable.
+/// index has never seen reads `(1.0, 0)` and is therefore infeasible
+/// whatever `r` and `m` are ([`StreamingSelect`]). The lookup routes
+/// straight to the fingerprint's index shard, so a concurrent ingest
+/// republishing *other* shards never contends with this hot path — the
+/// snapshot's shard `Arc`s are immutable.
 #[inline]
 pub(crate) fn probe(index: &PatternIndex, sp: &StreamedPattern<'_>) -> (f64, u64) {
     match index.lookup_fingerprint(sp.fingerprint) {
@@ -122,10 +154,14 @@ pub(crate) fn probe(index: &PatternIndex, sp: &StreamedPattern<'_>) -> (f64, u64
 }
 
 /// Streaming candidate selection (Eq. 5–7): among offers satisfying
-/// `FPR ≤ r` and `Cov ≥ m`, keep the minimum under the objective. Folds
-/// enumeration emissions one at a time, keeping only the current winner —
-/// equivalent to collecting every candidate and taking the vector minimum
-/// (the tests' `select_min_*` references), but a [`Pattern`] is
+/// `FPR ≤ r` and `Cov ≥ max(m, 1)`, keep the minimum under the objective.
+/// The floor of one covering column holds at `m = 0` too: a pattern the
+/// corpus never saw is no evidence of a domain, and the enumeration's
+/// pruning counts on such a pattern never being picked.
+///
+/// Folds enumeration emissions one at a time, keeping only the current
+/// winner — equivalent to collecting every candidate and taking the vector
+/// minimum (the tests' `select_min_*` references), but a [`Pattern`] is
 /// materialized only when an emission actually wins (or fully ties): the
 /// vertical DP offers thousands of candidates per cell and keeps one.
 #[derive(Debug)]
@@ -170,7 +206,7 @@ impl StreamingSelect {
         pattern: impl FnOnce() -> Pattern,
     ) {
         use std::cmp::Ordering;
-        if !(fpr <= self.r && cov >= self.m) {
+        if !(fpr <= self.r && cov >= self.m.max(1)) {
             return;
         }
         let Some(best) = &self.best else {
@@ -224,6 +260,7 @@ impl StreamingSelect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AutoValidate, Variant};
     use av_pattern::parse;
 
     /// The vector pass [`StreamingSelect`] replaced, kept as its
@@ -232,7 +269,7 @@ mod tests {
     fn select_min_fpr(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
         candidates
             .iter()
-            .filter(|c| c.fpr <= r && c.cov >= m)
+            .filter(|c| c.fpr <= r && c.cov >= m.max(1))
             .min_by(|a, b| {
                 a.specificity()
                     .cmp(&b.specificity())
@@ -247,7 +284,7 @@ mod tests {
     fn select_min_cov(candidates: &[Candidate], r: f64, m: u64) -> Option<Candidate> {
         candidates
             .iter()
-            .filter(|c| c.fpr <= r && c.cov >= m)
+            .filter(|c| c.fpr <= r && c.cov >= m.max(1))
             .min_by(|a, b| {
                 a.cov
                     .cmp(&b.cov)
@@ -354,6 +391,8 @@ mod tests {
                 cand("<digit>{2}:<digit>{2}", 0.05, 120),
                 cand("<letter>+", 0.02, 40),
             ],
+            // An index miss next to a hit.
+            vec![cand("<digit>{3}", 1.0, 0), cand("<digit>+", 0.0, 900)],
             // Coverage ties: FPR breaks them for CMDV.
             vec![
                 cand("<digit>{2}", 0.02, 300),
@@ -372,7 +411,7 @@ mod tests {
                     let vector = reference(cands, r, m);
                     let mut sel = StreamingSelect::new(objective, r, m);
                     for c in cands {
-                        if c.fpr <= r && c.cov >= m {
+                        if c.fpr <= r && c.cov >= m.max(1) {
                             sel.offer(c.clone());
                         } else {
                             // Feasibility first: an infeasible offer is
@@ -413,6 +452,131 @@ mod tests {
         let pick = |objective| select(objective, &cands, f64::INFINITY, 1).unwrap().pattern;
         assert_eq!(pick(SelectObjective::TagReach), smaller);
         assert_eq!(pick(SelectObjective::LeastCoverage), larger);
+    }
+
+    /// `m = 0` does not make a pattern the corpus never saw feasible: at
+    /// `r = 1` its miss, `(1.0, 0)`, is inside every FPR budget, and only
+    /// the floor of one covering column keeps it out — of every objective,
+    /// and of every variant over an index that has seen nothing.
+    #[test]
+    fn an_unseen_pattern_is_never_selected_even_at_m_zero() {
+        let cands = vec![
+            cand("<digit>{2}:<digit>{2}", 1.0, 0),
+            cand("<digit>+", 0.4, 2),
+        ];
+        for objective in [
+            SelectObjective::SpecificFirst,
+            SelectObjective::LowestFpr,
+            SelectObjective::LeastCoverage,
+            SelectObjective::TagReach,
+        ] {
+            let pick = select(objective, &cands, 1.0, 0).map(|c| c.pattern);
+            assert_eq!(pick, Some(parse("<digit>+").unwrap()), "{objective:?}");
+            assert!(select(objective, &cands[..1], 1.0, 0).is_none());
+        }
+        let index = PatternIndex::build(&[], &av_index::IndexConfig::default());
+        let engine = AutoValidate::new(
+            &index,
+            FmdvConfig {
+                r: 1.0,
+                m: 0,
+                ..FmdvConfig::default()
+            },
+        );
+        let train: Vec<String> = (0..30).map(|i| format!("{:02}:{:02}", i % 24, i)).collect();
+        for variant in [
+            Variant::Fmdv,
+            Variant::FmdvH,
+            Variant::FmdvV,
+            Variant::FmdvVH,
+            Variant::Cmdv,
+        ] {
+            assert_eq!(
+                engine.infer(&train, variant).err(),
+                Some(InferError::NoFeasible),
+                "{}",
+                variant.label()
+            );
+        }
+    }
+
+    /// Everything a rule is made of — pattern, FPR bits, coverage, θ (the
+    /// training non-conforming fraction, or a tag's FNR) — or the error.
+    type Outcome = Result<(String, u64, u64, u64), InferError>;
+
+    /// Every variant and Auto-Tag at FNR budgets 0 and 0.05 on one column.
+    fn every_outcome(engine: &AutoValidate<'_>, values: &[String]) -> Vec<Outcome> {
+        let variants = [
+            Variant::Fmdv,
+            Variant::FmdvH,
+            Variant::FmdvV,
+            Variant::FmdvVH,
+            Variant::Cmdv,
+        ];
+        let rules = variants.into_iter().map(|v| {
+            engine.infer(values, v).map(|r| {
+                (
+                    r.pattern().to_string(),
+                    r.expected_fpr.to_bits(),
+                    r.coverage,
+                    r.train_nonconforming.to_bits(),
+                )
+            })
+        });
+        let tags = [0.0, 0.05].into_iter().map(|budget| {
+            engine.infer_tag(values, budget).map(|t| {
+                (
+                    t.pattern().to_string(),
+                    0,
+                    t.coverage,
+                    t.train_fnr.to_bits(),
+                )
+            })
+        });
+        rules.chain(tags).collect()
+    }
+
+    /// The referee of the prefix pruning: with [`KEEP_EVERY_PREFIX`] on,
+    /// the enumeration emits what it did before it asked the index, and
+    /// every variant infers the same rule — or fails the same way — as
+    /// with pruning, on the training tenths of 60 sampled query columns and
+    /// the first 400 columns of the lake at full length. The tiny lake
+    /// runs everywhere; `AV_IDENTITIES_FULL=1` (a release CI step) adds
+    /// the enterprise one.
+    #[test]
+    fn pruned_enumeration_infers_what_the_full_one_does() {
+        use av_corpus::{generate_lake, Benchmark, LakeProfile};
+        let mut lakes = vec![(LakeProfile::tiny().scaled(800), 42)];
+        if std::env::var("AV_IDENTITIES_FULL").is_ok_and(|v| v == "1") {
+            lakes.push((LakeProfile::enterprise().scaled(2000), 42));
+        }
+        for (profile, seed) in &lakes {
+            let corpus = generate_lake(profile, *seed);
+            let cols: Vec<_> = corpus.columns().collect();
+            let index = PatternIndex::build(&cols, &av_index::IndexConfig::default());
+            let engine =
+                AutoValidate::new(&index, FmdvConfig::scaled_for_corpus(index.num_columns));
+            let benchmark = Benchmark::sample(&corpus, 60, 20, 1000, 7);
+            assert_eq!(benchmark.len(), 60);
+            let queries = benchmark.cases.iter().map(|c| &c.train);
+            let lake = cols.iter().take(400).map(|c| &c.values);
+            let (mut rules, mut outcomes) = (0, 0);
+            for (i, values) in queries.chain(lake).enumerate() {
+                let pruned = every_outcome(&engine, values);
+                KEEP_EVERY_PREFIX.with(|keep| keep.set(true));
+                let full = every_outcome(&engine, values);
+                KEEP_EVERY_PREFIX.with(|keep| keep.set(false));
+                assert_eq!(pruned, full, "{} lake, column #{i}", profile.name);
+                outcomes += pruned.len();
+                rules += pruned.iter().filter(|o| o.is_ok()).count();
+            }
+            assert_eq!(outcomes, 7 * 460);
+            assert!(rules > outcomes / 4 && rules < outcomes, "{rules} rules");
+            eprintln!(
+                "pruned ≡ full: {} lake, {outcomes} outcomes identical ({rules} rules)",
+                profile.name
+            );
+        }
     }
 
     /// `LowestFpr` reproduces the literal Eq. 5 ordering the vertical DP's

@@ -3,7 +3,7 @@
 //! program (the min-FPR scores have optimal substructure).
 
 use crate::config::{FmdvConfig, InferError};
-use crate::fmdv::{probe, Candidate, SelectObjective, StreamingSelect};
+use crate::fmdv::{probe, within_index, Candidate, SelectObjective, StreamingSelect};
 use av_index::PatternIndex;
 use av_pattern::{CoarseGroup, EnumScratch, Pattern, Token};
 
@@ -130,12 +130,16 @@ impl Direct {
 thread_local! {
     /// Cell enumerations run on this thread (tests assert "one sweep").
     static CELLS_ENUMERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Patterns those enumerations emitted, and how many of them the
+    /// index held.
+    static EMISSIONS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// The one pass that touches the index: enumerate every cell `[s, e)` no
 /// wider than the index's τ once — the offline scan recorded no wider
-/// pattern, so a wider cell could only miss — probe each emission once,
-/// and let a selector per objective keep its winner. Indexed `[s][e]`.
+/// pattern, so a wider cell could only miss — below the prefixes an
+/// indexed pattern starts with, probe each emission once, and let a
+/// selector per objective keep its winner. Indexed `[s][e]`.
 ///
 /// Per-segment constraints: coverage (Eq. 10). The FPR budget (Eq. 9) is
 /// enforced on the aggregate at the end, but no single segment may exceed
@@ -159,11 +163,24 @@ fn sweep_direct(
             CELLS_ENUMERATED.with(|c| c.set(c.get() + 1));
             let mut specific = StreamingSelect::new(SelectObjective::SpecificFirst, cfg.r, cfg.m);
             let mut lowest_fpr = StreamingSelect::new(SelectObjective::LowestFpr, cfg.r, cfg.m);
-            group.for_each_pattern(s, e, min_support, &cfg.pattern, &mut scratch, |sp| {
-                let stats = probe(index, sp);
-                specific.offer_probed(sp, stats);
-                lowest_fpr.offer_probed(sp, stats);
-            });
+            group.for_each_pattern(
+                s,
+                e,
+                min_support,
+                &cfg.pattern,
+                &mut scratch,
+                within_index(index),
+                |sp| {
+                    let stats = probe(index, sp);
+                    #[cfg(test)]
+                    EMISSIONS.with(|n| {
+                        let (emitted, hits) = n.get();
+                        n.set((emitted + 1, hits + usize::from(stats.1 > 0)));
+                    });
+                    specific.offer_probed(sp, stats);
+                    lowest_fpr.offer_probed(sp, stats);
+                },
+            );
             if let Some(p) = structural_literal(group, s, e, min_support) {
                 let literal = Candidate {
                     pattern: p,
@@ -388,7 +405,8 @@ mod tests {
     /// The reference [`solve_vertical`] is checked against: the algorithm
     /// as it stood before the sweep was split from the DP — a full
     /// enumerate-and-probe DP per objective, the second one run whenever
-    /// the first is over budget *or* infeasible.
+    /// the first is over budget *or* infeasible — and before the
+    /// enumeration asked the index about prefixes.
     fn two_sweep_solve(
         index: &PatternIndex,
         cfg: &FmdvConfig,
@@ -445,9 +463,15 @@ mod tests {
                         DpMode::MinFpr => SelectObjective::LowestFpr,
                     };
                     let mut sel = StreamingSelect::new(objective, cfg.r, cfg.m);
-                    group.for_each_pattern(s, e, min_support, &cfg.pattern, &mut scratch, |sp| {
-                        sel.offer_probed(sp, probe(index, sp));
-                    });
+                    group.for_each_pattern(
+                        s,
+                        e,
+                        min_support,
+                        &cfg.pattern,
+                        &mut scratch,
+                        |_, _| true,
+                        |sp| sel.offer_probed(sp, probe(index, sp)),
+                    );
                     if let Some(p) = structural_literal(group, s, e, min_support) {
                         sel.offer(Candidate {
                             pattern: p,
@@ -681,6 +705,56 @@ mod tests {
             cells_enumerated_by(|| solve_vertical(&index, &cfg, group, group.sample_size));
         assert_eq!(result.err(), Some(InferError::NoFeasible));
         assert_eq!(cells, cells_per_sweep(n, &index), "exactly one sweep");
+    }
+
+    /// The census of the prefix pruning, on the `latency` bench's
+    /// 12-position clock column over its tiny-1500 index: an FMDV-VH
+    /// inference sweeps the same cells and finds every index hit it found
+    /// while enumerating everything, at an eighth of the emissions or less.
+    #[test]
+    fn prefix_pruning_cuts_a_timestamp_sweep_eightfold() {
+        let corpus = generate_lake(&LakeProfile::tiny().scaled(1500), 7);
+        let cols: Vec<&Column> = corpus.columns().collect();
+        let index = PatternIndex::build(&cols, &IndexConfig::default());
+        let engine = engine(&index);
+        let train: Vec<String> = (0..20)
+            .map(|i| {
+                format!(
+                    "2026-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+                    (i % 12) + 1,
+                    (i * 5 % 28) + 1,
+                    (i * 11) % 24,
+                    (i * 7) % 60,
+                    (i * 13) % 60
+                )
+            })
+            .collect();
+        let census = |keep_every_prefix: bool| {
+            crate::fmdv::KEEP_EVERY_PREFIX.with(|keep| keep.set(keep_every_prefix));
+            EMISSIONS.with(|n| n.set((0, 0)));
+            let (rule, cells) = cells_enumerated_by(|| engine.infer(&train, Variant::FmdvVH));
+            crate::fmdv::KEEP_EVERY_PREFIX.with(|keep| keep.set(false));
+            let rule = rule.map(|r| (r.pattern().to_string(), r.expected_fpr.to_bits()));
+            (rule, cells, EMISSIONS.with(std::cell::Cell::get))
+        };
+        let (full_rule, full_cells, (full_emitted, full_hits)) = census(true);
+        let (rule, cells, (emitted, hits)) = census(false);
+        eprintln!(
+            "timestamp-12 over tiny-1500: {cells} cells, {full_emitted} → {emitted} emissions \
+             for {hits} hits ({} prefix keys held)",
+            index
+                .shards()
+                .iter()
+                .map(|s| s.prefix_keys().len())
+                .sum::<usize>()
+        );
+        assert!(full_rule.is_ok(), "the clock column has a rule");
+        assert_eq!(rule, full_rule);
+        assert_eq!((cells, hits), (full_cells, full_hits));
+        assert!(
+            8 * emitted <= full_emitted,
+            "{full_emitted} → {emitted} emissions"
+        );
     }
 
     fn engine(index: &PatternIndex) -> AutoValidate<'_> {

@@ -107,8 +107,9 @@ pub const G4_PERSIST_FILES: &[&str] = &[
     "crates/av-service/src/durable.rs",
 ];
 
-/// G4: hash-map-backed fields whose iteration order is nondeterministic.
-pub const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "baselines"];
+/// G4: hash-map- and hash-set-backed fields whose iteration order is
+/// nondeterministic.
+pub const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes", "baselines"];
 
 /// G5: reactor sources where blocking calls would stall every
 /// connection at once.

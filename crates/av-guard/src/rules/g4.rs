@@ -6,7 +6,7 @@
 //!   modules, outside the two sanctioned conversion boundaries
 //!   ([`crate::config::G4_EXEMPT_FNS`]);
 //! * **hash-map order**: in persist/serialization files, iterating a
-//!   hash-map-backed field (`map`, `patterns`, `baselines`) in a
+//!   hash-backed field (`map`, `patterns`, `prefixes`, `baselines`) in a
 //!   function that never sorts leaks nondeterministic order into bytes —
 //!   checkpoints would differ run to run and recovery diffs would be
 //!   meaningless.

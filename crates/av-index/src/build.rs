@@ -13,7 +13,7 @@ use crate::shard::{shard_of, IndexShard, DEFAULT_SHARD_BITS, MAX_SHARD_BITS};
 use crate::stats::{PatternStats, StatsAcc};
 use av_corpus::Column;
 use av_pattern::{stream_column_profile, EnumScratch, Pattern, PatternConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,6 +54,16 @@ impl Hasher for FingerprintHasher {
 }
 
 pub(crate) type FastMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+pub(crate) type FastSet = HashSet<u64, BuildHasherDefault<FingerprintHasher>>;
+
+/// Canonical length up to which the index keeps the prefixes of its
+/// patterns. Inference asks about every prefix at most this long and
+/// descends unasked below it. The knee: over the tiny-1500 lake a
+/// timestamp-12 sweep emits 143 161 patterns with no prefix kept, 29 900
+/// at 4 tokens, 16 392 at 6, 15 944 at 8 and 12 872 with every prefix —
+/// against 9 011, 21 290, 44 520 and 145 080 keys held (`PERF.md` Point
+/// 16).
+const PREFIX_TOKENS: usize = 6;
 
 /// Columns a worker claims per queue pop. One gives the best balance
 /// under skewed column sizes, and no caller ever asked for another value.
@@ -253,8 +263,7 @@ impl PatternIndex {
             .map(|_| {
                 Arc::new(IndexShard {
                     map: FastMap::with_capacity_and_hasher(per_shard, Default::default()),
-                    patterns: FastMap::default(),
-                    version: 0,
+                    ..Default::default()
                 })
             })
             .collect();
@@ -319,6 +328,13 @@ impl PatternIndex {
             .or_insert(s);
     }
 
+    /// Record the key of an indexed pattern's prefix (used by
+    /// deserialization); it lives in the shard its top bits route to.
+    pub(crate) fn insert_prefix(&mut self, key: u64) {
+        let i = shard_of(key, self.shard_bits);
+        Arc::make_mut(&mut self.shards[i]).prefixes.insert(key);
+    }
+
     /// Merge an incremental delta (profiled over *new* corpus columns)
     /// into this index. Because both sides keep exact integer
     /// accumulators, the result is bit-for-bit identical to rebuilding
@@ -379,6 +395,9 @@ impl PatternIndex {
             for (k, s) in shard.patterns.iter() {
                 next.insert_pattern_string(*k, s.clone());
             }
+            for key in shard.prefixes.iter() {
+                next.insert_prefix(*key);
+            }
         }
         next
     }
@@ -426,6 +445,20 @@ impl PatternIndex {
             .map
             .get(&fingerprint)
             .map(|a| a.finish())
+    }
+
+    /// Could an indexed pattern start with the canonical prefix of `len`
+    /// tokens whose [`av_pattern::FingerprintState::closed`] key is `key`?
+    /// Prefixes longer than the index keeps are admitted unasked; shorter
+    /// ones cost one probe of the shard the key routes to. A `false` is
+    /// exact — no indexed pattern extends the prefix, so every pattern
+    /// below it would probe as a miss — and a `true` may be a key
+    /// collision, which only costs the enumeration it fails to skip.
+    pub fn admits_prefix(&self, key: u64, len: usize) -> bool {
+        len > PREFIX_TOKENS
+            || self.shards[shard_of(key, self.shard_bits)]
+                .prefixes
+                .contains(&key)
     }
 
     /// `FPR_T(p)`, or `None` when the pattern never occurred in the corpus.
@@ -532,25 +565,38 @@ pub(crate) struct ColumnScratch {
     frac: FastMap<FracAcc>,
 }
 
-/// Index one column: stream `P(D)` as `(fingerprint, support, len)`
-/// triples — no `Pattern` is materialized — merge per-column fractions by
-/// fingerprint, and fold into the shard accumulator. Display strings are
-/// rendered only under `keep_patterns`, and only for first-seen
-/// fingerprints.
+/// Index one column into a worker's `delta`: stream `P(D)` as
+/// `(fingerprint, support, len)` triples — no `Pattern` is materialized —
+/// merge per-column fractions by fingerprint, and fold into the
+/// accumulators. Display strings are rendered only under `keep_patterns`,
+/// and only for first-seen fingerprints. The enumeration's prefix hook
+/// records every key of at most [`PREFIX_TOKENS`] canonical tokens on the
+/// way down.
 pub(crate) fn index_one_column(
     col: &Column,
     config: &IndexConfig,
-    acc: &mut FastMap<StatsAcc>,
-    names: &mut FastMap<String>,
+    delta: &mut crate::IndexDelta,
     scratch: &mut ColumnScratch,
 ) {
     let ColumnScratch { enumeration, frac } = scratch;
+    let crate::IndexDelta {
+        acc,
+        names,
+        prefixes,
+        ..
+    } = delta;
     frac.clear();
     stream_column_profile(
         &col.values,
         &config.pattern,
         config.tau,
         enumeration,
+        |key, len| {
+            if len <= PREFIX_TOKENS {
+                prefixes.insert(key);
+            }
+            true
+        },
         |sp, contribution| {
             frac.entry(sp.fingerprint)
                 .or_insert(FracAcc {
@@ -603,6 +649,7 @@ pub fn scan_corpus_fpr(
                     &config.pattern,
                     config.tau,
                     &mut scratch,
+                    |_, _| true,
                     |sp, contribution| {
                         if let Some(&i) = want.get(&sp.fingerprint) {
                             if !seen[i] {
@@ -742,10 +789,26 @@ mod tests {
         }
     }
 
+    /// The prefix keys of one indexed pattern, derived from its tokens:
+    /// the closed fingerprint after every non-literal token short of the
+    /// last, up to [`PREFIX_TOKENS`] tokens — the internal nodes the DFS
+    /// that emitted the pattern passed through.
+    fn prefix_keys_of(pattern: &Pattern) -> Vec<u64> {
+        let tokens = pattern.tokens();
+        let mut state = av_pattern::FingerprintState::new();
+        let mut keys = Vec::new();
+        for token in tokens.iter().take(tokens.len() - 1).take(PREFIX_TOKENS) {
+            state = state.push(token);
+            keys.extend(state.closed());
+        }
+        keys
+    }
+
     /// The fold-direct streaming build must persist to bytes identical to
     /// the materializing reference: profile each column into
     /// `(Pattern, matched_frac)` pairs, merge per column by pattern, fold
-    /// with `add_impurity` — the pre-streaming dataflow.
+    /// with `add_impurity` — the pre-streaming dataflow — and key the
+    /// prefixes of every pattern from its tokens.
     #[test]
     fn fold_direct_build_matches_materializing_reference() {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(150), 7);
@@ -763,6 +826,9 @@ mod tests {
                 {
                     let fp = pattern.fingerprint();
                     reference.fold_impurity(fp, 1.0 - frac, pattern.len().min(255) as u8);
+                    for key in prefix_keys_of(&pattern) {
+                        reference.insert_prefix(key);
+                    }
                     if keep_patterns {
                         reference.insert_pattern_string(fp, pattern.to_string());
                     }

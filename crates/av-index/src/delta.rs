@@ -9,14 +9,18 @@
 //! `build(A) ⊕ delta(B)` equals `build(A ∪ B)` bit-for-bit on every
 //! statistic, for any sharding and any merge order.
 //!
+//! A delta also carries the keys of its patterns' short prefixes (see
+//! [`PatternIndex::admits_prefix`]); they are a set, so merging them is a
+//! union, as order-independent as the accumulators.
+//!
 //! At merge time a delta [splits](IndexDelta::into_shard_parts) into
-//! per-shard sub-deltas routed by fingerprint, which is what lets
-//! [`PatternIndex::merge_delta`] (and the concurrent
-//! [`crate::ShardedIndex`]) write to **only the shards the delta
-//! touches**, copying one first only while a snapshot still shares it —
-//! update cost tracks the delta, not the database.
+//! per-shard sub-deltas routed by fingerprint (a prefix key by its own top
+//! bits), which is what lets [`PatternIndex::merge_delta`] (and the
+//! concurrent [`crate::ShardedIndex`]) write to **only the shards the
+//! delta touches**, copying one first only while a snapshot still shares
+//! it — update cost tracks the delta, not the database.
 
-use crate::build::{index_one_column, FastMap, IndexConfig};
+use crate::build::{index_one_column, FastMap, FastSet, IndexConfig};
 use crate::persist::PersistError;
 use crate::shard::shard_of;
 use crate::stats::StatsAcc;
@@ -27,7 +31,7 @@ use bytes::{Buf, BufMut};
 use crate::build::PatternIndex;
 
 const DELTA_MAGIC: &[u8; 4] = b"AVDL";
-const DELTA_VERSION: u32 = 1;
+const DELTA_VERSION: u32 = 2;
 
 /// A profiled batch of new corpus columns, ready to merge into a live
 /// [`PatternIndex`].
@@ -35,6 +39,7 @@ const DELTA_VERSION: u32 = 1;
 pub struct IndexDelta {
     pub(crate) acc: FastMap<StatsAcc>,
     pub(crate) names: FastMap<String>,
+    pub(crate) prefixes: FastSet,
     pub(crate) num_columns: u64,
     pub(crate) tau: usize,
 }
@@ -80,29 +85,27 @@ impl IndexDelta {
     /// is order-independent, so the result is bit-identical for every
     /// thread count and schedule.
     pub fn profile(columns: &[&Column], config: &IndexConfig) -> IndexDelta {
-        let ((mut acc, mut names), helped) =
-            crate::build::run_work_queue(columns, config, |queue| {
-                let mut acc: FastMap<StatsAcc> = FastMap::default();
-                let mut names: FastMap<String> = FastMap::default();
-                let mut scratch = crate::build::ColumnScratch::default();
-                while let Some(range) = queue.next_range() {
-                    for col in &columns[range] {
-                        index_one_column(col, config, &mut acc, &mut names, &mut scratch);
-                    }
+        let (mut delta, helped) = crate::build::run_work_queue(columns, config, |queue| {
+            let mut delta = IndexDelta::default();
+            let mut scratch = crate::build::ColumnScratch::default();
+            while let Some(range) = queue.next_range() {
+                for col in &columns[range] {
+                    index_one_column(col, config, &mut delta, &mut scratch);
                 }
-                (acc, names)
-            });
-        for (helper_acc, helper_names) in helped {
-            for (k, v) in helper_acc {
-                acc.entry(k).or_default().merge(&v);
             }
-            names.extend(helper_names);
+            delta
+        });
+        for helper in helped {
+            for (k, v) in helper.acc {
+                delta.acc.entry(k).or_default().merge(&v);
+            }
+            delta.names.extend(helper.names);
+            delta.prefixes.extend(helper.prefixes);
         }
         IndexDelta {
-            acc,
-            names,
             num_columns: columns.len() as u64,
             tau: config.tau,
+            ..delta
         }
     }
 
@@ -135,23 +138,33 @@ impl IndexDelta {
         let shard_bits = shard_bits.min(crate::shard::MAX_SHARD_BITS);
         let count = 1usize << shard_bits;
         let mut touched = vec![false; count];
-        for fp in self.acc.keys() {
+        for fp in self.acc.keys().chain(&self.prefixes) {
             touched[shard_of(*fp, shard_bits)] = true;
         }
         touched.iter().filter(|t| **t).count()
     }
 
-    /// Serialize for the write-ahead log (`AVDL` v1, little-endian):
-    /// header, then the accumulator entries sorted by fingerprint, then
-    /// the display-name strings. [`IndexDelta::from_bytes`] restores a
-    /// delta whose merge effect is bit-identical to the original's.
+    /// Serialize for the write-ahead log (`AVDL` v2, little-endian):
+    ///
+    /// ```text
+    /// magic "AVDL" | version u32 | tau u64 | num_columns u64
+    /// n_entries u64, n_entries × (fingerprint u64, imp_fp u64, cov u64, token_len u8)
+    /// n_strings u64, n_strings × (fingerprint u64, len u32, utf-8 bytes)
+    /// n_prefixes u64, n_prefixes × key u64
+    /// ```
+    ///
+    /// Every section is sorted by its key, so the bytes are canonical, and
+    /// [`IndexDelta::from_bytes`] restores a delta whose merge effect is
+    /// bit-identical to the original's; v2 is the only version read.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Sized for the whole record (header + entries + names) and built
+        // Sized for the whole record (header + three sections) and built
         // straight into the returned Vec: every durable ingest encodes its
         // delta before it takes the WAL lock, so reallocation and a
         // trailing copy both show up as acknowledge latency.
         let names_bytes: usize = self.names.values().map(|s| 12 + s.len()).sum();
-        let mut buf: Vec<u8> = Vec::with_capacity(32 + self.acc.len() * 25 + 8 + names_bytes);
+        let mut buf: Vec<u8> = Vec::with_capacity(
+            32 + self.acc.len() * 25 + 8 + names_bytes + 8 + self.prefixes.len() * 8,
+        );
         buf.put_slice(DELTA_MAGIC);
         buf.put_u32_le(DELTA_VERSION);
         buf.put_u64_le(self.tau as u64);
@@ -173,6 +186,12 @@ impl IndexDelta {
             buf.put_u64_le(k);
             buf.put_u32_le(s.len() as u32);
             buf.put_slice(s.as_bytes());
+        }
+        let mut prefixes: Vec<u64> = self.prefixes.iter().copied().collect();
+        prefixes.sort_unstable();
+        buf.put_u64_le(prefixes.len() as u64);
+        for key in prefixes {
+            buf.put_u64_le(key);
         }
         buf
     }
@@ -228,19 +247,29 @@ impl IndexDelta {
             buf.advance(len);
             names.insert(k, s);
         }
-        if buf.remaining() > 0 {
-            return Err(err("trailing bytes after delta"));
+        if buf.remaining() < 8 {
+            return Err(err("missing delta prefix section"));
+        }
+        let np = buf.get_u64_le() as usize;
+        if buf.remaining() != np.saturating_mul(8) {
+            return Err(err("delta prefix section does not fill the record"));
+        }
+        let mut prefixes = FastSet::default();
+        prefixes.reserve(np);
+        for _ in 0..np {
+            prefixes.insert(buf.get_u64_le());
         }
         Ok(IndexDelta {
             acc,
             names,
+            prefixes,
             num_columns,
             tau,
         })
     }
 
     /// Split into per-shard sub-deltas: entry `i` of `parts` holds the
-    /// accumulators (and display names) whose fingerprints route to shard
+    /// accumulators, display names and prefix keys that route to shard
     /// `i`, or `None` when the delta does not touch that shard.
     pub(crate) fn into_shard_parts(self, shard_bits: u32) -> ShardParts {
         let shard_bits = shard_bits.min(crate::shard::MAX_SHARD_BITS);
@@ -258,6 +287,12 @@ impl IndexDelta {
                 .names
                 .push((fp, name));
         }
+        for key in self.prefixes {
+            parts[shard_of(key, shard_bits)]
+                .get_or_insert_with(ShardPart::default)
+                .prefixes
+                .push(key);
+        }
         ShardParts {
             parts,
             num_columns: self.num_columns,
@@ -270,6 +305,7 @@ impl IndexDelta {
 pub(crate) struct ShardPart {
     pub(crate) acc: Vec<(u64, StatsAcc)>,
     pub(crate) names: Vec<(u64, String)>,
+    pub(crate) prefixes: Vec<u64>,
 }
 
 /// A delta split by shard, ready for a touched-shards-only merge.
@@ -371,6 +407,8 @@ mod tests {
         assert_eq!(restored.tau(), delta.tau());
         assert_eq!(restored.num_columns(), delta.num_columns());
         assert_eq!(restored.len(), delta.len());
+        assert!(!delta.prefixes.is_empty());
+        assert_eq!(restored.prefixes, delta.prefixes);
         // Serialization is canonical: re-encoding is byte-stable.
         assert_eq!(restored.to_bytes(), bytes);
         // Merging the decoded delta is bit-identical to the original.

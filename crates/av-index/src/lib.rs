@@ -9,9 +9,13 @@
 //!
 //! The build is a shard-and-merge map/reduce over OS threads (the paper
 //! uses a production Map-Reduce cluster — same dataflow). Indexes persist
-//! to a compact binary format (AVIX v4, a per-shard directory — the only
+//! to a compact binary format (AVIX v5, a per-shard directory — the only
 //! version read) and are orders of magnitude smaller than the corpus they
 //! summarize.
+//!
+//! Beside the statistics the index keeps the keys of its patterns' short
+//! prefixes, so an inference can skip every part of its enumeration that
+//! no indexed pattern extends ([`PatternIndex::admits_prefix`]).
 //!
 //! ## Sharded copy-on-write maintenance
 //!

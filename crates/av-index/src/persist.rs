@@ -2,20 +2,24 @@
 //! can be shipped to the online service (§2.4: "the result from the offline
 //! step is an index for lookup").
 //!
-//! Version 4 layout (little-endian) — a **shard directory**:
+//! Version 5 layout (little-endian) — a **shard directory**:
 //!
 //! ```text
 //! magic "AVIX" | version u32 | num_columns u64 | tau u64 | shard_bits u32
 //! then, for each of the 2^shard_bits shards in order:
 //!   n_entries u64, n_entries × (fingerprint u64, imp_fp u64, cov u64, token_len u8)
 //!   n_strings u64, n_strings × (fingerprint u64, len u32, utf-8 bytes)
+//!   n_prefixes u64, n_prefixes × key u64
 //! ```
 //!
-//! Entries are sorted by fingerprint within each shard; because shard
-//! routing uses the fingerprint's *top* bits, the concatenation of the
-//! shard sections is still globally fingerprint-sorted. Version 4 is the
-//! only version read: no deployment ever wrote an earlier one, and every
-//! other version number is refused.
+//! Entries, strings and prefix keys are each sorted within their shard;
+//! because shard routing uses the *top* bits, the concatenation of the
+//! shard sections is still globally sorted. The prefix keys
+//! ([`PatternIndex::admits_prefix`]) cannot be derived at load — the image
+//! holds fingerprints, not tokens — so they are stored; v5 is v4 with that
+//! third section per shard, and every accumulator byte where v4 put it.
+//! Version 5 is the only version read: no deployment ever wrote an earlier
+//! one, and every other version number is refused.
 //!
 //! The format stores the **raw fixed-point impurity accumulator**
 //! (`imp_fp`, scaled by 2³²) instead of the finished `fpr` float, so a
@@ -34,8 +38,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"AVIX";
-// v4: sharded directory layout (see module docs); the only version read.
-const VERSION: u32 = 4;
+// v5: sharded directory layout with prefix keys (see module docs); the
+// only version read.
+const VERSION: u32 = 5;
 
 /// Errors from loading a persisted index.
 #[derive(Debug)]
@@ -63,8 +68,8 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Append one shard's entry + string sections (the exact per-shard byte
-/// layout of an AVIX v4 body) to `buf`. Entries sorted by fingerprint.
+/// Append one shard's entry, string and prefix sections (the exact
+/// per-shard byte layout of an AVIX v5 body) to `buf`, each sorted.
 fn put_shard_sections(shard: &IndexShard, buf: &mut BytesMut) {
     let mut entries: Vec<(u64, StatsAcc)> = shard.map.iter().map(|(k, v)| (*k, *v)).collect();
     entries.sort_by_key(|(k, _)| *k);
@@ -85,23 +90,48 @@ fn put_shard_sections(shard: &IndexShard, buf: &mut BytesMut) {
         buf.put_u32_le(s.len() as u32);
         buf.put_slice(s.as_bytes());
     }
+    let prefixes = shard.prefix_keys();
+    buf.put_u64_le(prefixes.len() as u64);
+    for key in prefixes {
+        buf.put_u64_le(key);
+    }
+}
+
+/// Read one shard's prefix section: the count, then that many keys, each
+/// handed to `insert`, which may refuse it.
+fn get_prefix_section(
+    buf: &mut &[u8],
+    mut insert: impl FnMut(u64) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let err = |m: &str| PersistError::Format(m.to_string());
+    if buf.remaining() < 8 {
+        return Err(err("missing prefix section"));
+    }
+    let n = buf.get_u64_le() as usize;
+    if buf.remaining() / 8 < n {
+        return Err(err("truncated prefix keys"));
+    }
+    for _ in 0..n {
+        insert(buf.get_u64_le())?;
+    }
+    Ok(())
 }
 
 impl IndexShard {
-    /// Serialize this shard's entry and string sections — byte-identical
-    /// to the slice of an AVIX v4 image that holds this shard. Checkpoint
-    /// shard files are this plus framing owned by the durability layer.
+    /// Serialize this shard's entry, string and prefix sections —
+    /// byte-identical to the slice of an AVIX v5 image that holds this
+    /// shard. Checkpoint shard files are this plus framing owned by the
+    /// durability layer.
     pub fn section_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.len() * 25);
+        let mut buf = BytesMut::with_capacity(24 + self.len() * 25 + self.prefixes.len() * 8);
         put_shard_sections(self, &mut buf);
         buf.freeze()
     }
 
-    /// Decode entry + string sections produced by
-    /// [`IndexShard::section_bytes`], verifying that every fingerprint
-    /// actually routes to shard `shard_idx` under `shard_bits` — a shard
-    /// file that was renamed or swapped fails here instead of silently
-    /// misrouting lookups.
+    /// Decode the sections produced by [`IndexShard::section_bytes`],
+    /// verifying that every fingerprint and prefix key actually routes to
+    /// shard `shard_idx` under `shard_bits` — a shard file that was renamed
+    /// or swapped fails here instead of silently misrouting lookups.
     pub fn from_section_bytes(
         mut buf: &[u8],
         shard_idx: usize,
@@ -152,17 +182,28 @@ impl IndexShard {
             buf.advance(len);
             shard.patterns.insert(k, s);
         }
+        get_prefix_section(&mut buf, |key| {
+            if shard_of(key, shard_bits) != shard_idx {
+                return Err(PersistError::Format(format!(
+                    "prefix key {key:#018x} does not route to shard {shard_idx}"
+                )));
+            }
+            shard.prefixes.insert(key);
+            Ok(())
+        })?;
         if buf.remaining() > 0 {
-            return Err(err("trailing bytes after string section"));
+            return Err(err("trailing bytes after prefix section"));
         }
         Ok(shard)
     }
 }
 
 impl PatternIndex {
-    /// Serialize to bytes (AVIX v4).
+    /// Serialize to bytes (AVIX v5).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(36 + self.len() * 25 + self.shard_count() * 16);
+        let prefixes: usize = self.shards.iter().map(|s| s.prefixes.len()).sum();
+        let mut buf =
+            BytesMut::with_capacity(36 + self.len() * 25 + prefixes * 8 + self.shard_count() * 24);
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(self.num_columns);
@@ -203,7 +244,7 @@ impl PatternIndex {
         ))
     }
 
-    /// Deserialize from bytes (AVIX v4; any other version is refused).
+    /// Deserialize from bytes (AVIX v5; any other version is refused).
     pub fn from_bytes(mut buf: &[u8]) -> Result<PatternIndex, PersistError> {
         let err = |m: &str| PersistError::Format(m.to_string());
         if buf.remaining() < 4 || &buf[..4] != MAGIC {
@@ -266,6 +307,10 @@ impl PatternIndex {
                 buf.advance(len);
                 index.insert_pattern_string(k, s);
             }
+            get_prefix_section(&mut buf, |key| {
+                index.insert_prefix(key);
+                Ok(())
+            })?;
         }
         if buf.remaining() > 0 {
             return Err(err("trailing bytes after last shard"));
@@ -324,6 +369,33 @@ mod tests {
     use super::PersistError;
     use crate::build::{IndexConfig, PatternIndex};
     use av_corpus::{generate_lake, Column, LakeProfile};
+    use bytes::Buf;
+
+    /// The v4 image inside a v5 one: the same header under version 4, and
+    /// every shard's entry and string sections without its prefix section.
+    fn without_prefix_sections(v5: &[u8]) -> Vec<u8> {
+        let shard_bits = u32::from_le_bytes(v5[24..28].try_into().unwrap());
+        let mut v4 = Vec::with_capacity(v5.len());
+        v4.extend_from_slice(b"AVIX");
+        v4.extend_from_slice(&4u32.to_le_bytes());
+        v4.extend_from_slice(&v5[8..28]);
+        let mut buf = &v5[28..];
+        for _ in 0..1usize << shard_bits {
+            let shard = buf;
+            let entries = buf.get_u64_le() as usize;
+            buf.advance(entries * 25);
+            for _ in 0..buf.get_u64_le() {
+                buf.advance(8);
+                let len = buf.get_u32_le() as usize;
+                buf.advance(len);
+            }
+            v4.extend_from_slice(&shard[..shard.len() - buf.len()]);
+            let keys = buf.get_u64_le() as usize;
+            buf.advance(keys * 8);
+        }
+        assert!(buf.is_empty(), "every shard walked");
+        v4
+    }
 
     #[test]
     fn roundtrip_preserves_everything() {
@@ -352,12 +424,12 @@ mod tests {
         assert_eq!(restored.to_bytes(), bytes);
     }
 
-    /// v4 is the only version read: the old single-section v3 framing (the
-    /// same body behind a header without `shard_bits`) is refused by its
-    /// version number, while a single-shard v4 image loads and reshards to
-    /// exactly what a native build at the default layout produces.
+    /// v5 is the only version read: a v4 image (the same shards without
+    /// their prefix sections) is refused by its version number, while a
+    /// single-shard v5 image loads and reshards to exactly what a native
+    /// build at the default layout produces.
     #[test]
-    fn v3_images_are_refused_and_one_shard_v4_reshards_to_native() {
+    fn v4_images_are_refused_and_one_shard_v5_reshards_to_native() {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(60), 3);
         let cols: Vec<&Column> = corpus.columns().collect();
         let config = IndexConfig {
@@ -366,22 +438,15 @@ mod tests {
             ..Default::default()
         };
         let index = PatternIndex::build(&cols, &config);
-        let v4 = index.to_bytes();
+        let v5 = index.to_bytes();
+        assert!(index.shards()[0].prefix_keys().len() > 100);
 
-        // v4 header: magic(4) version(4) num_columns(8) tau(8) bits(4).
-        // v3 header: magic(4) version(4) num_columns(8) tau(8).
-        let mut v3 = Vec::with_capacity(v4.len() - 4);
-        v3.extend_from_slice(b"AVIX");
-        v3.extend_from_slice(&3u32.to_le_bytes());
-        v3.extend_from_slice(&index.num_columns.to_le_bytes());
-        v3.extend_from_slice(&(index.tau as u64).to_le_bytes());
-        v3.extend_from_slice(&v4[28..]);
-        match PatternIndex::from_bytes(&v3) {
-            Err(PersistError::Format(m)) => assert_eq!(m, "unsupported version 3"),
-            other => panic!("v3 image must be refused, got {other:?}"),
+        match PatternIndex::from_bytes(&without_prefix_sections(&v5)) {
+            Err(PersistError::Format(m)) => assert_eq!(m, "unsupported version 4"),
+            other => panic!("v4 image must be refused, got {other:?}"),
         }
 
-        let loaded = PatternIndex::from_bytes(&v4).expect("v4 image loads");
+        let loaded = PatternIndex::from_bytes(&v5).expect("v5 image loads");
         assert_eq!(loaded.shard_count(), 1);
         let native = PatternIndex::build(
             &cols,
@@ -401,7 +466,9 @@ mod tests {
     /// layout are all deterministic. A mismatch here means the AVIX byte
     /// image silently drifted — bump the format version (and this value)
     /// deliberately instead. `examples/index_build.rs` asserts the same
-    /// constant in CI.
+    /// constant in CI. With the prefix sections taken out and the version
+    /// set back to 4, the image is byte for byte the v4 one it replaced:
+    /// adding the prefixes moved no accumulator byte.
     #[test]
     fn tiny_lake_digest_is_pinned() {
         let corpus = generate_lake(&LakeProfile::tiny(), 42);
@@ -409,11 +476,16 @@ mod tests {
         let index = PatternIndex::build(&cols, &IndexConfig::default());
         assert_eq!(index.len(), 45379);
         assert_eq!(index.content_digest(), PINNED_TINY_LAKE_DIGEST);
+        let v4 = without_prefix_sections(&index.to_bytes());
+        assert_eq!(av_pattern::fnv1a(&v4), PINNED_V4_TINY_LAKE_DIGEST);
     }
 
     /// Shared with `examples/index_build.rs`; see
     /// [`tiny_lake_digest_is_pinned`].
-    const PINNED_TINY_LAKE_DIGEST: u64 = 0xb3259407d0bafd49;
+    const PINNED_TINY_LAKE_DIGEST: u64 = 0xf9ab4454e0245fc7;
+
+    /// The AVIX v4 pin of the same build.
+    const PINNED_V4_TINY_LAKE_DIGEST: u64 = 0xb3259407d0bafd49;
 
     #[test]
     fn corrupt_input_is_rejected() {

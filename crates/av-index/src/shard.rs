@@ -26,7 +26,7 @@
 //!   consistent index — never a torn one — and a snapshot, once taken, is
 //!   never written to.
 
-use crate::build::{FastMap, PatternIndex};
+use crate::build::{FastMap, FastSet, PatternIndex};
 use crate::delta::{DeltaError, IndexDelta, ShardPart};
 use crate::stats::StatsAcc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +58,8 @@ pub(crate) fn shard_of(fingerprint: u64, shard_bits: u32) -> usize {
 
 /// One shard of the index: the fingerprint → accumulator map (and display
 /// strings, in `keep_patterns` builds) for every pattern whose fingerprint
-/// routes here, plus a version counter bumped on each merge that touched
+/// routes here, the prefix keys ([`PatternIndex::admits_prefix`]) that
+/// route here, plus a version counter bumped on each merge that touched
 /// this shard. A shard some snapshot points to is never written to (the
 /// merge copies it first); versions let tests and monitoring assert that
 /// an ingest touched only the shards its delta has entries for.
@@ -66,6 +67,7 @@ pub(crate) fn shard_of(fingerprint: u64, shard_bits: u32) -> usize {
 pub struct IndexShard {
     pub(crate) map: FastMap<StatsAcc>,
     pub(crate) patterns: FastMap<String>,
+    pub(crate) prefixes: FastSet,
     pub(crate) version: u64,
 }
 
@@ -83,6 +85,7 @@ impl Clone for IndexShard {
         IndexShard {
             map: self.map.clone(),
             patterns: self.patterns.clone(),
+            prefixes: self.prefixes.clone(),
             version: self.version,
         }
     }
@@ -105,6 +108,14 @@ impl IndexShard {
         self.version
     }
 
+    /// The prefix keys stored in this shard, ascending — the order they
+    /// persist in.
+    pub fn prefix_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.prefixes.iter().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Fold one per-shard sub-delta in and bump the version. The
     /// fixed-point accumulator merge is exactly associative and
     /// commutative, so any merge order produces identical bytes.
@@ -115,6 +126,7 @@ impl IndexShard {
         for (fp, name) in part.names {
             self.patterns.entry(fp).or_insert(name);
         }
+        self.prefixes.extend(part.prefixes);
         self.version += 1;
     }
 }
@@ -544,6 +556,7 @@ mod tests {
                 let touched: std::collections::BTreeSet<usize> = delta
                     .acc
                     .keys()
+                    .chain(&delta.prefixes)
                     .map(|fp| shard_of(*fp, config.shard_bits))
                     .collect();
                 let merge = || sharded.merge_delta(delta.clone()).unwrap();

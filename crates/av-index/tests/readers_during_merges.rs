@@ -10,6 +10,12 @@
 //! five threads: some merges find a snapshot alive (and copy what it
 //! shares), some find none (and write in place). CI runs this in release,
 //! where the race window is the real one.
+//!
+//! The states themselves are refereed too: the sequential pass merges each
+//! delta after a `to_bytes` / `from_bytes` round trip, and after every
+//! merge (every 20th in a debug build) each shard's prefix keys equal
+//! those of a from-scratch build over the same columns; the final state
+//! keeps them through persist → load and through a reshard.
 
 use av_corpus::{generate_lake, Column, ColumnMeta, LakeProfile};
 use av_index::{IndexConfig, IndexDelta, PatternIndex, ShardedIndex};
@@ -25,6 +31,11 @@ fn word_column(tag: usize) -> Column {
         values: (0..30).map(|row| format!("W{tag}-{}", row % 3)).collect(),
         meta: ColumnMeta::machine("readers-test", None),
     }
+}
+
+/// Every shard's prefix keys, in shard order.
+fn prefix_keys(index: &PatternIndex) -> Vec<Vec<u64>> {
+    index.shards().iter().map(|s| s.prefix_keys()).collect()
 }
 
 #[test]
@@ -47,12 +58,43 @@ fn readers_see_only_prefix_states_in_order() {
         .map(|c| IndexDelta::profile(&[c], &config))
         .collect();
 
+    let stride = if cfg!(debug_assertions) { 20 } else { 1 };
     let mut sequential = PatternIndex::build(&base_columns, &config);
     let mut prefix_digests = vec![sequential.content_digest()];
-    for delta in &deltas {
-        sequential.merge_delta(delta.clone()).unwrap();
+    let mut merged = base_columns.clone();
+    for (i, (delta, column)) in deltas.iter().zip(&columns).enumerate() {
+        let replayed = IndexDelta::from_bytes(&delta.to_bytes()).expect("a delta round-trips");
+        sequential.merge_delta(replayed).unwrap();
         prefix_digests.push(sequential.content_digest());
+        merged.push(column);
+        if (i + 1) % stride == 0 {
+            let rebuilt = PatternIndex::build(&merged, &config);
+            assert_eq!(
+                prefix_keys(&sequential),
+                prefix_keys(&rebuilt),
+                "prefix keys after {} merges differ from a rebuild",
+                i + 1
+            );
+        }
     }
+    let keys = prefix_keys(&sequential);
+    assert!(keys.iter().any(|shard| !shard.is_empty()), "no prefix kept");
+    let loaded = PatternIndex::from_bytes(&sequential.to_bytes()).expect("the image loads");
+    assert_eq!(prefix_keys(&loaded), keys, "persist → load");
+    let resharded = sequential.clone().reshard(3);
+    let rebuilt_at_3 = PatternIndex::build(
+        &merged,
+        &IndexConfig {
+            shard_bits: 3,
+            ..config.clone()
+        },
+    );
+    assert_eq!(
+        prefix_keys(&resharded),
+        prefix_keys(&rebuilt_at_3),
+        "reshard"
+    );
+    assert_eq!(prefix_keys(&resharded.reshard(config.shard_bits)), keys);
 
     let sharded = ShardedIndex::new(PatternIndex::build(&base_columns, &config));
     let start = Barrier::new(READERS + 1);

@@ -314,12 +314,20 @@ impl CoarseGroup {
     ) -> Vec<SupportedPattern> {
         let mut out: Vec<SupportedPattern> = Vec::new();
         with_enum_scratch(|scratch| {
-            self.for_each_pattern(start, end, min_support, cfg, scratch, |sp| {
-                out.push(SupportedPattern {
-                    pattern: sp.to_pattern(),
-                    support: sp.support,
-                });
-            });
+            self.for_each_pattern(
+                start,
+                end,
+                min_support,
+                cfg,
+                scratch,
+                |_, _| true,
+                |sp| {
+                    out.push(SupportedPattern {
+                        pattern: sp.to_pattern(),
+                        support: sp.support,
+                    });
+                },
+            );
         });
         out
     }
@@ -332,15 +340,27 @@ impl CoarseGroup {
     /// Emission order, pruning, cap-trimming, and the exclusion of the
     /// trivial all-`<any>+` pattern are identical to
     /// [`CoarseGroup::enumerate_segment`].
-    pub fn for_each_pattern<F: FnMut(&StreamedPattern<'_>)>(
+    ///
+    /// `descend` is asked at every internal node whose last token is not a
+    /// literal, with the node's [`FingerprintState::closed`] key and its
+    /// canonical token count; on `false` the subtree below is skipped. The
+    /// offline indexer records keys through it, inference asks the index
+    /// whether any indexed pattern extends the prefix, and a caller that
+    /// wants every pattern passes `|_, _| true`.
+    #[allow(clippy::too_many_arguments)] // the segment, its floor and caps, and two hooks
+    pub fn for_each_pattern<D, F>(
         &self,
         start: usize,
         end: usize,
         min_support: usize,
         cfg: &PatternConfig,
         scratch: &mut EnumScratch,
+        mut descend: D,
         mut f: F,
-    ) {
+    ) where
+        D: FnMut(u64, usize) -> bool,
+        F: FnMut(&StreamedPattern<'_>),
+    {
         assert!(
             start <= end && end <= self.positions.len(),
             "segment bounds"
@@ -401,6 +421,7 @@ impl CoarseGroup {
             0,
             0,
             min_support.max(1),
+            &mut descend,
             &mut f,
         );
     }
@@ -485,7 +506,7 @@ fn with_enum_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
 }
 
 #[allow(clippy::too_many_arguments)] // internal DFS: args are the per-depth saved state
-fn stream_rec<'g, F: FnMut(&StreamedPattern<'_>)>(
+fn stream_rec<'g, D, F>(
     positions: &'g [PositionOptions],
     offsets: &[usize],
     levels: &mut [BitSet],
@@ -496,8 +517,12 @@ fn stream_rec<'g, F: FnMut(&StreamedPattern<'_>)>(
     token_len: usize,
     any_count: usize,
     min_support: usize,
+    descend: &mut D,
     f: &mut F,
-) {
+) where
+    D: FnMut(u64, usize) -> bool,
+    F: FnMut(&StreamedPattern<'_>),
+{
     if depth == positions.len() {
         // The all-`<any>+` pattern is the paper's excluded trivial `.*`.
         if any_count < depth {
@@ -524,6 +549,17 @@ fn stream_rec<'g, F: FnMut(&StreamedPattern<'_>)>(
         if count < min_support {
             continue;
         }
+        let (child, child_len) = (st.push(token), token_len + usize::from(!st.merges(token)));
+        // An internal node that ends in a non-literal is a canonical
+        // prefix the caller may decline. One that ends in a literal is not
+        // asked: the next position's literal would still extend it.
+        if depth + 1 < positions.len() {
+            if let Some(key) = child.closed() {
+                if !descend(key, child_len) {
+                    continue;
+                }
+            }
+        }
         stack.push(token);
         stream_rec(
             positions,
@@ -532,10 +568,11 @@ fn stream_rec<'g, F: FnMut(&StreamedPattern<'_>)>(
             stack,
             depth + 1,
             count,
-            st.push(token),
-            token_len + usize::from(!st.merges(token)),
+            child,
+            child_len,
             any_count + usize::from(token.is_any()),
             min_support,
+            descend,
             f,
         );
         stack.pop();
@@ -1171,9 +1208,16 @@ pub fn column_pattern_profile<S: AsRef<str>>(
 ) -> Vec<(Pattern, f64)> {
     let mut acc: HashMap<Pattern, f64> = HashMap::new();
     with_enum_scratch(|scratch| {
-        stream_column_profile(values, cfg, tau, scratch, |sp, frac| {
-            *acc.entry(sp.to_pattern()).or_insert(0.0) += frac;
-        });
+        stream_column_profile(
+            values,
+            cfg,
+            tau,
+            scratch,
+            |_, _| true,
+            |sp, frac| {
+                *acc.entry(sp.to_pattern()).or_insert(0.0) += frac;
+            },
+        );
     });
     let mut out: Vec<(Pattern, f64)> = acc.into_iter().collect();
     out.sort_by(|(a, _), (b, _)| a.cmp(b));
@@ -1195,11 +1239,15 @@ pub fn column_pattern_profile<S: AsRef<str>>(
 /// column (e.g. `<alnum>+<any>+` from both an `[alnum sym]` and an
 /// `[alnum space]` group), so per-column consumers must merge by
 /// fingerprint before treating an emission as "the column follows p".
+///
+/// `descend` is [`CoarseGroup::for_each_pattern`]'s prefix hook, asked
+/// for every group.
 pub fn stream_column_profile<S: AsRef<str>>(
     values: &[S],
     cfg: &PatternConfig,
     tau: usize,
     scratch: &mut EnumScratch,
+    mut descend: impl FnMut(u64, usize) -> bool,
     mut sink: impl FnMut(&StreamedPattern<'_>, f64),
 ) {
     let total = values.len();
@@ -1209,7 +1257,7 @@ pub fn stream_column_profile<S: AsRef<str>>(
             continue;
         }
         let scale = (g.count as f64 / g.sample_size as f64) / total as f64;
-        g.for_each_pattern(0, g.positions.len(), 1, cfg, scratch, |sp| {
+        g.for_each_pattern(0, g.positions.len(), 1, cfg, scratch, &mut descend, |sp| {
             sink(sp, sp.support as f64 * scale);
         });
     }
@@ -1320,10 +1368,82 @@ mod tests {
             assert_eq!(whole, bytes);
             let too_wide = column.iter().filter(|v| merged_token_count(v) > 5).count();
             let narrow = classified(&|| {
-                stream_column_profile(&column, &cfg, 5, &mut EnumScratch::default(), |_, _| {});
+                let mut scratch = EnumScratch::default();
+                stream_column_profile(&column, &cfg, 5, &mut scratch, |_, _| true, |_, _| {});
             });
             assert!(narrow <= bytes, "{narrow} of {bytes} bytes classified");
             assert_eq!(narrow < bytes, too_wide > 0);
+        }
+    }
+
+    /// `(key, canonical length)` of every prefix of `p` the enumeration
+    /// asks about: each one that ends in a non-literal, short of `p`.
+    fn closed_prefixes(p: &Pattern) -> Vec<(u64, usize)> {
+        let tokens = p.tokens();
+        let mut state = FingerprintState::new();
+        let mut out = Vec::new();
+        for (i, token) in tokens.iter().enumerate().take(tokens.len() - 1) {
+            state = state.push(token);
+            out.extend(state.closed().map(|key| (key, i + 1)));
+        }
+        out
+    }
+
+    /// The prefix hook sees every closed internal node — the canonical
+    /// prefixes of the emitted patterns, keyed as the prefix's own
+    /// fingerprint, with its length — and declining a key drops exactly
+    /// the patterns that extend it: cap trimming and support pruning see
+    /// what they saw without the hook.
+    #[test]
+    fn declined_prefixes_drop_exactly_the_patterns_that_extend_them() {
+        let values = [
+            "2019-03-14 12:03 UTC",
+            "2020-11-02 07:45 UTC",
+            "2021-01-30 23:59 CET",
+            "2022-07-09 00:00 UTC",
+            "1999-12-31 18:30 EST",
+        ];
+        let cfg = PatternConfig::default();
+        let analysis = analyze_column(&values, &cfg);
+        let group = &analysis.groups[0];
+        let n = group.positions.len();
+        let mut scratch = EnumScratch::default();
+        let mut enumerate = |descend: &mut dyn FnMut(u64, usize) -> bool| {
+            let mut out = Vec::new();
+            group.for_each_pattern(0, n, 1, &cfg, &mut scratch, descend, |sp| {
+                out.push(sp.to_pattern());
+            });
+            out
+        };
+        let mut asked = std::collections::BTreeSet::new();
+        let all = enumerate(&mut |key, len| {
+            asked.insert((key, len));
+            true
+        });
+        let derived: std::collections::BTreeSet<(u64, usize)> =
+            all.iter().flat_map(closed_prefixes).collect();
+        assert_eq!(asked, derived);
+        assert!(asked.len() > 20, "{} prefixes", asked.len());
+        for p in &all {
+            for (key, len) in closed_prefixes(p) {
+                let prefix = Pattern::new(p.tokens()[..len].to_vec());
+                assert_eq!(key, prefix.fingerprint(), "{prefix} of {p}");
+            }
+        }
+        for stride in [2, 3, 7] {
+            let declined: std::collections::HashSet<u64> =
+                asked.iter().step_by(stride).map(|(key, _)| *key).collect();
+            let kept = enumerate(&mut |key, _| !declined.contains(&key));
+            let want: Vec<&Pattern> = all
+                .iter()
+                .filter(|p| {
+                    closed_prefixes(p)
+                        .iter()
+                        .all(|(k, _)| !declined.contains(k))
+                })
+                .collect();
+            assert!(want.len() < all.len(), "stride {stride} declines nothing");
+            assert_eq!(kept.iter().collect::<Vec<_>>(), want, "stride {stride}");
         }
     }
 

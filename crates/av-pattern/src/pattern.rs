@@ -229,6 +229,16 @@ impl FingerprintState {
         FingerprintState { h, lit_open: false }
     }
 
+    /// The fingerprint of the sequence pushed so far when its last token
+    /// is not a literal, `None` while a literal is open (the next push
+    /// could still extend it). A closed state is the same for every
+    /// literal splitting of one canonical sequence, which is what lets an
+    /// index key a pattern's prefixes by it.
+    #[inline]
+    pub fn closed(&self) -> Option<u64> {
+        (!self.lit_open).then_some(self.h)
+    }
+
     /// The fingerprint of the sequence pushed so far.
     #[inline]
     pub fn finish(&self) -> u64 {

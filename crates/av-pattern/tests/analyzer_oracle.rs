@@ -291,9 +291,16 @@ fn check(values: &[String], cfg: &PatternConfig) {
             .collect();
         let want = reference_emissions(&narrow, values.len(), cfg);
         let mut got: Vec<(Pattern, u64)> = Vec::new();
-        stream_column_profile(values, cfg, tau, &mut EnumScratch::default(), |sp, frac| {
-            got.push((sp.to_pattern(), frac.to_bits()));
-        });
+        stream_column_profile(
+            values,
+            cfg,
+            tau,
+            &mut EnumScratch::default(),
+            |_, _| true,
+            |sp, frac| {
+                got.push((sp.to_pattern(), frac.to_bits()));
+            },
+        );
         assert_eq!(got, want, "stream_column_profile, tau {tau}");
     }
 }
@@ -310,9 +317,17 @@ fn reference_emissions(narrow: &[&str], total: usize, cfg: &PatternConfig) -> Ve
             continue;
         }
         let scale = (group.count as f64 / group.sample_size as f64) / total as f64;
-        group.for_each_pattern(0, group.positions.len(), 1, cfg, &mut scratch, |sp| {
-            out.push((sp.to_pattern(), (sp.support as f64 * scale).to_bits()));
-        });
+        group.for_each_pattern(
+            0,
+            group.positions.len(),
+            1,
+            cfg,
+            &mut scratch,
+            |_, _| true,
+            |sp| {
+                out.push((sp.to_pattern(), (sp.support as f64 * scale).to_bits()));
+            },
+        );
     }
     out
 }

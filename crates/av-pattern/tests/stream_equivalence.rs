@@ -159,7 +159,7 @@ proptest! {
                     let expected = reference_enumerate(group, 0, group.positions.len(), min_support, &cfg);
                     let mut got: Vec<(u64, usize, usize, String)> = Vec::new();
                     let mut scratch = EnumScratch::default();
-                    group.for_each_pattern(0, group.positions.len(), min_support, &cfg, &mut scratch, |sp| {
+                    group.for_each_pattern(0, group.positions.len(), min_support, &cfg, &mut scratch, |_, _| true, |sp| {
                         got.push((sp.fingerprint, sp.support, sp.token_len, sp.display()));
                     });
                     prop_assert_eq!(got.len(), expected.len());
@@ -214,7 +214,7 @@ proptest! {
             }
             let mut streamed: HashMap<u64, f64> = HashMap::new();
             let mut scratch = EnumScratch::default();
-            stream_column_profile(&col, &cfg, tau, &mut scratch, |sp, frac| {
+            stream_column_profile(&col, &cfg, tau, &mut scratch, |_, _| true, |sp, frac| {
                 *streamed.entry(sp.fingerprint).or_insert(0.0) += frac;
             });
             prop_assert_eq!(streamed.len(), expected.len());
