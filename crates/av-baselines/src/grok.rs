@@ -3,7 +3,7 @@
 //! precision, low recall — only curated types are recognized.
 
 use crate::validator::{ColumnValidator, InferredRule};
-use av_regex::Regex;
+use av_match::Regex;
 use std::sync::OnceLock;
 
 /// The curated pattern library: `(name, regex)`. A trimmed-down version of
@@ -108,7 +108,7 @@ impl ColumnValidator for Grok {
         // closure below runs on the engine's thread-local scratch (the
         // `Fn` closure cannot hold `&mut` state and stay `Sync`), so both
         // inference and per-value checks are allocation-free.
-        let mut scratch = av_regex::NfaScratch::new();
+        let mut scratch = av_match::NfaScratch::new();
         let (name, regex) = compiled()
             .iter()
             .filter(|(name, _)| *name != "WORD" && *name != "INT" && *name != "HTTPDATE_YEAR")

@@ -13,8 +13,8 @@
 //! times are carried by `av-bench`'s `table3` experiment.
 
 use crate::validator::{ColumnValidator, InferredRule};
+use av_match::Regex;
 use av_pattern::{tokenize, CharClass};
-use av_regex::Regex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

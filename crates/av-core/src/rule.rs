@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn regex_export_is_usable() {
         let r = rule("<digit>{2}/<digit>{4}", 0.0, 10);
-        let re = av_regex::Regex::new(&r.to_regex()).unwrap();
+        let re = av_match::Regex::new(&r.to_regex()).unwrap();
         assert!(re.is_full_match("03/2019"));
         assert!(!re.is_full_match("3/2019"));
     }

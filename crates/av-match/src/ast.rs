@@ -1,11 +1,4 @@
-//! Regex abstract syntax tree and parser.
-//!
-//! The supported dialect covers what the Grok pattern library, the SSIS-style
-//! profiler and exported Auto-Validate rules need: literals, `.`; escapes
-//! `\d \D \w \W \s \S` and escaped metacharacters; character classes with
-//! ranges and negation; grouping `()`; alternation `|`; and the quantifiers
-//! `* + ? {m} {m,} {m,n}` (greedy only — matching is NFA-based, so greediness
-//! does not affect acceptance).
+//! Regex abstract syntax tree and parser (the dialect is in the crate docs).
 
 use std::fmt;
 
@@ -75,6 +68,40 @@ impl CharSet {
     pub fn contains(&self, c: char) -> bool {
         let inside = self.ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi);
         inside != self.negated
+    }
+
+    /// The set's scalars above U+007F as sorted, disjoint, non-adjacent
+    /// ranges: the part a byte-level automaton encodes as multi-byte UTF-8.
+    pub fn non_ascii(&self) -> Vec<(u32, u32)> {
+        let mut ranges: Vec<(u32, u32)> = self
+            .ranges
+            .iter()
+            .filter(|&&(_, hi)| hi > '\u{7f}')
+            .map(|&(lo, hi)| (u32::from(lo).max(0x80), u32::from(hi)))
+            .collect();
+        ranges.sort_unstable();
+        let mut merged: Vec<(u32, u32)> = Vec::new();
+        for (lo, hi) in ranges {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1 + 1 => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        if !self.negated {
+            return merged;
+        }
+        let mut gaps = Vec::new();
+        let mut from = 0x80;
+        for (lo, hi) in merged {
+            if lo > from {
+                gaps.push((from, lo - 1));
+            }
+            from = hi + 1;
+        }
+        if from <= 0x10_FFFF {
+            gaps.push((from, 0x10_FFFF));
+        }
+        gaps
     }
 }
 

@@ -1,4 +1,10 @@
-//! # av-match — catalog-wide multi-pattern classification
+//! # av-match — one byte-level NFA for catalog rules and regexes
+//!
+//! Two front-ends lower onto the same automaton and the same simulation:
+//! [`CatalogMatcher`] classifies a value against every pattern rule of a
+//! catalog at once, and [`Regex`] is the regex engine of the baselines.
+//!
+//! ## Catalog-wide multi-pattern classification
 //!
 //! The service validates one value against one rule in nanoseconds, but
 //! the data-routing workloads the paper's production deployment describes
@@ -17,9 +23,9 @@
 //!    input byte;
 //! 3. the DFA cache is **bounded** ([`MatcherConfig::max_dfa_states`]):
 //!    past the budget, the current value finishes on direct NFA
-//!    simulation (Pike-VM thread lists from `av-regex`) and the
-//!    least-recently-used half of the cache is evicted, so pathological
-//!    catalogs degrade gracefully instead of exploding memory;
+//!    simulation and the least-recently-used half of the cache is
+//!    evicted, so pathological catalogs degrade gracefully instead of
+//!    exploding memory;
 //! 4. rules that are not patterns — dictionaries, numeric ranges, opaque
 //!    baseline validators — participate as **residuals**: a cheap
 //!    [`Prefilter`] (length bounds, first-byte set) gates an arbitrary
@@ -57,8 +63,35 @@
 //! matcher.remove(1);
 //! assert_eq!(matcher.classify("2021-04-13"), vec![0]);
 //! ```
+//!
+//! ## Regexes
+//!
+//! [`Regex`] serves the Grok pattern library (§5.2), the simulated
+//! programmers of the user study (Table 3) and rules exported with
+//! `to_regex`. A pattern always matches the *whole* value. The dialect:
+//! literals and `.` (anything but `\n`); the escapes `\d \D \w \W \s \S`
+//! (ASCII classes), `\n \t \r \0` and escaped metacharacters; character
+//! classes `[...]` with ranges, negation and perl classes inside; grouping
+//! `(...)` and `(?:...)`; alternation `|`; the quantifiers
+//! `* + ? {m} {m,} {m,n}`, greedy only (matching is an NFA, so greediness
+//! does not affect acceptance); `^` and `$` are accepted and ignored.
+//! Repeats expand exactly, and a pattern whose automaton would pass a
+//! fixed state bound is refused with a [`RegexError`].
+//!
+//! ```
+//! use av_match::Regex;
+//! let re = Regex::new(r"\d{4}-\d{2}-\d{2}").unwrap();
+//! assert!(re.is_full_match("2019-03-01"));
+//! assert!(!re.is_full_match("2019-3-1"));
+//! assert!(Regex::new("[^a-z]{2}").unwrap().is_full_match("é€"));
+//! ```
 
+mod ast;
 mod matcher;
 mod nfa;
+mod regex;
 
+pub use ast::RegexError;
 pub use matcher::{CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
+pub use nfa::NfaScratch;
+pub use regex::Regex;

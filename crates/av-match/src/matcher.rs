@@ -8,8 +8,8 @@
 //! beyond the budget, the rest of that value is finished by direct NFA
 //! simulation (correct, just slower) and the least-recently-used half of
 //! the cache is evicted afterwards so determinization can resume. A
-//! pathological catalog therefore degrades to Pike-VM costs instead of
-//! exploding memory.
+//! pathological catalog therefore degrades to NFA-simulation costs
+//! instead of exploding memory.
 //!
 //! Updates are incremental, in the spirit of the dynamic-evaluation
 //! literature (Berkholz et al., *FO+MOD queries under updates*): because
@@ -24,9 +24,8 @@
 //! update bumps a generation stamp (the `ShardedIndex` epoch pattern) so
 //! callers can detect staleness of anything they derived from a classify.
 
-use crate::nfa::{Fragment, Nfa};
+use crate::nfa::{Fragment, Nfa, NfaScratch};
 use av_pattern::CompiledPattern;
-use av_regex::ThreadSet;
 use std::collections::{BTreeMap, HashMap};
 
 /// Marks a DFA transition not yet computed.
@@ -249,8 +248,7 @@ pub struct CatalogMatcher {
     /// Sorted ε-closure of every live fragment entry — the start state key.
     start_key: Vec<u32>,
     dfa: DfaCache,
-    scratch_a: ThreadSet,
-    scratch_b: ThreadSet,
+    scratch: NfaScratch,
     /// Set when the budget was hit mid-value; triggers eviction between
     /// values (never during a scan, which holds live slot ids).
     pending_evict: bool,
@@ -282,8 +280,7 @@ impl CatalogMatcher {
             residuals: BTreeMap::new(),
             start_key: Vec::new(),
             dfa: DfaCache::default(),
-            scratch_a: ThreadSet::new(),
-            scratch_b: ThreadSet::new(),
+            scratch: NfaScratch::new(),
             pending_evict: false,
             dead_states: 0,
             generation: 0,
@@ -480,17 +477,15 @@ impl CatalogMatcher {
     /// state is needed but the budget is exhausted.
     fn extend(&mut self, sid: u32, b: u8) -> Option<u32> {
         let CatalogMatcher {
-            nfa,
-            dfa,
-            scratch_a,
-            ..
+            nfa, dfa, scratch, ..
         } = self;
-        scratch_a.clear_resize(nfa.len());
-        nfa.step(&dfa.state(sid).key, b, scratch_a);
-        let next = if scratch_a.is_empty() {
+        let set = &mut scratch.current;
+        set.clear_resize(nfa.len());
+        nfa.step(&dfa.state(sid).key, b, set);
+        let next = if set.is_empty() {
             DEAD
         } else {
-            let mut key: Vec<u32> = scratch_a.as_slice().to_vec();
+            let mut key: Vec<u32> = set.as_slice().to_vec();
             key.sort_unstable();
             self.intern_state(key.into_boxed_slice())?
         };
@@ -536,26 +531,8 @@ impl CatalogMatcher {
     /// the graceful degradation path when the DFA budget is exhausted.
     fn nfa_finish(&mut self, bytes: &[u8], seed: &[u32], out: &mut Vec<u32>) {
         self.fallbacks += 1;
-        let CatalogMatcher {
-            nfa,
-            scratch_a,
-            scratch_b,
-            ..
-        } = self;
-        scratch_a.clear_resize(nfa.len());
-        scratch_b.clear_resize(nfa.len());
-        for &sid in seed {
-            nfa.add_closure(sid, scratch_a);
-        }
-        for &b in bytes {
-            if scratch_a.is_empty() {
-                return;
-            }
-            scratch_b.reset();
-            nfa.step(scratch_a.as_slice(), b, scratch_b);
-            std::mem::swap(scratch_a, scratch_b);
-        }
-        nfa.accepts_of(scratch_a.as_slice(), out);
+        let live = self.nfa.run(seed, bytes, &mut self.scratch);
+        self.nfa.accepts_of(live, out);
     }
 
     /// Drop the least-recently-used half of the cache (keeping at least
@@ -590,15 +567,16 @@ impl CatalogMatcher {
         let CatalogMatcher {
             nfa,
             fragments,
-            scratch_a,
+            scratch,
             ..
         } = self;
-        scratch_a.clear_resize(nfa.len());
+        let set = &mut scratch.current;
+        set.clear_resize(nfa.len());
         for frag in fragments.values() {
-            nfa.add_closure(frag.entry, scratch_a);
+            nfa.add_closure(frag.entry, set);
         }
         self.start_key.clear();
-        self.start_key.extend_from_slice(scratch_a.as_slice());
+        self.start_key.extend_from_slice(set.as_slice());
         self.start_key.sort_unstable();
         self.dfa.start = UNKNOWN;
     }

@@ -1,6 +1,6 @@
-//! Property-based tests for the regex engine.
+//! Property-based tests for the regex front-end.
 
-use av_regex::Regex;
+use av_match::Regex;
 use proptest::prelude::*;
 
 /// Literal-only inputs: escape and verify exact matching.
@@ -25,13 +25,6 @@ proptest! {
         // And not itself plus a suffix.
         let longer = format!("{s}x");
         prop_assert!(!re.is_full_match(&longer));
-    }
-
-    /// Substring search accepts exactly the strings that contain a match.
-    #[test]
-    fn search_vs_containment(needle in "[a-z]{1,4}", hay in "[a-z]{0,12}") {
-        let re = Regex::new(&escape(&needle)).unwrap();
-        prop_assert_eq!(re.is_match(&hay), hay.contains(&needle));
     }
 
     /// Bounded repeats accept exactly the in-range counts.
@@ -70,11 +63,10 @@ proptest! {
     #[test]
     fn perl_class_complements(c in any::<char>()) {
         let s = c.to_string();
-        let d = Regex::new(r"\d").unwrap().is_full_match(&s);
-        let nd = Regex::new(r"\D").unwrap().is_full_match(&s);
-        prop_assert!(d ^ nd, "char {c:?}");
-        let w = Regex::new(r"\w").unwrap().is_full_match(&s);
-        let nw = Regex::new(r"\W").unwrap().is_full_match(&s);
-        prop_assert!(w ^ nw, "char {c:?}");
+        for (class, complement) in [(r"\d", r"\D"), (r"\w", r"\W"), (r"\s", r"\S")] {
+            let inside = Regex::new(class).unwrap().is_full_match(&s);
+            let outside = Regex::new(complement).unwrap().is_full_match(&s);
+            prop_assert!(inside ^ outside, "char {c:?} vs {class}");
+        }
     }
 }

@@ -92,7 +92,7 @@ impl Pattern {
             .finish()
     }
 
-    /// Render the pattern as a regex string usable with `av-regex` or any
+    /// Render the pattern as a regex string usable with `av_match::Regex` or any
     /// POSIX-ish engine. Anchored implicitly (the caller should use a
     /// full-match API).
     pub fn to_regex(&self) -> String {

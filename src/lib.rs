@@ -55,12 +55,11 @@
 //! | [`av_pattern`] | pattern language, tokenizer, `P(v)`/`H(C)` enumeration, matcher |
 //! | [`av_index`] | offline corpus index: pattern → (FPR, coverage) |
 //! | [`av_core`] | FMDV, FMDV-V, FMDV-H, FMDV-VH, CMDV, Auto-Tag; the unified `Validator` trait, streaming `ValidationSession`, `AutoValidateBuilder` |
-//! | [`av_match`] | catalog-wide multi-pattern matcher: NFA union + lazy DFA cache, one scan classifies a value against every rule |
+//! | [`av_match`] | one byte-level NFA: the catalog-wide multi-pattern matcher (NFA union + lazy DFA cache, one scan classifies a value against every rule) and the baselines' regex engine |
 //! | [`av_stats`] | Fisher's exact test, χ² with Yates, special functions |
 //! | [`av_corpus`] | synthetic data lakes, domain generators, benchmarks |
 //! | [`av_baselines`] | TFDV, Deequ, Potter's Wheel, Grok, schema matching, … |
 //! | [`av_eval`] | the §5.1 evaluation methodology |
-//! | [`av_regex`] | small regex engine (NFA/Pike VM) used by baselines |
 //! | [`av_service`] | long-running validation service: shared live index, persistent rule catalog, concurrent batch validation, incremental ingestion, `dyn Validator` dispatch of FMDV + baseline rules |
 //!
 //! ## Running as a service
@@ -103,7 +102,6 @@ pub use av_eval;
 pub use av_index;
 pub use av_match;
 pub use av_pattern;
-pub use av_regex;
 pub use av_service;
 pub use av_stats;
 

@@ -94,7 +94,7 @@ fn exported_regexes_agree_with_pattern_matching() {
         let Ok(rule) = engine.infer_default(&train) else {
             continue;
         };
-        let re = av_regex::Regex::new(&rule.to_regex()).expect("exported regex compiles");
+        let re = av_match::Regex::new(&rule.to_regex()).expect("exported regex compiles");
         for v in col.values.iter().take(50) {
             assert_eq!(
                 rule.conforms(v),

@@ -1,13 +1,13 @@
-//! Cross-engine oracle: `av_pattern::matches` and the `av-regex` engine
+//! Cross-engine oracle: `av_pattern::matches` and `av_match::Regex`
 //! must agree on every pattern's exported regex — two independent matching
 //! implementations checking each other.
 
+use av_match::Regex;
 use av_pattern::{matches, patterns_of_value, Pattern, PatternConfig, Token};
-use av_regex::Regex;
 use proptest::prelude::*;
 
 fn machine_value() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[A-Za-z0-9 :/.,_-]{0,20}").expect("valid regex")
+    proptest::string::string_regex("[A-Za-z0-9 :/.,_\t\né€😀-]{0,20}").expect("valid regex")
 }
 
 fn arbitrary_token() -> impl Strategy<Value = Token> {
