@@ -227,6 +227,13 @@ impl std::fmt::Debug for DurableState {
 }
 
 impl DurableState {
+    /// Has the log since the last checkpoint crossed the auto-checkpoint
+    /// threshold?
+    pub fn checkpoint_due(&self) -> bool {
+        let every = self.cfg.checkpoint_every_records;
+        every > 0 && self.records_since_checkpoint.load(Ordering::Relaxed) >= every
+    }
+
     /// Point-in-time counters plus WAL shape (briefly takes the WAL lock).
     pub fn snapshot(&self) -> DurabilitySnapshot {
         let (wal_segments, wal_bytes) = {

@@ -1083,10 +1083,9 @@ impl ValidationService {
     /// `rules.avcat` pair atomically.
     pub fn persist(&self) -> Result<(), ServiceError> {
         if let Some(d) = &self.durable {
-            self.checkpoint_durable(d).inspect_err(|_| {
+            return self.checkpoint_durable(d, false).inspect_err(|_| {
                 d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-            })?;
-            return Ok(());
+            });
         }
         let dir = self
             .config
@@ -1112,12 +1111,22 @@ impl ValidationService {
     /// snapshot is what makes the watermark exact — no op can acquire an
     /// LSN until the snapshot is taken, and every logged-but-unmerged
     /// delta is drained first.
-    fn checkpoint_durable(&self, d: &DurableState) -> Result<u64, ServiceError> {
+    ///
+    /// The trigger counters restart at the watermark, not after the files
+    /// are written, so an op that completes while this checkpoint runs
+    /// counts toward the next one; `only_if_due` (the automatic trigger)
+    /// re-reads them once the checkpoint lock is held, so ops that crossed
+    /// the same threshold and queued behind a running checkpoint do not
+    /// each write another.
+    fn checkpoint_durable(&self, d: &DurableState, only_if_due: bool) -> Result<(), ServiceError> {
         let (_ckpt_rank, mut base) = (
             lockorder::rank_guard(lockorder::CKPT),
             d.ckpt.lock().expect("checkpoint lock poisoned"),
         );
-        let (watermark, index, catalog_text) = {
+        if only_if_due && !d.checkpoint_due() {
+            return Ok(());
+        }
+        let (watermark, index, catalog_text, covered) = {
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),
                 d.wal.lock().expect("wal lock poisoned"),
@@ -1142,13 +1151,23 @@ impl ValidationService {
                 .read()
                 .expect("catalog lock poisoned")
                 .to_text();
-            (watermark, self.snapshot(), catalog_text)
+            let covered = d.records_since_checkpoint.swap(0, Ordering::Relaxed);
+            (watermark, self.snapshot(), catalog_text, covered)
         };
-        let generation = durable::write_checkpoint(d, &mut base, &index, &catalog_text, watermark)?;
-        d.last_generation.store(generation, Ordering::Relaxed);
-        d.checkpoints_completed.fetch_add(1, Ordering::Relaxed);
-        d.records_since_checkpoint.store(0, Ordering::Relaxed);
-        Ok(generation)
+        match durable::write_checkpoint(d, &mut base, &index, &catalog_text, watermark) {
+            Ok(generation) => {
+                d.last_generation.store(generation, Ordering::Relaxed);
+                d.checkpoints_completed.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                // The WAL still holds what this checkpoint meant to cover:
+                // count it again, so the next op retries.
+                d.records_since_checkpoint
+                    .fetch_add(covered, Ordering::Relaxed);
+                Err(e.into())
+            }
+        }
     }
 
     /// Count a durable record and trigger an automatic checkpoint when the
@@ -1157,9 +1176,8 @@ impl ValidationService {
     /// succeeded and its record is safely in the WAL.
     fn note_durable_record(&self) {
         let Some(d) = &self.durable else { return };
-        let since = d.records_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-        let every = d.cfg.checkpoint_every_records;
-        if every > 0 && since >= every && self.checkpoint_durable(d).is_err() {
+        d.records_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+        if d.checkpoint_due() && self.checkpoint_durable(d, true).is_err() {
             d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
