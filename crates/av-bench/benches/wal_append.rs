@@ -10,10 +10,12 @@
 //!   storage: framing + CRC + segment accounting, no fsync.
 //! * `ingest_plain_*` vs `ingest_durable_*` — the same batch through a
 //!   plain service and a durable one on in-memory storage; the gap is
-//!   the WAL encode+append toll on ingest (PERF.md Point 7 targets
-//!   <10%). The toll is a per-op cost proportional to the delta's size,
-//!   so it is benched at two batch sizes: profiling work grows faster
-//!   than delta size, shrinking the relative overhead for real batches.
+//!   the durable toll on ingest: WAL encode+append plus the amortized
+//!   automatic checkpoints (one per image's worth of logged bytes). The
+//!   toll is a per-op cost proportional to the delta's size, so it is
+//!   benched at two batch sizes: profiling work grows faster than delta
+//!   size, shrinking the relative overhead for real batches. Pure append
+//!   cost is the `append_*` rows.
 //! * `checkpoint_*` — ingest-plus-incremental-checkpoint for a narrow
 //!   batch (touches a few shards) vs a diverse one (touches most), plus
 //!   the all-shards-reused floor: checkpoint cost must track touched
@@ -59,10 +61,9 @@ fn enum_column(name: &str, vocab: &[&str], rows: usize) -> Column {
     }
 }
 
-fn durable_mem_service(checkpoint_every: u64) -> ValidationService {
+fn durable_mem_service() -> ValidationService {
     let mut config = ServiceConfig::durable(PathBuf::from("/data"));
     config.storage = Arc::new(MemStorage::new());
-    config.durability.checkpoint_every_records = checkpoint_every;
     ValidationService::open(config).unwrap()
 }
 
@@ -79,15 +80,15 @@ fn bench_wal_append(c: &mut Criterion) {
     }
 
     // End-to-end: the same ingest batch with and without the WAL in the
-    // write path (in-memory storage, so the gap is encode+append work).
-    // `checkpoint_every = 0` benches the steady-state append path alone.
+    // write path (in-memory storage, so the gap is encode+append work plus
+    // the automatic checkpoints it amortizes).
     for (label, scale) in [("tiny8", 8usize), ("lake48", 48)] {
         let columns = batch(scale);
         let plain = ValidationService::new(ServiceConfig::default());
         group.bench_function(format!("ingest_plain_{label}"), |b| {
             b.iter(|| black_box(plain.ingest(black_box(&columns)).unwrap().total_patterns))
         });
-        let durable = durable_mem_service(0);
+        let durable = durable_mem_service();
         group.bench_function(format!("ingest_durable_{label}"), |b| {
             b.iter(|| black_box(durable.ingest(black_box(&columns)).unwrap().total_patterns))
         });
@@ -103,7 +104,7 @@ fn bench_wal_append(c: &mut Criterion) {
     let diverse = batch(4);
     let base = batch(64);
     for (label, step) in [("narrow", &narrow), ("diverse", &diverse)] {
-        let service = durable_mem_service(0);
+        let service = durable_mem_service();
         service.ingest(&base).unwrap();
         service.persist().unwrap();
         group.bench_function(format!("checkpoint_after_{label}"), |b| {
@@ -114,7 +115,7 @@ fn bench_wal_append(c: &mut Criterion) {
             })
         });
     }
-    let service = durable_mem_service(0);
+    let service = durable_mem_service();
     service.ingest(&base).unwrap();
     service.persist().unwrap();
     group.bench_function("checkpoint_reuse_all", |b| {

@@ -33,6 +33,18 @@
 //! the manifest is durable are covered WAL segments removed and
 //! unreferenced files of older generations collected.
 //!
+//! `persist` checkpoints on request. The service also checkpoints on its
+//! own, by one rule with no knob: once the WAL payload bytes logged since
+//! the last checkpoint's watermark reach that checkpoint's **image size**
+//! (its shard files plus its catalog, as the manifest lists them; 0
+//! before the first checkpoint). A checkpoint writes at most its image,
+//! and only after as many bytes were logged, so checkpoints add at most
+//! one byte per logged byte in steady state (write amplification ≤ 2),
+//! and a recovery replays at most about one image's worth of log. Small
+//! deltas over a large index checkpoint rarely, large ones often. The
+//! trigger's counters restart at the watermark, so one crossing takes one
+//! checkpoint however many writers crossed it together.
+//!
 //! ## Recovery
 //!
 //! `recover` loads the newest manifest that verifies, checks every shard
@@ -41,7 +53,9 @@
 //! watermark, truncating the torn tail. The result equals the state after
 //! some prefix of the acknowledged operation history, and that prefix
 //! covers every operation acknowledged before the crash. Replay cost is
-//! O(records since the last checkpoint), never a corpus rebuild.
+//! O(log since the last checkpoint) — bounded by the trigger above, never
+//! a corpus rebuild. Replayed records count toward the next trigger, as
+//! if they had just been logged.
 
 use crate::catalog::{self, CatalogEntry, RuleCatalog};
 use crate::lockorder;
@@ -71,9 +85,6 @@ pub struct DurabilityConfig {
     pub enabled: bool,
     /// WAL segment rotation threshold, in bytes.
     pub wal_segment_bytes: u64,
-    /// Automatically checkpoint after this many logged records
-    /// (`0` disables auto-checkpointing; `persist` still checkpoints).
-    pub checkpoint_every_records: u64,
 }
 
 impl Default for DurabilityConfig {
@@ -81,14 +92,13 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             enabled: false,
             wal_segment_bytes: 8 << 20,
-            checkpoint_every_records: 1024,
         }
     }
 }
 
 /// A point-in-time view of the durability subsystem, surfaced by the
 /// `persist`, `stats`, and `metrics` protocol ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilitySnapshot {
     /// Generation of the last durable checkpoint (0 before the first).
     pub checkpoint_generation: u64,
@@ -98,6 +108,16 @@ pub struct DurabilitySnapshot {
     pub wal_bytes: u64,
     /// Records logged since the last completed checkpoint.
     pub records_since_checkpoint: u64,
+    /// WAL payload bytes logged since the last checkpoint's watermark —
+    /// one side of the auto-checkpoint trigger.
+    pub wal_bytes_since_checkpoint: u64,
+    /// The last checkpoint's image size (shard files plus catalog; 0
+    /// before the first) — the other side: a checkpoint fires once
+    /// `wal_bytes_since_checkpoint` reaches it.
+    pub checkpoint_image_bytes: u64,
+    /// Wall time of the last completed checkpoint, in milliseconds (0
+    /// before the first of this process).
+    pub last_checkpoint_ms: f64,
     /// WAL records replayed during recovery at open.
     pub replayed_records: u64,
     /// Bytes discarded as torn or unprovable WAL tail during recovery.
@@ -194,7 +214,6 @@ pub(crate) struct CheckpointBase {
 pub(crate) struct DurableState {
     pub storage: Arc<dyn Storage>,
     pub dir: PathBuf,
-    pub cfg: DurabilityConfig,
     /// The WAL. This mutex is the op-ordering lock and is always the
     /// **outermost** lock of any mutating path: append under it, then
     /// apply (catalog ops apply while still holding it; ingests register
@@ -207,7 +226,12 @@ pub(crate) struct DurableState {
     pub in_flight_cv: Condvar,
     /// Serializes checkpoints and holds what the last one wrote.
     pub ckpt: Mutex<CheckpointBase>,
+    /// The trigger's two sides (see the module docs) and the cost of the
+    /// last checkpoint.
     pub records_since_checkpoint: AtomicU64,
+    pub wal_bytes_since_checkpoint: AtomicU64,
+    pub checkpoint_image_bytes: AtomicU64,
+    pub last_checkpoint_us: AtomicU64,
     pub replayed_records: AtomicU64,
     pub truncated_tail_bytes: AtomicU64,
     pub quarantined_files: AtomicU64,
@@ -227,11 +251,11 @@ impl std::fmt::Debug for DurableState {
 }
 
 impl DurableState {
-    /// Has the log since the last checkpoint crossed the auto-checkpoint
-    /// threshold?
+    /// Has the log since the last checkpoint grown to that checkpoint's
+    /// image size?
     pub fn checkpoint_due(&self) -> bool {
-        let every = self.cfg.checkpoint_every_records;
-        every > 0 && self.records_since_checkpoint.load(Ordering::Relaxed) >= every
+        let logged = self.wal_bytes_since_checkpoint.load(Ordering::Relaxed);
+        logged > 0 && logged >= self.checkpoint_image_bytes.load(Ordering::Relaxed)
     }
 
     /// Point-in-time counters plus WAL shape (briefly takes the WAL lock).
@@ -248,6 +272,9 @@ impl DurableState {
             wal_segments,
             wal_bytes,
             records_since_checkpoint: self.records_since_checkpoint.load(Ordering::Relaxed),
+            wal_bytes_since_checkpoint: self.wal_bytes_since_checkpoint.load(Ordering::Relaxed),
+            checkpoint_image_bytes: self.checkpoint_image_bytes.load(Ordering::Relaxed),
+            last_checkpoint_ms: self.last_checkpoint_us.load(Ordering::Relaxed) as f64 / 1000.0,
             replayed_records: self.replayed_records.load(Ordering::Relaxed),
             truncated_tail_bytes: self.truncated_tail_bytes.load(Ordering::Relaxed),
             quarantined_files: self.quarantined_files.load(Ordering::Relaxed),
@@ -264,6 +291,12 @@ fn shard_file_name(shard: usize, generation: u64) -> String {
 
 fn catalog_file_name(generation: u64) -> String {
     format!("catalog-g{generation:016x}.avcat")
+}
+
+/// The checkpoint image a manifest describes: its shard files plus its
+/// catalog, in bytes.
+fn image_bytes(manifest: &Manifest) -> u64 {
+    manifest.shards.iter().map(|entry| entry.bytes).sum::<u64>() + manifest.catalog_bytes
 }
 
 /// Is `name` a file this module generates (and may therefore collect)?
@@ -315,6 +348,11 @@ pub(crate) struct Recovery {
     pub base_generation: u64,
     pub base_files: Vec<Option<ShardFileEntry>>,
     pub retained: BTreeSet<String>,
+    /// The base manifest's image size (0 without one).
+    pub image_bytes: u64,
+    /// Payload bytes of the replayed records: the log the next
+    /// auto-checkpoint trigger starts from.
+    pub replayed_bytes: u64,
     /// Counters for the durability snapshot.
     pub replayed_records: u64,
     pub truncated_tail_bytes: u64,
@@ -343,6 +381,7 @@ pub(crate) fn recover(
     let mut base_files = Vec::new();
     let mut retained = BTreeSet::new();
     let mut last_lsn = 0;
+    let mut base_image_bytes = 0;
 
     if let Some((manifest, _skipped)) = Manifest::load_newest(storage.as_ref(), dir)? {
         let shard_count = 1usize << manifest.shard_bits;
@@ -408,6 +447,7 @@ pub(crate) fn recover(
             }
         }
         base_generation = manifest.generation;
+        base_image_bytes = image_bytes(&manifest);
         last_lsn = manifest.last_lsn;
         retained.insert(Manifest::file_name(manifest.generation));
         if !manifest.catalog_file.is_empty() {
@@ -451,8 +491,10 @@ pub(crate) fn recover(
     let mut skipped = 0u64;
     let mut records = Vec::with_capacity(replay.records.len());
     let mut max_lsn = last_lsn;
+    let mut replayed_bytes = 0;
     for (lsn, payload) in &replay.records {
         max_lsn = *lsn;
+        replayed_bytes += payload.len() as u64;
         match decode_record(payload) {
             Ok(record) => records.push(record),
             Err(_) => skipped += 1,
@@ -476,6 +518,8 @@ pub(crate) fn recover(
         base_generation,
         base_files,
         retained,
+        image_bytes: base_image_bytes,
+        replayed_bytes,
         replayed_records: replay.records.len() as u64,
         truncated_tail_bytes: replay.truncated_tail_bytes,
         quarantined_files: quarantined,
@@ -488,17 +532,19 @@ pub(crate) fn recover(
 /// under the WAL lock with in-flight ingests drained). `base` (locked by
 /// the caller) tells which shard files can be re-referenced unchanged.
 ///
-/// Returns the new generation. On success the base is advanced, covered
-/// WAL segments are removed, and unreferenced files of generations older
-/// than the previous one are collected — both best-effort, because the
-/// manifest commit has already made the checkpoint durable.
+/// Returns the new generation and its image size (shard files plus
+/// catalog, reused files included). On success the base is advanced,
+/// covered WAL segments are removed, and unreferenced files of
+/// generations older than the previous one are collected — both
+/// best-effort, because the manifest commit has already made the
+/// checkpoint durable.
 pub(crate) fn write_checkpoint(
     state: &DurableState,
     base: &mut CheckpointBase,
     index: &Arc<PatternIndex>,
     catalog_text: &str,
     watermark: u64,
-) -> Result<u64, DurableError> {
+) -> Result<(u64, u64), DurableError> {
     let storage = state.storage.as_ref();
     let dir = &state.dir;
     let generation = base.generation + 1;
@@ -550,6 +596,7 @@ pub(crate) fn write_checkpoint(
         shards: shard_entries.clone(),
     };
     manifest.write(storage, dir)?; // the commit point
+    let image = image_bytes(&manifest);
 
     let mut new_retained = BTreeSet::new();
     new_retained.insert(Manifest::file_name(generation));
@@ -590,7 +637,7 @@ pub(crate) fn write_checkpoint(
     base.index = Some(Arc::clone(index));
     base.files = shard_entries.into_iter().map(Some).collect();
     base.retained = new_retained;
-    Ok(generation)
+    Ok((generation, image))
 }
 
 #[cfg(test)]

@@ -538,7 +538,6 @@ impl ValidationService {
         service.durable = Some(DurableState {
             storage,
             dir,
-            cfg: durability,
             wal: Mutex::new(rec.wal),
             in_flight: Mutex::new(BTreeSet::new()),
             in_flight_cv: Condvar::new(),
@@ -549,6 +548,9 @@ impl ValidationService {
                 retained: rec.retained,
             }),
             records_since_checkpoint: AtomicU64::new(rec.replayed_records),
+            wal_bytes_since_checkpoint: AtomicU64::new(rec.replayed_bytes),
+            checkpoint_image_bytes: AtomicU64::new(rec.image_bytes),
+            last_checkpoint_us: AtomicU64::new(0),
             replayed_records: AtomicU64::new(rec.replayed_records),
             truncated_tail_bytes: AtomicU64::new(rec.truncated_tail_bytes),
             quarantined_files: AtomicU64::new(rec.quarantined_files),
@@ -613,12 +615,12 @@ impl ValidationService {
                         .insert(lsn);
                     lsn
                 };
-                Some((d, lsn))
+                Some((d, lsn, payload.len()))
             }
             None => None,
         };
         let merged = self.index.merge_delta(delta);
-        if let Some((d, lsn)) = logged {
+        if let Some((d, lsn, _)) = logged {
             let (_in_flight_rank, mut in_flight) = (
                 lockorder::rank_guard(lockorder::IN_FLIGHT),
                 d.in_flight.lock().expect("in-flight lock poisoned"),
@@ -642,7 +644,7 @@ impl ValidationService {
         self.counters
             .index_shards_copied
             .fetch_add(merge.copied_shards as u64, Ordering::Relaxed);
-        self.note_durable_record();
+        self.note_durable_record(logged.map_or(0, |(_, _, payload_bytes)| payload_bytes));
         Ok(report)
     }
 
@@ -697,8 +699,11 @@ impl ValidationService {
                 d.wal.lock().expect("wal lock poisoned"),
             )
         });
+        let mut logged = 0;
         if let Some((_, wal)) = &mut fence {
-            wal.append(&durable::encode_infer(&catalog::entry_line(&entry)))?;
+            let payload = durable::encode_infer(&catalog::entry_line(&entry));
+            wal.append(&payload)?;
+            logged = payload.len();
         }
         self.catalog
             .write()
@@ -716,7 +721,7 @@ impl ValidationService {
             .expect("classifier poisoned")
             .insert(name, entry.rule.clone());
         self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
-        self.note_durable_record();
+        self.note_durable_record(logged);
         Ok(entry)
     }
 
@@ -738,6 +743,7 @@ impl ValidationService {
         // below are in-memory only and never logged. Log-then-apply under
         // the WAL lock (see `infer_rule`), but only once the entry is known
         // to exist — a delete of an unknown name must not consume an LSN.
+        let mut logged = 0;
         let removed_cataloged = if let Some(d) = &self.durable {
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),
@@ -748,7 +754,9 @@ impl ValidationService {
                 self.catalog.write().expect("catalog lock poisoned"),
             );
             if catalog.get(name).is_some() {
-                wal.append(&durable::encode_delete(name))?;
+                let payload = durable::encode_delete(name);
+                wal.append(&payload)?;
+                logged = payload.len();
             }
             catalog.remove(name).is_some()
         } else {
@@ -771,7 +779,7 @@ impl ValidationService {
             .expect("classifier poisoned")
             .remove(name);
         if removed_cataloged {
-            self.note_durable_record();
+            self.note_durable_record(logged);
         }
         Ok(())
     }
@@ -1119,6 +1127,7 @@ impl ValidationService {
     /// the same threshold and queued behind a running checkpoint do not
     /// each write another.
     fn checkpoint_durable(&self, d: &DurableState, only_if_due: bool) -> Result<(), ServiceError> {
+        let started = std::time::Instant::now();
         let (_ckpt_rank, mut base) = (
             lockorder::rank_guard(lockorder::CKPT),
             d.ckpt.lock().expect("checkpoint lock poisoned"),
@@ -1126,7 +1135,7 @@ impl ValidationService {
         if only_if_due && !d.checkpoint_due() {
             return Ok(());
         }
-        let (watermark, index, catalog_text, covered) = {
+        let (watermark, index, catalog_text, (records, bytes)) = {
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),
                 d.wal.lock().expect("wal lock poisoned"),
@@ -1151,12 +1160,19 @@ impl ValidationService {
                 .read()
                 .expect("catalog lock poisoned")
                 .to_text();
-            let covered = d.records_since_checkpoint.swap(0, Ordering::Relaxed);
+            let covered = (
+                d.records_since_checkpoint.swap(0, Ordering::Relaxed),
+                d.wal_bytes_since_checkpoint.swap(0, Ordering::Relaxed),
+            );
             (watermark, self.snapshot(), catalog_text, covered)
         };
         match durable::write_checkpoint(d, &mut base, &index, &catalog_text, watermark) {
-            Ok(generation) => {
+            Ok((generation, image_bytes)) => {
                 d.last_generation.store(generation, Ordering::Relaxed);
+                d.checkpoint_image_bytes
+                    .store(image_bytes, Ordering::Relaxed);
+                d.last_checkpoint_us
+                    .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
                 d.checkpoints_completed.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
@@ -1164,19 +1180,24 @@ impl ValidationService {
                 // The WAL still holds what this checkpoint meant to cover:
                 // count it again, so the next op retries.
                 d.records_since_checkpoint
-                    .fetch_add(covered, Ordering::Relaxed);
+                    .fetch_add(records, Ordering::Relaxed);
+                d.wal_bytes_since_checkpoint
+                    .fetch_add(bytes, Ordering::Relaxed);
                 Err(e.into())
             }
         }
     }
 
-    /// Count a durable record and trigger an automatic checkpoint when the
-    /// configured threshold is crossed. Checkpoint failures here are
-    /// counted, not surfaced — the op that tripped the threshold already
-    /// succeeded and its record is safely in the WAL.
-    fn note_durable_record(&self) {
+    /// Count a logged record of `payload_bytes` and checkpoint once the log
+    /// since the last checkpoint has grown to that checkpoint's image (see
+    /// [`durable`]'s § Checkpoints). Checkpoint failures here are counted,
+    /// not surfaced — the op that crossed the trigger already succeeded
+    /// and its record is safely in the WAL.
+    fn note_durable_record(&self, payload_bytes: usize) {
         let Some(d) = &self.durable else { return };
         d.records_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+        d.wal_bytes_since_checkpoint
+            .fetch_add(payload_bytes as u64, Ordering::Relaxed);
         if d.checkpoint_due() && self.checkpoint_durable(d, true).is_err() {
             d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }

@@ -144,17 +144,22 @@
 //! → {"op":"persist"}
 //! ← {"ok":true,"persisted":true,"data_dir":"state/","durability":{
 //!    "checkpoint_generation":3,"wal_segments":1,"wal_bytes":0,
-//!    "records_since_checkpoint":0,"replayed_records":2,
-//!    "truncated_tail_bytes":0,"quarantined_files":0,"skipped_records":0,
-//!    "checkpoints_completed":1,"checkpoint_failures":0}}
+//!    "records_since_checkpoint":0,"wal_bytes_since_checkpoint":0,
+//!    "checkpoint_image_bytes":2216448,"last_checkpoint_ms":13.482,
+//!    "replayed_records":2,"truncated_tail_bytes":0,"quarantined_files":0,
+//!    "skipped_records":0,"checkpoints_completed":1,"checkpoint_failures":0}}
 //! ```
 //!
 //! `replayed_records` / `truncated_tail_bytes` / `quarantined_files`
 //! describe what the last recovery had to do (how many WAL records were
 //! replayed past the checkpoint, whether a torn final frame was dropped,
 //! whether any corrupt shard file was set aside into `quarantine/`);
-//! `records_since_checkpoint` is the WAL tail the *next* recovery would
-//! replay; `checkpoint_failures` counts auto-checkpoints that failed
+//! `records_since_checkpoint` / `wal_bytes_since_checkpoint` are the WAL
+//! tail the *next* recovery would replay. The service checkpoints on its
+//! own once `wal_bytes_since_checkpoint` reaches `checkpoint_image_bytes`
+//! (the last checkpoint's shard files plus catalog), which bounds that
+//! tail by one image; `last_checkpoint_ms` is what the last checkpoint
+//! took, and `checkpoint_failures` counts auto-checkpoints that failed
 //! after their trigger op was already safely logged.
 
 use crate::catalog::CatalogEntry;
@@ -468,6 +473,15 @@ fn with_durability(service: &ValidationService, mut members: Members) -> Outcome
                 "records_since_checkpoint",
                 Json::Num(d.records_since_checkpoint as f64),
             ),
+            (
+                "wal_bytes_since_checkpoint",
+                Json::Num(d.wal_bytes_since_checkpoint as f64),
+            ),
+            (
+                "checkpoint_image_bytes",
+                Json::Num(d.checkpoint_image_bytes as f64),
+            ),
+            ("last_checkpoint_ms", Json::Num(d.last_checkpoint_ms)),
             ("replayed_records", Json::Num(d.replayed_records as f64)),
             (
                 "truncated_tail_bytes",

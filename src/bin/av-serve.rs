@@ -20,14 +20,19 @@
 //! `state/rules.avcat` when present; `{"op":"persist"}` writes them back.
 //!
 //! With `--durable`, every mutating op is write-ahead logged before it is
-//! acknowledged and `persist` writes an incremental checkpoint; on start
-//! the service recovers from the newest checkpoint plus the WAL tail, so
-//! a kill at any moment loses no acknowledged op.
+//! acknowledged and `persist` writes an incremental checkpoint (so does
+//! the service on its own, once the log since the last checkpoint has
+//! grown to that checkpoint's size); on start the service recovers from
+//! the newest checkpoint plus the WAL tail, so a kill at any moment loses
+//! no acknowledged op.
+//!
+//! An unknown option or an unparsable value prints the usage and exits 2.
 
 use av_service::{ServiceConfig, ValidationService};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// Print the usage; the exit code of a command-line error.
 fn usage() -> ExitCode {
     // The op table's names: every telemetry slot but the two that count
     // frames naming no op.
@@ -64,18 +69,17 @@ options:
   --durable      crash-safe mode (requires --data): mutating ops are
                  write-ahead logged and fsynced before they are
                  acknowledged; \"persist\" writes an incremental
-                 checkpoint; startup recovers checkpoint + WAL tail
+                 checkpoint, and so does the service once the log since
+                 the last checkpoint outweighs it; startup recovers
+                 checkpoint + WAL tail
   --wal-segment-bytes N
                  rotate WAL segments at N bytes (default 8 MiB)
-  --checkpoint-every N
-                 auto-checkpoint after N logged records (default 1024;
-                 0 = only on explicit \"persist\")
 
 protocol ops:
   {}",
         op_lines.join(",\n  ")
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -143,13 +147,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 config.durability.wal_segment_bytes = n;
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.durability.checkpoint_every_records = n;
                 i += 2;
             }
             "--help" | "-h" => {

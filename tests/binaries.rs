@@ -29,6 +29,23 @@ fn av_serve_help_lists_every_op() {
     }
 }
 
+/// An option `av-serve` does not take, or a value it cannot parse, is a
+/// usage error: the usage on stderr and exit code 2, before any state is
+/// opened. The auto-checkpoint cadence is a rule, not an option.
+#[test]
+fn av_serve_usage_errors_exit_2() {
+    for args in [["--checkpoint-every", "5"], ["--workers", "x"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_av-serve"))
+            .args(args)
+            .output()
+            .expect("run av-serve");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("--checkpoint-every"), "{stderr}");
+    }
+}
+
 /// A variant `auto-validate` does not know is an error with the usage,
 /// not a silent FMDV-VH; every name the wire protocol takes is known.
 #[test]

@@ -18,7 +18,7 @@
 use auto_validate::prelude::*;
 use av_corpus::generate_lake;
 use av_durable::{FaultPlan, MemStorage};
-use av_index::PatternIndex;
+use av_index::{IndexDelta, PatternIndex};
 use av_service::{response_ok, serve_tcp, BatchItem, ServiceConfig, ValidationService};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -225,26 +225,27 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Durable config over fault-injecting in-memory storage: a low
-/// checkpoint threshold so the storm spans several checkpoints.
+/// Durable config over fault-injecting in-memory storage: small WAL
+/// segments so the batches rotate the log.
 fn durable_config(mem: &MemStorage) -> ServiceConfig {
     let mut config = ServiceConfig::durable(PathBuf::from("/data"));
     config.storage = Arc::new(mem.clone());
-    config.durability.checkpoint_every_records = 2;
     config.durability.wal_segment_bytes = 4096;
     config
 }
 
 /// Kill-mid-ingest: the durable service is crashed (via fault injection)
-/// halfway through its storage-op trace while validators hammer it from
-/// other threads. Reopening the durable view must recover an index that
-/// byte-equals the sequential build over the acknowledged ingest prefix
-/// (the crashing batch may legitimately round up to "durable but
-/// unacknowledged"), replaying only the records since the last
-/// checkpoint.
+/// halfway through the storage-op trace of its batch sequence while
+/// validators hammer it from other threads. Reopening the durable view
+/// must recover an index that byte-equals the sequential build over the
+/// acknowledged ingest prefix (the crashing batch may legitimately round
+/// up to "durable but unacknowledged"), replaying only the log since the
+/// last checkpoint.
 #[test]
 fn killed_mid_ingest_recovers_acknowledged_prefix() {
-    let initial = lake_columns(61, 60);
+    // The batches together outweigh the initial lake's checkpoint image,
+    // so an auto-checkpoint falls inside the batch sequence.
+    let initial = lake_columns(61, 16);
     let batches: Vec<Vec<Column>> = (0..6).map(|i| lake_columns(70 + i, 8)).collect();
 
     // Sequential prefix images under the durable config's index settings.
@@ -267,20 +268,29 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
         }
     }
 
-    // Fault-free run measures the storage-op trace length.
+    // Fault-free run measures the storage-op trace. The initial ingest
+    // checkpoints on its own (nothing was checkpointed yet, so its log
+    // outweighs the empty image); the batches follow it.
     let probe = MemStorage::new();
-    {
+    let batches_from = {
         let service = ValidationService::open(durable_config(&probe)).unwrap();
         service.ingest(&initial).unwrap();
+        let batches_from = probe.ops_executed();
         for batch in &batches {
             service.ingest(batch).unwrap();
         }
-    }
+        batches_from
+    };
     let total_ops = probe.ops_executed();
-    assert!(total_ops > 10, "trace too short: {total_ops}");
+    assert!(
+        total_ops - batches_from > 10,
+        "trace too short: {batches_from}..{total_ops}"
+    );
 
-    // Crash halfway through the trace — inside the batch sequence.
-    let mem = MemStorage::with_plan(FaultPlan::crash_at(total_ops / 2));
+    // Crash halfway through the batch sequence's trace.
+    let mem = MemStorage::with_plan(FaultPlan::crash_at(
+        batches_from + (total_ops - batches_from) / 2,
+    ));
     let service = Arc::new(ValidationService::open(durable_config(&mem)).unwrap());
     service.ingest(&initial).unwrap();
     // The validation rule is a session-scoped baseline: baselines are
@@ -339,12 +349,24 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
         "{acked} batches acknowledged but recovery holds only {k}"
     );
 
-    // Recovery is O(records since checkpoint): with a threshold of 2,
-    // at most 2 committed records wait in the WAL, plus the torn batch
-    // that may round up to durable.
+    // Recovery replays only the log since the last checkpoint, which the
+    // auto-checkpoint trigger holds below one checkpoint image — plus the
+    // record that crossed it, if the crash cut that checkpoint short, and
+    // the torn batch that may round up to durable.
     let d = recovered.durability().expect("durable mode is on");
+    let largest_record = batches
+        .iter()
+        .map(|batch| {
+            let refs: Vec<&Column> = batch.iter().collect();
+            1 + IndexDelta::profile(&refs, &config_probe.index)
+                .to_bytes()
+                .len() as u64
+        })
+        .max()
+        .unwrap();
     assert!(
-        d.replayed_records <= 3,
+        d.replayed_records <= batches.len() as u64
+            && d.wal_bytes_since_checkpoint < d.checkpoint_image_bytes + 2 * largest_record,
         "recovery must replay only the post-checkpoint tail: {d:?}"
     );
     assert_eq!(d.quarantined_files, 0, "{d:?}");
