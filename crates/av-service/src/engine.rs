@@ -441,7 +441,8 @@ impl ValidationService {
     /// In durable mode this is crash **recovery**: the newest checkpoint
     /// manifest that verifies is loaded (corrupt shard files are
     /// quarantined, not fatal), then the write-ahead log is replayed above
-    /// the checkpoint's watermark — O(records since the last checkpoint),
+    /// the checkpoint's watermark — the log since the last checkpoint, which
+    /// the auto-checkpoint trigger keeps to about one checkpoint image,
     /// never a corpus rebuild — so the recovered state equals a consistent
     /// prefix of the acknowledged operation history.
     pub fn open(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
@@ -1190,7 +1191,7 @@ impl ValidationService {
 
     /// Count a logged record of `payload_bytes` and checkpoint once the log
     /// since the last checkpoint has grown to that checkpoint's image (see
-    /// [`durable`]'s § Checkpoints). Checkpoint failures here are counted,
+    /// `durable.rs` § Checkpoints). Checkpoint failures here are counted,
     /// not surfaced — the op that crossed the trigger already succeeded
     /// and its record is safely in the WAL.
     fn note_durable_record(&self, payload_bytes: usize) {
