@@ -226,8 +226,9 @@ pub(crate) struct DurableState {
     pub in_flight_cv: Condvar,
     /// Serializes checkpoints and holds what the last one wrote.
     pub ckpt: Mutex<CheckpointBase>,
-    /// The trigger's two sides (see the module docs) and the cost of the
-    /// last checkpoint.
+    /// The log since the last checkpoint's watermark (records, payload
+    /// bytes), that checkpoint's image size — the auto-checkpoint trigger
+    /// weighs the bytes against it — and its wall time.
     pub records_since_checkpoint: AtomicU64,
     pub wal_bytes_since_checkpoint: AtomicU64,
     pub checkpoint_image_bytes: AtomicU64,

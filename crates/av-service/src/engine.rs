@@ -1128,7 +1128,6 @@ impl ValidationService {
     /// the same threshold and queued behind a running checkpoint do not
     /// each write another.
     fn checkpoint_durable(&self, d: &DurableState, only_if_due: bool) -> Result<(), ServiceError> {
-        let started = std::time::Instant::now();
         let (_ckpt_rank, mut base) = (
             lockorder::rank_guard(lockorder::CKPT),
             d.ckpt.lock().expect("checkpoint lock poisoned"),
@@ -1136,6 +1135,7 @@ impl ValidationService {
         if only_if_due && !d.checkpoint_due() {
             return Ok(());
         }
+        let started = std::time::Instant::now();
         let (watermark, index, catalog_text, (records, bytes)) = {
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),

@@ -32,7 +32,7 @@ use av_service::{ServiceConfig, ValidationService};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Print the usage; the exit code of a command-line error.
+/// Print the usage and return the exit code of a command-line error (2).
 fn usage() -> ExitCode {
     // The op table's names: every telemetry slot but the two that count
     // frames naming no op.
