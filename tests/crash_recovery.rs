@@ -409,3 +409,35 @@ fn in_place_ingests_between_checkpoints_are_all_checkpointed() {
     );
     assert_eq!(state_of(&recovered), state_of(&oracle));
 }
+
+/// FNV-1a over `bytes`, folded into `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The fault-free script leaves the same files with the same bytes behind
+/// (WAL segments, manifests, shard files, catalogs): a change to how the
+/// service logs or checkpoints that is meant to keep the on-disk format
+/// must keep this digest.
+#[test]
+fn fault_free_script_writes_pinned_durable_bytes() {
+    let mem = MemStorage::new();
+    let service = ValidationService::open(durable_config(&mem)).unwrap();
+    for op in script() {
+        apply(&service, &op).unwrap();
+    }
+    drop(service);
+    let paths = mem.paths();
+    let digest = paths.iter().fold(0xcbf2_9ce4_8422_2325, |h, path| {
+        let h = fnv1a(h, path.to_string_lossy().as_bytes());
+        fnv1a(h, &mem.read(path).unwrap())
+    });
+    assert_eq!(paths.len(), 133);
+    assert_eq!(mem.ops_executed(), 1_266);
+    assert_eq!(
+        digest, 0x25f3_034e_2a4b_a735,
+        "durable bytes moved: {digest:#x}"
+    );
+}
