@@ -28,17 +28,12 @@ pub const LOCK_HIERARCHY: &[LockEntry] = &[
     LockEntry {
         name: "ckpt",
         rank: 10,
-        doc: "av-service DurableState.ckpt — serializes checkpoints; taken before the WAL fence",
+        doc: "av-service DurableLog.ckpt — serializes checkpoints; taken before the WAL fence",
     },
     LockEntry {
         name: "wal",
         rank: 20,
-        doc: "av-service DurableState.wal — the WAL fence; outermost lock of every durable mutating path",
-    },
-    LockEntry {
-        name: "in_flight",
-        rank: 30,
-        doc: "av-service DurableState.in_flight — logged-but-unmerged LSNs, drained under the WAL fence",
+        doc: "av-service DurableLog.wal — the WAL fence; outermost lock of every durable mutating path",
     },
     LockEntry {
         name: "epoch",

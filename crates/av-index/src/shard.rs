@@ -219,6 +219,19 @@ impl ShardedIndex {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
+    /// Would [`ShardedIndex::merge_delta`] accept `delta`? It refuses one
+    /// profiled with a different token-limit τ than the index's.
+    pub fn check_delta(&self, delta: &IndexDelta) -> Result<(), DeltaError> {
+        let index_tau = self.epoch.read().expect("index epoch lock poisoned").tau;
+        if delta.tau() == index_tau {
+            return Ok(());
+        }
+        Err(DeltaError::TauMismatch {
+            index_tau,
+            delta_tau: delta.tau(),
+        })
+    }
+
     /// Merge a profiled delta into the live index, writing only to the
     /// shards it touches. Statistics are bit-for-bit identical to a
     /// from-scratch rebuild over the union corpus, and to

@@ -26,11 +26,12 @@
 //!   checkpoint's base still points to is cloned before the write, and the
 //!   holder keeps the old one; `stats` counts those clones as
 //!   `index_shards_copied`. Ingests are serialized by the epoch lock for
-//!   the length of their apply.
+//!   the length of their apply — in durable mode by the log lock too, for
+//!   their append and apply (`durable.rs` § Checkpoints).
 
-use crate::catalog::{self, CatalogEntry, CatalogError, RuleCatalog};
+use crate::catalog::{CatalogEntry, CatalogError, RuleCatalog};
 use crate::durable::{
-    self, CheckpointBase, DurabilityConfig, DurabilitySnapshot, DurableState, WalRecord,
+    self, Cut, Deletion, DurabilityConfig, DurabilitySnapshot, DurableLog, Record,
 };
 use crate::lockorder;
 use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
@@ -42,7 +43,7 @@ use av_core::{
 use av_corpus::Column;
 use av_durable::{DurableError, OsStorage, Storage};
 use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, PersistError, ShardedIndex};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -379,10 +380,9 @@ pub struct ValidationService {
     /// **innermost** lock (taken after, never around, the catalog or
     /// baselines locks).
     classifier: Mutex<RuleSet>,
-    /// Crash-safe durability state (WAL, in-flight ingest registry, and
-    /// checkpoint base); `None` outside durable mode. The WAL mutex inside
-    /// is the outermost lock of every durable mutating path.
-    durable: Option<DurableState>,
+    /// The write-ahead log and its checkpoints; `None` outside durable
+    /// mode. Every mutating op is one [`durable::commit`] through it.
+    durable: Option<DurableLog>,
     telemetry: ServiceTelemetry,
     shutdown: AtomicBool,
     /// Condvar paired with the `shutdown` flag so sleepers
@@ -446,120 +446,36 @@ impl ValidationService {
     /// never a corpus rebuild — so the recovered state equals a consistent
     /// prefix of the acknowledged operation history.
     pub fn open(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
-        if config.durability.enabled && config.data_dir.is_some() {
-            return ValidationService::open_durable(config);
-        }
-        let service = ValidationService::new(config);
-        if let Some(dir) = service.config.data_dir.clone() {
-            let storage = Arc::clone(&service.config.storage);
+        let mut service = ValidationService::new(config);
+        let Some(dir) = service.config.data_dir.clone() else {
+            return Ok(service);
+        };
+        let storage = Arc::clone(&service.config.storage);
+        let catalog = if service.config.durability.enabled {
+            let (log, catalog) =
+                DurableLog::recover(&storage, &dir, &service.config.durability, &service.index)?;
+            service.durable = Some(log);
+            catalog
+        } else {
             let index_path = dir.join(INDEX_FILE);
             if storage.exists(&index_path) {
                 let loaded = PatternIndex::load_with(storage.as_ref(), &index_path)?;
-                service
-                    .counters
-                    .columns_ingested
-                    .store(loaded.num_columns, Ordering::Relaxed);
                 service.index.install(loaded);
             }
             let catalog_path = dir.join(CATALOG_FILE);
             if storage.exists(&catalog_path) {
-                service.load_catalog(RuleCatalog::load_with(storage.as_ref(), &catalog_path)?);
+                RuleCatalog::load_with(storage.as_ref(), &catalog_path)?
+            } else {
+                RuleCatalog::new()
             }
-        }
-        Ok(service)
-    }
-
-    /// Install a loaded or recovered catalog into a service that is not
-    /// shared yet: every rule joins the automaton, then the catalog is
-    /// swapped in.
-    fn load_catalog(&self, catalog: RuleCatalog) {
-        {
-            let (_classifier_rank, mut classifier) = (
-                lockorder::rank_guard(lockorder::CLASSIFIER),
-                self.classifier.lock().expect("classifier poisoned"),
-            );
-            for entry in catalog.iter() {
-                classifier.insert(&entry.name, entry.rule.clone());
-            }
-        }
-        *self.catalog.write().expect("catalog lock poisoned") = catalog;
-    }
-
-    /// The durable-mode open path: recover checkpoint + WAL into a fresh
-    /// service and arm the durability state.
-    fn open_durable(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
-        let dir = config.data_dir.clone().expect("checked by open");
-        let storage = Arc::clone(&config.storage);
-        let durability = config.durability.clone();
-        let mut service = ValidationService::new(config);
-
-        let rec = durable::recover(&storage, &dir, &durability)?;
-        let image_from_checkpoint = rec.image_from_checkpoint;
-        if let Some(image) = rec.image {
-            service.index.install(image);
-        }
-        // The just-installed epoch is the next checkpoint's reuse base —
-        // but only if it still encodes the manifest's shard files (install
-        // reshards images whose shard count differs from the config's,
-        // which invalidates the per-shard file mapping).
-        let base_index = if image_from_checkpoint {
-            let snap = service.index.snapshot();
-            (snap.shard_count() == rec.base_files.len()).then_some(snap)
-        } else {
-            None
         };
-
-        // Replay: apply each recovered record exactly as the live op
-        // would. Deltas that no longer merge (τ changed between runs)
-        // are skipped and counted, matching what the live op would have
-        // been refused.
-        let mut catalog = rec.catalog;
-        let mut skipped = rec.skipped_records;
-        for record in rec.records {
-            match record {
-                WalRecord::Delta(delta) => {
-                    if service.index.merge_delta(delta).is_err() {
-                        skipped += 1;
-                    }
-                }
-                WalRecord::Infer(entry) => {
-                    catalog.insert(entry);
-                }
-                WalRecord::Delete(name) => {
-                    catalog.remove(&name);
-                }
-            }
+        *service.counters.columns_ingested.get_mut() = service.index.snapshot().num_columns;
+        // Every rule joins the automaton, then the catalog is swapped in.
+        let classifier = service.classifier.get_mut().expect("classifier poisoned");
+        for entry in catalog.iter() {
+            classifier.insert(&entry.name, entry.rule.clone());
         }
-        service
-            .counters
-            .columns_ingested
-            .store(service.index.snapshot().num_columns, Ordering::Relaxed);
-        service.load_catalog(catalog);
-
-        service.durable = Some(DurableState {
-            storage,
-            dir,
-            wal: Mutex::new(rec.wal),
-            in_flight: Mutex::new(BTreeSet::new()),
-            in_flight_cv: Condvar::new(),
-            ckpt: Mutex::new(CheckpointBase {
-                generation: rec.base_generation,
-                index: base_index,
-                files: rec.base_files,
-                retained: rec.retained,
-            }),
-            records_since_checkpoint: AtomicU64::new(rec.replayed_records),
-            wal_bytes_since_checkpoint: AtomicU64::new(rec.replayed_bytes),
-            checkpoint_image_bytes: AtomicU64::new(rec.image_bytes),
-            last_checkpoint_us: AtomicU64::new(0),
-            replayed_records: AtomicU64::new(rec.replayed_records),
-            truncated_tail_bytes: AtomicU64::new(rec.truncated_tail_bytes),
-            quarantined_files: AtomicU64::new(rec.quarantined_files),
-            skipped_records: AtomicU64::new(skipped),
-            checkpoints_completed: AtomicU64::new(0),
-            checkpoint_failures: AtomicU64::new(0),
-            last_generation: AtomicU64::new(rec.base_generation),
-        });
+        *service.catalog.get_mut().expect("catalog lock poisoned") = catalog;
         Ok(service)
     }
 
@@ -597,40 +513,9 @@ impl ValidationService {
         let refs: Vec<&Column> = columns.iter().collect();
         // Expensive profiling happens with no lock held.
         let delta = IndexDelta::profile(&refs, &self.config.index);
-        // Durable mode logs the delta before merging it: the WAL append is
-        // the durability point, the merge itself stays outside the WAL
-        // lock (deltas commute, so checkpoint's in-flight drain is all the
-        // ordering the merge needs).
-        let logged = match &self.durable {
-            Some(d) => {
-                let payload = durable::encode_delta(&delta);
-                let lsn = {
-                    let (_wal_rank, mut wal) = (
-                        lockorder::rank_guard(lockorder::WAL),
-                        d.wal.lock().expect("wal lock poisoned"),
-                    );
-                    let lsn = wal.append(&payload)?;
-                    d.in_flight
-                        .lock()
-                        .expect("in-flight lock poisoned")
-                        .insert(lsn);
-                    lsn
-                };
-                Some((d, lsn, payload.len()))
-            }
-            None => None,
-        };
-        let merged = self.index.merge_delta(delta);
-        if let Some((d, lsn, _)) = logged {
-            let (_in_flight_rank, mut in_flight) = (
-                lockorder::rank_guard(lockorder::IN_FLIGHT),
-                d.in_flight.lock().expect("in-flight lock poisoned"),
-            );
-            in_flight.remove(&lsn);
-            drop(in_flight);
-            d.in_flight_cv.notify_all();
-        }
-        let merge = merged?;
+        // A delta the index would refuse is refused before it is logged.
+        self.index.check_delta(&delta)?;
+        let merge = self.commit(delta, |delta| self.index.merge_delta(delta))??;
         let report = IngestReport {
             columns_added: columns.len() as u64,
             delta_patterns: merge.delta_patterns,
@@ -645,7 +530,6 @@ impl ValidationService {
         self.counters
             .index_shards_copied
             .fetch_add(merge.copied_shards as u64, Ordering::Relaxed);
-        self.note_durable_record(logged.map_or(0, |(_, _, payload_bytes)| payload_bytes));
         Ok(report)
     }
 
@@ -691,26 +575,13 @@ impl ValidationService {
                     .unwrap_or(0)
             }),
         };
-        // Durable mode: log-then-apply under the WAL lock, so a checkpoint
-        // can never truncate a logged record whose catalog effect is not
-        // yet in the snapshot it wrote.
-        let mut fence = self.durable.as_ref().map(|d| {
-            (
-                lockorder::rank_guard(lockorder::WAL),
-                d.wal.lock().expect("wal lock poisoned"),
-            )
-        });
-        let mut logged = 0;
-        if let Some((_, wal)) = &mut fence {
-            let payload = durable::encode_infer(&catalog::entry_line(&entry));
-            wal.append(&payload)?;
-            logged = payload.len();
-        }
-        self.catalog
-            .write()
-            .expect("catalog lock poisoned")
-            .insert(entry.clone());
-        drop(fence);
+        let entry = self.commit(entry, |entry| {
+            self.catalog
+                .write()
+                .expect("catalog lock poisoned")
+                .insert(entry.clone());
+            entry
+        })?;
         self.baselines
             .write()
             .expect("baselines lock poisoned")
@@ -722,7 +593,6 @@ impl ValidationService {
             .expect("classifier poisoned")
             .insert(name, entry.rule.clone());
         self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
-        self.note_durable_record(logged);
         Ok(entry)
     }
 
@@ -741,33 +611,23 @@ impl ValidationService {
     /// starts from a clean slate.
     pub fn delete_rule(&self, name: &str) -> Result<(), ServiceError> {
         // Cataloged rules are the durable ones; session-scoped baselines
-        // below are in-memory only and never logged. Log-then-apply under
-        // the WAL lock (see `infer_rule`), but only once the entry is known
-        // to exist — a delete of an unknown name must not consume an LSN.
-        let mut logged = 0;
-        let removed_cataloged = if let Some(d) = &self.durable {
-            let (_wal_rank, mut wal) = (
-                lockorder::rank_guard(lockorder::WAL),
-                d.wal.lock().expect("wal lock poisoned"),
-            );
-            let (_catalog_rank, mut catalog) = (
-                lockorder::rank_guard(lockorder::CATALOG),
-                self.catalog.write().expect("catalog lock poisoned"),
-            );
-            if catalog.get(name).is_some() {
-                let payload = durable::encode_delete(name);
-                wal.append(&payload)?;
-                logged = payload.len();
-            }
-            catalog.remove(name).is_some()
+        // are in-memory only and never logged, and an unknown name logs
+        // nothing. Two deletes of one rule may both log: the second
+        // applies as a no-op, live and on replay alike.
+        let cataloged = self
+            .catalog
+            .read()
+            .expect("catalog lock poisoned")
+            .get(name)
+            .is_some();
+        if cataloged {
+            self.commit(Deletion(name), |Deletion(name)| {
+                self.catalog
+                    .write()
+                    .expect("catalog lock poisoned")
+                    .remove(name);
+            })?;
         } else {
-            self.catalog
-                .write()
-                .expect("catalog lock poisoned")
-                .remove(name)
-                .is_some()
-        };
-        if !removed_cataloged {
             self.baselines
                 .write()
                 .expect("baselines lock poisoned")
@@ -779,9 +639,6 @@ impl ValidationService {
             .lock()
             .expect("classifier poisoned")
             .remove(name);
-        if removed_cataloged {
-            self.note_durable_record(logged);
-        }
         Ok(())
     }
 
@@ -1091,10 +948,8 @@ impl ValidationService {
     /// the WAL behind it; otherwise it writes the full `index.avix` /
     /// `rules.avcat` pair atomically.
     pub fn persist(&self) -> Result<(), ServiceError> {
-        if let Some(d) = &self.durable {
-            return self.checkpoint_durable(d, false).inspect_err(|_| {
-                d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-            });
+        if let Some(log) = &self.durable {
+            return Ok(log.checkpoint(|| self.cut())?);
         }
         let dir = self
             .config
@@ -1114,100 +969,28 @@ impl ValidationService {
         Ok(())
     }
 
-    /// Write an incremental checkpoint: drain in-flight ingest merges,
-    /// fence the WAL at a watermark, snapshot index + catalog, and hand
-    /// the pair to the checkpoint writer. Holding the WAL lock across the
-    /// snapshot is what makes the watermark exact — no op can acquire an
-    /// LSN until the snapshot is taken, and every logged-but-unmerged
-    /// delta is drained first.
-    ///
-    /// The trigger counters restart at the watermark, not after the files
-    /// are written, so an op that completes while this checkpoint runs
-    /// counts toward the next one; `only_if_due` (the automatic trigger)
-    /// re-reads them once the checkpoint lock is held, so ops that crossed
-    /// the same threshold and queued behind a running checkpoint do not
-    /// each write another.
-    fn checkpoint_durable(&self, d: &DurableState, only_if_due: bool) -> Result<(), ServiceError> {
-        let (_ckpt_rank, mut base) = (
-            lockorder::rank_guard(lockorder::CKPT),
-            d.ckpt.lock().expect("checkpoint lock poisoned"),
-        );
-        if only_if_due && !d.checkpoint_due() {
-            return Ok(());
-        }
-        let started = std::time::Instant::now();
-        let (watermark, index, catalog_text, (records, bytes)) = {
-            let (_wal_rank, mut wal) = (
-                lockorder::rank_guard(lockorder::WAL),
-                d.wal.lock().expect("wal lock poisoned"),
-            );
-            let (_in_flight_rank, mut in_flight) = (
-                lockorder::rank_guard(lockorder::IN_FLIGHT),
-                d.in_flight.lock().expect("in-flight lock poisoned"),
-            );
-            while !in_flight.is_empty() {
-                in_flight = d
-                    .in_flight_cv
-                    .wait(in_flight)
-                    .expect("in-flight lock poisoned");
-            }
-            drop(in_flight);
-            let watermark = wal.next_lsn().saturating_sub(1);
-            // Rotate so the segment holding pre-watermark records is
-            // closed and can be removed once the manifest commits.
-            wal.rotate()?;
-            let catalog_text = self
-                .catalog
-                .read()
-                .expect("catalog lock poisoned")
-                .to_text();
-            let covered = (
-                d.records_since_checkpoint.swap(0, Ordering::Relaxed),
-                d.wal_bytes_since_checkpoint.swap(0, Ordering::Relaxed),
-            );
-            (watermark, self.snapshot(), catalog_text, covered)
-        };
-        match durable::write_checkpoint(d, &mut base, &index, &catalog_text, watermark) {
-            Ok((generation, image_bytes)) => {
-                d.last_generation.store(generation, Ordering::Relaxed);
-                d.checkpoint_image_bytes
-                    .store(image_bytes, Ordering::Relaxed);
-                d.last_checkpoint_us
-                    .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-                d.checkpoints_completed.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                // The WAL still holds what this checkpoint meant to cover:
-                // count it again, so the next op retries.
-                d.records_since_checkpoint
-                    .fetch_add(records, Ordering::Relaxed);
-                d.wal_bytes_since_checkpoint
-                    .fetch_add(bytes, Ordering::Relaxed);
-                Err(e.into())
-            }
-        }
+    /// Run one mutating op through the log (see [`durable::commit`]): in
+    /// durable mode `record` is logged and `apply`'d under the log lock.
+    fn commit<R: Record, T>(
+        &self,
+        record: R,
+        apply: impl FnOnce(R) -> T,
+    ) -> Result<T, ServiceError> {
+        let log = self.durable.as_ref();
+        Ok(durable::commit(log, record, apply, || self.cut())?)
     }
 
-    /// Count a logged record of `payload_bytes` and checkpoint once the log
-    /// since the last checkpoint has grown to that checkpoint's image (see
-    /// `durable.rs` § Checkpoints). Checkpoint failures here are counted,
-    /// not surfaced — the op that crossed the trigger already succeeded
-    /// and its record is safely in the WAL.
-    fn note_durable_record(&self, payload_bytes: usize) {
-        let Some(d) = &self.durable else { return };
-        d.records_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-        d.wal_bytes_since_checkpoint
-            .fetch_add(payload_bytes as u64, Ordering::Relaxed);
-        if d.checkpoint_due() && self.checkpoint_durable(d, true).is_err() {
-            d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-        }
+    /// The state a checkpoint writes: the index epoch and the catalog text.
+    fn cut(&self) -> Cut {
+        let index = self.snapshot();
+        let catalog = self.catalog.read().expect("catalog lock poisoned");
+        (index, catalog.to_text())
     }
 
     /// Durability counters (checkpoint generation, WAL footprint, recovery
     /// tallies), or `None` when the service runs without a WAL.
     pub fn durability(&self) -> Option<DurabilitySnapshot> {
-        self.durable.as_ref().map(|d| d.snapshot())
+        self.durable.as_ref().map(DurableLog::snapshot)
     }
 
     /// Path of the persisted index, when a data directory is configured.

@@ -12,10 +12,9 @@
 //!
 //! | Rank | Lock | Where | Why this position |
 //! |------|------|-------|-------------------|
-//! | 10 | `ckpt` | `DurableState` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
-//! | 20 | `wal` | `DurableState` | The WAL fence: the outermost lock of every durable mutating path. Holding it across the snapshot is what makes the checkpoint watermark exact. |
-//! | 30 | `in_flight` | `DurableState` | Logged-but-unmerged LSNs, drained under the WAL fence before a watermark is declared. |
-//! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
+//! | 10 | `ckpt` | `DurableLog` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
+//! | 20 | `wal` | `DurableLog` | The WAL fence: the outermost lock of every durable mutating path, which appends and applies its record under it. Holding it across the snapshot is what makes the checkpoint watermark exact. |
+//! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side (inside the WAL fence on durable paths) and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
 //! | 60 | `baselines` | `ValidationService` | Session-scoped baseline rules. |
 //! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths. |
 //! | 80 | `classifier` | `ValidationService` | The catalog automaton — always innermost: it is rebuilt/patched *from* catalog state and must never wait on anything while held. |
@@ -28,7 +27,7 @@
 //! sites pair the rank guard with the lock guard in one tuple binding —
 //!
 //! ```ignore
-//! let (_wal_rank, mut wal) = (rank_guard(WAL), d.wal.lock().expect("wal lock poisoned"));
+//! let (_wal_rank, mut wal) = (rank_guard(WAL), log.wal.lock().expect("wal lock poisoned"));
 //! ```
 //!
 //! — tuple evaluation order records the rank before blocking on the
@@ -48,12 +47,10 @@
 #[cfg(debug_assertions)]
 use std::cell::RefCell;
 
-/// Rank of `DurableState.ckpt`.
+/// Rank of `DurableLog.ckpt`.
 pub(crate) const CKPT: u32 = 10;
-/// Rank of `DurableState.wal` (the WAL fence).
+/// Rank of `DurableLog.wal` (the WAL fence).
 pub(crate) const WAL: u32 = 20;
-/// Rank of `DurableState.in_flight`.
-pub(crate) const IN_FLIGHT: u32 = 30;
 /// Rank of `av-index`'s epoch lock.
 pub(crate) const EPOCH: u32 = 50;
 /// Rank of `ValidationService.baselines`.

@@ -441,3 +441,40 @@ fn fault_free_script_writes_pinned_durable_bytes() {
         "durable bytes moved: {digest:#x}"
     );
 }
+
+/// An ingest the index refuses — its delta profiled under another τ —
+/// logs nothing, as a delete of an unknown rule logs nothing: the live
+/// trigger counters stay what a reopen replays.
+#[test]
+fn refused_ingest_logs_nothing() {
+    let mem = MemStorage::new();
+    let mut config = durable_config(&mem);
+    config.index.tau = 13;
+    let service = ValidationService::open(config.clone()).unwrap();
+    service.ingest(&lake(85, 25)).unwrap();
+    service.persist().unwrap();
+    drop(service);
+
+    config.index.tau = 8;
+    let service = ValidationService::open(config.clone()).unwrap();
+    let before = service.durability().unwrap();
+    let refused = service.ingest(&lake(86, 4));
+    assert!(
+        matches!(refused, Err(ServiceError::Delta(_))),
+        "{refused:?}"
+    );
+    let live = service.durability().unwrap();
+    assert_eq!(
+        live.wal_bytes, before.wal_bytes,
+        "a refused ingest was logged"
+    );
+    drop(service);
+
+    let reopened = ValidationService::open(config).unwrap();
+    let d = reopened.durability().unwrap();
+    assert_eq!(
+        live.wal_bytes_since_checkpoint, d.wal_bytes_since_checkpoint,
+        "live trigger counter {live:?} disagrees with the reopen {d:?}"
+    );
+    assert_eq!(d.skipped_records, 0, "{d:?}");
+}
