@@ -735,8 +735,11 @@ mod tests {
     /// the last one.
     fn counts(log: &DurableLog) -> (u64, u64, u64) {
         let s = log.snapshot();
-        let since = (s.records_since_checkpoint, s.wal_bytes_since_checkpoint);
-        (s.checkpoints_completed, since.0, since.1)
+        (
+            s.checkpoints_completed,
+            s.records_since_checkpoint,
+            s.wal_bytes_since_checkpoint,
+        )
     }
 
     /// Commit the deletion of `name` (a `name.len() + 1`-byte record),

@@ -993,11 +993,6 @@ impl ValidationService {
         self.durable.as_ref().map(DurableLog::snapshot)
     }
 
-    /// Path of the persisted index, when a data directory is configured.
-    pub fn index_path(&self) -> Option<PathBuf> {
-        self.config.data_dir.as_ref().map(|d| d.join(INDEX_FILE))
-    }
-
     /// Current operation counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.counters;
