@@ -4,7 +4,8 @@
 //! (`TCP_NODELAY` on accepted sockets), control frames still cut a run
 //! exactly where they did when frames were dispatched one at a time, the
 //! frames a worker holds still count against the pipelining cap, and a
-//! run cannot hold a worker against another connection.
+//! run cannot hold a worker against another connection, nor one heavy
+//! frame a second connection that another worker is free to serve.
 //!
 //! Deterministic: every assertion is on reply content and order or on
 //! the server's own socket writes, seen through a counting wrapper over
@@ -256,18 +257,22 @@ fn frames_past_the_pipeline_cap_are_shed_in_place() {
     assert_eq!(stats.frames_executed, CAP as u64);
 }
 
+/// Teach `served` the date rule `dates` (no connection is opened).
+fn learn_dates(served: &Served) {
+    let lake = av_corpus::generate_lake(&av_corpus::LakeProfile::tiny(), 31);
+    let columns: Vec<av_corpus::Column> = lake.columns().cloned().collect();
+    served.service.ingest(&columns).unwrap();
+    let train: Vec<String> = (1..=28).map(|d| format!("2020-01-{d:02}")).collect();
+    served.service.infer_rule("dates", &train, None).unwrap();
+}
+
 /// Teach `served` a date rule and build a run of `run` heavy `validate`
 /// frames against it (frame `i` checks `400 + i` values), staged whole
 /// behind a one-frame `watch` on a new connection so that it reaches a
 /// worker as one job whatever the reads were. Returns the connection, on
 /// which the watch frame that releases the run is the next thing to read.
 fn stage_heavy_run(served: &Served, run: usize) -> (TcpStream, BufReader<TcpStream>) {
-    let lake = av_corpus::generate_lake(&av_corpus::LakeProfile::tiny(), 31);
-    let columns: Vec<av_corpus::Column> = lake.columns().cloned().collect();
-    served.service.ingest(&columns).unwrap();
-    let train: Vec<String> = (1..=28).map(|d| format!("2020-01-{d:02}")).collect();
-    served.service.infer_rule("dates", &train, None).unwrap();
-
+    learn_dates(served);
     let (mut stream, mut reader) = served.connect();
     stream
         .write_all(b"{\"op\":\"watch\",\"interval_ms\":300,\"frames\":1}\n")
@@ -348,4 +353,45 @@ fn a_long_run_yields_the_worker_to_a_waiting_connection() {
     let a_last = log.iter().rposition(|conn| *conn == 0).unwrap();
     assert!(b_pong < a_last, "B waited for all of A's run: {log:?}");
     assert_eq!(served.stop().stats().requests_shed, 0);
+}
+
+/// (g) Two workers, two connections: A's one ~1 MiB `validate` frame
+/// (80 000 values, milliseconds of work) does not hold up B's `ping`
+/// sent right behind it. Both connections are accepted and answered once
+/// before the heavy frame, so each is settled where it will be served;
+/// the server's write log must then show B's pong ahead of A's reply.
+#[test]
+fn a_heavy_frame_on_one_connection_does_not_delay_another() {
+    const VALUES: usize = 80_000;
+    let served = serve(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    learn_dates(&served);
+    let (mut a, mut a_reader) = served.connect(); // connection 0
+    let (mut b, mut b_reader) = served.connect(); // connection 1
+    for (stream, reader) in [(&mut a, &mut a_reader), (&mut b, &mut b_reader)] {
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert!(reply(reader).contains("\"pong\":true"));
+    }
+    let values: Vec<String> = (0..VALUES)
+        .map(|v| format!("\"2020-02-{:02}\"", v % 28 + 1))
+        .collect();
+    let frame = format!(
+        "{{\"op\":\"validate\",\"rule\":\"dates\",\"values\":[{}]}}\n",
+        values.join(",")
+    );
+    assert!(frame.len() > 1_000_000 && frame.len() < 1 << 20);
+    a.write_all(frame.as_bytes()).unwrap();
+    b.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    assert!(reply(&mut b_reader).contains("\"pong\":true"));
+    let line = reply(&mut a_reader);
+    let checked = format!("\"checked\":{VALUES}");
+    assert!(response_ok(&line) && line.contains(&checked), "{line}");
+    let log = served.log.lock().unwrap().clone();
+    let b_pong = log.iter().rposition(|conn| *conn == 1).unwrap();
+    let a_reply = log.iter().rposition(|conn| *conn == 0).unwrap();
+    assert!(b_pong < a_reply, "B waited for A's frame: {log:?}");
+    let stats = served.stop().stats();
+    assert_eq!((stats.requests_shed, stats.connection_errors), (0, 0));
 }
