@@ -138,6 +138,8 @@ mod tests {
         let _c = rank_guard(CKPT);
     }
 
+    // The check is a `debug_assert!`: a release build compiles it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn inversion_asserts_in_debug() {
