@@ -13,12 +13,12 @@
 //!   afterwards. The read may wait for the apply in progress (and any
 //!   queued ahead of it): ~0.2 ms for a ten-column ingest, under 10 ms
 //!   for a 2000-column bulk load (`PERF.md` Point 12). Only `infer_rule`,
-//!   `stats`, `persist` and checkpoints take snapshots, all on worker
-//!   threads; validation reads the catalog, not the index, and the
-//!   reactor reads the atomic generation only.
+//!   `stats`, `persist` and checkpoints take snapshots, on whichever
+//!   thread runs the request; validation reads the catalog, not the
+//!   index.
 //! * **Ingestion costs what its delta costs.** New columns are profiled
 //!   into an [`IndexDelta`] with no lock held (the expensive part), on the
-//!   calling worker, with helper threads only for batches large enough to
+//!   calling thread, with helper threads only for batches large enough to
 //!   pay for them; the delta then splits into per-shard sub-deltas and is
 //!   merged into the touched shards in place — O(delta), not O(index).
 //! * **Copy only what a live snapshot still shares.** A touched shard
@@ -76,10 +76,10 @@ pub struct ServiceConfig {
     /// FMDV knobs. `None` re-scales the coverage floor `m` to the live
     /// corpus size at each inference ([`FmdvConfig::scaled_for_corpus`]).
     pub fmdv: Option<FmdvConfig>,
-    /// Worker threads (0 → available parallelism): the size of the TCP
-    /// serve loop's worker pool (never under two when left at 0), and the
-    /// most threads one `validate_batch` call spreads a large batch over
-    /// (the caller plus `workers − 1` helpers).
+    /// Worker threads (0 → available parallelism): how many event loops
+    /// the TCP serve loop runs, one thread each (never under two when left
+    /// at 0), and the most threads one `validate_batch` call spreads a
+    /// large batch over (the caller plus `workers − 1` helpers).
     pub workers: usize,
     /// Directory holding `index.avix` + `rules.avcat`; `None` disables
     /// persistence.
@@ -326,25 +326,27 @@ pub struct ServiceStats {
     pub flagged: u64,
     /// Values classified against the whole catalog.
     pub classifications: u64,
-    /// TCP connection threads that ended with an I/O error or panic
-    /// (oversized/undecodable frames, write timeouts to stalled clients,
-    /// resets). The serve loop joins every reaped worker, so these are
-    /// counted instead of vanishing with the thread handle.
+    /// TCP connections that ended in an error: an oversized or
+    /// undecodable frame, a reset, a peer shed at the stall deadline or
+    /// abandoned undrained at shutdown, or a failed accept or poller
+    /// registration. Counted by the serve loop instead of vanishing.
     pub connection_errors: u64,
     /// Connections turned away at the door by admission control
     /// (`ServiceConfig::max_connections`): each got one `overloaded`
     /// error frame and was closed without being registered.
     pub connections_rejected: u64,
     /// Parsed request frames answered with an `overloaded` error because
-    /// the run queue was full when they arrived.
+    /// their connection already held `PIPELINE_CAP` (128) unanswered
+    /// frames when they arrived.
     pub requests_shed: u64,
     /// Connections shed for making zero write-drain progress past
     /// `ServiceConfig::stall_deadline_ms` (peer stopped reading).
     pub stalls_shed: u64,
-    /// Request frames executed by the TCP worker pool.
+    /// Request frames executed by the TCP serve loop.
     pub frames_executed: u64,
-    /// Runs of pipelined frames handed to a worker: one queue hop each,
-    /// so `frames_executed / runs_dispatched` is the mean run length.
+    /// Runs of pipelined frames the TCP serve loop executed, however
+    /// many turns each took, so `frames_executed / runs_dispatched` is the
+    /// mean run length.
     pub runs_dispatched: u64,
     /// Socket `write` calls that moved response bytes
     /// (`frames_executed / socket_writes`: how well replies coalesce).
@@ -354,7 +356,7 @@ pub struct ServiceStats {
 /// Values a batch must hold before [`ValidationService::validate_batch`]
 /// asks for helper threads. Spawning and joining one scoped helper costs
 /// 30–80 µs on the dev container against ~28 ns of validation per value,
-/// and the caller is itself a serve-loop worker on a pool sized to the
+/// and the caller is itself one of a set of serve loops sized to the
 /// cores. With helpers forced on, batches under 4 800 values were slower in
 /// most runs (a 120-value frame 35–85 µs against 3.3 alone) and batches
 /// from 14 400 values up faster by a fifth to a half in every run that had
@@ -883,8 +885,8 @@ impl ValidationService {
             .generation()
     }
 
-    /// Validate a batch of columns: on the calling thread — a serve-loop
-    /// worker, on a pool already sized to the cores — joined by up to
+    /// Validate a batch of columns: on the calling thread — a serve loop,
+    /// one of a set already sized to the cores — joined by up to
     /// `config.workers − 1` scoped helpers only when the batch holds at
     /// least `BATCH_HELPER_MIN_VALUES` (16 384) values.
     ///
@@ -1026,8 +1028,8 @@ impl ValidationService {
         self.index.generation()
     }
 
-    /// Record a TCP connection thread that ended in an I/O error or panic
-    /// (called by the serve loop when joining reaped workers).
+    /// Record a TCP connection that ended in an error (called by the
+    /// serve loop when it closes one, or fails to accept or register one).
     pub(crate) fn record_connection_error(&self) {
         self.counters
             .connection_errors
@@ -1041,8 +1043,8 @@ impl ValidationService {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` request frames answered with `overloaded` because the
-    /// run queue was full.
+    /// Record `n` request frames answered with `overloaded` past the
+    /// pipelining cap.
     pub(crate) fn record_requests_shed(&self, n: u64) {
         self.counters.requests_shed.fetch_add(n, Ordering::Relaxed);
     }
@@ -1052,7 +1054,7 @@ impl ValidationService {
         self.counters.stalls_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one worker turn: a run of `frames` executed frames.
+    /// Record one finished run of `frames` executed frames.
     pub(crate) fn record_run(&self, frames: u64) {
         self.counters
             .runs_dispatched

@@ -1,15 +1,14 @@
 //! Per-connection state for the event loop: buffered reads, a pipeline
-//! of parsed frames, buffered writes with watermarks, and the clocks
-//! that drive idle/stall shedding.
+//! of parsed frames, the run in progress, buffered writes with
+//! watermarks, and the clocks that drive idle/stall shedding.
 //!
 //! A connection moves through four logical phases — reading a frame,
-//! executing (a worker holds a run of its frames), draining response
-//! bytes, streaming `watch` frames — but the phases overlap by design:
-//! pipelined frames queue while a run executes, and the write buffer
-//! drains whenever the socket accepts bytes, whatever else is going on.
-//! All mutation happens on the reactor thread; workers never touch a
-//! connection (they return completions through a queue), which is what
-//! makes "no torn response frame" true by construction: one writer,
+//! executing a run of its frames, draining response bytes, streaming
+//! `watch` frames — but the phases overlap by design: pipelined frames
+//! queue while a run executes in turns, and the write buffer drains
+//! whenever the socket accepts bytes, whatever else is going on. All of
+//! it happens on the one event loop that owns the connection, which is
+//! what makes "no torn response frame" true by construction: one writer,
 //! whole frames in, byte order out.
 
 use super::netfault::NetSocket;
@@ -20,7 +19,7 @@ use std::io;
 use std::time::Instant;
 
 /// Most request frames a connection may have accepted and not yet
-/// answered, the run a worker holds included. A client pipelining past
+/// answered, the run in progress included. A client pipelining past
 /// this gets `overloaded` replies for the excess (see
 /// `ServiceStats::requests_shed`).
 pub(crate) const PIPELINE_CAP: usize = 128;
@@ -35,7 +34,7 @@ pub(crate) const WRITE_LOW_WATER: usize = 64 * 1024;
 
 /// One parsed request frame waiting its turn in the pipeline.
 pub(crate) enum PendingFrame {
-    /// A frame to hand to a worker.
+    /// A frame to execute.
     Line(String),
     /// A frame that arrived past the pipeline cap: it is answered with
     /// an `overloaded` error *in request order* when its turn comes —
@@ -52,7 +51,7 @@ pub(crate) struct WatchState {
     pub(crate) frame: u64,
 }
 
-/// One connection, owned by the reactor.
+/// One connection, owned by one event loop.
 pub(crate) struct Conn {
     pub(crate) sock: Box<dyn NetSocket>,
     /// Raw request bytes not yet split into frames.
@@ -65,9 +64,12 @@ pub(crate) struct Conn {
     pub(crate) read_closed: bool,
     /// Parsed frames waiting to execute, oldest first.
     pub(crate) pending: VecDeque<PendingFrame>,
-    /// Frames in the run a worker currently holds (at most one run is
-    /// out, which is what keeps pipelined responses in request order).
-    /// They count against [`PIPELINE_CAP`] like the ones in `pending`.
+    /// Frames of the run in progress not yet executed, oldest first.
+    pub(crate) run: VecDeque<String>,
+    /// How many frames the run in progress started with; 0 when there is
+    /// none (at most one run at a time, which is what keeps pipelined
+    /// responses in request order). They count against [`PIPELINE_CAP`]
+    /// like the ones in `pending` until the run ends.
     pub(crate) out_frames: usize,
     /// Response bytes not yet accepted by the socket.
     pub(crate) write_buf: Vec<u8>,
@@ -112,6 +114,7 @@ impl Conn {
             scanned: 0,
             read_closed: false,
             pending: VecDeque::new(),
+            run: VecDeque::new(),
             out_frames: 0,
             write_buf: Vec::new(),
             write_pos: 0,
@@ -175,7 +178,7 @@ impl Conn {
         (Flush::Drained, writes)
     }
 
-    /// Should the reactor poll this connection readable? Not once the
+    /// Should the loop poll this connection readable? Not once the
     /// peer closed or we decided to close; paused while the pipeline or
     /// the write buffer is full (backpressure — the kernel's receive
     /// buffer then pushes back on the peer).
@@ -187,7 +190,7 @@ impl Conn {
             && self.backlog() < WRITE_HIGH_WATER
     }
 
-    /// Should the reactor poll this connection writable?
+    /// Should the loop poll this connection writable?
     pub(crate) fn want_write(&self) -> bool {
         self.backlog() > 0
     }
@@ -201,10 +204,17 @@ impl Conn {
         }
     }
 
+    /// Is a turn waiting: a run in progress, or frames to start one
+    /// (not while a `watch` streams or the connection is closing)?
+    pub(crate) fn runnable(&self) -> bool {
+        self.watch.is_none()
+            && !self.close_after_flush
+            && (self.out_frames > 0 || !self.pending.is_empty())
+    }
+
     /// Nothing left to do on this connection. Once `close_after_flush`
     /// is set, draining the write buffer is all that remains (unexecuted
-    /// pipelined frames are dropped, as they were after a `shutdown` op
-    /// in the thread-per-connection loop); otherwise the peer must have
+    /// pipelined frames are dropped); otherwise the peer must have
     /// finished sending and every stage must be empty.
     pub(crate) fn is_complete(&self) -> bool {
         if self.close_after_flush {

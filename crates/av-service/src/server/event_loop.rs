@@ -1,44 +1,52 @@
-//! The event-driven serve loop: one reactor thread owning every socket,
-//! a fixed worker pool fed by a bounded run queue, and deterministic
-//! overload behavior (admission control, pipelining caps, backpressure,
-//! idle and stall shedding).
+//! The event-driven serve loop: [`worker_count`] event loops, each a
+//! thread with its own poller and connections that reads, executes and
+//! answers its connections' requests itself, and deterministic overload
+//! behavior (admission control, pipelining caps, backpressure, idle and
+//! stall shedding).
 //!
 //! ## Division of labor
 //!
-//! The **reactor** is the only thread that reads or writes sockets. It
-//! accepts connections, splits request bytes into frames, hands each
-//! connection's **run** of pipelined frames to the run queue as one job
-//! (at most one run per connection is out at a time), appends a finished
-//! run's replies to the connection's write buffer and flushes them with
-//! one `write`, paces `watch` streams off a timer heap, and enforces
-//! every deadline. **Workers** only pop `(connection, lines)` jobs, run
-//! the protocol handler over the lines in order, and push the rendered
-//! replies onto a completion queue, waking the reactor through the
-//! poller. Because responses reach the socket solely via the reactor
-//! appending whole frames to one buffer, response frames cannot tear or
-//! interleave no matter how faulty the transport is.
+//! Loop 0 also owns the listener. It places each accepted socket on the
+//! loop with the fewest live connections (the lowest index on ties)
+//! through that loop's inbox and waker, and the connection stays there
+//! until it closes. A loop is the only thread that touches its
+//! connections: it splits request bytes into frames, executes each
+//! connection's **run** of pipelined frames (at most one run per
+//! connection at a time), appends the replies to the connection's write
+//! buffer and flushes them with one `write`, paces `watch` streams off a
+//! timer heap, and enforces every deadline. A request is read, handled
+//! and written on one thread, with no queue between, and because
+//! responses reach the socket only as whole frames appended to one buffer
+//! by one thread, response frames cannot tear or interleave no matter how
+//! faulty the transport is.
 //!
-//! A worker's turn on a connection ends in one of four ways: the run is
-//! exhausted; a frame's outcome is `shutdown` or `watch` (nothing behind
-//! either may execute yet); the replies pass [`WRITE_LOW_WATER`]; or the
-//! turn has used [`TURN_SLICE`] while another job waits. Unexecuted
-//! frames go back to the **front** of the connection's pipeline, so a
-//! depth-1 request is simply a run of length one — there is one dispatch
-//! path. Accepted sockets always have `TCP_NODELAY` set (see
-//! [`super::std_listener`]): coalescing is this module's job, not a
+//! A run executes in turns. A turn ends when the run is exhausted; when a
+//! frame's outcome is `shutdown` or `watch` (nothing behind either may
+//! execute yet, so the run ends there and the frames behind it go back to
+//! the **front** of the connection's pipeline); when the turn's replies
+//! pass [`WRITE_LOW_WATER`]; or once it has used [`TURN_SLICE`] while
+//! something else on the loop waits. Between turns the loop polls with a
+//! zero timeout, so reads and the loop's other connections get their
+//! turn. A depth-1 request is simply a run of length one — there is one
+//! dispatch path. The trade-off: a connection waits only behind frames of
+//! connections on its own loop, but behind those it does wait, since a
+//! frame is never cut. Accepted sockets always have `TCP_NODELAY` set
+//! (see [`super::std_listener`]): coalescing is this module's job, not a
 //! kernel timer's.
 //!
 //! ## Overload ladder
 //!
-//! 1. *Admission*: past `max_connections`, a new connection gets one
-//!    `overloaded` frame and is closed (`connections_rejected`).
+//! 1. *Admission*: past `max_connections` live across all loops, a new
+//!    connection gets one `overloaded` frame and is closed
+//!    (`connections_rejected`).
 //! 2. *Pipelining cap*: frames parsed past [`PIPELINE_CAP`] per
-//!    connection — the run a worker holds counts — are answered
-//!    `overloaded` in order (`requests_shed`); reading pauses at the cap
-//!    so the cap is only exceeded by frames already inside one read burst.
+//!    connection — the frames of the run in progress count until it
+//!    ends — are answered `overloaded` in order (`requests_shed`);
+//!    reading pauses at the cap so the cap is only exceeded by frames
+//!    already inside one read burst.
 //! 3. *Write backpressure*: past [`WRITE_HIGH_WATER`] buffered response
-//!    bytes, the reactor stops polling the connection readable (and
-//!    stops rendering its watch frames) until the peer drains below
+//!    bytes, the loop stops polling the connection readable (and stops
+//!    rendering its watch frames) until the peer drains below
 //!    [`WRITE_LOW_WATER`].
 //! 4. *Deadlines*: zero drain progress for `stall_deadline_ms` sheds
 //!    the connection (`stalls_shed`); no request bytes for
@@ -47,17 +55,18 @@
 use super::conn::{
     Conn, Flush, PendingFrame, WatchState, PIPELINE_CAP, WRITE_HIGH_WATER, WRITE_LOW_WATER,
 };
-use super::netfault::NetListener;
+use super::netfault::{NetListener, NetSocket};
 use crate::engine::ValidationService;
-use crate::protocol::{handle_line_into, render_error_into, render_overloaded_into, LineOutcome};
+use crate::protocol::{handle_line_into, render_error_into, render_overloaded_into};
 use polling::{Event, Poller};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Poller key of the listening socket (connections start at 1).
+/// Poller key of the listening socket on loop 0 (connections start at 1).
 const LISTENER_KEY: usize = 0;
 
 /// Upper bound between idle/stall deadline scans. Watch frames are paced
@@ -72,14 +81,14 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 /// Bytes per read attempt.
 const READ_CHUNK: usize = 8192;
 
-/// How long a worker's turn on one connection may run while another job
-/// waits. A yield costs this connection one reactor↔worker hop (~20 µs),
-/// so the slice is an order above the hop: a 64-frame `classify` run
-/// fits inside it, and a request behind a heavy pipeline waits one slice
-/// or one frame, whichever is longer. Measured, it is the shortest slice
-/// on the throughput plateau — at 100 µs and below light runs lose up to
-/// a third to hops, at 1 ms and above the waiting request's latency is
-/// the slice (`PERF.md` Point 10 has the sweep).
+/// How long one turn of a run may execute before its loop polls again.
+/// A request behind a heavy pipeline on its loop waits one slice or one
+/// frame, whichever is longer; a yield costs the run one zero-timeout
+/// poll. The value is the one `PERF.md` Point 10 measured as the shortest
+/// slice on the throughput plateau of the worker pool this loop replaced,
+/// where a yield cost a thread hop: at 100 µs and below light runs lost
+/// up to a third to hops, at 1 ms and above the waiting request's
+/// latency was the slice.
 const TURN_SLICE: Duration = Duration::from_micros(250);
 
 #[cfg(test)]
@@ -89,7 +98,8 @@ thread_local! {
 }
 
 /// Vet one complete line into the pipeline (or arm a fatal error).
-/// `held` is how many frames a worker holds: they fill the cap too.
+/// `held` is how many frames the run in progress holds: they fill the
+/// cap too.
 fn accept_frame(
     pending: &mut VecDeque<PendingFrame>,
     held: usize,
@@ -159,102 +169,9 @@ fn split_frames(conn: &mut Conn, max_request: usize, at_eof: bool) {
     conn.scanned = conn.read_buf.len();
 }
 
-/// A connection's run of pipelined frames on its way to a worker.
-struct Job {
-    key: usize,
-    lines: VecDeque<String>,
-}
-
-/// One worker turn on its way back to the reactor.
-struct Completion {
-    key: usize,
-    /// The executed frames' replies in request order, each
-    /// newline-terminated.
-    replies: String,
-    /// Frames the turn ended before; they return to the pipeline's front.
-    unexecuted: VecDeque<String>,
-    /// What the last executed frame asked of the serve loop.
-    outcome: LineOutcome,
-}
-
-/// Run queue (reactor → workers) and completion queue (workers →
-/// reactor) in one shared bundle.
-struct Queues {
-    jobs: Mutex<JobQueue>,
-    job_ready: Condvar,
-    completions: Mutex<Vec<Completion>>,
-}
-
-struct JobQueue {
-    queue: VecDeque<Job>,
-    closed: bool,
-}
-
-impl Queues {
-    fn new() -> Queues {
-        Queues {
-            jobs: Mutex::new(JobQueue {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            job_ready: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Enqueue unless the queue is at `cap`; `false` means shed.
-    fn push_job(&self, job: Job, cap: usize) -> bool {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if jobs.queue.len() >= cap {
-            return false;
-        }
-        jobs.queue.push_back(job);
-        drop(jobs);
-        self.job_ready.notify_one();
-        true
-    }
-
-    /// Worker side: next job, or `None` once the queue closes (remaining
-    /// jobs are abandoned — their connections are being torn down).
-    fn pop_job(&self) -> Option<Job> {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if jobs.closed {
-                return None;
-            }
-            if let Some(job) = jobs.queue.pop_front() {
-                return Some(job);
-            }
-            jobs = self.job_ready.wait(jobs).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Is a job waiting for a worker?
-    fn job_waiting(&self) -> bool {
-        let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        !jobs.queue.is_empty()
-    }
-
-    fn close(&self) {
-        self.jobs.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.job_ready.notify_all();
-    }
-
-    fn push_completion(&self, done: Completion) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(done);
-    }
-
-    fn drain_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// Worker threads for the serve loop: the configured count, else two
-/// (even on one core, a second worker keeps a long request from
-/// head-of-line-blocking every other connection).
+/// Event loops to run: the configured count, else the available
+/// parallelism and never under two (even on one core, a second loop
+/// keeps a long request from head-of-line-blocking every connection).
 fn worker_count(service: &ValidationService) -> usize {
     let configured = service.config().workers;
     if configured > 0 {
@@ -267,89 +184,76 @@ fn worker_count(service: &ValidationService) -> usize {
     }
 }
 
-/// One turn per job: execute the run's frames in order into one reply
-/// buffer until the turn ends (module docs: the four ways).
-fn worker_loop(service: &ValidationService, queues: &Queues, poller: &Poller) {
-    let mut response = String::new();
-    while let Some(Job { key, mut lines }) = queues.pop_job() {
-        let started = Instant::now();
-        let mut replies = String::new();
-        let mut executed = 0;
-        let mut outcome = LineOutcome::default();
-        while let Some(line) = lines.pop_front() {
-            outcome = handle_line_into(service, &line, &mut response);
-            replies.push_str(&response);
-            replies.push('\n');
-            executed += 1;
-            // The reply cap is the write buffer's low watermark: a run
-            // parks at most that plus one reply in a worker, and hands the
-            // reactor no more than a backpressured peer resumes at. An
-            // exhausted run ends the turn before the clock or the run
-            // queue's lock is consulted: a depth-1 frame pays for neither.
-            if lines.is_empty()
-                || outcome.shutdown
-                || outcome.watch.is_some()
-                || replies.len() >= WRITE_LOW_WATER
-                || (started.elapsed() >= TURN_SLICE && queues.job_waiting())
-            {
-                break;
-            }
-        }
-        service.record_run(executed);
-        queues.push_completion(Completion {
-            key,
-            replies,
-            unexecuted: lines,
-            outcome,
-        });
-        let _ = poller.notify();
-    }
+/// The loop a new connection joins, given each loop's live connections:
+/// the one with the fewest, the lowest index on ties.
+fn place(live: impl Iterator<Item = usize>) -> usize {
+    live.enumerate()
+        .min_by_key(|&(_, n)| n)
+        .map_or(0, |(i, _)| i)
 }
 
-/// Everything the reactor mutates, bundled so helpers can borrow it as
-/// one unit.
-struct Reactor<'a> {
+/// What other threads reach of one loop: the poller that wakes it, the
+/// sockets placed on it and not yet registered, and how many connections
+/// it holds (the inbox's included).
+struct Port {
+    poller: Poller,
+    inbox: Mutex<Vec<Box<dyn NetSocket>>>,
+    /// Read for placement and admission only; it publishes nothing (the
+    /// sockets travel under the inbox lock), so `Relaxed` serves.
+    live: AtomicUsize,
+}
+
+/// Everything one loop mutates, bundled so helpers can borrow it as one
+/// unit.
+struct EventLoop<'a> {
     service: &'a ValidationService,
-    poller: Arc<Poller>,
-    queues: Arc<Queues>,
+    /// Every loop's port, this one's included (loop 0 places sockets).
+    ports: &'a [Port],
+    port: &'a Port,
     conns: HashMap<usize, Conn>,
+    /// Connections with a run in progress or frames waiting for one:
+    /// each gets its turn on the next pass.
+    running: Vec<usize>,
     /// Min-heap of (due, key, frame): when to emit each watch frame.
     watch_timers: BinaryHeap<Reverse<(Instant, usize, u64)>>,
     next_key: usize,
-    max_connections: usize,
     idle_timeout: Option<Duration>,
     stall_deadline: Option<Duration>,
-    run_queue_cap: usize,
-    /// Reused render buffer for reactor-side frames (errors, overloads,
+    /// Reused render buffer for loop-side frames (errors, overloads,
     /// watch frames).
     scratch: String,
+    /// Reused reply buffer of the protocol handler.
+    response: String,
 }
 
-impl Reactor<'_> {
+impl EventLoop<'_> {
     /// Close `key`: deregister, best-effort FIN, count errors.
     fn close_conn(&mut self, key: usize) {
         if let Some(mut conn) = self.conns.remove(&key) {
-            let _ = self.poller.delete(conn.sock.raw_fd());
+            let _ = self.port.poller.delete(conn.sock.raw_fd());
             conn.sock.shutdown_write();
+            self.port.live.fetch_sub(1, Ordering::Relaxed);
             if conn.error {
                 self.service.record_connection_error();
             }
         }
     }
 
-    /// Accept until the listener has nothing pending. Transient accept
-    /// failures are counted and survived; admission control rejects
-    /// connections over the cap with one `overloaded` frame.
-    fn accept_ready(&mut self, listener: &mut dyn NetListener, now: Instant) -> Vec<usize> {
-        let mut touched = Vec::new();
+    /// Accept until the listener has nothing pending and place each
+    /// socket on a loop. Transient accept failures are counted and
+    /// survived; admission control rejects connections over the cap with
+    /// one `overloaded` frame.
+    fn accept_ready(&mut self, listener: &mut dyn NetListener) {
+        let ports = self.ports;
+        let live = || ports.iter().map(|port| port.live.load(Ordering::Relaxed));
+        let max_connections = self.service.config().max_connections;
         loop {
             match listener.accept() {
                 Ok(Some(mut sock)) => {
-                    if self.max_connections > 0 && self.conns.len() >= self.max_connections {
+                    if max_connections > 0 && live().sum::<usize>() >= max_connections {
                         render_overloaded_into(
                             &format!(
-                                "service at max_connections ({}); connection rejected",
-                                self.max_connections
+                                "service at max_connections ({max_connections}); connection rejected"
                             ),
                             &mut self.scratch,
                         );
@@ -360,18 +264,17 @@ impl Reactor<'_> {
                         self.service.record_connection_rejected();
                         continue;
                     }
-                    let key = self.next_key;
-                    self.next_key += 1;
-                    if self
-                        .poller
-                        .add(sock.raw_fd(), Event::readable(key))
-                        .is_err()
-                    {
-                        self.service.record_connection_error();
+                    let Some(port) = ports.get(place(live())) else {
                         continue;
+                    };
+                    port.live.fetch_add(1, Ordering::Relaxed);
+                    port.inbox
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(sock);
+                    if !std::ptr::eq(port, self.port) {
+                        let _ = port.poller.notify();
                     }
-                    self.conns.insert(key, Conn::new(sock, now));
-                    touched.push(key);
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -383,7 +286,27 @@ impl Reactor<'_> {
                 }
             }
         }
-        touched
+    }
+
+    /// Register the sockets placed on this loop.
+    fn adopt(&mut self, now: Instant) {
+        let placed =
+            std::mem::take(&mut *self.port.inbox.lock().unwrap_or_else(|e| e.into_inner()));
+        for sock in placed {
+            let key = self.next_key;
+            self.next_key += 1;
+            if self
+                .port
+                .poller
+                .add(sock.raw_fd(), Event::readable(key))
+                .is_err()
+            {
+                self.port.live.fetch_sub(1, Ordering::Relaxed);
+                self.service.record_connection_error();
+                continue;
+            }
+            self.conns.insert(key, Conn::new(sock, now));
+        }
     }
 
     /// Drain readable bytes and split them into pipeline frames.
@@ -428,63 +351,63 @@ impl Reactor<'_> {
     }
 
     /// Drive one connection forward after anything happened to it:
-    /// answer shed frames, dispatch the next run to the run queue,
+    /// answer shed frames, start the next run and execute one turn of it,
     /// surface a deferred fatal error, flush, close when complete, and
-    /// re-register interest. Idempotent — safe to call repeatedly.
-    fn advance(&mut self, key: usize, now: Instant) {
+    /// re-register interest. Safe to call repeatedly; a connection left
+    /// with work to do is queued for the next pass. `busy`: this pass
+    /// advances other connections too.
+    fn advance(&mut self, key: usize, now: Instant, busy: bool) {
+        let mut turned = false;
         loop {
             let Some(conn) = self.conns.get_mut(&key) else {
                 return;
             };
-            // Dispatch while the connection is executable: not waiting
-            // on a worker, not mid-watch, not closing.
-            if conn.out_frames > 0 || conn.watch.is_some() || conn.close_after_flush {
+            // Execute while the connection is executable: not mid-watch,
+            // not closing, and at most one turn per pass.
+            if conn.watch.is_some() || conn.close_after_flush {
                 break;
             }
-            match conn.pending.pop_front() {
+            if conn.out_frames > 0 {
+                if turned {
+                    break;
+                }
+                turned = true;
+                // What the run's replies queue behind (a watch frame, shed
+                // replies) leaves first.
+                if !self.flush(key, now) {
+                    return;
+                }
+                self.turn(key, now, busy);
+                continue;
+            }
+            match conn.pending.front() {
                 Some(PendingFrame::Shed) => {
+                    conn.pending.pop_front();
                     render_overloaded_into(
                         &format!("pipeline full ({PIPELINE_CAP} frames queued); request shed"),
                         &mut self.scratch,
                     );
-                    let frame = std::mem::take(&mut self.scratch);
-                    conn.queue_frame(&frame, now);
-                    self.scratch = frame;
+                    conn.queue_frame(&self.scratch, now);
                     self.service.record_requests_shed(1);
-                    continue;
                 }
-                Some(PendingFrame::Line(first)) => {
+                Some(PendingFrame::Line(_)) if !turned => {
                     // The run: every consecutive line up to the first shed
                     // frame (which must be answered in its place) — at most
                     // `PIPELINE_CAP` of them, the cap let no more in.
-                    let mut lines = VecDeque::from([first]);
                     while let Some(PendingFrame::Line(_)) = conn.pending.front() {
                         if let Some(PendingFrame::Line(line)) = conn.pending.pop_front() {
-                            lines.push_back(line);
+                            conn.run.push_back(line);
                         }
                     }
-                    let frames = lines.len();
-                    if self.queues.push_job(Job { key, lines }, self.run_queue_cap) {
-                        conn.out_frames = frames;
-                    } else {
-                        // Run queue full: answer the run overloaded frame
-                        // by frame and keep going — the connection stays up.
-                        render_overloaded_into("run queue full; request shed", &mut self.scratch);
-                        for _ in 0..frames {
-                            conn.queue_frame(&self.scratch, now);
-                        }
-                        self.service.record_requests_shed(frames as u64);
-                    }
-                    continue;
+                    conn.out_frames = conn.run.len();
                 }
+                Some(PendingFrame::Line(_)) => break,
                 None => {
                     // Pipeline empty: a deferred fatal error is now next
                     // in response order.
                     if let Some(message) = conn.fatal.take() {
                         render_error_into(&message, &mut self.scratch);
-                        let frame = std::mem::take(&mut self.scratch);
-                        conn.queue_frame(&frame, now);
-                        self.scratch = frame;
+                        conn.queue_frame(&self.scratch, now);
                         conn.error = true;
                         conn.close_after_flush = true;
                     }
@@ -493,17 +416,8 @@ impl Reactor<'_> {
             }
         }
 
-        let Some(conn) = self.conns.get_mut(&key) else {
+        if !self.flush(key, now) {
             return;
-        };
-        if conn.backlog() > 0 {
-            let (flushed, writes) = conn.flush(now);
-            self.service.record_socket_writes(writes);
-            if let Flush::Failed = flushed {
-                conn.error = true;
-                self.close_conn(key);
-                return;
-            }
         }
         let Some(conn) = self.conns.get_mut(&key) else {
             return;
@@ -511,6 +425,9 @@ impl Reactor<'_> {
         if conn.is_complete() {
             self.close_conn(key);
             return;
+        }
+        if conn.runnable() {
+            self.running.push(key);
         }
         // Hysteresis on the read side of backpressure: once paused for a
         // full buffer, stay paused until the peer drains below the low
@@ -524,10 +441,88 @@ impl Reactor<'_> {
             desired.readable = false;
         }
         if (desired.readable, desired.writable) != conn.registered
-            && self.poller.modify(conn.sock.raw_fd(), desired).is_ok()
+            && self.port.poller.modify(conn.sock.raw_fd(), desired).is_ok()
         {
             conn.registered = (desired.readable, desired.writable);
         }
+    }
+
+    /// Push `key`'s buffered replies into its socket; `false` when the
+    /// socket failed and the connection is closed.
+    fn flush(&mut self, key: usize, now: Instant) -> bool {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return false;
+        };
+        if conn.backlog() == 0 {
+            return true;
+        }
+        let (flushed, writes) = conn.flush(now);
+        self.service.record_socket_writes(writes);
+        if let Flush::Failed = flushed {
+            conn.error = true;
+            self.close_conn(key);
+            return false;
+        }
+        true
+    }
+
+    /// One turn of `key`'s run: execute its frames in order, replies
+    /// straight into the write buffer, until the turn ends (module docs:
+    /// the four ways). When the run ends, it is counted, and the frames a
+    /// `shutdown` or `watch` cut off go back to the pipeline's front.
+    fn turn(&mut self, key: usize, now: Instant, busy: bool) {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        let mut slice_start = Instant::now();
+        let mut replied = 0;
+        while let Some(line) = conn.run.pop_front() {
+            let outcome = handle_line_into(self.service, &line, &mut self.response);
+            conn.queue_frame(&self.response, now);
+            replied += self.response.len() + 1;
+            if outcome.shutdown {
+                conn.close_after_flush = true;
+            }
+            if let Some(params) = outcome.watch {
+                self.watch_timers
+                    .push(Reverse((now + params.interval, key, 0)));
+                conn.watch = Some(WatchState {
+                    params,
+                    started: now,
+                    frame: 0,
+                });
+            }
+            // An exhausted run ends the turn before the clock is read: a
+            // depth-1 frame pays for none of this.
+            if conn.run.is_empty() || conn.close_after_flush || conn.watch.is_some() {
+                break;
+            }
+            if replied >= WRITE_LOW_WATER {
+                return;
+            }
+            // Past its slice the turn yields, but only to someone: another
+            // connection of this pass or the next, a socket placed on this
+            // loop, or readiness that a zero-timeout poll reports.
+            if slice_start.elapsed() >= TURN_SLICE {
+                let port = self.port;
+                let placed = !port
+                    .inbox
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .is_empty();
+                let ready = || port.poller.wait(&mut Vec::new(), Some(Duration::ZERO));
+                if busy || placed || !self.running.is_empty() || ready().is_ok_and(|n| n > 0) {
+                    return;
+                }
+                slice_start = Instant::now();
+            }
+        }
+        let executed = conn.out_frames.saturating_sub(conn.run.len());
+        self.service.record_run(executed as u64);
+        while let Some(line) = conn.run.pop_back() {
+            conn.pending.push_front(PendingFrame::Line(line));
+        }
+        conn.out_frames = 0;
     }
 
     /// Emit due watch frames; returns the touched keys.
@@ -619,40 +614,14 @@ impl Reactor<'_> {
         }
     }
 
-    /// Apply finished worker responses to their connections.
-    fn apply_completions(&mut self, now: Instant) -> Vec<usize> {
-        let mut touched = Vec::new();
-        for done in self.queues.drain_completions() {
-            let Some(conn) = self.conns.get_mut(&done.key) else {
-                continue; // connection closed while its run executed
-            };
-            conn.out_frames = 0;
-            conn.queue_replies(&done.replies, now);
-            for line in done.unexecuted.into_iter().rev() {
-                conn.pending.push_front(PendingFrame::Line(line));
-            }
-            if done.outcome.shutdown {
-                conn.close_after_flush = true;
-            }
-            if let Some(params) = done.outcome.watch {
-                let started = now;
-                self.watch_timers
-                    .push(Reverse((started + params.interval, done.key, 0)));
-                conn.watch = Some(WatchState {
-                    params,
-                    started,
-                    frame: 0,
-                });
-            }
-            touched.push(done.key);
-        }
-        touched
-    }
-
-    /// The poll timeout: the next watch frame's due time, capped by the
-    /// deadline-scan cadence while connections exist; unbounded when
-    /// there is nothing to time.
+    /// The poll timeout: zero while a connection has a turn waiting, else
+    /// the next watch frame's due time, capped by the deadline-scan
+    /// cadence while connections exist; unbounded when there is nothing
+    /// to time.
     fn poll_timeout(&self, now: Instant) -> Option<Duration> {
+        if !self.running.is_empty() {
+            return Some(Duration::ZERO);
+        }
         let next_watch = self
             .watch_timers
             .peek()
@@ -664,6 +633,146 @@ impl Reactor<'_> {
             (None, scan) => scan,
         }
     }
+
+    /// Serve until shutdown (loop 0 also accepts from `listener`), then
+    /// give the connections a bounded grace to drain what they are owed.
+    fn run(&mut self, mut listener: Option<&mut dyn NetListener>) -> io::Result<()> {
+        let mut events: Vec<Event> = Vec::new();
+        let mut last_scan = Instant::now();
+        while !self.service.is_shutdown() {
+            let timeout = self.poll_timeout(Instant::now());
+            self.port.poller.wait(&mut events, timeout)?;
+            let now = Instant::now();
+
+            let mut touched = std::mem::take(&mut self.running);
+            for &ev in &events {
+                if ev.key == LISTENER_KEY {
+                    if let Some(listener) = listener.as_deref_mut() {
+                        self.accept_ready(listener);
+                    }
+                    continue;
+                }
+                if ev.readable {
+                    self.read_ready(ev.key, now);
+                }
+                touched.push(ev.key);
+            }
+            self.adopt(now);
+            touched.extend(self.fire_watch_timers(now));
+            // One advance, so at most one turn, per connection per pass.
+            touched.sort_unstable();
+            touched.dedup();
+            let busy = touched.len() > 1;
+            for key in touched {
+                self.advance(key, now, busy);
+            }
+            if now.duration_since(last_scan) >= TIMER_SCAN {
+                last_scan = now;
+                self.enforce_deadlines(now);
+            }
+        }
+
+        if let Some(listener) = listener {
+            let _ = self.port.poller.delete(listener.raw_fd());
+        }
+        // Connections owing nothing close immediately; the rest get a
+        // bounded grace to drain.
+        let now = Instant::now();
+        let owed: Vec<usize> = self.conns.keys().copied().collect();
+        let mut draining = Vec::new();
+        for key in owed {
+            let Some(conn) = self.conns.get_mut(&key) else {
+                continue;
+            };
+            if conn.backlog() == 0 {
+                self.close_conn(key);
+            } else if self
+                .port
+                .poller
+                .modify(conn.sock.raw_fd(), Event::writable(key))
+                .is_ok()
+            {
+                conn.registered = (false, true);
+                draining.push(key);
+            }
+        }
+        let grace_deadline = now + SHUTDOWN_FLUSH_GRACE;
+        while !draining.is_empty() {
+            let now = Instant::now();
+            if now >= grace_deadline {
+                break;
+            }
+            self.port
+                .poller
+                .wait(&mut events, Some((grace_deadline - now).min(TIMER_SCAN)))?;
+            let now = Instant::now();
+            draining.retain(|&key| {
+                let Some(conn) = self.conns.get_mut(&key) else {
+                    return false;
+                };
+                let (flushed, writes) = conn.flush(now);
+                self.service.record_socket_writes(writes);
+                match flushed {
+                    Flush::Drained => {
+                        self.close_conn(key);
+                        false
+                    }
+                    Flush::Blocked => true,
+                    Flush::Failed => {
+                        conn.error = true;
+                        self.close_conn(key);
+                        false
+                    }
+                }
+            });
+        }
+        // Whatever still owes bytes is abandoned: the peer stopped reading
+        // through shutdown. Count those as connection errors.
+        let leftover: Vec<usize> = self.conns.keys().copied().collect();
+        for key in leftover {
+            if let Some(conn) = self.conns.get_mut(&key) {
+                conn.error = true;
+            }
+            self.close_conn(key);
+        }
+        Ok(())
+    }
+}
+
+/// Run one event loop on the calling thread until shutdown. Its exit, for
+/// whatever reason (shutdown, a poller error, a panic), shuts the service
+/// down, so no loop serves on alone and no socket is placed on a loop
+/// that is gone.
+fn run_loop(
+    service: &ValidationService,
+    ports: &[Port],
+    port: &Port,
+    listener: Option<&mut dyn NetListener>,
+) -> io::Result<()> {
+    struct StopOnExit<'a>(&'a ValidationService);
+    impl Drop for StopOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.request_shutdown();
+        }
+    }
+    let _stop = StopOnExit(service);
+    let config = service.config();
+    EventLoop {
+        service,
+        ports,
+        port,
+        conns: HashMap::new(),
+        running: Vec::new(),
+        watch_timers: BinaryHeap::new(),
+        next_key: LISTENER_KEY + 1,
+        idle_timeout: (config.idle_timeout_ms > 0)
+            .then(|| Duration::from_millis(config.idle_timeout_ms)),
+        stall_deadline: (config.stall_deadline_ms > 0)
+            .then(|| Duration::from_millis(config.stall_deadline_ms)),
+        scratch: String::new(),
+        response: String::new(),
+    }
+    .run(listener)
 }
 
 /// Serve JSONL connections from `listener` until a `shutdown` op (or
@@ -674,147 +783,45 @@ pub fn serve_listener(
     service: Arc<ValidationService>,
     mut listener: Box<dyn NetListener>,
 ) -> io::Result<()> {
-    let poller = Arc::new(Poller::new()?);
-    poller.add(listener.raw_fd(), Event::readable(LISTENER_KEY))?;
+    let ports = (0..worker_count(&service))
+        .map(|_| {
+            Ok(Port {
+                poller: Poller::new()?,
+                inbox: Mutex::default(),
+                live: AtomicUsize::new(0),
+            })
+        })
+        .collect::<io::Result<Arc<[Port]>>>()?;
+    let Some((first, rest)) = ports.split_first() else {
+        return Ok(());
+    };
+    first
+        .poller
+        .add(listener.raw_fd(), Event::readable(LISTENER_KEY))?;
     {
-        let waker = Arc::clone(&poller);
+        let ports = Arc::clone(&ports);
         service.register_shutdown_waker(Box::new(move || {
-            let _ = waker.notify();
+            for port in ports.iter() {
+                let _ = port.poller.notify();
+            }
         }));
     }
-
-    let queues = Arc::new(Queues::new());
-    let workers: Vec<_> = (0..worker_count(&service))
-        .map(|_| {
-            let service = Arc::clone(&service);
-            let queues = Arc::clone(&queues);
-            let poller = Arc::clone(&poller);
-            std::thread::spawn(move || worker_loop(&service, &queues, &poller))
-        })
-        .collect();
-
-    let config = service.config();
-    let max_connections = config.max_connections;
-    let run_queue_cap = if max_connections > 0 {
-        max_connections.max(64)
-    } else {
-        usize::MAX
-    };
-    let mut reactor = Reactor {
-        service: &service,
-        poller: Arc::clone(&poller),
-        queues: Arc::clone(&queues),
-        conns: HashMap::new(),
-        watch_timers: BinaryHeap::new(),
-        next_key: 1,
-        max_connections,
-        idle_timeout: (config.idle_timeout_ms > 0)
-            .then(|| Duration::from_millis(config.idle_timeout_ms)),
-        stall_deadline: (config.stall_deadline_ms > 0)
-            .then(|| Duration::from_millis(config.stall_deadline_ms)),
-        run_queue_cap,
-        scratch: String::new(),
-    };
-
-    let mut events: Vec<Event> = Vec::new();
-    let mut last_scan = Instant::now();
-    while !service.is_shutdown() {
-        let timeout = reactor.poll_timeout(Instant::now());
-        poller.wait(&mut events, timeout)?;
-        let now = Instant::now();
-
-        let mut touched = reactor.apply_completions(now);
-        for &ev in &events {
-            if ev.key == LISTENER_KEY {
-                touched.extend(reactor.accept_ready(listener.as_mut(), now));
-                continue;
+    let (service, all): (&ValidationService, &[Port]) = (&service, &ports);
+    std::thread::scope(|scope| {
+        let loops: Vec<_> = rest
+            .iter()
+            .map(|port| scope.spawn(move || run_loop(service, all, port, None)))
+            .collect();
+        let mut result = run_loop(service, all, first, Some(listener.as_mut()));
+        for handle in loops {
+            // av-guard: allow(G5, reason = "shutdown join: every loop has seen the shutdown, so each is only draining its last bytes under a bounded grace")
+            match handle.join() {
+                Ok(ended) => result = result.and(ended),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-            if ev.readable {
-                reactor.read_ready(ev.key, now);
-            }
-            touched.push(ev.key);
         }
-        touched.extend(reactor.fire_watch_timers(now));
-        for key in touched {
-            reactor.advance(key, now);
-        }
-        if now.duration_since(last_scan) >= TIMER_SCAN {
-            last_scan = now;
-            reactor.enforce_deadlines(now);
-        }
-    }
-
-    // Shutdown. Workers first, so every response they already produced
-    // (the shutdown ack among them) reaches a write buffer before the
-    // flush grace starts.
-    queues.close();
-    for worker in workers {
-        // av-guard: allow(G5, reason = "shutdown join: the event loop has exited and the run queue is closed, so nothing is left to stall")
-        let _ = worker.join();
-    }
-    let _ = poller.delete(listener.raw_fd());
-    let now = Instant::now();
-    for key in reactor.apply_completions(now) {
-        if let Some(conn) = reactor.conns.get_mut(&key) {
-            service.record_socket_writes(conn.flush(now).1);
-        }
-    }
-    // Connections owing nothing close immediately; the rest get a
-    // bounded grace to drain.
-    let owed: Vec<usize> = reactor.conns.keys().copied().collect();
-    let mut draining = Vec::new();
-    for key in owed {
-        let Some(conn) = reactor.conns.get_mut(&key) else {
-            continue;
-        };
-        if conn.backlog() == 0 {
-            reactor.close_conn(key);
-        } else if poller
-            .modify(conn.sock.raw_fd(), Event::writable(key))
-            .is_ok()
-        {
-            conn.registered = (false, true);
-            draining.push(key);
-        }
-    }
-    let grace_deadline = now + SHUTDOWN_FLUSH_GRACE;
-    while !draining.is_empty() {
-        let now = Instant::now();
-        if now >= grace_deadline {
-            break;
-        }
-        poller.wait(&mut events, Some((grace_deadline - now).min(TIMER_SCAN)))?;
-        let now = Instant::now();
-        draining.retain(|&key| {
-            let Some(conn) = reactor.conns.get_mut(&key) else {
-                return false;
-            };
-            let (flushed, writes) = conn.flush(now);
-            service.record_socket_writes(writes);
-            match flushed {
-                Flush::Drained => {
-                    reactor.close_conn(key);
-                    false
-                }
-                Flush::Blocked => true,
-                Flush::Failed => {
-                    conn.error = true;
-                    reactor.close_conn(key);
-                    false
-                }
-            }
-        });
-    }
-    // Whatever still owes bytes is abandoned: the peer stopped reading
-    // through shutdown. Count those as connection errors.
-    let leftover: Vec<usize> = reactor.conns.keys().copied().collect();
-    for key in leftover {
-        if let Some(conn) = reactor.conns.get_mut(&key) {
-            conn.error = true;
-        }
-        reactor.close_conn(key);
-    }
-    Ok(())
+        result
+    })
 }
 
 #[cfg(test)]
@@ -855,6 +862,24 @@ mod tests {
             PendingFrame::Shed => None,
         });
         (frames.collect(), conn.fatal)
+    }
+
+    /// Placement: the fewest live connections win, the lowest index on
+    /// ties, and a slot a close frees is the next one filled.
+    #[test]
+    fn a_connection_joins_the_least_loaded_loop() {
+        let mut live = vec![0usize; 3];
+        let mut placed = Vec::new();
+        for _ in 0..5 {
+            let at = place(live.iter().copied());
+            live[at] += 1;
+            placed.push(at);
+        }
+        assert_eq!(placed, [0, 1, 2, 0, 1]);
+        assert_eq!(live, [2, 2, 1]);
+        live[2] += 1;
+        live[1] -= 1; // a connection on loop 1 closes
+        assert_eq!(place(live.iter().copied()), 1);
     }
 
     /// The rescan regression: a newline-free frame arriving in 8 KiB reads

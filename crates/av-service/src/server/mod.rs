@@ -3,25 +3,26 @@
 //! Every transport speaks the same JSONL protocol (see
 //! [`crate::protocol`]).
 //!
-//! The TCP loop ([`serve_tcp`]) is **event-driven**: one reactor thread
-//! multiplexes every connection over a readiness poller (the vendored
-//! `polling` crate — epoll on Linux), nonblocking sockets, and
-//! per-connection state machines, with request execution on a fixed
-//! worker pool behind a bounded run queue. Per-event cost tracks ready
-//! work, never connection count, and overload degrades explicitly
-//! instead of stalling:
+//! The TCP loop ([`serve_tcp`]) is **event-driven**: a fixed set of
+//! event loops, one thread each, multiplexes the connections over
+//! readiness pollers (the vendored `polling` crate — epoll on Linux),
+//! nonblocking sockets, and per-connection state machines. A connection
+//! lives on one loop, which reads, executes and answers its requests on
+//! that one thread. Per-event cost tracks ready work, never connection
+//! count, and overload degrades explicitly instead of stalling:
 //!
 //! * **admission control** — connections past
 //!   `ServiceConfig::max_connections` get one JSONL `overloaded` frame
 //!   and are closed (counted in
 //!   [`ServiceStats::connections_rejected`](crate::ServiceStats));
 //! * **pipelining with a cap** — many frames may be in flight per
-//!   connection, and a connection's run of them is the unit of work: one
-//!   job to a worker, one completion back, one `write` for its replies
-//!   (sockets are `TCP_NODELAY`, always: the loop coalesces, so a kernel
-//!   timer has nothing to add). A worker's turn ends when the run is
-//!   exhausted, at a `shutdown` or `watch` frame, past 64 KiB of replies,
-//!   or after a time slice while another job waits. Frames past the
+//!   connection, and a connection's run of them is the unit of work:
+//!   executed in turns on its loop, one `write` for its replies (sockets
+//!   are `TCP_NODELAY`, always: the loop coalesces, so a kernel timer has
+//!   nothing to add). A turn ends when the run is exhausted, at a
+//!   `shutdown` or `watch` frame, past 64 KiB of replies, or after a time
+//!   slice while something else on the loop waits. A connection waits
+//!   only behind frames of connections on its own loop. Frames past the
 //!   per-connection cap are answered `overloaded` in request order
 //!   (`requests_shed`);
 //! * **bounded buffers with backpressure** — request lines are capped
@@ -33,7 +34,7 @@
 //!   sending nothing for `ServiceConfig::idle_timeout_ms` is closed
 //!   cleanly (slow-loris defense);
 //! * **immediate shutdown** — [`ValidationService::request_shutdown`]
-//!   wakes the reactor through the poller's self-pipe, so shutdown
+//!   wakes every loop through its poller's self-pipe, so shutdown
 //!   latency is syscall-scale, not a poll interval;
 //! * **counted failures** — connections that end in I/O or protocol
 //!   errors increment `ServiceStats::connection_errors` instead of
@@ -231,7 +232,7 @@ mod tests {
         }
 
         // An idle client that never sends anything must not be able to
-        // delay shutdown (the reactor closes it on the way out).
+        // delay shutdown (its loop closes it on the way out).
         let idle = TcpStream::connect(addr).unwrap();
 
         // One more client shuts the server down.
