@@ -74,9 +74,8 @@ pub const G2_SCOPE: &[&str] = &[
 /// trait boundary is exactly what G2 defends.
 pub const G2_ALLOWED_FILES: &[&str] = &["crates/av-durable/src/storage.rs"];
 
-/// G3: reactor, connection, and worker-pool sources that must be
-/// panic-free (a panic kills a worker and strands its pipelined
-/// connection).
+/// G3: event-loop and connection sources that must be panic-free (a
+/// panic kills an event loop and every connection on it).
 pub const G3_SCOPE: &[&str] = &["crates/av-service/src/server/"];
 
 /// G4: av-index accumulator/persist modules that must stay float-free
@@ -106,17 +105,12 @@ pub const G4_PERSIST_FILES: &[&str] = &[
 /// nondeterministic.
 pub const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes", "baselines"];
 
-/// G5: reactor sources where blocking calls would stall every
-/// connection at once.
+/// G5: event-loop sources where a blocking call would stall every
+/// connection on the loop at once.
 pub const G5_SCOPE: &[&str] = &[
     "crates/av-service/src/server/event_loop.rs",
     "crates/av-service/src/server/conn.rs",
 ];
-
-/// G5: functions in scope files that run on worker-pool threads, not the
-/// reactor thread — blocking there is the design (a worker parks on the
-/// run-queue condvar between jobs).
-pub const G5_EXEMPT_FNS: &[&str] = &["worker_loop", "pop_job"];
 
 /// G5: banned blocking calls.
 pub const G5_BANNED: &[&str] = &[
@@ -133,7 +127,7 @@ pub const G5_BANNED: &[&str] = &[
 ];
 
 /// G5: receivers on which otherwise-banned names are the point, not a
-/// bug: `poller.wait(...)` *is* the reactor's event wait.
+/// bug: `poller.wait(...)` *is* an event loop's wait.
 pub const G5_ALLOWED_RECEIVERS: &[(&str, &str)] = &[("wait", "poller")];
 
 #[cfg(test)]

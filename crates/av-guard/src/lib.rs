@@ -17,9 +17,9 @@
 //! | `G0` | allow hygiene | Every `// av-guard: allow(<rule>, reason = "…")` must name a known rule, carry a non-empty reason, and actually suppress something. Malformed, reason-less, or unused allows are findings — an allow is a justified debt record, not a mute button. |
 //! | `G1` | lock-order | Nested `.lock()`/`.read()`/`.write()` acquisitions of the tracked locks must ascend the global hierarchy ([`config::LOCK_HIERARCHY`], canonically documented in `crates/av-service/src/lockorder.rs`). Inversions are the statically-visible half of a deadlock; the runtime tracker in av-service checks the same table under `debug_assertions`. |
 //! | `G2` | storage-bypass | In av-service/av-index/av-durable, file I/O goes through the `Storage` trait. Direct `std::fs`/`File::open`/`fs::rename` bypasses `write_atomic`'s temp+fsync+rename discipline and is invisible to fault injection. Only `OsStorage` itself touches the real filesystem. |
-//! | `G3` | panic-path | Reactor, connection, and worker-pool code (`av-service/src/server/`) must not panic: no `unwrap`/`expect`/`panic!`/slice-index. A worker panic strands its pipelined connection; a reactor panic takes down every connection. |
+//! | `G3` | panic-path | Event-loop and connection code (`av-service/src/server/`) must not panic: no `unwrap`/`expect`/`panic!`/slice-index. A loop's panic takes down every connection on it. |
 //! | `G4` | determinism | The av-index accumulator modules are fixed-point so shard merges commute; no `f32`/`f64` outside the two sanctioned conversion boundaries. On persist paths, no unsorted hash-map iteration feeding bytes. |
-//! | `G5` | blocking-in-reactor | No `thread::sleep`, channel `recv`, blocking reads, or `join`/`wait` inside reactor callbacks — one blocked callback stalls every multiplexed connection. Worker-pool parking points are configured exemptions, not inferred ones. |
+//! | `G5` | blocking-in-reactor | No `thread::sleep`, channel `recv`, blocking reads, or `join`/`wait` in event-loop code — one blocked call stalls every connection on the loop. The poller's own wait is the one configured exemption. |
 //!
 //! ## Escape hatch
 //!

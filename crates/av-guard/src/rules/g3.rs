@@ -1,7 +1,6 @@
-//! **G3 panic-path**: the reactor, its connections, and the worker pool
-//! (`crates/av-service/src/server/`) must not panic. A panicking worker
-//! strands every response pipelined behind it; a panicking reactor takes
-//! the whole listener down. Banned in non-test code there: `.unwrap()`,
+//! **G3 panic-path**: the event loops and their connections
+//! (`crates/av-service/src/server/`) must not panic. A panicking loop
+//! takes every connection on it down, and with it the server. Banned in non-test code there: `.unwrap()`,
 //! `.expect(…)`, `panic!`, and slice indexing (`buf[a..b]`, `v[i]`) —
 //! use `.get(…)`/pattern matching, or poison-recovery
 //! (`.unwrap_or_else(|e| e.into_inner())`) for mutexes.
@@ -27,7 +26,7 @@ pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
                 file: sf.rel_path.clone(),
                 line: t.line,
                 message: format!(
-                    "`.{}(…)` in reactor/worker code can panic — handle the None/Err \
+                    "`.{}(…)` in event-loop code can panic — handle the None/Err \
                      (poison-recover mutexes with `unwrap_or_else(|e| e.into_inner())`)",
                     t.text
                 ),
@@ -39,7 +38,7 @@ pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
                 rule: "G3",
                 file: sf.rel_path.clone(),
                 line: t.line,
-                message: format!("`{}!` in reactor/worker code kills the thread", t.text),
+                message: format!("`{}!` in event-loop code kills the thread", t.text),
             });
         } else if t.is_punct('[')
             && i > 0
@@ -54,7 +53,7 @@ pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
                 rule: "G3",
                 file: sf.rel_path.clone(),
                 line: t.line,
-                message: "slice/array index in reactor/worker code can panic — use `.get(…)` \
+                message: "slice/array index in event-loop code can panic — use `.get(…)` \
                           or split/pattern APIs"
                     .to_string(),
             });

@@ -1,12 +1,11 @@
-//! **G5 blocking-in-reactor**: the event loop multiplexes every
-//! connection on one thread — a blocking call there stalls all of them
-//! at once. Banned in reactor callbacks: `thread::sleep`, channel
-//! `recv`, blocking reads, `join`/`wait`. Exemptions are configured, not
-//! inferred: worker-pool functions that *should* park
-//! ([`crate::config::G5_EXEMPT_FNS`]) and the poller's own event wait
+//! **G5 blocking-in-reactor**: an event loop multiplexes its connections
+//! on one thread and executes their requests there — a blocking call
+//! stalls all of them at once. Banned in event-loop code: `thread::sleep`,
+//! channel `recv`, blocking reads, `join`/`wait`. The one exemption is
+//! configured, not inferred: the poller's own event wait
 //! ([`crate::config::G5_ALLOWED_RECEIVERS`]).
 
-use crate::config::{G5_ALLOWED_RECEIVERS, G5_BANNED, G5_EXEMPT_FNS, G5_SCOPE};
+use crate::config::{G5_ALLOWED_RECEIVERS, G5_BANNED, G5_SCOPE};
 use crate::diag::Finding;
 use crate::source::SourceFile;
 
@@ -27,12 +26,6 @@ pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
         if !method && !is_path_call(toks, i) {
             continue;
         }
-        if sf
-            .enclosing_fn(i)
-            .is_some_and(|f| G5_EXEMPT_FNS.contains(&f))
-        {
-            continue;
-        }
         if method {
             let recv = receiver_of(toks, i, 0);
             if recv.is_some_and(|r| {
@@ -48,7 +41,7 @@ pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
             file: sf.rel_path.clone(),
             line: t.line,
             message: format!(
-                "blocking `{}` call in reactor code — every connection stalls behind it",
+                "blocking `{}` call in event-loop code — every connection on the loop stalls behind it",
                 t.text
             ),
         });
@@ -79,13 +72,13 @@ mod tests {
     }
 
     #[test]
-    fn poller_wait_and_worker_loop_pass() {
+    fn poller_wait_passes_and_no_function_is_exempt() {
         assert!(findings(
-            r#"fn run(&mut self) { let n = self.poller.wait(&mut events, timeout); }
-               fn worker_loop(queues: &Queues) { let job = queues.pop_job(); std::thread::sleep(d); }
-               fn pop_job(&self) -> Job { self.job_ready.wait_timeout(guard, d) }"#,
+            r#"fn run(&mut self) { let n = self.poller.wait(&mut events, timeout); }"#
         )
         .is_empty());
+        let out = findings(r#"fn worker_loop(q: &Queue) { self.job_ready.wait(guard); }"#);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -1,9 +1,4 @@
-//! G5 fixture: the sanctioned shapes — blocking receive inside the
-//! exempt worker loop, and the poller's own bounded wait.
-
-fn worker_loop(rx: &Receiver<u64>) {
-    while let Ok(_job) = rx.recv() {}
-}
+//! G5 fixture: the sanctioned shape — the poller's own bounded wait.
 
 fn tick(poller: &Poller, events: &mut Events) {
     let _ = poller.wait(events);
