@@ -2,8 +2,8 @@
 //! request throughput over real loopback TCP. Measured numbers are
 //! recorded as Point 8 in `crates/av-bench/PERF.md`.
 //!
-//! One serve loop (the production `serve_listener` reactor + worker
-//! pool) is shared across all samples; each iteration opens `conns`
+//! One server (the production `serve_listener` and its event loops) is
+//! shared across all samples; each iteration opens `conns`
 //! connections, pipelines `FRAMES` classify requests down each, drains
 //! every response, and closes. Throughput is reported per request, so
 //! the per-connection overhead (accept, register, state machine, close)

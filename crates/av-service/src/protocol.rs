@@ -324,8 +324,8 @@ pub(crate) fn render_error_into(message: &str, out: &mut String) {
 }
 
 /// Render an overload-shed error line. The serve loop sends it when
-/// admission control rejects a connection, when a pipeline overflows its
-/// cap, or when the run queue is full:
+/// admission control rejects a connection, or when a pipeline overflows
+/// its cap:
 ///
 /// ```text
 /// {"ok":false,"error":"service at max_connections (2); connection rejected","overloaded":true}

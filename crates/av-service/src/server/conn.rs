@@ -204,14 +204,6 @@ impl Conn {
         }
     }
 
-    /// Is a turn waiting: a run in progress, or frames to start one
-    /// (not while a `watch` streams or the connection is closing)?
-    pub(crate) fn runnable(&self) -> bool {
-        self.watch.is_none()
-            && !self.close_after_flush
-            && (self.out_frames > 0 || !self.pending.is_empty())
-    }
-
     /// Nothing left to do on this connection. Once `close_after_flush`
     /// is set, draining the write buffer is all that remains (unexecuted
     /// pipelined frames are dropped); otherwise the peer must have

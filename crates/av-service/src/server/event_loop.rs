@@ -63,7 +63,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Poller key of the listening socket on loop 0 (connections start at 1).
@@ -203,6 +203,12 @@ struct Port {
     live: AtomicUsize,
 }
 
+impl Port {
+    fn inbox(&self) -> MutexGuard<'_, Vec<Box<dyn NetSocket>>> {
+        self.inbox.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// Everything one loop mutates, bundled so helpers can borrow it as one
 /// unit.
 struct EventLoop<'a> {
@@ -268,10 +274,7 @@ impl EventLoop<'_> {
                         continue;
                     };
                     port.live.fetch_add(1, Ordering::Relaxed);
-                    port.inbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(sock);
+                    port.inbox().push(sock);
                     if !std::ptr::eq(port, self.port) {
                         let _ = port.poller.notify();
                     }
@@ -290,8 +293,7 @@ impl EventLoop<'_> {
 
     /// Register the sockets placed on this loop.
     fn adopt(&mut self, now: Instant) {
-        let placed =
-            std::mem::take(&mut *self.port.inbox.lock().unwrap_or_else(|e| e.into_inner()));
+        let placed = std::mem::take(&mut *self.port.inbox());
         for sock in placed {
             let key = self.next_key;
             self.next_key += 1;
@@ -426,7 +428,11 @@ impl EventLoop<'_> {
             self.close_conn(key);
             return;
         }
-        if conn.runnable() {
+        // A run in progress, or frames to start one: a turn next pass.
+        if conn.watch.is_none()
+            && !conn.close_after_flush
+            && (conn.out_frames > 0 || !conn.pending.is_empty())
+        {
             self.running.push(key);
         }
         // Hysteresis on the read side of backpressure: once paused for a
@@ -502,16 +508,16 @@ impl EventLoop<'_> {
             }
             // Past its slice the turn yields, but only to someone: another
             // connection of this pass or the next, a socket placed on this
-            // loop, or readiness that a zero-timeout poll reports.
+            // loop, readiness that a zero-timeout poll reports, or shutdown.
             if slice_start.elapsed() >= TURN_SLICE {
                 let port = self.port;
-                let placed = !port
-                    .inbox
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
                 let ready = || port.poller.wait(&mut Vec::new(), Some(Duration::ZERO));
-                if busy || placed || !self.running.is_empty() || ready().is_ok_and(|n| n > 0) {
+                if busy
+                    || self.service.is_shutdown()
+                    || !self.running.is_empty()
+                    || !port.inbox().is_empty()
+                    || ready().is_ok_and(|n| n > 0)
+                {
                     return;
                 }
                 slice_start = Instant::now();
@@ -627,11 +633,7 @@ impl EventLoop<'_> {
             .peek()
             .map(|Reverse((due, _, _))| due.saturating_duration_since(now));
         let scan = (!self.conns.is_empty()).then_some(TIMER_SCAN);
-        match (next_watch, scan) {
-            (Some(w), Some(s)) => Some(w.min(s)),
-            (Some(w), None) => Some(w),
-            (None, scan) => scan,
-        }
+        next_watch.into_iter().chain(scan).min()
     }
 
     /// Serve until shutdown (loop 0 also accepts from `listener`), then
@@ -675,56 +677,37 @@ impl EventLoop<'_> {
         if let Some(listener) = listener {
             let _ = self.port.poller.delete(listener.raw_fd());
         }
-        // Connections owing nothing close immediately; the rest get a
-        // bounded grace to drain.
-        let now = Instant::now();
-        let owed: Vec<usize> = self.conns.keys().copied().collect();
-        let mut draining = Vec::new();
-        for key in owed {
-            let Some(conn) = self.conns.get_mut(&key) else {
-                continue;
-            };
-            if conn.backlog() == 0 {
-                self.close_conn(key);
-            } else if self
-                .port
-                .poller
-                .modify(conn.sock.raw_fd(), Event::writable(key))
-                .is_ok()
-            {
-                conn.registered = (false, true);
-                draining.push(key);
-            }
-        }
-        let grace_deadline = now + SHUTDOWN_FLUSH_GRACE;
-        while !draining.is_empty() {
-            let now = Instant::now();
-            if now >= grace_deadline {
-                break;
-            }
-            self.port
-                .poller
-                .wait(&mut events, Some((grace_deadline - now).min(TIMER_SCAN)))?;
+        // Connections owing nothing close now; the rest, polled writable
+        // only, get a bounded grace to drain.
+        let mut draining: Vec<usize> = self.conns.keys().copied().collect();
+        let grace_deadline = Instant::now() + SHUTDOWN_FLUSH_GRACE;
+        loop {
             let now = Instant::now();
             draining.retain(|&key| {
+                if !self.flush(key, now) {
+                    return false;
+                }
                 let Some(conn) = self.conns.get_mut(&key) else {
                     return false;
                 };
-                let (flushed, writes) = conn.flush(now);
-                self.service.record_socket_writes(writes);
-                match flushed {
-                    Flush::Drained => {
-                        self.close_conn(key);
-                        false
-                    }
-                    Flush::Blocked => true,
-                    Flush::Failed => {
-                        conn.error = true;
-                        self.close_conn(key);
-                        false
-                    }
+                if conn.backlog() == 0 {
+                    self.close_conn(key);
+                    return false;
                 }
+                if conn.registered != (false, true) {
+                    let _ = self
+                        .port
+                        .poller
+                        .modify(conn.sock.raw_fd(), Event::writable(key));
+                    conn.registered = (false, true);
+                }
+                true
             });
+            if draining.is_empty() || now >= grace_deadline {
+                break;
+            }
+            let timeout = (grace_deadline - now).min(TIMER_SCAN);
+            self.port.poller.wait(&mut events, Some(timeout))?;
         }
         // Whatever still owes bytes is abandoned: the peer stopped reading
         // through shutdown. Count those as connection errors.

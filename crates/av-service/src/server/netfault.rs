@@ -69,12 +69,12 @@ impl NetSocket for StdSocket {
 struct StdListener(TcpListener);
 
 impl StdListener {
-    /// Accept one pending stream, configured the way the reactor needs it.
+    /// Accept one pending stream, configured the way the event loops need it.
     fn accept_stream(&self) -> io::Result<Option<TcpStream>> {
         match self.0.accept() {
             Ok((stream, _peer)) => {
                 stream.set_nonblocking(true)?;
-                // Unconditional: the reactor only ever writes whole
+                // Unconditional: a loop only ever writes whole
                 // response frames from its own buffer, so Nagle has nothing
                 // to coalesce that the server does not coalesce itself — it
                 // could only hold a reply for the peer's delayed ACK.
