@@ -81,10 +81,10 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 /// Bytes per read attempt.
 const READ_CHUNK: usize = 8192;
 
-/// How long one turn of a run may execute before its loop polls again.
-/// A request behind a heavy pipeline on its loop waits one slice or one
-/// frame, whichever is longer; a yield costs the run one zero-timeout
-/// poll. The value is the one `PERF.md` Point 10 measured as the shortest
+/// How long one turn of a run may execute while something else on its
+/// loop waits. A request behind a heavy pipeline on its loop waits one
+/// slice or one frame, whichever is longer; a yield costs the run one
+/// zero-timeout poll. The value is the one `PERF.md` Point 10 measured as the shortest
 /// slice on the throughput plateau of the worker pool this loop replaced,
 /// where a yield cost a thread hop: at 100 µs and below light runs lost
 /// up to a third to hops, at 1 ms and above the waiting request's
