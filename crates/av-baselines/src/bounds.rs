@@ -9,7 +9,7 @@ use std::collections::HashMap;
 /// Does column `i` of `table` participate in a functional dependency with
 /// any other column (either as determinant or dependent), on this table
 /// instance?
-pub fn fd_participates(table: &Table, i: usize) -> bool {
+pub(crate) fn fd_participates(table: &Table, i: usize) -> bool {
     let n_rows = table.columns.get(i).map(|c| c.len()).unwrap_or(0);
     if n_rows == 0 {
         return false;

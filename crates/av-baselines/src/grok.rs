@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 /// The curated pattern library: `(name, regex)`. A trimmed-down version of
 /// the Elastic grok-patterns file, covering the common machine data types.
-pub const GROK_PATTERNS: &[(&str, &str)] = &[
+pub(crate) const GROK_PATTERNS: &[(&str, &str)] = &[
     ("INT", r"[+-]?\d+"),
     ("NUMBER", r"[+-]?\d+(\.\d+)?"),
     ("BASE16NUM", r"(0x)?[0-9A-Fa-f]+"),

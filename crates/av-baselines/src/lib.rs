@@ -21,10 +21,10 @@ mod programmer;
 mod schema_matching;
 mod validator;
 
-pub use bounds::{ad_recall_upper_bound, common_patterns, fd_participates, fd_recall_upper_bound};
+pub use bounds::{ad_recall_upper_bound, common_patterns, fd_recall_upper_bound};
 pub use dictionary::{DeequCat, DeequFra, Tfdv};
-pub use grok::{Grok, GROK_PATTERNS};
+pub use grok::Grok;
 pub use profilers::{FlashProfile, PottersWheel, Ssis, XSystem};
 pub use programmer::{study_panel, SimulatedProgrammer, Skill};
 pub use schema_matching::{SchemaMatchCorpus, SmInstance, SmPattern};
-pub use validator::{baseline_by_name, baseline_names, ColumnValidator, InferredRule};
+pub use validator::{baseline_by_name, ColumnValidator, InferredRule};

@@ -34,7 +34,7 @@ pub struct Skill {
 
 impl Skill {
     /// A careful senior developer.
-    pub fn expert() -> Skill {
+    pub(crate) fn expert() -> Skill {
         Skill {
             generalize_width: 0.9,
             generalize_content: 0.95,
@@ -43,7 +43,7 @@ impl Skill {
     }
 
     /// A middling developer: frequently pins what they saw.
-    pub fn average() -> Skill {
+    pub(crate) fn average() -> Skill {
         Skill {
             generalize_width: 0.5,
             generalize_content: 0.7,
@@ -53,7 +53,7 @@ impl Skill {
 
     /// A hurried developer: overfits heavily and sometimes ships a broken
     /// regex.
-    pub fn novice() -> Skill {
+    pub(crate) fn novice() -> Skill {
         Skill {
             generalize_width: 0.2,
             generalize_content: 0.4,

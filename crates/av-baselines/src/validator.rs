@@ -148,8 +148,7 @@ pub trait ColumnValidator: Send + Sync {
 }
 
 /// The single source of truth for the corpus-free baseline registry:
-/// canonical name → constructor. [`baseline_by_name`] and
-/// [`baseline_names`] both read this table, so they cannot drift apart.
+/// canonical name → constructor, read by [`baseline_by_name`].
 /// The schema-matching and programmer-study methods need extra context
 /// (a corpus / a seed) and are not constructible by name.
 type BaselineFactory = fn() -> Box<dyn ColumnValidator>;
@@ -177,11 +176,6 @@ pub fn baseline_by_name(name: &str) -> Option<Box<dyn ColumnValidator>> {
         .iter()
         .find(|(n, _)| *n == canonical)
         .map(|(_, make)| make())
-}
-
-/// The canonical names [`baseline_by_name`] accepts, in display order.
-pub fn baseline_names() -> impl Iterator<Item = &'static str> {
-    BASELINES.iter().map(|(name, _)| *name)
 }
 
 #[cfg(test)]
@@ -228,7 +222,7 @@ mod tests {
     #[test]
     fn baseline_registry_resolves_paper_names() {
         let mut count = 0;
-        for name in baseline_names() {
+        for (name, _) in BASELINES {
             let v = baseline_by_name(name).unwrap_or_else(|| panic!("missing {name}"));
             assert!(!v.name().is_empty());
             count += 1;

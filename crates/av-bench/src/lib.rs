@@ -34,7 +34,7 @@ pub enum Scale {
 
 impl Scale {
     /// Corpus size for a base profile.
-    pub fn corpus_columns(&self, profile: &LakeProfile) -> usize {
+    pub(crate) fn corpus_columns(&self, profile: &LakeProfile) -> usize {
         match self {
             Scale::Small => (profile.num_columns / 5).max(1000),
             Scale::Full => profile.num_columns,
@@ -42,7 +42,7 @@ impl Scale {
     }
 
     /// Benchmark cases (the paper samples 1000).
-    pub fn benchmark_cases(&self) -> usize {
+    pub(crate) fn benchmark_cases(&self) -> usize {
         match self {
             Scale::Small => 250,
             Scale::Full => 1000,
@@ -50,7 +50,7 @@ impl Scale {
     }
 
     /// Recall sample per case (0 = all others, the paper's exact setting).
-    pub fn recall_sample(&self) -> usize {
+    pub(crate) fn recall_sample(&self) -> usize {
         match self {
             Scale::Small => 50,
             Scale::Full => 100,
@@ -163,18 +163,22 @@ impl Lab {
     }
 
     /// A benchmark of another size over the same lake.
-    pub fn benchmark(&self, cases: usize) -> Benchmark {
+    pub(crate) fn benchmark(&self, cases: usize) -> Benchmark {
         sample_benchmark(&self.args, &self.env().corpus, cases)
     }
 
     /// Another index (a different τ, or pattern strings kept) over the
     /// same lake.
-    pub fn index_with(&self, config: &IndexConfig) -> Arc<PatternIndex> {
+    pub(crate) fn index_with(&self, config: &IndexConfig) -> Arc<PatternIndex> {
         build_index(&self.env().corpus, config)
     }
 
     /// The §5.1 harness at this scale's recall sample.
-    pub fn evaluate(&self, validator: &dyn ColumnValidator, benchmark: &Benchmark) -> MethodResult {
+    pub(crate) fn evaluate(
+        &self,
+        validator: &dyn ColumnValidator,
+        benchmark: &Benchmark,
+    ) -> MethodResult {
         eprintln!("[eval] {}…", validator.name());
         evaluate_method(validator, benchmark, self.args.scale.recall_sample())
     }

@@ -82,7 +82,7 @@ impl Table {
     }
 
     /// The table with one more note.
-    pub fn note(mut self, note: impl Into<String>) -> Table {
+    pub(crate) fn note(mut self, note: impl Into<String>) -> Table {
         self.notes.push(note.into());
         self
     }

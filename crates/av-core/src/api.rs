@@ -16,14 +16,13 @@
 //! to be a pure function of the final [`Tally`] plus the validator's frozen
 //! training state.
 //!
-//! [`AutoValidateBuilder`] is the fluent entry point that consolidates the
-//! index, pattern-generation, and FMDV knobs which previously had to be
-//! threaded through three separate config structs.
+//! [`AutoValidateBuilder`] is the fluent entry point: it sets the index's
+//! token limit τ and FMDV's r and θ, and scales the coverage floor `m` to
+//! the corpus the engine runs over.
 
-use crate::config::{FmdvConfig, Variant};
+use crate::config::FmdvConfig;
 use crate::AutoValidate;
 use av_index::{IndexConfig, PatternIndex};
-use av_stats::HomogeneityTest;
 
 /// The column-level outcome of validation — one struct for every validator.
 ///
@@ -312,8 +311,9 @@ impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
 }
 
 /// Fluent configuration for the whole Auto-Validate stack: one builder
-/// covering the offline index (τ, threads), pattern generation (sampling and
-/// enumeration caps), and the FMDV optimization knobs (r, m, θ, α, test).
+/// covering the offline index's token limit τ and the FMDV knobs r and θ.
+/// The coverage floor `m` is scaled to the index's corpus size
+/// ([`FmdvConfig::scaled_for_corpus`]) when the engine is made.
 ///
 /// ```no_run
 /// use av_core::{AutoValidateBuilder, Validator, Variant};
@@ -326,21 +326,10 @@ impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
 /// assert!(!rule.validate_batch(["Apr 01 2019"]).flagged);
 /// # Ok(()) }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AutoValidateBuilder {
     fmdv: FmdvConfig,
     index: IndexConfig,
-    scale_coverage: bool,
-}
-
-impl Default for AutoValidateBuilder {
-    fn default() -> Self {
-        AutoValidateBuilder {
-            fmdv: FmdvConfig::default(),
-            index: IndexConfig::default(),
-            scale_coverage: true,
-        }
-    }
 }
 
 impl AutoValidateBuilder {
@@ -355,37 +344,9 @@ impl AutoValidateBuilder {
         self
     }
 
-    /// Fixed minimum coverage `m` (Eq. 7). Disables the default behavior of
-    /// scaling `m` to the live corpus size at [`AutoValidateBuilder::engine`]
-    /// time.
-    pub fn coverage_floor(mut self, m: u64) -> Self {
-        self.fmdv.m = m;
-        self.scale_coverage = false;
-        self
-    }
-
-    /// Re-enable corpus-proportional coverage scaling
-    /// ([`FmdvConfig::scaled_for_corpus`], the default).
-    pub fn coverage_scaled(mut self) -> Self {
-        self.scale_coverage = true;
-        self
-    }
-
     /// Non-conforming tolerance θ (Eq. 16) for the horizontal variants.
     pub fn theta(mut self, theta: f64) -> Self {
         self.fmdv.theta = theta;
-        self
-    }
-
-    /// Significance level of the validation-time homogeneity test.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.fmdv.alpha = alpha;
-        self
-    }
-
-    /// Which two-sample homogeneity test to run at validation time.
-    pub fn test(mut self, test: HomogeneityTest) -> Self {
-        self.fmdv.test = test;
         self
     }
 
@@ -398,73 +359,19 @@ impl AutoValidateBuilder {
         self
     }
 
-    /// Values sampled per coarse group during analysis.
-    pub fn sample_values(mut self, n: usize) -> Self {
-        self.fmdv.pattern.sample_values = n;
-        self.index.pattern.sample_values = n;
-        self
-    }
-
-    /// Cap on fine-grained patterns enumerated per coarse group at query
-    /// time (the offline indexing cap is configured independently and
-    /// defaults to a tighter value).
-    pub fn max_patterns(mut self, n: usize) -> Self {
-        self.fmdv.pattern.max_patterns = n;
-        self
-    }
-
-    /// Worker threads for the offline index build.
-    pub fn index_threads(mut self, n: usize) -> Self {
-        self.index.num_threads = n;
-        self
-    }
-
-    /// log₂ of the index's fingerprint shard count (copy-on-write
-    /// granularity for incremental [`av_index::IndexDelta`] merges). The
-    /// indexed statistics are identical for every value; only how much of
-    /// the index an ingest has to clone changes.
-    pub fn shards(mut self, shard_bits: u32) -> Self {
-        self.index.shard_bits = shard_bits;
-        self
-    }
-
-    /// The FMDV configuration assembled so far (coverage still unscaled).
-    pub fn fmdv_config(&self) -> &FmdvConfig {
-        &self.fmdv
-    }
-
-    /// The index configuration assembled so far.
-    pub fn index_config(&self) -> &IndexConfig {
-        &self.index
-    }
-
     /// Run the offline scan (§2.4) over corpus columns.
     pub fn build_index(&self, columns: &[&av_corpus::Column]) -> PatternIndex {
         PatternIndex::build(columns, &self.index)
     }
 
-    /// An inference engine over a built (or loaded) index, resolving the
-    /// coverage floor against the index's corpus size when scaling is on.
+    /// An inference engine over a built (or loaded) index, with the
+    /// coverage floor scaled to the index's corpus size.
     pub fn engine<'a>(&self, index: &'a PatternIndex) -> AutoValidate<'a> {
-        let mut config = self.fmdv.clone();
-        if self.scale_coverage {
-            config.m = FmdvConfig::scaled_for_corpus(index.num_columns).m;
-        }
+        let config = FmdvConfig {
+            m: FmdvConfig::scaled_for_corpus(index.num_columns).m,
+            ..self.fmdv.clone()
+        };
         AutoValidate::new(index, config)
-    }
-
-    /// Infer with the paper's best variant in one call:
-    /// `builder.engine(&index).infer(train, Variant::FmdvVH)`.
-    pub fn infer_default<I>(
-        &self,
-        index: &PatternIndex,
-        train: I,
-    ) -> Result<crate::ValidationRule, crate::InferError>
-    where
-        I: IntoIterator,
-        I::Item: AsRef<str>,
-    {
-        self.engine(index).infer(train, Variant::FmdvVH)
     }
 }
 
@@ -473,6 +380,7 @@ mod tests {
     use super::*;
     use crate::rule::ValidationRule;
     use av_pattern::parse;
+    use av_stats::HomogeneityTest;
 
     fn rule() -> ValidationRule {
         ValidationRule::new(
@@ -537,29 +445,17 @@ mod tests {
         let b = AutoValidateBuilder::new()
             .fpr_target(0.05)
             .theta(0.2)
-            .alpha(0.001)
-            .tau(9)
-            .sample_values(64)
-            .max_patterns(1024)
-            .index_threads(2)
-            .coverage_floor(17);
-        assert_eq!(b.fmdv_config().r, 0.05);
-        assert_eq!(b.fmdv_config().theta, 0.2);
-        assert_eq!(b.fmdv_config().alpha, 0.001);
-        assert_eq!(b.index_config().tau, 9);
-        assert_eq!(b.fmdv_config().pattern.sample_values, 64);
-        assert_eq!(b.fmdv_config().pattern.max_patterns, 1024);
-        assert_eq!(b.index_config().num_threads, 2);
-        assert_eq!(b.fmdv_config().m, 17);
+            .tau(9);
+        assert_eq!(b.fmdv.r, 0.05);
+        assert_eq!(b.fmdv.theta, 0.2);
+        assert_eq!(b.index.tau, 9);
     }
 
     #[test]
-    fn builder_scales_coverage_to_corpus_by_default() {
+    fn builder_scales_coverage_to_corpus() {
         let b = AutoValidateBuilder::new();
         let index = PatternIndex::build(&[], &IndexConfig::default());
         // Empty corpus → the scaled floor of 3, not the paper's 100.
         assert_eq!(b.engine(&index).config.m, 3);
-        let fixed = AutoValidateBuilder::new().coverage_floor(250);
-        assert_eq!(fixed.engine(&index).config.m, 250);
     }
 }

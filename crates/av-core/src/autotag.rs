@@ -45,7 +45,7 @@ impl TagRule {
     }
 
     /// Does a single value match the tag pattern?
-    pub fn tags_value(&self, value: &str) -> bool {
+    pub(crate) fn tags_value(&self, value: &str) -> bool {
         self.compiled.matches(value)
     }
 
@@ -59,105 +59,6 @@ impl TagRule {
             .filter(|v| self.compiled.matches(v.as_ref()))
             .count();
         hits * 2 > values.len()
-    }
-}
-
-/// A collection of named tag rules evaluated against values in **one
-/// scan** via the catalog-wide matcher (`av-match`), instead of running
-/// every tag's compiled program per value.
-///
-/// The classic Auto-Tag deployment shape: a lake-wide library of tag
-/// patterns probed against each new column. With N tags the per-value
-/// cost of the loop is O(N); the shared lazy DFA makes it ~one scan.
-///
-/// ```
-/// use av_core::{TagRule, TagSet};
-/// use av_pattern::parse;
-///
-/// let mut tags = TagSet::new();
-/// tags.insert("time", &TagRule::new(
-///     parse("<digit>{2}:<digit>{2}:<digit>{2}").unwrap(), 10, 0.0));
-/// tags.insert("id", &TagRule::new(parse("<upper>{2}-<digit>+").unwrap(), 4, 0.0));
-///
-/// assert_eq!(tags.tags_value("12:30:59"), vec!["time"]);
-/// assert_eq!(tags.tag_column(&["AB-1", "CD-22", "xx"]), vec!["id"]);
-/// ```
-#[derive(Debug, Default)]
-pub struct TagSet {
-    matcher: av_match::CatalogMatcher,
-    names: Vec<String>,
-    ids: std::collections::HashMap<String, u32>,
-    scratch: Vec<u32>,
-}
-
-impl TagSet {
-    /// Empty tag set.
-    pub fn new() -> TagSet {
-        TagSet::default()
-    }
-
-    /// Number of tags.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Add (or replace) a tag rule under `name`.
-    pub fn insert(&mut self, name: &str, rule: &TagRule) {
-        let id = match self.ids.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.names.len() as u32;
-                self.names.push(name.to_string());
-                self.ids.insert(name.to_string(), id);
-                id
-            }
-        };
-        self.matcher.insert(id, &rule.compiled);
-    }
-
-    /// Every tag whose pattern matches `value`, in insertion order.
-    pub fn tags_value(&mut self, value: &str) -> Vec<&str> {
-        let TagSet {
-            matcher,
-            names,
-            scratch,
-            ..
-        } = self;
-        matcher.classify_into(value, scratch);
-        scratch
-            .iter()
-            .map(|&id| names[id as usize].as_str())
-            .collect()
-    }
-
-    /// Every tag applying to a column — a majority of values match (the
-    /// same vote as [`TagRule::tags`]), computed for all tags in one pass
-    /// over the column.
-    pub fn tag_column<S: AsRef<str>>(&mut self, values: &[S]) -> Vec<&str> {
-        if values.is_empty() {
-            return Vec::new();
-        }
-        let mut hits = vec![0usize; self.names.len()];
-        let TagSet {
-            matcher, scratch, ..
-        } = self;
-        for v in values {
-            matcher.classify_into(v.as_ref(), scratch);
-            for &id in scratch.iter() {
-                hits[id as usize] += 1;
-            }
-        }
-        self.names
-            .iter()
-            .enumerate()
-            .filter(|(id, _)| hits[*id] * 2 > values.len())
-            .map(|(_, name)| name.as_str())
-            .collect()
     }
 }
 
@@ -238,45 +139,6 @@ mod tests {
         let foreign: Vec<String> = (0..50).map(|i| format!("user-{i}")).collect();
         assert!(!tag.tags(&foreign));
         assert!(!tag.tags(&Vec::<String>::new()));
-    }
-
-    #[test]
-    fn tag_set_agrees_with_per_rule_loop() {
-        let rules = [
-            ("time", "<digit>{2}:<digit>{2}:<digit>{2}"),
-            ("date", "<digit>{4}-<digit>{2}-<digit>{2}"),
-            ("word", "<lower>+"),
-        ];
-        let tags: Vec<(&str, TagRule)> = rules
-            .iter()
-            .map(|(n, p)| (*n, TagRule::new(av_pattern::parse(p).unwrap(), 1, 0.0)))
-            .collect();
-        let mut set = TagSet::new();
-        for (name, rule) in &tags {
-            set.insert(name, rule);
-        }
-        assert_eq!(set.len(), 3);
-        let columns: [&[&str]; 3] = [
-            &["12:30:59", "01:02:03", "oops"],
-            &["2021-04-13", "2021-04-14"],
-            &["hello", "world", "12:00:00"],
-        ];
-        for col in columns {
-            for v in col {
-                let want: Vec<&str> = tags
-                    .iter()
-                    .filter(|(_, r)| r.tags_value(v))
-                    .map(|(n, _)| *n)
-                    .collect();
-                assert_eq!(set.tags_value(v), want, "per-value loop on {v:?}");
-            }
-            let want: Vec<&str> = tags
-                .iter()
-                .filter(|(_, r)| r.tags(col))
-                .map(|(n, _)| *n)
-                .collect();
-            assert_eq!(set.tag_column(col), want, "majority vote on {col:?}");
-        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! `explain`.
 
 use crate::{nearest_conforming_rule, AnyRule};
-use av_match::{CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
+use av_match::{CatalogMatcher, Prefilter};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A membership check for rules the matcher cannot compile (opaque
 /// baseline validators).
-pub type RuleCheck = Box<dyn Fn(&str) -> bool + Send + Sync>;
+pub(crate) type RuleCheck = Box<dyn Fn(&str) -> bool + Send + Sync>;
 
 enum EntryKind {
     /// A catalog rule; ranking metadata comes from the rule itself.
@@ -81,15 +81,10 @@ impl std::fmt::Debug for RuleSet {
 }
 
 impl RuleSet {
-    /// Empty set with the default DFA budget.
+    /// Empty set.
     pub fn new() -> RuleSet {
-        RuleSet::with_config(MatcherConfig::default())
-    }
-
-    /// Empty set with an explicit matcher config.
-    pub fn with_config(config: MatcherConfig) -> RuleSet {
         RuleSet {
-            matcher: CatalogMatcher::with_config(config),
+            matcher: CatalogMatcher::new(),
             entries: Vec::new(),
             ids: HashMap::new(),
             free: Vec::new(),
@@ -111,11 +106,6 @@ impl RuleSet {
     /// insert/remove — the epoch stamp callers use to detect staleness).
     pub fn generation(&self) -> u64 {
         self.matcher.generation()
-    }
-
-    /// The underlying matcher's shape/lifetime counters.
-    pub fn matcher_stats(&self) -> MatcherStats {
-        self.matcher.stats()
     }
 
     fn id_for(&mut self, name: &str) -> u32 {

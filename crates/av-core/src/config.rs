@@ -1,6 +1,5 @@
 //! Configuration of the FMDV optimization problems.
 
-use av_pattern::PatternConfig;
 use av_stats::HomogeneityTest;
 
 /// Which Auto-Validate variant to run (§2–§4, compared in Fig. 10).
@@ -51,6 +50,10 @@ impl std::str::FromStr for Variant {
     }
 }
 
+/// Significance level of the two-sample homogeneity test at validation
+/// time (§4); the paper uses two-tailed Fisher's exact at 0.01.
+pub(crate) const ALPHA: f64 = 0.01;
+
 /// Knobs of the FMDV family (Eq. 5–16).
 #[derive(Debug, Clone)]
 pub struct FmdvConfig {
@@ -62,13 +65,8 @@ pub struct FmdvConfig {
     pub m: u64,
     /// Non-conforming tolerance θ (Eq. 16) for the horizontal-cut variants.
     pub theta: f64,
-    /// Significance level of the two-sample homogeneity test at validation
-    /// time (§4); the paper uses two-tailed Fisher's exact at 0.01.
-    pub alpha: f64,
-    /// Which homogeneity test to use.
+    /// Which homogeneity test to use (at significance level 0.01).
     pub test: HomogeneityTest,
-    /// Pattern-generation knobs (caps, coverage threshold).
-    pub pattern: PatternConfig,
     /// Use `max` instead of `sum` when aggregating segment FPRs in the
     /// vertical DP (the paper's "optimistic" alternative — reported less
     /// effective; exposed for the ablation bench).
@@ -81,9 +79,7 @@ impl Default for FmdvConfig {
             r: 0.1,
             m: 100,
             theta: 0.1,
-            alpha: 0.01,
             test: HomogeneityTest::FisherExact,
-            pattern: PatternConfig::default(),
             optimistic_vertical: false,
         }
     }
@@ -138,7 +134,6 @@ mod tests {
         let c = FmdvConfig::default();
         assert_eq!(c.r, 0.1);
         assert_eq!(c.m, 100);
-        assert_eq!(c.alpha, 0.01);
         assert_eq!(c.test, HomogeneityTest::FisherExact);
         assert_eq!(Variant::default(), Variant::FmdvVH);
     }

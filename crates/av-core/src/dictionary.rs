@@ -54,7 +54,7 @@ impl DictionaryRule {
             train_oov: 0.0,
             train_size: train.len(),
             test: cfg.test,
-            alpha: cfg.alpha,
+            alpha: crate::config::ALPHA,
         })
     }
 
@@ -66,7 +66,7 @@ impl DictionaryRule {
     /// The vocabulary entry sharing the longest prefix with `value` (its
     /// lexicographic neighbors are the only candidates, so this is two
     /// `BTreeSet` range probes, not a scan).
-    pub fn nearest_entry(&self, value: &str) -> Option<&str> {
+    pub(crate) fn nearest_entry(&self, value: &str) -> Option<&str> {
         use std::ops::Bound;
         let below = self
             .dictionary

@@ -13,7 +13,7 @@ use crate::config::{FmdvConfig, InferError};
 use crate::horizontal::conforming_group;
 use crate::vertical::solve_vertical;
 use av_index::PatternIndex;
-use av_pattern::{analyze_column, EnumScratch, Pattern, StreamedPattern};
+use av_pattern::{analyze_column, EnumScratch, Pattern, PatternConfig, StreamedPattern};
 
 /// A hypothesis pattern with its index-provided statistics.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub(crate) fn infer_pattern<S: AsRef<str>>(
     if train.is_empty() {
         return Err(InferError::EmptyColumn);
     }
-    let analysis = analyze_column(train, &cfg.pattern);
+    let analysis = analyze_column(train, &PatternConfig::default());
     let (group, min_support) = conforming_group(&analysis, theta)?;
     match search {
         Search::WholeColumn(mut select) => {
@@ -67,7 +67,7 @@ pub(crate) fn infer_pattern<S: AsRef<str>>(
                 0,
                 n,
                 min_support,
-                &cfg.pattern,
+                &PatternConfig::default(),
                 &mut scratch,
                 within_index(index),
                 |sp| select.offer_probed(sp, probe(index, sp)),

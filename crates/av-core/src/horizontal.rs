@@ -38,7 +38,7 @@ mod tests {
     use crate::{AutoValidate, FmdvConfig, Variant};
     use av_corpus::{generate_lake, Column, LakeProfile};
     use av_index::{IndexConfig, PatternIndex};
-    use av_pattern::{analyze_column, matches};
+    use av_pattern::{analyze_column, matches, PatternConfig};
 
     fn test_index() -> PatternIndex {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(800), 77);
@@ -135,8 +135,7 @@ mod tests {
         // Group covering 99/100 values, sample 99, θ = 0.05:
         // support ≥ 0.95·100·99/99 = 95.
         let train = dirty_column();
-        let cfg = FmdvConfig::default();
-        let analysis = analyze_column(&train, &cfg.pattern);
+        let analysis = analyze_column(&train, &PatternConfig::default());
         let (g, floor) = conforming_group(&analysis, 0.05).unwrap();
         assert_eq!((g.count, floor), (99, 95));
         // The same column at θ = 0 has no conforming group.
@@ -146,7 +145,7 @@ mod tests {
         );
         // θ = 0 on a fully-covering group needs full support.
         let clean: Vec<String> = (0..50).map(|i| i.to_string()).collect();
-        let a2 = analyze_column(&clean, &cfg.pattern);
+        let a2 = analyze_column(&clean, &PatternConfig::default());
         let (g2, floor) = conforming_group(&a2, 0.0).unwrap();
         assert_eq!(floor, g2.sample_size);
     }

@@ -34,7 +34,7 @@
 //! use av_core::{AutoValidateBuilder, Validator, Variant};
 //!
 //! # fn demo(columns: &[&av_corpus::Column]) -> Result<(), Box<dyn std::error::Error>> {
-//! // One builder configures indexing, pattern generation, and FMDV.
+//! // One builder configures indexing (τ) and FMDV (r, θ).
 //! let builder = AutoValidateBuilder::new().fpr_target(0.1).tau(13);
 //! let index = builder.build_index(columns);
 //! let engine = builder.engine(&index);
@@ -68,8 +68,8 @@ mod wire;
 pub use api::{
     AutoValidateBuilder, Explanation, Report, Tally, ValidationSession, Validator, Verdict,
 };
-pub use autotag::{infer_tag, TagRule, TagSet};
-pub use classify::{RuleCheck, RuleSet};
+pub use autotag::{infer_tag, TagRule};
+pub use classify::RuleSet;
 pub use config::{FmdvConfig, InferError, Variant};
 pub use dictionary::DictionaryRule;
 pub use numeric::NumericRule;
@@ -222,11 +222,6 @@ impl<'a> AutoValidate<'a> {
         AutoValidate { index, config }
     }
 
-    /// Start configuring a full stack fluently (index + engine knobs).
-    pub fn builder() -> AutoValidateBuilder {
-        AutoValidateBuilder::new()
-    }
-
     /// The underlying index.
     pub fn index(&self) -> &PatternIndex {
         self.index
@@ -268,7 +263,7 @@ impl<'a> AutoValidate<'a> {
         // non-conforming fraction θ_C(h) (§4) is then counted through the
         // compiled program rather than the reference matcher.
         let mut rule =
-            ValidationRule::new(pattern, 0.0, train.len(), fpr, cov, cfg.test, cfg.alpha);
+            ValidationRule::new(pattern, 0.0, train.len(), fpr, cov, cfg.test, config::ALPHA);
         let miss = train.iter().filter(|v| !rule.conforms(v.as_ref())).count();
         rule.train_nonconforming = miss as f64 / train.len() as f64;
         Ok(rule)

@@ -90,7 +90,7 @@ impl NumericRule {
             train_oor: oor as f64 / train.len() as f64,
             train_size: train.len(),
             test: cfg.test,
-            alpha: cfg.alpha,
+            alpha: crate::config::ALPHA,
         })
     }
 

@@ -5,7 +5,7 @@
 use crate::config::{FmdvConfig, InferError};
 use crate::fmdv::{probe, within_index, Candidate, SelectObjective, StreamingSelect};
 use av_index::PatternIndex;
-use av_pattern::{CoarseGroup, EnumScratch, Pattern, Token};
+use av_pattern::{CoarseGroup, EnumScratch, Pattern, PatternConfig, Token};
 
 /// A "structural" segment candidate: when a segment consists purely of
 /// symbol/whitespace positions whose literal is constant across all
@@ -51,7 +51,7 @@ pub(crate) struct VerticalSolution {
 
 impl VerticalSolution {
     /// Stitch the segment patterns back into one full-column pattern.
-    pub fn full_pattern(&self) -> Pattern {
+    pub(crate) fn full_pattern(&self) -> Pattern {
         let mut p = Pattern::empty();
         for c in &self.segments {
             p = p.concat(&c.pattern);
@@ -62,7 +62,7 @@ impl VerticalSolution {
     /// The weakest coverage across segments (reported on the final rule).
     /// Structural literal segments (cov = `u64::MAX`) are skipped — they
     /// carry no corpus evidence requirement.
-    pub fn min_coverage(&self) -> u64 {
+    pub(crate) fn min_coverage(&self) -> u64 {
         self.segments
             .iter()
             .map(|c| c.cov)
@@ -167,7 +167,7 @@ fn sweep_direct(
                 s,
                 e,
                 min_support,
-                &cfg.pattern,
+                &PatternConfig::default(),
                 &mut scratch,
                 within_index(index),
                 |sp| {
@@ -467,7 +467,7 @@ mod tests {
                         s,
                         e,
                         min_support,
-                        &cfg.pattern,
+                        &PatternConfig::default(),
                         &mut scratch,
                         |_, _| true,
                         |sp| sel.offer_probed(sp, probe(index, sp)),
@@ -572,7 +572,7 @@ mod tests {
         values: &[String],
         exits: &mut Exits,
     ) {
-        let analysis = analyze_column(&refs(values), &base.pattern);
+        let analysis = analyze_column(&refs(values), &PatternConfig::default());
         let Some(group) = analysis.dominant() else {
             return;
         };
@@ -664,7 +664,7 @@ mod tests {
     fn over_budget_fallback_does_not_sweep_again() {
         let (index, mut cfg) = index_and_config();
         let train = composite_column(60, 5);
-        let analysis = analyze_column(&refs(&train), &cfg.pattern);
+        let analysis = analyze_column(&refs(&train), &PatternConfig::default());
         let group = &analysis.groups[0];
         let n = group.positions.len();
         // Tighten `r` to just under the specific cover's aggregate FPR.
@@ -697,7 +697,7 @@ mod tests {
         let index = PatternIndex::build(&[], &IndexConfig::with_tau(8));
         let cfg = FmdvConfig::scaled_for_corpus(index.num_columns);
         let train = composite_column(60, 5);
-        let analysis = analyze_column(&refs(&train), &cfg.pattern);
+        let analysis = analyze_column(&refs(&train), &PatternConfig::default());
         let group = &analysis.groups[0];
         let n = group.positions.len();
         assert!(n > index.tau, "the cap binds: a default τ would sweep more");

@@ -37,7 +37,7 @@ impl BenchmarkCase {
     /// Is this case amenable to syntactic patterns? The paper reports
     /// headline numbers on the subset of cases where patterns exist
     /// (571/1000 on `B_E`), excluding natural-language columns.
-    pub fn pattern_eligible(&self) -> bool {
+    pub(crate) fn pattern_eligible(&self) -> bool {
         self.column.meta.kind != ColumnKind::NaturalLanguage
     }
 

@@ -66,7 +66,7 @@ impl Column {
     }
 
     /// Number of distinct values.
-    pub fn distinct_count(&self) -> usize {
+    pub(crate) fn distinct_count(&self) -> usize {
         let mut set: Vec<&str> = self.values.iter().map(|s| s.as_str()).collect();
         set.sort_unstable();
         set.dedup();

@@ -40,7 +40,7 @@ pub trait Domain: Send + Sync {
 
 /// One building block of a [`SpecDomain`].
 #[derive(Debug, Clone)]
-pub enum Part {
+pub(crate) enum Part {
     /// A constant fragment, e.g. a delimiter or a fixed prefix.
     Const(&'static str),
     /// Zero-padded fixed-width integer in `[lo, hi]`, e.g. "07".
@@ -69,8 +69,6 @@ pub enum Part {
     UpperFixed(u16),
     /// Fixed-width lowercase letters.
     LowerFixed(u16),
-    /// Variable-width uppercase letters in `[lo, hi]` chars.
-    UpperVar(u16, u16),
     /// Variable-width lowercase letters in `[lo, hi]` chars.
     LowerVar(u16, u16),
     /// Variable-width alphanumeric (lowercase letters + digits, always at
@@ -126,12 +124,6 @@ impl Part {
             Part::LowerFixed(w) => {
                 for _ in 0..*w {
                     out.push((b'a' + rng.random_range(0..26u8)) as char);
-                }
-            }
-            Part::UpperVar(lo, hi) => {
-                let w = rng.random_range(*lo..=*hi);
-                for _ in 0..w {
-                    out.push((b'A' + rng.random_range(0..26u8)) as char);
                 }
             }
             Part::LowerVar(lo, hi) => {
@@ -219,7 +211,6 @@ impl Part {
             Part::HexLower(w) | Part::HexUpper(w) => vec![Token::Alnum(*w)],
             Part::UpperFixed(w) => vec![Token::Upper(*w)],
             Part::LowerFixed(w) => vec![Token::Lower(*w)],
-            Part::UpperVar(..) => vec![Token::UpperPlus],
             Part::LowerVar(..) => vec![Token::LowerPlus],
             Part::AlnumVar(lo, hi) => {
                 if lo == hi {
@@ -262,7 +253,7 @@ fn digits(mut v: u64) -> u16 {
 
 /// A domain assembled from [`Part`]s.
 #[derive(Debug, Clone)]
-pub struct SpecDomain {
+pub(crate) struct SpecDomain {
     name: String,
     parts: Vec<Part>,
     /// Index of the part that drifts over time, if any.
@@ -281,18 +272,13 @@ impl SpecDomain {
 
     /// Mark part `i` as temporally drifting (must be `Int`, `Padded` or
     /// `Choice` — the orderable parts).
-    pub fn with_drift(mut self, i: usize) -> SpecDomain {
+    pub(crate) fn with_drift(mut self, i: usize) -> SpecDomain {
         debug_assert!(matches!(
             self.parts.get(i),
             Some(Part::Int { .. } | Part::Padded { .. } | Part::Choice(_))
         ));
         self.drift_part = Some(i);
         self
-    }
-
-    /// Borrow the parts (used by composite-domain assembly).
-    pub fn parts(&self) -> &[Part] {
-        &self.parts
     }
 
     /// Sample one part, restricting a drifting part to a window around `t`.

@@ -549,7 +549,7 @@ const NL_WORDS: &[&str] = &[
 /// A natural-language-like domain: short multi-word phrases with varied
 /// casing — pattern-based validators should refuse to produce rules here.
 #[derive(Debug)]
-pub struct NaturalLanguageDomain {
+pub(crate) struct NaturalLanguageDomain {
     name: String,
     min_words: usize,
     max_words: usize,
@@ -609,7 +609,7 @@ impl Domain for NaturalLanguageDomain {
 }
 
 /// Natural-language domain catalog.
-pub fn natural_language_domains() -> Vec<Arc<dyn Domain>> {
+pub(crate) fn natural_language_domains() -> Vec<Arc<dyn Domain>> {
     vec![
         Arc::new(NaturalLanguageDomain::new("company-names", 1, 3, true)),
         Arc::new(NaturalLanguageDomain::new("department-names", 1, 2, true)),

@@ -122,16 +122,6 @@ pub struct KaggleTask {
 }
 
 impl KaggleTask {
-    /// Number of training rows.
-    pub fn n_train(&self) -> usize {
-        self.y_train.len()
-    }
-
-    /// Number of testing rows.
-    pub fn n_test(&self) -> usize {
-        self.y_test.len()
-    }
-
     /// Simulate schema-drift: swap two categorical columns in the *test*
     /// data only (the paper swaps attribute positions after training).
     pub fn with_swapped_test_cats(&self, i: usize, j: usize) -> KaggleTask {
@@ -276,8 +266,8 @@ mod tests {
     #[test]
     fn shapes_are_consistent() {
         for t in kaggle_tasks(150, 80, 2) {
-            assert_eq!(t.n_train(), 150);
-            assert_eq!(t.n_test(), 80);
+            assert_eq!(t.y_train.len(), 150);
+            assert_eq!(t.y_test.len(), 80);
             for c in &t.cat_train {
                 assert_eq!(c.len(), 150);
             }

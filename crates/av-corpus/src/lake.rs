@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Ad-hoc special values observed in real pipelines (Fig. 9).
-pub const SPECIAL_VALUES: &[&str] = &["-", "", "NULL", "N/A", "?", "(null)", "none"];
+pub(crate) const SPECIAL_VALUES: &[&str] = &["-", "", "NULL", "N/A", "?", "(null)", "none"];
 
 /// Shape parameters of a synthetic lake.
 #[derive(Debug, Clone)]
@@ -436,7 +436,12 @@ fn make_column(
 
 /// Sample `n` benchmark columns uniformly from the corpus (the paper's
 /// `B_E`/`B_G`), preferring columns with at least `min_values` values.
-pub fn sample_columns(corpus: &Corpus, n: usize, min_values: usize, seed: u64) -> Vec<&Column> {
+pub(crate) fn sample_columns(
+    corpus: &Corpus,
+    n: usize,
+    min_values: usize,
+    seed: u64,
+) -> Vec<&Column> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut eligible: Vec<&Column> = corpus.columns().filter(|c| c.len() >= min_values).collect();
     eligible.shuffle(&mut rng);

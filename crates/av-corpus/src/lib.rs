@@ -27,9 +27,7 @@ mod lake;
 
 pub use benchmark::{Benchmark, BenchmarkCase};
 pub use column::{Column, ColumnKind, ColumnMeta, Corpus, CorpusStats, Table};
-pub use domain::{Domain, Part, SpecDomain};
-pub use domains::{
-    machine_domains, natural_language_domains, CompositeDomain, NaturalLanguageDomain,
-};
+pub use domain::Domain;
+pub use domains::{machine_domains, CompositeDomain};
 pub use kaggle::{kaggle_tasks, CatFormat, KaggleTask};
-pub use lake::{generate_lake, sample_columns, LakeProfile, SPECIAL_VALUES};
+pub use lake::{generate_lake, LakeProfile};

@@ -43,16 +43,10 @@ const fn make_tables() -> [[u32; 256]; SLICES] {
 
 static TABLES: [[u32; 256]; SLICES] = make_tables();
 
-/// Streaming CRC-32 accumulator.
-///
-/// ```
-/// let mut crc = av_durable::Crc32::new();
-/// crc.update(b"1234");
-/// crc.update(b"56789");
-/// assert_eq!(crc.finish(), 0xCBF4_3926);
-/// ```
+/// Streaming CRC-32 accumulator (a split input checksums as the whole
+/// one does; see the tests).
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 

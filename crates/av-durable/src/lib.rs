@@ -35,7 +35,7 @@ pub mod manifest;
 pub mod storage;
 pub mod wal;
 
-pub use crc32::{crc32, Crc32};
+pub use crc32::crc32;
 pub use fault::{FaultPlan, MemStorage};
 pub use manifest::{Manifest, ManifestError, ShardFileEntry};
 pub use storage::{write_atomic, OsStorage, Storage, StorageFile};

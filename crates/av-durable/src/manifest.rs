@@ -260,7 +260,10 @@ impl Manifest {
     }
 
     /// All manifest generations present in `dir`, newest first.
-    pub fn list_generations(storage: &dyn Storage, dir: &Path) -> Result<Vec<u64>, DurableError> {
+    pub(crate) fn list_generations(
+        storage: &dyn Storage,
+        dir: &Path,
+    ) -> Result<Vec<u64>, DurableError> {
         let mut gens: Vec<u64> = storage
             .list(dir)?
             .iter()

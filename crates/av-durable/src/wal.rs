@@ -22,7 +22,7 @@
 //! the attempt may have left a torn frame in the active segment, so every
 //! retry first **rotates** to a fresh segment (whose `first_lsn`
 //! supersedes the torn bytes — see Replay) and backs off briefly, up to
-//! [`APPEND_ATTEMPTS`] attempts in total. A transient storage hiccup (one
+//! three attempts in total. A transient storage hiccup (one
 //! failed write or fsync) is therefore absorbed without the caller ever
 //! seeing an error, and without weakening the ack invariant: the record's
 //! LSN is only returned once a CRC-clean frame bearing it is fsynced.
@@ -62,14 +62,14 @@ const FRAME_OVERHEAD: usize = 16;
 /// Total tries a single [`Wal::append`] makes before poisoning the log.
 /// Each retry rotates to a fresh segment first (superseding any torn
 /// frame the failed try left behind) and backs off briefly.
-pub const APPEND_ATTEMPTS: u32 = 3;
+pub(crate) const APPEND_ATTEMPTS: u32 = 3;
 /// Base backoff between append retries, doubled per attempt (2 ms, 4 ms):
 /// long enough to ride out a momentary storage hiccup, bounded so a dead
 /// disk fails the op in well under a second.
 const APPEND_RETRY_BACKOFF_MS: u64 = 2;
 /// Upper bound on a single record payload; guards allocation when a
 /// corrupt length field is read back.
-pub const MAX_RECORD_BYTES: usize = 64 << 20;
+pub(crate) const MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// Tuning knobs for the write-ahead log.
 #[derive(Debug, Clone)]
@@ -243,13 +243,14 @@ impl Wal {
 
     /// Total append attempts that failed transiently and were absorbed by
     /// a retry (the caller never saw the error).
-    pub fn append_retries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn append_retries(&self) -> u64 {
         self.append_retries
     }
 
     /// Append one record, fsync it, and return its LSN. A failed attempt
     /// is retried through rotation with bounded backoff (up to
-    /// [`APPEND_ATTEMPTS`] tries); only when every try fails is the log
+    /// three tries); only when every try fails is the log
     /// poisoned (see module docs). The LSN is never consumed by a failure.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, DurableError> {
         if let Some(why) = &self.poisoned {

@@ -11,7 +11,7 @@ use av_baselines::{ColumnValidator, InferredRule};
 use av_core::{AutoValidate, FmdvConfig, Variant};
 use av_corpus::Column;
 use av_index::{scan_corpus_fpr, IndexConfig, PatternIndex};
-use av_pattern::hypothesis_space;
+use av_pattern::{hypothesis_space, PatternConfig};
 use std::sync::Arc;
 
 /// FMDV (any variant) as a `ColumnValidator`.
@@ -76,7 +76,7 @@ impl ColumnValidator for NoIndexFmdv {
     }
 
     fn infer(&self, train: &[&str]) -> Option<InferredRule> {
-        let hypotheses = hypothesis_space(train, &self.config.pattern);
+        let hypotheses = hypothesis_space(train, &PatternConfig::default());
         if hypotheses.is_empty() {
             return None;
         }

@@ -9,61 +9,63 @@
 
 /// One lock in the global hierarchy.
 #[derive(Debug, Clone, Copy)]
-pub struct LockEntry {
+pub(crate) struct LockEntry {
     /// The field/binding name the lock is acquired through (`.lock()`,
     /// `.read()`, `.write()` receivers are matched by exact identifier).
     pub name: &'static str,
     /// Rank: acquisitions must be strictly ascending in rank within a
     /// function (gaps left for future locks).
     pub rank: u32,
-    /// Where the lock lives and what it protects.
-    pub doc: &'static str,
 }
 
 /// The global lock hierarchy, outermost first. Mirrors the canonical doc
 /// in `crates/av-service/src/lockorder.rs` (which carries the full
 /// rationale); the ranks here gap by 10 so future locks can slot in
 /// without renumbering.
-pub const LOCK_HIERARCHY: &[LockEntry] = &[
+pub(crate) const LOCK_HIERARCHY: &[LockEntry] = &[
+    // av-service DurableLog.ckpt: serializes checkpoints; taken before the
+    // WAL fence.
     LockEntry {
         name: "ckpt",
         rank: 10,
-        doc: "av-service DurableLog.ckpt — serializes checkpoints; taken before the WAL fence",
     },
+    // av-service DurableLog.wal: the WAL fence; outermost lock of every
+    // durable mutating path.
     LockEntry {
         name: "wal",
         rank: 20,
-        doc: "av-service DurableLog.wal — the WAL fence; outermost lock of every durable mutating path",
     },
+    // av-index ShardedIndex.epoch: the live index epoch; deltas applied
+    // under write, snapshots cloned under read, nothing acquired while held.
     LockEntry {
         name: "epoch",
         rank: 50,
-        doc: "av-index ShardedIndex.epoch — the live index epoch; deltas applied under write, snapshots cloned under read, nothing acquired while held",
     },
+    // av-service ValidationService.baselines: session-scoped baseline rules.
     LockEntry {
         name: "baselines",
         rank: 60,
-        doc: "av-service ValidationService.baselines — session-scoped baseline rules",
     },
+    // av-service ValidationService.catalog: the persistent rule catalog.
     LockEntry {
         name: "catalog",
         rank: 70,
-        doc: "av-service ValidationService.catalog — the persistent rule catalog",
     },
+    // av-service ValidationService.classifier: the catalog automaton;
+    // always innermost.
     LockEntry {
         name: "classifier",
         rank: 80,
-        doc: "av-service ValidationService.classifier — the catalog automaton; always innermost",
     },
 ];
 
 /// Look up a tracked lock by receiver identifier.
-pub fn lock_by_name(name: &str) -> Option<&'static LockEntry> {
+pub(crate) fn lock_by_name(name: &str) -> Option<&'static LockEntry> {
     LOCK_HIERARCHY.iter().find(|e| e.name == name)
 }
 
 /// G2: crates whose sources may not touch `std::fs` directly.
-pub const G2_SCOPE: &[&str] = &[
+pub(crate) const G2_SCOPE: &[&str] = &[
     "crates/av-service/src/",
     "crates/av-index/src/",
     "crates/av-durable/src/",
@@ -72,15 +74,15 @@ pub const G2_SCOPE: &[&str] = &[
 /// G2: the explicitly-allowed raw-I/O sites. `OsStorage` lives here — it
 /// is the one production implementation of the `Storage` trait, and the
 /// trait boundary is exactly what G2 defends.
-pub const G2_ALLOWED_FILES: &[&str] = &["crates/av-durable/src/storage.rs"];
+pub(crate) const G2_ALLOWED_FILES: &[&str] = &["crates/av-durable/src/storage.rs"];
 
 /// G3: event-loop and connection sources that must be panic-free (a
 /// panic kills an event loop and every connection on it).
-pub const G3_SCOPE: &[&str] = &["crates/av-service/src/server/"];
+pub(crate) const G3_SCOPE: &[&str] = &["crates/av-service/src/server/"];
 
 /// G4: av-index accumulator/persist modules that must stay float-free
 /// (fixed-point exactness is what makes merges order-independent).
-pub const G4_SCOPE: &[&str] = &[
+pub(crate) const G4_SCOPE: &[&str] = &[
     "crates/av-index/src/stats.rs",
     "crates/av-index/src/delta.rs",
     "crates/av-index/src/shard.rs",
@@ -91,11 +93,11 @@ pub const G4_SCOPE: &[&str] = &[
 /// `add_impurity` quantizes an incoming impurity once; `finish` converts
 /// the accumulated integer back to a presentation float. Everything
 /// between them is integer-only.
-pub const G4_EXEMPT_FNS: &[&str] = &["add_impurity", "finish"];
+pub(crate) const G4_EXEMPT_FNS: &[&str] = &["add_impurity", "finish"];
 
 /// G4: persist/serialization-path files where iterating a hash map
 /// without sorting would leak nondeterministic order into bytes.
-pub const G4_PERSIST_FILES: &[&str] = &[
+pub(crate) const G4_PERSIST_FILES: &[&str] = &[
     "crates/av-index/src/persist.rs",
     "crates/av-service/src/catalog.rs",
     "crates/av-service/src/durable.rs",
@@ -103,17 +105,17 @@ pub const G4_PERSIST_FILES: &[&str] = &[
 
 /// G4: hash-map- and hash-set-backed fields whose iteration order is
 /// nondeterministic.
-pub const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes", "baselines"];
+pub(crate) const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes", "baselines"];
 
 /// G5: event-loop sources where a blocking call would stall every
 /// connection on the loop at once.
-pub const G5_SCOPE: &[&str] = &[
+pub(crate) const G5_SCOPE: &[&str] = &[
     "crates/av-service/src/server/event_loop.rs",
     "crates/av-service/src/server/conn.rs",
 ];
 
 /// G5: banned blocking calls.
-pub const G5_BANNED: &[&str] = &[
+pub(crate) const G5_BANNED: &[&str] = &[
     "sleep",
     "recv",
     "recv_timeout",
@@ -128,7 +130,7 @@ pub const G5_BANNED: &[&str] = &[
 
 /// G5: receivers on which otherwise-banned names are the point, not a
 /// bug: `poller.wait(...)` *is* an event loop's wait.
-pub const G5_ALLOWED_RECEIVERS: &[(&str, &str)] = &[("wait", "poller")];
+pub(crate) const G5_ALLOWED_RECEIVERS: &[(&str, &str)] = &[("wait", "poller")];
 
 #[cfg(test)]
 mod tests {

@@ -31,14 +31,15 @@ pub struct Report {
 
 impl Report {
     /// Fold another report (one file's scan) into this one.
-    pub fn absorb(&mut self, other: Report) {
+    pub(crate) fn absorb(&mut self, other: Report) {
         self.findings.extend(other.findings);
         self.files_scanned += other.files_scanned;
         self.allows_honored += other.allows_honored;
     }
 
     /// Findings for one rule ID (fixture tests use this).
-    pub fn of_rule(&self, rule: &str) -> Vec<&Finding> {
+    #[cfg(test)]
+    pub(crate) fn of_rule(&self, rule: &str) -> Vec<&Finding> {
         self.findings.iter().filter(|f| f.rule == rule).collect()
     }
 

@@ -17,7 +17,7 @@
 
 /// Token classification. Only the distinctions the rule passes need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// Identifier or keyword (`fn`, `lock`, `unwrap`, …).
     Ident,
     /// Single punctuation character (`.`, `(`, `[`, `#`, …).
@@ -37,7 +37,7 @@ pub enum Kind {
 
 /// One lexed token with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// What kind of token this is.
     pub kind: Kind,
     /// The token text (empty for literals — rules never inspect literal
@@ -49,12 +49,12 @@ pub struct Tok {
 
 impl Tok {
     /// Is this an identifier with exactly this text?
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == Kind::Ident && self.text == text
     }
 
     /// Is this a specific punctuation character?
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == Kind::Punct(c)
     }
 }
@@ -63,7 +63,7 @@ impl Tok {
 /// text keeps its interior newlines; allow annotations only ever sit in
 /// line comments, which is what the parser expects.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// 1-based line of the `//` or `/*`.
     pub line: u32,
     /// Comment text without the delimiters.
@@ -73,7 +73,7 @@ pub struct Comment {
 /// Lexer output: significant tokens and the comments stripped from
 /// between them.
 #[derive(Debug, Default)]
-pub struct LexOut {
+pub(crate) struct LexOut {
     /// All non-comment tokens in source order.
     pub tokens: Vec<Tok>,
     /// All comments in source order.
@@ -91,7 +91,7 @@ fn is_ident_continue(b: u8) -> bool {
 /// Lex `src` into tokens + comments. Never fails: unterminated literals
 /// simply consume to end of input (the workspace compiles, so this only
 /// matters for fixtures, which are well-formed).
-pub fn lex(src: &str) -> LexOut {
+pub(crate) fn lex(src: &str) -> LexOut {
     let b = src.as_bytes();
     let mut out = LexOut::default();
     let mut i = 0usize;

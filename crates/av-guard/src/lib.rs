@@ -1,10 +1,10 @@
 //! # av-guard — workspace invariant linter
 //!
 //! A self-contained static analysis over this workspace's own Rust
-//! sources. No external parser: a hand-rolled [`lexer`] (in the same
+//! sources. No external parser: a hand-rolled `lexer` (in the same
 //! house style as the byte-level pattern matchers) feeds token-level
 //! rule passes, with scope tables and the global lock hierarchy checked
-//! in as code ([`config`]). Run as a CI gate:
+//! in as code (`config`). Run as a CI gate:
 //!
 //! ```text
 //! cargo run -p av-guard --release -- --deny
@@ -15,7 +15,7 @@
 //! | ID | Name | What it defends |
 //! |----|------|-----------------|
 //! | `G0` | allow hygiene | Every `// av-guard: allow(<rule>, reason = "…")` must name a known rule, carry a non-empty reason, and actually suppress something. Malformed, reason-less, or unused allows are findings — an allow is a justified debt record, not a mute button. |
-//! | `G1` | lock-order | Nested `.lock()`/`.read()`/`.write()` acquisitions of the tracked locks must ascend the global hierarchy ([`config::LOCK_HIERARCHY`], canonically documented in `crates/av-service/src/lockorder.rs`). Inversions are the statically-visible half of a deadlock; the runtime tracker in av-service checks the same table under `debug_assertions`. |
+//! | `G1` | lock-order | Nested `.lock()`/`.read()`/`.write()` acquisitions of the tracked locks must ascend the global hierarchy (`config::LOCK_HIERARCHY`, canonically documented in `crates/av-service/src/lockorder.rs`). Inversions are the statically-visible half of a deadlock; the runtime tracker in av-service checks the same table under `debug_assertions`. |
 //! | `G2` | storage-bypass | In av-service/av-index/av-durable, file I/O goes through the `Storage` trait. Direct `std::fs`/`File::open`/`fs::rename` bypasses `write_atomic`'s temp+fsync+rename discipline and is invisible to fault injection. Only `OsStorage` itself touches the real filesystem. |
 //! | `G3` | panic-path | Event-loop and connection code (`av-service/src/server/`) must not panic: no `unwrap`/`expect`/`panic!`/slice-index. A loop's panic takes down every connection on it. |
 //! | `G4` | determinism | The av-index accumulator modules are fixed-point so shard merges commute; no `f32`/`f64` outside the two sanctioned conversion boundaries. On persist paths, no unsorted hash-map iteration feeding bytes. |
@@ -31,11 +31,11 @@
 //! string is mandatory and must be non-empty; `G0` enforces that and
 //! flags allows that no longer suppress anything.
 
-pub mod config;
-pub mod diag;
-pub mod lexer;
-pub mod rules;
-pub mod source;
+mod config;
+mod diag;
+mod lexer;
+mod rules;
+mod source;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -45,7 +45,7 @@ use source::SourceFile;
 
 /// Rule IDs an allow annotation may name (`G0` itself cannot be
 /// allowed).
-pub const KNOWN_RULES: &[&str] = &["G1", "G2", "G3", "G4", "G5"];
+pub(crate) const KNOWN_RULES: &[&str] = &["G1", "G2", "G3", "G4", "G5"];
 
 /// Scan one file's text under its workspace-relative path. This is the
 /// whole linter for one file: rule passes, then allow matching, then

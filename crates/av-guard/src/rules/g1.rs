@@ -45,7 +45,7 @@ struct Held {
 }
 
 /// Run the pass over every function in the file.
-pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
     for span in &sf.fns {
         check_fn(sf, span, out);
     }

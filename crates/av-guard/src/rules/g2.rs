@@ -17,7 +17,7 @@ use super::in_scope;
 const FILE_FNS: &[&str] = &["open", "create", "create_new", "options"];
 
 /// Run the pass.
-pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(&sf.rel_path, G2_SCOPE) || in_scope(&sf.rel_path, G2_ALLOWED_FILES) {
         return;
     }

@@ -13,7 +13,7 @@ use crate::source::SourceFile;
 use super::{in_scope, is_method_call};
 
 /// Run the pass.
-pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(&sf.rel_path, G3_SCOPE) {
         return;
     }

@@ -22,7 +22,7 @@ use super::in_scope;
 const ITER_METHODS: &[&str] = &["iter", "iter_mut", "keys", "values", "values_mut"];
 
 /// Run the pass.
-pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
     if in_scope(&sf.rel_path, G4_SCOPE) {
         floats(sf, out);
     }

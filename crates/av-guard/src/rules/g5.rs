@@ -12,7 +12,7 @@ use crate::source::SourceFile;
 use super::{in_scope, is_method_call, is_path_call, receiver_of};
 
 /// Run the pass.
-pub fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn run(sf: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(&sf.rel_path, G5_SCOPE) {
         return;
     }

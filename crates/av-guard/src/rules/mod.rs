@@ -3,11 +3,11 @@
 //! appends findings; scope filtering (which files a rule even looks at)
 //! lives in [`crate::config`], not here.
 
-pub mod g1;
-pub mod g2;
-pub mod g3;
-pub mod g4;
-pub mod g5;
+pub(crate) mod g1;
+pub(crate) mod g2;
+pub(crate) mod g3;
+pub(crate) mod g4;
+pub(crate) mod g5;
 
 use crate::lexer::{Kind, Tok};
 

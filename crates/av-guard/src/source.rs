@@ -5,20 +5,19 @@ use crate::lexer::{self, Kind, Tok};
 
 /// One parsed `// av-guard: allow(<rule>, reason = "...")` annotation.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// 1-based line of the comment. The allow suppresses findings on
     /// this line and the line directly below (annotation-above style).
     pub line: u32,
-    /// Rule ID the allow names.
+    /// Rule ID the allow names (its mandatory reason is checked at parse
+    /// time and not kept).
     pub rule: String,
-    /// The mandatory written justification.
-    pub reason: String,
 }
 
 /// A malformed annotation (missing reason, bad syntax) — reported as a
 /// `G0` finding, never honored.
 #[derive(Debug, Clone)]
-pub struct BadAllow {
+pub(crate) struct BadAllow {
     /// 1-based line of the comment.
     pub line: u32,
     /// What is wrong with it.
@@ -27,7 +26,7 @@ pub struct BadAllow {
 
 /// A function's name and the token ranges of its signature and body.
 #[derive(Debug, Clone)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     /// The function's name.
     pub name: String,
     /// Token index of the `fn` keyword.
@@ -40,7 +39,7 @@ pub struct FnSpan {
 
 /// A file ready for rule passes: test code stripped, allows parsed.
 #[derive(Debug)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Workspace-relative path (rule scopes match against this).
     pub rel_path: String,
     /// Non-test, non-comment tokens.
@@ -55,18 +54,14 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lex and prepare one file's text.
-    pub fn parse(rel_path: &str, text: &str) -> SourceFile {
+    pub(crate) fn parse(rel_path: &str, text: &str) -> SourceFile {
         let out = lexer::lex(text);
         let mut allows = Vec::new();
         let mut bad_allows = Vec::new();
         for c in &out.comments {
             match parse_allow(&c.text) {
                 None => {}
-                Some(Ok((rule, reason))) => allows.push(Allow {
-                    line: c.line,
-                    rule,
-                    reason,
-                }),
+                Some(Ok((rule, _reason))) => allows.push(Allow { line: c.line, rule }),
                 Some(Err(message)) => bad_allows.push(BadAllow {
                     line: c.line,
                     message,
@@ -86,7 +81,8 @@ impl SourceFile {
 
     /// The name of the function whose body contains token `idx`, if any.
     /// With nested `fn` items the innermost wins.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn enclosing_fn(&self, idx: usize) -> Option<&str> {
         self.fns
             .iter()
             .rfind(|f| f.body_start <= idx && idx < f.body_end)
@@ -96,7 +92,7 @@ impl SourceFile {
     /// Like [`enclosing_fn`](Self::enclosing_fn), but the span includes
     /// the signature — a sanctioned float boundary's `x: f64` parameter
     /// is part of the boundary.
-    pub fn enclosing_fn_with_sig(&self, idx: usize) -> Option<&str> {
+    pub(crate) fn enclosing_fn_with_sig(&self, idx: usize) -> Option<&str> {
         self.fns
             .iter()
             .rfind(|f| f.sig_start <= idx && idx < f.body_end)

@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// bits constant. Shard routing reads the fingerprint, not this hash, and
 /// nothing observable depends on map iteration order (persistence sorts).
 #[derive(Default)]
-pub struct FingerprintHasher(u64);
+pub(crate) struct FingerprintHasher(u64);
 
 impl Hasher for FingerprintHasher {
     fn finish(&self) -> u64 {
@@ -378,8 +378,8 @@ impl PatternIndex {
 
     /// Redistribute the index over a different shard count. Statistics are
     /// unchanged (shard routing is pure fingerprint arithmetic); shard
-    /// versions restart at zero. Used when a persisted image (e.g. a v3
-    /// single-shard AVIX file) is loaded into a differently-sharded
+    /// versions restart at zero. Used when a persisted image written under
+    /// another shard count is loaded into a differently-sharded
     /// deployment.
     pub fn reshard(self, shard_bits: u32) -> PatternIndex {
         let shard_bits = shard_bits.min(MAX_SHARD_BITS);
@@ -421,12 +421,14 @@ impl PatternIndex {
     /// touched shard `i` since this index was built or loaded. An ingest
     /// that claims O(touched-shards) work must leave every other entry —
     /// and the underlying shard allocation — unchanged.
-    pub fn shard_versions(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn shard_versions(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.version).collect()
     }
 
     /// Which shard a fingerprint routes to.
-    pub fn shard_of_fingerprint(&self, fingerprint: u64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_of_fingerprint(&self, fingerprint: u64) -> usize {
         shard_of(fingerprint, self.shard_bits)
     }
 
@@ -436,7 +438,7 @@ impl PatternIndex {
     }
 
     /// Look up pre-computed stats by pattern fingerprint: route to the
-    /// fingerprint's shard, then one [`FingerprintHasher`] probe inside it.
+    /// fingerprint's shard, then one `FingerprintHasher` probe inside it.
     /// Inference callers that stream enumeration
     /// (`CoarseGroup::for_each_pattern`) already hold the fingerprint, so
     /// this skips re-hashing the token sequence.

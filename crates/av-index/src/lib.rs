@@ -41,7 +41,7 @@ mod persist;
 pub mod shard;
 mod stats;
 
-pub use build::{scan_corpus_fpr, FingerprintHasher, IndexConfig, PatternIndex};
+pub use build::{scan_corpus_fpr, IndexConfig, PatternIndex};
 pub use delta::{profile_columns, DeltaError, IndexDelta};
 pub use persist::PersistError;
 pub use shard::{IndexShard, ShardMerge, ShardedIndex};

@@ -4,7 +4,7 @@
 //! by the **top bits** of the pattern fingerprint. That leaves the low
 //! bits uniform inside a shard, but not the top ones, and a shard's map
 //! draws its 7-bit control tags from the top of the *hash* — so the maps
-//! hash fingerprints through [`crate::FingerprintHasher`], which keeps
+//! hash fingerprints through `FingerprintHasher`, which keeps
 //! both the bucket index and the tag uniform with up to 12 top key bits
 //! constant; routing itself always reads the raw fingerprint. Shards
 //! are held behind `Arc`s, which is what makes ingest O(delta) instead of

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A set of characters, either listed/ranged or one of the perl classes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CharSet {
+pub(crate) struct CharSet {
     /// Inclusive character ranges (singletons are `(c, c)`).
     pub ranges: Vec<(char, char)>,
     /// When true the set is complemented.
@@ -59,7 +59,7 @@ impl CharSet {
     }
 
     /// Negate the set.
-    pub fn negate(mut self) -> CharSet {
+    pub(crate) fn negate(mut self) -> CharSet {
         self.negated = !self.negated;
         self
     }
@@ -107,7 +107,7 @@ impl CharSet {
 
 /// Regex AST node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ast {
+pub(crate) enum Ast {
     /// Empty expression (matches the empty string).
     Empty,
     /// One character from a set.

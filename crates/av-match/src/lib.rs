@@ -21,7 +21,7 @@
 //!    each cached DFA state is a set of NFA states, transitions
 //!    materialize on first use, and the hot path is one table lookup per
 //!    input byte;
-//! 3. the DFA cache is **bounded** ([`MatcherConfig::max_dfa_states`]):
+//! 3. the DFA cache is **bounded** ([`MatcherConfig::with_budget`]):
 //!    past the budget, the current value finishes on direct NFA
 //!    simulation and the least-recently-used half of the cache is
 //!    evicted, so pathological catalogs degrade gracefully instead of

@@ -3,8 +3,8 @@
 //! Pattern rules live in one NFA union ([`crate::nfa`]); classification
 //! runs a **lazily determinized DFA** over it. DFA states are keyed by
 //! their sorted NFA state-set and cached; the hot path is one table lookup
-//! per input byte. The cache is bounded by
-//! [`MatcherConfig::max_dfa_states`]: when a value would need a state
+//! per input byte. The cache is bounded (4096 states, or
+//! [`MatcherConfig::with_budget`]): when a value would need a state
 //! beyond the budget, the rest of that value is finished by direct NFA
 //! simulation (correct, just slower) and the least-recently-used half of
 //! the cache is evicted afterwards so determinization can resume. A
@@ -33,26 +33,20 @@ const UNKNOWN: u32 = u32::MAX;
 /// Marks a DFA transition into the empty state-set (no rule can match).
 const DEAD: u32 = u32::MAX - 1;
 
-/// Tuning knobs for [`CatalogMatcher`].
+/// Cached DFA states before classification falls back to NFA simulation
+/// and the LRU half of the cache is evicted; comfortably covers thousands
+/// of machine-data rules.
+const MAX_DFA_STATES: usize = 4096;
+
+/// The DFA budget of a [`CatalogMatcher`]: a test seam that starves the
+/// cache to drive the NFA fallback ([`CatalogMatcher::new`] uses 4096).
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
-    /// Maximum number of cached DFA states before classification falls
-    /// back to NFA simulation and the LRU half of the cache is evicted.
-    /// The default (4096) comfortably covers thousands of machine-data
-    /// rules; the floor is 1.
-    pub max_dfa_states: usize,
-}
-
-impl Default for MatcherConfig {
-    fn default() -> MatcherConfig {
-        MatcherConfig {
-            max_dfa_states: 4096,
-        }
-    }
+    max_dfa_states: usize,
 }
 
 impl MatcherConfig {
-    /// Config with an explicit DFA state budget.
+    /// Config with an explicit DFA state budget (floor 1).
     pub fn with_budget(max_dfa_states: usize) -> MatcherConfig {
         MatcherConfig {
             max_dfa_states: max_dfa_states.max(1),
@@ -268,7 +262,7 @@ impl Default for CatalogMatcher {
 impl CatalogMatcher {
     /// Empty matcher with the default DFA budget.
     pub fn new() -> CatalogMatcher {
-        CatalogMatcher::with_config(MatcherConfig::default())
+        CatalogMatcher::with_config(MatcherConfig::with_budget(MAX_DFA_STATES))
     }
 
     /// Empty matcher with an explicit config.

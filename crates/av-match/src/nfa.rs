@@ -114,7 +114,7 @@ impl ThreadSet {
     /// Empty the set and re-dimension the membership bitmap for state ids
     /// in `0..n`. Retains capacity, so reuse across inputs is
     /// allocation-free once the universe size stabilizes.
-    pub fn clear_resize(&mut self, n: usize) {
+    pub(crate) fn clear_resize(&mut self, n: usize) {
         self.list.clear();
         self.on.clear();
         self.on.resize(n, false);
@@ -202,7 +202,7 @@ impl Nfa {
     /// bytes), matching how the compiled matcher steps by encoded length —
     /// equivalent on valid UTF-8. A narrower set becomes one path per
     /// UTF-8 byte-range sequence. [`char_states`] counts what this pushes.
-    pub fn push_char(
+    pub(crate) fn push_char(
         &mut self,
         ascii: impl Fn(u8) -> bool,
         non_ascii: &[(u32, u32)],
@@ -283,7 +283,7 @@ impl Nfa {
     /// Zero or more rounds of `body`, then `next`. The loop head either
     /// enters a round (`body(head)` builds one that returns to the head)
     /// or exits; the head is the entry.
-    pub fn push_star(&mut self, next: u32, body: impl FnOnce(&mut Nfa, u32) -> u32) -> u32 {
+    pub(crate) fn push_star(&mut self, next: u32, body: impl FnOnce(&mut Nfa, u32) -> u32) -> u32 {
         let head = self.push(NState::Split { a: 0, b: next }); // `a` patched below
         let round = body(self, head);
         if let NState::Split { a, .. } = &mut self.states[head as usize] {
@@ -328,7 +328,7 @@ impl Nfa {
     }
 
     /// Append a fragment translating `program`, accepting as `rule`.
-    pub fn build_fragment(&mut self, rule: u32, program: &CompiledPattern) -> Fragment {
+    pub(crate) fn build_fragment(&mut self, rule: u32, program: &CompiledPattern) -> Fragment {
         let start = self.states.len() as u32;
         let accept = self.push(NState::Accept { rule });
         let mut next = accept;
@@ -350,7 +350,7 @@ impl Nfa {
     }
 
     /// Tombstone a removed fragment's range.
-    pub fn kill_range(&mut self, range: &Range<u32>) {
+    pub(crate) fn kill_range(&mut self, range: &Range<u32>) {
         for s in &mut self.states[range.start as usize..range.end as usize] {
             *s = NState::Dead;
         }
@@ -361,7 +361,7 @@ impl Nfa {
     /// its own stack, so a regex's long ε-chains (`(a?){10000}`) cost
     /// memory, not call depth; it visits states in the order a recursive
     /// `a`-before-`b` walk would.
-    pub fn add_closure(&self, mut sid: u32, set: &mut ThreadSet) {
+    pub(crate) fn add_closure(&self, mut sid: u32, set: &mut ThreadSet) {
         loop {
             if set.mark(sid) {
                 match self.states[sid as usize] {
@@ -384,7 +384,7 @@ impl Nfa {
     /// The ε-closure of `frag`'s entry, sorted: the states a value's first
     /// byte meets in this fragment. Every edge stays inside the fragment,
     /// so the walk is the size of the fragment, not of the arena.
-    pub fn entry_closure(&self, frag: &Fragment) -> Vec<u32> {
+    pub(crate) fn entry_closure(&self, frag: &Fragment) -> Vec<u32> {
         let mut seen = vec![false; frag.range.len()];
         let mut closure = Vec::new();
         let mut pending = vec![frag.entry];
@@ -437,7 +437,7 @@ impl Nfa {
     }
 
     /// Collect the rule ids of every accept state in `key` into `out`.
-    pub fn accepts_of(&self, key: &[u32], out: &mut Vec<u32>) {
+    pub(crate) fn accepts_of(&self, key: &[u32], out: &mut Vec<u32>) {
         for &sid in key {
             if let NState::Accept { rule } = self.states[sid as usize] {
                 out.push(rule);

@@ -12,18 +12,20 @@ pub enum Objective {
     BinaryLogistic,
 }
 
-/// Booster hyper-parameters (defaults mirror "XGBoost with default
-/// parameters" at small-data scale).
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 4;
+/// Shrinkage per round.
+const LEARNING_RATE: f64 = 0.2;
+/// Minimum rows per leaf.
+const MIN_SAMPLES_LEAF: usize = 4;
+
+/// Booster hyper-parameters. The defaults, and the fixed depth (4),
+/// shrinkage (0.2) and leaf size (4), mirror "XGBoost with default
+/// parameters" at small-data scale.
 #[derive(Debug, Clone, Copy)]
 pub struct GbdtConfig {
     /// Number of boosting rounds.
     pub n_trees: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Shrinkage per round.
-    pub learning_rate: f64,
-    /// Minimum rows per leaf.
-    pub min_samples_leaf: usize,
     /// Objective.
     pub objective: Objective,
 }
@@ -32,9 +34,6 @@ impl Default for GbdtConfig {
     fn default() -> Self {
         GbdtConfig {
             n_trees: 60,
-            max_depth: 4,
-            learning_rate: 0.2,
-            min_samples_leaf: 4,
             objective: Objective::Regression,
         }
     }
@@ -59,7 +58,7 @@ fn sigmoid(x: f64) -> f64 {
 pub struct Gbdt {
     trees: Vec<Tree>,
     base_score: f64,
-    config: GbdtConfig,
+    objective: Objective,
 }
 
 impl Gbdt {
@@ -85,8 +84,8 @@ impl Gbdt {
         };
         let rows: Vec<usize> = (0..n).collect();
         let params = TreeParams {
-            max_depth: config.max_depth,
-            min_samples_leaf: config.min_samples_leaf,
+            max_depth: MAX_DEPTH,
+            min_samples_leaf: MIN_SAMPLES_LEAF,
         };
         let mut raw: Vec<f64> = vec![base_score; n];
         let mut trees = Vec::with_capacity(config.n_trees);
@@ -100,26 +99,26 @@ impl Gbdt {
             }
             let tree = Tree::fit(features, &gradients, &rows, params);
             for (i, r) in raw.iter_mut().enumerate() {
-                *r += config.learning_rate * tree.predict_indexed(features, i);
+                *r += LEARNING_RATE * tree.predict_indexed(features, i);
             }
             trees.push(tree);
         }
         Gbdt {
             trees,
             base_score,
-            config,
+            objective: config.objective,
         }
     }
 
     /// Predict one dense row (probability for logistic, value otherwise).
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         let raw = self.base_score
             + self
                 .trees
                 .iter()
-                .map(|t| self.config.learning_rate * t.predict_row(row))
+                .map(|t| LEARNING_RATE * t.predict_row(row))
                 .sum::<f64>();
-        match self.config.objective {
+        match self.objective {
             Objective::Regression => raw,
             Objective::BinaryLogistic => sigmoid(raw),
         }
@@ -134,11 +133,6 @@ impl Gbdt {
                 self.predict_row(&row)
             })
             .collect()
-    }
-
-    /// Number of boosted trees.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
     }
 }
 
@@ -203,6 +197,6 @@ mod tests {
             n_trees: 7,
             ..Default::default()
         };
-        assert_eq!(Gbdt::train(&x, &y, cfg).num_trees(), 7);
+        assert_eq!(Gbdt::train(&x, &y, cfg).trees.len(), 7);
     }
 }

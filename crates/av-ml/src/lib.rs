@@ -17,4 +17,3 @@ mod tree;
 pub use encode::CategoryEncoder;
 pub use gbdt::{Gbdt, GbdtConfig, Objective};
 pub use metrics::{average_precision, r2_score};
-pub use tree::Tree;

@@ -17,7 +17,7 @@ pub(crate) enum Node {
 /// A depth-limited regression tree fit to residuals with exact greedy
 /// variance-reduction splits.
 #[derive(Debug, Clone)]
-pub struct Tree {
+pub(crate) struct Tree {
     pub(crate) nodes: Vec<Node>,
 }
 
@@ -115,7 +115,7 @@ impl Tree {
     }
 
     /// Predict a single dense row vector.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         let mut at = 0usize;
         loop {
             match &self.nodes[at] {

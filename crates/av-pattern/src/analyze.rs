@@ -93,7 +93,7 @@ impl BitSet {
 
     /// Overwrite with a copy of `other` (capacities must match); returns
     /// the number of set slots.
-    pub fn copy_and_count(&mut self, other: &BitSet) -> usize {
+    pub(crate) fn copy_and_count(&mut self, other: &BitSet) -> usize {
         debug_assert_eq!(self.len, other.len);
         self.words.copy_from_slice(&other.words);
         other.count()
@@ -101,7 +101,7 @@ impl BitSet {
 
     /// Store `a & b` (capacities must match); returns the number of set
     /// slots — the fused intersect-and-count of the enumeration DFS.
-    pub fn and_count(&mut self, a: &BitSet, b: &BitSet) -> usize {
+    pub(crate) fn and_count(&mut self, a: &BitSet, b: &BitSet) -> usize {
         debug_assert_eq!(self.len, a.len);
         debug_assert_eq!(a.len, b.len);
         let mut count = 0usize;
@@ -117,19 +117,19 @@ impl BitSet {
 /// What one byte adds to a run, one bit each, so the OR over a run's bytes
 /// says which kinds the run holds.
 mod kind {
-    pub const DIGIT: u8 = 1;
-    pub const UPPER: u8 = 1 << 1;
-    pub const LOWER: u8 = 1 << 2;
-    pub const SPACE: u8 = 1 << 3;
-    pub const SYMBOL: u8 = 1 << 4;
+    pub(crate) const DIGIT: u8 = 1;
+    pub(crate) const UPPER: u8 = 1 << 1;
+    pub(crate) const LOWER: u8 = 1 << 2;
+    pub(crate) const SPACE: u8 = 1 << 3;
+    pub(crate) const SYMBOL: u8 = 1 << 4;
     /// A UTF-8 continuation byte: part of the symbol its lead byte began.
-    pub const CONT: u8 = 1 << 5;
+    pub(crate) const CONT: u8 = 1 << 5;
 
     /// The strict classes of [`crate::CharClass`] that span several kinds,
     /// and the merged class that fuses digits and letters.
-    pub const LETTER: u8 = UPPER | LOWER;
-    pub const SYMBOLIC: u8 = SYMBOL | CONT;
-    pub const ALNUM: u8 = DIGIT | LETTER;
+    pub(crate) const LETTER: u8 = UPPER | LOWER;
+    pub(crate) const SYMBOLIC: u8 = SYMBOL | CONT;
+    pub(crate) const ALNUM: u8 = DIGIT | LETTER;
 }
 
 /// Byte → kind. ASCII follows [`CharClass::of`]; every byte of a
@@ -208,12 +208,6 @@ pub fn merged_token_count(value: &str) -> usize {
     merged_classes(value).count()
 }
 
-/// The merged coarse key of a value: one class token per merged run. Values
-/// sharing a key are structurally compatible and analyzed together.
-pub fn merged_key(value: &str) -> Pattern {
-    Pattern::new(merged_classes(value).map(merged_token).collect())
-}
-
 /// Candidate tokens with support, for one (flattened) position.
 ///
 /// Options are stored in **trim order**: when the enumeration cross-product
@@ -279,15 +273,6 @@ pub struct SupportedPattern {
 }
 
 impl CoarseGroup {
-    /// Upper bound on the cross-product size before trimming.
-    pub fn num_combinations(&self) -> u128 {
-        self.positions
-            .iter()
-            .map(|p| p.options.len() as u128)
-            .product::<u128>()
-            .max(1)
-    }
-
     /// Enumerate fine-grained patterns with exact supports (step 2 of
     /// Algorithm 1). Patterns supported by zero sampled values and the
     /// trivial all-`<any>+` pattern are dropped. When the cross-product
@@ -430,7 +415,7 @@ impl CoarseGroup {
     /// contribution to `H(C) = ∩ P(v)`. Enumerated directly with the
     /// full-support floor, so partially-supported branches are pruned at
     /// the first position instead of being generated and filtered.
-    pub fn full_support_patterns(&self, cfg: &PatternConfig) -> Vec<Pattern> {
+    pub(crate) fn full_support_patterns(&self, cfg: &PatternConfig) -> Vec<Pattern> {
         self.enumerate_segment(0, self.positions.len(), self.sample_size, cfg)
             .into_iter()
             .map(|sp| sp.pattern)
@@ -1284,15 +1269,6 @@ mod tests {
         b.and_assign(&c);
         assert_eq!(b.count(), 1);
         assert!(b.get(64));
-    }
-
-    #[test]
-    fn merged_key_fuses_alnum_runs() {
-        // GUID-ish hex segments vary in strict structure but share a merged key.
-        let k1 = merged_key("550e8400-e29b-41d4");
-        let k2 = merged_key("abcdffff-1234-cdef");
-        assert_eq!(k1, k2);
-        assert_eq!(k1.to_string(), "<alnum>+<sym>+<alnum>+<sym>+<alnum>+");
     }
 
     /// Columns that exercise every look-up of the analyzer: many coarse

@@ -425,7 +425,8 @@ impl CompiledPattern {
 
     /// True when matching runs a single deterministic scan — no variadic
     /// or `<num>` instruction, hence no backtracking, memo, or stack.
-    pub fn is_deterministic(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_deterministic(&self) -> bool {
         self.nbranch == 0
     }
 

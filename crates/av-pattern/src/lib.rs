@@ -52,7 +52,7 @@ mod token;
 mod tokenize;
 
 pub use analyze::{
-    analyze_column, column_pattern_profile, hypothesis_space, merged_key, merged_token_count,
+    analyze_column, column_pattern_profile, hypothesis_space, merged_token_count,
     patterns_of_value, stream_column_profile, BitSet, CoarseGroup, ColumnAnalysis, EnumScratch,
     PositionOptions, StreamedPattern, SupportedPattern,
 };

@@ -187,7 +187,7 @@ impl FingerprintState {
     /// are literals, which [`Pattern::new`] canonicalizes into one)? Lets
     /// callers track the *canonical* token count incrementally.
     #[inline]
-    pub fn merges(&self, t: &Token) -> bool {
+    pub(crate) fn merges(&self, t: &Token) -> bool {
         self.lit_open && matches!(t, Token::Lit(_))
     }
 

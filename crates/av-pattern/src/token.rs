@@ -108,7 +108,7 @@ impl Token {
 
     /// Is this token the root `<any>+`?
     #[inline]
-    pub fn is_any(&self) -> bool {
+    pub(crate) fn is_any(&self) -> bool {
         matches!(self, Token::AnyPlus)
     }
 

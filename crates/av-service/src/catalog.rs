@@ -147,7 +147,7 @@ impl RuleCatalog {
 
     /// Parse a catalog from its text form (AVCAT 3, footer verified; any
     /// other header is refused).
-    pub fn from_text(text: &str) -> Result<RuleCatalog, CatalogError> {
+    pub(crate) fn from_text(text: &str) -> Result<RuleCatalog, CatalogError> {
         match text.lines().next() {
             Some(h) if h.trim() == HEADER => {}
             other => {

@@ -51,21 +51,21 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 /// On-disk index file name inside the service data directory.
 pub const INDEX_FILE: &str = "index.avix";
 /// On-disk catalog file name inside the service data directory.
-pub const CATALOG_FILE: &str = "rules.avcat";
+pub(crate) const CATALOG_FILE: &str = "rules.avcat";
 
 /// Default cap on one JSONL request line read from a TCP client (1 MiB).
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Default admission cap on concurrently open TCP connections.
-pub const DEFAULT_MAX_CONNECTIONS: usize = 10_000;
+pub(crate) const DEFAULT_MAX_CONNECTIONS: usize = 10_000;
 
 /// Default idle timeout for a TCP connection, in milliseconds (1 min).
-pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 60_000;
+pub(crate) const DEFAULT_IDLE_TIMEOUT_MS: u64 = 60_000;
 
 /// Default write-stall deadline, in milliseconds: how long a connection
 /// may make zero progress draining buffered response bytes before it is
 /// shed (10 s, the old aggregate write budget).
-pub const DEFAULT_STALL_DEADLINE_MS: u64 = 10_000;
+pub(crate) const DEFAULT_STALL_DEADLINE_MS: u64 = 10_000;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -73,40 +73,35 @@ pub struct ServiceConfig {
     /// Index build/profile knobs (τ, per-column pattern caps, threads,
     /// shard count).
     pub index: IndexConfig,
-    /// FMDV knobs. `None` re-scales the coverage floor `m` to the live
-    /// corpus size at each inference ([`FmdvConfig::scaled_for_corpus`]).
-    pub fmdv: Option<FmdvConfig>,
     /// Worker threads (0 → available parallelism): how many event loops
     /// the TCP serve loop runs, one thread each (never under two when left
     /// at 0), and the most threads one `validate_batch` call spreads a
     /// large batch over (the caller plus `workers − 1` helpers).
     pub workers: usize,
-    /// Directory holding `index.avix` + `rules.avcat`; `None` disables
-    /// persistence.
+    /// State directory; `None` disables persistence. It holds
+    /// `index.avix` + `rules.avcat`, or in durable mode the manifest, the
+    /// shard files and `wal/`.
     pub data_dir: Option<PathBuf>,
     /// Largest JSONL request line a TCP connection may send, in bytes
     /// (default [`DEFAULT_MAX_REQUEST_BYTES`]). A client that streams more
     /// without a newline gets a protocol error and is disconnected instead
     /// of growing the server's line buffer without bound.
     pub max_request_bytes: usize,
-    /// Admission cap on concurrently open TCP connections (default
-    /// [`DEFAULT_MAX_CONNECTIONS`], 0 → unlimited). A connection accepted
-    /// over the cap receives one JSONL `overloaded` error frame and is
-    /// closed immediately; see `ServiceStats::connections_rejected`.
+    /// Admission cap on concurrently open TCP connections (default 10 000,
+    /// 0 → unlimited). A connection accepted over the cap receives one
+    /// JSONL `overloaded` error frame and is closed immediately; see
+    /// `ServiceStats::connections_rejected`.
     pub max_connections: usize,
     /// Close a TCP connection with no request activity for this many
-    /// milliseconds (default [`DEFAULT_IDLE_TIMEOUT_MS`], 0 → never).
-    /// Slow-loris peers that trickle a frame without finishing it are
-    /// bounded by the same clock; streaming `watch` connections are
-    /// exempt while their stream is live.
+    /// milliseconds (default 60 000, 0 → never). Slow-loris peers that
+    /// trickle a frame without finishing it are bounded by the same clock;
+    /// streaming `watch` connections are exempt while their stream is live.
     pub idle_timeout_ms: u64,
     /// Shed a TCP connection whose buffered response bytes make zero
-    /// drain progress for this many milliseconds (default
-    /// [`DEFAULT_STALL_DEADLINE_MS`], 0 → never). Replaces the old 10 s
-    /// aggregate per-response write budget with a per-stall deadline.
+    /// drain progress for this many milliseconds (default 10 000,
+    /// 0 → never): a per-stall deadline, not a per-response write budget.
     pub stall_deadline_ms: u64,
-    /// Drift-telemetry knobs: sliding-window bucket width and the windowed
-    /// flag-rate at which a rule's snapshot reports an alert.
+    /// Drift-telemetry knobs: the sliding window's bucket width.
     pub telemetry: TelemetryConfig,
     /// Crash-safe durability knobs (WAL + incremental checkpoints).
     /// Effective only with a data directory configured.
@@ -125,7 +120,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             index: IndexConfig::default(),
-            fmdv: None,
             workers: 0,
             data_dir: None,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
@@ -535,13 +529,6 @@ impl ValidationService {
         Ok(report)
     }
 
-    fn fmdv_config(&self, index: &PatternIndex) -> FmdvConfig {
-        self.config
-            .fmdv
-            .clone()
-            .unwrap_or_else(|| FmdvConfig::scaled_for_corpus(index.num_columns))
-    }
-
     /// Infer a rule from training values and store it in the catalog under
     /// `name`. `variant: None` uses the automatic fallback chain
     /// (pattern → numeric → dictionary); `Some(v)` forces one FMDV
@@ -558,7 +545,8 @@ impl ValidationService {
         variant: Option<Variant>,
     ) -> Result<CatalogEntry, ServiceError> {
         let snapshot = self.snapshot();
-        let engine = AutoValidate::new(&snapshot, self.fmdv_config(&snapshot));
+        let config = FmdvConfig::scaled_for_corpus(snapshot.num_columns);
+        let engine = AutoValidate::new(&snapshot, config);
         let (rule, label) = match variant {
             None => (engine.infer_auto(train)?, "auto".to_string()),
             Some(v) => (
@@ -642,6 +630,12 @@ impl ValidationService {
             .expect("classifier poisoned")
             .remove(name);
         Ok(())
+    }
+
+    /// Number of cataloged rules, counted under the catalog read lock
+    /// without copying an entry.
+    pub fn catalog_len(&self) -> usize {
+        self.catalog.read().expect("catalog lock poisoned").len()
     }
 
     /// Names and descriptions of all cataloged rules.
@@ -877,7 +871,7 @@ impl ValidationService {
 
     /// Update generation of the catalog automaton (bumped per rule
     /// insert/remove) — the cheap "did the rule set change?" signal,
-    /// mirroring [`ValidationService::index_generation`].
+    /// mirroring the index generation `stats` reports.
     pub fn classifier_generation(&self) -> u64 {
         self.classifier
             .lock()
@@ -1024,7 +1018,7 @@ impl ValidationService {
 
     /// How many index epochs have been published (installs + delta
     /// merges) — a cheap "did the index change?" signal for monitoring.
-    pub fn index_generation(&self) -> u64 {
+    pub(crate) fn index_generation(&self) -> u64 {
         self.index.generation()
     }
 

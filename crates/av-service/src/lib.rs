@@ -75,17 +75,14 @@ pub use catalog::{CatalogEntry, CatalogError, RuleCatalog};
 pub use durable::{DurabilityConfig, DurabilitySnapshot};
 pub use engine::{
     owned_column, BatchItem, ClassifyOutcome, ExplainOutcome, IngestReport, ServiceConfig,
-    ServiceError, ServiceStats, ValidationService, CATALOG_FILE, INDEX_FILE,
+    ServiceError, ServiceStats, ValidationService, INDEX_FILE,
 };
 pub use protocol::{handle_line, response_ok, Handled, LineOutcome, WatchParams};
 pub use server::{
     serve_lines, serve_listener, serve_stdin, serve_tcp, std_listener, FaultKind, FaultListener,
-    FaultSocket, NetFaultPlan, NetListener, NetSocket, FAULT_WINDOW_OPS,
+    NetFaultPlan, NetListener, NetSocket,
 };
-pub use telemetry::{
-    FailureExemplar, OpSnapshot, RuleTelemetrySnapshot, ServiceTelemetry, TelemetryConfig,
-    WindowSnapshot,
-};
+pub use telemetry::{LatencySnapshot, OpSnapshot, ServiceTelemetry, TelemetryConfig};
 
 /// The service is shared across threads by construction; keep it that way.
 #[allow(dead_code)]

@@ -107,8 +107,8 @@
 //! making zero write progress for the stall deadline); `metrics` carries
 //! the same three counters under `"overload"`. `stats` also says how well
 //! the loop coalesces pipelined traffic: `frames_executed`,
-//! `runs_dispatched` (worker hand-offs; frames ÷ runs is the mean run
-//! length) and `socket_writes` (frames ÷ writes is replies per `write`).
+//! `runs_dispatched` (pipelined runs an event loop executed, however many
+//! turns each took; frames ÷ runs is the mean run length) and `socket_writes` (frames ÷ writes is replies per `write`).
 //! And whether ingest still costs what its delta costs: next to
 //! `ingest_batches`, `index_shards_copied` counts the index shards an
 //! ingest had to clone before writing to them because a snapshot (an
@@ -902,10 +902,7 @@ fn stats(service: &ValidationService, _: Json) -> Outcome {
             Json::Num(service.index_generation() as f64),
         ),
         ("ops", ops),
-        (
-            "catalog_rules",
-            Json::Num(service.catalog_entries().len() as f64),
-        ),
+        ("catalog_rules", Json::Num(service.catalog_len() as f64)),
         (
             "catalog_generation",
             Json::Num(service.classifier_generation() as f64),

@@ -52,10 +52,7 @@ mod event_loop;
 mod netfault;
 
 pub use event_loop::serve_listener;
-pub use netfault::{
-    std_listener, FaultKind, FaultListener, FaultSocket, NetFaultPlan, NetListener, NetSocket,
-    FAULT_WINDOW_OPS,
-};
+pub use netfault::{std_listener, FaultKind, FaultListener, NetFaultPlan, NetListener, NetSocket};
 
 use crate::engine::ValidationService;
 use crate::protocol::{handle_line_into, render_watch_frame, WatchParams};

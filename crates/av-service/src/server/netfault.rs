@@ -127,7 +127,7 @@ pub enum FaultKind {
 /// How many consecutive ops a [`FaultKind::ShortIo`]/[`FaultKind::Eagain`]
 /// window covers. A single spurious `WouldBlock` is invisible to a
 /// retrying event loop; a storm of them is the interesting case.
-pub const FAULT_WINDOW_OPS: u64 = 8;
+pub(crate) const FAULT_WINDOW_OPS: u64 = 8;
 
 /// Deterministic transport fault plan: one global counter over **all**
 /// socket ops (reads, writes, accepts, across every connection), one
@@ -189,7 +189,7 @@ fn reset() -> io::Error {
 
 /// A [`NetSocket`] that runs every op through a [`NetFaultPlan`] gate
 /// before touching the wrapped socket.
-pub struct FaultSocket {
+pub(crate) struct FaultSocket {
     inner: Box<dyn NetSocket>,
     plan: NetFaultPlan,
     /// Set once a `Reset` fires on this socket: it is dead for good.
@@ -257,7 +257,8 @@ impl NetSocket for FaultSocket {
 }
 
 /// A [`NetListener`] that gates accepts through a [`NetFaultPlan`] and
-/// wraps every accepted socket in a [`FaultSocket`] sharing the plan.
+/// wraps every accepted socket in a fault-injecting socket sharing the
+/// plan.
 pub struct FaultListener {
     inner: Box<dyn NetListener>,
     plan: NetFaultPlan,

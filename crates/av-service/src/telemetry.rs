@@ -7,7 +7,7 @@
 //! the bounded ring of *failure exemplars*, which is touched exclusively
 //! when a validation was flagged — never on the conforming path.
 //!
-//! The sliding window is a ring of epoch-stamped buckets ([`SlidingWindow`]):
+//! The sliding window is a ring of epoch-stamped buckets (`SlidingWindow`):
 //! wall-clock time is divided into fixed-width epochs
 //! (`TelemetryConfig::bucket_millis` each), epoch `e` always lands in
 //! bucket `e % WINDOW_BUCKETS`, and a bucket is lazily re-leased — its
@@ -19,7 +19,7 @@
 //! exact under any concurrency, which is what the flag-rate alerting
 //! consumes.
 //!
-//! Snapshots ([`RuleTelemetrySnapshot`], [`OpSnapshot`]) are plain owned
+//! Snapshots (`RuleTelemetrySnapshot`, [`OpSnapshot`]) are plain owned
 //! values: the `watch`/`metrics`/`stats` ops snapshot first and serialize
 //! after, so no service lock is ever held while a response is written to a
 //! possibly-stalled client.
@@ -33,15 +33,15 @@ use std::time::{Duration, Instant};
 
 /// Number of buckets in every per-rule sliding window. The covered span is
 /// `WINDOW_BUCKETS × TelemetryConfig::bucket_millis`.
-pub const WINDOW_BUCKETS: usize = 30;
+pub(crate) const WINDOW_BUCKETS: usize = 30;
 
 /// Number of log₂ microsecond buckets in a latency histogram: bucket `i`
 /// counts latencies in `[2^(i−1), 2^i)` µs (bucket 0 is `< 1` µs), so the
 /// last bucket starts at ~4.2 s — far beyond any sane protocol op.
-pub const LATENCY_BUCKETS: usize = 24;
+pub(crate) const LATENCY_BUCKETS: usize = 24;
 
 /// Most recent failure exemplars retained per rule.
-pub const EXEMPLAR_CAPACITY: usize = 8;
+pub(crate) const EXEMPLAR_CAPACITY: usize = 8;
 
 /// What a frame that is not JSON, or names no op, is counted as.
 pub(crate) const INVALID: &str = "invalid";
@@ -81,22 +81,22 @@ const fn sorts_before(a: &str, b: &str) -> bool {
     i < b.len() && (i == a.len() || a[i] < b[i])
 }
 
+/// Windowed flag-rate at or above which a rule's snapshot reports
+/// `alert`: half the recent validations flagged.
+const ALERT_FLAG_RATE: f64 = 0.5;
+
 /// Telemetry knobs, embedded in `ServiceConfig`.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Width of one sliding-window epoch in milliseconds. The window spans
-    /// [`WINDOW_BUCKETS`] epochs (30 s at the 1 s default).
+    /// 30 epochs (30 s at the 1 s default).
     pub bucket_millis: u64,
-    /// Windowed flag-rate at or above which a rule's snapshot reports
-    /// `alert` (default 0.5: half the recent validations flagged).
-    pub alert_flag_rate: f64,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             bucket_millis: 1_000,
-            alert_flag_rate: 0.5,
         }
     }
 }
@@ -115,13 +115,13 @@ struct Bucket {
 /// A lock-free sliding window of conformance counters (see the module docs
 /// for the leasing protocol and its boundary-smear caveat).
 #[derive(Debug)]
-pub struct SlidingWindow {
+pub(crate) struct SlidingWindow {
     buckets: [Bucket; WINDOW_BUCKETS],
 }
 
 /// Aggregated counts over the live span of a [`SlidingWindow`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowSnapshot {
+pub(crate) struct WindowSnapshot {
     /// Validations recorded inside the window.
     pub validations: u64,
     /// Of those, validations that raised a flag.
@@ -204,7 +204,7 @@ impl SlidingWindow {
 /// One captured non-conformance: the offending value plus whatever detail
 /// the rule's [`Validator::explain`] produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailureExemplar {
+pub(crate) struct FailureExemplar {
     /// The first non-conforming value of the flagged column.
     pub value: String,
     /// Human-readable failure reason.
@@ -220,7 +220,7 @@ pub struct FailureExemplar {
 impl FailureExemplar {
     /// Capture an exemplar for `value` against `validator` — the cold
     /// path's allocation budget is unconstrained here.
-    pub fn capture(validator: &dyn Validator, value: &str) -> FailureExemplar {
+    pub(crate) fn capture(validator: &dyn Validator, value: &str) -> FailureExemplar {
         match validator.explain(value) {
             Some(Explanation {
                 reason,
@@ -261,7 +261,7 @@ pub struct RuleTelemetry {
 /// Owned snapshot of one rule's telemetry (safe to serialize with no
 /// service lock held).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RuleTelemetrySnapshot {
+pub(crate) struct RuleTelemetrySnapshot {
     /// Rule name.
     pub rule: String,
     /// Lifetime validations of this rule.
@@ -274,7 +274,7 @@ pub struct RuleTelemetrySnapshot {
     pub nonconforming: u64,
     /// Counts over the sliding window.
     pub window: WindowSnapshot,
-    /// True when the windowed flag-rate reached the configured threshold.
+    /// True when the windowed flag-rate reached 0.5.
     pub alert: bool,
     /// Most recent failure exemplars, oldest first.
     pub exemplars: Vec<FailureExemplar>,
@@ -306,7 +306,7 @@ impl RuleTelemetry {
 
     /// Append a failure exemplar, evicting the oldest past
     /// [`EXEMPLAR_CAPACITY`]. Called only for flagged validations.
-    pub fn push_exemplar(&self, exemplar: FailureExemplar) {
+    pub(crate) fn push_exemplar(&self, exemplar: FailureExemplar) {
         let mut ring = self.exemplars.lock().expect("exemplar ring poisoned");
         if ring.len() == EXEMPLAR_CAPACITY {
             ring.pop_front();
@@ -314,7 +314,7 @@ impl RuleTelemetry {
         ring.push_back(exemplar);
     }
 
-    fn snapshot(&self, rule: &str, now_epoch: u64, alert_flag_rate: f64) -> RuleTelemetrySnapshot {
+    fn snapshot(&self, rule: &str, now_epoch: u64) -> RuleTelemetrySnapshot {
         let window = self.window.snapshot(now_epoch);
         RuleTelemetrySnapshot {
             rule: rule.to_string(),
@@ -322,7 +322,7 @@ impl RuleTelemetry {
             flagged: self.flagged.load(Ordering::Relaxed),
             checked: self.checked.load(Ordering::Relaxed),
             nonconforming: self.nonconforming.load(Ordering::Relaxed),
-            alert: window.validations > 0 && window.flag_rate() >= alert_flag_rate,
+            alert: window.validations > 0 && window.flag_rate() >= ALERT_FLAG_RATE,
             window,
             exemplars: self
                 .exemplars
@@ -338,7 +338,7 @@ impl RuleTelemetry {
 /// A fixed-log-bucket latency histogram: lock-free recording into
 /// [`LATENCY_BUCKETS`] power-of-two microsecond buckets.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
     total_micros: AtomicU64,
@@ -354,7 +354,7 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Owned snapshot of a [`LatencyHistogram`].
+/// Owned snapshot of an op's latency histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// Observations recorded.
@@ -367,7 +367,7 @@ pub struct LatencySnapshot {
 
 impl LatencySnapshot {
     /// Mean latency in microseconds (0 when no observations).
-    pub fn mean_micros(&self) -> f64 {
+    pub(crate) fn mean_micros(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -405,7 +405,7 @@ impl LatencyHistogram {
 
 /// Request/error counters plus a latency histogram for one protocol op.
 #[derive(Debug, Default)]
-pub struct OpTelemetry {
+pub(crate) struct OpTelemetry {
     requests: AtomicU64,
     errors: AtomicU64,
     latency: LatencyHistogram,
@@ -446,7 +446,6 @@ impl ServiceTelemetry {
             start: Instant::now(),
             config: TelemetryConfig {
                 bucket_millis: config.bucket_millis.max(1),
-                ..config
             },
             rules: RwLock::new(HashMap::new()),
             ops: std::array::from_fn(|_| OpTelemetry::default()),
@@ -464,7 +463,7 @@ impl ServiceTelemetry {
     }
 
     /// The span one sliding window covers, in milliseconds.
-    pub fn window_millis(&self) -> u64 {
+    pub(crate) fn window_millis(&self) -> u64 {
         self.config.bucket_millis * WINDOW_BUCKETS as u64
     }
 
@@ -491,7 +490,7 @@ impl ServiceTelemetry {
 
     /// Drop a rule's telemetry (the service calls this from `delete_rule`
     /// so a deleted-then-recreated rule starts from a clean slate).
-    pub fn forget_rule(&self, name: &str) {
+    pub(crate) fn forget_rule(&self, name: &str) {
         self.rules
             .write()
             .expect("rule telemetry lock poisoned")
@@ -514,7 +513,7 @@ impl ServiceTelemetry {
 
     /// Owned snapshots of every rule's telemetry, sorted by rule name. The
     /// registry lock is held only while the `Arc`s are cloned.
-    pub fn rule_snapshots(&self) -> Vec<RuleTelemetrySnapshot> {
+    pub(crate) fn rule_snapshots(&self) -> Vec<RuleTelemetrySnapshot> {
         let slots: Vec<(String, Arc<RuleTelemetry>)> = {
             let rules = self.rules.read().expect("rule telemetry lock poisoned");
             rules
@@ -525,19 +524,20 @@ impl ServiceTelemetry {
         let now = self.epoch();
         let mut out: Vec<RuleTelemetrySnapshot> = slots
             .iter()
-            .map(|(name, t)| t.snapshot(name, now, self.config.alert_flag_rate))
+            .map(|(name, t)| t.snapshot(name, now))
             .collect();
         out.sort_by(|a, b| a.rule.cmp(&b.rule));
         out
     }
 
     /// Owned snapshot of one rule's telemetry, if it has recorded anything.
-    pub fn rule_snapshot(&self, name: &str) -> Option<RuleTelemetrySnapshot> {
+    #[cfg(test)]
+    pub(crate) fn rule_snapshot(&self, name: &str) -> Option<RuleTelemetrySnapshot> {
         let slot = {
             let rules = self.rules.read().expect("rule telemetry lock poisoned");
             rules.get(name).cloned()
         };
-        slot.map(|t| t.snapshot(name, self.epoch(), self.config.alert_flag_rate))
+        slot.map(|t| t.snapshot(name, self.epoch()))
     }
 
     /// Owned snapshots of every op dispatched at least once, sorted by op
@@ -565,7 +565,6 @@ mod tests {
     fn frozen_registry() -> ServiceTelemetry {
         ServiceTelemetry::new(TelemetryConfig {
             bucket_millis: 3_600_000,
-            alert_flag_rate: 0.5,
         })
     }
 
@@ -651,7 +650,7 @@ mod tests {
                 expected: None,
             });
         }
-        let snap = slot.snapshot("x", 0, 0.5);
+        let snap = slot.snapshot("x", 0);
         assert_eq!(snap.exemplars.len(), EXEMPLAR_CAPACITY);
         assert_eq!(snap.exemplars[0].value, "v3");
         assert_eq!(

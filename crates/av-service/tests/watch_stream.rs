@@ -26,7 +26,6 @@ fn serve_with_rule() -> (
     let config = ServiceConfig {
         telemetry: TelemetryConfig {
             bucket_millis: 10_000,
-            ..Default::default()
         },
         ..Default::default()
     };

@@ -1,41 +1,4 @@
-//! Small descriptive-statistics helpers used across the evaluation harness
-//! (means, standard deviations, percentiles — Table 1 reports mean and
-//! standard deviation of column sizes).
-
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation; 0.0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// p-th percentile (0 ≤ p ≤ 100) with linear interpolation; 0.0 when empty.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
-    let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
+//! The descriptive statistic the evaluation harness shares.
 
 /// Harmonic mean of precision and recall; 0.0 when both are 0.
 pub fn f1_score(precision: f64, recall: f64) -> f64 {
@@ -49,30 +12,6 @@ pub fn f1_score(precision: f64, recall: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_std() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_inputs() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(std_dev(&[3.0]), 0.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-        assert!((percentile(&xs, 25.0) - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn f1_edge_cases() {

@@ -39,7 +39,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// `ln(n!)` with a small cache for the common range.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     const CACHE_SIZE: usize = 256;
     use std::sync::OnceLock;
     static CACHE: OnceLock<Vec<f64>> = OnceLock::new();

@@ -7,16 +7,15 @@
 //!   2×2 contingency tables, used by FMDV-H to decide whether the fraction
 //!   of non-conforming values in a future column differs significantly from
 //!   training time.
-//! * Supporting special functions: [`ln_gamma`], [`ln_factorial`],
+//! * Supporting special functions: [`ln_gamma`], `ln_factorial`,
 //!   regularized incomplete gamma ([`gamma_p`] / [`gamma_q`]) and the
 //!   chi-squared survival function [`chi2_sf`].
-//! * Descriptive helpers ([`mean`], [`std_dev`], [`percentile`],
-//!   [`f1_score`]) shared by the evaluation harness.
+//! * [`f1_score`], shared by the evaluation harness.
 
 mod contingency;
 mod descriptive;
 mod gamma;
 
 pub use contingency::{chi2_yates, fisher_exact, HomogeneityTest, Table2x2};
-pub use descriptive::{f1_score, mean, percentile, std_dev};
-pub use gamma::{chi2_sf, gamma_p, gamma_q, ln_factorial, ln_gamma};
+pub use descriptive::f1_score;
+pub use gamma::{chi2_sf, gamma_p, gamma_q, ln_gamma};

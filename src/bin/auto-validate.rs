@@ -16,6 +16,9 @@
 //! # no data handy? generate a synthetic lake and play
 //! auto-validate demo
 //! ```
+//!
+//! An unknown flag, or a flag value that does not parse, prints the usage
+//! and exits 2.
 
 use auto_validate::prelude::*;
 use std::fs;
@@ -43,42 +46,39 @@ fn read_column(path: &Path) -> Result<Vec<String>, String> {
     Ok(text.lines().map(|l| l.to_string()).collect())
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// One subcommand's command line: its positionals and its flags, each
+/// flag taking one value.
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(String, String)>,
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
+impl Args {
+    /// `None` for a flag outside `known` or a flag missing its value.
+    fn parse(args: &[String], known: &[&str]) -> Option<Args> {
+        let (mut positional, mut flags) = (Vec::new(), Vec::new());
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            if !a.starts_with('-') {
+                positional.push(a.clone());
+            } else if known.contains(&a.as_str()) {
+                flags.push((a.clone(), args.next()?.clone()));
+            } else {
+                return None;
+            }
         }
-        if a.starts_with('-') {
-            // All our flags take one value.
-            skip = matches!(
-                a.as_str(),
-                "-o" | "-i" | "--tau" | "--variant" | "--train" | "--test"
-            );
-            let _ = i;
-            continue;
-        }
-        out.push(a);
+        Some(Args { positional, flags })
     }
-    out
+
+    fn flag(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(flag, _)| flag == name)?;
+        Some(value)
+    }
 }
 
-fn cmd_index(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let dir = pos.first().ok_or("missing column directory")?;
-    let out = flag_value(args, "-o").unwrap_or_else(|| "index.avix".into());
-    let tau: usize = flag_value(args, "--tau")
-        .map(|v| v.parse().map_err(|_| "bad --tau"))
-        .transpose()?
-        .unwrap_or(13);
+fn cmd_index(args: &Args, tau: usize) -> Result<(), String> {
+    let dir = args.positional.first().ok_or("missing column directory")?;
+    let out = args.flag("-o").unwrap_or("index.avix");
     let mut columns: Vec<Column> = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
     for entry in entries {
@@ -111,7 +111,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     };
     let t0 = std::time::Instant::now();
     let index = PatternIndex::build(&refs, &config);
-    index.save(&out).map_err(|e| e.to_string())?;
+    index.save(out).map_err(|e| e.to_string())?;
     println!(
         "indexed {} columns → {} patterns in {:.1?}; wrote {out}",
         index.num_columns,
@@ -121,17 +121,16 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_engine(args: &[String]) -> Result<(PatternIndex, FmdvConfig), String> {
-    let index_path = flag_value(args, "-i").ok_or("missing -i <index.avix>")?;
-    let index = PatternIndex::load(&index_path).map_err(|e| e.to_string())?;
+fn load_engine(args: &Args) -> Result<(PatternIndex, FmdvConfig), String> {
+    let index_path = args.flag("-i").ok_or("missing -i <index.avix>")?;
+    let index = PatternIndex::load(index_path).map_err(|e| e.to_string())?;
     let config = FmdvConfig::scaled_for_corpus(index.num_columns);
     Ok((index, config))
 }
 
-fn cmd_infer(args: &[String], variant: Variant) -> Result<(), String> {
+fn cmd_infer(args: &Args, variant: Variant) -> Result<(), String> {
     let (index, config) = load_engine(args)?;
-    let pos = positional(args);
-    let column_path = pos.first().ok_or("missing column file")?;
+    let column_path = args.positional.first().ok_or("missing column file")?;
     let train = read_column(Path::new(column_path))?;
     let engine = AutoValidate::new(&index, config);
     let t0 = std::time::Instant::now();
@@ -162,12 +161,12 @@ fn cmd_infer(args: &[String], variant: Variant) -> Result<(), String> {
     }
 }
 
-fn cmd_validate(args: &[String]) -> Result<bool, String> {
+fn cmd_validate(args: &Args) -> Result<bool, String> {
     let (index, config) = load_engine(args)?;
-    let train_path = flag_value(args, "--train").ok_or("missing --train")?;
-    let test_path = flag_value(args, "--test").ok_or("missing --test")?;
-    let train = read_column(Path::new(&train_path))?;
-    let test = read_column(Path::new(&test_path))?;
+    let train_path = args.flag("--train").ok_or("missing --train")?;
+    let test_path = args.flag("--test").ok_or("missing --test")?;
+    let train = read_column(Path::new(train_path))?;
+    let test = read_column(Path::new(test_path))?;
     let engine = AutoValidate::new(&index, config);
     let rule = engine
         .infer_auto(&train)
@@ -218,25 +217,38 @@ fn cmd_demo() -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let rest: Vec<String> = args[1..].to_vec();
-    let result = match cmd.as_str() {
-        "index" => cmd_index(&rest).map(|()| false),
-        "infer" => {
-            let named = flag_value(&rest, "--variant");
-            match named.map_or(Ok(Variant::default()), |name| name.parse()) {
-                Ok(variant) => cmd_infer(&rest, variant).map(|()| false),
-                Err(unknown) => {
-                    eprintln!("error: {unknown}");
-                    return usage();
-                }
-            }
-        }
-        "validate" => cmd_validate(&rest),
-        "demo" => cmd_demo().map(|()| false),
+    let known: &[&str] = match cmd.as_str() {
+        "index" => &["-o", "--tau"],
+        "infer" => &["-i", "--variant"],
+        "validate" => &["-i", "--train", "--test"],
+        "demo" => &[],
         _ => return usage(),
+    };
+    let Some(args) = Args::parse(rest, known) else {
+        return usage();
+    };
+    let result = match cmd.as_str() {
+        "index" => {
+            let Ok(tau) = args.flag("--tau").map_or(Ok(13), str::parse) else {
+                return usage();
+            };
+            cmd_index(&args, tau).map(|()| false)
+        }
+        "infer" => match args
+            .flag("--variant")
+            .map_or(Ok(Variant::default()), str::parse)
+        {
+            Ok(variant) => cmd_infer(&args, variant).map(|()| false),
+            Err(unknown) => {
+                eprintln!("error: {unknown}");
+                return usage();
+            }
+        },
+        "validate" => cmd_validate(&args),
+        _ => cmd_demo().map(|()| false),
     };
     match result {
         Ok(flagged) => {

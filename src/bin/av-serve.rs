@@ -84,78 +84,48 @@ protocol ops:
     ExitCode::from(2)
 }
 
+/// Apply one `flag value` pair; `None` for an unknown flag or a value
+/// that does not parse.
+fn set(
+    config: &mut ServiceConfig,
+    tcp: &mut Option<String>,
+    flag: &str,
+    value: &str,
+) -> Option<()> {
+    match flag {
+        "--data" => config.data_dir = Some(value.into()),
+        "--tcp" => *tcp = Some(value.to_string()),
+        "--workers" => config.workers = value.parse().ok()?,
+        "--max-request-bytes" => config.max_request_bytes = value.parse().ok()?,
+        "--max-connections" => config.max_connections = value.parse().ok()?,
+        "--idle-timeout-ms" => config.idle_timeout_ms = value.parse().ok()?,
+        "--stall-deadline-ms" => config.stall_deadline_ms = value.parse().ok()?,
+        "--wal-segment-bytes" => config.durability.wal_segment_bytes = value.parse().ok()?,
+        _ => return None,
+    }
+    Some(())
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServiceConfig::default();
     let mut tcp: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--data" => {
-                let Some(dir) = args.get(i + 1) else {
-                    return usage();
-                };
-                config.data_dir = Some(dir.into());
-                i += 2;
-            }
-            "--workers" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.workers = n;
-                i += 2;
-            }
-            "--tcp" => {
-                let Some(addr) = args.get(i + 1) else {
-                    return usage();
-                };
-                tcp = Some(addr.clone());
-                i += 2;
-            }
-            "--max-request-bytes" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.max_request_bytes = n;
-                i += 2;
-            }
-            "--max-connections" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.max_connections = n;
-                i += 2;
-            }
-            "--idle-timeout-ms" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.idle_timeout_ms = n;
-                i += 2;
-            }
-            "--stall-deadline-ms" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.stall_deadline_ms = n;
-                i += 2;
-            }
-            "--durable" => {
-                config.durability.enabled = true;
-                i += 1;
-            }
-            "--wal-segment-bytes" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                config.durability.wal_segment_bytes = n;
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--durable" => config.durability.enabled = true,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
             }
-            _ => return usage(),
+            _ => {
+                let value = args.next();
+                if value
+                    .and_then(|v| set(&mut config, &mut tcp, &flag, &v))
+                    .is_none()
+                {
+                    return usage();
+                }
+            }
         }
     }
 
@@ -176,7 +146,7 @@ fn main() -> ExitCode {
             "av-serve: ready ({} corpus columns, {} patterns, {} cataloged rules)",
             index.num_columns,
             index.len(),
-            service.catalog_entries().len()
+            service.catalog_len()
         );
     }
 

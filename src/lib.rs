@@ -109,12 +109,12 @@ pub use av_stats;
 pub mod prelude {
     pub use av_core::{
         nearest_conforming_rule, program_distance, AnyRule, AutoValidate, AutoValidateBuilder,
-        DictionaryRule, Explanation, FmdvConfig, InferError, Report, RuleSet, TagRule, TagSet,
-        Tally, ValidationReport, ValidationRule, ValidationSession, Validator, Variant, Verdict,
+        DictionaryRule, Explanation, FmdvConfig, InferError, Report, RuleSet, TagRule, Tally,
+        ValidationReport, ValidationRule, ValidationSession, Validator, Variant, Verdict,
     };
     pub use av_corpus::{generate_lake, Benchmark, Column, Corpus, LakeProfile, Table};
     pub use av_index::{IndexConfig, IndexDelta, PatternIndex};
-    pub use av_match::{CatalogMatcher, MatcherConfig};
+    pub use av_match::CatalogMatcher;
     pub use av_pattern::{matches, parse, Pattern, PatternConfig, Token};
     pub use av_service::{ClassifyOutcome, RuleCatalog, ServiceConfig, ValidationService};
 }

@@ -71,3 +71,38 @@ fn auto_validate_refuses_an_unknown_variant() {
         assert!(!stderr.contains("usage:"), "{known}: {stderr}");
     }
 }
+
+/// A mistyped flag, or a flag value that does not parse, is a usage error
+/// for `auto-validate` as for `av-serve`: the usage and exit code 2, and
+/// no index built under a default τ.
+#[test]
+fn auto_validate_usage_errors_exit_2() {
+    let dir = std::env::temp_dir().join(format!("av-cli-flags-{}", std::process::id()));
+    let columns = dir.join("columns");
+    std::fs::create_dir_all(&columns).expect("temp dir");
+    std::fs::write(columns.join("ids"), "A-1\nB-22\nC-333\n").expect("column file");
+    let built = dir.join("out.avix");
+    let index = |flags: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_auto-validate"))
+            .arg("index")
+            .arg(&columns)
+            .args(flags)
+            .arg("-o")
+            .arg(&built)
+            .output()
+            .expect("run auto-validate")
+    };
+    for flags in [&["--tua", "9"][..], &["--tau", "x"], &["--bogus"]] {
+        let out = index(flags);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains("usage:"), "{flags:?}: {stderr}");
+        assert!(!built.exists(), "{flags:?} built an index");
+    }
+    assert!(
+        index(&["--tau", "9"]).status.success(),
+        "spelled right, it builds"
+    );
+    assert!(built.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

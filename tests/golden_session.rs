@@ -253,7 +253,6 @@ fn transcript() -> String {
         rule_clock_unix: Some(1_600_000_000),
         telemetry: TelemetryConfig {
             bucket_millis: 3_600_000,
-            ..TelemetryConfig::default()
         },
         ..ServiceConfig::default()
     });
