@@ -51,7 +51,7 @@ impl ColumnValidator for FmdvValidator {
 /// enumeration (`av_index::scan_corpus_fpr` matches probes by streamed
 /// fingerprint, materializing nothing), so the gap it demonstrates is
 /// index-vs-no-index, not matcher overhead.
-pub struct NoIndexFmdv {
+pub(crate) struct NoIndexFmdv {
     columns: Arc<Vec<Column>>,
     config: FmdvConfig,
     index_config: IndexConfig,
@@ -59,7 +59,7 @@ pub struct NoIndexFmdv {
 
 impl NoIndexFmdv {
     /// Wrap corpus columns directly, to be scanned under token limit `tau`.
-    pub fn new(columns: Arc<Vec<Column>>, config: FmdvConfig, tau: usize) -> NoIndexFmdv {
+    pub(crate) fn new(columns: Arc<Vec<Column>>, config: FmdvConfig, tau: usize) -> NoIndexFmdv {
         // The scan must mirror the offline build's enumeration exactly
         // (same caps, same τ), or borderline patterns get different stats.
         NoIndexFmdv {

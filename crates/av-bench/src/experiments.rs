@@ -7,6 +7,8 @@
 //! measured on the `small` / enterprise / seed 42 run `fidelity.expected`
 //! records.
 
+use crate::eval::{evaluate_method, FmdvValidator, MethodResult, NoIndexFmdv};
+use crate::ml::{average_precision, r2_score, CategoryEncoder, Gbdt, GbdtConfig};
 use crate::table::Cell::{self, Int, Real, Timing};
 use crate::{Lab, Table};
 use av_baselines::{
@@ -16,9 +18,7 @@ use av_baselines::{
 };
 use av_core::{AutoValidate, FmdvConfig, Variant};
 use av_corpus::{generate_lake, kaggle_tasks, Column, ColumnMeta, KaggleTask, LakeProfile};
-use av_eval::{evaluate_method, FmdvValidator, MethodResult, NoIndexFmdv};
 use av_index::{profile_columns, IndexConfig, PatternIndex};
-use av_ml::{average_precision, r2_score, CategoryEncoder, Gbdt, GbdtConfig};
 use av_stats::HomogeneityTest;
 use std::iter::once;
 use std::sync::Arc;

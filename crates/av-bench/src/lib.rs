@@ -7,9 +7,12 @@
 //! its CSV from the same rows; `tests/fidelity.rs` runs all of them at
 //! `small` / enterprise / seed 42 and compares against the checked-in
 //! `fidelity.expected`. This file holds the shared setup: scale presets,
-//! the four flags and the lab.
+//! the four flags and the lab. [`eval`] is the §5.1 methodology every
+//! table is scored with, and [`ml`] the learner of the Fig. 15 case study.
 
+pub mod eval;
 mod experiments;
+pub mod ml;
 mod table;
 
 pub use experiments::{Experiment, EXPERIMENTS};
@@ -18,8 +21,8 @@ pub use table::{Cell, Table};
 use av_baselines::ColumnValidator;
 use av_core::FmdvConfig;
 use av_corpus::{generate_lake, Benchmark, Column, Corpus, LakeProfile};
-use av_eval::{evaluate_method, MethodResult};
 use av_index::{IndexConfig, PatternIndex};
+use eval::{evaluate_method, MethodResult};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 

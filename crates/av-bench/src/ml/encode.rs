@@ -35,7 +35,7 @@ impl CategoryEncoder {
     }
 
     /// Encode a whole column.
-    pub fn encode_column(&self, values: &[String]) -> Vec<f64> {
+    pub(crate) fn encode_column(&self, values: &[String]) -> Vec<f64> {
         values.iter().map(|v| self.encode(v)).collect()
     }
 

@@ -1,7 +1,7 @@
 //! Gradient-boosted decision trees (the stand-in for XGBoost in the
 //! Fig. 15 case study) with squared-error and logistic objectives.
 
-use crate::tree::{Tree, TreeParams};
+use super::tree::{Tree, TreeParams};
 
 /// Training objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Property-based tests for the ML substrate.
 
-use av_ml::{average_precision, r2_score, CategoryEncoder, Gbdt, GbdtConfig};
+use av_bench::ml::{average_precision, r2_score, CategoryEncoder, Gbdt, GbdtConfig};
 use proptest::prelude::*;
 
 proptest! {

@@ -6,8 +6,7 @@
 //! shared NFA union, dictionary/numeric rules ride the residual check
 //! list behind prefilters derived from their public shape (vocabulary
 //! length bounds and first bytes; the characters a finite `f64` can start
-//! with), and opaque validators (session baselines) join as bare checks.
-//! One [`RuleSet::classify`] call then returns every conforming rule name
+//! with). One [`RuleSet::classify`] call then returns every conforming rule name
 //! in a single scan of the value — the primitive behind the service's
 //! `classify` op, auto-tagging, and the nearest-rule suggestion in
 //! `explain`.
@@ -17,21 +16,10 @@ use av_match::{CatalogMatcher, Prefilter};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A membership check for rules the matcher cannot compile (opaque
-/// baseline validators).
-pub(crate) type RuleCheck = Box<dyn Fn(&str) -> bool + Send + Sync>;
-
-enum EntryKind {
-    /// A catalog rule; ranking metadata comes from the rule itself.
-    Rule(Arc<AnyRule>),
-    /// An opaque conformance check (the check closure lives inside the
-    /// matcher's residual list).
-    Check,
-}
-
 struct SetEntry {
     name: String,
-    kind: EntryKind,
+    /// Ranking metadata comes from the rule itself.
+    rule: Arc<AnyRule>,
 }
 
 /// A named rule collection classifying values against every member in one
@@ -40,9 +28,8 @@ struct SetEntry {
 /// Matching rule names are returned **ranked most-specific-first**:
 /// dictionaries (exact vocabularies) before pattern rules (ordered by
 /// their corpus-estimated false-positive rate — the safest pattern is the
-/// most domain-specific), before numeric ranges, before opaque baseline
-/// checks; ties break on the lexicographically smaller name, so rankings
-/// are deterministic.
+/// most domain-specific), before numeric ranges; ties break on the
+/// lexicographically smaller name, so rankings are deterministic.
 ///
 /// ```
 /// use av_core::{AnyRule, DictionaryRule, FmdvConfig, RuleSet};
@@ -51,11 +38,9 @@ struct SetEntry {
 /// let vocab =
 ///     DictionaryRule::infer(&["red", "green", "red"], &FmdvConfig::default(), 1.0).unwrap();
 /// set.insert("colors", AnyRule::Dictionary(vocab));
-/// set.insert_check("nonempty", Box::new(|v: &str| !v.is_empty()));
 ///
-/// assert_eq!(set.classify("red"), vec!["colors", "nonempty"]);
-/// assert_eq!(set.classify("blue"), vec!["nonempty"]);
-/// assert!(set.classify("").is_empty());
+/// assert_eq!(set.classify("red"), vec!["colors"]);
+/// assert!(set.classify("blue").is_empty());
 /// ```
 pub struct RuleSet {
     matcher: CatalogMatcher,
@@ -137,18 +122,7 @@ impl RuleSet {
         }
         self.entries[id as usize] = Some(SetEntry {
             name: name.to_string(),
-            kind: EntryKind::Rule(rule),
-        });
-    }
-
-    /// Add (or replace) an opaque conformance check under `name` —
-    /// session baselines participate in classification through this.
-    pub fn insert_check(&mut self, name: &str, check: RuleCheck) {
-        let id = self.id_for(name);
-        self.matcher.insert_residual(id, Prefilter::any(), check);
-        self.entries[id as usize] = Some(SetEntry {
-            name: name.to_string(),
-            kind: EntryKind::Check,
+            rule,
         });
     }
 
@@ -191,8 +165,8 @@ impl RuleSet {
     /// precise limit of a prefix-furthest-reach shortlist: full reach plus
     /// accept), so ranking by [`crate::program_distance`] over that
     /// shortlist returns the same suggestion as the O(catalog) loop over
-    /// all rules — property the service's explain tests pin down. Opaque
-    /// checks and the excluded (failing) rule itself never win.
+    /// all rules — property the service's explain tests pin down. The
+    /// excluded (failing) rule itself never wins.
     pub fn nearest_conforming(
         &mut self,
         value: &str,
@@ -210,24 +184,18 @@ impl RuleSet {
             .iter()
             .filter_map(|&id| entries[id as usize].as_ref())
             .filter(|e| e.name != exclude)
-            .filter_map(|e| match &e.kind {
-                EntryKind::Rule(rule) => Some((e.name.as_str(), rule.as_ref())),
-                EntryKind::Check => None,
-            });
+            .map(|e| (e.name.as_str(), e.rule.as_ref()));
         nearest_conforming_rule(value, from, candidates).map(|(name, d)| (name.to_string(), d))
     }
 }
 
 /// Specificity rank: dictionaries, then patterns by estimated FPR, then
-/// numeric ranges, then opaque checks; name breaks ties.
+/// numeric ranges; name breaks ties.
 fn rank_key(entry: &SetEntry) -> (u8, f64, &str) {
-    match &entry.kind {
-        EntryKind::Rule(rule) => match rule.as_ref() {
-            AnyRule::Dictionary(_) => (0, 0.0, entry.name.as_str()),
-            AnyRule::Pattern(r) => (1, r.expected_fpr, entry.name.as_str()),
-            AnyRule::Numeric(_) => (2, 0.0, entry.name.as_str()),
-        },
-        EntryKind::Check => (3, 0.0, entry.name.as_str()),
+    match entry.rule.as_ref() {
+        AnyRule::Dictionary(_) => (0, 0.0, entry.name.as_str()),
+        AnyRule::Pattern(r) => (1, r.expected_fpr, entry.name.as_str()),
+        AnyRule::Numeric(_) => (2, 0.0, entry.name.as_str()),
     }
 }
 
@@ -313,7 +281,6 @@ mod tests {
         let mut set = RuleSet::new();
         set.insert("statuses", dict_rule(&["42"]));
         set.insert("range", numeric_rule(0.0, 100.0));
-        set.insert_check("anything", Box::new(|_: &str| true));
-        assert_eq!(set.classify("42"), vec!["statuses", "range", "anything"]);
+        assert_eq!(set.classify("42"), vec!["statuses", "range"]);
     }
 }

@@ -41,11 +41,6 @@ pub(crate) const LOCK_HIERARCHY: &[LockEntry] = &[
         name: "epoch",
         rank: 50,
     },
-    // av-service ValidationService.baselines: session-scoped baseline rules.
-    LockEntry {
-        name: "baselines",
-        rank: 60,
-    },
     // av-service ValidationService.catalog: the persistent rule catalog.
     LockEntry {
         name: "catalog",
@@ -105,7 +100,7 @@ pub(crate) const G4_PERSIST_FILES: &[&str] = &[
 
 /// G4: hash-map- and hash-set-backed fields whose iteration order is
 /// nondeterministic.
-pub(crate) const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes", "baselines"];
+pub(crate) const G4_HASHMAP_FIELDS: &[&str] = &["map", "patterns", "prefixes"];
 
 /// G5: event-loop sources where a blocking call would stall every
 /// connection on the loop at once.

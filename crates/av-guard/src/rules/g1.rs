@@ -253,7 +253,7 @@ mod tests {
         assert!(findings(
             r#"fn good(&self) {
                 let removed = self.catalog.write().expect("p").remove(name).is_some();
-                let b = self.baselines.write().expect("p");
+                let e = self.epoch.write().expect("p");
             }"#,
         )
         .is_empty());

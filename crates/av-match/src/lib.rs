@@ -8,7 +8,7 @@
 //!
 //! The service validates one value against one rule in nanoseconds, but
 //! the data-routing workloads the paper's production deployment describes
-//! — tagging, `compare`, nearest-rule explanation — ask the opposite
+//! — tagging, routing, nearest-rule explanation — ask the opposite
 //! question: *which of all N catalog rules match this value?* Running N
 //! compiled programs per value makes that O(catalog). This crate answers
 //! it in **one scan of the value**, independent of catalog size:
@@ -26,8 +26,8 @@
 //!    simulation and the least-recently-used half of the cache is
 //!    evicted, so pathological catalogs degrade gracefully instead of
 //!    exploding memory;
-//! 4. rules that are not patterns — dictionaries, numeric ranges, opaque
-//!    baseline validators — participate as **residuals**: a cheap
+//! 4. rules that are not patterns — dictionaries and numeric ranges —
+//!    participate as **residuals**: a cheap
 //!    [`Prefilter`] (length bounds, first-byte set) gates an arbitrary
 //!    membership check, keeping [`CatalogMatcher::classify`] total over a
 //!    heterogeneous catalog.

@@ -1,6 +1,6 @@
 //! The long-running validation engine: a shared pattern index behind
-//! copy-on-write snapshots, a persistent rule catalog, a concurrent batch
-//! validation API, and incremental corpus ingestion.
+//! copy-on-write snapshots, a persistent rule catalog with its catalog
+//! automaton, and incremental corpus ingestion.
 //!
 //! Concurrency model:
 //!
@@ -35,7 +35,6 @@ use crate::durable::{
 };
 use crate::lockorder;
 use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
-use av_baselines::baseline_by_name;
 use av_core::{
     AnyRule, AutoValidate, Explanation, FmdvConfig, InferError, RuleSet, ValidationReport,
     Validator, Variant,
@@ -43,7 +42,6 @@ use av_core::{
 use av_corpus::Column;
 use av_durable::{DurableError, OsStorage, Storage};
 use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, PersistError, ShardedIndex};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -73,10 +71,8 @@ pub struct ServiceConfig {
     /// Index build/profile knobs (τ, per-column pattern caps, threads,
     /// shard count).
     pub index: IndexConfig,
-    /// Worker threads (0 → available parallelism): how many event loops
-    /// the TCP serve loop runs, one thread each (never under two when left
-    /// at 0), and the most threads one `validate_batch` call spreads a
-    /// large batch over (the caller plus `workers − 1` helpers).
+    /// Event loops the TCP serve loop runs, one thread each
+    /// (0 → available parallelism, never under two).
     pub workers: usize,
     /// State directory; `None` disables persistence. It holds
     /// `index.avix` + `rules.avcat`, or in durable mode the manifest, the
@@ -173,12 +169,6 @@ pub enum ServiceError {
     Catalog(CatalogError),
     /// Persistence requested but the service has no data directory.
     NoDataDir,
-    /// No baseline method with that name ([`av_baselines::baseline_by_name`]).
-    UnknownMethod(String),
-    /// The baseline method declined to produce a rule for this column.
-    MethodDeclined(String),
-    /// A baseline rule may not take a name held by a catalog rule.
-    NameTaken(String),
     /// Durability I/O failed (WAL append, checkpoint, or recovery). A
     /// poisoned WAL rejects mutating ops until a checkpoint rotates it.
     Durable(DurableError),
@@ -193,13 +183,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Index(e) => write!(f, "index persistence failed: {e}"),
             ServiceError::Catalog(e) => write!(f, "catalog persistence failed: {e}"),
             ServiceError::NoDataDir => write!(f, "service has no data directory configured"),
-            ServiceError::UnknownMethod(m) => write!(f, "unknown baseline method {m:?}"),
-            ServiceError::MethodDeclined(m) => {
-                write!(f, "baseline {m:?} declined to infer a rule for this column")
-            }
-            ServiceError::NameTaken(n) => {
-                write!(f, "rule name {n:?} is already held by a catalog rule")
-            }
             ServiceError::Durable(e) => write!(f, "durability failure: {e}"),
         }
     }
@@ -278,23 +261,12 @@ pub struct ExplainOutcome {
     pub suggestion: Option<(String, usize)>,
 }
 
-/// One item of a validation batch: a rule name plus the column values to
-/// validate against it. Fully borrowed — a protocol frame's parsed strings
-/// (or any other buffer) are referenced, never copied per item.
-#[derive(Debug, Clone)]
-pub struct BatchItem<'a> {
-    /// Catalog (or baseline) rule name.
-    pub rule: &'a str,
-    /// Values of the incoming column.
-    pub values: Vec<&'a str>,
-}
-
 /// One value classified against the whole rule catalog in a single scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassifyOutcome {
-    /// Every rule the value conforms to, ranked most-specific-first
-    /// (dictionaries, then patterns by estimated FPR, then numeric ranges,
-    /// then session baselines; ties break on name).
+    /// Every catalog rule the value conforms to, ranked most-specific-first
+    /// (dictionaries, then patterns by estimated FPR, then numeric ranges;
+    /// ties break on name).
     pub matches: Vec<String>,
     /// The top-ranked match, when any rule accepted the value.
     pub best: Option<String>,
@@ -347,34 +319,18 @@ pub struct ServiceStats {
     pub socket_writes: u64,
 }
 
-/// Values a batch must hold before [`ValidationService::validate_batch`]
-/// asks for helper threads. Spawning and joining one scoped helper costs
-/// 30–80 µs on the dev container against ~28 ns of validation per value,
-/// and the caller is itself one of a set of serve loops sized to the
-/// cores. With helpers forced on, batches under 4 800 values were slower in
-/// most runs (a 120-value frame 35–85 µs against 3.3 alone) and batches
-/// from 14 400 values up faster by a fifth to a half in every run that had
-/// both cores — and at most a tenth slower in the runs where the scheduler
-/// kept both threads on one; the sizes between went either way (`PERF.md`
-/// Point 14).
-const BATCH_HELPER_MIN_VALUES: usize = 16_384;
-
 /// The shared, long-running validation service. All methods take `&self`;
 /// wrap in an [`Arc`] and hand clones to as many threads as you like.
 pub struct ValidationService {
     config: ServiceConfig,
     index: ShardedIndex,
     catalog: RwLock<RuleCatalog>,
-    /// Baseline rules served behind `dyn Validator`. Session-scoped: the
-    /// underlying predicates are closures and have no wire form, so they
-    /// are not persisted with the catalog.
-    baselines: RwLock<HashMap<String, Arc<dyn Validator>>>,
-    /// The catalog automaton: every rule (catalog + session baselines)
-    /// folded into one [`RuleSet`] so `classify` scans a value once
-    /// instead of running N rules. Kept in sync by `infer_rule`,
-    /// `infer_baseline` and `delete_rule`; the `Mutex` is always the
-    /// **innermost** lock (taken after, never around, the catalog or
-    /// baselines locks).
+    /// The catalog automaton: every catalog rule folded into one
+    /// [`RuleSet`] so `classify` scans a value once instead of running N
+    /// rules. `infer_rule` and `delete_rule` patch it in the same apply,
+    /// under the catalog write lock, that writes the catalog, so it is
+    /// always a function of the catalog. The `Mutex` is always the
+    /// **innermost** lock (taken after, never around, the catalog lock).
     classifier: Mutex<RuleSet>,
     /// The write-ahead log and its checkpoints; `None` outside durable
     /// mode. Every mutating op is one [`durable::commit`] through it.
@@ -417,7 +373,6 @@ impl ValidationService {
         ValidationService {
             index: ShardedIndex::new(empty),
             catalog: RwLock::new(RuleCatalog::new()),
-            baselines: RwLock::new(HashMap::new()),
             classifier: Mutex::new(RuleSet::new()),
             durable: None,
             telemetry: ServiceTelemetry::new(config.telemetry.clone()),
@@ -533,11 +488,6 @@ impl ValidationService {
     /// `name`. `variant: None` uses the automatic fallback chain
     /// (pattern → numeric → dictionary); `Some(v)` forces one FMDV
     /// variant. Returns the stored entry.
-    ///
-    /// Rule names are one namespace: cataloging a name also evicts any
-    /// session-scoped baseline rule under it (the catalog resolves first,
-    /// so a left-behind baseline would be unreachable until `delete_rule`
-    /// resurrected it unannounced).
     pub fn infer_rule<S: AsRef<str>>(
         &self,
         name: &str,
@@ -566,22 +516,12 @@ impl ValidationService {
             }),
         };
         let entry = self.commit(entry, |entry| {
-            self.catalog
-                .write()
-                .expect("catalog lock poisoned")
-                .insert(entry.clone());
-            entry
+            self.write_rules(|catalog, classifier| {
+                classifier.insert(&entry.name, entry.rule.clone());
+                catalog.insert(entry.clone());
+                entry
+            })
         })?;
-        self.baselines
-            .write()
-            .expect("baselines lock poisoned")
-            .remove(name);
-        // Insert replaces: if a baseline held the name its residual check
-        // is evicted from the automaton along with the baseline itself.
-        self.classifier
-            .lock()
-            .expect("classifier poisoned")
-            .insert(name, entry.rule.clone());
         self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
     }
@@ -596,40 +536,44 @@ impl ValidationService {
             .ok_or_else(|| ServiceError::UnknownRule(name.to_string()))
     }
 
-    /// Remove a rule (catalog first, then session-scoped baselines). The
-    /// rule's telemetry goes with it, so a later rule under the same name
-    /// starts from a clean slate.
+    /// Remove a rule from the catalog and its automaton. The rule's
+    /// telemetry goes with it, so a later rule under the same name starts
+    /// from a clean slate.
     pub fn delete_rule(&self, name: &str) -> Result<(), ServiceError> {
-        // Cataloged rules are the durable ones; session-scoped baselines
-        // are in-memory only and never logged, and an unknown name logs
-        // nothing. Two deletes of one rule may both log: the second
-        // applies as a no-op, live and on replay alike.
+        // An unknown name logs nothing. Two deletes of one rule may both
+        // log: the second applies as a no-op, live and on replay alike.
         let cataloged = self
             .catalog
             .read()
             .expect("catalog lock poisoned")
             .get(name)
             .is_some();
-        if cataloged {
-            self.commit(Deletion(name), |Deletion(name)| {
-                self.catalog
-                    .write()
-                    .expect("catalog lock poisoned")
-                    .remove(name);
-            })?;
-        } else {
-            self.baselines
-                .write()
-                .expect("baselines lock poisoned")
-                .remove(name)
-                .ok_or_else(|| ServiceError::UnknownRule(name.to_string()))?;
+        if !cataloged {
+            return Err(ServiceError::UnknownRule(name.to_string()));
         }
+        self.commit(Deletion(name), |Deletion(name)| {
+            self.write_rules(|catalog, classifier| {
+                classifier.remove(name);
+                catalog.remove(name);
+            })
+        })?;
         self.telemetry.forget_rule(name);
-        self.classifier
-            .lock()
-            .expect("classifier poisoned")
-            .remove(name);
         Ok(())
+    }
+
+    /// Write the catalog and patch its automaton as one step: both under
+    /// the catalog write lock, so no other writer of a name lands between
+    /// the two and the automaton stays a function of the catalog.
+    fn write_rules<T>(&self, f: impl FnOnce(&mut RuleCatalog, &mut RuleSet) -> T) -> T {
+        let (_catalog_rank, mut catalog) = (
+            lockorder::rank_guard(lockorder::CATALOG),
+            self.catalog.write().expect("catalog lock poisoned"),
+        );
+        let (_classifier_rank, mut classifier) = (
+            lockorder::rank_guard(lockorder::CLASSIFIER),
+            self.classifier.lock().expect("classifier poisoned"),
+        );
+        f(&mut catalog, &mut classifier)
     }
 
     /// Number of cataloged rules, counted under the catalog read lock
@@ -648,114 +592,30 @@ impl ValidationService {
             .collect()
     }
 
-    /// Run `f` against the named rule as a `&dyn Validator` — catalog rules
-    /// first (`f` is handed the [`AnyRule`] too), then session-scoped
-    /// baseline rules. Catalog lookups run under the shared read lock
-    /// (batch workers still overlap) instead of cloning the entry — a
-    /// dictionary rule's whole vocabulary would otherwise be copied per
-    /// validation.
-    fn with_validator<R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&dyn Validator, Option<&AnyRule>) -> R,
-    ) -> Result<R, ServiceError> {
-        {
-            let (_catalog_rank, catalog) = (
-                lockorder::rank_guard(lockorder::CATALOG),
-                self.catalog.read().expect("catalog lock poisoned"),
-            );
-            if let Some(entry) = catalog.get(name) {
-                return Ok(f(&entry.rule, Some(&entry.rule)));
-            }
-        }
-        let baseline = {
-            let (_baselines_rank, baselines) = (
-                lockorder::rank_guard(lockorder::BASELINES),
-                self.baselines.read().expect("baselines lock poisoned"),
-            );
-            baselines.get(name).cloned()
-        };
-        match baseline {
-            Some(v) => Ok(f(v.as_ref(), None)),
+    /// Run `f` against the named catalog rule. The lookup runs under the
+    /// shared read lock instead of cloning the entry — a dictionary rule's
+    /// whole vocabulary would otherwise be copied per validation.
+    fn with_rule<R>(&self, name: &str, f: impl FnOnce(&AnyRule) -> R) -> Result<R, ServiceError> {
+        let (_catalog_rank, catalog) = (
+            lockorder::rank_guard(lockorder::CATALOG),
+            self.catalog.read().expect("catalog lock poisoned"),
+        );
+        match catalog.get(name) {
+            Some(entry) => Ok(f(&entry.rule)),
             None => Err(ServiceError::UnknownRule(name.to_string())),
         }
     }
 
-    /// Infer a rule with a named baseline method (TFDV, Grok, PWheel, …)
-    /// and serve it under `name` behind `dyn Validator`, next to the FMDV
-    /// catalog rules — enabling live A/B comparisons over the protocol.
-    /// Baseline rules are session-scoped (closures have no wire form) and
-    /// are not persisted.
-    ///
-    /// Rule names are one namespace: a name already held by a catalog rule
-    /// is rejected ([`ServiceError::NameTaken`]) — lookups resolve the
-    /// catalog first, so accepting it would create an unreachable shadowed
-    /// rule that silently resurfaced after `delete_rule`.
-    pub fn infer_baseline<S: AsRef<str>>(
-        &self,
-        name: &str,
-        method: &str,
-        train: &[S],
-    ) -> Result<String, ServiceError> {
-        let validator =
-            baseline_by_name(method).ok_or_else(|| ServiceError::UnknownMethod(method.into()))?;
-        let refs: Vec<&str> = train.iter().map(|v| v.as_ref()).collect();
-        let rule = validator
-            .infer(&refs)
-            .ok_or_else(|| ServiceError::MethodDeclined(method.into()))?;
-        let description = rule.description.clone();
-        // Lock order: catalog read inside baselines write is safe — no path
-        // takes these locks in the opposite nesting.
-        let (_baselines_rank, mut baselines) = (
-            lockorder::rank_guard(lockorder::BASELINES),
-            self.baselines.write().expect("baselines lock poisoned"),
-        );
-        if self
-            .catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .get(name)
-            .is_some()
-        {
-            return Err(ServiceError::NameTaken(name.to_string()));
-        }
-        let validator: Arc<dyn Validator> = Arc::new(rule);
-        baselines.insert(name.to_string(), Arc::clone(&validator));
-        drop(baselines);
-        // Baselines are opaque `dyn Validator`s — they join the catalog
-        // automaton as residual checks so `classify` stays total.
-        self.classifier
-            .lock()
-            .expect("classifier poisoned")
-            .insert_check(name, Box::new(move |v| validator.check(v).is_conform()));
-        self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
-        Ok(description)
-    }
-
-    /// Names and descriptions of the session-scoped baseline rules.
-    pub fn baseline_rules(&self) -> Vec<(String, String)> {
-        let (_baselines_rank, baselines) = (
-            lockorder::rank_guard(lockorder::BASELINES),
-            self.baselines.read().expect("baselines lock poisoned"),
-        );
-        let mut out: Vec<(String, String)> = baselines
-            .iter()
-            .map(|(name, v)| (name.clone(), v.describe()))
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Validate one column against a named rule (§4's recurring check).
-    /// Dispatches through `dyn Validator` as a streaming session, so FMDV
-    /// rules and baseline rules are indistinguishable here — and no value
-    /// is copied.
+    /// Dispatches through `dyn Validator` as a streaming session, so no
+    /// value is copied.
     pub fn validate<S: AsRef<str>>(
         &self,
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
-        let (report, exemplar) = self.with_validator(rule, |validator, _| {
+        let (report, exemplar) = self.with_rule(rule, |rule| {
+            let validator: &dyn Validator = rule;
             let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
             // Cold path: only a flagged column pays for the exemplar
             // re-scan and the explanation's allocations.
@@ -788,59 +648,40 @@ impl ValidationService {
     }
 
     /// Explain one value against a named rule: conformance, positional
-    /// failure detail, and — for catalog rules — the nearest *other*
-    /// catalog rule the value conforms to (ranked by token-program edit
-    /// distance, so a column swap points at the swapped-in column's rule).
-    /// Session-scoped baseline rules explain through their `dyn Validator`
-    /// vtable but get no suggestion: they have no compiled program to
-    /// measure distance from.
+    /// failure detail, and the nearest *other* catalog rule the value
+    /// conforms to (ranked by token-program edit distance, so a column
+    /// swap points at the swapped-in column's rule).
     ///
     /// The suggestion shortlist comes from the catalog automaton: one
     /// `classify` scan yields exactly the conforming rules, so only those
     /// are distance-ranked — O(matches), not O(catalog) — with the same
     /// winner the full loop would pick.
     pub fn explain(&self, rule: &str, value: &str) -> Result<ExplainOutcome, ServiceError> {
-        self.with_validator(rule, |validator, cataloged| {
-            let conforms = validator.check(value).is_conform();
+        self.with_rule(rule, |failed| {
+            let conforms = failed.check(value).is_conform();
             let (explanation, suggestion) = if conforms {
                 (None, None)
             } else {
                 (
-                    validator.explain(value),
-                    cataloged.and_then(|failed| {
-                        self.classifier
-                            .lock()
-                            .expect("classifier poisoned")
-                            .nearest_conforming(value, failed, rule)
-                    }),
+                    failed.explain(value),
+                    self.classifier
+                        .lock()
+                        .expect("classifier poisoned")
+                        .nearest_conforming(value, failed, rule),
                 )
             };
             ExplainOutcome {
                 conforms,
-                describe: validator.describe(),
+                describe: failed.describe(),
                 explanation,
                 suggestion,
             }
         })
     }
 
-    /// A/B-compare two named rules (either side may be an FMDV catalog rule
-    /// or a baseline) on the same column. Both reports count toward the
-    /// validation stats, exactly as two sequential `validate` calls would.
-    pub fn compare<S: AsRef<str>>(
-        &self,
-        left: &str,
-        right: &str,
-        values: &[S],
-    ) -> Result<(ValidationReport, ValidationReport), ServiceError> {
-        let a = self.validate(left, values)?;
-        let b = self.validate(right, values)?;
-        Ok((a, b))
-    }
-
-    /// Classify one value against the **whole** rule catalog (catalog
-    /// rules and session baselines alike) in a single scan of the value,
-    /// returning every conforming rule ranked most-specific-first.
+    /// Classify one value against the **whole** rule catalog in a single
+    /// scan of the value, returning every conforming rule ranked
+    /// most-specific-first.
     pub fn classify_value(&self, value: &str) -> ClassifyOutcome {
         let mut batch = self.classify_batch(&[value]);
         batch.pop().expect("one outcome per value")
@@ -877,65 +718,6 @@ impl ValidationService {
             .lock()
             .expect("classifier poisoned")
             .generation()
-    }
-
-    /// Validate a batch of columns: on the calling thread — a serve loop,
-    /// one of a set already sized to the cores — joined by up to
-    /// `config.workers − 1` scoped helpers only when the batch holds at
-    /// least `BATCH_HELPER_MIN_VALUES` (16 384) values.
-    ///
-    /// Results come back in input order, and each equals exactly what the
-    /// sequential [`ValidationService::validate`] would produce: items are
-    /// independent and rules are immutable snapshots, so fan-out changes
-    /// only wall-clock time, never reports.
-    pub fn validate_batch(
-        &self,
-        items: &[BatchItem<'_>],
-    ) -> Vec<Result<ValidationReport, ServiceError>> {
-        let values: usize = items.iter().map(|item| item.values.len()).sum();
-        let workers = if values < BATCH_HELPER_MIN_VALUES {
-            1
-        } else if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-        .min(items.len());
-
-        if workers <= 1 {
-            return items
-                .iter()
-                .map(|item| self.validate(item.rule, &item.values))
-                .collect();
-        }
-
-        // Dynamic work-stealing over an atomic cursor: the caller and
-        // `workers − 1` helpers drain items at their own pace, then results
-        // are restitched in input order.
-        let cursor = AtomicU64::new(0);
-        let drain = || {
-            let mut local = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= items.len() {
-                    break local;
-                }
-                local.push((i, self.validate(items[i].rule, &items[i].values)));
-            }
-        };
-        let mut indexed: Vec<(usize, Result<ValidationReport, ServiceError>)> =
-            std::thread::scope(|scope| {
-                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
-                let mut all = drain();
-                for h in helpers {
-                    all.extend(h.join().expect("validation worker panicked"));
-                }
-                all
-            });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Persist the live index and catalog to the data directory. In
@@ -1286,126 +1068,6 @@ mod tests {
         ));
     }
 
-    /// Both sides of [`BATCH_HELPER_MIN_VALUES`]: a batch the calling
-    /// thread validates alone, and one it calls three helpers for.
-    #[test]
-    fn batch_matches_sequential() {
-        let service = ValidationService::new(ServiceConfig {
-            workers: 4,
-            ..ServiceConfig::default()
-        });
-        service.ingest(&lake_columns(7)).unwrap();
-        service.infer_rule("dates", &date_values(3), None).unwrap();
-        // Every item holds at least 28 values.
-        for n in [32, BATCH_HELPER_MIN_VALUES / 28 + 1] {
-            let owned: Vec<(&str, Vec<String>)> = (0..n)
-                .map(|i| {
-                    (
-                        if i % 5 == 4 { "missing" } else { "dates" },
-                        if i % 2 == 0 {
-                            date_values(1 + (i as u32 % 12))
-                        } else {
-                            (0..40).map(|j| format!("drift-{i}-{j}")).collect()
-                        },
-                    )
-                })
-                .collect();
-            let items: Vec<BatchItem<'_>> = owned
-                .iter()
-                .map(|(rule, values)| BatchItem {
-                    rule,
-                    values: values.iter().map(String::as_str).collect(),
-                })
-                .collect();
-            let sequential: Vec<_> = items
-                .iter()
-                .map(|it| service.validate(it.rule, &it.values))
-                .collect();
-            let batched = service.validate_batch(&items);
-            assert_eq!(batched.len(), sequential.len());
-            for (b, s) in batched.iter().zip(&sequential) {
-                match (b, s) {
-                    (Ok(br), Ok(sr)) => assert_eq!(br, sr),
-                    (Err(ServiceError::UnknownRule(x)), Err(ServiceError::UnknownRule(y))) => {
-                        assert_eq!(x, y)
-                    }
-                    other => panic!("mismatched outcomes: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn baseline_rules_dispatch_like_catalog_rules() {
-        let service = ValidationService::new(ServiceConfig::default());
-        service.ingest(&lake_columns(9)).unwrap();
-        service.infer_rule("dates", &date_values(3), None).unwrap();
-        let desc = service
-            .infer_baseline("dates-grok", "grok", &date_values(3))
-            .unwrap();
-        assert!(desc.starts_with("grok:"), "{desc}");
-        // The baseline serves exactly like a catalog rule…
-        assert!(
-            !service
-                .validate("dates-grok", &date_values(4))
-                .unwrap()
-                .flagged
-        );
-        let drifted: Vec<String> = (0..40).map(|i| format!("user-{i}")).collect();
-        assert!(service.validate("dates-grok", &drifted).unwrap().flagged);
-        // …and A/B comparison runs both sides on the same feed.
-        let (a, b) = service
-            .compare("dates", "dates-grok", &date_values(5))
-            .unwrap();
-        assert!(!a.flagged && !b.flagged);
-        assert_eq!(service.baseline_rules().len(), 1);
-        assert_eq!(service.stats().rules_inferred, 2);
-
-        // Unknown methods and declining methods report distinct errors.
-        assert!(matches!(
-            service.infer_baseline("x", "nope", &date_values(1)),
-            Err(ServiceError::UnknownMethod(_))
-        ));
-        let prose: Vec<String> = (0..10)
-            .map(|i| format!("Quarterly Revenue Report {i}"))
-            .collect();
-        assert!(matches!(
-            service.infer_baseline("x", "pwheel", &prose),
-            Err(ServiceError::MethodDeclined(_))
-        ));
-
-        // Deletion covers baselines too.
-        service.delete_rule("dates-grok").unwrap();
-        assert!(matches!(
-            service.validate("dates-grok", &[] as &[&str]),
-            Err(ServiceError::UnknownRule(_))
-        ));
-    }
-
-    #[test]
-    fn rule_names_are_one_namespace() {
-        let service = ValidationService::new(ServiceConfig::default());
-        service.ingest(&lake_columns(9)).unwrap();
-        // A baseline may not shadow under a catalog rule's name…
-        service.infer_rule("dates", &date_values(3), None).unwrap();
-        assert!(matches!(
-            service.infer_baseline("dates", "grok", &date_values(3)),
-            Err(ServiceError::NameTaken(_))
-        ));
-        // …and cataloging a name evicts the baseline that held it, so a
-        // later delete cannot resurrect a forgotten rule.
-        service
-            .infer_baseline("feed", "grok", &date_values(3))
-            .unwrap();
-        service.infer_rule("feed", &date_values(3), None).unwrap();
-        assert!(service.baseline_rules().is_empty());
-        service.delete_rule("feed").unwrap();
-        assert!(matches!(
-            service.validate("feed", &[] as &[&str]),
-            Err(ServiceError::UnknownRule(_))
-        ));
-    }
-
     #[test]
     fn explain_names_the_span_and_suggests_the_swapped_column_rule() {
         let service = ValidationService::new(ServiceConfig::default());
@@ -1450,19 +1112,11 @@ mod tests {
             .map(|i| ["Delivered", "Pending", "Rejected"][i % 3].to_string())
             .collect();
         service.infer_rule("status", &statuses, None).unwrap();
-        service
-            .infer_baseline("grokked", "grok", &date_values(3))
-            .unwrap();
-        assert!(service.classifier_generation() >= 3);
+        assert!(service.classifier_generation() >= 2);
 
-        // One scan names every conforming rule; the catalog date rule and
-        // the grok baseline both accept a date, and the FMDV rule (more
-        // specific than an opaque check) ranks first.
+        // One scan names every conforming rule.
         let date = service.classify_value("2019-07-14");
-        assert_eq!(
-            date.matches,
-            vec!["dates".to_string(), "grokked".to_string()]
-        );
+        assert_eq!(date.matches, vec!["dates".to_string()]);
         assert_eq!(date.best.as_deref(), Some("dates"));
         let status = service.classify_value("Pending");
         assert_eq!(status.matches, vec!["status".to_string()]);
@@ -1473,18 +1127,13 @@ mod tests {
         let batch = service.classify_batch(&["2019-07-14", "Pending", "!!!"]);
         assert_eq!(batch, vec![date.clone(), status, nothing]);
 
-        // Deletes and baseline evictions keep the automaton in sync.
+        // Deletes keep the automaton in sync.
         let gen = service.classifier_generation();
         service.delete_rule("dates").unwrap();
         assert!(service.classifier_generation() > gen);
-        assert_eq!(
-            service.classify_value("2019-07-14").matches,
-            vec!["grokked".to_string()]
-        );
-        service.delete_rule("grokked").unwrap();
         assert!(service.classify_value("2019-07-14").matches.is_empty());
 
-        assert_eq!(service.stats().classifications, 8);
+        assert_eq!(service.stats().classifications, 7);
     }
 
     #[test]

@@ -21,14 +21,11 @@
 //! * **Persistent rule catalog** — rules are inferred once (FMDV and its
 //!   fallbacks), named, serialized to `rules.avcat`, and reloaded on
 //!   restart, so a service restart never re-infers or loses a rule.
-//! * **Concurrent batch validation** — a batch large enough to pay for
-//!   helper threads is fanned across them, a small one runs on the calling
-//!   worker; reports are deterministic and identical to sequential runs.
-//! * **One dispatch path** — the engine validates exclusively through
-//!   `dyn av_core::Validator` streaming sessions over borrowed `&str`
-//!   values, so FMDV catalog rules and session-scoped baseline rules
-//!   (`infer_baseline` op: TFDV, Grok, PWheel, …) serve identically and
-//!   can be A/B-compared live (`compare` op).
+//! * **One rule namespace** — every served rule is a catalog rule,
+//!   validated through a `dyn av_core::Validator` streaming session over
+//!   borrowed `&str` values. The catalog automaton that `classify` scans
+//!   is patched in the same step that writes the catalog, so it always
+//!   names exactly the catalog's rules.
 //! * **Crash-safe durable mode** — with [`ServiceConfig::durable`],
 //!   every mutating op is CRC-framed, write-ahead logged and fsynced
 //!   before it is acknowledged; `persist` writes an **incremental
@@ -74,8 +71,8 @@ pub mod telemetry;
 pub use catalog::{CatalogEntry, CatalogError, RuleCatalog};
 pub use durable::{DurabilityConfig, DurabilitySnapshot};
 pub use engine::{
-    owned_column, BatchItem, ClassifyOutcome, ExplainOutcome, IngestReport, ServiceConfig,
-    ServiceError, ServiceStats, ValidationService, INDEX_FILE,
+    owned_column, ClassifyOutcome, ExplainOutcome, IngestReport, ServiceConfig, ServiceError,
+    ServiceStats, ValidationService, INDEX_FILE,
 };
 pub use protocol::{handle_line, response_ok, Handled, LineOutcome, WatchParams};
 pub use server::{

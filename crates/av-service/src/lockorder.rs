@@ -15,8 +15,7 @@
 //! | 10 | `ckpt` | `DurableLog` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
 //! | 20 | `wal` | `DurableLog` | The WAL fence: the outermost lock of every durable mutating path, which appends and applies its record under it. Holding it across the snapshot is what makes the checkpoint watermark exact. |
 //! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side (inside the WAL fence on durable paths) and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
-//! | 60 | `baselines` | `ValidationService` | Session-scoped baseline rules. |
-//! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths. |
+//! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths, with the classifier patched before its write guard drops. |
 //! | 80 | `classifier` | `ValidationService` | The catalog automaton — always innermost: it is rebuilt/patched *from* catalog state and must never wait on anything while held. |
 //!
 //! # The runtime tracker
@@ -53,8 +52,6 @@ pub(crate) const CKPT: u32 = 10;
 pub(crate) const WAL: u32 = 20;
 /// Rank of `av-index`'s epoch lock.
 pub(crate) const EPOCH: u32 = 50;
-/// Rank of `ValidationService.baselines`.
-pub(crate) const BASELINES: u32 = 60;
 /// Rank of `ValidationService.catalog`.
 pub(crate) const CATALOG: u32 = 70;
 /// Rank of `ValidationService.classifier` (always innermost).

@@ -21,18 +21,16 @@
 //! fields, calls the engine and returns the reply's members, and
 //! `tests/golden_session.rs` pins its reply bytes. A missing or wrong-typed
 //! field is refused with that field's message (`missing string field
-//! "rule"`, `item 3: missing array field "values"`), fields being checked
+//! "rule"`, `column 3: missing array field "values"`), fields being checked
 //! in the order listed (`tests/field_errors.rs`):
 //!
 //! | op | request fields | reply |
 //! |----|----------------|-------|
-//! | `catalog` | — | every cataloged rule, every session baseline |
+//! | `catalog` | — | every cataloged rule |
 //! | `classify` | `values`, or a single `value` | per value, every conforming rule, most specific first |
-//! | `compare` | `a`, `b`, `values` | both rules' reports on the same column |
-//! | `delete_rule` | `name` | the name deleted (catalog first, then baselines) |
+//! | `delete_rule` | `name` | the name deleted |
 //! | `explain` | `rule`, `value` | where and why the value fails, and the nearest rule it fits |
 //! | `infer` | `rule`, `values`, optional `variant` | the cataloged entry and its wire form |
-//! | `infer_baseline` | `rule`, `method`, `values` | the session baseline's description |
 //! | `ingest` | `columns`, each `values` and an optional `name` | what the merge changed |
 //! | `metrics` | — | the telemetry registry |
 //! | `persist` | — | the checkpoint written |
@@ -41,7 +39,6 @@
 //! | `shutdown` | — | `bye`; every serve loop winds down |
 //! | `stats` | — | counters, index and catalog sizes, requests and errors per op |
 //! | `validate` | `rule`, `values` | the column's report |
-//! | `validate_batch` | `items`, each `rule` and `values` | one report or error per item, in order |
 //! | `watch` | optional `interval_ms`, `frames`, `rules` | the acknowledgement; frames follow |
 //!
 //! A frame that is not JSON or names no op is counted as `invalid`, one
@@ -163,7 +160,7 @@
 //! after their trigger op was already safely logged.
 
 use crate::catalog::CatalogEntry;
-use crate::engine::{owned_column, BatchItem, ValidationService};
+use crate::engine::{owned_column, ValidationService};
 use crate::json::{parse, Json};
 use crate::telemetry::{FailureExemplar, WindowSnapshot, INVALID, UNKNOWN};
 use av_core::{AnyRule, Explanation, ValidationReport, Variant};
@@ -219,14 +216,12 @@ type Handler = fn(&ValidationService, Json<'_>) -> Outcome;
 /// per-op telemetry is sized and named from it ([`crate::telemetry::OPS`]),
 /// and nothing else lists the ops. A new op is a row here, its handler
 /// below, and a frame in `tests/golden_session.rs`.
-pub(crate) const OP_TABLE: [(&str, Handler); 17] = [
+pub(crate) const OP_TABLE: [(&str, Handler); 14] = [
     ("catalog", catalog),
     ("classify", classify),
-    ("compare", compare),
     ("delete_rule", delete_rule),
     ("explain", explain),
     ("infer", infer),
-    ("infer_baseline", infer_baseline),
     ("ingest", ingest),
     ("metrics", metrics),
     ("persist", persist),
@@ -235,7 +230,6 @@ pub(crate) const OP_TABLE: [(&str, Handler); 17] = [
     ("shutdown", shutdown),
     ("stats", stats),
     ("validate", validate),
-    ("validate_batch", validate_batch),
     ("watch", watch),
 ];
 
@@ -266,8 +260,9 @@ pub fn handle_line_into(service: &ValidationService, line: &str, out: &mut Strin
         .telemetry()
         .record_op(op, start.elapsed(), outcome.is_ok());
     match outcome {
-        Ok((members, next)) => {
-            ok_json(members).dump_into(out);
+        Ok((mut members, next)) => {
+            members.push(("ok", Json::Bool(true)));
+            Json::obj(members).dump_into(out);
             next
         }
         Err(message) => {
@@ -297,15 +292,8 @@ fn ok(members: Members) -> Outcome {
     Ok((members, LineOutcome::default()))
 }
 
-/// The success shape, of a reply or of one `validate_batch` result.
-fn ok_json(mut members: Members) -> Json<'static> {
-    members.push(("ok", Json::Bool(true)));
-    Json::obj(members)
-}
-
-/// The failure shape, of a reply or of one `validate_batch` result;
-/// `overloaded` adds the marker by which clients tell "retry later" apart
-/// from "your request was wrong".
+/// The failure shape of a reply: `overloaded` adds the marker by which
+/// clients tell "retry later" apart from "your request was wrong".
 fn error_json(message: String, overloaded: bool) -> Json<'static> {
     let mut members = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
     if overloaded {
@@ -334,18 +322,11 @@ pub(crate) fn render_overloaded_into(message: &str, out: &mut String) {
     error_json(message.to_string(), true).dump_into(out);
 }
 
-/// A required string member of a request, or of one item of it.
+/// A required string member of a request.
 fn text<'a>(v: &'a Json, field: &str) -> Result<&'a str, String> {
     v.get(field)
         .and_then(Json::as_str)
         .ok_or_else(|| format!("missing string field {field:?}"))
-}
-
-/// A required array member.
-fn array<'a, 'j>(v: &'a Json<'j>, field: &str) -> Result<&'a [Json<'j>], String> {
-    v.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field {field:?}"))
 }
 
 /// Borrow a `&str` array straight out of the parsed request. An
@@ -354,7 +335,9 @@ fn array<'a, 'j>(v: &'a Json<'j>, field: &str) -> Result<&'a [Json<'j>], String>
 /// paths hand the engine the connection's own buffer and never copy a
 /// value.
 fn str_array<'a>(v: &'a Json, field: &str) -> Result<Vec<&'a str>, String> {
-    array(v, field)?
+    v.get(field)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing array field {field:?}"))?
         .iter()
         .map(|item| {
             item.as_str()
@@ -541,46 +524,6 @@ fn validate(service: &ValidationService, req: Json) -> Outcome {
     ok(report_members(&service.validate(name, &values)?))
 }
 
-fn infer_baseline(service: &ValidationService, req: Json) -> Outcome {
-    let (name, method) = (text(&req, "rule")?, text(&req, "method")?);
-    let describe = service.infer_baseline(name, method, &str_array(&req, "values")?)?;
-    ok(vec![
-        ("rule", Json::str(name.to_string())),
-        ("method", Json::str(method.to_string())),
-        ("describe", Json::str(describe)),
-    ])
-}
-
-fn compare(service: &ValidationService, req: Json) -> Outcome {
-    let (left, right) = (text(&req, "a")?, text(&req, "b")?);
-    let (ra, rb) = service.compare(left, right, &str_array(&req, "values")?)?;
-    ok(vec![
-        ("a", Json::obj(report_members(&ra))),
-        ("b", Json::obj(report_members(&rb))),
-        ("agree", Json::Bool(ra.flagged == rb.flagged)),
-    ])
-}
-
-fn validate_batch(service: &ValidationService, req: Json) -> Outcome {
-    let raw = array(&req, "items")?;
-    let mut items = Vec::with_capacity(raw.len());
-    for (i, item) in raw.iter().enumerate() {
-        let in_item = |e| format!("item {i}: {e}");
-        let rule = text(item, "rule").map_err(in_item)?;
-        let values = str_array(item, "values").map_err(in_item)?;
-        items.push(BatchItem { rule, values });
-    }
-    let results = service
-        .validate_batch(&items)
-        .into_iter()
-        .map(|r| match r {
-            Ok(report) => ok_json(report_members(&report)),
-            Err(e) => error_json(e.to_string(), false),
-        })
-        .collect();
-    ok(vec![("results", Json::Arr(results))])
-}
-
 fn catalog(service: &ValidationService, _: Json) -> Outcome {
     let rules: Vec<Json> = service
         .catalog_entries()
@@ -591,17 +534,9 @@ fn catalog(service: &ValidationService, _: Json) -> Outcome {
             Json::obj(members)
         })
         .collect();
-    let baselines = service
-        .baseline_rules()
-        .into_iter()
-        .map(|(name, describe)| {
-            Json::obj([("rule", Json::str(name)), ("describe", Json::str(describe))])
-        })
-        .collect();
     ok(vec![
         ("count", Json::Num(rules.len() as f64)),
         ("rules", Json::Arr(rules)),
-        ("baselines", Json::Arr(baselines)),
     ])
 }
 
@@ -990,82 +925,6 @@ mod tests {
         let h = handle_line(&service, r#"{"op":"shutdown"}"#);
         assert!(h.shutdown);
         assert!(service.is_shutdown());
-    }
-
-    #[test]
-    fn batch_op_mixes_ok_and_errors() {
-        let service = service_with_corpus();
-        handle_line(
-            &service,
-            &format!(r#"{{"op":"infer","rule":"d","values":{}}}"#, dates(2)),
-        );
-        let h = handle_line(
-            &service,
-            &format!(
-                r#"{{"op":"validate_batch","items":[{{"rule":"d","values":{}}},{{"rule":"missing","values":[]}}]}}"#,
-                dates(5)
-            ),
-        );
-        assert!(response_ok(&h.response));
-        let v = parse(&h.response).unwrap();
-        let results = v.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(results[1].get("ok").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn baseline_and_compare_ops() {
-        let service = service_with_corpus();
-        let h = handle_line(
-            &service,
-            &format!(r#"{{"op":"infer","rule":"d","values":{}}}"#, dates(3)),
-        );
-        assert!(response_ok(&h.response), "{}", h.response);
-
-        let h = handle_line(
-            &service,
-            &format!(
-                r#"{{"op":"infer_baseline","rule":"g","method":"grok","values":{}}}"#,
-                dates(3)
-            ),
-        );
-        assert!(response_ok(&h.response), "{}", h.response);
-        let v = parse(&h.response).unwrap();
-        assert!(v
-            .get("describe")
-            .and_then(Json::as_str)
-            .unwrap()
-            .starts_with("grok:"));
-
-        // Both rules (FMDV catalog + grok baseline) validate and agree.
-        let h = handle_line(
-            &service,
-            &format!(
-                r#"{{"op":"compare","a":"d","b":"g","values":{}}}"#,
-                dates(4)
-            ),
-        );
-        assert!(response_ok(&h.response), "{}", h.response);
-        let v = parse(&h.response).unwrap();
-        assert_eq!(v.get("agree").unwrap().as_bool(), Some(true));
-        assert_eq!(
-            v.get("a").unwrap().get("flagged").unwrap().as_bool(),
-            Some(false)
-        );
-
-        // The catalog op lists session baselines separately.
-        let h = handle_line(&service, r#"{"op":"catalog"}"#);
-        let v = parse(&h.response).unwrap();
-        assert_eq!(v.get("count").unwrap().as_usize(), Some(1));
-        assert_eq!(v.get("baselines").unwrap().as_arr().unwrap().len(), 1);
-
-        // Unknown methods fail cleanly.
-        let h = handle_line(
-            &service,
-            r#"{"op":"infer_baseline","rule":"x","method":"banana","values":["1"]}"#,
-        );
-        assert!(!response_ok(&h.response));
     }
 
     #[test]

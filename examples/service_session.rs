@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example service_session`
 
 use auto_validate::prelude::*;
-use av_service::{BatchItem, ServiceConfig, ValidationService};
+use av_service::{ServiceConfig, ValidationService};
 
 fn main() {
     let data_dir = std::env::temp_dir().join(format!("av_service_session_{}", std::process::id()));
@@ -42,18 +42,8 @@ fn main() {
     // ── Recurring validation: next month passes, a drifted feed flags. ──
     let april: Vec<String> = (1..=30).map(|d| format!("2019-04-{d:02}")).collect();
     let drifted: Vec<String> = (0..30).map(|i| format!("user-{i}")).collect();
-    let results = service.validate_batch(&[
-        BatchItem {
-            rule: "feeds/sales.date",
-            values: april.iter().map(String::as_str).collect(),
-        },
-        BatchItem {
-            rule: "feeds/sales.date",
-            values: drifted.iter().map(String::as_str).collect(),
-        },
-    ]);
-    let ok = results[0].as_ref().unwrap();
-    let bad = results[1].as_ref().unwrap();
+    let ok = service.validate("feeds/sales.date", &april).unwrap();
+    let bad = service.validate("feeds/sales.date", &drifted).unwrap();
     println!(
         "april: flagged={} (p={:.3});  drifted: flagged={} ({}/{} nonconforming)",
         ok.flagged, ok.p_value, bad.flagged, bad.nonconforming, bad.checked

@@ -49,9 +49,8 @@ fn usage() -> ExitCode {
 options:
   --data DIR     state directory (index.avix + rules.avcat); reloaded on
                  start when present, written by the \"persist\" op
-  --workers N    threads: the TCP event loops, and the most one
-                 validate_batch call spreads over (default: all cores,
-                 and at least two event loops)
+  --workers N    TCP event loops, one thread each (default: all cores,
+                 and at least two)
   --tcp ADDR     listen address, e.g. 127.0.0.1:7171 (port 0 picks a free
                  port and prints it)
   --max-request-bytes N

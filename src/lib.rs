@@ -59,8 +59,7 @@
 //! | [`av_stats`] | Fisher's exact test, χ² with Yates, special functions |
 //! | [`av_corpus`] | synthetic data lakes, domain generators, benchmarks |
 //! | [`av_baselines`] | TFDV, Deequ, Potter's Wheel, Grok, schema matching, … |
-//! | [`av_eval`] | the §5.1 evaluation methodology |
-//! | [`av_service`] | long-running validation service: shared live index, persistent rule catalog, concurrent batch validation, incremental ingestion, `dyn Validator` dispatch of FMDV + baseline rules |
+//! | [`av_service`] | long-running validation service: shared live index, persistent rule catalog and its catalog automaton, incremental ingestion, crash-safe durability, the JSONL protocol |
 //!
 //! ## Running as a service
 //!
@@ -98,7 +97,6 @@
 pub use av_baselines;
 pub use av_core;
 pub use av_corpus;
-pub use av_eval;
 pub use av_index;
 pub use av_match;
 pub use av_pattern;

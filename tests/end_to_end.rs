@@ -2,7 +2,7 @@
 //! validation → evaluation, across crate boundaries.
 
 use auto_validate::prelude::*;
-use av_eval::{evaluate_method, FmdvValidator};
+use av_bench::eval::{evaluate_method, FmdvValidator};
 use std::sync::{Arc, OnceLock};
 
 fn shared() -> &'static (Corpus, Arc<PatternIndex>) {

@@ -6,8 +6,8 @@
 //! fields before `k` are well-formed and whose field `k` is absent (or is
 //! the wrong JSON type) is refused with `k`'s message whatever comes after
 //! it. The flat ops are one table; the nested shapes (`ingest` columns,
-//! `validate_batch` items, `classify`'s either-or, `watch`'s optional
-//! numbers) are listed frame by frame.
+//! `classify`'s either-or, `watch`'s optional numbers) are listed frame by
+//! frame.
 
 use av_service::json::{parse, Json};
 use av_service::{handle_line, ServiceConfig, ValidationService};
@@ -27,18 +27,12 @@ use Kind::{Array, Strings, Text};
 
 /// Each flat op's required fields, in the order the handler checks them.
 const REQUIRED: &[(&str, &[(&str, Kind)])] = &[
-    ("compare", &[("a", Text), ("b", Text), ("values", Strings)]),
     ("delete_rule", &[("name", Text)]),
     ("explain", &[("rule", Text), ("value", Text)]),
     ("infer", &[("rule", Text), ("values", Strings)]),
-    (
-        "infer_baseline",
-        &[("rule", Text), ("method", Text), ("values", Strings)],
-    ),
     ("ingest", &[("columns", Array)]),
     ("rule", &[("name", Text)]),
     ("validate", &[("rule", Text), ("values", Strings)]),
-    ("validate_batch", &[("items", Array)]),
 ];
 
 /// Frames whose bad field sits inside an array item, is one of two
@@ -59,30 +53,6 @@ const NESTED: &[(&str, &str)] = &[
     (
         r#"{"op":"ingest","columns":[7]}"#,
         r#"column 0: missing array field "values""#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[{"rule":"r","values":["a"]},{"values":[]}]}"#,
-        r#"item 1: missing string field "rule""#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[{"rule":7,"values":[]}]}"#,
-        r#"item 0: missing string field "rule""#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[{"rule":"r"}]}"#,
-        r#"item 0: missing array field "values""#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[{"rule":"r","values":"a"}]}"#,
-        r#"item 0: missing array field "values""#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[{"rule":"r","values":[1]}]}"#,
-        r#"item 0: "values" must contain only strings"#,
-    ),
-    (
-        r#"{"op":"validate_batch","items":[3]}"#,
-        r#"item 0: missing string field "rule""#,
     ),
     (
         r#"{"op":"classify"}"#,

@@ -55,9 +55,8 @@ fn script() -> Vec<String> {
         ));
     }
 
-    // Three rule kinds through the automatic fallback chain, a forced
-    // variant whose program backtracks (four variadic scans), and a session
-    // baseline.
+    // Three rule kinds through the automatic fallback chain, and a forced
+    // variant whose program backtracks (four variadic scans).
     let dates = |month: u32| -> Vec<String> {
         (1..=28)
             .map(|d| format!("2019-{month:02}-{d:02}"))
@@ -94,10 +93,6 @@ fn script() -> Vec<String> {
         r#"{{"op":"infer","rule":"ips","variant":"vh","values":{}}}"#,
         string_array(&ips)
     ));
-    lines.push(format!(
-        r#"{{"op":"infer_baseline","rule":"dates-grok","method":"grok","values":{}}}"#,
-        string_array(&dates(3))
-    ));
 
     // The recurring check: healthy, drifted, partially dirty, empty.
     lines.push(format!(
@@ -117,15 +112,6 @@ fn script() -> Vec<String> {
     );
     lines.push(r#"{"op":"validate","rule":"amount","values":["12","99.5","-4","n/a"]}"#.into());
     lines.push(r#"{"op":"validate","rule":"dates","values":[]}"#.into());
-    lines.push(format!(
-        r#"{{"op":"validate_batch","items":[{{"rule":"dates","values":{}}},{{"rule":"status","values":["Pending","Rejected"]}},{{"rule":"missing","values":["x"]}},{{"rule":"ips","values":["192.168.0.1","10.0.0","localhost"]}},{{"rule":"dates-grok","values":{}}}]}}"#,
-        string_array(&dates(5)),
-        string_array(&dates(6))
-    ));
-    lines.push(format!(
-        r#"{{"op":"compare","a":"dates","b":"dates-grok","values":{}}}"#,
-        string_array(&dates(7))
-    ));
 
     lines.push(
         r#"{"op":"classify","values":["2019-03-14","Pending","172.16.254.1","42","!!!","2019-03-1é"]}"#
@@ -134,8 +120,8 @@ fn script() -> Vec<String> {
     lines.push(r#"{"op":"classify","value":"Rejected"}"#.into());
     lines.push(r#"{"op":"classify","value":"a\"b\\c\/\u00e9\ud83d\ude00\n\té"}"#.into());
 
-    // explain: conforming, non-conforming (each rule kind, a baseline),
-    // multi-byte values, the empty value.
+    // explain: conforming, non-conforming (each rule kind), multi-byte
+    // values, the empty value.
     for (rule, value) in [
         ("dates", "2019-03-14"),
         ("dates", "Pending"),
@@ -155,7 +141,6 @@ fn script() -> Vec<String> {
         ("amount", "17.5"),
         ("amount", "1e99"),
         ("amount", "seventeen"),
-        ("dates-grok", "not-a-date"),
     ] {
         lines.push(format!(
             r#"{{"op":"explain","rule":{},"value":{}}}"#,
@@ -168,11 +153,9 @@ fn script() -> Vec<String> {
     lines.push(r#"{"op":"rule","name":"ips"}"#.into());
     lines.push(r#"{"op":"rule","name":"status"}"#.into());
     lines.push(r#"{"op":"rule","name":"amount"}"#.into());
-    lines.push(r#"{"op":"rule","name":"dates-grok"}"#.into());
     lines.push(r#"{"op":"catalog"}"#.into());
     lines.push(r#"{"op":"delete_rule","name":"status"}"#.into());
     lines.push(r#"{"op":"delete_rule","name":"status"}"#.into());
-    lines.push(r#"{"op":"delete_rule","name":"dates-grok"}"#.into());
     lines.push(r#"{"op":"validate","rule":"status","values":["Pending"]}"#.into());
     lines.push(r#"{"op":"classify","value":"Pending"}"#.into());
     lines.push(r#"{"op":"catalog"}"#.into());
@@ -196,18 +179,14 @@ fn script() -> Vec<String> {
         r#"{"op":"validate"}"#,
         r#"{"op":"validate","rule":"dates"}"#,
         r#"{"op":"validate","rule":"dates","values":[1,2]}"#,
-        r#"{"op":"validate_batch","items":[{"values":[]}]}"#,
         r#"{"op":"infer","rule":"r","values":["a"],"variant":"banana"}"#,
         r#"{"op":"infer","rule":"r","values":[]}"#,
-        r#"{"op":"infer_baseline","rule":"x","method":"banana","values":["1"]}"#,
-        r#"{"op":"infer_baseline","rule":"dates","method":"grok","values":["2019-01-01"]}"#,
         r#"{"op":"ingest"}"#,
         r#"{"op":"ingest","columns":[{"values":[3]}]}"#,
         r#"{"op":"explain","rule":"dates"}"#,
         r#"{"op":"explain","rule":"missing","value":"x"}"#,
         r#"{"op":"classify"}"#,
         r#"{"op":"rule"}"#,
-        r#"{"op":"compare","a":"dates","b":"missing","values":["x"]}"#,
     ] {
         lines.push(bad.to_string());
     }

@@ -19,7 +19,7 @@ use auto_validate::prelude::*;
 use av_corpus::generate_lake;
 use av_durable::{FaultPlan, MemStorage};
 use av_index::{IndexDelta, PatternIndex};
-use av_service::{response_ok, serve_tcp, BatchItem, ServiceConfig, ValidationService};
+use av_service::{response_ok, serve_tcp, ServiceConfig, ValidationService};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -33,6 +33,12 @@ fn lake_columns(seed: u64, scale: usize) -> Vec<Column> {
         .columns()
         .cloned()
         .collect()
+}
+
+/// A numeric feed: the automatic chain infers a range from it even over
+/// a lake too small to hold a pattern for it.
+fn amounts(shift: u32) -> Vec<String> {
+    (0..40).map(|i| format!("{}.5", 10 + i + shift)).collect()
 }
 
 fn dates(month: u32) -> Vec<String> {
@@ -127,7 +133,7 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
             })
             .collect();
 
-        // Validators: batch reports must match the pre-storm references.
+        // Validators: reports must match the pre-storm references.
         let validators: Vec<_> = (0..2)
             .map(|_| {
                 let service = Arc::clone(&service);
@@ -138,19 +144,8 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
                     let good = dates(2);
                     let bad: Vec<String> = (0..30).map(|i| format!("user-{i}")).collect();
                     while !storm_over.load(Ordering::Relaxed) {
-                        let items: Vec<BatchItem<'_>> = vec![
-                            BatchItem {
-                                rule: "dates",
-                                values: good.iter().map(String::as_str).collect(),
-                            },
-                            BatchItem {
-                                rule: "dates",
-                                values: bad.iter().map(String::as_str).collect(),
-                            },
-                        ];
-                        let reports = service.validate_batch(&items);
-                        assert_eq!(reports[0].as_ref().unwrap(), reference_ok);
-                        assert_eq!(reports[1].as_ref().unwrap(), reference_bad);
+                        assert_eq!(&service.validate("dates", &good).unwrap(), reference_ok);
+                        assert_eq!(&service.validate("dates", &bad).unwrap(), reference_bad);
                     }
                 })
             })
@@ -226,11 +221,13 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
 }
 
 /// Durable config over fault-injecting in-memory storage: small WAL
-/// segments so the batches rotate the log.
+/// segments so the batches rotate the log, and a pinned rule clock so the
+/// probe run and the crash run log the same bytes.
 fn durable_config(mem: &MemStorage) -> ServiceConfig {
     let mut config = ServiceConfig::durable(PathBuf::from("/data"));
     config.storage = Arc::new(mem.clone());
     config.durability.wal_segment_bytes = 4096;
+    config.rule_clock_unix = Some(1_700_000_000);
     config
 }
 
@@ -270,11 +267,15 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
 
     // Fault-free run measures the storage-op trace. The initial ingest
     // checkpoints on its own (nothing was checkpointed yet, so its log
-    // outweighs the empty image); the batches follow it.
+    // outweighs the empty image), the validators' rule is logged next, and
+    // the batches follow it.
     let probe = MemStorage::new();
     let batches_from = {
         let service = ValidationService::open(durable_config(&probe)).unwrap();
         service.ingest(&initial).unwrap();
+        service
+            .infer_rule("storm/amount", &amounts(0), None)
+            .unwrap();
         let batches_from = probe.ops_executed();
         for batch in &batches {
             service.ingest(batch).unwrap();
@@ -293,13 +294,12 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
     ));
     let service = Arc::new(ValidationService::open(durable_config(&mem)).unwrap());
     service.ingest(&initial).unwrap();
-    // The validation rule is a session-scoped baseline: baselines are
-    // deliberately not write-ahead logged, so validators exercise reads
-    // during the crash without perturbing the durable op trace.
-    service
-        .infer_baseline("storm/dates", "grok", &dates(1))
+    // The validators' rule is logged before the trace point the crash is
+    // placed by, so the crash still falls inside the batch sequence.
+    let rule = service
+        .infer_rule("storm/amount", &amounts(0), None)
         .unwrap();
-    let reference = service.validate("storm/dates", &dates(2)).unwrap();
+    let reference = service.validate("storm/amount", &amounts(1)).unwrap();
 
     let storm_over = Arc::new(AtomicBool::new(false));
     let acked = std::thread::scope(|scope| {
@@ -312,7 +312,7 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
                     while !storm_over.load(Ordering::Relaxed) {
                         // Reads never touch storage: they must keep
                         // succeeding right through the crash.
-                        let report = service.validate("storm/dates", &dates(2)).unwrap();
+                        let report = service.validate("storm/amount", &amounts(1)).unwrap();
                         assert_eq!(&report, reference);
                     }
                 })
@@ -347,6 +347,14 @@ fn killed_mid_ingest_recovers_acknowledged_prefix() {
     assert!(
         k >= acked,
         "{acked} batches acknowledged but recovery holds only {k}"
+    );
+    // The rule acknowledged before the storm is recovered as it was.
+    let recovered_rule = recovered.rule("storm/amount").unwrap();
+    assert_eq!(recovered_rule.rule.to_wire(), rule.rule.to_wire());
+    assert_eq!(recovered_rule.created_unix, rule.created_unix);
+    assert_eq!(
+        recovered.validate("storm/amount", &amounts(1)).unwrap(),
+        reference
     );
 
     // Recovery replays only the log since the last checkpoint, which the

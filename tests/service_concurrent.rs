@@ -1,11 +1,12 @@
 //! Concurrency acceptance tests: N threads hammering one shared engine
-//! must produce exactly the reports a sequential run produces, and
-//! validation must keep working (on consistent snapshots) while ingestion
-//! swaps the live index underneath it.
+//! must produce exactly the reports a sequential run produces, validation
+//! must keep working (on consistent snapshots) while ingestion swaps the
+//! live index underneath it, and the catalog automaton must name exactly
+//! the catalog's rules after any race of writers on one rule name.
 
 use auto_validate::prelude::*;
 use av_corpus::generate_lake;
-use av_service::{BatchItem, ServiceConfig, ServiceError, ValidationService};
+use av_service::{ServiceConfig, ServiceError, ValidationService};
 use std::sync::Arc;
 
 fn lake_columns(seed: u64, scale: usize) -> Vec<Column> {
@@ -31,8 +32,8 @@ fn service_with_rules() -> ValidationService {
     service
 }
 
-/// Deterministic owned workload; borrowed `BatchItem`s are built per use
-/// (the service API is zero-copy and only sees `&str`).
+/// Deterministic owned workload; borrowed items are built per use (the
+/// service API is zero-copy and only sees `&str`).
 fn workload(n: usize) -> Vec<(&'static str, Vec<String>)> {
     (0..n)
         .map(|i| {
@@ -49,27 +50,23 @@ fn workload(n: usize) -> Vec<(&'static str, Vec<String>)> {
         .collect()
 }
 
-fn borrow<'a>(owned: &'a [(&'static str, Vec<String>)]) -> Vec<BatchItem<'a>> {
+/// One column to validate: a rule name and the column's values.
+type Item<'a> = (&'a str, Vec<&'a str>);
+
+fn borrow<'a>(owned: &'a [(&'static str, Vec<String>)]) -> Vec<Item<'a>> {
     owned
         .iter()
-        .map(|(rule, values)| BatchItem {
-            rule,
-            values: values.iter().map(String::as_str).collect(),
-        })
+        .map(|(rule, values)| (*rule, values.iter().map(String::as_str).collect()))
         .collect()
 }
 
 fn run_sequential(
     service: &ValidationService,
-    items: &[BatchItem<'_>],
+    items: &[Item<'_>],
 ) -> Vec<Result<ValidationReport, String>> {
     items
         .iter()
-        .map(|it| {
-            service
-                .validate(it.rule, &it.values)
-                .map_err(|e| e.to_string())
-        })
+        .map(|(rule, values)| service.validate(rule, values).map_err(|e| e.to_string()))
         .collect()
 }
 
@@ -92,10 +89,8 @@ fn threads_sharing_one_engine_match_sequential() {
                     scope.spawn(move || {
                         slice
                             .iter()
-                            .map(|it| {
-                                service
-                                    .validate(it.rule, &it.values)
-                                    .map_err(|e| e.to_string())
+                            .map(|(rule, values)| {
+                                service.validate(rule, values).map_err(|e| e.to_string())
                             })
                             .collect::<Vec<_>>()
                     })
@@ -110,25 +105,6 @@ fn threads_sharing_one_engine_match_sequential() {
         for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
             assert_eq!(got, want, "thread-count {threads}, item {i}");
         }
-    }
-}
-
-/// The built-in worker-pool batch API is also exactly sequential-equivalent
-/// — for a batch small enough that the calling thread validates it alone
-/// (1 200 values) and for one it calls helper threads for (20 000).
-#[test]
-fn worker_pool_batch_matches_sequential() {
-    let service = service_with_rules();
-    for n in [48, 800] {
-        let owned = workload(n);
-        let items = borrow(&owned);
-        let expected = run_sequential(&service, &items);
-        let batched: Vec<Result<ValidationReport, String>> = service
-            .validate_batch(&items)
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect();
-        assert_eq!(batched, expected);
     }
 }
 
@@ -175,9 +151,94 @@ fn unknown_rule_is_an_error_not_a_panic() {
         service.validate("missing", &["x"]),
         Err(ServiceError::UnknownRule(_))
     ));
-    let batch = service.validate_batch(&[BatchItem {
-        rule: "missing",
-        values: vec!["x"],
-    }]);
-    assert!(matches!(&batch[0], Err(ServiceError::UnknownRule(_))));
+    assert!(matches!(
+        service.explain("missing", "x"),
+        Err(ServiceError::UnknownRule(_))
+    ));
+}
+
+/// Rounds of each catalog ≡ automaton race. A round spawns one to three
+/// threads and infers a small rule once per racing thread.
+const RACE_ROUNDS: usize = 2_000;
+
+fn statuses() -> Vec<String> {
+    (0..90)
+        .map(|i| ["OK", "RETRY", "FAIL"][i % 3].to_string())
+        .collect()
+}
+
+/// What `classify` names for `value`, as a sorted list.
+fn classified(service: &ValidationService, value: &str) -> Vec<String> {
+    let mut names = service.classify_value(value).matches;
+    names.sort();
+    names
+}
+
+/// The catalog rules whose `validate` accepts `value`, as a sorted list.
+fn accepting(service: &ValidationService, value: &str) -> Vec<String> {
+    let mut names: Vec<String> = service
+        .catalog_entries()
+        .into_iter()
+        .map(|entry| entry.name)
+        .filter(|name| service.validate(name, &[value]).unwrap().nonconforming == 0)
+        .collect();
+    names.sort();
+    names
+}
+
+/// An `infer_rule` racing a `delete_rule` of the same name: whichever
+/// lands last, the automaton agrees with the catalog about whether the
+/// rule exists. Each round the deleter spins until its delete finds the
+/// rule the inference is writing.
+#[test]
+fn racing_infer_and_delete_leave_the_automaton_equal_to_the_catalog() {
+    let service = service_with_rules();
+    let statuses = statuses();
+    for round in 0..RACE_ROUNDS {
+        std::thread::scope(|scope| {
+            scope.spawn(|| while service.delete_rule("x").is_err() {});
+            service.infer_rule("x", &statuses, None).unwrap();
+        });
+        assert_eq!(
+            service.rule("x").is_ok(),
+            classified(&service, "RETRY").contains(&"x".to_string()),
+            "round {round}: catalog and automaton disagree about \"x\""
+        );
+    }
+}
+
+/// `infer_rule`s racing under one name with different training sets: for
+/// every probe value the automaton names exactly the catalog rules whose
+/// `validate` accepts it — the version of `x` it holds is the one the
+/// catalog holds. The two columns differ only in their separator, so the
+/// inferences cost the same and their writes overlap; four writers on two
+/// cores get preempted between them.
+#[test]
+fn racing_inferences_of_one_name_leave_the_automaton_equal_to_the_catalog() {
+    let service = service_with_rules();
+    let dashed: Vec<String> = (1..=28).map(|d| format!("2022-05-{d:02}")).collect();
+    let slashed: Vec<String> = (1..=28).map(|d| format!("2022/05/{d:02}")).collect();
+    let probes = ["2022-06-01", "2022/06/01", "RETRY", "drift"];
+    let start = std::sync::Barrier::new(4);
+    for round in 0..RACE_ROUNDS {
+        std::thread::scope(|scope| {
+            for train in [&slashed, &dashed, &slashed] {
+                let start = &start;
+                let service = &service;
+                scope.spawn(move || {
+                    start.wait();
+                    service.infer_rule("x", train, None).unwrap();
+                });
+            }
+            start.wait();
+            service.infer_rule("x", &dashed, None).unwrap();
+        });
+        for probe in probes {
+            assert_eq!(
+                classified(&service, probe),
+                accepting(&service, probe),
+                "round {round}, probe {probe:?}"
+            );
+        }
+    }
 }
