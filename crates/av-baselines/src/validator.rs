@@ -93,6 +93,10 @@ impl Validator for InferredRule {
         self.inner.check(value)
     }
 
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        self.inner.tally(values)
+    }
+
     fn finish(&self, tally: Tally) -> Report {
         self.inner.finish(tally)
     }

@@ -1,16 +1,20 @@
 //! Micro-benchmarks for the unified `Validator` API: single-value `check()`
 //! latency and batch `validate_batch` throughput, FMDV-VH vs the grok
 //! baseline, both dispatched statically and through `dyn Validator` (the
-//! service's dispatch mode).
+//! service's dispatch mode). A rule checks on its one-rule automaton; the
+//! `<any>+` rows set that against the backtracking
+//! `CompiledPattern::matches` on the `<any>+`-rich shape FMDV-V / FMDV-VH
+//! infer, where backtracking is at its worst.
 //!
 //! Measured numbers are recorded as the perf trajectory in
 //! `crates/av-bench/PERF.md`.
 
 use av_baselines::{baseline_by_name, InferredRule};
-use av_core::{AutoValidate, FmdvConfig, ValidationRule, Validator, Variant};
+use av_core::{AutoValidate, FmdvConfig, Tally, ValidationRule, Validator, Variant, Verdict};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
 use av_pattern::{matches, parse, CompiledPattern};
+use av_stats::HomogeneityTest;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -28,6 +32,33 @@ fn future_batch() -> Vec<String> {
                 format!("drift-{i}")
             } else {
                 format!("{:02}:{:02}:{:02}", i % 24, (i * 11) % 60, (i * 3) % 60)
+            }
+        })
+        .collect()
+}
+
+/// An `<any>+`-rich FMDV-VH rule shape, built directly.
+fn any_plus_rule() -> ValidationRule {
+    ValidationRule::new(
+        parse("<alnum>+<any>+<alnum>+<any>+<any>+ <alnum>+<any>+<alnum>+").expect("pattern"),
+        0.0,
+        100,
+        0.001,
+        50,
+        HomogeneityTest::FisherExact,
+        0.01,
+    )
+}
+
+/// A 1000-value batch for [`any_plus_rule`]: request lines, ~5% of them
+/// drifted to a form with no space, which every split must try and fail.
+fn any_plus_batch() -> Vec<String> {
+    (0..1000)
+        .map(|i| {
+            if i % 20 == 19 {
+                format!("drift-{i}-node-{}/api-v{}", i % 7, i % 3)
+            } else {
+                format!("host{}.prod/api-v{} GET-{}", i % 50, i % 3, 200 + i % 5)
             }
         })
         .collect()
@@ -70,6 +101,18 @@ fn bench_check_latency(c: &mut Criterion) {
     group.bench_function("FMDV-VH via dyn Validator", |b| {
         b.iter(|| black_box(dyn_fmdv.check(black_box("09:07:32"))))
     });
+    let any_plus = any_plus_rule();
+    for (label, value) in [
+        ("conforming", "host7.prod/api-v2 GET-200"),
+        ("drifted", "drift-19-node-5/api-v1"),
+    ] {
+        group.bench_function(format!("FMDV-VH <any>+ automaton {label}"), |b| {
+            b.iter(|| black_box(any_plus.check(black_box(value))))
+        });
+        group.bench_function(format!("FMDV-VH <any>+ backtracking {label}"), |b| {
+            b.iter(|| black_box(any_plus.compiled().matches(black_box(value))))
+        });
+    }
     group.finish();
 }
 
@@ -86,6 +129,20 @@ fn bench_batch_throughput(c: &mut Criterion) {
     let dyn_fmdv: &dyn Validator = &fmdv;
     group.bench_function("FMDV-VH via dyn Validator", |b| {
         b.iter(|| black_box((&dyn_fmdv).validate_batch(batch.iter().map(String::as_str))))
+    });
+    let any_plus = any_plus_rule();
+    let any_plus_batch = any_plus_batch();
+    group.bench_function("FMDV-VH <any>+ automaton", |b| {
+        b.iter(|| black_box(any_plus.validate_batch(any_plus_batch.iter().map(String::as_str))))
+    });
+    group.bench_function("FMDV-VH <any>+ backtracking", |b| {
+        b.iter(|| {
+            let mut tally = Tally::default();
+            for v in &any_plus_batch {
+                tally.record(Verdict::conforming(any_plus.compiled().matches(v)));
+            }
+            black_box(any_plus.finish(tally))
+        })
     });
     group.finish();
 }

@@ -5,15 +5,18 @@
 //! each baseline in `av-baselines` — validates through one trait:
 //!
 //! * [`Validator::check`] judges a single borrowed `&str`;
+//! * [`Validator::tally`] counts a column's verdicts in one call, so a
+//!   rule whose check needs a lock takes it once per column;
 //! * [`Validator::validate_batch`] consumes any `&str` iterator and returns
 //!   a [`Report`], allocating nothing per value;
 //! * [`ValidationSession`] is the streaming form: feed values one at a time
 //!   in O(1) memory, then [`ValidationSession::finish`] produces a report
 //!   **bit-identical** to batch validation of the same values.
 //!
-//! The bit-identity is by construction, not by convention: `validate_batch`
-//! *is* a session driven by a loop, and [`Validator::finish`] is required
-//! to be a pure function of the final [`Tally`] plus the validator's frozen
+//! The bit-identity is by construction, not by convention: a
+//! [`Validator::tally`] must count exactly the verdicts
+//! [`Validator::check`] gives, and [`Validator::finish`] is required to be
+//! a pure function of the final [`Tally`] plus the validator's frozen
 //! training state.
 //!
 //! [`AutoValidateBuilder`] is the fluent entry point: it sets the index's
@@ -130,8 +133,8 @@ impl Explanation {
 /// A learned validation rule, usable one value at a time or over batches.
 ///
 /// Object-safe core: [`Validator::describe`], [`Validator::check`],
-/// [`Validator::explain`] and [`Validator::finish`] make up the vtable, so
-/// heterogeneous rules
+/// [`Validator::tally`], [`Validator::explain`] and [`Validator::finish`]
+/// make up the vtable, so heterogeneous rules
 /// dispatch behind `Box<dyn Validator>` / `Arc<dyn Validator>` (the trait
 /// requires `Send + Sync`, so boxed validators cross threads freely). The
 /// provided [`Validator::validate_batch`] and [`Validator::session`] build
@@ -142,6 +145,19 @@ pub trait Validator: Send + Sync {
 
     /// Check a single borrowed value.
     fn check(&self, value: &str) -> Verdict;
+
+    /// Check every value of a column and count the verdicts.
+    ///
+    /// The default calls [`Validator::check`] per value. A validator whose
+    /// check takes a lock overrides it to take the lock once per column;
+    /// an override must count exactly the verdicts `check` gives.
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        let mut tally = Tally::default();
+        for value in values {
+            tally.record(self.check(value));
+        }
+        tally
+    }
 
     /// Explain why `value` does not conform.
     ///
@@ -163,20 +179,14 @@ pub trait Validator: Send + Sync {
     /// bit-identical to [`Validator::validate_batch`] over the same values.
     fn finish(&self, tally: Tally) -> Report;
 
-    /// Validate a batch of borrowed values.
-    ///
-    /// Implemented as a [`ValidationSession`] driven by a loop, so batch and
-    /// streaming cannot diverge.
+    /// Validate a batch of borrowed values: one [`Validator::tally`], then
+    /// [`Validator::finish`], so batch and streaming cannot diverge.
     fn validate_batch<'a, I>(&self, values: I) -> Report
     where
         Self: Sized,
         I: IntoIterator<Item = &'a str>,
     {
-        let mut session = ValidationSession::new(self);
-        for value in values {
-            session.push(value);
-        }
-        session.finish()
+        self.finish(self.tally(&mut values.into_iter()))
     }
 
     /// Start a streaming validation session borrowing this validator.
@@ -195,6 +205,9 @@ impl<V: Validator + ?Sized> Validator for &V {
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
     }
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        (**self).tally(values)
+    }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
     }
@@ -210,6 +223,9 @@ impl<V: Validator + ?Sized> Validator for Box<V> {
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
     }
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        (**self).tally(values)
+    }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
     }
@@ -224,6 +240,9 @@ impl<V: Validator + ?Sized> Validator for std::sync::Arc<V> {
     }
     fn check(&self, value: &str) -> Verdict {
         (**self).check(value)
+    }
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        (**self).tally(values)
     }
     fn explain(&self, value: &str) -> Option<Explanation> {
         (**self).explain(value)
@@ -292,11 +311,11 @@ impl<'v, V: Validator + ?Sized> ValidationSession<'v, V> {
         verdict
     }
 
-    /// Feed many values.
+    /// Feed many values in one [`Validator::tally`].
     pub fn extend<'a, I: IntoIterator<Item = &'a str>>(&mut self, values: I) {
-        for value in values {
-            self.push(value);
-        }
+        let tally = self.validator.tally(&mut values.into_iter());
+        self.tally.checked += tally.checked;
+        self.tally.nonconforming += tally.nonconforming;
     }
 
     /// Counters so far.

@@ -11,7 +11,7 @@
 //! `classify` op, auto-tagging, and the nearest-rule suggestion in
 //! `explain`.
 
-use crate::{nearest_conforming_rule, AnyRule};
+use crate::{nearest_rule, AnyRule};
 use av_match::{CatalogMatcher, Prefilter};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,7 +166,9 @@ impl RuleSet {
     /// accept), so ranking by [`crate::program_distance`] over that
     /// shortlist returns the same suggestion as the O(catalog) loop over
     /// all rules — property the service's explain tests pin down. The
-    /// excluded (failing) rule itself never wins.
+    /// shortlist is not re-checked, so no rule's own automaton is touched
+    /// under the caller's lock. The excluded (failing) rule itself never
+    /// wins.
     pub fn nearest_conforming(
         &mut self,
         value: &str,
@@ -185,7 +187,7 @@ impl RuleSet {
             .filter_map(|&id| entries[id as usize].as_ref())
             .filter(|e| e.name != exclude)
             .map(|e| (e.name.as_str(), e.rule.as_ref()));
-        nearest_conforming_rule(value, from, candidates).map(|(name, d)| (name.to_string(), d))
+        nearest_rule(from, candidates).map(|(name, d)| (name.to_string(), d))
     }
 }
 

@@ -104,6 +104,9 @@ impl AnyRule {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
+        if let AnyRule::Pattern(r) = self {
+            return r.validate(values);
+        }
         let mut session = ValidationSession::new(self);
         for v in values {
             session.push(v.as_ref());
@@ -159,11 +162,22 @@ pub fn nearest_conforming_rule<'a, I>(
 where
     I: IntoIterator<Item = (&'a str, &'a AnyRule)>,
 {
+    nearest_rule(
+        from,
+        candidates
+            .into_iter()
+            .filter(|(_, rule)| rule.conforms(value)),
+    )
+}
+
+/// The candidate nearest `from` by [`program_distance`], ties broken on
+/// the smaller name: [`nearest_conforming_rule`] once conformance is known.
+pub(crate) fn nearest_rule<'a>(
+    from: &AnyRule,
+    candidates: impl IntoIterator<Item = (&'a str, &'a AnyRule)>,
+) -> Option<(&'a str, usize)> {
     let mut best: Option<(&str, usize)> = None;
     for (name, rule) in candidates {
-        if !rule.conforms(value) {
-            continue;
-        }
         let d = program_distance(from, rule);
         let better = match best {
             None => true,
@@ -186,6 +200,14 @@ impl Validator for AnyRule {
             AnyRule::Pattern(r) => r.check(value),
             AnyRule::Numeric(r) => r.check(value),
             AnyRule::Dictionary(r) => r.check(value),
+        }
+    }
+
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        match self {
+            AnyRule::Pattern(r) => r.tally(values),
+            AnyRule::Numeric(r) => r.tally(values),
+            AnyRule::Dictionary(r) => r.tally(values),
         }
     }
 
@@ -260,11 +282,11 @@ impl<'a> AutoValidate<'a> {
         };
         let Candidate { pattern, fpr, cov } = infer_pattern(self.index, cfg, train, theta, search)?;
         // Building the rule compiles the pattern; the exact training-time
-        // non-conforming fraction θ_C(h) (§4) is then counted through the
-        // compiled program rather than the reference matcher.
+        // non-conforming fraction θ_C(h) (§4) is then counted by the
+        // automaton validation runs, not the reference matcher.
         let mut rule =
             ValidationRule::new(pattern, 0.0, train.len(), fpr, cov, cfg.test, config::ALPHA);
-        let miss = train.iter().filter(|v| !rule.conforms(v.as_ref())).count();
+        let miss = rule.count_misses(train);
         rule.train_nonconforming = miss as f64 / train.len() as f64;
         Ok(rule)
     }

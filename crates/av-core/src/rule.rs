@@ -1,8 +1,10 @@
 //! Validation rules and the test-time distributional check (§4).
 
-use crate::api::{Explanation, Tally, ValidationSession, Validator, Verdict};
+use crate::api::{Explanation, Tally, Validator, Verdict};
+use av_match::{CatalogMatcher, MatcherConfig};
 use av_pattern::{CompiledPattern, Pattern};
 use av_stats::{HomogeneityTest, Table2x2};
+use std::sync::Mutex;
 
 /// The §4 two-sample conclusion shared by every distributional rule kind
 /// (pattern, dictionary, numeric): compare the streamed non-conforming
@@ -44,9 +46,12 @@ pub(crate) fn distributional_report(
 /// non-conforming rate and the statistical test configuration.
 ///
 /// Construct with [`ValidationRule::new`], which lowers the pattern into a
-/// [`CompiledPattern`] once — every later [`ValidationRule::conforms`] /
-/// [`Validator::check`] call runs the compiled byte-level program with no
-/// per-call allocation.
+/// [`CompiledPattern`] once. Checks ([`ValidationRule::conforms`],
+/// [`Validator::check`], [`Validator::tally`] and so every validation)
+/// run the rule's own automaton: `av-match`'s lazy DFA over this one
+/// program, built on first use, one table load per byte of the value
+/// whatever the pattern. [`Validator::explain`] runs the compiled
+/// program's backtracking recorder, which reports where a value failed.
 #[derive(Debug, Clone)]
 pub struct ValidationRule {
     /// The data-domain pattern `h` chosen by FMDV. Private so it can never
@@ -69,6 +74,71 @@ pub struct ValidationRule {
     /// The pattern lowered to a byte-matching program, cached at
     /// construction.
     compiled: CompiledPattern,
+    /// The automaton every check runs, built from `compiled` on first use.
+    automaton: RuleAutomaton,
+}
+
+/// A rule's one-rule [`CatalogMatcher`], behind a lock that a column takes
+/// once. Empty until the rule is first checked, so a rule that is stored
+/// but never validated costs one pointer; a clone starts empty.
+///
+/// The lock is a leaf of the service's lock hierarchy (`matcher`, rank
+/// 90): taken under the catalog's read lock, and nothing is acquired while
+/// it is held.
+#[derive(Default)]
+struct RuleAutomaton {
+    matcher: Mutex<Option<Box<CatalogMatcher>>>,
+}
+
+impl RuleAutomaton {
+    /// Run `f` on the automaton under its lock, building it from
+    /// `program` first if this is the rule's first check.
+    fn with<R>(&self, program: &CompiledPattern, f: impl FnOnce(&mut CatalogMatcher) -> R) -> R {
+        let mut slot = self.matcher.lock().unwrap_or_else(|poisoned| {
+            // A scan that panicked may have left the cache half-written.
+            self.matcher.clear_poison();
+            let mut slot = poisoned.into_inner();
+            *slot = None;
+            slot
+        });
+        f(slot.get_or_insert_with(|| Box::new(one_rule_matcher(program))))
+    }
+}
+
+impl Clone for RuleAutomaton {
+    fn clone(&self) -> RuleAutomaton {
+        RuleAutomaton::default()
+    }
+}
+
+impl std::fmt::Debug for RuleAutomaton {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RuleAutomaton").finish_non_exhaustive()
+    }
+}
+
+/// DFA states a rule's automaton may cache (a 1 KiB table row each)
+/// before a value finishes on NFA simulation — still one pass. The rules of
+/// a `validate_feeds` ledger run hold at most 42.
+const RULE_DFA_STATES: usize = 256;
+
+/// A matcher holding `program` alone (as rule 0).
+fn one_rule_matcher(program: &CompiledPattern) -> CatalogMatcher {
+    let mut matcher = CatalogMatcher::with_config(MatcherConfig::with_budget(RULE_DFA_STATES));
+    matcher.insert(0, program);
+    matcher
+}
+
+/// Count `values`' verdicts on `matcher`.
+fn count<S: AsRef<str>>(
+    matcher: &mut CatalogMatcher,
+    values: impl IntoIterator<Item = S>,
+) -> Tally {
+    let mut tally = Tally::default();
+    for value in values {
+        tally.record(Verdict::conforming(matcher.is_match(value.as_ref())));
+    }
+    tally
 }
 
 /// Outcome of validating a future column `C'` against a rule.
@@ -109,12 +179,21 @@ impl ValidationRule {
             test,
             alpha,
             compiled,
+            automaton: RuleAutomaton::default(),
         }
     }
 
     /// Does a single value conform to the rule's pattern?
     pub fn conforms(&self, value: &str) -> bool {
-        self.compiled.matches(value)
+        self.automaton
+            .with(&self.compiled, |matcher| matcher.is_match(value))
+    }
+
+    /// How many of `values` the rule rejects, counted on a throwaway
+    /// automaton: inference's pass over the training column leaves the
+    /// rule's own automaton unbuilt.
+    pub(crate) fn count_misses<S: AsRef<str>>(&self, values: &[S]) -> usize {
+        count(&mut one_rule_matcher(&self.compiled), values).nonconforming
     }
 
     /// The data-domain pattern `h` this rule validates with.
@@ -122,7 +201,8 @@ impl ValidationRule {
         &self.pattern
     }
 
-    /// The compiled matching program backing this rule.
+    /// The compiled matching program the rule's automaton is built from,
+    /// and whose backtracking recorder explains a failed value.
     pub fn compiled(&self) -> &CompiledPattern {
         &self.compiled
     }
@@ -134,18 +214,17 @@ impl ValidationRule {
     ///
     /// Takes any iterator of borrowed (or `AsRef<str>`) values — a
     /// `&Vec<String>`, a `&[&str]`, or a stream being decoded on the fly —
-    /// and never materializes them: this is a [`ValidationSession`] driven
-    /// by a loop.
+    /// and never materializes them. The automaton's lock is taken once for
+    /// the whole column.
     pub fn validate<I>(&self, values: I) -> ValidationReport
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let mut session = ValidationSession::new(self);
-        for v in values {
-            session.push(v.as_ref());
-        }
-        session.finish()
+        let tally = self
+            .automaton
+            .with(&self.compiled, |matcher| count(matcher, values));
+        self.finish(tally)
     }
 
     /// Export the rule as a standard regex (usable outside this crate).
@@ -161,6 +240,11 @@ impl Validator for ValidationRule {
 
     fn check(&self, value: &str) -> Verdict {
         Verdict::conforming(self.conforms(value))
+    }
+
+    fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
+        self.automaton
+            .with(&self.compiled, |matcher| count(matcher, values))
     }
 
     fn explain(&self, value: &str) -> Option<Explanation> {

@@ -46,11 +46,16 @@ pub(crate) const LOCK_HIERARCHY: &[LockEntry] = &[
         name: "catalog",
         rank: 70,
     },
-    // av-service ValidationService.classifier: the catalog automaton;
-    // always innermost.
+    // av-service ValidationService.classifier: the catalog automaton.
     LockEntry {
         name: "classifier",
         rank: 80,
+    },
+    // av-core ValidationRule's one-rule automaton: a leaf, taken under the
+    // catalog read lock; nothing acquired while held.
+    LockEntry {
+        name: "matcher",
+        rank: 90,
     },
 ];
 

@@ -337,6 +337,24 @@ mod tests {
     }
 
     #[test]
+    fn rule_automaton_is_a_leaf() {
+        assert!(findings(
+            r#"fn good(&self) {
+                let (_r, catalog) = (rank_guard(70), self.catalog.read().expect("p"));
+                let slot = self.matcher.lock().expect("p");
+            }"#,
+        )
+        .is_empty());
+        let out = findings(
+            r#"fn bad(&self) {
+                let slot = self.matcher.lock().expect("p");
+                let c = self.classifier.lock().expect("p");
+            }"#,
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+    }
+
+    #[test]
     fn untracked_receivers_are_ignored() {
         assert!(findings(
             r#"fn good(&self) {

@@ -1,17 +1,18 @@
 //! # av-match — one byte-level NFA for catalog rules and regexes
 //!
 //! Two front-ends lower onto the same automaton and the same simulation:
-//! [`CatalogMatcher`] classifies a value against every pattern rule of a
-//! catalog at once, and [`Regex`] is the regex engine of the baselines.
+//! [`CatalogMatcher`] matches a value against every pattern rule it holds
+//! at once, and [`Regex`] is the regex engine of the baselines.
 //!
 //! ## Catalog-wide multi-pattern classification
 //!
-//! The service validates one value against one rule in nanoseconds, but
-//! the data-routing workloads the paper's production deployment describes
-//! — tagging, routing, nearest-rule explanation — ask the opposite
-//! question: *which of all N catalog rules match this value?* Running N
-//! compiled programs per value makes that O(catalog). This crate answers
-//! it in **one scan of the value**, independent of catalog size:
+//! Validation asks whether one value conforms to one rule; the
+//! data-routing workloads the paper's production deployment describes —
+//! tagging, routing, nearest-rule explanation — ask the opposite question:
+//! *which of all N catalog rules match this value?* Running N compiled
+//! programs per value makes that O(catalog). This crate answers both in
+//! **one scan of the value**, independent of catalog size and of how the
+//! pattern branches:
 //!
 //! 1. every pattern rule's fused instruction program
 //!    ([`av_pattern::CompiledPattern::instructions`]) is translated into a
@@ -19,8 +20,9 @@
 //!    tagged with the rule id;
 //! 2. classification runs a **lazily determinized DFA** over the union —
 //!    each cached DFA state is a set of NFA states, transitions
-//!    materialize on first use, and the hot path is one table lookup per
-//!    input byte;
+//!    materialize on first use into one flat `u32` table indexed
+//!    `state * 256 + byte`, and the hot path is one table load per input
+//!    byte;
 //! 3. the DFA cache is **bounded** ([`MatcherConfig::with_budget`]):
 //!    past the budget, the current value finishes on direct NFA
 //!    simulation and the least-recently-used half of the cache is
@@ -31,6 +33,12 @@
 //!    [`Prefilter`] (length bounds, first-byte set) gates an arbitrary
 //!    membership check, keeping [`CatalogMatcher::classify`] total over a
 //!    heterogeneous catalog.
+//!
+//! [`CatalogMatcher::is_match`] is the boolean scan: it stops at the dead
+//! state and builds no id list. A matcher holding one rule is how
+//! `av-core`'s `ValidationRule` checks values — a served `validate` and
+//! `classify` both run this automaton; `explain` runs the compiled
+//! program's backtracking recorder, which names the failing span.
 //!
 //! Maintenance is **incremental** (after Berkholz et al., *FO+MOD queries
 //! under updates*): the automaton is anchored, so the only DFA state that

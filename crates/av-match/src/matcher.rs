@@ -1,15 +1,25 @@
-//! [`CatalogMatcher`]: the catalog-wide classifier.
+//! [`CatalogMatcher`]: the catalog-wide classifier, and the one-rule
+//! automaton a pattern rule validates with.
 //!
-//! Pattern rules live in one NFA union ([`crate::nfa`]); classification
-//! runs a **lazily determinized DFA** over it. DFA states are keyed by
-//! their sorted NFA state-set and cached; the hot path is one table lookup
-//! per input byte. The cache is bounded (4096 states, or
-//! [`MatcherConfig::with_budget`]): when a value would need a state
-//! beyond the budget, the rest of that value is finished by direct NFA
-//! simulation (correct, just slower) and the least-recently-used half of
-//! the cache is evicted afterwards so determinization can resume. A
-//! pathological catalog therefore degrades to NFA-simulation costs
-//! instead of exploding memory.
+//! Pattern rules live in one NFA union ([`crate::nfa`]); matching runs a
+//! **lazily determinized DFA** over it. DFA states are keyed by their
+//! sorted NFA state-set and cached; every state's transitions are one row
+//! of a flat `u32` table indexed `state * 256 + byte`, so the hot path is
+//! one table load per input byte, with no per-byte bookkeeping. The cache
+//! is bounded (4096 states, or [`MatcherConfig::with_budget`]): when a
+//! value would need a state beyond the budget, the rest of that value is
+//! finished by direct NFA simulation (correct, just slower) and the
+//! least-recently-used half of the cache is evicted afterwards so
+//! determinization can resume. Recency is stamped per value (its start and
+//! final states) and per materialized transition, never per byte. A
+//! pathological catalog therefore degrades to NFA-simulation costs instead
+//! of exploding memory.
+//!
+//! [`CatalogMatcher::classify`] names every accepting rule;
+//! [`CatalogMatcher::is_match`] only asks whether one accepts, so it stops
+//! at the dead state and builds no id list. A matcher holding a single
+//! rule is that rule's validator: one pass over the value, whatever the
+//! pattern — where backtracking over `<any>+` runs is quadratic or worse.
 //!
 //! Updates are incremental, in the spirit of the dynamic-evaluation
 //! literature (Berkholz et al., *FO+MOD queries under updates*): because
@@ -38,8 +48,9 @@ const DEAD: u32 = u32::MAX - 1;
 /// of machine-data rules.
 const MAX_DFA_STATES: usize = 4096;
 
-/// The DFA budget of a [`CatalogMatcher`]: a test seam that starves the
-/// cache to drive the NFA fallback ([`CatalogMatcher::new`] uses 4096).
+/// The DFA budget of a [`CatalogMatcher`] ([`CatalogMatcher::new`] uses
+/// 4096 states). A rule's one-rule automaton takes a smaller one, and tests
+/// starve the cache to drive the NFA fallback.
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
     max_dfa_states: usize,
@@ -140,21 +151,27 @@ impl std::fmt::Debug for Residual {
     }
 }
 
-/// One cached (determinized) DFA state.
+/// Transitions per DFA state: one per byte value.
+const STRIDE: usize = 256;
+
+/// One cached (determinized) DFA state; its transitions are its row of
+/// [`DfaCache::trans`].
 #[derive(Debug)]
 struct DfaState {
     /// Sorted NFA state-set this DFA state denotes — its identity.
     key: Box<[u32]>,
-    /// Per-byte successor: a slot id, [`UNKNOWN`], or [`DEAD`].
-    trans: Box<[u32; 256]>,
     /// Sorted rule ids accepting in this state.
     accepts: Box<[u32]>,
-    /// LRU clock value of the last visit.
+    /// LRU clock value of the last stamp (see [`DfaCache::touch`]).
     last_used: u64,
 }
 
 #[derive(Debug, Default)]
 struct DfaCache {
+    /// Every slot's transitions, [`STRIDE`] per slot: `trans[slot * 256 +
+    /// byte]` is the successor slot, [`UNKNOWN`], or [`DEAD`]. A freed
+    /// slot keeps its row until the slot is reused.
+    trans: Vec<u32>,
     slots: Vec<Option<DfaState>>,
     free: Vec<u32>,
     by_key: HashMap<Box<[u32]>, u32>,
@@ -170,6 +187,7 @@ impl DfaCache {
     }
 
     fn clear(&mut self) {
+        self.trans.clear();
         self.slots.clear();
         self.free.clear();
         self.by_key.clear();
@@ -181,9 +199,20 @@ impl DfaCache {
         self.slots[sid as usize].as_ref().expect("live DFA slot")
     }
 
+    /// Index of the transition `sid --b-->` in [`DfaCache::trans`].
     #[inline]
-    fn state_mut(&mut self, sid: u32) -> &mut DfaState {
-        self.slots[sid as usize].as_mut().expect("live DFA slot")
+    fn edge(sid: u32, b: u8) -> usize {
+        sid as usize * STRIDE + b as usize
+    }
+
+    /// Stamp `sid` as used now. Called per value and per materialized
+    /// transition, not per byte: the scan loop only reads the table.
+    fn touch(&mut self, sid: u32) {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(state) = self.slots[sid as usize].as_mut() {
+            state.last_used = tick;
+        }
     }
 
     fn evict_slot(&mut self, sid: u32) {
@@ -198,14 +227,23 @@ impl DfaCache {
 
     /// Null out transitions into evicted slots (`gone[slot]` true).
     fn sweep_transitions(&mut self, gone: &[bool]) {
-        for slot in self.slots.iter_mut().flatten() {
-            for t in slot.trans.iter_mut() {
-                if *t < gone.len() as u32 && gone[*t as usize] {
-                    *t = UNKNOWN;
-                }
+        for t in &mut self.trans {
+            if *t < gone.len() as u32 && gone[*t as usize] {
+                *t = UNKNOWN;
             }
         }
     }
+}
+
+/// Where a value's walk through the DFA ended.
+enum Walk {
+    /// Every byte stepped inside the cache; the value ends in this state.
+    End(u32),
+    /// No rule can accept the value any more.
+    Dead,
+    /// The DFA budget ran out with the bytes from `at` still to read,
+    /// in the state whose NFA set is `seed`.
+    Budget { seed: Vec<u32>, at: usize },
 }
 
 /// A catalog-wide multi-pattern matcher: classify a value against every
@@ -232,6 +270,7 @@ impl DfaCache {
 /// assert_eq!(m.classify("hello"), vec![1, 2]);
 /// assert_eq!(m.classify("ab"), vec![1]);
 /// assert!(m.classify("???").is_empty());
+/// assert!(m.is_match("hello") && !m.is_match("???"));
 /// ```
 #[derive(Debug)]
 pub struct CatalogMatcher {
@@ -422,38 +461,87 @@ impl CatalogMatcher {
         }
     }
 
+    /// Does any rule accept `value`? The scan of
+    /// [`CatalogMatcher::classify`] without the id list: it stops at the
+    /// dead state, and a residual is checked only while no rule has
+    /// accepted. On a one-rule matcher this is that rule's verdict.
+    pub fn is_match(&mut self, value: &str) -> bool {
+        let hit = !self.fragments.is_empty()
+            && match self.walk(value.as_bytes()) {
+                Walk::End(sid) => !self.dfa.state(sid).accepts.is_empty(),
+                Walk::Dead => false,
+                Walk::Budget { seed, at } => {
+                    self.fallbacks += 1;
+                    let live = self
+                        .nfa
+                        .run(&seed, &value.as_bytes()[at..], &mut self.scratch);
+                    self.nfa.accepts_any(live)
+                }
+            };
+        let hit = hit
+            || self
+                .residuals
+                .values()
+                .any(|res| res.prefilter.admits(value) && (res.check)(value));
+        if self.pending_evict {
+            self.evict_lru_half();
+        }
+        hit
+    }
+
     /// DFA scan over the pattern union; pushes accepted rule ids.
     fn scan(&mut self, value: &str, out: &mut Vec<u32>) {
-        let bytes = value.as_bytes();
+        match self.walk(value.as_bytes()) {
+            Walk::End(sid) => out.extend_from_slice(&self.dfa.state(sid).accepts),
+            Walk::Dead => {}
+            Walk::Budget { seed, at } => self.nfa_finish(&value.as_bytes()[at..], &seed, out),
+        }
+    }
+
+    /// Walk `bytes` through the DFA from the start state, materializing
+    /// transitions on first use. The inner loop is one table load and one
+    /// compare per byte; it leaves only for a transition not yet computed.
+    fn walk(&mut self, bytes: &[u8]) -> Walk {
         let Some(mut sid) = self.ensure_start() else {
-            let seed = self.start_key.clone();
-            self.nfa_finish(bytes, &seed, out);
-            return;
+            return Walk::Budget {
+                seed: self.start_key.clone(),
+                at: 0,
+            };
         };
-        for (i, &b) in bytes.iter().enumerate() {
-            let next = self.dfa.state(sid).trans[b as usize];
-            let next = if next == UNKNOWN {
-                match self.extend(sid, b) {
-                    Some(n) => n,
-                    None => {
-                        // Budget exhausted: finish this value on the NFA.
-                        let seed: Vec<u32> = self.dfa.state(sid).key.to_vec();
-                        self.nfa_finish(&bytes[i..], &seed, out);
-                        return;
+        self.dfa.touch(sid);
+        let mut at = 0;
+        loop {
+            let trans = &self.dfa.trans;
+            let mut next = sid;
+            while let Some(&b) = bytes.get(at) {
+                next = trans[DfaCache::edge(sid, b)];
+                if next >= DEAD {
+                    break;
+                }
+                sid = next;
+                at += 1;
+            }
+            if at == bytes.len() {
+                self.dfa.touch(sid);
+                return Walk::End(sid);
+            }
+            if next == DEAD {
+                return Walk::Dead;
+            }
+            match self.extend(sid, bytes[at]) {
+                Some(DEAD) => return Walk::Dead,
+                Some(n) => {
+                    sid = n;
+                    at += 1;
+                }
+                None => {
+                    return Walk::Budget {
+                        seed: self.dfa.state(sid).key.to_vec(),
+                        at,
                     }
                 }
-            } else {
-                next
-            };
-            if next == DEAD {
-                return;
             }
-            sid = next;
-            self.dfa.tick += 1;
-            let tick = self.dfa.tick;
-            self.dfa.state_mut(sid).last_used = tick;
         }
-        out.extend_from_slice(&self.dfa.state(sid).accepts);
     }
 
     /// Materialize the start state; `None` when even that exceeds budget.
@@ -467,9 +555,11 @@ impl CatalogMatcher {
         Some(sid)
     }
 
-    /// Compute and cache the transition `sid --b-->`; `None` when a new
-    /// state is needed but the budget is exhausted.
+    /// Compute and cache the transition `sid --b-->`, stamping `sid` as
+    /// used; `None` when a new state is needed but the budget is
+    /// exhausted.
     fn extend(&mut self, sid: u32, b: u8) -> Option<u32> {
+        self.dfa.touch(sid);
         let CatalogMatcher {
             nfa, dfa, scratch, ..
         } = self;
@@ -483,7 +573,7 @@ impl CatalogMatcher {
             key.sort_unstable();
             self.intern_state(key.into_boxed_slice())?
         };
-        self.dfa.state_mut(sid).trans[b as usize] = next;
+        self.dfa.trans[DfaCache::edge(sid, b)] = next;
         Some(next)
     }
 
@@ -503,17 +593,19 @@ impl CatalogMatcher {
         self.dfa.tick += 1;
         let state = DfaState {
             key: key.clone(),
-            trans: Box::new([UNKNOWN; 256]),
             accepts: accepts.into_boxed_slice(),
             last_used: self.dfa.tick,
         };
         let sid = match self.dfa.free.pop() {
             Some(sid) => {
                 self.dfa.slots[sid as usize] = Some(state);
+                let row = DfaCache::edge(sid, 0);
+                self.dfa.trans[row..row + STRIDE].fill(UNKNOWN);
                 sid
             }
             None => {
                 self.dfa.slots.push(Some(state));
+                self.dfa.trans.extend([UNKNOWN; STRIDE]);
                 (self.dfa.slots.len() - 1) as u32
             }
         };
@@ -650,6 +742,9 @@ mod tests {
         assert!(m.classify("cow").is_empty());
         assert!(m.classify("ant").is_empty(), "prefilter rejects first byte");
         assert_eq!(m.classify("42"), vec![0]);
+        for (v, want) in [("cat", true), ("42", true), ("cow", false), ("", false)] {
+            assert_eq!(m.is_match(v), want, "{v:?}");
+        }
     }
 
     #[test]

@@ -445,6 +445,12 @@ impl Nfa {
         }
     }
 
+    /// Does `key` hold any accept state?
+    pub(crate) fn accepts_any(&self, key: &[u32]) -> bool {
+        key.iter()
+            .any(|&sid| matches!(self.states[sid as usize], NState::Accept { .. }))
+    }
+
     /// Rebuild the arena with only the given fragments, in iteration
     /// order, shifting each fragment's internal pointers by its new
     /// offset. Returns the remapped fragments. Callers must flush any

@@ -2,7 +2,10 @@
 //! rule's [`CompiledPattern`] individually. On arbitrary catalogs ×
 //! arbitrary values (including multi-byte unicode) the one-scan match-set
 //! must equal the N-programs loop, under any DFA budget, and after any
-//! sequence of incremental inserts/removes.
+//! sequence of incremental inserts/removes. The boolean scan
+//! ([`CatalogMatcher::is_match`]) is held to the same loop: on the whole
+//! catalog, and on a one-rule matcher per program — the automaton a
+//! pattern rule validates with.
 
 use av_match::{CatalogMatcher, MatcherConfig};
 use av_pattern::{CompiledPattern, Pattern, Token};
@@ -127,6 +130,57 @@ proptest! {
                 "incremental matcher diverged from fresh build on {:?}",
                 &value
             );
+        }
+    }
+
+    /// The boolean scan ≡ "some program accepts", under every DFA budget:
+    /// starved (every value leaves the cache for the NFA), small (states
+    /// are evicted between values) and the default. One-rule matchers
+    /// stay warm across the values, as a validated rule's automaton does.
+    #[test]
+    fn boolean_scan_equals_any_program_under_every_budget(
+        programs in proptest::collection::vec(arbitrary_program(), 1..8),
+        values in proptest::collection::vec(probe_value(), 1..8),
+    ) {
+        for budget in [Some(1), Some(2), Some(3), Some(8), None] {
+            let config = |budget: Option<usize>| match budget {
+                Some(states) => CatalogMatcher::with_config(MatcherConfig::with_budget(states)),
+                None => CatalogMatcher::new(),
+            };
+            let mut union = config(budget);
+            let mut singles: Vec<CatalogMatcher> = programs
+                .iter()
+                .map(|p| {
+                    let mut m = config(budget);
+                    m.insert(0, p);
+                    m
+                })
+                .collect();
+            for (i, p) in programs.iter().enumerate() {
+                union.insert(i as u32, p);
+            }
+            for v in &values {
+                prop_assert_eq!(
+                    union.is_match(v),
+                    !oracle_set(&programs, v).is_empty(),
+                    "budget {:?}, catalog of {} rules, value {:?}",
+                    budget,
+                    programs.len(),
+                    v
+                );
+                for (p, single) in programs.iter().zip(&mut singles) {
+                    prop_assert_eq!(
+                        single.is_match(v),
+                        p.matches(v),
+                        "budget {:?}, one-rule matcher, value {:?}",
+                        budget,
+                        v
+                    );
+                }
+            }
+            if let Some(states) = budget {
+                prop_assert!(union.stats().dfa_states <= states, "budget respected");
+            }
         }
     }
 }

@@ -7,8 +7,13 @@
 //! value into a `Vec<char>`, allocates a fresh memo table, and recurses one
 //! Rust stack frame per token.
 //!
-//! [`CompiledPattern`] is the production matcher. A [`crate::Pattern`] is
-//! *lowered once* into a flat instruction program:
+//! [`CompiledPattern`] is the program every engine is built from. A
+//! [`crate::Pattern`] is *lowered once* into a flat instruction program,
+//! which `av-match` translates into its byte-level NFA — the automaton a
+//! served `validate` and `classify` run, one pass per value whatever the
+//! pattern. The program's own backtracking search is what `explain` runs:
+//! its furthest-reach recorder names the failing span and the expected
+//! token, which an automaton's verdict does not carry. Its shape:
 //!
 //! * adjacent same-class tokens are **fused** — `<digit>{2}<digit>{4}`
 //!   becomes one bounded 6-char scan, `<digit>{2}<digit>+` one "6-or-more"

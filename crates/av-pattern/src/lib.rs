@@ -15,8 +15,9 @@
 //! * [`CompiledPattern`] — patterns lowered once into flat byte-level
 //!   matching programs (fused scans, pre-encoded literals, explicit-stack
 //!   backtracking) whose steady-state [`CompiledPattern::matches`] calls
-//!   allocate nothing — the matcher every hot validation path in the
-//!   workspace runs on;
+//!   allocate nothing. `av-match` builds its automaton — what a rule's
+//!   checks run — from these programs; the backtracking search stays the
+//!   reference it is tested against and the recorder behind `explain`;
 //! * [`analyze_column`] / [`hypothesis_space`] / [`patterns_of_value`] —
 //!   Algorithm 1: coarse grouping plus per-position drill-down, producing
 //!   `P(v)`, `P(D)` and `H(C)`;

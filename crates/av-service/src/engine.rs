@@ -607,14 +607,17 @@ impl ValidationService {
     }
 
     /// Validate one column against a named rule (§4's recurring check).
-    /// Dispatches through `dyn Validator` as a streaming session, so no
-    /// value is copied.
+    /// Dispatches through `dyn Validator` as one `tally` of the column — a
+    /// pattern rule takes its automaton's lock once — so no value is
+    /// copied.
     pub fn validate<S: AsRef<str>>(
         &self,
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
         let (report, exemplar) = self.with_rule(rule, |rule| {
+            // A pattern rule's checks take its own automaton's lock.
+            let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
             let validator: &dyn Validator = rule;
             let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
             // Cold path: only a flagged column pays for the exemplar
@@ -658,7 +661,10 @@ impl ValidationService {
     /// winner the full loop would pick.
     pub fn explain(&self, rule: &str, value: &str) -> Result<ExplainOutcome, ServiceError> {
         self.with_rule(rule, |failed| {
-            let conforms = failed.check(value).is_conform();
+            let conforms = {
+                let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
+                failed.check(value).is_conform()
+            };
             let (explanation, suggestion) = if conforms {
                 (None, None)
             } else {
@@ -683,18 +689,20 @@ impl ValidationService {
     /// scan of the value, returning every conforming rule ranked
     /// most-specific-first.
     pub fn classify_value(&self, value: &str) -> ClassifyOutcome {
-        let mut batch = self.classify_batch(&[value]);
+        let (_, mut batch) = self.classify_batch(&[value]);
         batch.pop().expect("one outcome per value")
     }
 
     /// Classify a batch of values, holding the automaton lock once for the
     /// whole batch so the lazy DFA's cache is hit back-to-back. Results
-    /// come back in input order.
-    pub fn classify_batch<S: AsRef<str>>(&self, values: &[S]) -> Vec<ClassifyOutcome> {
+    /// come back in input order, after the automaton's generation read
+    /// under the same lock hold: the generation the results are of.
+    pub fn classify_batch<S: AsRef<str>>(&self, values: &[S]) -> (u64, Vec<ClassifyOutcome>) {
         let (_classifier_rank, mut classifier) = (
             lockorder::rank_guard(lockorder::CLASSIFIER),
             self.classifier.lock().expect("classifier poisoned"),
         );
+        let generation = classifier.generation();
         let out = values
             .iter()
             .map(|v| {
@@ -707,7 +715,7 @@ impl ValidationService {
         self.counters
             .classifications
             .fetch_add(values.len() as u64, Ordering::Relaxed);
-        out
+        (generation, out)
     }
 
     /// Update generation of the catalog automaton (bumped per rule
@@ -1124,7 +1132,8 @@ mod tests {
         assert!(nothing.matches.is_empty() && nothing.best.is_none());
 
         // The batch path equals per-value calls, in input order.
-        let batch = service.classify_batch(&["2019-07-14", "Pending", "!!!"]);
+        let (gen, batch) = service.classify_batch(&["2019-07-14", "Pending", "!!!"]);
+        assert_eq!(gen, service.classifier_generation());
         assert_eq!(batch, vec![date.clone(), status, nothing]);
 
         // Deletes keep the automaton in sync.

@@ -16,7 +16,8 @@
 //! | 20 | `wal` | `DurableLog` | The WAL fence: the outermost lock of every durable mutating path, which appends and applies its record under it. Holding it across the snapshot is what makes the checkpoint watermark exact. |
 //! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side (inside the WAL fence on durable paths) and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
 //! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths, with the classifier patched before its write guard drops. |
-//! | 80 | `classifier` | `ValidationService` | The catalog automaton — always innermost: it is rebuilt/patched *from* catalog state and must never wait on anything while held. |
+//! | 80 | `classifier` | `ValidationService` | The catalog automaton: it is rebuilt/patched *from* catalog state and must never wait on a lock of this service while held. |
+//! | 90 | `matcher` | `av-core::ValidationRule` | A pattern rule's one-rule automaton, which `validate` (once per column) and `explain`'s check run: taken under the `catalog` read lock, and nothing is acquired while it is held. No path takes it under `classifier` — the `explain` suggestion ranks the automaton's shortlist without re-checking it. |
 //!
 //! # The runtime tracker
 //!
@@ -54,8 +55,10 @@ pub(crate) const WAL: u32 = 20;
 pub(crate) const EPOCH: u32 = 50;
 /// Rank of `ValidationService.catalog`.
 pub(crate) const CATALOG: u32 = 70;
-/// Rank of `ValidationService.classifier` (always innermost).
+/// Rank of `ValidationService.classifier`.
 pub(crate) const CLASSIFIER: u32 = 80;
+/// Rank of a pattern rule's one-rule automaton (`av-core`), a leaf.
+pub(crate) const MATCHER: u32 = 90;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -116,6 +119,7 @@ mod tests {
         let _a = rank_guard(WAL);
         let _b = rank_guard(CATALOG);
         let _c = rank_guard(CLASSIFIER);
+        let _d = rank_guard(MATCHER);
     }
 
     #[test]

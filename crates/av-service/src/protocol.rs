@@ -562,8 +562,8 @@ fn classify(service: &ValidationService, req: Json) -> Outcome {
             None => return Err("missing array field \"values\" (or string field \"value\")".into()),
         },
     };
-    let results: Vec<Json> = service
-        .classify_batch(&values)
+    let (generation, outcomes) = service.classify_batch(&values);
+    let results: Vec<Json> = outcomes
         .into_iter()
         .zip(&values)
         .map(|(outcome, value)| {
@@ -581,10 +581,7 @@ fn classify(service: &ValidationService, req: Json) -> Outcome {
         })
         .collect();
     ok(vec![
-        (
-            "catalog_generation",
-            Json::Num(service.classifier_generation() as f64),
-        ),
+        ("catalog_generation", Json::Num(generation as f64)),
         ("results", Json::Arr(results)),
     ])
 }

@@ -61,7 +61,7 @@ fn main() {
 
     let stream = record_stream();
     let start = std::time::Instant::now();
-    let outcomes = service.classify_batch(&stream);
+    let (generation, outcomes) = service.classify_batch(&stream);
     let elapsed = start.elapsed();
 
     let mut digest = 0xcbf29ce484222325u64;
@@ -80,7 +80,7 @@ fn main() {
         "routed {} records in {elapsed:.1?} ({} catalog rules, generation {}), digest 0x{digest:016x}",
         stream.len(),
         service.catalog_entries().len(),
-        service.classifier_generation(),
+        generation,
     );
 
     assert!(

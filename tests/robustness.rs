@@ -175,3 +175,39 @@ fn empty_and_single_value_columns_are_consistent() {
         assert!((0.0..=1.0 + 1e-9).contains(&f));
     }
 }
+
+/// A hostile value costs its length, not the rule's branching: the
+/// `<any>+`-rich shape FMDV-V / FMDV-VH infer, against `a-a-…` values of 1,
+/// 4 and 16 KiB. Backtracking over the five `<any>+` / `<alnum>+` runs
+/// before the space takes 1.14 s on the 16 KiB value that cannot match;
+/// every check here must finish within 5 ms (bound checked in release,
+/// where the automaton runs at speed; a 2-core x86-64 container reads
+/// 3–70 µs).
+#[test]
+fn hostile_values_are_checked_in_time_linear_in_their_length() {
+    let rule = ValidationRule::new(
+        parse("<alnum>+<any>+<alnum>+<any>+<any>+ <alnum>+<any>+<alnum>+").unwrap(),
+        0.0,
+        100,
+        0.001,
+        10,
+        av_stats::HomogeneityTest::FisherExact,
+        0.01,
+    );
+    for kib in [1usize, 4, 16] {
+        let body = "a-".repeat(kib * 512);
+        let accepted = format!("{body}a a-a");
+        for (value, conforms) in [(body.as_str(), false), (accepted.as_str(), true)] {
+            let start = std::time::Instant::now();
+            let verdict = rule.check(value);
+            let took = start.elapsed();
+            assert_eq!(verdict.is_conform(), conforms, "{kib} KiB");
+            if !cfg!(debug_assertions) {
+                assert!(
+                    took <= std::time::Duration::from_millis(5),
+                    "{kib} KiB value (conforms: {conforms}) took {took:?}"
+                );
+            }
+        }
+    }
+}

@@ -2,11 +2,13 @@
 //! must produce exactly the reports a sequential run produces, validation
 //! must keep working (on consistent snapshots) while ingestion swaps the
 //! live index underneath it, and the catalog automaton must name exactly
-//! the catalog's rules after any race of writers on one rule name.
+//! the catalog's rules after any race of writers on one rule name — and
+//! a `classify` reply must carry the generation its rules were read at.
 
 use auto_validate::prelude::*;
 use av_corpus::generate_lake;
-use av_service::{ServiceConfig, ServiceError, ValidationService};
+use av_service::{handle_line, json, ServiceConfig, ServiceError, ValidationService};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn lake_columns(seed: u64, scale: usize) -> Vec<Column> {
@@ -241,4 +243,78 @@ fn racing_inferences_of_one_name_leave_the_automaton_equal_to_the_catalog() {
             );
         }
     }
+}
+
+/// Rules the generation referee's writer adds, each accepting the probe.
+const PROBE_WRITES: usize = 1_000;
+
+/// A `classify` reply's `catalog_generation` is the generation its rule
+/// list was computed against. A writer adds rules that all accept one
+/// probe value while two readers classify it over the protocol; every
+/// rule added bumps the generation by one, so every reply lists exactly
+/// `catalog_generation − base` rules.
+#[test]
+fn classify_replies_carry_the_generation_their_rules_were_read_at() {
+    let service = ValidationService::new(ServiceConfig::default());
+    service.ingest(&lake_columns(13, 100)).unwrap();
+    let base = service.classifier_generation();
+    let statuses = statuses();
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(3);
+    let (replies, mismatches) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let (mut replies, mut mismatches) = (0usize, Vec::new());
+                    while !done.load(Ordering::Acquire) {
+                        let reply =
+                            handle_line(&service, r#"{"op":"classify","value":"RETRY"}"#).response;
+                        let reply = json::parse(&reply).expect("reply is JSON");
+                        let generation = reply
+                            .get("catalog_generation")
+                            .and_then(|g| g.as_f64())
+                            .expect("catalog_generation")
+                            as u64;
+                        let rules = reply
+                            .get("results")
+                            .and_then(|r| r.as_arr())
+                            .expect("results")[0]
+                            .get("rules")
+                            .and_then(|r| r.as_arr())
+                            .expect("rules")
+                            .len() as u64;
+                        if rules != generation - base {
+                            mismatches.push((generation - base, rules));
+                        }
+                        replies += 1;
+                    }
+                    (replies, mismatches)
+                })
+            })
+            .collect();
+        start.wait();
+        for i in 0..PROBE_WRITES {
+            service
+                .infer_rule(&format!("status/{i}"), &statuses, None)
+                .unwrap();
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("reader panicked"))
+            .fold((0, Vec::new()), |(n, mut all), (replies, mismatches)| {
+                all.extend(mismatches);
+                (n + replies, all)
+            })
+    });
+    assert_eq!(service.classifier_generation() - base, PROBE_WRITES as u64);
+    assert!(replies > 0, "the readers classified while the writer wrote");
+    assert!(
+        mismatches.is_empty(),
+        "{} of {replies} replies list a rule count their generation does not \
+         (generation − base, rules): {:?}",
+        mismatches.len(),
+        &mismatches[..mismatches.len().min(5)]
+    );
 }
