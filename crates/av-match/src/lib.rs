@@ -95,11 +95,13 @@
 //! ```
 
 mod ast;
+mod explain;
 mod matcher;
 mod nfa;
 mod regex;
 
 pub use ast::RegexError;
+pub use explain::explain;
 pub use matcher::{CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
 pub use nfa::NfaScratch;
 pub use regex::Regex;

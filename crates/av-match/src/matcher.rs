@@ -373,7 +373,7 @@ impl CatalogMatcher {
             self.remove(rule_id);
             self.generation -= 1; // net one bump per insert
         }
-        let frag = self.nfa.build_fragment(rule_id, program);
+        let frag = self.nfa.build_fragment(rule_id, program, |_| {});
         self.start_key.extend(self.nfa.entry_closure(&frag));
         self.dfa.start = UNKNOWN;
         self.fragments.insert(rule_id, frag);

@@ -328,12 +328,21 @@ impl Nfa {
     }
 
     /// Append a fragment translating `program`, accepting as `rule`.
-    pub(crate) fn build_fragment(&mut self, rule: u32, program: &CompiledPattern) -> Fragment {
+    /// Instructions are built last first, each into a contiguous run of
+    /// states: `starts` hears, in that order, the id each instruction's
+    /// run starts at (the accept state lies below them all).
+    pub(crate) fn build_fragment(
+        &mut self,
+        rule: u32,
+        program: &CompiledPattern,
+        mut starts: impl FnMut(u32),
+    ) -> Fragment {
         let start = self.states.len() as u32;
         let accept = self.push(NState::Accept { rule });
         let mut next = accept;
         let insts: Vec<InstView<'_>> = program.instructions().collect();
         for inst in insts.iter().rev() {
+            starts(self.states.len() as u32);
             next = match *inst {
                 InstView::Lit(bytes) => self.push_lit(bytes, next),
                 InstView::Fixed { class, chars } => {

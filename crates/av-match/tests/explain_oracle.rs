@@ -1,15 +1,16 @@
 //! Explain ≡ reference furthest-reach equivalence.
 //!
-//! `CompiledPattern::explain` reports where a failed match got furthest:
-//! the length of the longest prefix of the value that is also a prefix of
-//! some accepted string. [`av_pattern::furthest_mismatch`] computes the
-//! same quantity on the character-level reference matcher; the two must
-//! agree on every (pattern, value) pair — fusion, byte-level scanning, and
-//! the absent minimum-width prune may change how the answer is found,
-//! never what it is. `explain` must also return `None` exactly when
-//! `matches` returns true.
+//! [`av_match::explain`] reports where a failed match got furthest: the
+//! length of the longest prefix of the value that is also a prefix of some
+//! accepted string. [`av_pattern::furthest_mismatch`] computes the same
+//! quantity on the character-level reference matcher; the two must agree
+//! on every (pattern, value) pair — fusion and byte-level simulation may
+//! change how the answer is found, never what it is. `explain` must also
+//! return `None` exactly when the reference [`av_pattern::matches`]
+//! accepts. While the compiled program's backtracking recorder still
+//! exists, the NFA's whole trace must equal the recorder's.
 
-use av_pattern::{furthest_mismatch, CompiledPattern, Pattern, Token};
+use av_pattern::{furthest_mismatch, matches, CompiledPattern, Pattern, Token};
 use proptest::prelude::*;
 
 /// Strategy: one arbitrary token, covering every variant (widths include 0,
@@ -88,29 +89,32 @@ fn value_from(pattern: &Pattern, stretch: usize) -> String {
 }
 
 /// The invariant under test: explain agrees with the reference on both the
-/// verdict (None ⇔ matches) and the furthest-reached byte offset, on a
-/// first call and on a repeat that reuses the thread's scratch as the
-/// previous search left it. Traces must also be
-/// internally consistent: char-aligned offsets, a valid span, an
-/// instruction index within the program.
+/// verdict (None ⇔ matches) and the furthest-reached byte offset, and on a
+/// repeat call. Traces must also be internally consistent: char-aligned
+/// offsets, a valid span, an instruction index within the program.
 fn assert_explain_matches_reference(pattern: &Pattern, value: &str) {
     let compiled = CompiledPattern::compile(pattern);
     let oracle = furthest_mismatch(pattern, value);
-    let trace = compiled.explain(value);
+    let trace = av_match::explain(&compiled, value);
     assert_eq!(
         trace.as_ref().map(|t| t.failed_at),
         oracle,
         "explain vs reference furthest on {pattern} ~ {value:?}"
     );
     assert_eq!(
-        compiled.explain(value).as_ref().map(|t| t.failed_at),
-        oracle,
-        "explain (repeat call, reused scratch) vs reference on {pattern} ~ {value:?}"
+        av_match::explain(&compiled, value),
+        trace,
+        "explain (repeat call) on {pattern} ~ {value:?}"
     );
     assert_eq!(
         trace.is_none(),
-        compiled.matches(value),
+        matches(pattern, value),
         "explain None ⇔ matches on {pattern} ~ {value:?}"
+    );
+    assert_eq!(
+        trace,
+        compiled.explain(value),
+        "NFA trace vs the backtracking recorder's on {pattern} ~ {value:?}"
     );
     if let Some(t) = trace {
         assert!(value.is_char_boundary(t.failed_at), "{pattern} ~ {value:?}");
@@ -134,7 +138,7 @@ proptest! {
     }
 
     /// Pattern-derived values and their corruptions: near-misses fail deep
-    /// inside the program, where fusion and backtracking could disagree
+    /// inside the program, where fusion and the automaton could disagree
     /// with the reference about how far the match got.
     #[test]
     fn explain_equals_reference_on_derived_values(
