@@ -4,7 +4,8 @@
 
 use crate::profile::{profile_group, strict_groups, TokenChoice};
 use crate::validator::{ColumnValidator, InferredRule};
-use av_pattern::{CompiledPattern, Pattern};
+use av_core::RuleAutomaton;
+use av_pattern::Pattern;
 
 /// Does the column look like natural language (many multi-word letter/space
 /// values)? Profilers produce only the trivial pattern there; following the
@@ -57,10 +58,10 @@ impl ColumnValidator for PottersWheel {
         if pattern.is_trivial() {
             return None;
         }
-        let compiled = pattern.compile();
+        let automaton = RuleAutomaton::new([pattern.compile()]);
         Some(InferredRule::all_match(
             pattern.to_string(),
-            move |v: &str| compiled.matches(v),
+            move |v: &str| automaton.conforms(v),
         ))
     }
 }
@@ -85,10 +86,10 @@ impl ColumnValidator for Ssis {
         if pattern.is_trivial() {
             return None;
         }
-        let compiled = pattern.compile();
+        let automaton = RuleAutomaton::new([pattern.compile()]);
         Some(InferredRule::all_match(
             pattern.to_regex(),
-            move |v: &str| compiled.matches(v),
+            move |v: &str| automaton.conforms(v),
         ))
     }
 }
@@ -134,9 +135,9 @@ impl ColumnValidator for XSystem {
             .map(|p| p.to_string())
             .collect::<Vec<_>>()
             .join(" | ");
-        let compiled: Vec<CompiledPattern> = branches.iter().map(Pattern::compile).collect();
+        let automaton = RuleAutomaton::new(branches.iter().map(Pattern::compile));
         Some(InferredRule::all_match(desc, move |v: &str| {
-            compiled.iter().any(|p| p.matches(v))
+            automaton.conforms(v)
         }))
     }
 }
@@ -202,9 +203,9 @@ impl ColumnValidator for FlashProfile {
         patterns.sort();
         patterns.dedup();
         let desc = format!("{} cluster patterns", patterns.len());
-        let compiled: Vec<CompiledPattern> = patterns.iter().map(Pattern::compile).collect();
+        let automaton = RuleAutomaton::new(patterns.iter().map(Pattern::compile));
         Some(InferredRule::all_match(desc, move |v: &str| {
-            compiled.iter().any(|p| p.matches(v))
+            automaton.conforms(v)
         }))
     }
 }

@@ -1,18 +1,19 @@
 //! Catalog size × per-value classify latency: the catalog automaton
-//! (`av-match`'s lazily-determinized NFA union) against the N-programs
-//! loop it replaces. Measured numbers are recorded as Point 6 in
+//! (`av-match`'s lazily-determinized NFA union) against the loop over N
+//! one-rule automata it replaces — each rule checked on its own, as
+//! `validate` checks one. Measured numbers are recorded as Point 6 in
 //! `crates/av-bench/PERF.md`.
 //!
 //! The design contract being verified: one `classify` scan of a value is
 //! ~independent of catalog size once the lazy DFA is warm, while the loop
-//! pays one full program match per rule — so the gap must widen linearly
-//! with the catalog (≥10× at 1 000 rules).
+//! pays one full scan per rule — so the gap must widen linearly with the
+//! catalog (≥10× at 1 000 rules).
 //!
-//! The `rules = 1` point asks the opposite question: is a one-rule catalog
-//! automaton as fast as the backtracking program `validate` runs per value?
+//! The `rules = 1` point sets `classify` (which names the matching rules)
+//! against the boolean scan `validate` runs on the same one-rule automaton.
 //! It uses the FMDV-VH timestamp rule of the `validator_api` bench, so the
 //! numbers sit next to that bench's `check` medians (and the ledger's
-//! `pattern.match_ns`); ROADMAP's "One engine" item records the outcome.
+//! `pattern.match_ns`).
 //!
 //! The `insert/at_N` rungs are the write side: one `insert` into a catalog
 //! that already holds N pattern rules. An insert appends its fragment's
@@ -65,8 +66,8 @@ fn probes(n: usize) -> Vec<String> {
     ]
 }
 
-/// One rule, one value per iteration: the automaton (`classify_into`, its
-/// allocation-free form) against the rule's own compiled program.
+/// One rule, one value per iteration: `classify_into` (the id-list scan,
+/// allocation-free) against `is_match` (the boolean scan) on one automaton.
 fn bench_single_rule(c: &mut Criterion) {
     let program = CompiledPattern::compile(
         &parse("<digit>+/<digit>{2}/<digit>{4} <digit>+:<digit>{2}:<digit>{2} <letter>{2}")
@@ -81,7 +82,7 @@ fn bench_single_rule(c: &mut Criterion) {
         ("drifted", "drift-42"),
     ] {
         matcher.classify_into(value, &mut hits);
-        assert_eq!(!hits.is_empty(), program.matches(value), "{value:?}");
+        assert_eq!(!hits.is_empty(), matcher.is_match(value), "{value:?}");
         group.bench_function(format!("classify/1 {label}"), |b| {
             b.iter(|| {
                 matcher.classify_into(black_box(value), &mut hits);
@@ -89,7 +90,7 @@ fn bench_single_rule(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("loop/1 {label}"), |b| {
-            b.iter(|| black_box(program.matches(black_box(value))))
+            b.iter(|| black_box(matcher.is_match(black_box(value))))
         });
     }
     group.finish();
@@ -102,16 +103,18 @@ fn bench_catalog_scaling(c: &mut Criterion) {
         let programs = synthetic_catalog(n);
         let values = probes(n);
         let mut matcher = CatalogMatcher::new();
+        let mut singles: Vec<CatalogMatcher> = Vec::with_capacity(n);
         for (i, p) in programs.iter().enumerate() {
             matcher.insert(i as u32, p);
+            let mut single = CatalogMatcher::new();
+            single.insert(0, p);
+            singles.push(single);
         }
         // Equal verdicts on every probe, or the speedup is meaningless.
         for v in &values {
-            let loop_set: Vec<u32> = programs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.matches(v))
-                .map(|(i, _)| i as u32)
+            let loop_set: Vec<u32> = (0..)
+                .zip(&mut singles)
+                .filter_map(|(i, single)| single.is_match(v).then_some(i))
                 .collect();
             assert_eq!(matcher.classify(v), loop_set, "verdicts diverge on {v:?}");
         }
@@ -129,7 +132,11 @@ fn bench_catalog_scaling(c: &mut Criterion) {
             b.iter(|| {
                 let mut matched = 0usize;
                 for v in &values {
-                    matched += programs.iter().filter(|p| p.matches(black_box(v))).count();
+                    matched += singles
+                        .iter_mut()
+                        .map(|single| single.is_match(black_box(v)))
+                        .filter(|&hit| hit)
+                        .count();
                 }
                 matched
             })

@@ -11,7 +11,9 @@
 use av_core::{AutoValidate, FmdvConfig, ValidationRule, Validator, Variant};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
+use av_pattern::parse;
 use av_service::{ServiceConfig, ValidationService};
+use av_stats::HomogeneityTest;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -62,6 +64,21 @@ fn bench_explain_cold_path(c: &mut Criterion) {
     });
     group.bench_function("explain drifted value", |b| {
         b.iter(|| black_box(fmdv.explain(black_box("drift-42"))))
+    });
+    // The `<any>+`-rich shape FMDV-V / FMDV-VH infer, on a 4 KiB `a-a-…`
+    // value it cannot match: explaining costs the value's length.
+    let any_plus = ValidationRule::new(
+        parse("<alnum>+<any>+<alnum>+<any>+<any>+ <alnum>+<any>+<alnum>+").expect("pattern"),
+        0.0,
+        100,
+        0.001,
+        50,
+        HomogeneityTest::FisherExact,
+        0.01,
+    );
+    let hostile = "a-".repeat(2 * 1024);
+    group.bench_function("explain <any>+ rule, 4 KiB hostile value", |b| {
+        b.iter(|| black_box(any_plus.explain(black_box(&hostile))))
     });
     group.bench_function("batch 1000 (5% drift), check only", |b| {
         b.iter(|| {

@@ -2,18 +2,18 @@
 //! latency and batch `validate_batch` throughput, FMDV-VH vs the grok
 //! baseline, both dispatched statically and through `dyn Validator` (the
 //! service's dispatch mode). A rule checks on its one-rule automaton; the
-//! `<any>+` rows set that against the backtracking
-//! `CompiledPattern::matches` on the `<any>+`-rich shape FMDV-V / FMDV-VH
-//! infer, where backtracking is at its worst.
+//! `<any>+` rows time it on the `<any>+`-rich shape FMDV-V / FMDV-VH
+//! infer, where a backtracking matcher is at its worst.
 //!
 //! Measured numbers are recorded as the perf trajectory in
 //! `crates/av-bench/PERF.md`.
 
 use av_baselines::{baseline_by_name, InferredRule};
-use av_core::{AutoValidate, FmdvConfig, Tally, ValidationRule, Validator, Variant, Verdict};
+use av_core::{AutoValidate, FmdvConfig, ValidationRule, Validator, Variant};
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_index::{IndexConfig, PatternIndex};
-use av_pattern::{matches, parse, CompiledPattern};
+use av_match::CatalogMatcher;
+use av_pattern::{matches, parse, CompiledPattern, Pattern};
 use av_stats::HomogeneityTest;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -109,9 +109,6 @@ fn bench_check_latency(c: &mut Criterion) {
         group.bench_function(format!("FMDV-VH <any>+ automaton {label}"), |b| {
             b.iter(|| black_box(any_plus.check(black_box(value))))
         });
-        group.bench_function(format!("FMDV-VH <any>+ backtracking {label}"), |b| {
-            b.iter(|| black_box(any_plus.compiled().matches(black_box(value))))
-        });
     }
     group.finish();
 }
@@ -135,40 +132,35 @@ fn bench_batch_throughput(c: &mut Criterion) {
     group.bench_function("FMDV-VH <any>+ automaton", |b| {
         b.iter(|| black_box(any_plus.validate_batch(any_plus_batch.iter().map(String::as_str))))
     });
-    group.bench_function("FMDV-VH <any>+ backtracking", |b| {
-        b.iter(|| {
-            let mut tally = Tally::default();
-            for v in &any_plus_batch {
-                tally.record(Verdict::conforming(any_plus.compiled().matches(v)));
-            }
-            black_box(any_plus.finish(tally))
-        })
-    });
     group.finish();
 }
 
-/// Compiled vs interpreted matching on the same patterns: the fixed-width
-/// FMDV-VH shape (deterministic program) and a variadic date-time shape
-/// (backtracking program), each on a conforming and a drifted value.
-fn bench_matcher_compiled_vs_reference(c: &mut Criterion) {
+/// A one-rule automaton vs the reference matcher on the same patterns: the
+/// fixed-width FMDV-VH shape and a variadic date-time shape, on a
+/// conforming and a drifted value.
+fn bench_matcher_automaton_vs_reference(c: &mut Criterion) {
     let fixed = parse("<digit>{2}:<digit>{2}:<digit>{2}").expect("fixed pattern");
     let variadic =
         parse("<digit>+/<digit>{2}/<digit>{4} <digit>+:<digit>{2}:<digit>{2} <letter>{2}")
             .expect("variadic pattern");
-    let fixed_c = CompiledPattern::compile(&fixed);
-    let variadic_c = CompiledPattern::compile(&variadic);
+    let one_rule = |pattern: &Pattern| {
+        let mut matcher = CatalogMatcher::new();
+        matcher.insert(0, &pattern.compile());
+        matcher
+    };
+    let (mut fixed_a, mut variadic_a) = (one_rule(&fixed), one_rule(&variadic));
     let mut group = c.benchmark_group("matcher");
     group.bench_function("reference fixed conforming", |b| {
         b.iter(|| black_box(matches(black_box(&fixed), black_box("09:07:32"))))
     });
-    group.bench_function("compiled fixed conforming", |b| {
-        b.iter(|| black_box(fixed_c.matches(black_box("09:07:32"))))
+    group.bench_function("automaton fixed conforming", |b| {
+        b.iter(|| black_box(fixed_a.is_match(black_box("09:07:32"))))
     });
     group.bench_function("reference fixed drifted", |b| {
         b.iter(|| black_box(matches(black_box(&fixed), black_box("drift-42"))))
     });
-    group.bench_function("compiled fixed drifted", |b| {
-        b.iter(|| black_box(fixed_c.matches(black_box("drift-42"))))
+    group.bench_function("automaton fixed drifted", |b| {
+        b.iter(|| black_box(fixed_a.is_match(black_box("drift-42"))))
     });
     group.bench_function("reference variadic conforming", |b| {
         b.iter(|| {
@@ -178,14 +170,14 @@ fn bench_matcher_compiled_vs_reference(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function("compiled variadic conforming", |b| {
-        b.iter(|| black_box(variadic_c.matches(black_box("9/07/2019 12:01:32 PM"))))
+    group.bench_function("automaton variadic conforming", |b| {
+        b.iter(|| black_box(variadic_a.is_match(black_box("9/07/2019 12:01:32 PM"))))
     });
     group.finish();
 }
 
-/// One-time compile cost — the price paid at inference/load time to make
-/// every later check allocation-free.
+/// One-time compile cost — the price paid at inference/load time for the
+/// program every automaton is built from.
 fn bench_compile_cost(c: &mut Criterion) {
     let fixed = parse("<digit>{2}:<digit>{2}:<digit>{2}").expect("fixed pattern");
     let variadic =
@@ -205,6 +197,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_check_latency, bench_batch_throughput,
-        bench_matcher_compiled_vs_reference, bench_compile_cost
+        bench_matcher_automaton_vs_reference, bench_compile_cost
 }
 criterion_main!(benches);

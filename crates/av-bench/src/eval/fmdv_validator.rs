@@ -8,7 +8,7 @@
 //! validation (including the §4 homogeneity test) is what the harness runs.
 
 use av_baselines::{ColumnValidator, InferredRule};
-use av_core::{AutoValidate, FmdvConfig, Variant};
+use av_core::{AutoValidate, FmdvConfig, RuleAutomaton, Variant};
 use av_corpus::Column;
 use av_index::{scan_corpus_fpr, IndexConfig, PatternIndex};
 use av_pattern::{hypothesis_space, PatternConfig};
@@ -96,11 +96,11 @@ impl ColumnValidator for NoIndexFmdv {
                     .then_with(|| a.0.cmp(b.0))
             })
             .map(|(p, _)| p.clone())?;
-        // Compile once at inference; the rule's closure runs the byte-level
-        // program on every check instead of the reference matcher.
-        let compiled = best.compile();
+        // Compile once at inference; the rule's closure runs the pattern's
+        // automaton on every check instead of the reference matcher.
+        let automaton = RuleAutomaton::new([best.compile()]);
         Some(InferredRule::all_match(best.to_string(), move |v: &str| {
-            compiled.matches(v)
+            automaton.conforms(v)
         }))
     }
 }

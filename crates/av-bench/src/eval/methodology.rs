@@ -15,6 +15,7 @@
 //! does not count same-domain columns `C_j` as recall losses.
 
 use av_baselines::ColumnValidator;
+use av_core::RuleAutomaton;
 use av_corpus::{Benchmark, BenchmarkCase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -177,11 +178,11 @@ fn evaluate_case(
     // cleaning pass).
     let precision_gt = match &case.column.meta.ground_truth {
         Some(gt) => {
-            let gt_compiled = gt.compile();
+            let gt_automaton = RuleAutomaton::new([gt.compile()]);
             let clean: Vec<&str> = test
                 .iter()
                 .copied()
-                .filter(|v| gt_compiled.matches(v))
+                .filter(|v| gt_automaton.conforms(v))
                 .collect();
             if clean.is_empty() || rule.passes(clean) {
                 1.0

@@ -97,7 +97,7 @@ impl Tally {
 /// [`Verdict::Nonconform`].
 ///
 /// Produced by [`Validator::explain`]. Pattern rules fill the positional
-/// fields from the compiled matcher's [`av_pattern::MatchTrace`]; other
+/// fields from their automaton's [`av_match::MatchTrace`]; other
 /// rule kinds fill what makes sense for them (a dictionary rule points at
 /// the nearest vocabulary entry, a numeric rule at the violated bound).
 /// All byte offsets lie on `char` boundaries of the explained value.

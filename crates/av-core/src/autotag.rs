@@ -9,8 +9,9 @@
 
 use crate::config::{FmdvConfig, InferError};
 use crate::fmdv::{infer_pattern, Search, SelectObjective, StreamingSelect};
+use crate::rule::{count, RuleAutomaton};
 use av_index::PatternIndex;
-use av_pattern::{CompiledPattern, Pattern};
+use av_pattern::Pattern;
 
 /// An inferred tagging pattern.
 #[derive(Debug, Clone)]
@@ -23,19 +24,18 @@ pub struct TagRule {
     pub coverage: u64,
     /// Fraction of training values *not* matched (observed FNR proxy).
     pub train_fnr: f64,
-    /// The pattern lowered to a byte-matching program.
-    compiled: CompiledPattern,
+    /// The pattern's compiled program and the automaton every check runs.
+    automaton: RuleAutomaton,
 }
 
 impl TagRule {
     /// Build a tag rule, compiling the pattern once for all later checks.
     pub fn new(pattern: Pattern, coverage: u64, train_fnr: f64) -> TagRule {
-        let compiled = pattern.compile();
         TagRule {
+            automaton: RuleAutomaton::new([pattern.compile()]),
             pattern,
             coverage,
             train_fnr,
-            compiled,
         }
     }
 
@@ -46,7 +46,7 @@ impl TagRule {
 
     /// Does a single value match the tag pattern?
     pub(crate) fn tags_value(&self, value: &str) -> bool {
-        self.compiled.matches(value)
+        self.automaton.conforms(value)
     }
 
     /// Would this tag apply to a column (majority of values match)?
@@ -54,11 +54,11 @@ impl TagRule {
         if values.is_empty() {
             return false;
         }
-        let hits = values
-            .iter()
-            .filter(|v| self.compiled.matches(v.as_ref()))
-            .count();
-        hits * 2 > values.len()
+        let misses = self
+            .automaton
+            .with(|matcher| count(matcher, values))
+            .nonconforming;
+        (values.len() - misses) * 2 > values.len()
     }
 }
 

@@ -73,7 +73,7 @@ pub use classify::RuleSet;
 pub use config::{FmdvConfig, InferError, Variant};
 pub use dictionary::DictionaryRule;
 pub use numeric::NumericRule;
-pub use rule::{ValidationReport, ValidationRule};
+pub use rule::{RuleAutomaton, ValidationReport, ValidationRule};
 pub use wire::{pct_decode, pct_encode, WireError};
 
 /// Either kind of inferred rule (see [`AutoValidate::infer_auto`]).

@@ -48,10 +48,10 @@ pub(crate) fn distributional_report(
 /// Construct with [`ValidationRule::new`], which lowers the pattern into a
 /// [`CompiledPattern`] once. Checks ([`ValidationRule::conforms`],
 /// [`Validator::check`], [`Validator::tally`] and so every validation)
-/// run the rule's own automaton: `av-match`'s lazy DFA over this one
-/// program, built on first use, one table load per byte of the value
-/// whatever the pattern. [`Validator::explain`] runs the compiled
-/// program's backtracking recorder, which reports where a value failed.
+/// run the rule's own [`RuleAutomaton`]: `av-match`'s lazy DFA over this
+/// one program, one table load per byte of the value whatever the
+/// pattern. [`Validator::explain`] runs [`av_match::explain`], one pass of
+/// the program's NFA, which reports where a value failed.
 #[derive(Debug, Clone)]
 pub struct ValidationRule {
     /// The data-domain pattern `h` chosen by FMDV. Private so it can never
@@ -71,29 +71,62 @@ pub struct ValidationRule {
     pub test: HomogeneityTest,
     /// Significance level for raising an alarm.
     pub alpha: f64,
-    /// The pattern lowered to a byte-matching program, cached at
-    /// construction.
-    compiled: CompiledPattern,
-    /// The automaton every check runs, built from `compiled` on first use.
+    /// The pattern's compiled program and the automaton every check runs.
     automaton: RuleAutomaton,
 }
 
-/// A rule's one-rule [`CatalogMatcher`], behind a lock that a column takes
-/// once. Empty until the rule is first checked, so a rule that is stored
-/// but never validated costs one pointer; a clone starts empty.
+/// Compiled pattern programs and the one automaton every check of them
+/// runs: a [`CatalogMatcher`] holding them all, built on first check
+/// behind a lock that a column takes once. A value conforms when some
+/// program accepts it. Empty until first checked, so programs that are
+/// stored but never checked cost one pointer; a clone starts empty.
+///
+/// A pattern rule holds one program; an any-of-N profiler baseline holds
+/// its N branches in one matcher, so a check is one pass either way.
 ///
 /// The lock is a leaf of the service's lock hierarchy (`matcher`, rank
 /// 90): taken under the catalog's read lock, and nothing is acquired while
 /// it is held.
-#[derive(Default)]
-struct RuleAutomaton {
+///
+/// ```
+/// use av_core::RuleAutomaton;
+/// use av_pattern::parse;
+///
+/// let dates = RuleAutomaton::new([
+///     parse("<digit>{4}-<digit>{2}-<digit>{2}").unwrap().compile(),
+///     parse("<digit>{2}/<digit>{2}/<digit>{4}").unwrap().compile(),
+/// ]);
+/// assert!(dates.conforms("2019-03-01"));
+/// assert!(dates.conforms("01/03/2019"));
+/// assert!(!dates.conforms("March 1"));
+/// ```
+pub struct RuleAutomaton {
+    programs: Box<[CompiledPattern]>,
     matcher: Mutex<Option<Box<CatalogMatcher>>>,
 }
 
 impl RuleAutomaton {
-    /// Run `f` on the automaton under its lock, building it from
-    /// `program` first if this is the rule's first check.
-    fn with<R>(&self, program: &CompiledPattern, f: impl FnOnce(&mut CatalogMatcher) -> R) -> R {
+    /// Hold `programs`; the automaton is built on the first check.
+    pub fn new(programs: impl IntoIterator<Item = CompiledPattern>) -> RuleAutomaton {
+        RuleAutomaton {
+            programs: programs.into_iter().collect(),
+            matcher: Mutex::new(None),
+        }
+    }
+
+    /// Does some program accept the whole `value`?
+    pub fn conforms(&self, value: &str) -> bool {
+        self.with(|matcher| matcher.is_match(value))
+    }
+
+    /// The programs, in the order given.
+    pub(crate) fn programs(&self) -> &[CompiledPattern] {
+        &self.programs
+    }
+
+    /// Run `f` on the automaton under its lock, building it first if this
+    /// is the first check.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut CatalogMatcher) -> R) -> R {
         let mut slot = self.matcher.lock().unwrap_or_else(|poisoned| {
             // A scan that panicked may have left the cache half-written.
             self.matcher.clear_poison();
@@ -101,36 +134,40 @@ impl RuleAutomaton {
             *slot = None;
             slot
         });
-        f(slot.get_or_insert_with(|| Box::new(one_rule_matcher(program))))
+        f(slot.get_or_insert_with(|| Box::new(self.build())))
+    }
+
+    /// A fresh matcher holding every program (program `i` as rule `i`).
+    fn build(&self) -> CatalogMatcher {
+        let mut matcher = CatalogMatcher::with_config(MatcherConfig::with_budget(RULE_DFA_STATES));
+        for (id, program) in (0..).zip(self.programs.iter()) {
+            matcher.insert(id, program);
+        }
+        matcher
     }
 }
 
 impl Clone for RuleAutomaton {
     fn clone(&self) -> RuleAutomaton {
-        RuleAutomaton::default()
+        RuleAutomaton::new(self.programs.iter().cloned())
     }
 }
 
 impl std::fmt::Debug for RuleAutomaton {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RuleAutomaton").finish_non_exhaustive()
+        f.debug_struct("RuleAutomaton")
+            .field("programs", &self.programs)
+            .finish_non_exhaustive()
     }
 }
 
-/// DFA states a rule's automaton may cache (a 1 KiB table row each)
-/// before a value finishes on NFA simulation — still one pass. The rules of
-/// a `validate_feeds` ledger run hold at most 42.
+/// DFA states an automaton may cache (a 1 KiB table row each) before a
+/// value finishes on NFA simulation — still one pass. The rules of a
+/// `validate_feeds` ledger run hold at most 42.
 const RULE_DFA_STATES: usize = 256;
 
-/// A matcher holding `program` alone (as rule 0).
-fn one_rule_matcher(program: &CompiledPattern) -> CatalogMatcher {
-    let mut matcher = CatalogMatcher::with_config(MatcherConfig::with_budget(RULE_DFA_STATES));
-    matcher.insert(0, program);
-    matcher
-}
-
 /// Count `values`' verdicts on `matcher`.
-fn count<S: AsRef<str>>(
+pub(crate) fn count<S: AsRef<str>>(
     matcher: &mut CatalogMatcher,
     values: impl IntoIterator<Item = S>,
 ) -> Tally {
@@ -169,8 +206,8 @@ impl ValidationRule {
         test: HomogeneityTest,
         alpha: f64,
     ) -> ValidationRule {
-        let compiled = pattern.compile();
         ValidationRule {
+            automaton: RuleAutomaton::new([pattern.compile()]),
             pattern,
             train_nonconforming,
             train_size,
@@ -178,22 +215,19 @@ impl ValidationRule {
             coverage,
             test,
             alpha,
-            compiled,
-            automaton: RuleAutomaton::default(),
         }
     }
 
     /// Does a single value conform to the rule's pattern?
     pub fn conforms(&self, value: &str) -> bool {
-        self.automaton
-            .with(&self.compiled, |matcher| matcher.is_match(value))
+        self.automaton.conforms(value)
     }
 
     /// How many of `values` the rule rejects, counted on a throwaway
     /// automaton: inference's pass over the training column leaves the
     /// rule's own automaton unbuilt.
     pub(crate) fn count_misses<S: AsRef<str>>(&self, values: &[S]) -> usize {
-        count(&mut one_rule_matcher(&self.compiled), values).nonconforming
+        count(&mut self.automaton.build(), values).nonconforming
     }
 
     /// The data-domain pattern `h` this rule validates with.
@@ -201,10 +235,10 @@ impl ValidationRule {
         &self.pattern
     }
 
-    /// The compiled matching program the rule's automaton is built from,
-    /// and whose backtracking recorder explains a failed value.
+    /// The compiled program the rule's automaton and its explanations are
+    /// built from.
     pub fn compiled(&self) -> &CompiledPattern {
-        &self.compiled
+        &self.automaton.programs()[0]
     }
 
     /// Validate a future column `C'` (§4): compute the non-conforming
@@ -221,9 +255,7 @@ impl ValidationRule {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let tally = self
-            .automaton
-            .with(&self.compiled, |matcher| count(matcher, values));
+        let tally = self.automaton.with(|matcher| count(matcher, values));
         self.finish(tally)
     }
 
@@ -243,12 +275,11 @@ impl Validator for ValidationRule {
     }
 
     fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
-        self.automaton
-            .with(&self.compiled, |matcher| count(matcher, values))
+        self.automaton.with(|matcher| count(matcher, values))
     }
 
     fn explain(&self, value: &str) -> Option<Explanation> {
-        let trace = self.compiled.explain(value)?;
+        let trace = av_match::explain(self.compiled(), value)?;
         let reason = if trace.failed_at == value.len() && trace.inst < trace.num_insts {
             format!(
                 "value ended at byte {} while {} was still required",

@@ -2,7 +2,8 @@
 //!
 //! Two front-ends lower onto the same automaton and the same simulation:
 //! [`CatalogMatcher`] matches a value against every pattern rule it holds
-//! at once, and [`Regex`] is the regex engine of the baselines.
+//! at once (and [`explain`] says where one rule fails), and [`Regex`] is
+//! the regex engine of the baselines.
 //!
 //! ## Catalog-wide multi-pattern classification
 //!
@@ -37,8 +38,8 @@
 //! [`CatalogMatcher::is_match`] is the boolean scan: it stops at the dead
 //! state and builds no id list. A matcher holding one rule is how
 //! `av-core`'s `ValidationRule` checks values — a served `validate` and
-//! `classify` both run this automaton; `explain` runs the compiled
-//! program's backtracking recorder, which names the failing span.
+//! `classify` both run this automaton. [`explain`] names where a value
+//! failed from one simulation pass of the rule's NFA fragment.
 //!
 //! Maintenance is **incremental** (after Berkholz et al., *FO+MOD queries
 //! under updates*): the automaton is anchored, so the only DFA state that
@@ -101,7 +102,7 @@ mod nfa;
 mod regex;
 
 pub use ast::RegexError;
-pub use explain::explain;
+pub use explain::{explain, MatchTrace};
 pub use matcher::{CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
 pub use nfa::NfaScratch;
 pub use regex::Regex;

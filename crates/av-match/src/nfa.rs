@@ -14,18 +14,18 @@
 //! * **remove** tombstones one fragment's range; only DFA states whose
 //!   state-set intersects that range can be stale.
 //!
-//! The translation mirrors the byte-level semantics of the compiled
-//! matcher exactly (ASCII classes test single bytes; `<sym>`/`<any>` step
-//! over multi-byte characters lead-byte-first), so on any valid UTF-8
-//! input the union accepts precisely the rules whose `CompiledPattern`
-//! accepts the value — the equivalence the oracle proptest pins down.
+//! The translation follows the program's byte-level view of its classes
+//! (ASCII classes test single bytes; `<sym>`/`<any>` step over multi-byte
+//! characters lead-byte-first), so on any valid UTF-8 input the union
+//! accepts precisely the rules whose pattern accepts the value — the
+//! equivalence the oracle proptest pins against the reference matcher.
 //! A regex is one such automaton of its own; its character sets lower to
 //! the UTF-8 byte-range sequences of their scalars.
 //!
 //! One simulation serves everything: [`Nfa::step`] advances a thread list
-//! over one byte (the DFA cache's subset construction), and [`Nfa::run`]
-//! runs it over a whole input (regexes, and the matcher's fallback once
-//! its DFA budget is spent).
+//! over one byte (the DFA cache's subset construction, and
+//! [`crate::explain`]'s pass), and [`Nfa::run`] runs it over a whole input
+//! (regexes, and the matcher's fallback once its DFA budget is spent).
 
 use av_pattern::{ClassView, CompiledPattern, InstView};
 use std::collections::HashMap;
@@ -199,8 +199,7 @@ impl Nfa {
     /// byte state, plus the UTF-8 encodings of the scalars in `non_ascii`
     /// (sorted, disjoint ranges above U+007F). All of [`NON_ASCII`] keeps
     /// the three multi-byte spine paths (lead byte then 1–3 continuation
-    /// bytes), matching how the compiled matcher steps by encoded length —
-    /// equivalent on valid UTF-8. A narrower set becomes one path per
+    /// bytes), stepping by encoded length — equivalent on valid UTF-8. A narrower set becomes one path per
     /// UTF-8 byte-range sequence. [`char_states`] counts what this pushes.
     pub(crate) fn push_char(
         &mut self,

@@ -7,8 +7,7 @@
 //! on every (pattern, value) pair — fusion and byte-level simulation may
 //! change how the answer is found, never what it is. `explain` must also
 //! return `None` exactly when the reference [`av_pattern::matches`]
-//! accepts. While the compiled program's backtracking recorder still
-//! exists, the NFA's whole trace must equal the recorder's.
+//! accepts.
 
 use av_pattern::{furthest_mismatch, matches, CompiledPattern, Pattern, Token};
 use proptest::prelude::*;
@@ -110,11 +109,6 @@ fn assert_explain_matches_reference(pattern: &Pattern, value: &str) {
         trace.is_none(),
         matches(pattern, value),
         "explain None ⇔ matches on {pattern} ~ {value:?}"
-    );
-    assert_eq!(
-        trace,
-        compiled.explain(value),
-        "NFA trace vs the backtracking recorder's on {pattern} ~ {value:?}"
     );
     if let Some(t) = trace {
         assert!(value.is_char_boundary(t.failed_at), "{pattern} ~ {value:?}");

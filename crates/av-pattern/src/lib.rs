@@ -12,12 +12,10 @@
 //!   ([`Run`]s are slices of the input — tokenization allocates no text);
 //! * [`matches()`](fn@matches) — full-string pattern matching (`h ∈ P(v)` at
 //!   test time), the character-level reference matcher used as the oracle;
-//! * [`CompiledPattern`] — patterns lowered once into flat byte-level
-//!   matching programs (fused scans, pre-encoded literals, explicit-stack
-//!   backtracking) whose steady-state [`CompiledPattern::matches`] calls
-//!   allocate nothing. `av-match` builds its automaton — what a rule's
-//!   checks run — from these programs; the backtracking search stays the
-//!   reference it is tested against and the recorder behind `explain`;
+//! * [`CompiledPattern`] — patterns lowered once into fused instruction
+//!   programs (merged same-class scans, pre-encoded literals). `av-match`
+//!   builds its automaton — what a rule's checks and explanations run —
+//!   from these programs, and is tested against [`matches()`](fn@matches);
 //! * [`analyze_column`] / [`hypothesis_space`] / [`patterns_of_value`] —
 //!   Algorithm 1: coarse grouping plus per-position drill-down, producing
 //!   `P(v)`, `P(D)` and `H(C)`;
@@ -57,7 +55,7 @@ pub use analyze::{
     patterns_of_value, stream_column_profile, BitSet, CoarseGroup, ColumnAnalysis, EnumScratch,
     PositionOptions, StreamedPattern, SupportedPattern,
 };
-pub use compile::{ClassView, CompiledPattern, InstView, MatchTrace};
+pub use compile::{ClassView, CompiledPattern, InstView};
 pub use generalize::{coarse_pattern, PatternConfig};
 pub use matcher::{furthest_mismatch, matches};
 pub use parser::{parse, ParseError};

@@ -44,7 +44,7 @@ pub fn matches(pattern: &Pattern, value: &str) -> bool {
 /// string `pattern` accepts. Returns `None` exactly when the pattern
 /// matches the whole value.
 ///
-/// This is the oracle for `CompiledPattern::explain` — same character-level
+/// This is the oracle for `av_match::explain` — same character-level
 /// exploration as [`matches()`], instrumented to record partial progress
 /// inside every token (a literal that agrees on its first two characters
 /// reached two characters further, even though the token failed).

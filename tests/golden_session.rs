@@ -56,7 +56,7 @@ fn script() -> Vec<String> {
     }
 
     // Three rule kinds through the automatic fallback chain, and a forced
-    // variant whose program backtracks (four variadic scans).
+    // variant whose program has four variadic scans.
     let dates = |month: u32| -> Vec<String> {
         (1..=28)
             .map(|d| format!("2019-{month:02}-{d:02}"))
