@@ -199,8 +199,9 @@ impl Nfa {
     /// byte state, plus the UTF-8 encodings of the scalars in `non_ascii`
     /// (sorted, disjoint ranges above U+007F). All of [`NON_ASCII`] keeps
     /// the three multi-byte spine paths (lead byte then 1–3 continuation
-    /// bytes), stepping by encoded length — equivalent on valid UTF-8. A narrower set becomes one path per
-    /// UTF-8 byte-range sequence. [`char_states`] counts what this pushes.
+    /// bytes), stepping by encoded length — equivalent on valid UTF-8. A
+    /// narrower set becomes one path per UTF-8 byte-range sequence.
+    /// [`char_states`] counts what this pushes.
     pub(crate) fn push_char(
         &mut self,
         ascii: impl Fn(u8) -> bool,
