@@ -2,6 +2,7 @@
 
 use av_corpus::{Column, ColumnMeta};
 use av_index::{IndexConfig, PatternIndex};
+use av_match::CatalogMatcher;
 use proptest::prelude::*;
 
 fn value() -> impl Strategy<Value = String> {
@@ -111,15 +112,15 @@ proptest! {
         }
     }
 
-    /// The patterns the offline build indexes agree with the compiled
-    /// matcher the online path runs: for every indexed pattern, lowering it
-    /// to a [`av_pattern::CompiledPattern`] and matching the corpus values
-    /// byte-level returns exactly the reference matcher's verdicts (and the
-    /// compiled round-trip preserves the index key). This pins the index's
-    /// pattern population to the production matcher — a lookup hit means
-    /// the compiled rule really accepts what the index thinks it accepts.
+    /// The patterns the offline build indexes agree with the automaton the
+    /// online path runs: for every indexed pattern, a one-rule
+    /// [`CatalogMatcher`] over its compiled program (what a rule's checks
+    /// run) returns exactly the reference matcher's verdicts on the corpus
+    /// values, and the parse round-trip preserves the index key. A lookup
+    /// hit means the served rule really accepts what the index thinks it
+    /// accepts.
     #[test]
-    fn indexed_patterns_agree_with_compiled_matcher(
+    fn indexed_patterns_agree_with_the_served_automaton(
         cols in proptest::collection::vec(
             proptest::collection::vec(value(), 1..10),
             1..6,
@@ -142,11 +143,13 @@ proptest! {
             let pattern = av_pattern::parse(printed).expect("indexed patterns parse");
             prop_assert_eq!(pattern.fingerprint(), fp, "fingerprint round-trip: {}", printed);
             let compiled = pattern.compile();
+            let mut automaton = CatalogMatcher::new();
+            automaton.insert(0, &compiled);
             for v in &values {
                 prop_assert_eq!(
-                    compiled.matches(v),
+                    automaton.is_match(v),
                     av_pattern::matches(&pattern, v),
-                    "compiled vs reference: {} ~ {:?}", printed, v
+                    "automaton vs reference: {} ~ {:?}", printed, v
                 );
             }
         }
