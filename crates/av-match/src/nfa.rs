@@ -44,16 +44,43 @@ fn set_contains(set: &ByteSet, b: u8) -> bool {
 }
 
 #[inline]
-fn set_insert(set: &mut ByteSet, b: u8) {
+const fn set_insert(set: &mut ByteSet, b: u8) {
     set[(b >> 6) as usize] |= 1 << (b & 63);
 }
 
-fn range_set(lo: u8, hi: u8) -> ByteSet {
+const fn range_set(lo: u8, hi: u8) -> ByteSet {
     let mut s = [0u64; 4];
-    for b in lo..=hi {
-        set_insert(&mut s, b);
+    let mut b = lo as u32;
+    while b <= hi as u32 {
+        set_insert(&mut s, b as u8);
+        b += 1;
     }
     s
+}
+
+/// The ASCII bytes `class` accepts, computed at compile time.
+fn class_ascii(class: ClassView) -> ByteSet {
+    const fn of(class: ClassView) -> ByteSet {
+        let mut set = [0u64; 4];
+        let mut b = 0;
+        while b < 0x80 {
+            if class.contains_ascii(b) {
+                set_insert(&mut set, b);
+            }
+            b += 1;
+        }
+        set
+    }
+    match class {
+        ClassView::Digit => const { of(ClassView::Digit) },
+        ClassView::Upper => const { of(ClassView::Upper) },
+        ClassView::Lower => const { of(ClassView::Lower) },
+        ClassView::Letter => const { of(ClassView::Letter) },
+        ClassView::Alnum => const { of(ClassView::Alnum) },
+        ClassView::Space => const { of(ClassView::Space) },
+        ClassView::Sym => const { of(ClassView::Sym) },
+        ClassView::Any => const { of(ClassView::Any) },
+    }
 }
 
 /// Interner for byte sets: states store a `u16` id, membership tests index
@@ -227,22 +254,24 @@ impl Nfa {
         }
     }
 
-    /// One character of a pattern class, then `next`.
-    fn push_class(&mut self, class: ClassView, next: u32) -> u32 {
-        let non_ascii: &[(u32, u32)] = if class.accepts_multibyte() {
-            &[NON_ASCII]
+    /// One character of a pattern class whose ASCII bytes are the interned
+    /// `set`, then `next` — what [`Nfa::push_char`] pushes for the class.
+    /// An instruction interns its class once, not once per character.
+    fn push_class(&mut self, class: ClassView, set: u16, next: u32) -> u32 {
+        let a = self.push(NState::Byte { set, next });
+        if class.accepts_multibyte() {
+            self.push_spine(a, next)
         } else {
-            &[]
-        };
-        self.push_char(|b| class.contains_ascii(b), non_ascii, next)
+            a
+        }
     }
 
     /// The byte state `a` or any multi-byte character, then `next`.
     fn push_spine(&mut self, a: u32, next: u32) -> u32 {
-        let cont = self.sets.intern(range_set(0x80, 0xBF));
-        let lead2 = self.sets.intern(range_set(0xC0, 0xDF));
-        let lead3 = self.sets.intern(range_set(0xE0, 0xEF));
-        let lead4 = self.sets.intern(range_set(0xF0, 0xFF));
+        let cont = self.sets.intern(const { range_set(0x80, 0xBF) });
+        let lead2 = self.sets.intern(const { range_set(0xC0, 0xDF) });
+        let lead3 = self.sets.intern(const { range_set(0xE0, 0xEF) });
+        let lead4 = self.sets.intern(const { range_set(0xF0, 0xFF) });
         let c1 = self.push(NState::Byte { set: cont, next });
         let c2 = self.push(NState::Byte {
             set: cont,
@@ -294,13 +323,14 @@ impl Nfa {
 
     /// `min_chars` or more characters of `class`, then `next`.
     fn push_var(&mut self, class: ClassView, min_chars: u32, next: u32) -> u32 {
-        let head = self.push_star(next, |nfa, head| nfa.push_class(class, head));
-        (0..min_chars).fold(head, |entry, _| self.push_class(class, entry))
+        let set = self.sets.intern(class_ascii(class));
+        let head = self.push_star(next, |nfa, head| nfa.push_class(class, set, head));
+        (0..min_chars).fold(head, |entry, _| self.push_class(class, set, entry))
     }
 
     /// `\d+` then `next`.
     fn push_digits_plus(&mut self, next: u32) -> u32 {
-        let digit = self.sets.intern(range_set(b'0', b'9'));
+        let digit = self.sets.intern(const { range_set(b'0', b'9') });
         let head = self.push_star(next, |nfa, head| {
             nfa.push(NState::Byte {
                 set: digit,
@@ -346,7 +376,8 @@ impl Nfa {
             next = match *inst {
                 InstView::Lit(bytes) => self.push_lit(bytes, next),
                 InstView::Fixed { class, chars } => {
-                    (0..chars).fold(next, |n, _| self.push_class(class, n))
+                    let set = self.sets.intern(class_ascii(class));
+                    (0..chars).fold(next, |n, _| self.push_class(class, set, n))
                 }
                 InstView::Var { class, min_chars } => self.push_var(class, min_chars, next),
                 InstView::Num => self.push_num(next),

@@ -69,7 +69,7 @@ impl ClassView {
     /// Membership test for an ASCII byte (`b < 0x80`); non-ASCII
     /// characters are governed by [`ClassView::accepts_multibyte`].
     #[inline]
-    pub fn contains_ascii(self, b: u8) -> bool {
+    pub const fn contains_ascii(self, b: u8) -> bool {
         const fn is_ascii_space(b: u8) -> bool {
             matches!(b, b' ' | b'\t' | b'\r' | b'\n' | 0x0B | 0x0C)
         }
