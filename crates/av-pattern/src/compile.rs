@@ -39,6 +39,9 @@ enum Inst {
     Num,
 }
 
+/// A fixed-width token's constructor: `Token::Digit` builds `<digit>{n}`.
+type SizedToken = fn(u16) -> Token;
+
 /// Character class an instruction scans, seen through
 /// [`CompiledPattern::instructions`]. Mirrors
 /// [`Token::class_contains`]: the first six are pure-ASCII alphabets;
@@ -91,6 +94,21 @@ impl ClassView {
     #[inline]
     pub fn accepts_multibyte(self) -> bool {
         matches!(self, ClassView::Sym | ClassView::Any)
+    }
+
+    /// The class's fixed-width token constructor (`<sym>{n}`; none for
+    /// `<space>` and `<any>`) and its one-or-more token.
+    fn tokens(self) -> (Option<SizedToken>, Token) {
+        match self {
+            ClassView::Digit => (Some(Token::Digit), Token::DigitPlus),
+            ClassView::Upper => (Some(Token::Upper), Token::UpperPlus),
+            ClassView::Lower => (Some(Token::Lower), Token::LowerPlus),
+            ClassView::Letter => (Some(Token::Letter), Token::LetterPlus),
+            ClassView::Alnum => (Some(Token::Alnum), Token::AlnumPlus),
+            ClassView::Sym => (Some(Token::Sym), Token::SymPlus),
+            ClassView::Space => (None, Token::SpacePlus),
+            ClassView::Any => (None, Token::AnyPlus),
+        }
     }
 
     /// Class name for explanation text.
@@ -162,8 +180,6 @@ impl Inst {
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     insts: Box<[Inst]>,
-    /// The pattern lowered, read only by [`CompiledPattern::matches`].
-    source: Pattern,
 }
 
 impl CompiledPattern {
@@ -192,7 +208,6 @@ impl CompiledPattern {
         }
         CompiledPattern {
             insts: insts.into_boxed_slice(),
-            source: pattern.clone(),
         }
     }
 
@@ -212,12 +227,52 @@ impl CompiledPattern {
         self.insts.iter().map(Inst::view)
     }
 
-    /// Does the pattern this program was lowered from accept the *entire*
-    /// `value`? The char-level reference's verdict ([`crate::matches`]) —
-    /// kept for tests and the benchmark ladder; checks run `av-match`'s
-    /// automaton.
+    /// Does the program accept the *entire* `value`? The char-level
+    /// reference's verdict ([`crate::matches`]) on a pattern rebuilt from
+    /// the instructions per call — kept for tests and the benchmark ladder;
+    /// checks run `av-match`'s automaton.
     pub fn matches(&self, value: &str) -> bool {
-        crate::matches(&self.source, value)
+        crate::matches(&self.pattern(), value)
+    }
+
+    /// A pattern with the program's language. Fusion only merged runs of
+    /// one class, so each instruction turns back into that class's tokens:
+    /// `Var { class, min_chars: n }` into `<class>{n-1}<class>+`, or into n
+    /// `<class>+` for a class with no fixed-width token.
+    fn pattern(&self) -> Pattern {
+        fn fixed(tokens: &mut Vec<Token>, width: SizedToken, mut chars: u32) {
+            while chars > 0 {
+                let n = chars.min(u32::from(u16::MAX));
+                tokens.push(width(n as u16));
+                chars -= n;
+            }
+        }
+        let mut tokens = Vec::with_capacity(self.insts.len());
+        for inst in self.insts.iter() {
+            match *inst {
+                Inst::Lit(ref lit) => {
+                    let text = std::str::from_utf8(lit).expect("literals are encoded from &str");
+                    tokens.push(Token::lit(text));
+                }
+                Inst::Num => tokens.push(Token::Num),
+                Inst::Fixed { class, chars } => {
+                    let (width, _) = class.tokens();
+                    fixed(
+                        &mut tokens,
+                        width.expect("only sized classes are fixed"),
+                        chars,
+                    );
+                }
+                Inst::Var { class, min_chars } => match class.tokens() {
+                    (Some(width), plus) => {
+                        fixed(&mut tokens, width, min_chars - 1);
+                        tokens.push(plus);
+                    }
+                    (None, plus) => tokens.extend((0..min_chars).map(|_| plus.clone())),
+                },
+            }
+        }
+        Pattern::new(tokens)
     }
 
     /// What the instruction at `idx` accepts, in words; `idx == num_insts`
@@ -378,6 +433,38 @@ mod tests {
         );
         // Twelve <any>+ are one bounded scan.
         assert_eq!(fused(vec![Token::AnyPlus; 12]).num_instructions(), 1);
+    }
+
+    /// `matches` rebuilds a pattern from the fused program: each fusion
+    /// case comes back as tokens of the same language.
+    #[test]
+    fn rebuilt_pattern_has_the_source_language() {
+        let rebuilt = |text: &str| CompiledPattern::compile(&parse(text).unwrap()).pattern();
+        let same = |text: &str| assert_eq!(rebuilt(text), parse(text).unwrap(), "{text}");
+        same("<letter>{3} <digit>{2} <digit>{4}");
+        same("<num>.<digit>+ <sym>{2}");
+        same("<any>+<any>+<space>+x");
+        // Fusion reorders a run, not its language.
+        assert_eq!(
+            rebuilt("<digit>+<digit>{2}"),
+            parse("<digit>{2}<digit>+").unwrap()
+        );
+        assert_eq!(
+            rebuilt("<upper>{2}<upper>{3}"),
+            parse("<upper>{5}").unwrap()
+        );
+        // A fused width past a token's `u16` splits again.
+        let wide =
+            CompiledPattern::compile(&Pattern::new(vec![Token::Digit(u16::MAX), Token::Digit(2)]));
+        assert_eq!(
+            wide.pattern(),
+            Pattern::new(vec![Token::Digit(u16::MAX), Token::Digit(2)])
+        );
+        let p = parse("<letter>+<letter>{2}-<any>+<any>+").unwrap();
+        let program = CompiledPattern::compile(&p);
+        for v in ["ab-xy", "abc-x", "a-xy", "abc-xyz", "ab-x"] {
+            assert_eq!(program.matches(v), crate::matches(&p, v), "{v}");
+        }
     }
 
     #[test]
