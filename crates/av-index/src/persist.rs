@@ -328,38 +328,19 @@ impl PatternIndex {
         av_pattern::fnv1a(&self.to_bytes())
     }
 
-    /// Write the index through `storage` atomically (see
-    /// [`write_atomic`]): the bytes go to a sibling `.tmp` file which is
-    /// fsynced and renamed over `path`, then the parent directory is
-    /// fsynced so the rename survives a crash. A crash at any point
-    /// leaves either the old image or the new one at `path`, never a
-    /// truncated hybrid.
-    pub fn save_with(
-        &self,
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<(), PersistError> {
-        write_atomic(storage, path.as_ref(), &self.to_bytes())?;
+    /// Write the index file at `path` atomically (see [`write_atomic`]):
+    /// the bytes go to a sibling `.tmp` file which is fsynced and renamed
+    /// over `path`, then the parent directory is fsynced so the rename
+    /// survives a crash. A crash at any point leaves either the old image
+    /// or the new one at `path`, never a truncated hybrid.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        write_atomic(&OsStorage, path.as_ref(), &self.to_bytes())?;
         Ok(())
     }
 
-    /// [`save_with`](Self::save_with) against the real filesystem.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_with(&OsStorage, path)
-    }
-
-    /// Read an index through `storage`.
-    pub fn load_with(
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<PatternIndex, PersistError> {
-        let buf = storage.read(path.as_ref())?;
-        PatternIndex::from_bytes(&buf)
-    }
-
-    /// [`load_with`](Self::load_with) against the real filesystem.
+    /// Read the index file at `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<PatternIndex, PersistError> {
-        Self::load_with(&OsStorage, path)
+        PatternIndex::from_bytes(&OsStorage.read(path.as_ref())?)
     }
 }
 

@@ -2,7 +2,7 @@
 //! serialized to disk, reloaded on restart — so a recurring pipeline's
 //! rules survive service restarts and are never re-inferred per run.
 //!
-//! On-disk format: a text file, first line `AVCAT 3`, then one line per
+//! On-disk format: text, first line `AVCAT 3`, then one line per
 //! rule combining catalog metadata with the rule's `av-core` wire form,
 //! then a CRC-32 footer line over every preceding byte:
 //!
@@ -12,19 +12,18 @@
 //! #crc32=9a0b1c2d
 //! ```
 //!
-//! The footer turns silent bit rot into a load error that names the file
-//! and the byte offset of the mismatch. `AVCAT 3` is the only version
-//! read: the header line is the version, and a file under any other is
-//! refused rather than reinterpreted.
+//! The footer turns silent bit rot into a load error that names the byte
+//! offset of the mismatch. `AVCAT 3` is the only version read: the header
+//! line is the version, and a text under any other is refused rather than
+//! reinterpreted.
 //!
-//! Saves are atomic and durable (sibling temp file, `fsync`, rename,
-//! parent-directory `fsync`), so a crash mid-save never corrupts the
-//! previous catalog and a completed save survives power loss.
+//! The catalog does no I/O of its own. Each checkpoint writes this text as
+//! a generation-numbered catalog file that its manifest checksums, and
+//! recovery reads it back (`durable.rs`), naming the file in any error.
 
 use av_core::{pct_decode, pct_encode, AnyRule};
-use av_durable::{crc32, OsStorage, Storage};
+use av_durable::crc32;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// A named rule plus provenance metadata.
 #[derive(Debug, Clone)]
@@ -39,19 +38,14 @@ pub struct CatalogEntry {
     pub created_unix: u64,
 }
 
-/// Errors from loading or saving a catalog.
+/// Errors from parsing a catalog's text.
 #[derive(Debug)]
-pub enum CatalogError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
+pub(crate) enum CatalogError {
     /// Malformed catalog content.
     Format(String),
-    /// The CRC-32 footer did not match the catalog bytes: the file was
+    /// The CRC-32 footer did not match the catalog bytes: the text was
     /// corrupted after it was written.
     Corrupt {
-        /// The file that failed verification (empty when the catalog was
-        /// parsed from in-memory text).
-        file: String,
         /// Byte offset of the footer whose check failed.
         offset: u64,
         /// What mismatched.
@@ -62,15 +56,9 @@ pub enum CatalogError {
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CatalogError::Io(e) => write!(f, "catalog io error: {e}"),
             CatalogError::Format(m) => write!(f, "catalog format error: {m}"),
-            CatalogError::Corrupt {
-                file,
-                offset,
-                detail,
-            } => {
-                let file = if file.is_empty() { "<memory>" } else { file };
-                write!(f, "catalog {file} corrupt at byte {offset}: {detail}")
+            CatalogError::Corrupt { offset, detail } => {
+                write!(f, "catalog corrupt at byte {offset}: {detail}")
             }
         }
     }
@@ -78,18 +66,12 @@ impl std::fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-impl From<std::io::Error> for CatalogError {
-    fn from(e: std::io::Error) -> Self {
-        CatalogError::Io(e)
-    }
-}
-
 // AVCAT 3 (CRC-32 footer line) is the only version read; the header line
 // is the version, and any other is a clean load error.
 const HEADER: &str = "AVCAT 3";
 const FOOTER_PREFIX: &str = "#crc32=";
 
-/// An in-memory collection of named rules with disk persistence.
+/// An in-memory collection of named rules and its text form.
 #[derive(Debug, Clone, Default)]
 pub struct RuleCatalog {
     entries: BTreeMap<String, CatalogEntry>,
@@ -165,14 +147,12 @@ impl RuleCatalog {
             .strip_prefix(FOOTER_PREFIX)
             .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
             .ok_or_else(|| CatalogError::Corrupt {
-                file: String::new(),
                 offset: footer_start as u64,
                 detail: format!("missing {FOOTER_PREFIX:?} footer line"),
             })?;
         let computed = crc32(&text.as_bytes()[..footer_start]);
         if stored != computed {
             return Err(CatalogError::Corrupt {
-                file: String::new(),
                 offset: footer_start as u64,
                 detail: format!("crc32 mismatch: stored {stored:08x}, computed {computed:08x}"),
             });
@@ -189,54 +169,6 @@ impl RuleCatalog {
             catalog.insert(entry);
         }
         Ok(catalog)
-    }
-
-    /// Write the catalog through `storage` atomically and durably
-    /// (see [`av_durable::write_atomic`]): sibling temp file, `fsync`,
-    /// rename over `path`, parent-directory `fsync`.
-    pub fn save_with(
-        &self,
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<(), CatalogError> {
-        av_durable::write_atomic(storage, path.as_ref(), self.to_text().as_bytes())?;
-        Ok(())
-    }
-
-    /// [`save_with`](Self::save_with) against the real filesystem.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CatalogError> {
-        self.save_with(&OsStorage, path)
-    }
-
-    /// Load a catalog through `storage`. Corruption errors name the file
-    /// and the byte offset where verification failed.
-    pub fn load_with(
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<RuleCatalog, CatalogError> {
-        let path = path.as_ref();
-        let bytes = storage.read(path)?;
-        let text = String::from_utf8(bytes)
-            .map_err(|e| CatalogError::Format(format!("catalog is not UTF-8: {e}")))?;
-        RuleCatalog::from_text(&text).map_err(|e| name_file(e, &path.display().to_string()))
-    }
-
-    /// [`load_with`](Self::load_with) against the real filesystem.
-    pub fn load(path: impl AsRef<Path>) -> Result<RuleCatalog, CatalogError> {
-        Self::load_with(&OsStorage, path)
-    }
-}
-
-/// Stamp a file name into a [`CatalogError::Corrupt`] raised while parsing
-/// that file's text.
-pub(crate) fn name_file(e: CatalogError, file_name: &str) -> CatalogError {
-    match e {
-        CatalogError::Corrupt { offset, detail, .. } => CatalogError::Corrupt {
-            file: file_name.to_string(),
-            offset,
-            detail,
-        },
-        other => other,
     }
 }
 
@@ -309,6 +241,7 @@ mod tests {
             "<digit>{4}-<digit>{2}-<digit>{2}",
         ));
         cat.insert(entry("weird name; with=delims,", "<digit>+"));
+        cat.insert(entry("r1", "<num>"));
         let dict_train: Vec<String> = (0..60).map(|i| ["a", "b", "c"][i % 3].into()).collect();
         cat.insert(CatalogEntry {
             name: "statuses".into(),
@@ -320,7 +253,7 @@ mod tests {
         });
 
         let reloaded = RuleCatalog::from_text(&cat.to_text()).unwrap();
-        assert_eq!(reloaded.len(), 3);
+        assert_eq!(reloaded.len(), 4);
         let e = reloaded.get("feeds/sales.date").unwrap();
         assert_eq!(e.variant, "FMDV-VH");
         assert_eq!(e.created_unix, 1_753_600_000);
@@ -328,20 +261,7 @@ mod tests {
         assert!(!e.rule.conforms("27/07/2026"));
         assert!(reloaded.get("weird name; with=delims,").is_some());
         assert!(reloaded.get("statuses").unwrap().rule.conforms("b"));
-    }
-
-    #[test]
-    fn save_load_via_file() {
-        let dir = std::env::temp_dir().join("av_catalog_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rules.avcat");
-        let mut cat = RuleCatalog::new();
-        cat.insert(entry("r1", "<num>"));
-        cat.save(&path).unwrap();
-        let loaded = RuleCatalog::load(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.get("r1").unwrap().rule.conforms("42"));
-        std::fs::remove_file(&path).ok();
+        assert!(reloaded.get("r1").unwrap().rule.conforms("42"));
     }
 
     #[test]
@@ -357,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_catalog_names_file_and_offset() {
+    fn corrupted_catalog_names_the_offset() {
         let mut cat = RuleCatalog::new();
         cat.insert(entry("r1", "<num>"));
         cat.insert(entry("r2", "<digit>{4}"));
@@ -375,7 +295,7 @@ mod tests {
         bytes[12] ^= 0x40;
         let corrupt = String::from_utf8(bytes).unwrap();
         match RuleCatalog::from_text(&corrupt) {
-            Err(CatalogError::Corrupt { offset, detail, .. }) => {
+            Err(CatalogError::Corrupt { offset, detail }) => {
                 assert_eq!(offset as usize, text.rfind("#crc32=").unwrap());
                 assert!(detail.contains("crc32 mismatch"), "{detail}");
             }
@@ -388,16 +308,8 @@ mod tests {
             RuleCatalog::from_text(&text[..footer_at]),
             Err(CatalogError::Corrupt { .. })
         ));
-
-        // Loading from disk names the file in the error message.
-        let dir = std::env::temp_dir().join(format!("av_catalog_crc_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rules.avcat");
-        std::fs::write(&path, &corrupt).unwrap();
-        let err = RuleCatalog::load(&path).unwrap_err().to_string();
-        assert!(err.contains("rules.avcat"), "{err}");
+        let err = RuleCatalog::from_text(&corrupt).unwrap_err().to_string();
         assert!(err.contains("corrupt at byte"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Crash-safe durability for the validation service: WAL record encoding,
-//! incremental checkpoints, and recovery.
+//! incremental checkpoints, and recovery. A service opened on a data
+//! directory always runs this path; one with no directory logs nothing.
 //!
 //! ## What is logged
 //!
@@ -60,9 +61,12 @@
 //! O(log since the last checkpoint) — bounded by the trigger above, never
 //! a corpus rebuild. Replayed records count toward the next trigger, as
 //! if they had just been logged.
+//!
+//! A directory with no manifest that holds the `index.avix` +
+//! `rules.avcat` pair an older release wrote loads that pair as generation
+//! 0; the first checkpoint moves it to the manifest layout.
 
 use crate::catalog::{self, CatalogEntry, RuleCatalog};
-use crate::engine::{CATALOG_FILE, INDEX_FILE};
 use crate::lockorder;
 use av_durable::{crc32, DurableError, Manifest, ShardFileEntry, Storage, Wal, WalConfig};
 use av_index::{IndexDelta, IndexShard, PatternIndex, ShardedIndex};
@@ -74,29 +78,15 @@ use std::sync::{Arc, Mutex};
 pub(crate) const WAL_DIR: &str = "wal";
 /// Subdirectory corrupt checkpoint files are moved into.
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
+/// The index image of a directory an older release wrote, read once at
+/// recovery when no manifest exists.
+pub(crate) const INDEX_FILE: &str = "index.avix";
+/// The catalog that went with [`INDEX_FILE`].
+pub(crate) const CATALOG_FILE: &str = "rules.avcat";
 
 const REC_DELTA: u8 = 1;
 const REC_INFER: u8 = 2;
 const REC_DELETE: u8 = 3;
-
-/// Durability knobs for [`ServiceConfig`](crate::ServiceConfig).
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Log every mutating op to a WAL and checkpoint incrementally.
-    /// Requires a data directory; off by default.
-    pub enabled: bool,
-    /// WAL segment rotation threshold, in bytes.
-    pub wal_segment_bytes: u64,
-}
-
-impl Default for DurabilityConfig {
-    fn default() -> Self {
-        DurabilityConfig {
-            enabled: false,
-            wal_segment_bytes: 8 << 20,
-        }
-    }
-}
 
 /// A point-in-time view of the durability subsystem, surfaced by the
 /// `persist`, `stats`, and `metrics` protocol ops.
@@ -254,9 +244,9 @@ impl LogTail {
     }
 }
 
-/// Run one mutating op. In durable mode (`log` is `Some`) `record` is
-/// appended and counted under the log lock and `apply` runs there too;
-/// then, if the log since the last checkpoint has grown to that
+/// Run one mutating op. With a log (the service has a data directory)
+/// `record` is appended and counted under the log lock and `apply` runs
+/// there too; then, if the log since the last checkpoint has grown to that
 /// checkpoint's image, a checkpoint of `cut` is written. Without a log,
 /// `apply` runs alone.
 ///
@@ -358,11 +348,11 @@ impl DurableLog {
     /// WAL replay with torn-tail truncation. Falls back to legacy
     /// `index.avix` + `rules.avcat` images (plus full WAL replay) when no
     /// manifest exists. Returns the log, appending after the replayed
-    /// records, and the recovered catalog.
+    /// records and rotating at `segment_bytes`, and the recovered catalog.
     pub(crate) fn recover(
         storage: &Arc<dyn Storage>,
         dir: &Path,
-        cfg: &DurabilityConfig,
+        segment_bytes: u64,
         index: &ShardedIndex,
     ) -> Result<(DurableLog, RuleCatalog), DurableError> {
         storage.create_dir_all(dir)?;
@@ -501,9 +491,7 @@ impl DurableLog {
         let wal = Wal::create(
             Arc::clone(storage),
             wal_dir,
-            WalConfig {
-                segment_bytes: cfg.wal_segment_bytes,
-            },
+            WalConfig { segment_bytes },
             next_lsn,
         )?;
 
@@ -722,8 +710,9 @@ mod tests {
     fn open(mem: &MemStorage) -> (DurableLog, ShardedIndex) {
         let index = ShardedIndex::new(PatternIndex::build(&[], &IndexConfig::default()));
         let storage: Arc<dyn Storage> = Arc::new(mem.clone());
-        let config = DurabilityConfig::default();
-        let (log, _) = DurableLog::recover(&storage, Path::new("/data"), &config, &index).unwrap();
+        let segment_bytes = crate::engine::DEFAULT_WAL_SEGMENT_BYTES;
+        let (log, _) =
+            DurableLog::recover(&storage, Path::new("/data"), segment_bytes, &index).unwrap();
         (log, index)
     }
 

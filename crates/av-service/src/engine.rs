@@ -26,13 +26,16 @@
 //!   checkpoint's base still points to is cloned before the write, and the
 //!   holder keeps the old one; `stats` counts those clones as
 //!   `index_shards_copied`. Ingests are serialized by the epoch lock for
-//!   the length of their apply — in durable mode by the log lock too, for
-//!   their append and apply (`durable.rs` § Checkpoints).
+//!   the length of their apply — on a data directory by the log lock too,
+//!   for their append and apply (`durable.rs` § Checkpoints).
+//!
+//! A service either lives in memory ([`ValidationService::new`]) or on a
+//! data directory ([`ValidationService::open`]), and a data directory is
+//! always durable: every mutating op is write-ahead logged before it is
+//! acknowledged, and `persist` writes an incremental checkpoint.
 
-use crate::catalog::{CatalogEntry, CatalogError, RuleCatalog};
-use crate::durable::{
-    self, Cut, Deletion, DurabilityConfig, DurabilitySnapshot, DurableLog, Record,
-};
+use crate::catalog::{CatalogEntry, RuleCatalog};
+use crate::durable::{self, Cut, Deletion, DurabilitySnapshot, DurableLog, Record};
 use crate::lockorder;
 use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
 use av_core::{
@@ -41,15 +44,10 @@ use av_core::{
 };
 use av_corpus::Column;
 use av_durable::{DurableError, OsStorage, Storage};
-use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, PersistError, ShardedIndex};
+use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, ShardedIndex};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// On-disk index file name inside the service data directory.
-pub const INDEX_FILE: &str = "index.avix";
-/// On-disk catalog file name inside the service data directory.
-pub(crate) const CATALOG_FILE: &str = "rules.avcat";
 
 /// Default cap on one JSONL request line read from a TCP client (1 MiB).
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
@@ -59,6 +57,9 @@ pub(crate) const DEFAULT_MAX_CONNECTIONS: usize = 10_000;
 
 /// Default idle timeout for a TCP connection, in milliseconds (1 min).
 pub(crate) const DEFAULT_IDLE_TIMEOUT_MS: u64 = 60_000;
+
+/// Default WAL segment rotation threshold, in bytes (8 MiB).
+pub(crate) const DEFAULT_WAL_SEGMENT_BYTES: u64 = 8 << 20;
 
 /// Default write-stall deadline, in milliseconds: how long a connection
 /// may make zero progress draining buffered response bytes before it is
@@ -74,9 +75,9 @@ pub struct ServiceConfig {
     /// Event loops the TCP serve loop runs, one thread each
     /// (0 → available parallelism, never under two).
     pub workers: usize,
-    /// State directory; `None` disables persistence. It holds
-    /// `index.avix` + `rules.avcat`, or in durable mode the manifest, the
-    /// shard files and `wal/`.
+    /// State directory, opened with [`ValidationService::open`]; `None`
+    /// keeps the service in memory. It holds the checkpoint manifest, the
+    /// shard and catalog files it references, and `wal/`.
     pub data_dir: Option<PathBuf>,
     /// Largest JSONL request line a TCP connection may send, in bytes
     /// (default [`DEFAULT_MAX_REQUEST_BYTES`]). A client that streams more
@@ -99,9 +100,9 @@ pub struct ServiceConfig {
     pub stall_deadline_ms: u64,
     /// Drift-telemetry knobs: the sliding window's bucket width.
     pub telemetry: TelemetryConfig,
-    /// Crash-safe durability knobs (WAL + incremental checkpoints).
-    /// Effective only with a data directory configured.
-    pub durability: DurabilityConfig,
+    /// WAL segment rotation threshold, in bytes (default 8 MiB). Read only
+    /// with a data directory.
+    pub wal_segment_bytes: u64,
     /// The storage layer all durability I/O goes through. Production code
     /// keeps the default [`OsStorage`]; fault-injection tests swap in
     /// [`av_durable::MemStorage`] to crash the service at every I/O point.
@@ -123,7 +124,7 @@ impl Default for ServiceConfig {
             idle_timeout_ms: DEFAULT_IDLE_TIMEOUT_MS,
             stall_deadline_ms: DEFAULT_STALL_DEADLINE_MS,
             telemetry: TelemetryConfig::default(),
-            durability: DurabilityConfig::default(),
+            wal_segment_bytes: DEFAULT_WAL_SEGMENT_BYTES,
             storage: Arc::new(OsStorage),
             rule_clock_unix: None,
         }
@@ -131,24 +132,12 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Config persisting under `dir`.
-    pub fn with_data_dir(dir: impl Into<PathBuf>) -> ServiceConfig {
-        ServiceConfig {
-            data_dir: Some(dir.into()),
-            ..Default::default()
-        }
-    }
-
-    /// Config persisting under `dir` with crash-safe durability enabled:
-    /// every mutating op is write-ahead logged and checkpoints are
-    /// incremental.
+    /// Config persisting under `dir`, for [`ValidationService::open`]:
+    /// every mutating op is write-ahead logged before it is acknowledged,
+    /// and checkpoints are incremental.
     pub fn durable(dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             data_dir: Some(dir.into()),
-            durability: DurabilityConfig {
-                enabled: true,
-                ..DurabilityConfig::default()
-            },
             ..Default::default()
         }
     }
@@ -163,10 +152,6 @@ pub enum ServiceError {
     Infer(InferError),
     /// An ingested delta could not merge (τ mismatch).
     Delta(DeltaError),
-    /// Index (de)serialization failed.
-    Index(PersistError),
-    /// Catalog (de)serialization failed.
-    Catalog(CatalogError),
     /// Persistence requested but the service has no data directory.
     NoDataDir,
     /// Durability I/O failed (WAL append, checkpoint, or recovery). A
@@ -180,8 +165,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownRule(n) => write!(f, "unknown rule {n:?}"),
             ServiceError::Infer(e) => write!(f, "inference failed: {e}"),
             ServiceError::Delta(e) => write!(f, "delta merge failed: {e}"),
-            ServiceError::Index(e) => write!(f, "index persistence failed: {e}"),
-            ServiceError::Catalog(e) => write!(f, "catalog persistence failed: {e}"),
             ServiceError::NoDataDir => write!(f, "service has no data directory configured"),
             ServiceError::Durable(e) => write!(f, "durability failure: {e}"),
         }
@@ -207,18 +190,6 @@ impl From<InferError> for ServiceError {
 impl From<DeltaError> for ServiceError {
     fn from(e: DeltaError) -> Self {
         ServiceError::Delta(e)
-    }
-}
-
-impl From<PersistError> for ServiceError {
-    fn from(e: PersistError) -> Self {
-        ServiceError::Index(e)
-    }
-}
-
-impl From<CatalogError> for ServiceError {
-    fn from(e: CatalogError) -> Self {
-        ServiceError::Catalog(e)
     }
 }
 
@@ -332,8 +303,9 @@ pub struct ValidationService {
     /// always a function of the catalog. The `Mutex` is always the
     /// **innermost** lock (taken after, never around, the catalog lock).
     classifier: Mutex<RuleSet>,
-    /// The write-ahead log and its checkpoints; `None` outside durable
-    /// mode. Every mutating op is one [`durable::commit`] through it.
+    /// The write-ahead log and its checkpoints; `None` for a service with
+    /// no data directory. Every mutating op is one [`durable::commit`]
+    /// through it.
     durable: Option<DurableLog>,
     telemetry: ServiceTelemetry,
     shutdown: AtomicBool,
@@ -367,8 +339,20 @@ struct Counters {
 }
 
 impl ValidationService {
-    /// A fresh service with an empty index and catalog.
+    /// A fresh in-memory service with an empty index and catalog. A config
+    /// with a data directory is refused: it is opened with
+    /// [`ValidationService::open`], which recovers the directory and logs
+    /// every op there.
     pub fn new(config: ServiceConfig) -> ValidationService {
+        assert!(
+            config.data_dir.is_none(),
+            "a data directory is opened with ValidationService::open, not new"
+        );
+        ValidationService::empty(config)
+    }
+
+    /// A service with an empty index and catalog and no log yet.
+    fn empty(config: ServiceConfig) -> ValidationService {
         let empty = PatternIndex::build(&[], &config.index);
         ValidationService {
             index: ShardedIndex::new(empty),
@@ -384,42 +368,31 @@ impl ValidationService {
         }
     }
 
-    /// Open a service, reloading any persisted index and catalog from the
-    /// configured data directory. Missing files mean a cold start — not an
-    /// error. An index image written under a different shard count is
-    /// resharded to the configured one on install.
+    /// Open a service on the configured data directory (with none, an
+    /// in-memory service like [`ValidationService::new`]'s). An empty or
+    /// missing directory is a cold start — not an error.
     ///
-    /// In durable mode this is crash **recovery**: the newest checkpoint
-    /// manifest that verifies is loaded (corrupt shard files are
-    /// quarantined, not fatal), then the write-ahead log is replayed above
+    /// Opening is crash **recovery**: the newest checkpoint manifest that
+    /// verifies is loaded (corrupt shard files are quarantined, not fatal;
+    /// an index image written under a different shard count is resharded
+    /// to the configured one), then the write-ahead log is replayed above
     /// the checkpoint's watermark — the log since the last checkpoint, which
     /// the auto-checkpoint trigger keeps to about one checkpoint image,
     /// never a corpus rebuild — so the recovered state equals a consistent
     /// prefix of the acknowledged operation history.
     pub fn open(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
-        let mut service = ValidationService::new(config);
+        let mut service = ValidationService::empty(config);
         let Some(dir) = service.config.data_dir.clone() else {
             return Ok(service);
         };
-        let storage = Arc::clone(&service.config.storage);
-        let catalog = if service.config.durability.enabled {
-            let (log, catalog) =
-                DurableLog::recover(&storage, &dir, &service.config.durability, &service.index)?;
-            service.durable = Some(log);
-            catalog
-        } else {
-            let index_path = dir.join(INDEX_FILE);
-            if storage.exists(&index_path) {
-                let loaded = PatternIndex::load_with(storage.as_ref(), &index_path)?;
-                service.index.install(loaded);
-            }
-            let catalog_path = dir.join(CATALOG_FILE);
-            if storage.exists(&catalog_path) {
-                RuleCatalog::load_with(storage.as_ref(), &catalog_path)?
-            } else {
-                RuleCatalog::new()
-            }
-        };
+        let config = &service.config;
+        let (log, catalog) = DurableLog::recover(
+            &config.storage,
+            &dir,
+            config.wal_segment_bytes,
+            &service.index,
+        )?;
+        service.durable = Some(log);
         *service.counters.columns_ingested.get_mut() = service.index.snapshot().num_columns;
         // Every rule joins the automaton, then the catalog is swapped in.
         let classifier = service.classifier.get_mut().expect("classifier poisoned");
@@ -728,35 +701,16 @@ impl ValidationService {
             .generation()
     }
 
-    /// Persist the live index and catalog to the data directory. In
-    /// durable mode this writes an incremental checkpoint (only shards
-    /// touched since the previous checkpoint are rewritten) and truncates
-    /// the WAL behind it; otherwise it writes the full `index.avix` /
-    /// `rules.avcat` pair atomically.
+    /// Write an incremental checkpoint of the live index and catalog to the
+    /// data directory (only shards touched since the previous checkpoint
+    /// are rewritten) and truncate the WAL behind it.
     pub fn persist(&self) -> Result<(), ServiceError> {
-        if let Some(log) = &self.durable {
-            return Ok(log.checkpoint(|| self.cut())?);
-        }
-        let dir = self
-            .config
-            .data_dir
-            .as_ref()
-            .ok_or(ServiceError::NoDataDir)?;
-        let storage = Arc::clone(&self.config.storage);
-        storage
-            .create_dir_all(dir)
-            .map_err(|e| ServiceError::Catalog(CatalogError::Io(e)))?;
-        self.snapshot()
-            .save_with(storage.as_ref(), dir.join(INDEX_FILE))?;
-        self.catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .save_with(storage.as_ref(), dir.join(CATALOG_FILE))?;
-        Ok(())
+        let log = self.durable.as_ref().ok_or(ServiceError::NoDataDir)?;
+        Ok(log.checkpoint(|| self.cut())?)
     }
 
-    /// Run one mutating op through the log (see [`durable::commit`]): in
-    /// durable mode `record` is logged and `apply`'d under the log lock.
+    /// Run one mutating op through the log (see [`durable::commit`]): on a
+    /// data directory `record` is logged and `apply`'d under the log lock.
     fn commit<R: Record, T>(
         &self,
         record: R,
@@ -774,7 +728,7 @@ impl ValidationService {
     }
 
     /// Durability counters (checkpoint generation, WAL footprint, recovery
-    /// tallies), or `None` when the service runs without a WAL.
+    /// tallies), or `None` for a service with no data directory.
     pub fn durability(&self) -> Option<DurabilitySnapshot> {
         self.durable.as_ref().map(DurableLog::snapshot)
     }
@@ -1063,6 +1017,14 @@ mod tests {
         assert!(service.snapshot().num_columns > old_columns);
     }
 
+    /// `new` holds no log, so on a data directory it would acknowledge ops
+    /// it never logs: the directory is refused, and `open` named.
+    #[test]
+    #[should_panic(expected = "ValidationService::open")]
+    fn new_refuses_a_data_directory() {
+        ValidationService::new(ServiceConfig::durable("unused-data-dir"));
+    }
+
     #[test]
     fn unknown_rule_errors() {
         let service = ValidationService::new(ServiceConfig::default());
@@ -1150,12 +1112,13 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("av_service_classify_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let config = ServiceConfig::with_data_dir(&dir);
+        let config = ServiceConfig::durable(&dir);
 
-        let service = ValidationService::new(config.clone());
+        let service = ValidationService::open(config.clone()).unwrap();
         service.ingest(&lake_columns(5)).unwrap();
         service.infer_rule("dates", &date_values(6), None).unwrap();
         service.persist().unwrap();
+        drop(service);
 
         let reopened = ValidationService::open(config).unwrap();
         assert_eq!(
@@ -1213,13 +1176,14 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("av_service_engine_test_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let config = ServiceConfig::with_data_dir(&dir);
+        let config = ServiceConfig::durable(&dir);
 
-        let service = ValidationService::new(config.clone());
+        let service = ValidationService::open(config.clone()).unwrap();
         service.ingest(&lake_columns(5)).unwrap();
         service.infer_rule("dates", &date_values(6), None).unwrap();
         let before = service.snapshot();
         service.persist().unwrap();
+        drop(service);
 
         let reopened = ValidationService::open(config).unwrap();
         let after = reopened.snapshot();

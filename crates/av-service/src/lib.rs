@@ -19,16 +19,18 @@
 //!   lake. Statistics stay bit-for-bit identical to a full rebuild
 //!   (`av-index`'s fixed-point accumulators make the merge exact).
 //! * **Persistent rule catalog** — rules are inferred once (FMDV and its
-//!   fallbacks), named, serialized to `rules.avcat`, and reloaded on
-//!   restart, so a service restart never re-infers or loses a rule.
+//!   fallbacks), named, logged and checkpointed with the index, and
+//!   reloaded on restart, so a service restart never re-infers or loses a
+//!   rule.
 //! * **One rule namespace** — every served rule is a catalog rule,
 //!   validated through a `dyn av_core::Validator` streaming session over
 //!   borrowed `&str` values. The catalog automaton that `classify` scans
 //!   is patched in the same step that writes the catalog, so it always
 //!   names exactly the catalog's rules.
-//! * **Crash-safe durable mode** — with [`ServiceConfig::durable`],
-//!   every mutating op is CRC-framed, write-ahead logged and fsynced
-//!   before it is acknowledged; `persist` writes an **incremental
+//! * **Crash-safe data directory** — a service opened on one
+//!   ([`ServiceConfig::durable`] + [`ValidationService::open`]) CRC-frames,
+//!   write-ahead logs and fsyncs every mutating op before it is
+//!   acknowledged; `persist` writes an **incremental
 //!   checkpoint** (only index shards touched since the last one are
 //!   rewritten) and [`ValidationService::open`] recovers checkpoint +
 //!   WAL tail in O(records since checkpoint) — a kill at any instant
@@ -68,11 +70,11 @@ pub mod protocol;
 pub mod server;
 pub mod telemetry;
 
-pub use catalog::{CatalogEntry, CatalogError, RuleCatalog};
-pub use durable::{DurabilityConfig, DurabilitySnapshot};
+pub use catalog::{CatalogEntry, RuleCatalog};
+pub use durable::DurabilitySnapshot;
 pub use engine::{
     owned_column, ClassifyOutcome, ExplainOutcome, IngestReport, ServiceConfig, ServiceError,
-    ServiceStats, ValidationService, INDEX_FILE,
+    ServiceStats, ValidationService,
 };
 pub use protocol::{handle_line, response_ok, Handled, LineOutcome, WatchParams};
 pub use server::{

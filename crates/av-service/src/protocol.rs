@@ -131,15 +131,15 @@
 //!
 //! ## Durability state
 //!
-//! When the service runs in durable mode (`av-serve --durable`, or
-//! [`crate::ServiceConfig::durable`]), `persist`, `stats` and `metrics`
-//! responses carry a `"durability"` object. For `persist` it describes
-//! the incremental checkpoint that was just written; for the read ops it
-//! is the live WAL/checkpoint state:
+//! When the service runs on a data directory (`av-serve --data DIR`, or
+//! [`crate::ServiceConfig::durable`] + [`crate::ValidationService::open`]),
+//! `persist`, `stats` and `metrics` responses carry a `"durability"`
+//! object. For `persist` it describes the incremental checkpoint that was
+//! just written; for the read ops it is the live WAL/checkpoint state:
 //!
 //! ```text
 //! → {"op":"persist"}
-//! ← {"ok":true,"persisted":true,"data_dir":"state/","durability":{
+//! ← {"ok":true,"persisted":true,"durability":{
 //!    "checkpoint_generation":3,"wal_segments":1,"wal_bytes":0,
 //!    "records_since_checkpoint":0,"wal_bytes_since_checkpoint":0,
 //!    "checkpoint_image_bytes":2216448,"last_checkpoint_ms":13.482,
@@ -441,7 +441,7 @@ fn failure_members(e: Explanation, members: &mut Members) {
     }
 }
 
-/// Finish a `persist` / `stats` / `metrics` reply: in durable mode it
+/// Finish a `persist` / `stats` / `metrics` reply: on a data directory it
 /// carries the [`crate::DurabilitySnapshot`] as its `durability` member.
 fn with_durability(service: &ValidationService, mut members: Members) -> Outcome {
     if let Some(d) = service.durability() {

@@ -1,6 +1,6 @@
 //! A full `av-service` session, end to end: ingest a corpus, infer and
-//! persist a named rule, "restart" the service, reload the catalog from
-//! disk, and validate a healthy and a drifted feed — plus a demonstration
+//! persist a named rule, "restart" the service on its durable data
+//! directory, reload the catalog from disk, and validate a healthy and a drifted feed — plus a demonstration
 //! that incremental delta-merge equals a from-scratch rebuild exactly.
 //!
 //! Run with: `cargo run --example service_session`
@@ -15,7 +15,7 @@ fn main() {
     // ── Day 0: bring up a fresh service and ingest the initial corpus. ──
     let corpus = generate_lake(&LakeProfile::tiny(), 42);
     let day0: Vec<Column> = corpus.columns().cloned().collect();
-    let service = ValidationService::new(ServiceConfig::with_data_dir(&data_dir));
+    let service = ValidationService::open(ServiceConfig::durable(&data_dir)).unwrap();
     let report = service.ingest(&day0).unwrap();
     println!(
         "ingested {} columns -> {} distinct patterns",
@@ -32,7 +32,7 @@ fn main() {
     drop(service); // simulate a restart
 
     // ── Restart: rules and index come back from disk, nothing re-runs. ──
-    let service = ValidationService::open(ServiceConfig::with_data_dir(&data_dir)).unwrap();
+    let service = ValidationService::open(ServiceConfig::durable(&data_dir)).unwrap();
     println!(
         "reloaded: {} corpus columns, {} cataloged rules",
         service.snapshot().num_columns,

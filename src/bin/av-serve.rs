@@ -1,8 +1,8 @@
 //! `av-serve` — the Auto-Validate validation service.
 //!
 //! Speaks the JSONL protocol (one request per line, one response per
-//! line) over stdin/stdout or TCP, against a persistent service state
-//! directory holding the pattern index and the rule catalog.
+//! line) over stdin/stdout or TCP, against a crash-safe state directory
+//! holding the pattern index and the rule catalog.
 //!
 //! ```sh
 //! # pipe mode: one session over stdin/stdout
@@ -16,15 +16,13 @@
 //! av-serve --data state/ --tcp 127.0.0.1:7171
 //! ```
 //!
-//! On startup the service reloads `state/index.avix` and
-//! `state/rules.avcat` when present; `{"op":"persist"}` writes them back.
-//!
-//! With `--durable`, every mutating op is write-ahead logged before it is
-//! acknowledged and `persist` writes an incremental checkpoint (so does
-//! the service on its own, once the log since the last checkpoint has
-//! grown to that checkpoint's size); on start the service recovers from
-//! the newest checkpoint plus the WAL tail, so a kill at any moment loses
-//! no acknowledged op.
+//! With `--data`, every mutating op is write-ahead logged and fsynced
+//! before it is acknowledged, and `{"op":"persist"}` writes an incremental
+//! checkpoint (so does the service on its own, once the log since the last
+//! checkpoint has grown to that checkpoint's size). On start the service
+//! recovers from the newest checkpoint plus the WAL tail, so a kill at any
+//! moment loses no acknowledged op. Without `--data` the state lives in
+//! memory only.
 //!
 //! An unknown option or an unparsable value prints the usage and exits 2.
 
@@ -47,8 +45,12 @@ fn usage() -> ExitCode {
   av-serve [--data DIR] [--workers N] --tcp ADDR  serve TCP clients (JSONL)
 
 options:
-  --data DIR     state directory (index.avix + rules.avcat); reloaded on
-                 start when present, written by the \"persist\" op
+  --data DIR     crash-safe state directory: mutating ops are write-ahead
+                 logged and fsynced before they are acknowledged;
+                 \"persist\" writes an incremental checkpoint, and so does
+                 the service once the log since the last checkpoint
+                 outweighs it; startup recovers checkpoint + WAL tail
+                 (default: state in memory only)
   --workers N    TCP event loops, one thread each (default: all cores,
                  and at least two)
   --tcp ADDR     listen address, e.g. 127.0.0.1:7171 (port 0 picks a free
@@ -67,14 +69,6 @@ options:
                  drop a TCP connection whose peer accepts no response
                  bytes for N ms while output is pending (default 10000;
                  0 = never)
-  --durable      crash-safe mode (requires --data): mutating ops are
-                 write-ahead logged and fsynced before they are
-                 acknowledged; \"persist\" writes an incremental
-                 checkpoint, and so does the service once the log since
-                 the last checkpoint outweighs it; startup recovers
-                 checkpoint + WAL tail
-  --wal-segment-bytes N
-                 rotate WAL segments at N bytes (default 8 MiB)
 
 protocol ops:
   {}",
@@ -99,7 +93,6 @@ fn set(
         "--max-connections" => config.max_connections = value.parse().ok()?,
         "--idle-timeout-ms" => config.idle_timeout_ms = value.parse().ok()?,
         "--stall-deadline-ms" => config.stall_deadline_ms = value.parse().ok()?,
-        "--wal-segment-bytes" => config.durability.wal_segment_bytes = value.parse().ok()?,
         _ => return None,
     }
     Some(())
@@ -110,28 +103,19 @@ fn main() -> ExitCode {
     let mut tcp: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--durable" => config.durability.enabled = true,
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            _ => {
-                let value = args.next();
-                if value
-                    .and_then(|v| set(&mut config, &mut tcp, &flag, &v))
-                    .is_none()
-                {
-                    return usage();
-                }
-            }
+        if matches!(flag.as_str(), "--help" | "-h") {
+            usage();
+            return ExitCode::SUCCESS;
+        }
+        let value = args.next();
+        if value
+            .and_then(|v| set(&mut config, &mut tcp, &flag, &v))
+            .is_none()
+        {
+            return usage();
         }
     }
 
-    if config.durability.enabled && config.data_dir.is_none() {
-        eprintln!("av-serve: --durable requires --data DIR");
-        return usage();
-    }
     let service = match ValidationService::open(config) {
         Ok(s) => Arc::new(s),
         Err(e) => {

@@ -65,8 +65,9 @@
 //!
 //! The paper deploys Auto-Validate as a long-running production service;
 //! [`av_service`] is that shape. Rules are inferred once, named, persisted
-//! in a catalog, and survive restarts; new corpus columns merge into the
-//! live index incrementally (no rebuild):
+//! in a catalog, and survive restarts — a data directory logs every op
+//! before it is acknowledged, so they survive a crash too; new corpus
+//! columns merge into the live index incrementally (no rebuild):
 //!
 //! ```
 //! use av_service::{ServiceConfig, ValidationService};
@@ -76,8 +77,8 @@
 //! let corpus = generate_lake(&LakeProfile::tiny(), 42);
 //! let columns: Vec<Column> = corpus.columns().cloned().collect();
 //!
-//! // First run: ingest, infer a named rule, persist.
-//! let service = ValidationService::new(ServiceConfig::with_data_dir(&dir));
+//! // First run: ingest, infer a named rule, checkpoint.
+//! let service = ValidationService::open(ServiceConfig::durable(&dir)).unwrap();
 //! service.ingest(&columns).unwrap();
 //! let march: Vec<String> = (1..=30).map(|d| format!("2019-03-{d:02}")).collect();
 //! service.infer_rule("feeds/date", &march, None).unwrap();
@@ -85,7 +86,7 @@
 //! drop(service);
 //!
 //! // Restart: catalog and index reload from disk; validation just works.
-//! let service = ValidationService::open(ServiceConfig::with_data_dir(&dir)).unwrap();
+//! let service = ValidationService::open(ServiceConfig::durable(&dir)).unwrap();
 //! let drifted: Vec<String> = (0..30).map(|i| format!("user-{i}")).collect();
 //! assert!(service.validate("feeds/date", &drifted).unwrap().flagged);
 //! # std::fs::remove_dir_all(&dir).ok();

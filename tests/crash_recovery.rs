@@ -14,7 +14,7 @@
 //! reference states built by a plain in-memory service.
 
 use av_corpus::{generate_lake, Column, LakeProfile};
-use av_durable::{FaultPlan, MemStorage, Storage};
+use av_durable::{DurableError, FaultPlan, MemStorage, OsStorage, Storage};
 use av_service::{owned_column, RuleCatalog, ServiceConfig, ServiceError, ValidationService};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ fn durable_config(mem: &MemStorage) -> ServiceConfig {
     let mut config = ServiceConfig::durable(PathBuf::from("/data"));
     config.storage = Arc::new(mem.clone());
     config.rule_clock_unix = Some(CLOCK);
-    config.durability.wal_segment_bytes = 4096;
+    config.wal_segment_bytes = 4096;
     config
 }
 
@@ -233,14 +233,16 @@ fn legacy_plain_files_upgrade_into_durable_mode() {
     let dir = std::env::temp_dir().join(format!("av_crash_legacy_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // A pre-durability service persists plain index.avix + rules.avcat.
-    let mut config = ServiceConfig::with_data_dir(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let legacy = ValidationService::new(config);
+    // A pre-durability release left a plain index.avix + rules.avcat
+    // pair: the index image and the catalog text of its state.
+    let legacy = ValidationService::new(ServiceConfig {
+        rule_clock_unix: Some(CLOCK),
+        ..ServiceConfig::default()
+    });
     legacy.ingest(&lake(85, 25)).unwrap();
     legacy.infer_rule("legacy/date", &dates(6), None).unwrap();
-    legacy.persist().unwrap();
     let want = state_of(&legacy);
+    write_legacy_pair(&OsStorage, &dir, &want.0, &want.1);
     drop(legacy);
 
     // Reopening the same directory in durable mode adopts the legacy
@@ -259,6 +261,36 @@ fn legacy_plain_files_upgrade_into_durable_mode() {
     let again = ValidationService::open(config).unwrap();
     assert_eq!(state_of(&again), want);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Write the `index.avix` + `rules.avcat` pair an older release left in
+/// its data directory.
+fn write_legacy_pair(storage: &dyn Storage, dir: &Path, index: &[u8], catalog: &str) {
+    storage.create_dir_all(dir).unwrap();
+    av_durable::write_atomic(storage, &dir.join("index.avix"), index).unwrap();
+    av_durable::write_atomic(storage, &dir.join("rules.avcat"), catalog.as_bytes()).unwrap();
+}
+
+/// A truncated legacy index with no manifest is a clean startup error
+/// that names the file, not a panic and not an empty service.
+#[test]
+fn truncated_legacy_index_is_a_corrupt_error_naming_the_file() {
+    let mem = MemStorage::new();
+    let legacy = ValidationService::new(ServiceConfig::default());
+    legacy.ingest(&lake(85, 25)).unwrap();
+    let (index, catalog) = state_of(&legacy);
+    let truncated = &index[..index.len() / 2];
+    write_legacy_pair(&mem, Path::new("/data"), truncated, &catalog);
+
+    let err = match ValidationService::open(durable_config(&mem)) {
+        Ok(_) => panic!("a truncated index.avix must not open"),
+        Err(e) => e,
+    };
+    assert!(err.to_string().contains("index.avix"), "{err}");
+    match err {
+        ServiceError::Durable(DurableError::Corrupt { file, .. }) => assert_eq!(file, "index.avix"),
+        other => panic!("expected a Corrupt error, got {other:?}"),
+    }
 }
 
 /// Recovery replays the log since the last checkpoint — which the

@@ -259,6 +259,8 @@ fn hostile_values_are_explained_in_time_linear_in_their_length() {
         within_bound(&format!("explaining the {kib} KiB value"), took);
     }
 
+    // The catalog an older release left as `rules.avcat`, with no
+    // manifest: recovery loads it as generation 0.
     let storage = Arc::new(av_durable::MemStorage::new());
     let mut catalog = RuleCatalog::new();
     catalog.insert(CatalogEntry {
@@ -267,9 +269,8 @@ fn hostile_values_are_explained_in_time_linear_in_their_length() {
         variant: "FMDV-VH".to_string(),
         created_unix: 0,
     });
-    catalog
-        .save_with(storage.as_ref(), "/hostile/rules.avcat")
-        .unwrap();
+    let path = std::path::Path::new("/hostile/rules.avcat");
+    av_durable::write_atomic(storage.as_ref(), path, catalog.to_text().as_bytes()).unwrap();
     let service = ValidationService::open(ServiceConfig {
         data_dir: Some("/hostile".into()),
         storage,

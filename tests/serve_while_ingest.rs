@@ -12,8 +12,9 @@
 //! * **Validation stability** — every validation report produced during
 //!   the storm equals the sequential reference (rules are immutable
 //!   catalog entries, so the swapping index must never change outcomes).
-//! * **Durability** — the bytes persisted after the storm equal a
-//!   from-scratch sequential build over all ingested columns.
+//! * **Durability** — the index the data directory reopens to after the
+//!   storm equals, byte for byte, a from-scratch sequential build over all
+//!   ingested columns.
 
 use auto_validate::prelude::*;
 use av_corpus::generate_lake;
@@ -51,7 +52,7 @@ fn dates(month: u32) -> Vec<String> {
 fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
     let dir = std::env::temp_dir().join(format!("av_serve_while_ingest_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let config = ServiceConfig::with_data_dir(&dir);
+    let config = ServiceConfig::durable(&dir);
     let initial = lake_columns(61, 60);
     let batches: Vec<Vec<Column>> = (0..4).map(|i| lake_columns(70 + i, 25)).collect();
 
@@ -74,7 +75,7 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
         );
     }
 
-    let service = Arc::new(ValidationService::new(config));
+    let service = Arc::new(ValidationService::open(config.clone()).unwrap());
     service.ingest(&initial).unwrap();
     service.infer_rule("dates", &dates(1), None).unwrap();
     let reference_ok = service.validate("dates", &dates(2)).unwrap();
@@ -208,15 +209,16 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
     server.join().unwrap().unwrap();
     assert_eq!(service.stats().connection_errors, 0);
 
-    // Durability: the bytes persisted after the storm equal a
-    // from-scratch sequential build over everything ingested.
+    // Durability: the index the directory reopens to after the storm
+    // equals a from-scratch sequential build over everything ingested.
     let final_columns = service.snapshot().num_columns;
     let full_bytes = expected
         .get(&final_columns)
         .expect("final state is the full prefix");
     service.persist().unwrap();
-    let persisted = std::fs::read(dir.join(av_service::INDEX_FILE)).unwrap();
-    assert_eq!(&persisted[..], &full_bytes[..]);
+    drop(service);
+    let reopened = ValidationService::open(config).unwrap();
+    assert_eq!(&reopened.snapshot().to_bytes()[..], &full_bytes[..]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -226,7 +228,7 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
 fn durable_config(mem: &MemStorage) -> ServiceConfig {
     let mut config = ServiceConfig::durable(PathBuf::from("/data"));
     config.storage = Arc::new(mem.clone());
-    config.durability.wal_segment_bytes = 4096;
+    config.wal_segment_bytes = 4096;
     config.rule_clock_unix = Some(1_700_000_000);
     config
 }

@@ -39,10 +39,10 @@ fn assert_index_bitwise_equal(a: &PatternIndex, b: &PatternIndex) {
 fn service_lifecycle_survives_restart() {
     let dir = std::env::temp_dir().join(format!("av_lifecycle_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let config = ServiceConfig::with_data_dir(&dir);
+    let config = ServiceConfig::durable(&dir);
 
     {
-        let service = ValidationService::new(config.clone());
+        let service = ValidationService::open(config.clone()).unwrap();
         service.ingest(&lake_columns(42, 100)).unwrap();
         service.infer_rule("feeds/date", &month(1), None).unwrap();
         service.persist().unwrap();
@@ -115,7 +115,7 @@ fn many_small_deltas_equal_one_bulk_build() {
 fn av_serve_protocol_session_end_to_end() {
     let dir = std::env::temp_dir().join(format!("av_protocol_session_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let config = ServiceConfig::with_data_dir(&dir);
+    let config = ServiceConfig::durable(&dir);
 
     // Quote through the service's own JSON writer — `{:?}` is not JSON
     // (it escapes non-ASCII as `\u{..}`).
