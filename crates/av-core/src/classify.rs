@@ -138,8 +138,28 @@ impl RuleSet {
     }
 
     /// Every rule name whose rule `value` conforms to, ranked
-    /// most-specific-first (see the type docs for the order).
+    /// most-specific-first (see the type docs for the order), as owned
+    /// strings: [`RuleSet::ranked`] without the borrow.
     pub fn classify(&mut self, value: &str) -> Vec<String> {
+        self.ranked(value).map(str::to_string).collect()
+    }
+
+    /// The names of the rules `value` conforms to, ranked
+    /// most-specific-first, borrowed from the set: one scan of `value`,
+    /// the hit ids sorted in place in a reused buffer, and no name copied.
+    pub fn ranked(&mut self, value: &str) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.rank(value);
+        let entries = &self.entries;
+        self.scratch.iter().map(move |&id| {
+            let entry = entries[id as usize].as_ref();
+            entry.expect("ranked ids name live entries").name.as_str()
+        })
+    }
+
+    /// Scan `value` and leave the ids of the rules it conforms to in
+    /// `scratch`, ranked by [`rank_key`]: the one ranking path every
+    /// classification takes.
+    fn rank(&mut self, value: &str) {
         let Self {
             matcher,
             entries,
@@ -147,16 +167,13 @@ impl RuleSet {
             ..
         } = self;
         matcher.classify_into(value, scratch);
-        let mut hits: Vec<&SetEntry> = scratch
-            .iter()
-            .filter_map(|&id| entries[id as usize].as_ref())
-            .collect();
-        hits.sort_by(|a, b| {
-            rank_key(a)
-                .partial_cmp(&rank_key(b))
+        scratch.retain(|&id| entries[id as usize].is_some());
+        let key = |id: &u32| rank_key(entries[*id as usize].as_ref().expect("retained"));
+        scratch.sort_by(|a, b| {
+            key(a)
+                .partial_cmp(&key(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        hits.iter().map(|e| e.name.clone()).collect()
     }
 
     /// The nearest-conforming-rule suggestion, catalog-size-independent.
@@ -175,16 +192,11 @@ impl RuleSet {
         from: &AnyRule,
         exclude: &str,
     ) -> Option<(String, usize)> {
-        let Self {
-            matcher,
-            entries,
-            scratch,
-            ..
-        } = self;
-        matcher.classify_into(value, scratch);
-        let candidates = scratch
+        self.rank(value);
+        let candidates = self
+            .scratch
             .iter()
-            .filter_map(|&id| entries[id as usize].as_ref())
+            .filter_map(|&id| self.entries[id as usize].as_ref())
             .filter(|e| e.name != exclude)
             .map(|e| (e.name.as_str(), e.rule.as_ref()));
         nearest_rule(from, candidates).map(|(name, d)| (name.to_string(), d))

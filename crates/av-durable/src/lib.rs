@@ -49,12 +49,14 @@ pub enum DurableError {
     /// An underlying storage operation failed.
     Io(std::io::Error),
     /// On-storage bytes failed validation (bad magic, bad CRC, short file).
-    /// Names the offending file and the byte offset where validation failed.
+    /// Names the offending file and, when the decoder reports one, the byte
+    /// offset where validation failed.
     Corrupt {
         /// File the corruption was detected in.
         file: String,
-        /// Byte offset within the file where validation failed.
-        offset: u64,
+        /// Byte offset within the file where validation failed, when the
+        /// decoder reports one.
+        offset: Option<u64>,
         /// Human-readable description of what failed to validate.
         detail: String,
     },
@@ -71,12 +73,13 @@ impl fmt::Display for DurableError {
                 file,
                 offset,
                 detail,
-            } => {
-                write!(
+            } => match offset {
+                Some(offset) => write!(
                     f,
                     "corrupt durability file {file} at byte {offset}: {detail}"
-                )
-            }
+                ),
+                None => write!(f, "corrupt durability file {file}: {detail}"),
+            },
             DurableError::Poisoned(msg) => {
                 write!(f, "write-ahead log poisoned by earlier failure: {msg}")
             }

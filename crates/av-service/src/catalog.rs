@@ -53,6 +53,16 @@ pub(crate) enum CatalogError {
     },
 }
 
+impl CatalogError {
+    /// Byte offset of the failure in the catalog text, when it has one.
+    pub(crate) fn offset(&self) -> Option<u64> {
+        match self {
+            CatalogError::Format(_) => None,
+            CatalogError::Corrupt { offset, .. } => Some(*offset),
+        }
+    }
+}
+
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -302,11 +302,12 @@ fn referenced_files(manifest: &Manifest) -> BTreeSet<String> {
     files
 }
 
-/// A recovery input that does not decode.
-fn corrupt(file: &str, detail: impl ToString) -> DurableError {
+/// A recovery input that does not decode, at the byte offset its decoder
+/// reports, if it reports one.
+fn corrupt(file: &str, offset: Option<u64>, detail: impl ToString) -> DurableError {
     DurableError::Corrupt {
         file: file.to_string(),
-        offset: 0,
+        offset,
         detail: detail.to_string(),
     }
 }
@@ -355,10 +356,9 @@ impl DurableLog {
         segment_bytes: u64,
         index: &ShardedIndex,
     ) -> Result<(DurableLog, RuleCatalog), DurableError> {
-        storage.create_dir_all(dir)?;
+        // Nothing is created before what exists has been read: a refused
+        // directory is left as it was found.
         let wal_dir = dir.join(WAL_DIR);
-        storage.create_dir_all(&wal_dir)?;
-
         let mut image = None;
         let mut catalog = RuleCatalog::new();
         let mut stats = DurabilitySnapshot::default();
@@ -410,7 +410,7 @@ impl DurableLog {
                 )
                 .map_err(|e| {
                     let detail = format!("manifest shard layout rejected: {e}");
-                    corrupt(&Manifest::file_name(manifest.generation), detail)
+                    corrupt(&Manifest::file_name(manifest.generation), None, detail)
                 })?,
             );
             if !manifest.catalog_file.is_empty() {
@@ -443,13 +443,17 @@ impl DurableLog {
             let index_path = dir.join(INDEX_FILE);
             if storage.exists(&index_path) {
                 let data = storage.read(&index_path)?;
-                image = Some(PatternIndex::from_bytes(&data).map_err(|e| corrupt(INDEX_FILE, e))?);
+                let decoded = PatternIndex::from_bytes(&data);
+                image = Some(decoded.map_err(|e| corrupt(INDEX_FILE, None, e))?);
             }
             let catalog_path = dir.join(CATALOG_FILE);
             if storage.exists(&catalog_path) {
-                let text = String::from_utf8(storage.read(&catalog_path)?)
-                    .map_err(|_| corrupt(CATALOG_FILE, "catalog is not UTF-8"))?;
-                catalog = RuleCatalog::from_text(&text).map_err(|e| corrupt(CATALOG_FILE, e))?;
+                let text = String::from_utf8(storage.read(&catalog_path)?).map_err(|e| {
+                    let offset = e.utf8_error().valid_up_to() as u64;
+                    corrupt(CATALOG_FILE, Some(offset), "catalog is not UTF-8")
+                })?;
+                catalog = RuleCatalog::from_text(&text)
+                    .map_err(|e| corrupt(CATALOG_FILE, e.offset(), e))?;
             }
         }
 
@@ -488,6 +492,8 @@ impl DurableLog {
             };
             stats.skipped_records += u64::from(!applied);
         }
+        storage.create_dir_all(dir)?;
+        storage.create_dir_all(&wal_dir)?;
         let wal = Wal::create(
             Arc::clone(storage),
             wal_dir,

@@ -243,6 +243,29 @@ pub struct ClassifyOutcome {
     pub best: Option<String>,
 }
 
+/// The catalog automaton, held for [`ValidationService::classify_with`]:
+/// it can be read, not changed, so the automaton stays a function of the
+/// catalog.
+pub(crate) struct Classifier<'a> {
+    set: &'a mut RuleSet,
+    /// Values classified, for the `classifications` counter.
+    classified: u64,
+}
+
+impl Classifier<'_> {
+    /// Update generation of the automaton.
+    pub(crate) fn generation(&self) -> u64 {
+        self.set.generation()
+    }
+
+    /// The rules `value` conforms to, most specific first
+    /// ([`RuleSet::ranked`]).
+    pub(crate) fn ranked(&mut self, value: &str) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.classified += 1;
+        self.set.ranked(value)
+    }
+}
+
 /// Monotonic operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -671,24 +694,40 @@ impl ValidationService {
     /// come back in input order, after the automaton's generation read
     /// under the same lock hold: the generation the results are of.
     pub fn classify_batch<S: AsRef<str>>(&self, values: &[S]) -> (u64, Vec<ClassifyOutcome>) {
-        let (_classifier_rank, mut classifier) = (
+        self.classify_with(|classifier| {
+            let outcomes = values
+                .iter()
+                .map(|v| {
+                    let matches: Vec<String> =
+                        classifier.ranked(v.as_ref()).map(str::to_string).collect();
+                    let best = matches.first().cloned();
+                    ClassifyOutcome { matches, best }
+                })
+                .collect();
+            (classifier.generation(), outcomes)
+        })
+    }
+
+    /// Run `f` on the catalog automaton under one hold of its lock: the
+    /// path every classification takes. What `f` reads through the
+    /// [`Classifier`] — the generation, and each value's ranked rule names,
+    /// borrowed from the automaton — is of one catalog state.
+    pub(crate) fn classify_with<R>(&self, f: impl FnOnce(&mut Classifier<'_>) -> R) -> R {
+        let (_classifier_rank, mut set) = (
             lockorder::rank_guard(lockorder::CLASSIFIER),
             self.classifier.lock().expect("classifier poisoned"),
         );
-        let generation = classifier.generation();
-        let out = values
-            .iter()
-            .map(|v| {
-                let matches = classifier.classify(v.as_ref());
-                let best = matches.first().cloned();
-                ClassifyOutcome { matches, best }
-            })
-            .collect();
-        drop(classifier);
+        let mut classifier = Classifier {
+            set: &mut set,
+            classified: 0,
+        };
+        let out = f(&mut classifier);
+        let classified = classifier.classified;
+        drop(set);
         self.counters
             .classifications
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        (generation, out)
+            .fetch_add(classified, Ordering::Relaxed);
+        out
     }
 
     /// Update generation of the catalog automaton (bumped per rule

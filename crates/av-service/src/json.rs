@@ -15,8 +15,13 @@
 //! frame; only a string with an escape is decoded into an owned one. The
 //! protocol handlers pass those slices straight to the engine, so a
 //! validated value is never copied between the socket buffer and the
-//! matcher. Replies are built from owned strings and `&'static str` keys
-//! and are `Json<'static>`.
+//! matcher.
+//!
+//! **Replies are written, not built.** The protocol writes each reply
+//! member by member straight into the connection's reply buffer
+//! (`ObjWriter`), in the ascending key order [`Json::Obj`]'s sorted map
+//! prints, so a reply costs no tree, no map and no per-member string; a
+//! string is escaped by copying its escape-free runs whole.
 //!
 //! **Bounded depth.** Arrays and objects may nest 64 deep
 //! (`MAX_DEPTH`); a deeper document is a parse error, not a stack
@@ -143,19 +148,7 @@ impl<'a> Json<'a> {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Shortest-roundtrip float printing; integral values
-                    // print without a fraction part.
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null"); // JSON has no Inf/NaN
-                }
-            }
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -183,22 +176,154 @@ impl<'a> Json<'a> {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// `n` as a JSON number: shortest-roundtrip float printing, integral
+/// values without a fraction part, and `null` for what JSON cannot hold
+/// (Inf, NaN).
+pub(crate) fn write_num(n: f64, out: &mut String) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
+}
+
+/// `s` as a JSON string literal. Only `"`, `\` and the bytes below 0x20
+/// are escaped — all ASCII, so every cut falls on a char boundary — and
+/// the runs between them are copied whole.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// A JSON object written member by member straight into a buffer, with no
+/// tree built first. Members come in ascending key order, the order
+/// [`Json::Obj`]'s sorted map prints them in, so the bytes are the ones
+/// the tree would print; a protocol reply's `"ok"` member is slotted in
+/// where it sorts.
+pub(crate) struct ObjWriter<'o, 'k> {
+    out: &'o mut String,
+    /// Key of the member written last ("" before the first).
+    last: &'k str,
+    /// A reply's `"ok"` value, until it is written.
+    ok: Option<bool>,
+}
+
+impl<'k> ObjWriter<'_, 'k> {
+    /// Append one object to `out`, its members written by `members`.
+    pub(crate) fn write<R>(
+        out: &mut String,
+        members: impl FnOnce(&mut ObjWriter<'_, 'k>) -> R,
+    ) -> R {
+        Self::open(out, None, members)
+    }
+
+    /// A protocol reply into `out` (cleared first): the members `members`
+    /// writes, and `"ok":ok`.
+    pub(crate) fn reply<R>(
+        out: &mut String,
+        ok: bool,
+        members: impl FnOnce(&mut ObjWriter<'_, 'k>) -> R,
+    ) -> R {
+        out.clear();
+        Self::open(out, Some(ok), members)
+    }
+
+    fn open<R>(
+        out: &mut String,
+        ok: Option<bool>,
+        members: impl FnOnce(&mut ObjWriter<'_, 'k>) -> R,
+    ) -> R {
+        out.push('{');
+        let mut obj = ObjWriter { out, last: "", ok };
+        let r = members(&mut obj);
+        if let Some(ok) = obj.ok {
+            obj.flag("ok", ok);
+        }
+        obj.out.push('}');
+        r
+    }
+
+    /// Start member `key`; the caller writes its value into the buffer
+    /// returned.
+    pub(crate) fn key(&mut self, key: &'k str) -> &mut String {
+        if key > "ok" {
+            if let Some(ok) = self.ok.take() {
+                self.flag("ok", ok);
+            }
+        }
+        debug_assert!(
+            self.last < key,
+            "member {key:?} after {:?}: members go in ascending key order",
+            self.last
+        );
+        if !self.last.is_empty() {
+            self.out.push(',');
+        }
+        self.last = key;
+        write_escaped(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A number member.
+    pub(crate) fn num(&mut self, key: &'k str, n: f64) {
+        write_num(n, self.key(key));
+    }
+
+    /// A boolean member.
+    pub(crate) fn flag(&mut self, key: &'k str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// A string member.
+    pub(crate) fn str(&mut self, key: &'k str, s: &str) {
+        write_escaped(s, self.key(key));
+    }
+
+    /// An array member, each of `items` written by `item`.
+    pub(crate) fn arr<T>(
+        &mut self,
+        key: &'k str,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(T, &mut String),
+    ) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, t) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item(t, out);
+        }
+        out.push(']');
+    }
+
+    /// An object member, its members written by `members`.
+    pub(crate) fn obj<'m>(&mut self, key: &'k str, members: impl FnOnce(&mut ObjWriter<'_, 'm>)) {
+        ObjWriter::write(self.key(key), members);
+    }
 }
 
 /// Parse error with byte offset.
@@ -682,6 +807,86 @@ mod tests {
                 "{what}: {examined} bytes examined for a {}-byte document",
                 doc.len()
             );
+        }
+    }
+
+    /// `write_escaped` as it stood before it copied escape-free runs
+    /// whole — one char at a time — kept as the reference the escaping
+    /// tests compare against.
+    fn reference_escaped(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// What strings to escape are built from: every char below U+0020
+    /// (fragments 0..32), then quote, backslash, DEL, U+2028, astral
+    /// chars and plain text.
+    fn escape_fragment(i: usize) -> String {
+        const OTHERS: &[&str] = &[
+            "\"",
+            "\\",
+            "\u{7f}",
+            "\u{2028}",
+            "😀",
+            "𝄞",
+            "é€",
+            "a",
+            "plain text",
+            "/",
+        ];
+        match u8::try_from(i) {
+            Ok(b) if b < 0x20 => char::from(b).to_string(),
+            _ => OTHERS[i - 0x20].to_string(),
+        }
+    }
+
+    const ESCAPE_FRAGMENTS: usize = 0x20 + 10;
+
+    fn escaped_both_ways(s: &str) -> (String, String) {
+        let (mut got, mut want) = ("[".to_string(), "[".to_string());
+        write_escaped(s, &mut got);
+        reference_escaped(s, &mut want);
+        (got, want)
+    }
+
+    /// Every fragment alone and every pair of them escape as the per-char
+    /// writer escapes them.
+    #[test]
+    fn escaping_every_fragment_pair_matches_the_per_char_writer() {
+        for i in 0..ESCAPE_FRAGMENTS {
+            let (got, want) = escaped_both_ways(&escape_fragment(i));
+            assert_eq!(got, want);
+            for j in 0..ESCAPE_FRAGMENTS {
+                let s = escape_fragment(i) + &escape_fragment(j);
+                let (got, want) = escaped_both_ways(&s);
+                assert_eq!(got, want, "{s:?}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Strings of up to 24 fragments escape as the per-char writer
+        /// escapes them.
+        #[test]
+        fn escaping_matches_the_per_char_writer(
+            picks in proptest::collection::vec(0..ESCAPE_FRAGMENTS, 0..24),
+        ) {
+            let s: String = picks.iter().map(|&i| escape_fragment(i)).collect();
+            let (got, want) = escaped_both_ways(&s);
+            prop_assert_eq!(got, want, "{:?}", s);
         }
     }
 

@@ -61,6 +61,8 @@
 //! assert!(service.validate("feeds/date", &drifted).unwrap().flagged);
 //! ```
 
+#[cfg(test)]
+mod alloc_count;
 pub mod catalog;
 pub mod durable;
 pub mod engine;

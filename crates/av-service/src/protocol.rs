@@ -18,7 +18,8 @@
 //! An op is one row, one handler, one golden frame: a row of the sorted op
 //! table names it (the dispatcher searches that table and the per-op
 //! telemetry is sized and named from it), its handler reads the request's
-//! fields, calls the engine and returns the reply's members, and
+//! fields, calls the engine and writes the reply's members straight into
+//! the reply buffer in ascending key order (no reply tree or map), and
 //! `tests/golden_session.rs` pins its reply bytes. A missing or wrong-typed
 //! field is refused with that field's message (`missing string field
 //! "rule"`, `column 3: missing array field "values"`), fields being checked
@@ -161,7 +162,7 @@
 
 use crate::catalog::CatalogEntry;
 use crate::engine::{owned_column, ValidationService};
-use crate::json::{parse, Json};
+use crate::json::{parse, write_escaped, write_num, Json, ObjWriter};
 use crate::telemetry::{FailureExemplar, WindowSnapshot, INVALID, UNKNOWN};
 use av_core::{AnyRule, Explanation, ValidationReport, Variant};
 use std::time::Duration;
@@ -197,20 +198,17 @@ pub struct WatchParams {
     pub rules: Option<Vec<String>>,
 }
 
-/// The members of a successful reply, `"ok":true` aside.
-type Members = Vec<(&'static str, Json<'static>)>;
+/// What a handler returns once it has written the reply's members: what
+/// the serve loop must do next, or the message of the
+/// `{"ok":false,"error":…}` reply that replaces them. Field accessors
+/// return the same error type and a [`crate::ServiceError`] converts to its
+/// `Display` text, so a handler's failure paths are all `?`, turned into an
+/// error reply in one place ([`handle_line_into`]).
+type Outcome = Result<LineOutcome, String>;
 
-/// What a handler returns: the reply's members and what the serve loop
-/// must do once they are written, or the message of the
-/// `{"ok":false,"error":…}` reply. Field accessors return the same error
-/// type and a [`crate::ServiceError`] converts to its `Display` text, so a
-/// handler's failure paths are all `?`, turned into an error reply in one
-/// place ([`handle_line_into`]).
-type Outcome = Result<(Members, LineOutcome), String>;
-
-/// One op: read the request's fields, call the engine, return the reply's
+/// One op: read the request's fields, call the engine, write the reply's
 /// members.
-type Handler = fn(&ValidationService, Json<'_>) -> Outcome;
+type Handler = fn(&ValidationService, Json<'_>, &mut ObjWriter<'_, '_>) -> Outcome;
 
 /// The op set, sorted by name — [`dispatch`] binary-searches it, the
 /// per-op telemetry is sized and named from it ([`crate::telemetry::OPS`]),
@@ -248,33 +246,28 @@ pub fn handle_line(service: &ValidationService, line: &str) -> Handled {
     }
 }
 
-/// Handle one JSONL request line, serializing the response into a
+/// Handle one JSONL request line, writing the response into a
 /// caller-owned buffer (cleared first). Serve loops call this with one
-/// long-lived buffer per connection, so the response serializer allocates
-/// nothing per line at steady state. Every dispatch is folded into the
-/// per-op telemetry (request count, error count, handling latency).
+/// long-lived buffer per connection. The handler writes the reply's
+/// members straight into it — no reply tree or map is built — so a
+/// warmed `classify` or `ping` allocates only for the parsed request.
+/// Every dispatch, reply written, is folded into the per-op telemetry
+/// (request count, error count, handling latency).
 pub fn handle_line_into(service: &ValidationService, line: &str, out: &mut String) -> LineOutcome {
     let start = std::time::Instant::now();
-    let (op, outcome) = dispatch(service, line);
+    let (op, outcome) = dispatch(service, line, out);
     service
         .telemetry()
         .record_op(op, start.elapsed(), outcome.is_ok());
-    match outcome {
-        Ok((mut members, next)) => {
-            members.push(("ok", Json::Bool(true)));
-            Json::obj(members).dump_into(out);
-            next
-        }
-        Err(message) => {
-            error_json(message, false).dump_into(out);
-            LineOutcome::default()
-        }
-    }
+    outcome.unwrap_or_else(|message| {
+        render_error(&message, false, out);
+        LineOutcome::default()
+    })
 }
 
-/// Parse the frame, find its op's row and run it. Returns the name the
-/// frame is counted under: the row's, or one of the two non-rows.
-fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Outcome) {
+/// Parse the frame, find its op's row and run it into `out`. Returns the
+/// name the frame is counted under: the row's, or one of the two non-rows.
+fn dispatch(service: &ValidationService, line: &str, out: &mut String) -> (&'static str, Outcome) {
     let req = match parse(line) {
         Ok(v) => v,
         Err(e) => return (INVALID, Err(format!("bad request json: {e}"))),
@@ -283,23 +276,31 @@ fn dispatch(service: &ValidationService, line: &str) -> (&'static str, Outcome) 
         return (INVALID, Err("missing \"op\" field".into()));
     };
     match OP_TABLE.binary_search_by(|row| row.0.cmp(op)) {
-        Ok(row) => (OP_TABLE[row].0, OP_TABLE[row].1(service, req)),
+        Ok(row) => {
+            let (name, handler) = OP_TABLE[row];
+            (
+                name,
+                ObjWriter::reply(out, true, |reply| handler(service, req, reply)),
+            )
+        }
         Err(_) => (UNKNOWN, Err(format!("unknown op {op:?}"))),
     }
 }
 
-fn ok(members: Members) -> Outcome {
-    Ok((members, LineOutcome::default()))
+fn ok() -> Outcome {
+    Ok(LineOutcome::default())
 }
 
-/// The failure shape of a reply: `overloaded` adds the marker by which
-/// clients tell "retry later" apart from "your request was wrong".
-fn error_json(message: String, overloaded: bool) -> Json<'static> {
-    let mut members = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
-    if overloaded {
-        members.push(("overloaded", Json::Bool(true)));
-    }
-    Json::obj(members)
+/// The failure shape of a reply into `out` (cleared first): `overloaded`
+/// adds the marker by which clients tell "retry later" apart from "your
+/// request was wrong".
+fn render_error(message: &str, overloaded: bool, out: &mut String) {
+    ObjWriter::reply(out, false, |reply| {
+        reply.str("error", message);
+        if overloaded {
+            reply.flag("overloaded", true);
+        }
+    });
 }
 
 /// Render a bare protocol-error line into a caller-owned buffer. Serve
@@ -308,7 +309,7 @@ fn error_json(message: String, overloaded: bool) -> Json<'static> {
 /// responses share the exact `{"ok":false,"error":…}` shape of every
 /// other failure.
 pub(crate) fn render_error_into(message: &str, out: &mut String) {
-    error_json(message.to_string(), false).dump_into(out);
+    render_error(message, false, out);
 }
 
 /// Render an overload-shed error line. The serve loop sends it when
@@ -319,7 +320,7 @@ pub(crate) fn render_error_into(message: &str, out: &mut String) {
 /// {"ok":false,"error":"service at max_connections (2); connection rejected","overloaded":true}
 /// ```
 pub(crate) fn render_overloaded_into(message: &str, out: &mut String) {
-    error_json(message.to_string(), true).dump_into(out);
+    render_error(message, true, out);
 }
 
 /// A required string member of a request.
@@ -386,111 +387,93 @@ fn parse_variant(v: &Json) -> Result<Option<Variant>, String> {
     }
 }
 
-fn report_members(r: &ValidationReport) -> Members {
-    vec![
-        ("checked", Json::Num(r.checked as f64)),
-        ("nonconforming", Json::Num(r.nonconforming as f64)),
-        ("nonconforming_frac", Json::Num(r.nonconforming_frac)),
-        ("p_value", Json::Num(r.p_value)),
-        ("flagged", Json::Bool(r.flagged)),
-    ]
+fn report_members(r: &ValidationReport, reply: &mut ObjWriter) {
+    reply.num("checked", r.checked as f64);
+    reply.flag("flagged", r.flagged);
+    reply.num("nonconforming", r.nonconforming as f64);
+    reply.num("nonconforming_frac", r.nonconforming_frac);
+    reply.num("p_value", r.p_value);
 }
 
 /// What `infer`, `rule` and `catalog` all say of a catalog entry; `rule`
 /// and `catalog` add when it was created, `infer` and `rule` its wire form.
-fn entry_members(e: &CatalogEntry) -> Members {
+fn entry_members(e: &CatalogEntry, created: bool, wire: bool, obj: &mut ObjWriter) {
     let kind = match e.rule {
         AnyRule::Pattern(_) => "pattern",
         AnyRule::Numeric(_) => "numeric",
         AnyRule::Dictionary(_) => "dictionary",
     };
-    vec![
-        ("rule", Json::str(e.name.clone())),
-        ("kind", Json::str(kind)),
-        ("variant", Json::str(e.variant.clone())),
-        ("describe", Json::str(e.rule.describe())),
-    ]
-}
-
-fn created_unix(e: &CatalogEntry) -> (&'static str, Json<'static>) {
-    ("created_unix", Json::Num(e.created_unix as f64))
-}
-
-fn wire(e: &CatalogEntry) -> (&'static str, Json<'static>) {
-    ("wire", Json::str(e.rule.to_wire()))
+    if created {
+        obj.num("created_unix", e.created_unix as f64);
+    }
+    obj.str("describe", &e.rule.describe());
+    obj.str("kind", kind);
+    obj.str("rule", &e.name);
+    obj.str("variant", &e.variant);
+    if wire {
+        obj.str("wire", &e.rule.to_wire());
+    }
 }
 
 /// Where and why a value failed a rule: what an `explain` reply and a
-/// `metrics` exemplar both say.
-fn failure_members(e: Explanation, members: &mut Members) {
-    members.push(("reason", Json::str(e.reason)));
-    if let Some(at) = e.failed_at {
-        members.push(("failed_at", Json::Num(at as f64)));
+/// `metrics` exemplar both say. An `explain` reply's `rule` sorts among
+/// these members, so it is written here too.
+fn failure_members(e: Option<&Explanation>, rule: Option<&str>, obj: &mut ObjWriter) {
+    if let Some(e) = e {
+        if let Some(expected) = &e.expected {
+            obj.str("expected", expected);
+        }
+        if let Some(at) = e.failed_at {
+            obj.num("failed_at", at as f64);
+        }
+        if let Some(prefix) = &e.matched_prefix {
+            obj.str("matched_prefix", prefix);
+        }
+        obj.str("reason", &e.reason);
     }
-    if let Some((start, end)) = e.span {
-        members.push((
-            "span",
-            Json::Arr(vec![Json::Num(start as f64), Json::Num(end as f64)]),
-        ));
+    if let Some(rule) = rule {
+        obj.str("rule", rule);
     }
-    if let Some(expected) = e.expected {
-        members.push(("expected", Json::str(expected)));
-    }
-    if let Some(prefix) = e.matched_prefix {
-        members.push(("matched_prefix", Json::str(prefix)));
+    if let Some((start, end)) = e.and_then(|e| e.span) {
+        obj.arr("span", [start as f64, end as f64], write_num);
     }
 }
 
-/// Finish a `persist` / `stats` / `metrics` reply: on a data directory it
-/// carries the [`crate::DurabilitySnapshot`] as its `durability` member.
-fn with_durability(service: &ValidationService, mut members: Members) -> Outcome {
-    if let Some(d) = service.durability() {
-        let durability = Json::obj([
-            (
-                "checkpoint_generation",
-                Json::Num(d.checkpoint_generation as f64),
-            ),
-            ("wal_segments", Json::Num(d.wal_segments as f64)),
-            ("wal_bytes", Json::Num(d.wal_bytes as f64)),
-            (
-                "records_since_checkpoint",
-                Json::Num(d.records_since_checkpoint as f64),
-            ),
-            (
-                "wal_bytes_since_checkpoint",
-                Json::Num(d.wal_bytes_since_checkpoint as f64),
-            ),
-            (
-                "checkpoint_image_bytes",
-                Json::Num(d.checkpoint_image_bytes as f64),
-            ),
-            ("last_checkpoint_ms", Json::Num(d.last_checkpoint_ms)),
-            ("replayed_records", Json::Num(d.replayed_records as f64)),
-            (
-                "truncated_tail_bytes",
-                Json::Num(d.truncated_tail_bytes as f64),
-            ),
-            ("quarantined_files", Json::Num(d.quarantined_files as f64)),
-            ("skipped_records", Json::Num(d.skipped_records as f64)),
-            (
-                "checkpoints_completed",
-                Json::Num(d.checkpoints_completed as f64),
-            ),
-            (
-                "checkpoint_failures",
-                Json::Num(d.checkpoint_failures as f64),
-            ),
-        ]);
-        members.push(("durability", durability));
-    }
-    ok(members)
+/// A `persist` / `stats` / `metrics` reply's `durability` member: on a
+/// data directory, the [`crate::DurabilitySnapshot`].
+fn durability_member(service: &ValidationService, reply: &mut ObjWriter) {
+    let Some(d) = service.durability() else {
+        return;
+    };
+    reply.obj("durability", |o| {
+        o.num("checkpoint_failures", d.checkpoint_failures as f64);
+        o.num("checkpoint_generation", d.checkpoint_generation as f64);
+        o.num("checkpoint_image_bytes", d.checkpoint_image_bytes as f64);
+        o.num("checkpoints_completed", d.checkpoints_completed as f64);
+        o.num("last_checkpoint_ms", d.last_checkpoint_ms);
+        o.num("quarantined_files", d.quarantined_files as f64);
+        o.num(
+            "records_since_checkpoint",
+            d.records_since_checkpoint as f64,
+        );
+        o.num("replayed_records", d.replayed_records as f64);
+        o.num("skipped_records", d.skipped_records as f64);
+        o.num("truncated_tail_bytes", d.truncated_tail_bytes as f64);
+        o.num("wal_bytes", d.wal_bytes as f64);
+        o.num(
+            "wal_bytes_since_checkpoint",
+            d.wal_bytes_since_checkpoint as f64,
+        );
+        o.num("wal_segments", d.wal_segments as f64);
+    });
 }
 
-fn ping(_: &ValidationService, _: Json) -> Outcome {
-    ok(vec![("pong", Json::Bool(true))])
+fn ping(_: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
+    reply.flag("pong", true);
+    ok()
 }
 
-fn ingest(service: &ValidationService, req: Json) -> Outcome {
+fn ingest(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let cols = take_array(req, "columns")?;
     let mut columns = Vec::with_capacity(cols.len());
     for (i, c) in cols.into_iter().enumerate() {
@@ -502,210 +485,169 @@ fn ingest(service: &ValidationService, req: Json) -> Outcome {
         columns.push(owned_column(&name, values));
     }
     let r = service.ingest(&columns)?;
-    ok(vec![
-        ("columns_added", Json::Num(r.columns_added as f64)),
-        ("delta_patterns", Json::Num(r.delta_patterns as f64)),
-        ("touched_shards", Json::Num(r.touched_shards as f64)),
-        ("total_columns", Json::Num(r.total_columns as f64)),
-        ("total_patterns", Json::Num(r.total_patterns as f64)),
-    ])
+    reply.num("columns_added", r.columns_added as f64);
+    reply.num("delta_patterns", r.delta_patterns as f64);
+    reply.num("total_columns", r.total_columns as f64);
+    reply.num("total_patterns", r.total_patterns as f64);
+    reply.num("touched_shards", r.touched_shards as f64);
+    ok()
 }
 
-fn infer(service: &ValidationService, req: Json) -> Outcome {
+fn infer(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let (name, values) = (text(&req, "rule")?, str_array(&req, "values")?);
     let entry = service.infer_rule(name, &values, parse_variant(&req)?)?;
-    let mut members = entry_members(&entry);
-    members.push(wire(&entry));
-    ok(members)
+    entry_members(&entry, false, true, reply);
+    ok()
 }
 
-fn validate(service: &ValidationService, req: Json) -> Outcome {
+fn validate(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let (name, values) = (text(&req, "rule")?, str_array(&req, "values")?);
-    ok(report_members(&service.validate(name, &values)?))
+    report_members(&service.validate(name, &values)?, reply);
+    ok()
 }
 
-fn catalog(service: &ValidationService, _: Json) -> Outcome {
-    let rules: Vec<Json> = service
-        .catalog_entries()
-        .iter()
-        .map(|e| {
-            let mut members = entry_members(e);
-            members.push(created_unix(e));
-            Json::obj(members)
-        })
-        .collect();
-    ok(vec![
-        ("count", Json::Num(rules.len() as f64)),
-        ("rules", Json::Arr(rules)),
-    ])
+fn catalog(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
+    let entries = service.catalog_entries();
+    reply.num("count", entries.len() as f64);
+    reply.arr("rules", &entries, |e, out| {
+        ObjWriter::write(out, |o| entry_members(e, true, false, o));
+    });
+    ok()
 }
 
-fn rule(service: &ValidationService, req: Json) -> Outcome {
+fn rule(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let entry = service.rule(text(&req, "name")?)?;
-    let mut members = entry_members(&entry);
-    members.extend([created_unix(&entry), wire(&entry)]);
-    ok(members)
+    entry_members(&entry, true, true, reply);
+    ok()
 }
 
-fn delete_rule(service: &ValidationService, req: Json) -> Outcome {
+fn delete_rule(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let name = text(&req, "name")?;
     service.delete_rule(name)?;
-    ok(vec![("deleted", Json::str(name.to_string()))])
+    reply.str("deleted", name);
+    ok()
 }
 
-fn classify(service: &ValidationService, req: Json) -> Outcome {
+/// Each value's conforming rules go from the automaton into the reply
+/// under one hold of its lock, their names borrowed, never copied.
+fn classify(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     // A batch of "values", or a single "value" for interactive probing.
-    let values = match req.get("values") {
-        Some(_) => str_array(&req, "values")?,
+    let (batch, single);
+    let values: &[&str] = match req.get("values") {
+        Some(_) => {
+            batch = str_array(&req, "values")?;
+            &batch
+        }
         None => match req.get("value").and_then(Json::as_str) {
-            Some(value) => vec![value],
+            Some(value) => {
+                single = value;
+                std::slice::from_ref(&single)
+            }
             None => return Err("missing array field \"values\" (or string field \"value\")".into()),
         },
     };
-    let (generation, outcomes) = service.classify_batch(&values);
-    let results: Vec<Json> = outcomes
-        .into_iter()
-        .zip(&values)
-        .map(|(outcome, value)| {
-            let mut members = vec![
-                ("value", Json::str(value.to_string())),
-                (
-                    "rules",
-                    Json::Arr(outcome.matches.into_iter().map(Json::str).collect()),
-                ),
-            ];
-            if let Some(best) = outcome.best {
-                members.push(("best", Json::str(best)));
-            }
-            Json::obj(members)
-        })
-        .collect();
-    ok(vec![
-        ("catalog_generation", Json::Num(generation as f64)),
-        ("results", Json::Arr(results)),
-    ])
+    service.classify_with(|classifier| {
+        reply.num("catalog_generation", classifier.generation() as f64);
+        reply.arr("results", values, |value, out| {
+            let rules = classifier.ranked(value);
+            ObjWriter::write(out, |result| {
+                if let Some(best) = rules.clone().next() {
+                    result.str("best", best);
+                }
+                result.arr("rules", rules, write_escaped);
+                result.str("value", value);
+            });
+        });
+    });
+    ok()
 }
 
-fn explain(service: &ValidationService, req: Json) -> Outcome {
+fn explain(service: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let (name, value) = (text(&req, "rule")?, text(&req, "value")?);
     let outcome = service.explain(name, value)?;
-    let mut members = vec![
-        ("rule", Json::str(name.to_string())),
-        ("value", Json::str(value.to_string())),
-        ("conforms", Json::Bool(outcome.conforms)),
-        ("describe", Json::str(outcome.describe)),
-    ];
-    if let Some(e) = outcome.explanation {
-        failure_members(e, &mut members);
+    reply.flag("conforms", outcome.conforms);
+    reply.str("describe", &outcome.describe);
+    failure_members(outcome.explanation.as_ref(), Some(name), reply);
+    if let Some((rule, distance)) = &outcome.suggestion {
+        reply.obj("suggestion", |o| {
+            o.num("distance", *distance as f64);
+            o.str("rule", rule);
+        });
     }
-    if let Some((rule, distance)) = outcome.suggestion {
-        members.push((
-            "suggestion",
-            Json::obj([
-                ("rule", Json::str(rule)),
-                ("distance", Json::Num(distance as f64)),
-            ]),
-        ));
-    }
-    ok(members)
+    reply.str("value", value);
+    ok()
 }
 
-fn window_json(w: &WindowSnapshot) -> Json<'static> {
-    Json::obj([
-        ("validations", Json::Num(w.validations as f64)),
-        ("flagged", Json::Num(w.flagged as f64)),
-        ("checked", Json::Num(w.checked as f64)),
-        ("nonconforming", Json::Num(w.nonconforming as f64)),
-        ("flag_rate", Json::Num(w.flag_rate())),
-    ])
+fn window_members(w: &WindowSnapshot, o: &mut ObjWriter) {
+    o.num("checked", w.checked as f64);
+    o.num("flag_rate", w.flag_rate());
+    o.num("flagged", w.flagged as f64);
+    o.num("nonconforming", w.nonconforming as f64);
+    o.num("validations", w.validations as f64);
 }
 
-fn exemplar_json(x: FailureExemplar) -> Json<'static> {
-    let mut members = vec![("value", Json::str(x.value))];
+fn exemplar_members(x: &FailureExemplar, o: &mut ObjWriter) {
     let failure = Explanation {
-        reason: x.reason,
+        reason: x.reason.clone(),
         failed_at: x.failed_at,
         span: x.span,
-        expected: x.expected,
+        expected: x.expected.clone(),
         matched_prefix: None,
     };
-    failure_members(failure, &mut members);
-    Json::obj(members)
+    failure_members(Some(&failure), None, o);
+    o.str("value", &x.value);
 }
 
-fn metrics(service: &ValidationService, _: Json) -> Outcome {
+fn metrics(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
     // Snapshot everything first; serialization (and the serve loop's
     // socket write) then runs with no service lock held.
     let telemetry = service.telemetry();
-    let rules: Vec<Json> = telemetry
-        .rule_snapshots()
-        .into_iter()
-        .map(|r| {
-            let exemplars: Vec<Json> = r.exemplars.into_iter().map(exemplar_json).collect();
-            Json::obj([
-                ("rule", Json::str(r.rule)),
-                ("validations", Json::Num(r.validations as f64)),
-                ("flagged", Json::Num(r.flagged as f64)),
-                ("checked", Json::Num(r.checked as f64)),
-                ("nonconforming", Json::Num(r.nonconforming as f64)),
-                ("window", window_json(&r.window)),
-                ("alert", Json::Bool(r.alert)),
-                ("exemplars", Json::Arr(exemplars)),
-            ])
-        })
-        .collect();
-    let ops: Vec<Json> = telemetry
-        .op_snapshots()
-        .into_iter()
-        .map(|o| {
-            Json::obj([
-                ("op", Json::str(o.op)),
-                ("requests", Json::Num(o.requests as f64)),
-                ("errors", Json::Num(o.errors as f64)),
-                ("latency_count", Json::Num(o.latency.count as f64)),
-                (
-                    "latency_total_micros",
-                    Json::Num(o.latency.total_micros as f64),
-                ),
-                ("mean_micros", Json::Num(o.latency.mean_micros())),
-                (
-                    "latency_buckets",
-                    Json::Arr(
-                        o.latency
-                            .buckets
-                            .iter()
-                            .map(|b| Json::Num(*b as f64))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let overload = {
-        let s = service.stats();
-        Json::obj([
-            (
-                "connections_rejected",
-                Json::Num(s.connections_rejected as f64),
-            ),
-            ("requests_shed", Json::Num(s.requests_shed as f64)),
-            ("stalls_shed", Json::Num(s.stalls_shed as f64)),
-        ])
-    };
-    let members = vec![
-        ("rules", Json::Arr(rules)),
-        ("ops", Json::Arr(ops)),
-        (
-            "index_generation",
-            Json::Num(service.index_generation() as f64),
-        ),
-        ("window_millis", Json::Num(telemetry.window_millis() as f64)),
-        ("overload", overload),
-    ];
-    with_durability(service, members)
+    let (rules, ops, overload) = (
+        telemetry.rule_snapshots(),
+        telemetry.op_snapshots(),
+        service.stats(),
+    );
+    durability_member(service, reply);
+    reply.num("index_generation", service.index_generation() as f64);
+    reply.arr("ops", &ops, |o, out| {
+        ObjWriter::write(out, |op| {
+            op.num("errors", o.errors as f64);
+            op.arr(
+                "latency_buckets",
+                o.latency.buckets.iter().map(|&b| b as f64),
+                write_num,
+            );
+            op.num("latency_count", o.latency.count as f64);
+            op.num("latency_total_micros", o.latency.total_micros as f64);
+            op.num("mean_micros", o.latency.mean_micros());
+            op.str("op", &o.op);
+            op.num("requests", o.requests as f64);
+        });
+    });
+    reply.obj("overload", |o| {
+        o.num("connections_rejected", overload.connections_rejected as f64);
+        o.num("requests_shed", overload.requests_shed as f64);
+        o.num("stalls_shed", overload.stalls_shed as f64);
+    });
+    reply.arr("rules", &rules, |r, out| {
+        ObjWriter::write(out, |rule| {
+            rule.flag("alert", r.alert);
+            rule.num("checked", r.checked as f64);
+            rule.arr("exemplars", &r.exemplars, |x, out| {
+                ObjWriter::write(out, |o| exemplar_members(x, o));
+            });
+            rule.num("flagged", r.flagged as f64);
+            rule.num("nonconforming", r.nonconforming as f64);
+            rule.str("rule", &r.rule);
+            rule.num("validations", r.validations as f64);
+            rule.obj("window", |o| window_members(&r.window, o));
+        });
+    });
+    reply.num("window_millis", telemetry.window_millis() as f64);
+    ok()
 }
 
-fn watch(_: &ValidationService, req: Json) -> Outcome {
+fn watch(_: &ValidationService, req: Json, reply: &mut ObjWriter) -> Outcome {
     let interval_ms = at_least(&req, "interval_ms", 10)?.unwrap_or(1_000);
     let frames = at_least(&req, "frames", 1)?;
     let rules = match req.get("rules") {
@@ -715,23 +657,20 @@ fn watch(_: &ValidationService, req: Json) -> Outcome {
             Some(names.into_iter().map(str::to_string).collect())
         }
     };
-    let mut members = vec![
-        ("watching", Json::Bool(true)),
-        ("interval_ms", Json::Num(interval_ms as f64)),
-    ];
     if let Some(n) = frames {
-        members.push(("frames", Json::Num(n as f64)));
+        reply.num("frames", n as f64);
     }
+    reply.num("interval_ms", interval_ms as f64);
+    reply.flag("watching", true);
     let watch = WatchParams {
         interval: Duration::from_millis(interval_ms),
         frames,
         rules,
     };
-    let next = LineOutcome {
+    Ok(LineOutcome {
         watch: Some(watch),
         ..LineOutcome::default()
-    };
-    Ok((members, next))
+    })
 }
 
 /// Render one `watch` telemetry frame into `out` (cleared first). The
@@ -746,110 +685,81 @@ pub(crate) fn render_watch_frame(
     out: &mut String,
 ) {
     let snapshots = service.telemetry().rule_snapshots();
-    let rules: Vec<Json> = snapshots
-        .into_iter()
-        .filter(|r| match &params.rules {
-            Some(wanted) => wanted.iter().any(|w| w == &r.rule),
-            None => true,
-        })
-        .map(|r| {
-            Json::obj([
-                ("rule", Json::str(r.rule)),
-                ("validations", Json::Num(r.validations as f64)),
-                ("flagged", Json::Num(r.flagged as f64)),
-                ("window_validations", Json::Num(r.window.validations as f64)),
-                ("window_flagged", Json::Num(r.window.flagged as f64)),
-                ("window_checked", Json::Num(r.window.checked as f64)),
-                (
-                    "window_nonconforming",
-                    Json::Num(r.window.nonconforming as f64),
-                ),
-                ("flag_rate", Json::Num(r.window.flag_rate())),
-                ("alert", Json::Bool(r.alert)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("frame", Json::Num(frame as f64)),
-        ("elapsed_ms", Json::Num(elapsed.as_millis() as f64)),
-        (
-            "index_generation",
-            Json::Num(service.index_generation() as f64),
-        ),
-        ("rules", Json::Arr(rules)),
-    ])
-    .dump_into(out);
+    let rules = snapshots.iter().filter(|r| match &params.rules {
+        Some(wanted) => wanted.iter().any(|w| w == &r.rule),
+        None => true,
+    });
+    out.clear();
+    ObjWriter::write(out, |o| {
+        o.num("elapsed_ms", elapsed.as_millis() as f64);
+        o.num("frame", frame as f64);
+        o.num("index_generation", service.index_generation() as f64);
+        o.arr("rules", rules, |r, out| {
+            ObjWriter::write(out, |rule| {
+                rule.flag("alert", r.alert);
+                rule.num("flag_rate", r.window.flag_rate());
+                rule.num("flagged", r.flagged as f64);
+                rule.str("rule", &r.rule);
+                rule.num("validations", r.validations as f64);
+                rule.num("window_checked", r.window.checked as f64);
+                rule.num("window_flagged", r.window.flagged as f64);
+                rule.num("window_nonconforming", r.window.nonconforming as f64);
+                rule.num("window_validations", r.window.validations as f64);
+            });
+        });
+    });
 }
 
-fn persist(service: &ValidationService, _: Json) -> Outcome {
+fn persist(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
     service.persist()?;
-    with_durability(service, vec![("persisted", Json::Bool(true))])
+    durability_member(service, reply);
+    reply.flag("persisted", true);
+    ok()
 }
 
-fn stats(service: &ValidationService, _: Json) -> Outcome {
+fn stats(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
     let s = service.stats();
     let index = service.snapshot();
-    let ops = Json::Obj(
-        service
-            .telemetry()
-            .op_snapshots()
-            .into_iter()
-            .map(|o| {
-                (
-                    o.op.into(),
-                    Json::obj([
-                        ("requests", Json::Num(o.requests as f64)),
-                        ("errors", Json::Num(o.errors as f64)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let members = vec![
-        ("columns_ingested", Json::Num(s.columns_ingested as f64)),
-        ("ingest_batches", Json::Num(s.ingest_batches as f64)),
-        (
-            "index_shards_copied",
-            Json::Num(s.index_shards_copied as f64),
-        ),
-        ("rules_inferred", Json::Num(s.rules_inferred as f64)),
-        ("validations", Json::Num(s.validations as f64)),
-        ("flagged", Json::Num(s.flagged as f64)),
-        ("classifications", Json::Num(s.classifications as f64)),
-        ("connection_errors", Json::Num(s.connection_errors as f64)),
-        (
-            "connections_rejected",
-            Json::Num(s.connections_rejected as f64),
-        ),
-        ("requests_shed", Json::Num(s.requests_shed as f64)),
-        ("stalls_shed", Json::Num(s.stalls_shed as f64)),
-        ("frames_executed", Json::Num(s.frames_executed as f64)),
-        ("runs_dispatched", Json::Num(s.runs_dispatched as f64)),
-        ("socket_writes", Json::Num(s.socket_writes as f64)),
-        ("index_patterns", Json::Num(index.len() as f64)),
-        ("index_columns", Json::Num(index.num_columns as f64)),
-        ("index_shards", Json::Num(index.shard_count() as f64)),
-        (
-            "index_generation",
-            Json::Num(service.index_generation() as f64),
-        ),
-        ("ops", ops),
-        ("catalog_rules", Json::Num(service.catalog_len() as f64)),
-        (
-            "catalog_generation",
-            Json::Num(service.classifier_generation() as f64),
-        ),
-    ];
-    with_durability(service, members)
+    let ops = service.telemetry().op_snapshots();
+    reply.num("catalog_generation", service.classifier_generation() as f64);
+    reply.num("catalog_rules", service.catalog_len() as f64);
+    reply.num("classifications", s.classifications as f64);
+    reply.num("columns_ingested", s.columns_ingested as f64);
+    reply.num("connection_errors", s.connection_errors as f64);
+    reply.num("connections_rejected", s.connections_rejected as f64);
+    durability_member(service, reply);
+    reply.num("flagged", s.flagged as f64);
+    reply.num("frames_executed", s.frames_executed as f64);
+    reply.num("index_columns", index.num_columns as f64);
+    reply.num("index_generation", service.index_generation() as f64);
+    reply.num("index_patterns", index.len() as f64);
+    reply.num("index_shards", index.shard_count() as f64);
+    reply.num("index_shards_copied", s.index_shards_copied as f64);
+    reply.num("ingest_batches", s.ingest_batches as f64);
+    reply.obj("ops", |by_op| {
+        for o in &ops {
+            by_op.obj(&o.op, |counts| {
+                counts.num("errors", o.errors as f64);
+                counts.num("requests", o.requests as f64);
+            });
+        }
+    });
+    reply.num("requests_shed", s.requests_shed as f64);
+    reply.num("rules_inferred", s.rules_inferred as f64);
+    reply.num("runs_dispatched", s.runs_dispatched as f64);
+    reply.num("socket_writes", s.socket_writes as f64);
+    reply.num("stalls_shed", s.stalls_shed as f64);
+    reply.num("validations", s.validations as f64);
+    ok()
 }
 
-fn shutdown(service: &ValidationService, _: Json) -> Outcome {
+fn shutdown(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outcome {
     service.request_shutdown();
-    let next = LineOutcome {
+    reply.flag("bye", true);
+    Ok(LineOutcome {
         shutdown: true,
         ..LineOutcome::default()
-    };
-    Ok((vec![("bye", Json::Bool(true))], next))
+    })
 }
 
 /// Did a response line report success? (Convenience for clients/tests.)

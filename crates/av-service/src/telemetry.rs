@@ -421,8 +421,8 @@ pub struct OpSnapshot {
     pub requests: u64,
     /// Requests that returned `"ok": false`.
     pub errors: u64,
-    /// Latency distribution of the op's dispatch (parse + handle, not
-    /// socket I/O).
+    /// Latency distribution of the op's dispatch (parse, handle and the
+    /// reply written into its buffer; not socket I/O).
     pub latency: LatencySnapshot,
 }
 

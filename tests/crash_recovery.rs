@@ -293,6 +293,54 @@ fn truncated_legacy_index_is_a_corrupt_error_naming_the_file() {
     }
 }
 
+/// Every path under `dir`, relative and sorted: directories too, so an
+/// empty directory created under it shows.
+fn listing(dir: &Path) -> Vec<PathBuf> {
+    let mut paths = Vec::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(at) = todo.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                todo.push(path.clone());
+            }
+            paths.push(path.strip_prefix(dir).unwrap().to_path_buf());
+        }
+    }
+    paths.sort();
+    paths
+}
+
+/// An 8-byte `index.avix` with no manifest is refused, and the refusal
+/// leaves the directory as it was: no `wal/` or anything else is created
+/// before recovery has read what exists. The index decoder reports no
+/// offset, so the message gives none.
+#[test]
+fn refused_open_leaves_the_directory_as_it_found_it() {
+    let dir = std::env::temp_dir().join(format!("av_crash_refused_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let legacy = ValidationService::new(ServiceConfig::default());
+    legacy.ingest(&lake(85, 25)).unwrap();
+    let (index, catalog) = state_of(&legacy);
+    write_legacy_pair(&OsStorage, &dir, &index[..8], &catalog);
+    let before = listing(&dir);
+    assert_eq!(
+        before,
+        [PathBuf::from("index.avix"), PathBuf::from("rules.avcat")]
+    );
+
+    let err = match ValidationService::open(ServiceConfig::durable(&dir)) {
+        Ok(_) => panic!("an 8-byte index.avix must not open"),
+        Err(e) => e,
+    };
+    assert_eq!(listing(&dir), before);
+    assert_eq!(
+        err.to_string(),
+        "durability failure: corrupt durability file index.avix: index format error: truncated header"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Recovery replays the log since the last checkpoint — which the
 /// auto-checkpoint trigger keeps within one checkpoint image — not the
 /// history.
