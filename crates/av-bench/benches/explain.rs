@@ -106,9 +106,9 @@ fn bench_explain_cold_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The telemetry tax on the conforming path: the raw per-column `record`
-/// cost, and the full service `validate` op (catalog lookup + batch check
-/// + telemetry) against the bare validator on the same batch.
+/// The telemetry tax on the conforming path: the full service `validate`
+/// op (catalog lookup + batch check + telemetry) against the bare
+/// validator on the same batch.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let service = ValidationService::new(ServiceConfig::default());
     let lake = generate_lake(&LakeProfile::tiny(), 7);
@@ -121,18 +121,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let batch = conforming_batch();
 
     let mut group = c.benchmark_group("telemetry");
-    let telemetry = service.telemetry();
-    let slot = telemetry.rule("time");
-    group.bench_function("record one column validation", |b| {
-        b.iter(|| slot.record(black_box(telemetry.epoch()), 1000, 0, false))
-    });
-    group.bench_function("rule slot lookup + record", |b| {
-        b.iter(|| {
-            telemetry
-                .rule(black_box("time"))
-                .record(telemetry.epoch(), 1000, 0, false)
-        })
-    });
     group.bench_function("validator batch 1000 conforming (no telemetry)", |b| {
         b.iter(|| black_box(fmdv.validate_batch(batch.iter().map(String::as_str))))
     });

@@ -105,10 +105,11 @@ impl RuleSet {
         id
     }
 
-    /// Add (or replace) a catalog rule under `name`.
-    pub fn insert(&mut self, name: &str, rule: AnyRule) {
+    /// Add (or replace) a catalog rule under `name`. An `Arc` is shared
+    /// with the caller, not copied.
+    pub fn insert(&mut self, name: &str, rule: impl Into<Arc<AnyRule>>) {
         let id = self.id_for(name);
-        let rule = Arc::new(rule);
+        let rule = rule.into();
         match rule.compiled_program() {
             Some(program) => self.matcher.insert(id, program),
             None => {

@@ -41,12 +41,15 @@ pub(crate) const LOCK_HIERARCHY: &[LockEntry] = &[
         name: "epoch",
         rank: 50,
     },
-    // av-service ValidationService.catalog: the persistent rule catalog.
+    // av-service ValidationService.catalog: the rule catalog, which owns
+    // the catalog automaton and each rule's telemetry and patches the
+    // automaton in its own insert and remove (through `&mut`, no lock).
     LockEntry {
         name: "catalog",
         rank: 70,
     },
-    // av-service ValidationService.classifier: the catalog automaton.
+    // av-service RuleCatalog.classifier: the catalog automaton, reached
+    // only through a catalog guard.
     LockEntry {
         name: "classifier",
         rank: 80,

@@ -20,18 +20,24 @@
 //! The catalog does no I/O of its own. Each checkpoint writes this text as
 //! a generation-numbered catalog file that its manifest checksums, and
 //! recovery reads it back (`durable.rs`), naming the file in any error.
+//!
+//! The catalog is the one table of per-rule state: a name's entry, its
+//! telemetry and its automaton entry change only in
+//! [`RuleCatalog::insert`] and [`RuleCatalog::remove`].
 
-use av_core::{pct_decode, pct_encode, AnyRule};
+use crate::telemetry::RuleTelemetry;
+use av_core::{pct_decode, pct_encode, AnyRule, RuleSet};
 use av_durable::crc32;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named rule plus provenance metadata.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Unique rule name (pipeline feed id, column path, ...).
     pub name: String,
-    /// The inferred rule.
-    pub rule: AnyRule,
+    /// The inferred rule, shared with the catalog automaton.
+    pub rule: Arc<AnyRule>,
     /// Label of the inference variant that produced it ("FMDV-VH", "auto").
     pub variant: String,
     /// Unix seconds at inference time.
@@ -81,10 +87,25 @@ impl std::error::Error for CatalogError {}
 const HEADER: &str = "AVCAT 3";
 const FOOTER_PREFIX: &str = "#crc32=";
 
-/// An in-memory collection of named rules and its text form.
-#[derive(Debug, Clone, Default)]
+/// One cataloged name: its entry and the telemetry of its validations.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    pub(crate) entry: CatalogEntry,
+    /// Empty until the rule's first validation, so a rule that is never
+    /// validated costs no window.
+    pub(crate) telemetry: OnceLock<Arc<RuleTelemetry>>,
+}
+
+/// An in-memory collection of named rules, its catalog automaton, and its
+/// text form.
+#[derive(Debug, Default)]
 pub struct RuleCatalog {
-    entries: BTreeMap<String, CatalogEntry>,
+    slots: BTreeMap<String, Slot>,
+    /// The catalog automaton: every rule folded into one [`RuleSet`] so
+    /// `classify` scans a value once instead of running N rules. Insert
+    /// and remove patch it through `&mut self`; a reader holding the
+    /// catalog locks it (it keeps a scan buffer) and never changes it.
+    pub(crate) classifier: Mutex<RuleSet>,
 }
 
 impl RuleCatalog {
@@ -93,34 +114,54 @@ impl RuleCatalog {
         RuleCatalog::default()
     }
 
-    /// Insert (or replace) a rule; returns the previous entry if any.
+    /// Insert (or replace) a rule and patch the automaton; returns the
+    /// previous entry if any, whose telemetry is dropped with it.
     pub fn insert(&mut self, entry: CatalogEntry) -> Option<CatalogEntry> {
-        self.entries.insert(entry.name.clone(), entry)
+        let classifier = self.classifier.get_mut().expect("classifier poisoned");
+        classifier.insert(&entry.name, Arc::clone(&entry.rule));
+        let (name, telemetry) = (entry.name.clone(), OnceLock::new());
+        let previous = self.slots.insert(name, Slot { entry, telemetry });
+        previous.map(|slot| slot.entry)
     }
 
     /// Look up a rule by name.
     pub fn get(&self, name: &str) -> Option<&CatalogEntry> {
-        self.entries.get(name)
+        self.slots.get(name).map(|slot| &slot.entry)
     }
 
-    /// Remove a rule by name.
+    /// A name's entry and telemetry.
+    pub(crate) fn slot(&self, name: &str) -> Option<&Slot> {
+        self.slots.get(name)
+    }
+
+    /// Remove a rule, with its telemetry and its automaton entry.
     pub fn remove(&mut self, name: &str) -> Option<CatalogEntry> {
-        self.entries.remove(name)
+        let classifier = self.classifier.get_mut().expect("classifier poisoned");
+        classifier.remove(name);
+        self.slots.remove(name).map(|slot| slot.entry)
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when no rules are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Iterate entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = &CatalogEntry> {
-        self.entries.values()
+        self.slots.values().map(|slot| &slot.entry)
+    }
+
+    /// The telemetry of every rule validated since it was inferred, in
+    /// name order.
+    pub(crate) fn telemetry(&self) -> impl Iterator<Item = (&str, &Arc<RuleTelemetry>)> {
+        self.slots
+            .values()
+            .filter_map(|slot| Some((slot.entry.name.as_str(), slot.telemetry.get()?)))
     }
 
     /// Serialize the whole catalog to its text form (AVCAT 3: header,
@@ -128,7 +169,7 @@ impl RuleCatalog {
     pub fn to_text(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
-        for e in self.entries.values() {
+        for e in self.iter() {
             out.push_str(&entry_line(e));
             out.push('\n');
         }
@@ -213,7 +254,7 @@ pub(crate) fn parse_entry(line: &str) -> Result<CatalogEntry, String> {
     let rule = AnyRule::from_wire(line).map_err(|e| e.to_string())?;
     Ok(CatalogEntry {
         name: name.ok_or("missing name")?,
-        rule,
+        rule: Arc::new(rule),
         variant: variant.unwrap_or_else(|| "unknown".to_string()),
         created_unix: created.unwrap_or(0),
     })
@@ -237,7 +278,8 @@ mod tests {
                 77,
                 HomogeneityTest::FisherExact,
                 0.01,
-            )),
+            ))
+            .into(),
             variant: "FMDV-VH".to_string(),
             created_unix: 1_753_600_000,
         }
@@ -257,7 +299,8 @@ mod tests {
             name: "statuses".into(),
             rule: AnyRule::Dictionary(
                 DictionaryRule::infer(&dict_train, &FmdvConfig::default(), 0.2).unwrap(),
-            ),
+            )
+            .into(),
             variant: "auto".into(),
             created_unix: 7,
         });

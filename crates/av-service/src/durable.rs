@@ -116,6 +116,9 @@ pub struct DurabilitySnapshot {
     pub truncated_tail_bytes: u64,
     /// Checkpoint files (shards or catalog) quarantined during recovery.
     pub quarantined_files: u64,
+    /// Newer checkpoint manifests recovery passed over, unreadable or
+    /// corrupt, before the one it loaded.
+    pub skipped_manifests: u64,
     /// Replayed records skipped as inapplicable (e.g. a delta logged
     /// under a different τ than the recovered index).
     pub skipped_records: u64,
@@ -370,7 +373,8 @@ impl DurableLog {
         };
         let mut last_lsn = 0;
 
-        if let Some((manifest, _skipped)) = Manifest::load_newest(storage.as_ref(), dir)? {
+        if let Some((manifest, skipped)) = Manifest::load_newest(storage.as_ref(), dir)? {
+            stats.skipped_manifests = skipped.len() as u64;
             let shard_count = 1usize << manifest.shard_bits;
             let mut shards = vec![IndexShard::default(); shard_count];
             base.files = vec![None; shard_count];
@@ -865,7 +869,8 @@ mod tests {
             name: "r".to_string(),
             rule: AnyRule::Dictionary(
                 DictionaryRule::infer(&train, &FmdvConfig::default(), 0.2).unwrap(),
-            ),
+            )
+            .into(),
             variant: "auto".to_string(),
             created_unix: 7,
         };

@@ -34,10 +34,10 @@
 //! always durable: every mutating op is write-ahead logged before it is
 //! acknowledged, and `persist` writes an incremental checkpoint.
 
-use crate::catalog::{CatalogEntry, RuleCatalog};
+use crate::catalog::{CatalogEntry, RuleCatalog, Slot};
 use crate::durable::{self, Cut, Deletion, DurabilitySnapshot, DurableLog, Record};
 use crate::lockorder;
-use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
+use crate::telemetry::{FailureExemplar, RuleTelemetrySnapshot, ServiceTelemetry, TelemetryConfig};
 use av_core::{
     AnyRule, AutoValidate, Explanation, FmdvConfig, InferError, RuleSet, ValidationReport,
     Validator, Variant,
@@ -318,14 +318,10 @@ pub struct ServiceStats {
 pub struct ValidationService {
     config: ServiceConfig,
     index: ShardedIndex,
+    /// Every per-rule state: entries, the catalog automaton and each
+    /// validated rule's telemetry. The automaton is reached only through
+    /// this lock's guard.
     catalog: RwLock<RuleCatalog>,
-    /// The catalog automaton: every catalog rule folded into one
-    /// [`RuleSet`] so `classify` scans a value once instead of running N
-    /// rules. `infer_rule` and `delete_rule` patch it in the same apply,
-    /// under the catalog write lock, that writes the catalog, so it is
-    /// always a function of the catalog. The `Mutex` is always the
-    /// **innermost** lock (taken after, never around, the catalog lock).
-    classifier: Mutex<RuleSet>,
     /// The write-ahead log and its checkpoints; `None` for a service with
     /// no data directory. Every mutating op is one [`durable::commit`]
     /// through it.
@@ -380,7 +376,6 @@ impl ValidationService {
         ValidationService {
             index: ShardedIndex::new(empty),
             catalog: RwLock::new(RuleCatalog::new()),
-            classifier: Mutex::new(RuleSet::new()),
             durable: None,
             telemetry: ServiceTelemetry::new(config.telemetry.clone()),
             shutdown: AtomicBool::new(false),
@@ -417,11 +412,6 @@ impl ValidationService {
         )?;
         service.durable = Some(log);
         *service.counters.columns_ingested.get_mut() = service.index.snapshot().num_columns;
-        // Every rule joins the automaton, then the catalog is swapped in.
-        let classifier = service.classifier.get_mut().expect("classifier poisoned");
-        for entry in catalog.iter() {
-            classifier.insert(&entry.name, entry.rule.clone());
-        }
         *service.catalog.get_mut().expect("catalog lock poisoned") = catalog;
         Ok(service)
     }
@@ -502,7 +492,7 @@ impl ValidationService {
         };
         let entry = CatalogEntry {
             name: name.to_string(),
-            rule,
+            rule: Arc::new(rule),
             variant: label,
             created_unix: self.config.rule_clock_unix.unwrap_or_else(|| {
                 std::time::SystemTime::now()
@@ -512,11 +502,12 @@ impl ValidationService {
             }),
         };
         let entry = self.commit(entry, |entry| {
-            self.write_rules(|catalog, classifier| {
-                classifier.insert(&entry.name, entry.rule.clone());
-                catalog.insert(entry.clone());
-                entry
-            })
+            let (_catalog_rank, mut catalog) = (
+                lockorder::rank_guard(lockorder::CATALOG),
+                self.catalog.write().expect("catalog lock poisoned"),
+            );
+            catalog.insert(entry.clone());
+            entry
         })?;
         self.counters.rules_inferred.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
@@ -533,8 +524,8 @@ impl ValidationService {
     }
 
     /// Remove a rule from the catalog and its automaton. The rule's
-    /// telemetry goes with it, so a later rule under the same name starts
-    /// from a clean slate.
+    /// telemetry goes with its entry, so a later rule under the same name
+    /// starts from a clean slate.
     pub fn delete_rule(&self, name: &str) -> Result<(), ServiceError> {
         // An unknown name logs nothing. Two deletes of one rule may both
         // log: the second applies as a no-op, live and on replay alike.
@@ -548,28 +539,13 @@ impl ValidationService {
             return Err(ServiceError::UnknownRule(name.to_string()));
         }
         self.commit(Deletion(name), |Deletion(name)| {
-            self.write_rules(|catalog, classifier| {
-                classifier.remove(name);
-                catalog.remove(name);
-            })
+            let (_catalog_rank, mut catalog) = (
+                lockorder::rank_guard(lockorder::CATALOG),
+                self.catalog.write().expect("catalog lock poisoned"),
+            );
+            catalog.remove(name);
         })?;
-        self.telemetry.forget_rule(name);
         Ok(())
-    }
-
-    /// Write the catalog and patch its automaton as one step: both under
-    /// the catalog write lock, so no other writer of a name lands between
-    /// the two and the automaton stays a function of the catalog.
-    fn write_rules<T>(&self, f: impl FnOnce(&mut RuleCatalog, &mut RuleSet) -> T) -> T {
-        let (_catalog_rank, mut catalog) = (
-            lockorder::rank_guard(lockorder::CATALOG),
-            self.catalog.write().expect("catalog lock poisoned"),
-        );
-        let (_classifier_rank, mut classifier) = (
-            lockorder::rank_guard(lockorder::CLASSIFIER),
-            self.classifier.lock().expect("classifier poisoned"),
-        );
-        f(&mut catalog, &mut classifier)
     }
 
     /// Number of cataloged rules, counted under the catalog read lock
@@ -588,16 +564,20 @@ impl ValidationService {
             .collect()
     }
 
-    /// Run `f` against the named catalog rule. The lookup runs under the
-    /// shared read lock instead of cloning the entry — a dictionary rule's
-    /// whole vocabulary would otherwise be copied per validation.
-    fn with_rule<R>(&self, name: &str, f: impl FnOnce(&AnyRule) -> R) -> Result<R, ServiceError> {
+    /// Run `f` against the named catalog rule's slot, under the shared
+    /// read lock: the rule is not copied, and its telemetry cannot outlive
+    /// the entry while `f` records into it.
+    fn with_rule<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&RuleCatalog, &Slot) -> R,
+    ) -> Result<R, ServiceError> {
         let (_catalog_rank, catalog) = (
             lockorder::rank_guard(lockorder::CATALOG),
             self.catalog.read().expect("catalog lock poisoned"),
         );
-        match catalog.get(name) {
-            Some(entry) => Ok(f(&entry.rule)),
+        match catalog.slot(name) {
+            Some(slot) => Ok(f(&catalog, slot)),
             None => Err(ServiceError::UnknownRule(name.to_string())),
         }
     }
@@ -605,40 +585,34 @@ impl ValidationService {
     /// Validate one column against a named rule (§4's recurring check).
     /// Dispatches through `dyn Validator` as one `tally` of the column — a
     /// pattern rule takes its automaton's lock once — so no value is
-    /// copied.
+    /// copied. The rule's telemetry records the validation.
     pub fn validate<S: AsRef<str>>(
         &self,
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
-        let (report, exemplar) = self.with_rule(rule, |rule| {
+        let report = self.with_rule(rule, |_, slot| {
             // A pattern rule's checks take its own automaton's lock.
             let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
-            let validator: &dyn Validator = rule;
+            let validator: &dyn Validator = slot.entry.rule.as_ref();
             let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
+            let telemetry = slot.telemetry.get_or_init(Default::default);
+            telemetry.record(
+                self.telemetry.epoch(),
+                report.checked as u64,
+                report.nonconforming as u64,
+                report.flagged,
+            );
             // Cold path: only a flagged column pays for the exemplar
             // re-scan and the explanation's allocations.
-            let exemplar = if report.flagged {
-                values
-                    .iter()
-                    .map(AsRef::as_ref)
-                    .find(|v| !validator.check(v).is_conform())
-                    .map(|v| FailureExemplar::capture(validator, v))
-            } else {
-                None
-            };
-            (report, exemplar)
+            if report.flagged {
+                let mut values = values.iter().map(AsRef::as_ref);
+                if let Some(v) = values.find(|v| !validator.check(v).is_conform()) {
+                    telemetry.push_exemplar(FailureExemplar::capture(validator, v));
+                }
+            }
+            report
         })?;
-        let slot = self.telemetry.rule(rule);
-        slot.record(
-            self.telemetry.epoch(),
-            report.checked as u64,
-            report.nonconforming as u64,
-            report.flagged,
-        );
-        if let Some(exemplar) = exemplar {
-            slot.push_exemplar(exemplar);
-        }
         self.counters.validations.fetch_add(1, Ordering::Relaxed);
         if report.flagged {
             self.counters.flagged.fetch_add(1, Ordering::Relaxed);
@@ -656,7 +630,8 @@ impl ValidationService {
     /// are distance-ranked — O(matches), not O(catalog) — with the same
     /// winner the full loop would pick.
     pub fn explain(&self, rule: &str, value: &str) -> Result<ExplainOutcome, ServiceError> {
-        self.with_rule(rule, |failed| {
+        self.with_rule(rule, |catalog, slot| {
+            let failed = slot.entry.rule.as_ref();
             let conforms = {
                 let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
                 failed.check(value).is_conform()
@@ -666,7 +641,8 @@ impl ValidationService {
             } else {
                 (
                     failed.explain(value),
-                    self.classifier
+                    catalog
+                        .classifier
                         .lock()
                         .expect("classifier poisoned")
                         .nearest_conforming(value, failed, rule),
@@ -708,14 +684,19 @@ impl ValidationService {
         })
     }
 
-    /// Run `f` on the catalog automaton under one hold of its lock: the
-    /// path every classification takes. What `f` reads through the
-    /// [`Classifier`] — the generation, and each value's ranked rule names,
-    /// borrowed from the automaton — is of one catalog state.
+    /// Run `f` on the catalog automaton under one hold of the catalog's
+    /// read guard and the automaton's lock: the path every classification
+    /// takes. What `f` reads through the [`Classifier`] — the generation,
+    /// and each value's ranked rule names, borrowed from the automaton —
+    /// is of one catalog state.
     pub(crate) fn classify_with<R>(&self, f: impl FnOnce(&mut Classifier<'_>) -> R) -> R {
+        let (_catalog_rank, catalog) = (
+            lockorder::rank_guard(lockorder::CATALOG),
+            self.catalog.read().expect("catalog lock poisoned"),
+        );
         let (_classifier_rank, mut set) = (
             lockorder::rank_guard(lockorder::CLASSIFIER),
-            self.classifier.lock().expect("classifier poisoned"),
+            catalog.classifier.lock().expect("classifier poisoned"),
         );
         let mut classifier = Classifier {
             set: &mut set,
@@ -724,6 +705,7 @@ impl ValidationService {
         let out = f(&mut classifier);
         let classified = classifier.classified;
         drop(set);
+        drop(catalog);
         self.counters
             .classifications
             .fetch_add(classified, Ordering::Relaxed);
@@ -734,10 +716,7 @@ impl ValidationService {
     /// insert/remove) — the cheap "did the rule set change?" signal,
     /// mirroring the index generation `stats` reports.
     pub fn classifier_generation(&self) -> u64 {
-        self.classifier
-            .lock()
-            .expect("classifier poisoned")
-            .generation()
+        self.classify_with(|classifier| classifier.generation())
     }
 
     /// Write an incremental checkpoint of the live index and catalog to the
@@ -793,10 +772,31 @@ impl ValidationService {
         }
     }
 
-    /// The drift-telemetry registry: per-rule sliding-window conformance
-    /// counters and per-op request counters.
+    /// The telemetry registry: the window clock and per-op request
+    /// counters.
     pub fn telemetry(&self) -> &ServiceTelemetry {
         &self.telemetry
+    }
+
+    /// Owned snapshots of every rule validated since it was inferred, in
+    /// name order. The catalog's read guard is held only while the slots
+    /// are collected; the snapshots are taken after it drops.
+    pub(crate) fn rule_snapshots(&self) -> Vec<RuleTelemetrySnapshot> {
+        let slots: Vec<(String, Arc<_>)> = {
+            let (_catalog_rank, catalog) = (
+                lockorder::rank_guard(lockorder::CATALOG),
+                self.catalog.read().expect("catalog lock poisoned"),
+            );
+            let validated = catalog.telemetry();
+            validated
+                .map(|(name, t)| (name.to_string(), Arc::clone(t)))
+                .collect()
+        };
+        let now = self.telemetry.epoch();
+        slots
+            .iter()
+            .map(|(name, t)| t.snapshot(name, now))
+            .collect()
     }
 
     /// How many index epochs have been published (installs + delta
@@ -1167,6 +1167,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn rule_snapshot(service: &ValidationService, name: &str) -> Option<RuleTelemetrySnapshot> {
+        service
+            .rule_snapshots()
+            .into_iter()
+            .find(|s| s.rule == name)
+    }
+
     #[test]
     fn telemetry_tracks_validations_and_captures_exemplars() {
         let service = ValidationService::new(ServiceConfig::default());
@@ -1177,7 +1184,7 @@ mod tests {
         let drifted: Vec<String> = (0..50).map(|i| format!("user-{i}")).collect();
         assert!(service.validate("dates", &drifted).unwrap().flagged);
 
-        let snap = service.telemetry().rule_snapshot("dates").unwrap();
+        let snap = rule_snapshot(&service, "dates").unwrap();
         assert_eq!(snap.validations, 3);
         assert_eq!(snap.flagged, 1);
         assert_eq!(snap.checked, 28 + 28 + 50);
@@ -1192,12 +1199,59 @@ mod tests {
 
         // Conforming validations never touch the exemplar ring.
         service.validate("dates", &date_values(6)).unwrap();
-        let snap = service.telemetry().rule_snapshot("dates").unwrap();
+        let snap = rule_snapshot(&service, "dates").unwrap();
         assert_eq!(snap.exemplars.len(), 1);
 
         // Deleting the rule drops its telemetry.
         service.delete_rule("dates").unwrap();
-        assert!(service.telemetry().rule_snapshot("dates").is_none());
+        assert!(rule_snapshot(&service, "dates").is_none());
+    }
+
+    /// The `metrics` op's entry for `name`, if it lists one.
+    fn metrics_rule(service: &ValidationService, name: &str) -> Option<(u64, u64, Vec<String>)> {
+        let reply = crate::protocol::handle_line(service, r#"{"op":"metrics"}"#).response;
+        let reply = crate::json::parse(&reply).expect("metrics reply is JSON");
+        let rules = reply.get("rules").and_then(|r| r.as_arr()).expect("rules");
+        let rule = rules
+            .iter()
+            .find(|r| r.get("rule").and_then(|n| n.as_str()) == Some(name))?;
+        let count = |key| rule.get(key).and_then(|c| c.as_f64()).expect(key) as u64;
+        let exemplars = rule
+            .get("exemplars")
+            .and_then(|x| x.as_arr())
+            .expect("exemplars");
+        let reasons = exemplars
+            .iter()
+            .map(|x| {
+                x.get("reason")
+                    .and_then(|r| r.as_str())
+                    .expect("reason")
+                    .to_string()
+            })
+            .collect();
+        Some((count("validations"), count("flagged"), reasons))
+    }
+
+    /// A re-inferred name is a new rule: its predecessor's window and
+    /// exemplars go with the old entry, and its telemetry starts at its
+    /// own first validation.
+    #[test]
+    fn reinferring_a_name_drops_the_old_rules_telemetry() {
+        let service = ValidationService::new(ServiceConfig::default());
+        service.ingest(&lake_columns(11)).unwrap();
+        let years: Vec<String> = (0..40).map(|i| (1980 + i).to_string()).collect();
+        service.infer_rule("feed", &years, None).unwrap();
+        let users: Vec<String> = (0..40).map(|i| format!("user-{i}")).collect();
+        assert!(service.validate("feed", &users).unwrap().flagged);
+        let (validations, flagged, reasons) = metrics_rule(&service, "feed").unwrap();
+        assert_eq!((validations, flagged, reasons.len()), (1, 1, 1));
+
+        service.infer_rule("feed", &users, None).unwrap();
+        assert!(service.rule("feed").unwrap().rule.conforms("user-7"));
+        assert_eq!(metrics_rule(&service, "feed"), None, "old telemetry kept");
+
+        assert!(!service.validate("feed", &users).unwrap().flagged);
+        assert_eq!(metrics_rule(&service, "feed"), Some((1, 0, Vec::new())));
     }
 
     #[test]

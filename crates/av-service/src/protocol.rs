@@ -33,7 +33,7 @@
 //! | `explain` | `rule`, `value` | where and why the value fails, and the nearest rule it fits |
 //! | `infer` | `rule`, `values`, optional `variant` | the cataloged entry and its wire form |
 //! | `ingest` | `columns`, each `values` and an optional `name` | what the merge changed |
-//! | `metrics` | — | the telemetry registry |
+//! | `metrics` | — | per-rule and per-op telemetry |
 //! | `persist` | — | the checkpoint written |
 //! | `ping` | — | `pong` |
 //! | `rule` | `name` | one catalog entry |
@@ -73,9 +73,10 @@
 //!    {"value":"!!!","rules":[]}]}
 //! ```
 //!
-//! **`metrics`** dumps the full telemetry registry: per-rule lifetime and
-//! sliding-window conformance counters with alert flags and recent failure
-//! exemplars, plus per-op request/error counters and latency histograms:
+//! **`metrics`** dumps the telemetry: for each cataloged rule validated
+//! since it was inferred, lifetime and sliding-window conformance counters
+//! with alert flags and recent failure exemplars, plus per-op
+//! request/error counters and latency histograms:
 //!
 //! ```text
 //! → {"op":"metrics"}
@@ -145,13 +146,16 @@
 //!    "records_since_checkpoint":0,"wal_bytes_since_checkpoint":0,
 //!    "checkpoint_image_bytes":2216448,"last_checkpoint_ms":13.482,
 //!    "replayed_records":2,"truncated_tail_bytes":0,"quarantined_files":0,
-//!    "skipped_records":0,"checkpoints_completed":1,"checkpoint_failures":0}}
+//!    "skipped_manifests":0,"skipped_records":0,"checkpoints_completed":1,
+//!    "checkpoint_failures":0}}
 //! ```
 //!
 //! `replayed_records` / `truncated_tail_bytes` / `quarantined_files`
 //! describe what the last recovery had to do (how many WAL records were
 //! replayed past the checkpoint, whether a torn final frame was dropped,
-//! whether any corrupt shard file was set aside into `quarantine/`);
+//! whether any corrupt shard file was set aside into `quarantine/`, and
+//! `skipped_manifests`: how many newer checkpoint manifests were damaged,
+//! so that recovery loaded an older generation);
 //! `records_since_checkpoint` / `wal_bytes_since_checkpoint` are the WAL
 //! tail the *next* recovery would replay. The service checkpoints on its
 //! own once `wal_bytes_since_checkpoint` reaches `checkpoint_image_bytes`
@@ -398,7 +402,7 @@ fn report_members(r: &ValidationReport, reply: &mut ObjWriter) {
 /// What `infer`, `rule` and `catalog` all say of a catalog entry; `rule`
 /// and `catalog` add when it was created, `infer` and `rule` its wire form.
 fn entry_members(e: &CatalogEntry, created: bool, wire: bool, obj: &mut ObjWriter) {
-    let kind = match e.rule {
+    let kind = match *e.rule {
         AnyRule::Pattern(_) => "pattern",
         AnyRule::Numeric(_) => "numeric",
         AnyRule::Dictionary(_) => "dictionary",
@@ -457,6 +461,7 @@ fn durability_member(service: &ValidationService, reply: &mut ObjWriter) {
             d.records_since_checkpoint as f64,
         );
         o.num("replayed_records", d.replayed_records as f64);
+        o.num("skipped_manifests", d.skipped_manifests as f64);
         o.num("skipped_records", d.skipped_records as f64);
         o.num("truncated_tail_bytes", d.truncated_tail_bytes as f64);
         o.num("wal_bytes", d.wal_bytes as f64);
@@ -603,7 +608,7 @@ fn metrics(service: &ValidationService, _: Json, reply: &mut ObjWriter) -> Outco
     // socket write) then runs with no service lock held.
     let telemetry = service.telemetry();
     let (rules, ops, overload) = (
-        telemetry.rule_snapshots(),
+        service.rule_snapshots(),
         telemetry.op_snapshots(),
         service.stats(),
     );
@@ -684,7 +689,7 @@ pub(crate) fn render_watch_frame(
     elapsed: Duration,
     out: &mut String,
 ) {
-    let snapshots = service.telemetry().rule_snapshots();
+    let snapshots = service.rule_snapshots();
     let rules = snapshots.iter().filter(|r| match &params.rules {
         Some(wanted) => wanted.iter().any(|w| w == &r.rule),
         None => true,

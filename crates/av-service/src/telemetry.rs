@@ -19,6 +19,13 @@
 //! exact under any concurrency, which is what the flag-rate alerting
 //! consumes.
 //!
+//! A rule's `RuleTelemetry` lives in its catalog slot, not in this
+//! module's registry: the first validation of a rule since it was
+//! inferred creates it, and re-inferring or deleting the name drops it
+//! with the entry, so telemetry is only ever of a cataloged rule.
+//! [`ServiceTelemetry`] keeps what is not per rule: the window clock, its
+//! config and the per-op table.
+//!
 //! Snapshots (`RuleTelemetrySnapshot`, [`OpSnapshot`]) are plain owned
 //! values: the `watch`/`metrics`/`stats` ops snapshot first and serialize
 //! after, so no service lock is ever held while a response is written to a
@@ -26,9 +33,9 @@
 
 use crate::protocol::OP_TABLE;
 use av_core::{Explanation, Validator};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Number of buckets in every per-rule sliding window. The covered span is
@@ -248,8 +255,8 @@ impl FailureExemplar {
 
 /// Drift telemetry for one rule: lifetime counters, a sliding conformance
 /// window, and a bounded ring of recent failure exemplars.
-#[derive(Debug)]
-pub struct RuleTelemetry {
+#[derive(Debug, Default)]
+pub(crate) struct RuleTelemetry {
     validations: AtomicU64,
     flagged: AtomicU64,
     checked: AtomicU64,
@@ -281,19 +288,8 @@ pub(crate) struct RuleTelemetrySnapshot {
 }
 
 impl RuleTelemetry {
-    fn new() -> RuleTelemetry {
-        RuleTelemetry {
-            validations: AtomicU64::new(0),
-            flagged: AtomicU64::new(0),
-            checked: AtomicU64::new(0),
-            nonconforming: AtomicU64::new(0),
-            window: SlidingWindow::default(),
-            exemplars: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Record one finished validation (epoch from the owning registry).
-    pub fn record(&self, epoch: u64, checked: u64, nonconforming: u64, flagged: bool) {
+    /// Record one finished validation (epoch from the service's registry).
+    pub(crate) fn record(&self, epoch: u64, checked: u64, nonconforming: u64, flagged: bool) {
         self.validations.fetch_add(1, Ordering::Relaxed);
         if flagged {
             self.flagged.fetch_add(1, Ordering::Relaxed);
@@ -314,7 +310,8 @@ impl RuleTelemetry {
         ring.push_back(exemplar);
     }
 
-    fn snapshot(&self, rule: &str, now_epoch: u64) -> RuleTelemetrySnapshot {
+    /// An owned snapshot, its window read at `now_epoch`.
+    pub(crate) fn snapshot(&self, rule: &str, now_epoch: u64) -> RuleTelemetrySnapshot {
         let window = self.window.snapshot(now_epoch);
         RuleTelemetrySnapshot {
             rule: rule.to_string(),
@@ -426,15 +423,13 @@ pub struct OpSnapshot {
     pub latency: LatencySnapshot,
 }
 
-/// The service-wide telemetry registry: per-rule drift telemetry behind a
-/// get-or-create map whose entries are `Arc`s (recording holds no map lock
-/// beyond the initial lookup), plus per-op request counters in a fixed
+/// The service-wide telemetry registry: the window clock every rule's
+/// telemetry records against, plus per-op request counters in a fixed
 /// table — the op set is closed, so recording an op takes no lock at all.
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     start: Instant,
     config: TelemetryConfig,
-    rules: RwLock<HashMap<String, Arc<RuleTelemetry>>>,
     /// One slot per entry of [`OPS`], same order.
     ops: [OpTelemetry; OPS.len()],
 }
@@ -447,7 +442,6 @@ impl ServiceTelemetry {
             config: TelemetryConfig {
                 bucket_millis: config.bucket_millis.max(1),
             },
-            rules: RwLock::new(HashMap::new()),
             ops: std::array::from_fn(|_| OpTelemetry::default()),
         }
     }
@@ -467,36 +461,6 @@ impl ServiceTelemetry {
         self.config.bucket_millis * WINDOW_BUCKETS as u64
     }
 
-    /// Get-or-create the telemetry slot for a rule. The common case is one
-    /// shared read lock; only the first validation of a rule takes the
-    /// write lock.
-    pub fn rule(&self, name: &str) -> Arc<RuleTelemetry> {
-        if let Some(t) = self
-            .rules
-            .read()
-            .expect("rule telemetry lock poisoned")
-            .get(name)
-        {
-            return Arc::clone(t);
-        }
-        Arc::clone(
-            self.rules
-                .write()
-                .expect("rule telemetry lock poisoned")
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(RuleTelemetry::new())),
-        )
-    }
-
-    /// Drop a rule's telemetry (the service calls this from `delete_rule`
-    /// so a deleted-then-recreated rule starts from a clean slate).
-    pub(crate) fn forget_rule(&self, name: &str) {
-        self.rules
-            .write()
-            .expect("rule telemetry lock poisoned")
-            .remove(name);
-    }
-
     /// Record one protocol op dispatch. A name outside [`OPS`] counts as
     /// `unknown`.
     pub fn record_op(&self, op: &str, elapsed: Duration, ok: bool) {
@@ -509,35 +473,6 @@ impl ServiceTelemetry {
             slot.errors.fetch_add(1, Ordering::Relaxed);
         }
         slot.latency.record(elapsed);
-    }
-
-    /// Owned snapshots of every rule's telemetry, sorted by rule name. The
-    /// registry lock is held only while the `Arc`s are cloned.
-    pub(crate) fn rule_snapshots(&self) -> Vec<RuleTelemetrySnapshot> {
-        let slots: Vec<(String, Arc<RuleTelemetry>)> = {
-            let rules = self.rules.read().expect("rule telemetry lock poisoned");
-            rules
-                .iter()
-                .map(|(name, t)| (name.clone(), Arc::clone(t)))
-                .collect()
-        };
-        let now = self.epoch();
-        let mut out: Vec<RuleTelemetrySnapshot> = slots
-            .iter()
-            .map(|(name, t)| t.snapshot(name, now))
-            .collect();
-        out.sort_by(|a, b| a.rule.cmp(&b.rule));
-        out
-    }
-
-    /// Owned snapshot of one rule's telemetry, if it has recorded anything.
-    #[cfg(test)]
-    pub(crate) fn rule_snapshot(&self, name: &str) -> Option<RuleTelemetrySnapshot> {
-        let slot = {
-            let rules = self.rules.read().expect("rule telemetry lock poisoned");
-            rules.get(name).cloned()
-        };
-        slot.map(|t| t.snapshot(name, self.epoch()))
     }
 
     /// Owned snapshots of every op dispatched at least once, sorted by op
@@ -573,13 +508,13 @@ mod tests {
     #[test]
     fn window_counters_are_exact_under_concurrent_validators() {
         let registry = frozen_registry();
+        let slot = RuleTelemetry::default();
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 2_000;
         std::thread::scope(|scope| {
             for worker in 0..THREADS {
-                let registry = &registry;
+                let (registry, slot) = (&registry, &slot);
                 scope.spawn(move || {
-                    let slot = registry.rule("feed");
                     let epoch = registry.epoch();
                     for i in 0..PER_THREAD {
                         // Every third validation flags; check 10 values of
@@ -589,7 +524,7 @@ mod tests {
                 });
             }
         });
-        let snap = registry.rule_snapshot("feed").unwrap();
+        let snap = slot.snapshot("feed", registry.epoch());
         let total = THREADS * PER_THREAD;
         assert_eq!(snap.validations, total);
         assert_eq!(snap.checked, total * 10);
@@ -628,19 +563,19 @@ mod tests {
     #[test]
     fn alert_fires_at_the_configured_flag_rate() {
         let registry = frozen_registry();
-        let slot = registry.rule("feed");
+        let slot = RuleTelemetry::default();
         let epoch = registry.epoch();
         slot.record(epoch, 10, 0, false);
-        assert!(!registry.rule_snapshot("feed").unwrap().alert);
+        assert!(!slot.snapshot("feed", epoch).alert);
         slot.record(epoch, 10, 10, true);
-        let snap = registry.rule_snapshot("feed").unwrap();
+        let snap = slot.snapshot("feed", registry.epoch());
         assert_eq!(snap.window.flag_rate(), 0.5);
         assert!(snap.alert, "0.5 rate meets the 0.5 threshold");
     }
 
     #[test]
     fn exemplar_ring_is_bounded_and_ordered() {
-        let slot = RuleTelemetry::new();
+        let slot = RuleTelemetry::default();
         for i in 0..EXEMPLAR_CAPACITY + 3 {
             slot.push_exemplar(FailureExemplar {
                 value: format!("v{i}"),

@@ -58,7 +58,6 @@
 //! | [`av_match`] | one byte-level NFA: the catalog-wide multi-pattern matcher (NFA union + lazy DFA cache, one scan classifies a value against every rule) and the baselines' regex engine |
 //! | [`av_stats`] | Fisher's exact test, χ² with Yates, special functions |
 //! | [`av_corpus`] | synthetic data lakes, domain generators, benchmarks |
-//! | [`av_baselines`] | TFDV, Deequ, Potter's Wheel, Grok, schema matching, … |
 //! | [`av_service`] | long-running validation service: shared live index, persistent rule catalog and its catalog automaton, incremental ingestion, crash-safe durability, the JSONL protocol |
 //!
 //! ## Running as a service
@@ -95,7 +94,6 @@
 //! The `av-serve` binary exposes the same engine over a JSONL protocol on
 //! stdin/stdout or TCP (see `av_service::protocol`).
 
-pub use av_baselines;
 pub use av_core;
 pub use av_corpus;
 pub use av_index;

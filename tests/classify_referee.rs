@@ -70,7 +70,7 @@ fn service_with(rules: &BTreeMap<String, AnyRule>) -> ValidationService {
     for (name, rule) in rules {
         catalog.insert(CatalogEntry {
             name: name.clone(),
-            rule: rule.clone(),
+            rule: rule.clone().into(),
             variant: "auto".to_string(),
             created_unix: 0,
         });

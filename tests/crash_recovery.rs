@@ -379,6 +379,32 @@ fn recovery_replays_only_records_since_checkpoint() {
     );
 }
 
+/// A damaged newest manifest is passed over for the one before it, and
+/// `durability` says so: the reopened service counts the skipped
+/// generation instead of reading every loss counter 0.
+#[test]
+fn a_skipped_manifest_is_counted() {
+    let mem = MemStorage::new();
+    let config = durable_config(&mem);
+    let service = ValidationService::open(config.clone()).unwrap();
+    service.ingest(&lake(85, 25)).unwrap();
+    service.infer_rule("a", &dates(1), None).unwrap();
+    service.persist().unwrap();
+    service.infer_rule("b", &dates(2), None).unwrap();
+    service.persist().unwrap();
+    service.infer_rule("c", &dates(3), None).unwrap();
+    let newest = service.durability().unwrap().checkpoint_generation;
+    drop(service);
+
+    let dir = Path::new("/data");
+    let manifest = dir.join(av_durable::Manifest::file_name(newest));
+    mem.corrupt(&manifest, 20);
+    let reopened = ValidationService::open(config).unwrap();
+    let d = reopened.durability().unwrap();
+    assert_eq!(d.checkpoint_generation, newest - 1, "{d:?}");
+    assert_eq!(d.skipped_manifests, 1, "{d:?}");
+}
+
 /// Shard indices whose checkpoint file was written at `generation`
 /// (`shard-<index>-g<generation>.avsh`).
 fn shards_written_at(mem: &MemStorage, generation: u64) -> Vec<usize> {

@@ -265,7 +265,7 @@ fn hostile_values_are_explained_in_time_linear_in_their_length() {
     let mut catalog = RuleCatalog::new();
     catalog.insert(CatalogEntry {
         name: "hostile".to_string(),
-        rule: AnyRule::Pattern(rule),
+        rule: AnyRule::Pattern(rule).into(),
         variant: "FMDV-VH".to_string(),
         created_unix: 0,
     });

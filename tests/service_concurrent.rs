@@ -4,6 +4,8 @@
 //! live index underneath it, and the catalog automaton must name exactly
 //! the catalog's rules after any race of writers on one rule name — and
 //! a `classify` reply must carry the generation its rules were read at.
+//! `metrics` must list telemetry of catalog rules only, however a
+//! `validate` races the deletion of its rule.
 
 use auto_validate::prelude::*;
 use av_corpus::generate_lake;
@@ -316,5 +318,78 @@ fn classify_replies_carry_the_generation_their_rules_were_read_at() {
          (generation − base, rules): {:?}",
         mismatches.len(),
         &mismatches[..mismatches.len().min(5)]
+    );
+}
+
+/// Rounds of the validate ≡ delete race; a round re-infers one small
+/// rule. A validation that revives a deleted rule's telemetry showed in
+/// about 1 round of 300 in release, so the debug suite runs a share.
+const DELETE_ROUNDS: usize = if cfg!(debug_assertions) {
+    2_000
+} else {
+    20_000
+};
+
+/// The rule names the `metrics` op lists telemetry for.
+fn metrics_rules(service: &ValidationService) -> Vec<String> {
+    let reply = handle_line(service, r#"{"op":"metrics"}"#).response;
+    let reply = json::parse(&reply).expect("reply is JSON");
+    reply
+        .get("rules")
+        .and_then(|r| r.as_arr())
+        .expect("rules")
+        .iter()
+        .map(|r| {
+            r.get("rule")
+                .and_then(|n| n.as_str())
+                .expect("rule")
+                .to_string()
+        })
+        .collect()
+}
+
+/// A `validate` loop racing a `delete_rule` of the same name: however the
+/// two interleave, the telemetry `metrics` lists is telemetry of catalog
+/// rules — a validation that found the rule before the delete never
+/// brings its slot back after it.
+#[test]
+fn a_validate_racing_a_delete_leaves_no_telemetry_behind() {
+    // An empty index: inference falls through to a dictionary rule, so a
+    // round costs its race, not an FMDV search.
+    let service = ValidationService::new(ServiceConfig::default());
+    let statuses = statuses();
+    let mut resurrected = Vec::new();
+    for round in 0..DELETE_ROUNDS {
+        service.infer_rule("x", &statuses, None).unwrap();
+        let validating = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Two validators and the deleter on two cores: a validator is
+            // preempted mid-call often enough to race every delete path.
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while service.validate("x", &["OK"]).is_ok() {
+                        validating.store(true, Ordering::Release);
+                    }
+                });
+            }
+            while !validating.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            service.delete_rule("x").unwrap();
+        });
+        for name in metrics_rules(&service) {
+            if service.rule(&name).is_err() {
+                resurrected.push(round);
+                // Start the next round from a clean slate.
+                service.infer_rule(&name, &statuses, None).unwrap();
+                service.delete_rule(&name).unwrap();
+            }
+        }
+    }
+    assert!(
+        resurrected.is_empty(),
+        "{} of {DELETE_ROUNDS} rounds left telemetry for a deleted rule (rounds {:?})",
+        resurrected.len(),
+        &resurrected[..resurrected.len().min(5)]
     );
 }
