@@ -338,6 +338,49 @@ mod tests {
         assert!(!f.tokens.iter().any(|t| t.is_ident("panic")));
     }
 
+    /// Non-test code per crate: over the root package's `src/` and every
+    /// `crates/*/src/` but the vendored shims, the distinct lines on which
+    /// a token starts, once comments are dropped and `#[cfg(test)]` /
+    /// `#[test]` items are stripped as for every rule pass. Blank lines,
+    /// comment lines and test items anywhere in a file do not count, so
+    /// two counts of one tree agree however its test code is placed.
+    ///
+    /// `cargo test -p av-guard --lib code_lines -- --ignored --nocapture`
+    #[test]
+    #[ignore = "a report, not a gate: run with --ignored --nocapture"]
+    fn code_lines_per_crate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut crates = vec![("auto-validate".to_string(), root.join("src"))];
+        for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name != "vendor" && entry.path().join("src").is_dir() {
+                crates.push((name, entry.path().join("src")));
+            }
+        }
+        crates.sort();
+        let mut total = 0;
+        for (name, src) in crates {
+            let mut files = Vec::new();
+            crate::collect_rs(&src, &mut files).unwrap();
+            let lines: usize = files
+                .iter()
+                .map(|path| {
+                    let text = std::fs::read_to_string(path).unwrap();
+                    let tokens = strip_test_code(lexer::lex(&text).tokens);
+                    let mut lines: Vec<u32> = tokens.iter().map(|t| t.line).collect();
+                    lines.dedup();
+                    lines.len()
+                })
+                .sum();
+            println!(
+                "{name}: {lines} non-test code lines in {} files",
+                files.len()
+            );
+            total += lines;
+        }
+        println!("total: {total} non-test code lines");
+    }
+
     #[test]
     fn enclosing_fn_resolves() {
         let f = SourceFile::parse("x.rs", "fn a() { inner(); } fn b() { other(); }");

@@ -231,7 +231,7 @@ pub struct PatternIndex {
 
 impl Default for PatternIndex {
     fn default() -> Self {
-        PatternIndex::with_capacity(0, 0, 0, DEFAULT_SHARD_BITS)
+        PatternIndex::empty(0, DEFAULT_SHARD_BITS)
     }
 }
 
@@ -242,69 +242,22 @@ impl PatternIndex {
     /// an incremental sequence of delta merges run the exact same
     /// aggregation code.
     pub fn build(columns: &[&Column], config: &IndexConfig) -> PatternIndex {
-        let mut index = PatternIndex::with_capacity(0, 0, config.tau, config.shard_bits);
+        let mut index = PatternIndex::empty(config.tau, config.shard_bits);
         index
             .merge_delta(crate::IndexDelta::profile(columns, config))
             .expect("freshly built delta shares the index tau");
         index
     }
 
-    /// Pre-sized empty index (used by deserialization).
-    pub(crate) fn with_capacity(
-        n: usize,
-        num_columns: u64,
-        tau: usize,
-        shard_bits: u32,
-    ) -> PatternIndex {
+    /// An index of no columns over `2^shard_bits` empty shards.
+    pub(crate) fn empty(tau: usize, shard_bits: u32) -> PatternIndex {
         let shard_bits = shard_bits.min(MAX_SHARD_BITS);
-        let count = 1usize << shard_bits;
-        let per_shard = n / count;
-        let shards = (0..count)
-            .map(|_| {
-                Arc::new(IndexShard {
-                    map: FastMap::with_capacity_and_hasher(per_shard, Default::default()),
-                    ..Default::default()
-                })
-            })
-            .collect();
         PatternIndex {
-            shards,
+            shards: (0..1usize << shard_bits).map(|_| Arc::default()).collect(),
             shard_bits,
-            num_columns,
+            num_columns: 0,
             tau,
         }
-    }
-
-    /// Assemble an index from already-built shards (deserialization of a
-    /// checkpoint's shard files).
-    pub(crate) fn from_parts(
-        shards: Vec<Arc<IndexShard>>,
-        shard_bits: u32,
-        num_columns: u64,
-        tau: usize,
-    ) -> PatternIndex {
-        debug_assert_eq!(shards.len(), 1usize << shard_bits);
-        PatternIndex {
-            shards: shards.into(),
-            shard_bits,
-            num_columns,
-            tau,
-        }
-    }
-
-    /// Pre-size one shard's map for `n` upcoming inserts (deserialization
-    /// reads each section's entry count before its entries, so the shard
-    /// map can grow once instead of through the doubling sequence).
-    pub(crate) fn reserve_shard(&mut self, shard: usize, n: usize) {
-        Arc::make_mut(&mut self.shards[shard]).map.reserve(n);
-    }
-
-    /// Insert a raw accumulator entry (used by deserialization).
-    pub(crate) fn insert_raw(&mut self, fingerprint: u64, acc: StatsAcc) {
-        let i = shard_of(fingerprint, self.shard_bits);
-        Arc::make_mut(&mut self.shards[i])
-            .map
-            .insert(fingerprint, acc);
     }
 
     /// Fold one covering column's impurity for a fingerprint (tests'
@@ -319,7 +272,9 @@ impl PatternIndex {
             .add_impurity(impurity, token_len);
     }
 
-    /// Attach a display string to a fingerprint (used by deserialization).
+    /// Attach a display string to a fingerprint (tests' materializing
+    /// reference build).
+    #[cfg(test)]
     pub(crate) fn insert_pattern_string(&mut self, fingerprint: u64, s: String) {
         let i = shard_of(fingerprint, self.shard_bits);
         Arc::make_mut(&mut self.shards[i])
@@ -328,8 +283,9 @@ impl PatternIndex {
             .or_insert(s);
     }
 
-    /// Record the key of an indexed pattern's prefix (used by
-    /// deserialization); it lives in the shard its top bits route to.
+    /// Record the key of an indexed pattern's prefix (tests' materializing
+    /// reference build); it lives in the shard its top bits route to.
+    #[cfg(test)]
     pub(crate) fn insert_prefix(&mut self, key: u64) {
         let i = shard_of(key, self.shard_bits);
         Arc::make_mut(&mut self.shards[i]).prefixes.insert(key);
@@ -377,28 +333,26 @@ impl PatternIndex {
     }
 
     /// Redistribute the index over a different shard count. Statistics are
-    /// unchanged (shard routing is pure fingerprint arithmetic); shard
-    /// versions restart at zero. Used when a persisted image written under
-    /// another shard count is loaded into a differently-sharded
-    /// deployment.
+    /// unchanged (shard routing is pure fingerprint arithmetic). The index
+    /// is merged, as one delta, into an empty index of the new shape, so
+    /// every shard it fills starts at version 1 and every other at 0. Used
+    /// when a persisted image written under another shard count is loaded
+    /// into a differently-sharded deployment.
     pub fn reshard(self, shard_bits: u32) -> PatternIndex {
         let shard_bits = shard_bits.min(MAX_SHARD_BITS);
         if shard_bits == self.shard_bits {
             return self;
         }
-        let mut next =
-            PatternIndex::with_capacity(self.len(), self.num_columns, self.tau, shard_bits);
-        for shard in self.shards.iter() {
-            for (k, v) in shard.map.iter() {
-                next.insert_raw(*k, *v);
-            }
-            for (k, s) in shard.patterns.iter() {
-                next.insert_pattern_string(*k, s.clone());
-            }
-            for key in shard.prefixes.iter() {
-                next.insert_prefix(*key);
-            }
+        let mut whole = crate::IndexDelta {
+            num_columns: self.num_columns,
+            tau: self.tau,
+            ..Default::default()
+        };
+        for shard in self.shards.into_vec() {
+            whole.shard.absorb(Arc::unwrap_or_clone(shard));
         }
+        let mut next = PatternIndex::empty(self.tau, shard_bits);
+        next.apply_parts(whole.into_shard_parts(shard_bits));
         next
     }
 
@@ -567,7 +521,7 @@ pub(crate) struct ColumnScratch {
     frac: FastMap<FracAcc>,
 }
 
-/// Index one column into a worker's `delta`: stream `P(D)` as
+/// Index one column into a worker's `shard`: stream `P(D)` as
 /// `(fingerprint, support, len)` triples — no `Pattern` is materialized —
 /// merge per-column fractions by fingerprint, and fold into the
 /// accumulators. Display strings are rendered only under `keep_patterns`,
@@ -577,16 +531,16 @@ pub(crate) struct ColumnScratch {
 pub(crate) fn index_one_column(
     col: &Column,
     config: &IndexConfig,
-    delta: &mut crate::IndexDelta,
+    shard: &mut IndexShard,
     scratch: &mut ColumnScratch,
 ) {
     let ColumnScratch { enumeration, frac } = scratch;
-    let crate::IndexDelta {
-        acc,
-        names,
+    let IndexShard {
+        map,
+        patterns,
         prefixes,
         ..
-    } = delta;
+    } = shard;
     frac.clear();
     stream_column_profile(
         &col.values,
@@ -607,12 +561,14 @@ pub(crate) fn index_one_column(
                 })
                 .frac += contribution;
             if config.keep_patterns {
-                names.entry(sp.fingerprint).or_insert_with(|| sp.display());
+                patterns
+                    .entry(sp.fingerprint)
+                    .or_insert_with(|| sp.display());
             }
         },
     );
     for (fp, e) in frac.iter() {
-        acc.entry(*fp)
+        map.entry(*fp)
             .or_default()
             .add_impurity(1.0 - e.frac, e.token_len);
     }
@@ -821,7 +777,7 @@ mod tests {
                 ..Default::default()
             };
             let built = PatternIndex::build(&cols, &config);
-            let mut reference = PatternIndex::with_capacity(0, 0, config.tau, config.shard_bits);
+            let mut reference = PatternIndex::empty(config.tau, config.shard_bits);
             for col in &cols {
                 for (pattern, frac) in
                     av_pattern::column_pattern_profile(&col.values, &config.pattern, config.tau)

@@ -20,9 +20,9 @@
 //! delta touches**, copying one first only while a snapshot still shares
 //! it — update cost tracks the delta, not the database.
 
-use crate::build::{index_one_column, FastMap, FastSet, IndexConfig};
-use crate::persist::PersistError;
-use crate::shard::shard_of;
+use crate::build::{index_one_column, IndexConfig};
+use crate::persist::{put_shard_sections, read_shard_sections, sections_len, PersistError};
+use crate::shard::{shard_of, IndexShard};
 use crate::stats::StatsAcc;
 use av_corpus::Column;
 use bytes::{Buf, BufMut};
@@ -37,9 +37,9 @@ const DELTA_VERSION: u32 = 2;
 /// [`PatternIndex`].
 #[derive(Debug, Default, Clone)]
 pub struct IndexDelta {
-    pub(crate) acc: FastMap<StatsAcc>,
-    pub(crate) names: FastMap<String>,
-    pub(crate) prefixes: FastSet,
+    /// The batch's accumulators, display strings and prefix keys: one
+    /// shard that no routing has split yet.
+    pub(crate) shard: IndexShard,
     pub(crate) num_columns: u64,
     pub(crate) tau: usize,
 }
@@ -78,34 +78,30 @@ impl IndexDelta {
     /// full build uses: workers pull columns off a shared atomic cursor (a
     /// dynamic work queue, so a handful of giant columns cannot strand the
     /// other workers the way static chunking does), fold into thread-local
-    /// accumulators with a per-worker reusable scratch, and merge at the
-    /// end. The calling thread is one of the workers — the only one for a
-    /// batch too small to pay for a thread spawn — and the reduce folds the
-    /// helpers' maps into the caller's. The fixed-point accumulator merge
+    /// shards with a per-worker reusable scratch, and merge at the end.
+    /// The calling thread is one of the workers — the only one for a batch
+    /// too small to pay for a thread spawn — and the reduce absorbs the
+    /// helpers' shards into the caller's. The fixed-point accumulator merge
     /// is order-independent, so the result is bit-identical for every
     /// thread count and schedule.
     pub fn profile(columns: &[&Column], config: &IndexConfig) -> IndexDelta {
-        let (mut delta, helped) = crate::build::run_work_queue(columns, config, |queue| {
-            let mut delta = IndexDelta::default();
+        let (mut shard, helped) = crate::build::run_work_queue(columns, config, |queue| {
+            let mut shard = IndexShard::default();
             let mut scratch = crate::build::ColumnScratch::default();
             while let Some(range) = queue.next_range() {
                 for col in &columns[range] {
-                    index_one_column(col, config, &mut delta, &mut scratch);
+                    index_one_column(col, config, &mut shard, &mut scratch);
                 }
             }
-            delta
+            shard
         });
         for helper in helped {
-            for (k, v) in helper.acc {
-                delta.acc.entry(k).or_default().merge(&v);
-            }
-            delta.names.extend(helper.names);
-            delta.prefixes.extend(helper.prefixes);
+            shard.absorb(helper);
         }
         IndexDelta {
+            shard,
             num_columns: columns.len() as u64,
             tau: config.tau,
-            ..delta
         }
     }
 
@@ -116,12 +112,12 @@ impl IndexDelta {
 
     /// Number of distinct patterns in this delta.
     pub fn len(&self) -> usize {
-        self.acc.len()
+        self.shard.len()
     }
 
     /// True when no patterns were profiled.
     pub fn is_empty(&self) -> bool {
-        self.acc.is_empty()
+        self.shard.is_empty()
     }
 
     /// The token-limit τ this delta was profiled with.
@@ -138,7 +134,7 @@ impl IndexDelta {
         let shard_bits = shard_bits.min(crate::shard::MAX_SHARD_BITS);
         let count = 1usize << shard_bits;
         let mut touched = vec![false; count];
-        for fp in self.acc.keys().chain(&self.prefixes) {
+        for fp in self.shard.map.keys().chain(&self.shard.prefixes) {
             touched[shard_of(*fp, shard_bits)] = true;
         }
         touched.iter().filter(|t| **t).count()
@@ -153,46 +149,15 @@ impl IndexDelta {
     /// n_prefixes u64, n_prefixes × key u64
     /// ```
     ///
-    /// Every section is sorted by its key, so the bytes are canonical, and
+    /// The body after the header is the delta's one shard in the section
+    /// layout a checkpoint shard file and every AVIX v5 shard section use,
+    /// written and read by the same two functions. Every section is sorted
+    /// by its key, so the bytes are canonical, and
     /// [`IndexDelta::from_bytes`] restores a delta whose merge effect is
     /// bit-identical to the original's; v2 is the only version read.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Sized for the whole record (header + three sections) and built
-        // straight into the returned Vec: every durable ingest encodes its
-        // delta before it takes the WAL lock, so reallocation and a
-        // trailing copy both show up as acknowledge latency.
-        let names_bytes: usize = self.names.values().map(|s| 12 + s.len()).sum();
-        let mut buf: Vec<u8> = Vec::with_capacity(
-            32 + self.acc.len() * 25 + 8 + names_bytes + 8 + self.prefixes.len() * 8,
-        );
-        buf.put_slice(DELTA_MAGIC);
-        buf.put_u32_le(DELTA_VERSION);
-        buf.put_u64_le(self.tau as u64);
-        buf.put_u64_le(self.num_columns);
-        let mut entries: Vec<(u64, StatsAcc)> = self.acc.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        buf.put_u64_le(entries.len() as u64);
-        for (k, s) in &entries {
-            buf.put_u64_le(*k);
-            buf.put_u64_le(s.imp_fp);
-            buf.put_u64_le(s.cols);
-            buf.put_u8(s.token_len);
-        }
-        let mut names: Vec<(u64, &str)> =
-            self.names.iter().map(|(k, s)| (*k, s.as_str())).collect();
-        names.sort_unstable_by_key(|(k, _)| *k);
-        buf.put_u64_le(names.len() as u64);
-        for (k, s) in names {
-            buf.put_u64_le(k);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        let mut prefixes: Vec<u64> = self.prefixes.iter().copied().collect();
-        prefixes.sort_unstable();
-        buf.put_u64_le(prefixes.len() as u64);
-        for key in prefixes {
-            buf.put_u64_le(key);
-        }
+        let mut buf = Vec::new();
+        buf.extend([self]);
         buf
     }
 
@@ -203,7 +168,7 @@ impl IndexDelta {
             return Err(err("bad delta magic"));
         }
         buf.advance(4);
-        if buf.remaining() < 28 {
+        if buf.remaining() < 20 {
             return Err(err("truncated delta header"));
         }
         let version = buf.get_u32_le();
@@ -214,55 +179,12 @@ impl IndexDelta {
         }
         let tau = buf.get_u64_le() as usize;
         let num_columns = buf.get_u64_le();
-        let n = buf.get_u64_le() as usize;
-        let mut acc: FastMap<StatsAcc> = FastMap::default();
-        acc.reserve(n.min(buf.remaining() / 25));
-        for _ in 0..n {
-            if buf.remaining() < 25 {
-                return Err(err("truncated delta entries"));
-            }
-            let k = buf.get_u64_le();
-            let imp_fp = buf.get_u64_le();
-            let cols = buf.get_u64_le();
-            let token_len = buf.get_u8();
-            acc.insert(k, StatsAcc::from_raw(imp_fp, cols, token_len));
-        }
-        if buf.remaining() < 8 {
-            return Err(err("missing delta name section"));
-        }
-        let ns = buf.get_u64_le() as usize;
-        let mut names: FastMap<String> = FastMap::default();
-        names.reserve(ns.min(buf.remaining() / 12));
-        for _ in 0..ns {
-            if buf.remaining() < 12 {
-                return Err(err("truncated delta names"));
-            }
-            let k = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(err("truncated delta name payload"));
-            }
-            let s = String::from_utf8(buf[..len].to_vec())
-                .map_err(|_| err("invalid utf-8 in delta name"))?;
-            buf.advance(len);
-            names.insert(k, s);
-        }
-        if buf.remaining() < 8 {
-            return Err(err("missing delta prefix section"));
-        }
-        let np = buf.get_u64_le() as usize;
-        if buf.remaining() != np.saturating_mul(8) {
-            return Err(err("delta prefix section does not fill the record"));
-        }
-        let mut prefixes = FastSet::default();
-        prefixes.reserve(np);
-        for _ in 0..np {
-            prefixes.insert(buf.get_u64_le());
+        let shard = read_shard_sections(&mut buf, 0, 0)?;
+        if buf.remaining() > 0 {
+            return Err(err("trailing bytes after the delta's prefix section"));
         }
         Ok(IndexDelta {
-            acc,
-            names,
-            prefixes,
+            shard,
             num_columns,
             tau,
         })
@@ -275,19 +197,25 @@ impl IndexDelta {
         let shard_bits = shard_bits.min(crate::shard::MAX_SHARD_BITS);
         let count = 1usize << shard_bits;
         let mut parts: Vec<Option<ShardPart>> = (0..count).map(|_| None).collect();
-        for (fp, acc) in self.acc {
+        let IndexShard {
+            map,
+            patterns,
+            prefixes,
+            ..
+        } = self.shard;
+        for (fp, acc) in map {
             parts[shard_of(fp, shard_bits)]
                 .get_or_insert_with(ShardPart::default)
                 .acc
                 .push((fp, acc));
         }
-        for (fp, name) in self.names {
+        for (fp, name) in patterns {
             parts[shard_of(fp, shard_bits)]
                 .get_or_insert_with(ShardPart::default)
                 .names
                 .push((fp, name));
         }
-        for key in self.prefixes {
+        for key in prefixes {
             parts[shard_of(key, shard_bits)]
                 .get_or_insert_with(ShardPart::default)
                 .prefixes
@@ -296,6 +224,26 @@ impl IndexDelta {
         ShardParts {
             parts,
             num_columns: self.num_columns,
+        }
+    }
+}
+
+/// Appends each delta's whole AVDL record (what [`IndexDelta::to_bytes`]
+/// returns) to the buffer, reserving its exact size first — so a caller
+/// that frames the record behind a header of its own (the write-ahead
+/// log's record type byte) builds both in one buffer, with no second copy
+/// of the record. Every durable ingest encodes its delta before it takes
+/// the WAL lock, so a reallocation or a trailing copy would show up as
+/// acknowledge latency.
+impl<'a> Extend<&'a IndexDelta> for Vec<u8> {
+    fn extend<I: IntoIterator<Item = &'a IndexDelta>>(&mut self, deltas: I) {
+        for delta in deltas {
+            self.reserve_exact(24 + sections_len(&delta.shard));
+            self.put_slice(DELTA_MAGIC);
+            self.put_u32_le(DELTA_VERSION);
+            self.put_u64_le(delta.tau as u64);
+            self.put_u64_le(delta.num_columns);
+            put_shard_sections(&delta.shard, self);
         }
     }
 }
@@ -328,6 +276,7 @@ mod tests {
     use super::*;
     use crate::build::{IndexConfig, PatternIndex};
     use av_corpus::{generate_lake, LakeProfile};
+    use proptest::prelude::{any, prop_assert_eq};
     use std::collections::HashMap;
 
     fn assert_bitwise_equal(a: &PatternIndex, b: &PatternIndex) {
@@ -407,8 +356,8 @@ mod tests {
         assert_eq!(restored.tau(), delta.tau());
         assert_eq!(restored.num_columns(), delta.num_columns());
         assert_eq!(restored.len(), delta.len());
-        assert!(!delta.prefixes.is_empty());
-        assert_eq!(restored.prefixes, delta.prefixes);
+        assert!(!delta.shard.prefixes.is_empty());
+        assert_eq!(restored.shard.prefixes, delta.shard.prefixes);
         // Serialization is canonical: re-encoding is byte-stable.
         assert_eq!(restored.to_bytes(), bytes);
         // Merging the decoded delta is bit-identical to the original.
@@ -445,6 +394,180 @@ mod tests {
         let after: HashMap<u64, crate::PatternStats> = index.entries().collect();
         for (k, s) in before {
             assert_eq!(after[&k], s);
+        }
+    }
+
+    /// The section writer the AVDL encoder carried before a delta became
+    /// a shard, kept as the referee of the one writer: each section is
+    /// collected from its own map, sorted and written in a loop of its own.
+    fn reference_sections(shard: &IndexShard, buf: &mut Vec<u8>) {
+        let mut entries: Vec<(u64, StatsAcc)> = shard.map.iter().map(|(k, v)| (*k, *v)).collect();
+        entries.sort_unstable_by_key(|(k, _)| *k);
+        buf.put_u64_le(entries.len() as u64);
+        for (k, s) in &entries {
+            buf.put_u64_le(*k);
+            buf.put_u64_le(s.imp_fp);
+            buf.put_u64_le(s.cols);
+            buf.put_u8(s.token_len);
+        }
+        let mut names: Vec<(u64, &str)> = shard
+            .patterns
+            .iter()
+            .map(|(k, s)| (*k, s.as_str()))
+            .collect();
+        names.sort_unstable_by_key(|(k, _)| *k);
+        buf.put_u64_le(names.len() as u64);
+        for (k, s) in names {
+            buf.put_u64_le(k);
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s.as_bytes());
+        }
+        let mut prefixes: Vec<u64> = shard.prefixes.iter().copied().collect();
+        prefixes.sort_unstable();
+        buf.put_u64_le(prefixes.len() as u64);
+        for key in prefixes {
+            buf.put_u64_le(key);
+        }
+    }
+
+    /// The AVDL v2 record the reference writer produces.
+    fn reference_delta_bytes(delta: &IndexDelta) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(DELTA_MAGIC);
+        buf.put_u32_le(DELTA_VERSION);
+        buf.put_u64_le(delta.tau as u64);
+        buf.put_u64_le(delta.num_columns);
+        reference_sections(&delta.shard, &mut buf);
+        buf
+    }
+
+    /// The AVIX v5 image the reference writer produces.
+    fn reference_image_bytes(index: &PatternIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(b"AVIX");
+        buf.put_u32_le(5);
+        buf.put_u64_le(index.num_columns);
+        buf.put_u64_le(index.tau as u64);
+        buf.put_u32_le(index.shard_bits());
+        for shard in index.shards() {
+            reference_sections(shard, &mut buf);
+        }
+        buf
+    }
+
+    /// One delta through the codec: its record is the reference's bytes,
+    /// and the decoded record holds the same shard and merges into the
+    /// same index as the delta itself.
+    fn assert_delta_codec(delta: &IndexDelta, base: &PatternIndex) {
+        let bytes = delta.to_bytes();
+        assert_eq!(bytes, reference_delta_bytes(delta));
+        let restored = IndexDelta::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.shard.map, delta.shard.map);
+        assert_eq!(restored.shard.patterns, delta.shard.patterns);
+        assert_eq!(restored.shard.prefixes, delta.shard.prefixes);
+        let (mut direct, mut replayed) = (base.clone(), base.clone());
+        direct.merge_delta(delta.clone()).unwrap();
+        replayed.merge_delta(restored).unwrap();
+        assert_eq!(direct.content_digest(), replayed.content_digest());
+    }
+
+    #[test]
+    fn codec_referee_tiny_lakes() {
+        for keep_patterns in [false, true] {
+            let config = IndexConfig {
+                keep_patterns,
+                ..Default::default()
+            };
+            for seed in [31u64, 32, 33] {
+                let lake = generate_lake(&LakeProfile::tiny().scaled(30), seed);
+                let cols: Vec<&Column> = lake.columns().collect();
+                let base = PatternIndex::build(&cols[..10], &config);
+                for batch in cols[10..].chunks(7) {
+                    assert_delta_codec(&IndexDelta::profile(batch, &config), &base);
+                }
+                let whole = PatternIndex::build(&cols, &config);
+                assert_eq!(whole.to_bytes().to_vec(), reference_image_bytes(&whole));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random shards (any fingerprints, any accumulators, display
+        /// strings for some entries, any prefix keys) through all three
+        /// uses of the section layout: the AVDL record, the AVIX image
+        /// at any shard count, and each shard's own section bytes.
+        #[test]
+        fn codec_referee_random_shards(
+            entries in proptest::collection::vec(
+                (any::<u64>(), 0u64..1 << 40, (1u64..500, 1u8..=20)),
+                0..80,
+            ),
+            names in proptest::collection::vec(
+                (
+                    any::<usize>(),
+                    proptest::string::string_regex("[a-z<>{}+0-9 .-]{0,12}").unwrap(),
+                ),
+                0..30,
+            ),
+            prefixes in proptest::collection::vec(any::<u64>(), 0..80),
+        ) {
+            let mut delta = IndexDelta {
+                num_columns: entries.len() as u64,
+                tau: 13,
+                ..Default::default()
+            };
+            for (fp, imp_fp, (cols, token_len)) in &entries {
+                let acc = StatsAcc::from_raw(*imp_fp, *cols, *token_len);
+                delta.shard.map.insert(*fp, acc);
+            }
+            if !entries.is_empty() {
+                for (i, name) in names {
+                    delta.shard.patterns.insert(entries[i % entries.len()].0, name);
+                }
+            }
+            delta.shard.prefixes.extend(prefixes);
+            let shard_bits = (delta.shard.prefixes.len() % 7) as u32;
+            let base = PatternIndex::empty(13, shard_bits);
+            assert_delta_codec(&delta, &base);
+
+            let mut index = base;
+            index.merge_delta(delta).unwrap();
+            let image = index.to_bytes();
+            prop_assert_eq!(image.to_vec(), reference_image_bytes(&index));
+            let reloaded = PatternIndex::from_bytes(&image).unwrap();
+            prop_assert_eq!(reloaded.to_bytes(), image.clone());
+            for (i, shard) in index.shards().iter().enumerate() {
+                let sections = shard.section_bytes();
+                let decoded = IndexShard::from_section_bytes(&sections, i, shard_bits).unwrap();
+                prop_assert_eq!(decoded.section_bytes(), sections);
+            }
+            let other_bits = (shard_bits + 3) % 7;
+            let round_trip = index.reshard(other_bits).reshard(shard_bits);
+            prop_assert_eq!(round_trip.to_bytes(), image);
+        }
+    }
+
+    /// A display string is read only into the shard that holds its
+    /// entry: a record whose string has no entry is refused, where the
+    /// delta's own reader once decoded it.
+    #[test]
+    fn a_delta_string_without_an_entry_is_refused() {
+        let mut record = Vec::new();
+        record.put_slice(b"AVDL");
+        record.put_u32_le(2);
+        record.put_u64_le(13); // tau
+        record.put_u64_le(1); // num_columns
+        record.put_u64_le(0); // no entries
+        record.put_u64_le(1); // one display string ...
+        record.put_u64_le(0x0123_4567_89ab_cdef); // ... for a fingerprint with no entry
+        record.put_u32_le(7);
+        record.put_slice(b"<digit>");
+        record.put_u64_le(0); // no prefix keys
+        match IndexDelta::from_bytes(&record) {
+            Err(PersistError::Format(m)) => {
+                assert_eq!(m, "pattern string without a matching entry")
+            }
+            other => panic!("a string with no entry must be refused, got {other:?}"),
         }
     }
 }

@@ -11,7 +11,9 @@
 //! uses a production Map-Reduce cluster — same dataflow). Indexes persist
 //! to a compact binary format (AVIX v5, a per-shard directory — the only
 //! version read) and are orders of magnitude smaller than the corpus they
-//! summarize.
+//! summarize. A delta is one unrouted [`IndexShard`], so a checkpoint shard
+//! file, an AVIX v5 shard section and the body of an AVDL v2 delta record
+//! are one section layout, with one writer and one reader.
 //!
 //! Beside the statistics the index keeps the keys of its patterns' short
 //! prefixes, so an inference can skip every part of its enumeration that

@@ -14,7 +14,14 @@
 //!
 //! Entries, strings and prefix keys are each sorted within their shard;
 //! because shard routing uses the *top* bits, the concatenation of the
-//! shard sections is still globally sorted. The prefix keys
+//! shard sections is still globally sorted.
+//!
+//! The three sections are the one section layout of the crate: a
+//! checkpoint shard file ([`IndexShard::section_bytes`]), each shard's
+//! slice of an AVIX v5 image, and the body of an AVDL v2 delta record
+//! ([`crate::IndexDelta::to_bytes`], one unrouted shard) are the same
+//! bytes, written by one function and read back by one, which checks that
+//! every key routes to the shard it is read into. The prefix keys
 //! ([`PatternIndex::admits_prefix`]) cannot be derived at load — the image
 //! holds fingerprints, not tokens — so they are stored; v5 is v4 with that
 //! third section per shard, and every accumulator byte where v4 put it.
@@ -68,11 +75,20 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Append one shard's entry, string and prefix sections (the exact
-/// per-shard byte layout of an AVIX v5 body) to `buf`, each sorted.
-fn put_shard_sections(shard: &IndexShard, buf: &mut BytesMut) {
+/// Bytes [`put_shard_sections`] writes for `shard`, so a writer can size
+/// its buffer once.
+pub(crate) fn sections_len(shard: &IndexShard) -> usize {
+    // av-guard: allow(G4, reason = "a sum of string lengths: order-independent, no byte follows it")
+    let strings: usize = shard.patterns.values().map(|s| 12 + s.len()).sum();
+    24 + shard.len() * 25 + strings + shard.prefixes.len() * 8
+}
+
+/// Append one shard's entry, string and prefix sections to `buf`, each
+/// sorted by its key. The one writer of the section layout: a shard file,
+/// an AVIX v5 shard section and an AVDL v2 body are these bytes.
+pub(crate) fn put_shard_sections(shard: &IndexShard, buf: &mut impl BufMut) {
     let mut entries: Vec<(u64, StatsAcc)> = shard.map.iter().map(|(k, v)| (*k, *v)).collect();
-    entries.sort_by_key(|(k, _)| *k);
+    entries.sort_unstable_by_key(|(k, _)| *k);
     buf.put_u64_le(entries.len() as u64);
     for (k, s) in &entries {
         buf.put_u64_le(*k);
@@ -80,10 +96,12 @@ fn put_shard_sections(shard: &IndexShard, buf: &mut BytesMut) {
         buf.put_u64_le(s.cols);
         buf.put_u8(s.token_len);
     }
-    let strings: Vec<(u64, &str)> = entries
+    let mut strings: Vec<(u64, &str)> = shard
+        .patterns
         .iter()
-        .filter_map(|(k, _)| shard.patterns.get(k).map(|s| (*k, s.as_str())))
+        .map(|(k, s)| (*k, s.as_str()))
         .collect();
+    strings.sort_unstable_by_key(|(k, _)| *k);
     buf.put_u64_le(strings.len() as u64);
     for (k, s) in strings {
         buf.put_u64_le(k);
@@ -97,22 +115,92 @@ fn put_shard_sections(shard: &IndexShard, buf: &mut BytesMut) {
     }
 }
 
-/// Read one shard's prefix section: the count, then that many keys, each
-/// handed to `insert`, which may refuse it.
-fn get_prefix_section(
+/// Read one shard's three sections off the front of `buf`, the one reader
+/// of the layout [`put_shard_sections`] writes. Every fingerprint and
+/// prefix key must route to shard `shard_idx` under `shard_bits` (a
+/// section read into the wrong shard would misroute lookups), and every
+/// display string must belong to an entry. Counts are checked against the
+/// bytes left before anything is reserved, so a corrupt count cannot
+/// trigger a huge allocation.
+pub(crate) fn read_shard_sections(
     buf: &mut &[u8],
-    mut insert: impl FnMut(u64) -> Result<(), PersistError>,
-) -> Result<(), PersistError> {
+    shard_idx: usize,
+    shard_bits: u32,
+) -> Result<IndexShard, PersistError> {
     let err = |m: &str| PersistError::Format(m.to_string());
+    let misrouted = |what: &str, k: u64| {
+        PersistError::Format(format!(
+            "{what} {k:#018x} does not route to shard {shard_idx}"
+        ))
+    };
+    let mut shard = IndexShard::default();
+    if buf.remaining() < 8 {
+        return Err(err("missing entry section"));
+    }
+    let n = buf.get_u64_le() as usize;
+    if buf.remaining() / 25 < n {
+        return Err(err("truncated entries"));
+    }
+    shard.map.reserve(n);
+    for _ in 0..n {
+        let k = buf.get_u64_le();
+        if shard_of(k, shard_bits) != shard_idx {
+            return Err(misrouted("fingerprint", k));
+        }
+        let imp_fp = buf.get_u64_le();
+        let cols = buf.get_u64_le();
+        let token_len = buf.get_u8();
+        shard
+            .map
+            .insert(k, StatsAcc::from_raw(imp_fp, cols, token_len));
+    }
+    if buf.remaining() < 8 {
+        return Err(err("missing string section"));
+    }
+    let ns = buf.get_u64_le() as usize;
+    shard.patterns.reserve(ns.min(buf.remaining() / 12));
+    for _ in 0..ns {
+        if buf.remaining() < 12 {
+            return Err(err("truncated strings"));
+        }
+        let k = buf.get_u64_le();
+        let len = buf.get_u32_le() as usize;
+        if buf.remaining() < len {
+            return Err(err("truncated string payload"));
+        }
+        if !shard.map.contains_key(&k) {
+            return Err(err("pattern string without a matching entry"));
+        }
+        let s = String::from_utf8(buf[..len].to_vec())
+            .map_err(|_| err("invalid utf-8 in pattern string"))?;
+        buf.advance(len);
+        shard.patterns.insert(k, s);
+    }
     if buf.remaining() < 8 {
         return Err(err("missing prefix section"));
     }
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() / 8 < n {
+    let np = buf.get_u64_le() as usize;
+    if buf.remaining() / 8 < np {
         return Err(err("truncated prefix keys"));
     }
-    for _ in 0..n {
-        insert(buf.get_u64_le())?;
+    shard.prefixes.reserve(np);
+    for _ in 0..np {
+        let key = buf.get_u64_le();
+        if shard_of(key, shard_bits) != shard_idx {
+            return Err(misrouted("prefix key", key));
+        }
+        shard.prefixes.insert(key);
+    }
+    Ok(shard)
+}
+
+/// Refuse a shard count past [`MAX_SHARD_BITS`] before anything is sized
+/// by it.
+fn check_shard_bits(shard_bits: u32) -> Result<(), PersistError> {
+    if shard_bits > MAX_SHARD_BITS {
+        return Err(PersistError::Format(format!(
+            "implausible shard_bits {shard_bits}"
+        )));
     }
     Ok(())
 }
@@ -123,7 +211,7 @@ impl IndexShard {
     /// shard. Checkpoint shard files are this plus framing owned by the
     /// durability layer.
     pub fn section_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24 + self.len() * 25 + self.prefixes.len() * 8);
+        let mut buf = BytesMut::with_capacity(sections_len(self));
         put_shard_sections(self, &mut buf);
         buf.freeze()
     }
@@ -137,62 +225,11 @@ impl IndexShard {
         shard_idx: usize,
         shard_bits: u32,
     ) -> Result<IndexShard, PersistError> {
-        let err = |m: &str| PersistError::Format(m.to_string());
-        let mut shard = IndexShard::default();
-        if buf.remaining() < 8 {
-            return Err(err("missing entry section"));
-        }
-        let n = buf.get_u64_le() as usize;
-        shard.map.reserve(n.min(buf.remaining() / 25));
-        for _ in 0..n {
-            if buf.remaining() < 25 {
-                return Err(err("truncated entries"));
-            }
-            let k = buf.get_u64_le();
-            if shard_of(k, shard_bits) != shard_idx {
-                return Err(PersistError::Format(format!(
-                    "fingerprint {k:#018x} does not route to shard {shard_idx}"
-                )));
-            }
-            let imp_fp = buf.get_u64_le();
-            let cols = buf.get_u64_le();
-            let token_len = buf.get_u8();
-            shard
-                .map
-                .insert(k, StatsAcc::from_raw(imp_fp, cols, token_len));
-        }
-        if buf.remaining() < 8 {
-            return Err(err("missing string section"));
-        }
-        let ns = buf.get_u64_le() as usize;
-        for _ in 0..ns {
-            if buf.remaining() < 12 {
-                return Err(err("truncated strings"));
-            }
-            let k = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(err("truncated string payload"));
-            }
-            if !shard.map.contains_key(&k) {
-                return Err(err("pattern string without a matching entry"));
-            }
-            let s = String::from_utf8(buf[..len].to_vec())
-                .map_err(|_| err("invalid utf-8 in pattern string"))?;
-            buf.advance(len);
-            shard.patterns.insert(k, s);
-        }
-        get_prefix_section(&mut buf, |key| {
-            if shard_of(key, shard_bits) != shard_idx {
-                return Err(PersistError::Format(format!(
-                    "prefix key {key:#018x} does not route to shard {shard_idx}"
-                )));
-            }
-            shard.prefixes.insert(key);
-            Ok(())
-        })?;
+        let shard = read_shard_sections(&mut buf, shard_idx, shard_bits)?;
         if buf.remaining() > 0 {
-            return Err(err("trailing bytes after prefix section"));
+            return Err(PersistError::Format(
+                "trailing bytes after prefix section".to_string(),
+            ));
         }
         Ok(shard)
     }
@@ -201,9 +238,8 @@ impl IndexShard {
 impl PatternIndex {
     /// Serialize to bytes (AVIX v5).
     pub fn to_bytes(&self) -> Bytes {
-        let prefixes: usize = self.shards.iter().map(|s| s.prefixes.len()).sum();
-        let mut buf =
-            BytesMut::with_capacity(36 + self.len() * 25 + prefixes * 8 + self.shard_count() * 24);
+        let sections: usize = self.shards.iter().map(|s| sections_len(s)).sum();
+        let mut buf = BytesMut::with_capacity(28 + sections);
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(self.num_columns);
@@ -216,32 +252,28 @@ impl PatternIndex {
     }
 
     /// Assemble an index from individually decoded shards (the checkpoint
-    /// recovery path). `shards.len()` must be `2^shard_bits`; routing
-    /// correctness within each shard is
-    /// [`IndexShard::from_section_bytes`]'s job.
+    /// recovery path, and [`PatternIndex::from_bytes`]). `shards.len()`
+    /// must be `2^shard_bits`; routing correctness within each shard is
+    /// the section reader's job.
     pub fn from_shards(
         shards: Vec<IndexShard>,
         shard_bits: u32,
         num_columns: u64,
         tau: usize,
     ) -> Result<PatternIndex, PersistError> {
-        if shard_bits > MAX_SHARD_BITS {
-            return Err(PersistError::Format(format!(
-                "implausible shard_bits {shard_bits}"
-            )));
-        }
+        check_shard_bits(shard_bits)?;
         if shards.len() != 1usize << shard_bits {
             return Err(PersistError::Format(format!(
                 "{} shards do not fit shard_bits {shard_bits}",
                 shards.len()
             )));
         }
-        Ok(PatternIndex::from_parts(
-            shards.into_iter().map(Arc::new).collect(),
+        Ok(PatternIndex {
+            shards: shards.into_iter().map(Arc::new).collect(),
             shard_bits,
             num_columns,
             tau,
-        ))
+        })
     }
 
     /// Deserialize from bytes (AVIX v5; any other version is refused).
@@ -263,59 +295,14 @@ impl PatternIndex {
         let num_columns = buf.get_u64_le();
         let tau = buf.get_u64_le() as usize;
         let shard_bits = buf.get_u32_le();
-        if shard_bits > MAX_SHARD_BITS {
-            return Err(PersistError::Format(format!(
-                "implausible shard_bits {shard_bits}"
-            )));
-        }
-        let sections = 1usize << shard_bits;
-        let mut index = PatternIndex::with_capacity(0, num_columns, tau, shard_bits);
-        for section in 0..sections {
-            if buf.remaining() < 8 {
-                return Err(err("missing entry section"));
-            }
-            let n = buf.get_u64_le() as usize;
-            // Section `s` holds shard `s`'s entries; pre-size its map
-            // (bounded by what the buffer can actually still hold, so a
-            // corrupt count cannot trigger a huge allocation).
-            index.reserve_shard(section, n.min(buf.remaining() / 25));
-            for _ in 0..n {
-                if buf.remaining() < 25 {
-                    return Err(err("truncated entries"));
-                }
-                let k = buf.get_u64_le();
-                let imp_fp = buf.get_u64_le();
-                let cols = buf.get_u64_le();
-                let token_len = buf.get_u8();
-                index.insert_raw(k, StatsAcc::from_raw(imp_fp, cols, token_len));
-            }
-            if buf.remaining() < 8 {
-                return Err(err("missing string section"));
-            }
-            let ns = buf.get_u64_le() as usize;
-            for _ in 0..ns {
-                if buf.remaining() < 12 {
-                    return Err(err("truncated strings"));
-                }
-                let k = buf.get_u64_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(err("truncated string payload"));
-                }
-                let s = String::from_utf8(buf[..len].to_vec())
-                    .map_err(|_| err("invalid utf-8 in pattern string"))?;
-                buf.advance(len);
-                index.insert_pattern_string(k, s);
-            }
-            get_prefix_section(&mut buf, |key| {
-                index.insert_prefix(key);
-                Ok(())
-            })?;
-        }
+        check_shard_bits(shard_bits)?;
+        let shards = (0..1usize << shard_bits)
+            .map(|i| read_shard_sections(&mut buf, i, shard_bits))
+            .collect::<Result<Vec<_>, _>>()?;
         if buf.remaining() > 0 {
             return Err(err("trailing bytes after last shard"));
         }
-        Ok(index)
+        PatternIndex::from_shards(shards, shard_bits, num_columns, tau)
     }
 
     /// A stable FNV-1a digest of the persisted byte image. Because
@@ -536,6 +523,54 @@ mod tests {
                 index.shard_bits()
             )
             .is_err());
+        }
+    }
+
+    /// Each shard's section is read into that shard, and every key must
+    /// route there: an image with one entry moved from the end of a
+    /// shard's section to the front of the next one's (still globally
+    /// sorted) is refused, where the image reader once rerouted it.
+    #[test]
+    fn an_entry_moved_into_the_next_shard_is_refused() {
+        let corpus = generate_lake(&LakeProfile::tiny().scaled(40), 5);
+        let cols: Vec<&Column> = corpus.columns().collect();
+        let config = IndexConfig {
+            shard_bits: 3,
+            ..Default::default()
+        };
+        let image = PatternIndex::build(&cols, &config).to_bytes().to_vec();
+        // The offsets of shard 0's and shard 1's entry counts.
+        let mut counts = Vec::new();
+        let mut buf = &image[28..];
+        for _ in 0..2 {
+            counts.push(image.len() - buf.len());
+            let entries = buf.get_u64_le() as usize;
+            buf.advance(entries * 25);
+            for _ in 0..buf.get_u64_le() {
+                buf.advance(8);
+                let len = buf.get_u32_le() as usize;
+                buf.advance(len);
+            }
+            let keys = buf.get_u64_le() as usize;
+            buf.advance(keys * 8);
+        }
+        let count_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+        assert!(count_at(counts[0]) > 0);
+        let moved_at = counts[0] + 8 + (count_at(counts[0]) as usize - 1) * 25;
+        let entry = image[moved_at..moved_at + 25].to_vec();
+        let mut forged = image[..moved_at].to_vec();
+        forged.extend_from_slice(&image[moved_at + 25..counts[1] + 8]);
+        forged.extend_from_slice(&entry);
+        forged.extend_from_slice(&image[counts[1] + 8..]);
+        forged[counts[0]..counts[0] + 8].copy_from_slice(&(count_at(counts[0]) - 1).to_le_bytes());
+        let next = counts[1] - 25;
+        forged[next..next + 8].copy_from_slice(&(count_at(counts[1]) + 1).to_le_bytes());
+        match PatternIndex::from_bytes(&forged) {
+            Err(PersistError::Format(m)) => assert!(
+                m.starts_with("fingerprint ") && m.ends_with(" does not route to shard 1"),
+                "{m}"
+            ),
+            other => panic!("a misrouted entry must be refused, got {other:?}"),
         }
     }
 

@@ -116,18 +116,36 @@ impl IndexShard {
         keys
     }
 
-    /// Fold one per-shard sub-delta in and bump the version. The
-    /// fixed-point accumulator merge is exactly associative and
+    /// Fold another shard's accumulators, display strings and prefix keys
+    /// into this one: the reduce of a delta's workers, and of a reshard.
+    /// The fixed-point accumulator merge is exactly associative and
     /// commutative, so any merge order produces identical bytes.
+    pub(crate) fn absorb(&mut self, other: IndexShard) {
+        self.fold(other.map, other.patterns, other.prefixes);
+    }
+
+    /// Fold one per-shard sub-delta in, as [`IndexShard::absorb`] does,
+    /// and bump the version.
     pub(crate) fn apply(&mut self, part: ShardPart) {
-        for (fp, acc) in part.acc {
+        self.fold(part.acc, part.names, part.prefixes);
+        self.version += 1;
+    }
+
+    /// The one merge loop behind [`IndexShard::absorb`] and
+    /// [`IndexShard::apply`].
+    fn fold(
+        &mut self,
+        acc: impl IntoIterator<Item = (u64, StatsAcc)>,
+        names: impl IntoIterator<Item = (u64, String)>,
+        prefixes: impl IntoIterator<Item = u64>,
+    ) {
+        for (fp, acc) in acc {
             self.map.entry(fp).or_default().merge(&acc);
         }
-        for (fp, name) in part.names {
+        for (fp, name) in names {
             self.patterns.entry(fp).or_insert(name);
         }
-        self.prefixes.extend(part.prefixes);
-        self.version += 1;
+        self.prefixes.extend(prefixes);
     }
 }
 
@@ -567,14 +585,21 @@ mod tests {
             for batch in [vec![&narrow], columns_of(&diverse)] {
                 let delta = IndexDelta::profile(&batch, &config);
                 let touched: std::collections::BTreeSet<usize> = delta
-                    .acc
+                    .shard
+                    .map
                     .keys()
-                    .chain(&delta.prefixes)
+                    .chain(&delta.shard.prefixes)
                     .map(|fp| shard_of(*fp, config.shard_bits))
                     .collect();
-                let merge = || sharded.merge_delta(delta.clone()).unwrap();
+                // A delta is a shard, so its copies are made before the
+                // counted merges, not inside them.
+                let mut copies: Vec<IndexDelta> = (0..4).map(|_| delta.clone()).collect();
+                let mut merge = || {
+                    let delta = copies.pop().expect("one copy per merge");
+                    sharded.merge_delta(delta).unwrap()
+                };
 
-                let (alone, cloned) = entries_cloned_by(merge);
+                let (alone, cloned) = entries_cloned_by(&mut merge);
                 assert_eq!(
                     (alone.copied_shards, cloned),
                     (0, 0),
@@ -584,13 +609,13 @@ mod tests {
 
                 let held = sharded.snapshot();
                 let shared: usize = touched.iter().map(|&i| held.shards()[i].len()).sum();
-                let (first, cloned) = entries_cloned_by(merge);
+                let (first, cloned) = entries_cloned_by(&mut merge);
                 assert_eq!((first.copied_shards, cloned), (touched.len(), shared));
-                let (second, cloned) = entries_cloned_by(merge);
+                let (second, cloned) = entries_cloned_by(&mut merge);
                 assert_eq!((second.copied_shards, cloned), (0, 0));
 
                 drop(held);
-                let (after, cloned) = entries_cloned_by(merge);
+                let (after, cloned) = entries_cloned_by(&mut merge);
                 assert_eq!((after.copied_shards, cloned), (0, 0));
             }
         }

@@ -136,10 +136,13 @@ pub(crate) trait Record {
     fn encode(&self) -> Vec<u8>;
 }
 
-/// An ingest logs its profiled delta.
+/// An ingest logs its profiled delta: the type byte, then the delta's
+/// AVDL record appended behind it in the same buffer.
 impl Record for IndexDelta {
     fn encode(&self) -> Vec<u8> {
-        [&[REC_DELTA][..], &self.to_bytes()].concat()
+        let mut payload = vec![REC_DELTA];
+        payload.extend([self]);
+        payload
     }
 }
 
