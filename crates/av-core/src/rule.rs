@@ -162,8 +162,8 @@ impl std::fmt::Debug for RuleAutomaton {
 }
 
 /// DFA states an automaton may cache (a 1 KiB table row each) before a
-/// value finishes on NFA simulation — still one pass. The rules of a
-/// `validate_feeds` ledger run hold at most 42.
+/// value finishes on NFA simulation — still one pass — and the cache is
+/// flushed. The rules of a `validate_feeds` ledger run hold at most 42.
 const RULE_DFA_STATES: usize = 256;
 
 /// Count `values`' verdicts on `matcher`.

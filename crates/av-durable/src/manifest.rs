@@ -275,27 +275,32 @@ impl Manifest {
 
     /// Load the newest manifest in `dir` that validates, together with
     /// the generations that were skipped as corrupt. `Ok(None)` means no
-    /// manifest exists at all.
+    /// manifest exists at all; manifests of which none validates are a
+    /// [`DurableError::Corrupt`] naming the newest, so recovery never
+    /// mistakes a damaged directory for an empty one.
     pub fn load_newest(
         storage: &dyn Storage,
         dir: &Path,
     ) -> Result<Option<(Manifest, Vec<u64>)>, DurableError> {
         let mut skipped = Vec::new();
+        let mut refusal = None;
         for generation in Manifest::list_generations(storage, dir)? {
-            let path = dir.join(Manifest::file_name(generation));
-            let data = match storage.read(&path) {
-                Ok(d) => d,
-                Err(_) => {
-                    skipped.push(generation);
-                    continue;
-                }
+            let file = Manifest::file_name(generation);
+            let (offset, detail) = match storage.read(&dir.join(&file)) {
+                Ok(data) => match Manifest::from_bytes(&data) {
+                    Ok(m) => return Ok(Some((m, skipped))),
+                    Err(e) => (Some(e.offset), e.detail),
+                },
+                Err(e) => (None, format!("unreadable: {e}")),
             };
-            match Manifest::from_bytes(&data) {
-                Ok(m) => return Ok(Some((m, skipped))),
-                Err(_) => skipped.push(generation),
-            }
+            refusal.get_or_insert(DurableError::Corrupt {
+                file,
+                offset,
+                detail: format!("{detail}, and no older manifest verifies"),
+            });
+            skipped.push(generation);
         }
-        Ok(None)
+        refusal.map_or(Ok(None), Err)
     }
 }
 
@@ -367,6 +372,13 @@ mod tests {
         let (m, skipped) = Manifest::load_newest(&storage, &dir).unwrap().unwrap();
         assert_eq!(m.generation, 2);
         assert_eq!(skipped, vec![3]);
+        // With none left that verifies, the newest is named as corrupt.
+        storage.corrupt(&dir.join(Manifest::file_name(2)), 20);
+        storage.corrupt(&dir.join(Manifest::file_name(1)), 20);
+        match Manifest::load_newest(&storage, &dir) {
+            Err(DurableError::Corrupt { file, .. }) => assert_eq!(file, Manifest::file_name(3)),
+            other => panic!("expected a Corrupt error, got {other:?}"),
+        }
     }
 
     #[test]

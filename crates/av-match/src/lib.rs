@@ -24,11 +24,11 @@
 //!    materialize on first use into one flat `u32` table indexed
 //!    `state * 256 + byte`, and the hot path is one table load per input
 //!    byte;
-//! 3. the DFA cache is **bounded** ([`MatcherConfig::with_budget`]):
-//!    past the budget, the current value finishes on direct NFA
-//!    simulation and the least-recently-used half of the cache is
-//!    evicted, so pathological catalogs degrade gracefully instead of
-//!    exploding memory;
+//! 3. the DFA cache is **bounded** ([`MatcherConfig::with_budget`]) and
+//!    only grows or is cleared: past the budget, the current value
+//!    finishes on direct NFA simulation and the whole cache is flushed,
+//!    so pathological catalogs degrade gracefully instead of exploding
+//!    memory;
 //! 4. rules that are not patterns — dictionaries and numeric ranges —
 //!    participate as **residuals**: a cheap
 //!    [`Prefilter`] (length bounds, first-byte set) gates an arbitrary
@@ -41,14 +41,15 @@
 //! `classify` both run this automaton. [`explain`] names where a value
 //! failed from one simulation pass of the rule's NFA fragment.
 //!
-//! Maintenance is **incremental** (after Berkholz et al., *FO+MOD queries
-//! under updates*): the automaton is anchored, so the only DFA state that
-//! sees the global start closure is the start state itself.
-//! [`CatalogMatcher::insert`] appends an edge-disjoint fragment and
-//! re-points the start key — every cached DFA state stays valid.
-//! [`CatalogMatcher::remove`] tombstones one fragment and evicts exactly
-//! the cached states whose key intersects it. Each update bumps a
-//! generation stamp, mirroring the sharded index's epoch pattern.
+//! Maintenance costs what the update costs (after Berkholz et al.,
+//! *FO+MOD queries under updates*): the automaton is anchored, so the
+//! only DFA state that sees the global start closure is the start state
+//! itself. [`CatalogMatcher::insert`] appends an edge-disjoint fragment
+//! and re-points the start key — every cached DFA state stays valid.
+//! [`CatalogMatcher::remove`] drops the fragment from the start key and
+//! flushes the DFA cache, so nothing can reach the fragment again. Each
+//! update bumps a generation stamp, mirroring the sharded index's epoch
+//! pattern.
 //!
 //! ```
 //! use av_match::CatalogMatcher;
@@ -68,7 +69,7 @@
 //! assert_eq!(matcher.classify("2021-04-13"), vec![0, 1]);
 //! assert_eq!(matcher.classify("USD"), vec![2]);
 //!
-//! // Updates are incremental: remove evicts only affected DFA states.
+//! // An insert keeps every cached DFA state; a remove flushes the cache.
 //! matcher.remove(1);
 //! assert_eq!(matcher.classify("2021-04-13"), vec![0]);
 //! ```

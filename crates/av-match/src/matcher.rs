@@ -6,14 +6,12 @@
 //! sorted NFA state-set and cached; every state's transitions are one row
 //! of a flat `u32` table indexed `state * 256 + byte`, so the hot path is
 //! one table load per input byte, with no per-byte bookkeeping. The cache
-//! is bounded (4096 states, or [`MatcherConfig::with_budget`]): when a
-//! value would need a state beyond the budget, the rest of that value is
-//! finished by direct NFA simulation (correct, just slower) and the
-//! least-recently-used half of the cache is evicted afterwards so
-//! determinization can resume. Recency is stamped per value (its start and
-//! final states) and per materialized transition, never per byte. A
-//! pathological catalog therefore degrades to NFA-simulation costs instead
-//! of exploding memory.
+//! is bounded (4096 states, or [`MatcherConfig::with_budget`]) and only
+//! grows or is cleared: when a value would need a state beyond the budget,
+//! the rest of that value is finished by direct NFA simulation (correct,
+//! just slower) and the whole cache is flushed, so determinization starts
+//! afresh with the next value. A pathological catalog therefore degrades
+//! to NFA-simulation costs instead of exploding memory.
 //!
 //! [`CatalogMatcher::classify`] names every accepting rule;
 //! [`CatalogMatcher::is_match`] only asks whether one accepts, so it stops
@@ -21,16 +19,17 @@
 //! rule is that rule's validator: one pass over the value, whatever the
 //! pattern — where backtracking over `<any>+` runs is quadratic or worse.
 //!
-//! Updates are incremental, in the spirit of the dynamic-evaluation
-//! literature (Berkholz et al., *FO+MOD queries under updates*): because
-//! the union automaton is *anchored* (no self-loop on the start state —
-//! values are matched whole, never searched), the global ε-closure of all
-//! rule entries appears only in the start state's key. [`CatalogMatcher::insert`]
-//! appends an edge-disjoint fragment and merely re-points the start key;
-//! every cached DFA state remains valid, because stepping a set that
-//! contains no new-fragment states can never reach the new fragment.
-//! [`CatalogMatcher::remove`] tombstones the rule's fragment and evicts
-//! exactly the cached states whose key intersects its id range. Each
+//! Updates follow the dynamic-evaluation literature (Berkholz et al.,
+//! *FO+MOD queries under updates*: an update costs what the update
+//! costs). Because the union automaton is *anchored* (no self-loop on the
+//! start state — values are matched whole, never searched), the global
+//! ε-closure of all rule entries appears only in the start state's key.
+//! [`CatalogMatcher::insert`] appends an edge-disjoint fragment and merely
+//! re-points the start key; every cached DFA state remains valid, because
+//! stepping a set that contains no new-fragment states can never reach the
+//! new fragment. [`CatalogMatcher::remove`] drops the rule's fragment from
+//! the start key and flushes the cache, so no cached state can still reach
+//! it; the unreachable states stay in the arena until compaction. Each
 //! update bumps a generation stamp (the `ShardedIndex` epoch pattern) so
 //! callers can detect staleness of anything they derived from a classify.
 
@@ -43,9 +42,8 @@ const UNKNOWN: u32 = u32::MAX;
 /// Marks a DFA transition into the empty state-set (no rule can match).
 const DEAD: u32 = u32::MAX - 1;
 
-/// Cached DFA states before classification falls back to NFA simulation
-/// and the LRU half of the cache is evicted; comfortably covers thousands
-/// of machine-data rules.
+/// Cached DFA states before a value falls back to NFA simulation and the
+/// cache is flushed; comfortably covers thousands of machine-data rules.
 const MAX_DFA_STATES: usize = 4096;
 
 /// The DFA budget of a [`CatalogMatcher`] ([`CatalogMatcher::new`] uses
@@ -74,16 +72,16 @@ pub struct MatcherStats {
     pub pattern_rules: usize,
     /// Rules on the residual check list (dictionary/numeric/opaque).
     pub residual_rules: usize,
-    /// NFA arena size, including tombstones awaiting compaction.
+    /// NFA arena size, including removed fragments awaiting compaction.
     pub nfa_states: usize,
-    /// Live cached DFA states.
+    /// Cached DFA states.
     pub dfa_states: usize,
-    /// Times the LRU half of the DFA cache was evicted.
+    /// Times a value ran past the DFA budget and the cache was flushed.
     pub dfa_evictions: u64,
     /// Values (or value suffixes) classified by NFA simulation because the
     /// DFA budget was exhausted mid-scan.
     pub nfa_fallbacks: u64,
-    /// Arena compactions triggered by accumulated tombstones.
+    /// Arena compactions triggered by accumulated removed fragments.
     pub compactions: u64,
     /// Update generation: bumped by every insert/remove.
     pub generation: u64,
@@ -162,76 +160,33 @@ struct DfaState {
     key: Box<[u32]>,
     /// Sorted rule ids accepting in this state.
     accepts: Box<[u32]>,
-    /// LRU clock value of the last stamp (see [`DfaCache::touch`]).
-    last_used: u64,
 }
 
+/// The determinized states so far: a table that grows until the budget,
+/// and is then cleared whole.
 #[derive(Debug, Default)]
 struct DfaCache {
-    /// Every slot's transitions, [`STRIDE`] per slot: `trans[slot * 256 +
-    /// byte]` is the successor slot, [`UNKNOWN`], or [`DEAD`]. A freed
-    /// slot keeps its row until the slot is reused.
+    /// Every state's transitions, [`STRIDE`] per state: `trans[sid * 256 +
+    /// byte]` is the successor state, [`UNKNOWN`], or [`DEAD`].
     trans: Vec<u32>,
-    slots: Vec<Option<DfaState>>,
-    free: Vec<u32>,
+    states: Vec<DfaState>,
     by_key: HashMap<Box<[u32]>, u32>,
-    /// Monotonic visit clock for LRU.
-    tick: u64,
-    /// Slot of the start state, or [`UNKNOWN`] when not materialized.
+    /// The start state, or [`UNKNOWN`] when not materialized.
     start: u32,
 }
 
 impl DfaCache {
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
     fn clear(&mut self) {
         self.trans.clear();
-        self.slots.clear();
-        self.free.clear();
+        self.states.clear();
         self.by_key.clear();
         self.start = UNKNOWN;
-    }
-
-    #[inline]
-    fn state(&self, sid: u32) -> &DfaState {
-        self.slots[sid as usize].as_ref().expect("live DFA slot")
     }
 
     /// Index of the transition `sid --b-->` in [`DfaCache::trans`].
     #[inline]
     fn edge(sid: u32, b: u8) -> usize {
         sid as usize * STRIDE + b as usize
-    }
-
-    /// Stamp `sid` as used now. Called per value and per materialized
-    /// transition, not per byte: the scan loop only reads the table.
-    fn touch(&mut self, sid: u32) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(state) = self.slots[sid as usize].as_mut() {
-            state.last_used = tick;
-        }
-    }
-
-    fn evict_slot(&mut self, sid: u32) {
-        if let Some(state) = self.slots[sid as usize].take() {
-            self.by_key.remove(&state.key);
-            self.free.push(sid);
-            if self.start == sid {
-                self.start = UNKNOWN;
-            }
-        }
-    }
-
-    /// Null out transitions into evicted slots (`gone[slot]` true).
-    fn sweep_transitions(&mut self, gone: &[bool]) {
-        for t in &mut self.trans {
-            if *t < gone.len() as u32 && gone[*t as usize] {
-                *t = UNKNOWN;
-            }
-        }
     }
 }
 
@@ -282,9 +237,7 @@ pub struct CatalogMatcher {
     start_key: Vec<u32>,
     dfa: DfaCache,
     scratch: NfaScratch,
-    /// Set when the budget was hit mid-value; triggers eviction between
-    /// values (never during a scan, which holds live slot ids).
-    pending_evict: bool,
+    /// Arena states of removed fragments, squeezed out by compaction.
     dead_states: usize,
     generation: u64,
     evictions: u64,
@@ -314,7 +267,6 @@ impl CatalogMatcher {
             start_key: Vec::new(),
             dfa: DfaCache::default(),
             scratch: NfaScratch::new(),
-            pending_evict: false,
             dead_states: 0,
             generation: 0,
             evictions: 0,
@@ -351,7 +303,7 @@ impl CatalogMatcher {
             pattern_rules: self.fragments.len(),
             residual_rules: self.residuals.len(),
             nfa_states: self.nfa.len(),
-            dfa_states: self.dfa.live(),
+            dfa_states: self.dfa.states.len(),
             dfa_evictions: self.evictions,
             nfa_fallbacks: self.fallbacks,
             compactions: self.compactions,
@@ -399,9 +351,9 @@ impl CatalogMatcher {
 
     /// Remove a rule; returns whether it was present.
     ///
-    /// For pattern rules the fragment is tombstoned and exactly the
-    /// cached DFA states whose key intersects its id range are evicted —
-    /// every other cached state (and its computed transitions) stays.
+    /// A pattern rule's fragment leaves the start key and the DFA cache is
+    /// flushed, so no state can reach the fragment again; its arena states
+    /// wait for compaction.
     pub fn remove(&mut self, rule_id: u32) -> bool {
         if self.residuals.remove(&rule_id).is_some() {
             self.generation += 1;
@@ -410,27 +362,11 @@ impl CatalogMatcher {
         let Some(frag) = self.fragments.remove(&rule_id) else {
             return false;
         };
-        self.nfa.kill_range(&frag.range);
-        self.dead_states += (frag.range.end - frag.range.start) as usize;
-
-        // Evict cached states denoting sets that touched the dead range.
-        let mut gone = vec![false; self.dfa.slots.len()];
-        let stale: Vec<u32> = (0..self.dfa.slots.len() as u32)
-            .filter(|&sid| {
-                self.dfa.slots[sid as usize]
-                    .as_ref()
-                    .is_some_and(|s| key_intersects(&s.key, &frag.range))
-            })
-            .collect();
-        for sid in stale {
-            gone[sid as usize] = true;
-            self.dfa.evict_slot(sid);
-        }
-        self.dfa.sweep_transitions(&gone);
-
+        self.dead_states += frag.range.len();
         if self.dead_states > self.nfa.len() / 2 {
             self.compact();
         }
+        self.dfa.clear();
         self.rebuild_start();
         self.generation += 1;
         true
@@ -456,9 +392,6 @@ impl CatalogMatcher {
             }
         }
         out.sort_unstable();
-        if self.pending_evict {
-            self.evict_lru_half();
-        }
     }
 
     /// Does any rule accept `value`? The scan of
@@ -468,7 +401,7 @@ impl CatalogMatcher {
     pub fn is_match(&mut self, value: &str) -> bool {
         let hit = !self.fragments.is_empty()
             && match self.walk(value.as_bytes()) {
-                Walk::End(sid) => !self.dfa.state(sid).accepts.is_empty(),
+                Walk::End(sid) => !self.dfa.states[sid as usize].accepts.is_empty(),
                 Walk::Dead => false,
                 Walk::Budget { seed, at } => {
                     self.fallbacks += 1;
@@ -483,16 +416,13 @@ impl CatalogMatcher {
                 .residuals
                 .values()
                 .any(|res| res.prefilter.admits(value) && (res.check)(value));
-        if self.pending_evict {
-            self.evict_lru_half();
-        }
         hit
     }
 
     /// DFA scan over the pattern union; pushes accepted rule ids.
     fn scan(&mut self, value: &str, out: &mut Vec<u32>) {
         match self.walk(value.as_bytes()) {
-            Walk::End(sid) => out.extend_from_slice(&self.dfa.state(sid).accepts),
+            Walk::End(sid) => out.extend_from_slice(&self.dfa.states[sid as usize].accepts),
             Walk::Dead => {}
             Walk::Budget { seed, at } => self.nfa_finish(&value.as_bytes()[at..], &seed, out),
         }
@@ -503,12 +433,8 @@ impl CatalogMatcher {
     /// compare per byte; it leaves only for a transition not yet computed.
     fn walk(&mut self, bytes: &[u8]) -> Walk {
         let Some(mut sid) = self.ensure_start() else {
-            return Walk::Budget {
-                seed: self.start_key.clone(),
-                at: 0,
-            };
+            return self.overflow(self.start_key.clone(), 0);
         };
-        self.dfa.touch(sid);
         let mut at = 0;
         loop {
             let trans = &self.dfa.trans;
@@ -522,7 +448,6 @@ impl CatalogMatcher {
                 at += 1;
             }
             if at == bytes.len() {
-                self.dfa.touch(sid);
                 return Walk::End(sid);
             }
             if next == DEAD {
@@ -535,13 +460,19 @@ impl CatalogMatcher {
                     at += 1;
                 }
                 None => {
-                    return Walk::Budget {
-                        seed: self.dfa.state(sid).key.to_vec(),
-                        at,
-                    }
+                    let seed = self.dfa.states[sid as usize].key.to_vec();
+                    return self.overflow(seed, at);
                 }
             }
         }
+    }
+
+    /// The budget ran out: flush the cache (the walk holds no state id
+    /// past this point) and leave the value to the NFA from `seed`.
+    fn overflow(&mut self, seed: Vec<u32>, at: usize) -> Walk {
+        self.dfa.clear();
+        self.evictions += 1;
+        Walk::Budget { seed, at }
     }
 
     /// Materialize the start state; `None` when even that exceeds budget.
@@ -555,17 +486,15 @@ impl CatalogMatcher {
         Some(sid)
     }
 
-    /// Compute and cache the transition `sid --b-->`, stamping `sid` as
-    /// used; `None` when a new state is needed but the budget is
-    /// exhausted.
+    /// Compute and cache the transition `sid --b-->`; `None` when a new
+    /// state is needed but the budget is exhausted.
     fn extend(&mut self, sid: u32, b: u8) -> Option<u32> {
-        self.dfa.touch(sid);
         let CatalogMatcher {
             nfa, dfa, scratch, ..
         } = self;
         let set = &mut scratch.current;
         set.clear_resize(nfa.len());
-        nfa.step(&dfa.state(sid).key, b, set);
+        nfa.step(&dfa.states[sid as usize].key, b, set);
         let next = if set.is_empty() {
             DEAD
         } else {
@@ -577,38 +506,24 @@ impl CatalogMatcher {
         Some(next)
     }
 
-    /// Look up or create the DFA state for `key`; `None` (and a pending
-    /// eviction) when creation would exceed the budget.
+    /// Look up or create the DFA state for `key`; `None` when creation
+    /// would exceed the budget.
     fn intern_state(&mut self, key: Box<[u32]>) -> Option<u32> {
         if let Some(&sid) = self.dfa.by_key.get(&key) {
             return Some(sid);
         }
-        if self.dfa.live() >= self.config.max_dfa_states {
-            self.pending_evict = true;
+        if self.dfa.states.len() >= self.config.max_dfa_states {
             return None;
         }
         let mut accepts = Vec::new();
         self.nfa.accepts_of(&key, &mut accepts);
         accepts.sort_unstable();
-        self.dfa.tick += 1;
-        let state = DfaState {
+        let sid = self.dfa.states.len() as u32;
+        self.dfa.states.push(DfaState {
             key: key.clone(),
             accepts: accepts.into_boxed_slice(),
-            last_used: self.dfa.tick,
-        };
-        let sid = match self.dfa.free.pop() {
-            Some(sid) => {
-                self.dfa.slots[sid as usize] = Some(state);
-                let row = DfaCache::edge(sid, 0);
-                self.dfa.trans[row..row + STRIDE].fill(UNKNOWN);
-                sid
-            }
-            None => {
-                self.dfa.slots.push(Some(state));
-                self.dfa.trans.extend([UNKNOWN; STRIDE]);
-                (self.dfa.slots.len() - 1) as u32
-            }
-        };
+        });
+        self.dfa.trans.extend([UNKNOWN; STRIDE]);
         self.dfa.by_key.insert(key, sid);
         Some(sid)
     }
@@ -619,31 +534,6 @@ impl CatalogMatcher {
         self.fallbacks += 1;
         let live = self.nfa.run(seed, bytes, &mut self.scratch);
         self.nfa.accepts_of(live, out);
-    }
-
-    /// Drop the least-recently-used half of the cache (keeping at least
-    /// the most recent state), then null dangling transitions.
-    fn evict_lru_half(&mut self) {
-        self.pending_evict = false;
-        self.evictions += 1;
-        let mut live: Vec<(u64, u32)> = self
-            .dfa
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (s.last_used, i as u32)))
-            .collect();
-        if live.len() < 2 {
-            return;
-        }
-        live.sort_unstable();
-        let evict_count = live.len() / 2;
-        let mut gone = vec![false; self.dfa.slots.len()];
-        for &(_, sid) in &live[..evict_count] {
-            gone[sid as usize] = true;
-            self.dfa.evict_slot(sid);
-        }
-        self.dfa.sweep_transitions(&gone);
     }
 
     /// Recompute the start key (the ε-closure of every live fragment
@@ -667,24 +557,16 @@ impl CatalogMatcher {
         self.dfa.start = UNKNOWN;
     }
 
-    /// Squeeze tombstones out of the arena. Every state id changes, so
-    /// the DFA cache is flushed wholesale — this is the one non-surgical
-    /// invalidation, amortized by the tombstone threshold.
+    /// Squeeze removed fragments out of the arena. Every state id
+    /// changes; the caller flushes the cache and rebuilds the start key.
     fn compact(&mut self) {
         let remapped = self
             .nfa
             .compact(self.fragments.iter().map(|(&r, f)| (r, f)));
         self.fragments = remapped.into_iter().collect();
-        self.dfa.clear();
         self.dead_states = 0;
         self.compactions += 1;
     }
-}
-
-/// Does the sorted `key` contain any id in `range`?
-fn key_intersects(key: &[u32], range: &std::ops::Range<u32>) -> bool {
-    let i = key.partition_point(|&id| id < range.start);
-    key.get(i).is_some_and(|&id| id < range.end)
 }
 
 #[cfg(test)]
@@ -852,8 +734,23 @@ mod tests {
         }
         let stats = m.stats();
         assert!(stats.nfa_fallbacks > 0, "tiny budget must trigger fallback");
-        assert!(stats.dfa_evictions > 0, "and LRU eviction between values");
+        assert!(stats.dfa_evictions > 0, "and a cache flush past the budget");
         assert!(stats.dfa_states <= 2, "budget stays bounded: {stats:?}");
+    }
+
+    /// A budget flush empties the cache, so the next value that fits the
+    /// budget runs on the DFA again instead of falling back.
+    #[test]
+    fn a_budget_flush_lets_the_next_value_run_on_the_dfa() {
+        let mut m = CatalogMatcher::with_config(MatcherConfig::with_budget(3));
+        m.insert(0, &compiled("<digit>{2}-<upper>{3}"));
+        m.insert(1, &compiled("<lower>{2}"));
+        assert_eq!(m.classify("12-ABC"), vec![0]);
+        let s = m.stats();
+        assert_eq!((s.nfa_fallbacks, s.dfa_evictions, s.dfa_states), (1, 1, 0));
+        assert_eq!(m.classify("ab"), vec![1]);
+        let s = m.stats();
+        assert_eq!((s.nfa_fallbacks, s.dfa_evictions, s.dfa_states), (1, 1, 3));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! * **insert** appends a fragment; existing states never gain edges into
 //!   it, so previously determinized DFA states stay valid as-is;
-//! * **remove** tombstones one fragment's range; only DFA states whose
-//!   state-set intersects that range can be stale.
+//! * **remove** only stops entering a fragment: once the start key leaves
+//!   it out, no live state reaches it, and compaction drops it.
 //!
 //! The translation follows the program's byte-level view of its classes
 //! (ASCII classes test single bytes; `<sym>`/`<any>` step over multi-byte
@@ -119,9 +119,6 @@ pub(crate) enum NState {
     Split { a: u32, b: u32 },
     /// The whole value matched rule `rule`.
     Accept { rule: u32 },
-    /// Tombstone left by a removed fragment (never reachable from live
-    /// fragments; swept out by compaction).
-    Dead,
 }
 
 /// An insertion-ordered set of NFA state ids with O(1) membership: one
@@ -211,7 +208,7 @@ pub(crate) struct Nfa {
 }
 
 impl Nfa {
-    /// Total arena size (live + tombstoned states).
+    /// Total arena size (live fragments and removed ones not yet compacted).
     pub fn len(&self) -> usize {
         self.states.len()
     }
@@ -389,13 +386,6 @@ impl Nfa {
         }
     }
 
-    /// Tombstone a removed fragment's range.
-    pub(crate) fn kill_range(&mut self, range: &Range<u32>) {
-        for s in &mut self.states[range.start as usize..range.end as usize] {
-            *s = NState::Dead;
-        }
-    }
-
     /// ε-closure insertion: mark everything visited, list only states that
     /// consume input or accept (the [`ThreadSet`] contract). The walk keeps
     /// its own stack, so a regex's long ε-chains (`(a?){10000}`) cost
@@ -411,7 +401,6 @@ impl Nfa {
                         continue;
                     }
                     NState::Byte { .. } | NState::Accept { .. } => set.push(sid),
-                    NState::Dead => {}
                 }
             }
             match set.pending.pop() {
@@ -435,7 +424,6 @@ impl Nfa {
             match self.states[sid as usize] {
                 NState::Split { a, b } => pending.extend([a, b]),
                 NState::Byte { .. } | NState::Accept { .. } => closure.push(sid),
-                NState::Dead => {}
             }
         }
         closure.sort_unstable();
@@ -516,7 +504,6 @@ impl Nfa {
                         b: shift(b),
                     },
                     NState::Accept { rule } => NState::Accept { rule },
-                    NState::Dead => unreachable!("live fragments hold no tombstones"),
                 });
             }
             remapped.push((

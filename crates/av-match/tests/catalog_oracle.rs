@@ -141,7 +141,7 @@ proptest! {
     }
 
     /// Budget exhaustion must never change verdicts: with a DFA budget of
-    /// 1 every value takes the NFA-fallback + eviction path, and the
+    /// 1 every value takes the NFA-fallback + cache-flush path, and the
     /// match-sets still equal the oracle.
     #[test]
     fn starved_dfa_budget_is_still_exact(
@@ -161,14 +161,20 @@ proptest! {
     /// Incremental maintenance: interleave inserts, removes, replacements
     /// and classifies; after every step the warm (incrementally updated)
     /// matcher agrees with one freshly built from the surviving rules.
+    /// Under budgets 1 and 3 a remove's flush and a budget flush
+    /// interleave with inserts that keep the cache.
     #[test]
     fn incremental_updates_equal_fresh_build(
         patterns in proptest::collection::vec(arbitrary_pattern(6), 2..8),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..16),
         value in probe_value(),
+        budget in prop_oneof![Just(Some(1)), Just(Some(3)), Just(None)],
     ) {
         let programs: Vec<CompiledPattern> = patterns.iter().map(Pattern::compile).collect();
-        let mut warm = CatalogMatcher::new();
+        let mut warm = match budget {
+            Some(states) => CatalogMatcher::with_config(MatcherConfig::with_budget(states)),
+            None => CatalogMatcher::new(),
+        };
         let n = programs.len() as u8;
         let mut live: Vec<Option<usize>> = vec![None; programs.len()];
         for (sel, action) in ops {
@@ -199,8 +205,8 @@ proptest! {
     }
 
     /// The boolean scan ≡ "some pattern accepts", under every DFA budget:
-    /// starved (every value leaves the cache for the NFA), small (states
-    /// are evicted between values) and the default. One-rule matchers
+    /// starved (every value leaves the cache for the NFA), small (the
+    /// cache is flushed between values) and the default. One-rule matchers
     /// stay warm across the values, as a validated rule's automaton does.
     #[test]
     fn boolean_scan_equals_any_program_under_every_budget(

@@ -201,6 +201,10 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
 struct CheckpointBase {
     /// Last durable generation (0 before any checkpoint).
     generation: u64,
+    /// The WAL watermark that generation covers. The next checkpoint
+    /// removes WAL segments only up to it, so a recovery that falls back
+    /// to this generation still replays forward to the newest state.
+    last_lsn: u64,
     /// The index epoch the base files encode. `None` forces a full shard
     /// rewrite (fresh service, or a recovery that resharded the image).
     /// Holding it is what makes the pointer comparison in
@@ -370,11 +374,11 @@ impl DurableLog {
         let mut stats = DurabilitySnapshot::default();
         let mut base = CheckpointBase {
             generation: 0,
+            last_lsn: 0,
             index: None,
             files: Vec::new(),
             retained: BTreeSet::new(),
         };
-        let mut last_lsn = 0;
 
         if let Some((manifest, skipped)) = Manifest::load_newest(storage.as_ref(), dir)? {
             stats.skipped_manifests = skipped.len() as u64;
@@ -439,10 +443,10 @@ impl DurableLog {
                 }
             }
             base.generation = manifest.generation;
+            base.last_lsn = manifest.last_lsn;
             base.retained = referenced_files(&manifest);
             stats.checkpoint_generation = manifest.generation;
             stats.checkpoint_image_bytes = image_bytes(&manifest);
-            last_lsn = manifest.last_lsn;
         } else {
             // Pre-durability layout: a frozen `index.avix` + `rules.avcat`
             // pair. Load it as the base image; the WAL (if any) replays in
@@ -478,11 +482,11 @@ impl DurableLog {
         // longer applies (a delta logged under another τ than the recovered
         // index) is skipped and counted. Replayed records count toward the
         // next trigger, as if they had just been logged.
-        let replay = Wal::replay(storage.as_ref(), &wal_dir, last_lsn)?;
+        let replay = Wal::replay(storage.as_ref(), &wal_dir, base.last_lsn)?;
         stats.replayed_records = replay.records.len() as u64;
         stats.records_since_checkpoint = stats.replayed_records;
         stats.truncated_tail_bytes = replay.truncated_tail_bytes;
-        let next_lsn = replay.records.last().map_or(last_lsn, |(lsn, _)| *lsn) + 1;
+        let next_lsn = replay.records.last().map_or(base.last_lsn, |(lsn, _)| *lsn) + 1;
         for (_, payload) in replay.records {
             stats.wal_bytes_since_checkpoint += payload.len() as u64;
             let applied = match decode_record(&payload) {
@@ -610,10 +614,10 @@ impl DurableLog {
     ///
     /// Returns the new generation and its image size (shard files plus
     /// catalog, reused files included). On success the base is advanced,
-    /// covered WAL segments are removed, and unreferenced files of
-    /// generations older than the previous one are collected — both
-    /// best-effort, because the manifest commit has already made the
-    /// checkpoint durable.
+    /// WAL segments the previous generation covers are removed, and
+    /// unreferenced files of generations older than the previous one are
+    /// collected — both best-effort, because the manifest commit has
+    /// already made the checkpoint durable.
     fn write_checkpoint(
         &self,
         base: &mut CheckpointBase,
@@ -681,11 +685,12 @@ impl DurableLog {
                 lockorder::rank_guard(lockorder::WAL),
                 self.wal.lock().expect("wal lock poisoned"),
             );
-            let _ = wal.log.remove_through(watermark);
+            let _ = wal.log.remove_through(base.last_lsn);
         }
-        // Keep the new generation plus the previous one (recovery may fall
-        // back a generation if the newest manifest is damaged); collect
-        // everything older.
+        // Keep the new generation plus the previous one, and the WAL since
+        // the previous one's watermark (recovery may fall back a generation
+        // if the newest manifest is damaged, and replays forward from
+        // there); collect everything older.
         if let Ok(names) = storage.list(dir) {
             let mut removed = false;
             for name in names {
@@ -703,6 +708,7 @@ impl DurableLog {
         }
 
         base.generation = generation;
+        base.last_lsn = watermark;
         base.index = Some(Arc::clone(index));
         base.retained = new_retained;
         let image = image_bytes(&manifest);

@@ -381,7 +381,9 @@ fn recovery_replays_only_records_since_checkpoint() {
 
 /// A damaged newest manifest is passed over for the one before it, and
 /// `durability` says so: the reopened service counts the skipped
-/// generation instead of reading every loss counter 0.
+/// generation instead of reading every loss counter 0. Nothing is lost:
+/// the WAL since the older generation's watermark is still there, so
+/// recovery replays forward to every acknowledged rule.
 #[test]
 fn a_skipped_manifest_is_counted() {
     let mem = MemStorage::new();
@@ -403,6 +405,76 @@ fn a_skipped_manifest_is_counted() {
     let d = reopened.durability().unwrap();
     assert_eq!(d.checkpoint_generation, newest - 1, "{d:?}");
     assert_eq!(d.skipped_manifests, 1, "{d:?}");
+    let names: Vec<String> = reopened
+        .catalog_entries()
+        .into_iter()
+        .map(|entry| entry.name)
+        .collect();
+    assert_eq!(names, ["a", "b", "c"], "{d:?}");
+}
+
+/// Every path under `dir` with its bytes (`None` for a directory).
+fn contents(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    listing(dir)
+        .into_iter()
+        .map(|path| {
+            let bytes = std::fs::read(dir.join(&path)).ok();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// When manifests exist but none verifies, `open` refuses with a
+/// `Corrupt` error naming the newest one, instead of starting empty as if
+/// the directory had never been checkpointed; the refusal leaves every
+/// path and byte as it was.
+#[test]
+fn a_directory_where_no_manifest_verifies_is_refused() {
+    let dir = std::env::temp_dir().join(format!("av_crash_no_manifest_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut config = ServiceConfig::durable(&dir);
+    config.rule_clock_unix = Some(CLOCK);
+    let service = ValidationService::open(config.clone()).unwrap();
+    service.ingest(&lake(85, 25)).unwrap();
+    service.infer_rule("a", &dates(1), None).unwrap();
+    service.persist().unwrap();
+    service.infer_rule("b", &dates(2), None).unwrap();
+    service.persist().unwrap();
+    let newest = service.durability().unwrap().checkpoint_generation;
+    drop(service);
+
+    let mut manifests = 0;
+    for path in listing(&dir) {
+        let is_manifest = path.extension().is_some_and(|ext| ext == "avman");
+        if is_manifest {
+            let mut bytes = std::fs::read(dir.join(&path)).unwrap();
+            bytes[20] ^= 0x40;
+            std::fs::write(dir.join(&path), bytes).unwrap();
+            manifests += 1;
+        }
+    }
+    assert_eq!(manifests, 2, "{:?}", listing(&dir));
+    let before = contents(&dir);
+
+    let err = match ValidationService::open(config) {
+        Ok(service) => panic!(
+            "no manifest verifies, yet open started with {} rules and {:?}",
+            service.catalog_entries().len(),
+            service.durability()
+        ),
+        Err(e) => e,
+    };
+    match err {
+        ServiceError::Durable(DurableError::Corrupt { file, .. }) => {
+            assert_eq!(file, av_durable::Manifest::file_name(newest))
+        }
+        other => panic!("expected a Corrupt error, got {other:?}"),
+    }
+    assert!(
+        contents(&dir) == before,
+        "the refusal changed the directory"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Shard indices whose checkpoint file was written at `generation`
@@ -540,10 +612,10 @@ fn fault_free_script_writes_pinned_durable_bytes() {
         let h = fnv1a(h, path.to_string_lossy().as_bytes());
         fnv1a(h, &mem.read(path).unwrap())
     });
-    assert_eq!(paths.len(), 133);
-    assert_eq!(mem.ops_executed(), 1_266);
+    assert_eq!(paths.len(), 135);
+    assert_eq!(mem.ops_executed(), 1_263);
     assert_eq!(
-        digest, 0x25f3_034e_2a4b_a735,
+        digest, 0xb42e_18bd_0fd4_869e,
         "durable bytes moved: {digest:#x}"
     );
 }
