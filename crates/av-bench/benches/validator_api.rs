@@ -148,7 +148,7 @@ fn bench_matcher_automaton_vs_reference(c: &mut Criterion) {
         matcher.insert(0, &pattern.compile());
         matcher
     };
-    let (mut fixed_a, mut variadic_a) = (one_rule(&fixed), one_rule(&variadic));
+    let (fixed_a, variadic_a) = (one_rule(&fixed), one_rule(&variadic));
     let mut group = c.benchmark_group("matcher");
     group.bench_function("reference fixed conforming", |b| {
         b.iter(|| black_box(matches(black_box(&fixed), black_box("09:07:32"))))

@@ -54,10 +54,7 @@ impl TagRule {
         if values.is_empty() {
             return false;
         }
-        let misses = self
-            .automaton
-            .with(|matcher| count(matcher, values))
-            .nonconforming;
+        let misses = count(self.automaton.matcher(), values).nonconforming;
         (values.len() - misses) * 2 > values.len()
     }
 }

@@ -30,6 +30,7 @@ struct SetEntry {
 /// their corpus-estimated false-positive rate — the safest pattern is the
 /// most domain-specific), before numeric ranges; ties break on the
 /// lexicographically smaller name, so rankings are deterministic.
+/// Classification reads the set through `&self`, so threads share one.
 ///
 /// ```
 /// use av_core::{AnyRule, DictionaryRule, FmdvConfig, RuleSet};
@@ -47,7 +48,6 @@ pub struct RuleSet {
     entries: Vec<Option<SetEntry>>,
     ids: HashMap<String, u32>,
     free: Vec<u32>,
-    scratch: Vec<u32>,
 }
 
 impl Default for RuleSet {
@@ -73,7 +73,6 @@ impl RuleSet {
             entries: Vec::new(),
             ids: HashMap::new(),
             free: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -141,36 +140,37 @@ impl RuleSet {
     /// Every rule name whose rule `value` conforms to, ranked
     /// most-specific-first (see the type docs for the order), as owned
     /// strings: [`RuleSet::ranked`] without the borrow.
-    pub fn classify(&mut self, value: &str) -> Vec<String> {
-        self.ranked(value).map(str::to_string).collect()
+    pub fn classify(&self, value: &str) -> Vec<String> {
+        self.ranked(value, &mut Vec::new())
+            .map(str::to_string)
+            .collect()
     }
 
     /// The names of the rules `value` conforms to, ranked
     /// most-specific-first, borrowed from the set: one scan of `value`,
-    /// the hit ids sorted in place in a reused buffer, and no name copied.
-    pub fn ranked(&mut self, value: &str) -> impl ExactSizeIterator<Item = &str> + Clone {
-        self.rank(value);
-        let entries = &self.entries;
-        self.scratch.iter().map(move |&id| {
-            let entry = entries[id as usize].as_ref();
+    /// the hit ids sorted in place in the caller's `hits` buffer, and no
+    /// name copied.
+    pub fn ranked<'a>(
+        &'a self,
+        value: &str,
+        hits: &'a mut Vec<u32>,
+    ) -> impl ExactSizeIterator<Item = &'a str> + Clone {
+        self.rank(value, hits);
+        hits.iter().map(|&id| {
+            let entry = self.entries[id as usize].as_ref();
             entry.expect("ranked ids name live entries").name.as_str()
         })
     }
 
     /// Scan `value` and leave the ids of the rules it conforms to in
-    /// `scratch`, ranked by [`rank_key`]: the one ranking path every
+    /// `hits`, ranked by [`rank_key`]: the one ranking path every
     /// classification takes.
-    fn rank(&mut self, value: &str) {
-        let Self {
-            matcher,
-            entries,
-            scratch,
-            ..
-        } = self;
-        matcher.classify_into(value, scratch);
-        scratch.retain(|&id| entries[id as usize].is_some());
+    fn rank(&self, value: &str, hits: &mut Vec<u32>) {
+        let entries = &self.entries;
+        self.matcher.classify_into(value, hits);
+        hits.retain(|&id| entries[id as usize].is_some());
         let key = |id: &u32| rank_key(entries[*id as usize].as_ref().expect("retained"));
-        scratch.sort_by(|a, b| {
+        hits.sort_by(|a, b| {
             key(a)
                 .partial_cmp(&key(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -184,18 +184,17 @@ impl RuleSet {
     /// accept), so ranking by [`crate::program_distance`] over that
     /// shortlist returns the same suggestion as the O(catalog) loop over
     /// all rules — property the service's explain tests pin down. The
-    /// shortlist is not re-checked, so no rule's own automaton is touched
-    /// under the caller's lock. The excluded (failing) rule itself never
-    /// wins.
+    /// shortlist is not re-checked. The excluded (failing) rule itself
+    /// never wins.
     pub fn nearest_conforming(
-        &mut self,
+        &self,
         value: &str,
         from: &AnyRule,
         exclude: &str,
     ) -> Option<(String, usize)> {
-        self.rank(value);
-        let candidates = self
-            .scratch
+        let mut hits = Vec::new();
+        self.rank(value, &mut hits);
+        let candidates = hits
             .iter()
             .filter_map(|&id| self.entries[id as usize].as_ref())
             .filter(|e| e.name != exclude)

@@ -4,7 +4,7 @@ use crate::api::{Explanation, Tally, Validator, Verdict};
 use av_match::{CatalogMatcher, MatcherConfig};
 use av_pattern::{CompiledPattern, Pattern};
 use av_stats::{HomogeneityTest, Table2x2};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// The §4 two-sample conclusion shared by every distributional rule kind
 /// (pattern, dictionary, numeric): compare the streamed non-conforming
@@ -76,17 +76,14 @@ pub struct ValidationRule {
 }
 
 /// Compiled pattern programs and the one automaton every check of them
-/// runs: a [`CatalogMatcher`] holding them all, built on first check
-/// behind a lock that a column takes once. A value conforms when some
-/// program accepts it. Empty until first checked, so programs that are
-/// stored but never checked cost one pointer; a clone starts empty.
+/// runs: a [`CatalogMatcher`] holding them all, built on first check and
+/// read through `&self`, so a check takes no lock and each thread scans
+/// on its own DFA cache. A value conforms when some program accepts it.
+/// Unbuilt until first checked, so programs that are stored but never
+/// checked cost one pointer; a clone starts unbuilt.
 ///
 /// A pattern rule holds one program; an any-of-N profiler baseline holds
 /// its N branches in one matcher, so a check is one pass either way.
-///
-/// The lock is a leaf of the service's lock hierarchy (`matcher`, rank
-/// 90): taken under the catalog's read lock, and nothing is acquired while
-/// it is held.
 ///
 /// ```
 /// use av_core::RuleAutomaton;
@@ -102,7 +99,7 @@ pub struct ValidationRule {
 /// ```
 pub struct RuleAutomaton {
     programs: Box<[CompiledPattern]>,
-    matcher: Mutex<Option<Box<CatalogMatcher>>>,
+    matcher: OnceLock<Box<CatalogMatcher>>,
 }
 
 impl RuleAutomaton {
@@ -110,13 +107,13 @@ impl RuleAutomaton {
     pub fn new(programs: impl IntoIterator<Item = CompiledPattern>) -> RuleAutomaton {
         RuleAutomaton {
             programs: programs.into_iter().collect(),
-            matcher: Mutex::new(None),
+            matcher: OnceLock::new(),
         }
     }
 
     /// Does some program accept the whole `value`?
     pub fn conforms(&self, value: &str) -> bool {
-        self.with(|matcher| matcher.is_match(value))
+        self.matcher().is_match(value)
     }
 
     /// The programs, in the order given.
@@ -124,17 +121,9 @@ impl RuleAutomaton {
         &self.programs
     }
 
-    /// Run `f` on the automaton under its lock, building it first if this
-    /// is the first check.
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut CatalogMatcher) -> R) -> R {
-        let mut slot = self.matcher.lock().unwrap_or_else(|poisoned| {
-            // A scan that panicked may have left the cache half-written.
-            self.matcher.clear_poison();
-            let mut slot = poisoned.into_inner();
-            *slot = None;
-            slot
-        });
-        f(slot.get_or_insert_with(|| Box::new(self.build())))
+    /// The automaton, built on the first check.
+    pub(crate) fn matcher(&self) -> &CatalogMatcher {
+        self.matcher.get_or_init(|| Box::new(self.build()))
     }
 
     /// A fresh matcher holding every program (program `i` as rule `i`).
@@ -161,20 +150,19 @@ impl std::fmt::Debug for RuleAutomaton {
     }
 }
 
-/// DFA states an automaton may cache (a 1 KiB table row each) before a
-/// value finishes on NFA simulation — still one pass — and the cache is
-/// flushed. The rules of a `validate_feeds` ledger run hold at most 42.
+/// DFA states an automaton may cache on one thread (a 1 KiB table row
+/// each) before a value finishes on NFA simulation — still one pass — and
+/// that thread's cache is flushed. The rules of a `validate_feeds` ledger
+/// run hold at most 57 (seeds 7 and 601).
 const RULE_DFA_STATES: usize = 256;
 
 /// Count `values`' verdicts on `matcher`.
 pub(crate) fn count<S: AsRef<str>>(
-    matcher: &mut CatalogMatcher,
+    matcher: &CatalogMatcher,
     values: impl IntoIterator<Item = S>,
 ) -> Tally {
     let mut tally = Tally::default();
-    for value in values {
-        tally.record(Verdict::conforming(matcher.is_match(value.as_ref())));
-    }
+    matcher.is_match_each(values, |hit| tally.record(Verdict::conforming(hit)));
     tally
 }
 
@@ -227,7 +215,7 @@ impl ValidationRule {
     /// automaton: inference's pass over the training column leaves the
     /// rule's own automaton unbuilt.
     pub(crate) fn count_misses<S: AsRef<str>>(&self, values: &[S]) -> usize {
-        count(&mut self.automaton.build(), values).nonconforming
+        count(&self.automaton.build(), values).nonconforming
     }
 
     /// The data-domain pattern `h` this rule validates with.
@@ -248,15 +236,13 @@ impl ValidationRule {
     ///
     /// Takes any iterator of borrowed (or `AsRef<str>`) values — a
     /// `&Vec<String>`, a `&[&str]`, or a stream being decoded on the fly —
-    /// and never materializes them. The automaton's lock is taken once for
-    /// the whole column.
+    /// and never materializes them.
     pub fn validate<I>(&self, values: I) -> ValidationReport
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let tally = self.automaton.with(|matcher| count(matcher, values));
-        self.finish(tally)
+        self.finish(count(self.automaton.matcher(), values))
     }
 
     /// Export the rule as a standard regex (usable outside this crate).
@@ -275,7 +261,7 @@ impl Validator for ValidationRule {
     }
 
     fn tally(&self, values: &mut dyn Iterator<Item = &str>) -> Tally {
-        self.automaton.with(|matcher| count(matcher, values))
+        count(self.automaton.matcher(), values)
     }
 
     fn explain(&self, value: &str) -> Option<Explanation> {
@@ -420,6 +406,26 @@ mod tests {
         let e = Validator::explain(&r, "Mar 01 20").unwrap();
         assert_eq!(e.span, Some((9, 9)));
         assert!(e.reason.contains("ended"), "{}", e.reason);
+    }
+
+    /// A thread keeps a DFA cache per automaton it scans, and sweeps the
+    /// caches of dropped automata when it caches a new one: rules created,
+    /// validated and dropped one after another leave the thread holding at
+    /// most its live automata plus one cache.
+    #[test]
+    fn dropped_rules_leave_at_most_one_stale_cache_per_thread() {
+        let cached = av_match::cached_automata;
+        std::thread::spawn(move || {
+            for i in 0..10_000 {
+                let r = rule("<digit>{4}-<digit>{2}-<digit>{2}", 0.0, 100);
+                assert_eq!(r.validate(["2019-03-01", "drift"]).nonconforming, 1);
+                assert!(cached() <= 2, "rule {i} live: {} caches", cached());
+                drop(r);
+                assert!(cached() <= 1, "rule {i} dropped: {} caches", cached());
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

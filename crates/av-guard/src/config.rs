@@ -43,22 +43,11 @@ pub(crate) const LOCK_HIERARCHY: &[LockEntry] = &[
     },
     // av-service ValidationService.catalog: the rule catalog, which owns
     // the catalog automaton and each rule's telemetry and patches the
-    // automaton in its own insert and remove (through `&mut`, no lock).
+    // automaton in its own insert and remove (through `&mut`, no lock);
+    // readers scan every automaton through `&self` under its read guard.
     LockEntry {
         name: "catalog",
         rank: 70,
-    },
-    // av-service RuleCatalog.classifier: the catalog automaton, reached
-    // only through a catalog guard.
-    LockEntry {
-        name: "classifier",
-        rank: 80,
-    },
-    // av-core ValidationRule's one-rule automaton: a leaf, taken under the
-    // catalog read lock; nothing acquired while held.
-    LockEntry {
-        name: "matcher",
-        rank: 90,
     },
 ];
 

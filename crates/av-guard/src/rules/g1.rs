@@ -263,9 +263,9 @@ mod tests {
     fn drop_releases_bound_guard() {
         assert!(findings(
             r#"fn good(&self) {
-                let classifier = self.classifier.read().expect("p");
-                drop(classifier);
-                let catalog = self.catalog.write().expect("p");
+                let catalog = self.catalog.read().expect("p");
+                drop(catalog);
+                let epoch = self.epoch.write().expect("p");
             }"#,
         )
         .is_empty());
@@ -276,9 +276,9 @@ mod tests {
         assert!(findings(
             r#"fn good(&self) {
                 {
-                    let classifier = self.classifier.read().expect("p");
+                    let catalog = self.catalog.read().expect("p");
                 }
-                let catalog = self.catalog.write().expect("p");
+                let epoch = self.epoch.write().expect("p");
             }"#,
         )
         .is_empty());
@@ -316,7 +316,7 @@ mod tests {
         .is_empty());
         let out = findings(
             r#"fn bad(&self) {
-                let c = self.classifier.read().expect("p");
+                let c = self.catalog.read().expect("p");
                 let _guards: Vec<_> = [&self.wal].iter().map(|m| m.lock().expect("p")).collect();
             }"#,
         );
@@ -328,8 +328,8 @@ mod tests {
         assert!(findings(
             r#"fn good(&self, x: u32) -> bool {
                 match x {
-                    0 => self.classifier.read().expect("p").is_empty(),
-                    _ => self.catalog.read().expect("p").is_empty(),
+                    0 => self.catalog.read().expect("p").is_empty(),
+                    _ => self.epoch.read().expect("p").is_empty(),
                 }
             }"#,
         )
@@ -337,18 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn rule_automaton_is_a_leaf() {
+    fn the_innermost_lock_is_a_leaf() {
         assert!(findings(
             r#"fn good(&self) {
-                let (_r, catalog) = (rank_guard(70), self.catalog.read().expect("p"));
-                let slot = self.matcher.lock().expect("p");
+                let (_r, epoch) = (rank_guard(50), self.epoch.read().expect("p"));
+                let catalog = self.catalog.read().expect("p");
             }"#,
         )
         .is_empty());
         let out = findings(
             r#"fn bad(&self) {
-                let slot = self.matcher.lock().expect("p");
-                let c = self.classifier.lock().expect("p");
+                let catalog = self.catalog.read().expect("p");
+                let e = self.epoch.read().expect("p");
             }"#,
         );
         assert_eq!(out.len(), 1, "{out:?}");

@@ -88,7 +88,7 @@ pub fn explain(program: &CompiledPattern, value: &str) -> Option<MatchTrace> {
     let (mut failed_at, mut sid) = (0, lowest(current.as_slice()));
     for (i, &b) in value.as_bytes().iter().enumerate() {
         next.clear_resize(nfa.len());
-        nfa.step(current.as_slice(), b, next);
+        nfa.step(current.as_slice().iter().copied(), b, next);
         std::mem::swap(&mut current, &mut next);
         if current.is_empty() {
             break;

@@ -28,7 +28,10 @@
 //!    only grows or is cleared: past the budget, the current value
 //!    finishes on direct NFA simulation and the whole cache is flushed,
 //!    so pathological catalogs degrade gracefully instead of exploding
-//!    memory;
+//!    memory. A cache belongs to a thread: scans read the automaton
+//!    through `&self`, and each thread keeps its own DFA cache of each
+//!    automaton it scans, so threads share one matcher without a lock
+//!    and DFA memory is at most the budget times the threads that scan;
 //! 4. rules that are not patterns — dictionaries and numeric ranges —
 //!    participate as **residuals**: a cheap
 //!    [`Prefilter`] (length bounds, first-byte set) gates an arbitrary
@@ -47,7 +50,8 @@
 //! itself. [`CatalogMatcher::insert`] appends an edge-disjoint fragment
 //! and re-points the start key — every cached DFA state stays valid.
 //! [`CatalogMatcher::remove`] drops the fragment from the start key and
-//! flushes the DFA cache, so nothing can reach the fragment again. Each
+//! flushes every thread's DFA cache, so nothing can reach the fragment
+//! again. Each
 //! update bumps a generation stamp, mirroring the sharded index's epoch
 //! pattern.
 //!
@@ -104,6 +108,6 @@ mod regex;
 
 pub use ast::RegexError;
 pub use explain::{explain, MatchTrace};
-pub use matcher::{CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
+pub use matcher::{cached_automata, CatalogMatcher, MatcherConfig, MatcherStats, Prefilter};
 pub use nfa::NfaScratch;
 pub use regex::Regex;

@@ -3,15 +3,28 @@
 //!
 //! Pattern rules live in one NFA union ([`crate::nfa`]); matching runs a
 //! **lazily determinized DFA** over it. DFA states are keyed by their
-//! sorted NFA state-set and cached; every state's transitions are one row
-//! of a flat `u32` table indexed `state * 256 + byte`, so the hot path is
-//! one table load per input byte, with no per-byte bookkeeping. The cache
+//! sorted NFA state-set (stored once, packed) and cached; every state's
+//! transitions are one row of a flat `u32` table indexed `state * 256 +
+//! byte`, so the hot path is one table load per input byte, with no
+//! per-byte bookkeeping. The cache
 //! is bounded (4096 states, or [`MatcherConfig::with_budget`]) and only
 //! grows or is cleared: when a value would need a state beyond the budget,
 //! the rest of that value is finished by direct NFA simulation (correct,
 //! just slower) and the whole cache is flushed, so determinization starts
 //! afresh with the next value. A pathological catalog therefore degrades
 //! to NFA-simulation costs instead of exploding memory.
+//!
+//! The automaton and its caches are apart. A [`CatalogMatcher`] is the
+//! automaton: updates change it through `&mut self`, and scans read it
+//! through `&self`, so threads share one without a lock. A DFA cache
+//! belongs to a thread: each thread keeps one per automaton it scans, in
+//! one thread-local keyed by the automaton's id, next to the NFA scratch
+//! every simulation on that thread runs in. A scan checks the cache and
+//! the scratch out of the thread-local and back in, so a column's checks
+//! cost one checkout, and a residual check may itself scan an automaton.
+//! A thread's first scan of an automaton drops the caches of automata
+//! that are gone. So DFA memory is at most the budget times the threads
+//! that scan an automaton.
 //!
 //! [`CatalogMatcher::classify`] names every accepting rule;
 //! [`CatalogMatcher::is_match`] only asks whether one accepts, so it stops
@@ -28,14 +41,20 @@
 //! re-points the start key; every cached DFA state remains valid, because
 //! stepping a set that contains no new-fragment states can never reach the
 //! new fragment. [`CatalogMatcher::remove`] drops the rule's fragment from
-//! the start key and flushes the cache, so no cached state can still reach
-//! it; the unreachable states stay in the arena until compaction. Each
-//! update bumps a generation stamp (the `ShardedIndex` epoch pattern) so
-//! callers can detect staleness of anything they derived from a classify.
+//! the start key and flushes every thread's cache, so no cached state can
+//! still reach it; the unreachable states stay in the arena until
+//! compaction. A cache learns of both from two stamps: each update bumps a
+//! generation (the `ShardedIndex` epoch pattern, which callers also use to
+//! detect staleness of anything they derived from a classify), and each
+//! flush bumps a flush stamp.
 
-use crate::nfa::{Fragment, Nfa, NfaScratch};
+use crate::nfa::{Fragment, Nfa, NfaScratch, ThreadSet};
 use av_pattern::CompiledPattern;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Weak};
 
 /// Marks a DFA transition not yet computed.
 const UNKNOWN: u32 = u32::MAX;
@@ -74,9 +93,11 @@ pub struct MatcherStats {
     pub residual_rules: usize,
     /// NFA arena size, including removed fragments awaiting compaction.
     pub nfa_states: usize,
-    /// Cached DFA states.
+    /// DFA states in the calling thread's cache of this automaton: a
+    /// cache belongs to a thread, and every thread that scans the
+    /// automaton keeps its own.
     pub dfa_states: usize,
-    /// Times a value ran past the DFA budget and the cache was flushed.
+    /// Times a value ran past the DFA budget and a cache was flushed.
     pub dfa_evictions: u64,
     /// Values (or value suffixes) classified by NFA simulation because the
     /// DFA budget was exhausted mid-scan.
@@ -156,10 +177,40 @@ const STRIDE: usize = 256;
 /// [`DfaCache::trans`].
 #[derive(Debug)]
 struct DfaState {
-    /// Sorted NFA state-set this DFA state denotes — its identity.
-    key: Box<[u32]>,
+    /// The NFA state-set this DFA state denotes — its identity — packed
+    /// by [`pack`] and shared with [`DfaCache::by_key`].
+    key: Rc<[u8]>,
     /// Sorted rule ids accepting in this state.
     accepts: Box<[u32]>,
+}
+
+/// A sorted NFA state-set as the LEB128 gaps between its ids. Sets run to
+/// hundreds of ids a state, mostly a few apart, so this takes about a
+/// byte an id where a `u32` list took four: every thread that scans an
+/// automaton keeps its own cache, so a state's key is stored per thread.
+fn pack(ids: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ids.len() + 4);
+    let mut prev = 0;
+    for &id in ids {
+        let mut gap = id - std::mem::replace(&mut prev, id);
+        while gap >= 0x80 {
+            out.push(gap as u8 | 0x80);
+            gap >>= 7;
+        }
+        out.push(gap as u8);
+    }
+    out
+}
+
+/// The ids of a [`pack`]ed set, ascending.
+fn unpack(key: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    key.split_inclusive(|&b| b < 0x80).scan(0, |prev, gap| {
+        *prev += gap
+            .iter()
+            .rev()
+            .fold(0, |n, &b| n << 7 | u32::from(b & 0x7f));
+        Some(*prev)
+    })
 }
 
 /// The determinized states so far: a table that grows until the budget,
@@ -170,9 +221,9 @@ struct DfaCache {
     /// byte]` is the successor state, [`UNKNOWN`], or [`DEAD`].
     trans: Vec<u32>,
     states: Vec<DfaState>,
-    by_key: HashMap<Box<[u32]>, u32>,
-    /// The start state, or [`UNKNOWN`] when not materialized.
-    start: u32,
+    by_key: HashMap<Rc<[u8]>, u32>,
+    /// The start state, once materialized.
+    start: Option<u32>,
 }
 
 impl DfaCache {
@@ -180,7 +231,7 @@ impl DfaCache {
         self.trans.clear();
         self.states.clear();
         self.by_key.clear();
-        self.start = UNKNOWN;
+        self.start = None;
     }
 
     /// Index of the transition `sid --b-->` in [`DfaCache::trans`].
@@ -190,15 +241,53 @@ impl DfaCache {
     }
 }
 
+/// One thread's DFA cache of one automaton, stamped with the automaton's
+/// flush stamp and generation as of its last scan.
+struct Cache {
+    /// Dead once the automaton is dropped, so a sweep can drop the cache.
+    owner: Weak<()>,
+    flushes: u64,
+    generation: u64,
+    dfa: DfaCache,
+}
+
+/// A thread's scan memory: its DFA cache of each automaton it has
+/// scanned, keyed by [`CatalogMatcher::id`], and the NFA scratch every
+/// simulation on the thread runs in.
+#[derive(Default)]
+struct Scans {
+    caches: HashMap<u64, Cache>,
+    scratch: NfaScratch,
+}
+
+thread_local! {
+    static SCANS: RefCell<Scans> = RefCell::new(Scans::default());
+}
+
+/// The source of automaton ids: no two automata share one.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Run `f` on this thread's NFA scratch. `f` must not scan an automaton.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut NfaScratch) -> R) -> R {
+    SCANS.with(|scans| f(&mut scans.borrow_mut().scratch))
+}
+
+/// Automata the calling thread holds a DFA cache for, counting dropped
+/// ones that no sweep has reached yet: a thread sweeps when it caches a
+/// new automaton, so a dropped automaton's cache lasts until then.
+pub fn cached_automata() -> usize {
+    SCANS.with(|scans| scans.borrow().caches.len())
+}
+
 /// Where a value's walk through the DFA ended.
-enum Walk {
+enum Walk<'s> {
     /// Every byte stepped inside the cache; the value ends in this state.
     End(u32),
     /// No rule can accept the value any more.
     Dead,
-    /// The DFA budget ran out with the bytes from `at` still to read,
-    /// in the state whose NFA set is `seed`.
-    Budget { seed: Vec<u32>, at: usize },
+    /// The DFA budget ran out and the value finished on the NFA, live in
+    /// these states.
+    Nfa(&'s [u32]),
 }
 
 /// A catalog-wide multi-pattern matcher: classify a value against every
@@ -209,6 +298,8 @@ enum Walk {
 /// cache; non-pattern rules (dictionaries, numeric ranges, opaque
 /// validators) join through [`CatalogMatcher::insert_residual`] so
 /// [`CatalogMatcher::classify`] is total over a heterogeneous catalog.
+/// Scans take `&self`: threads share one matcher, each with its own DFA
+/// cache (see the module docs).
 ///
 /// ```
 /// use av_match::CatalogMatcher;
@@ -235,13 +326,18 @@ pub struct CatalogMatcher {
     residuals: BTreeMap<u32, Residual>,
     /// Sorted ε-closure of every live fragment entry — the start state key.
     start_key: Vec<u32>,
-    dfa: DfaCache,
-    scratch: NfaScratch,
     /// Arena states of removed fragments, squeezed out by compaction.
     dead_states: usize,
+    /// The key of this automaton's cache in each thread's [`SCANS`].
+    id: u64,
+    /// Lives as long as the automaton; each cache holds it weakly.
+    alive: Arc<()>,
     generation: u64,
-    evictions: u64,
-    fallbacks: u64,
+    /// Bumped by every update that invalidates cached states: a pattern
+    /// rule's removal, and the compaction it may bring.
+    flushes: u64,
+    evictions: AtomicU64,
+    fallbacks: AtomicU64,
     compactions: u64,
 }
 
@@ -265,12 +361,13 @@ impl CatalogMatcher {
             fragments: BTreeMap::new(),
             residuals: BTreeMap::new(),
             start_key: Vec::new(),
-            dfa: DfaCache::default(),
-            scratch: NfaScratch::new(),
             dead_states: 0,
+            id: NEXT_ID.fetch_add(1, Relaxed),
+            alive: Arc::new(()),
             generation: 0,
-            evictions: 0,
-            fallbacks: 0,
+            flushes: 0,
+            evictions: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
             compactions: 0,
         }
     }
@@ -296,16 +393,20 @@ impl CatalogMatcher {
         self.generation
     }
 
-    /// Shape and lifetime counters.
+    /// Shape and lifetime counters; `dfa_states` is the calling thread's.
     pub fn stats(&self) -> MatcherStats {
+        let dfa_states = SCANS.with(|scans| match scans.borrow().caches.get(&self.id) {
+            Some(cache) if cache.flushes == self.flushes => cache.dfa.states.len(),
+            _ => 0,
+        });
         MatcherStats {
             rules: self.len(),
             pattern_rules: self.fragments.len(),
             residual_rules: self.residuals.len(),
             nfa_states: self.nfa.len(),
-            dfa_states: self.dfa.states.len(),
-            dfa_evictions: self.evictions,
-            nfa_fallbacks: self.fallbacks,
+            dfa_states,
+            dfa_evictions: self.evictions.load(Relaxed),
+            nfa_fallbacks: self.fallbacks.load(Relaxed),
             compactions: self.compactions,
             generation: self.generation,
         }
@@ -327,7 +428,6 @@ impl CatalogMatcher {
         }
         let frag = self.nfa.build_fragment(rule_id, program, |_| {});
         self.start_key.extend(self.nfa.entry_closure(&frag));
-        self.dfa.start = UNKNOWN;
         self.fragments.insert(rule_id, frag);
         self.generation += 1;
     }
@@ -351,9 +451,9 @@ impl CatalogMatcher {
 
     /// Remove a rule; returns whether it was present.
     ///
-    /// A pattern rule's fragment leaves the start key and the DFA cache is
-    /// flushed, so no state can reach the fragment again; its arena states
-    /// wait for compaction.
+    /// A pattern rule's fragment leaves the start key and every thread's
+    /// DFA cache is flushed, so no state can reach the fragment again; its
+    /// arena states wait for compaction.
     pub fn remove(&mut self, rule_id: u32) -> bool {
         if self.residuals.remove(&rule_id).is_some() {
             self.generation += 1;
@@ -366,14 +466,14 @@ impl CatalogMatcher {
         if self.dead_states > self.nfa.len() / 2 {
             self.compact();
         }
-        self.dfa.clear();
         self.rebuild_start();
+        self.flushes += 1;
         self.generation += 1;
         true
     }
 
     /// Full matching rule-id set for `value`, sorted ascending.
-    pub fn classify(&mut self, value: &str) -> Vec<u32> {
+    pub fn classify(&self, value: &str) -> Vec<u32> {
         let mut out = Vec::new();
         self.classify_into(value, &mut out);
         out
@@ -381,10 +481,10 @@ impl CatalogMatcher {
 
     /// [`CatalogMatcher::classify`] into a caller-owned buffer; the
     /// steady-state scan allocates only when new DFA states materialize.
-    pub fn classify_into(&mut self, value: &str, out: &mut Vec<u32>) {
+    pub fn classify_into(&self, value: &str, out: &mut Vec<u32>) {
         out.clear();
         if !self.fragments.is_empty() {
-            self.scan(value, out);
+            self.with_cache(|dfa, scratch| self.scan(dfa, scratch, value, out));
         }
         for (&rid, res) in &self.residuals {
             if res.prefilter.admits(value) && (res.check)(value) {
@@ -398,46 +498,93 @@ impl CatalogMatcher {
     /// [`CatalogMatcher::classify`] without the id list: it stops at the
     /// dead state, and a residual is checked only while no rule has
     /// accepted. On a one-rule matcher this is that rule's verdict.
-    pub fn is_match(&mut self, value: &str) -> bool {
+    pub fn is_match(&self, value: &str) -> bool {
+        self.with_cache(|dfa, scratch| self.matches(dfa, scratch, value))
+    }
+
+    /// [`CatalogMatcher::is_match`] of each of `values` in order, handed to
+    /// `verdict`: a column's checks on one checkout of the thread's cache.
+    pub fn is_match_each<S: AsRef<str>>(
+        &self,
+        values: impl IntoIterator<Item = S>,
+        mut verdict: impl FnMut(bool),
+    ) {
+        self.with_cache(|dfa, scratch| {
+            for value in values {
+                verdict(self.matches(dfa, scratch, value.as_ref()));
+            }
+        });
+    }
+
+    /// The boolean scan of one value on a checked-out cache.
+    fn matches(&self, dfa: &mut DfaCache, scratch: &mut NfaScratch, value: &str) -> bool {
         let hit = !self.fragments.is_empty()
-            && match self.walk(value.as_bytes()) {
-                Walk::End(sid) => !self.dfa.states[sid as usize].accepts.is_empty(),
+            && match self.walk(dfa, scratch, value.as_bytes()) {
+                Walk::End(sid) => !dfa.states[sid as usize].accepts.is_empty(),
                 Walk::Dead => false,
-                Walk::Budget { seed, at } => {
-                    self.fallbacks += 1;
-                    let live = self
-                        .nfa
-                        .run(&seed, &value.as_bytes()[at..], &mut self.scratch);
-                    self.nfa.accepts_any(live)
-                }
+                Walk::Nfa(live) => self.nfa.accepts_any(live),
             };
-        let hit = hit
-            || self
-                .residuals
-                .values()
-                .any(|res| res.prefilter.admits(value) && (res.check)(value));
-        hit
+        hit || self
+            .residuals
+            .values()
+            .any(|res| res.prefilter.admits(value) && (res.check)(value))
+    }
+
+    /// Run `f` on this thread's DFA cache of the automaton and its NFA
+    /// scratch, both checked out of the thread-local while `f` runs, so `f`
+    /// may run residual checks that scan automata themselves (a nested scan
+    /// of this automaton starts a cache of its own). The cache is brought
+    /// up to date first: cleared if the automaton flushed since its last
+    /// scan, its start state re-pointed if only inserts came. A thread's
+    /// first cache of an automaton first sweeps the caches of dropped ones.
+    fn with_cache<R>(&self, f: impl FnOnce(&mut DfaCache, &mut NfaScratch) -> R) -> R {
+        let (mut cache, mut scratch) = SCANS.with(|scans| {
+            let Scans { caches, scratch } = &mut *scans.borrow_mut();
+            let cache = caches.remove(&self.id).unwrap_or_else(|| {
+                caches.retain(|_, cache| cache.owner.strong_count() > 0);
+                Cache {
+                    owner: Arc::downgrade(&self.alive),
+                    flushes: self.flushes,
+                    generation: self.generation,
+                    dfa: DfaCache::default(),
+                }
+            });
+            (cache, std::mem::take(scratch))
+        });
+        if cache.flushes != self.flushes {
+            cache.dfa.clear();
+        } else if cache.generation != self.generation {
+            cache.dfa.start = None;
+        }
+        (cache.flushes, cache.generation) = (self.flushes, self.generation);
+        let out = f(&mut cache.dfa, &mut scratch);
+        SCANS.with(|scans| {
+            let mut scans = scans.borrow_mut();
+            scans.caches.insert(self.id, cache);
+            scans.scratch = scratch;
+        });
+        out
     }
 
     /// DFA scan over the pattern union; pushes accepted rule ids.
-    fn scan(&mut self, value: &str, out: &mut Vec<u32>) {
-        match self.walk(value.as_bytes()) {
-            Walk::End(sid) => out.extend_from_slice(&self.dfa.states[sid as usize].accepts),
+    fn scan(&self, dfa: &mut DfaCache, scratch: &mut NfaScratch, value: &str, out: &mut Vec<u32>) {
+        match self.walk(dfa, scratch, value.as_bytes()) {
+            Walk::End(sid) => out.extend_from_slice(&dfa.states[sid as usize].accepts),
             Walk::Dead => {}
-            Walk::Budget { seed, at } => self.nfa_finish(&value.as_bytes()[at..], &seed, out),
+            Walk::Nfa(live) => self.nfa.accepts_of(live, out),
         }
     }
 
     /// Walk `bytes` through the DFA from the start state, materializing
     /// transitions on first use. The inner loop is one table load and one
     /// compare per byte; it leaves only for a transition not yet computed.
-    fn walk(&mut self, bytes: &[u8]) -> Walk {
-        let Some(mut sid) = self.ensure_start() else {
-            return self.overflow(self.start_key.clone(), 0);
+    fn walk<'s>(&self, dfa: &mut DfaCache, scratch: &'s mut NfaScratch, bytes: &[u8]) -> Walk<'s> {
+        let Some(mut sid) = self.ensure_start(dfa) else {
+            return self.overflow(dfa, scratch, self.start_key.clone(), bytes);
         };
         let mut at = 0;
         loop {
-            let trans = &self.dfa.trans;
+            let trans = &dfa.trans;
             let mut next = sid;
             while let Some(&b) = bytes.get(at) {
                 next = trans[DfaCache::edge(sid, b)];
@@ -453,112 +600,100 @@ impl CatalogMatcher {
             if next == DEAD {
                 return Walk::Dead;
             }
-            match self.extend(sid, bytes[at]) {
+            match self.extend(dfa, scratch, sid, bytes[at]) {
                 Some(DEAD) => return Walk::Dead,
                 Some(n) => {
                     sid = n;
                     at += 1;
                 }
                 None => {
-                    let seed = self.dfa.states[sid as usize].key.to_vec();
-                    return self.overflow(seed, at);
+                    let seed = unpack(&dfa.states[sid as usize].key).collect();
+                    return self.overflow(dfa, scratch, seed, &bytes[at..]);
                 }
             }
         }
     }
 
     /// The budget ran out: flush the cache (the walk holds no state id
-    /// past this point) and leave the value to the NFA from `seed`.
-    fn overflow(&mut self, seed: Vec<u32>, at: usize) -> Walk {
-        self.dfa.clear();
-        self.evictions += 1;
-        Walk::Budget { seed, at }
+    /// past this point) and finish `rest` of the value on the NFA from
+    /// `seed`.
+    fn overflow<'s>(
+        &self,
+        dfa: &mut DfaCache,
+        scratch: &'s mut NfaScratch,
+        seed: Vec<u32>,
+        rest: &[u8],
+    ) -> Walk<'s> {
+        dfa.clear();
+        self.evictions.fetch_add(1, Relaxed);
+        self.fallbacks.fetch_add(1, Relaxed);
+        Walk::Nfa(self.nfa.run(&seed, rest, scratch))
     }
 
     /// Materialize the start state; `None` when even that exceeds budget.
-    fn ensure_start(&mut self) -> Option<u32> {
-        if self.dfa.start != UNKNOWN {
-            return Some(self.dfa.start);
+    fn ensure_start(&self, dfa: &mut DfaCache) -> Option<u32> {
+        if dfa.start.is_none() {
+            dfa.start = Some(self.intern_state(dfa, &self.start_key)?);
         }
-        let key = self.start_key.as_slice().into();
-        let sid = self.intern_state(key)?;
-        self.dfa.start = sid;
-        Some(sid)
+        dfa.start
     }
 
     /// Compute and cache the transition `sid --b-->`; `None` when a new
     /// state is needed but the budget is exhausted.
-    fn extend(&mut self, sid: u32, b: u8) -> Option<u32> {
-        let CatalogMatcher {
-            nfa, dfa, scratch, ..
-        } = self;
+    fn extend(&self, dfa: &mut DfaCache, scratch: &mut NfaScratch, sid: u32, b: u8) -> Option<u32> {
         let set = &mut scratch.current;
-        set.clear_resize(nfa.len());
-        nfa.step(&dfa.states[sid as usize].key, b, set);
+        set.clear_resize(self.nfa.len());
+        self.nfa.step(unpack(&dfa.states[sid as usize].key), b, set);
         let next = if set.is_empty() {
             DEAD
         } else {
-            let mut key: Vec<u32> = set.as_slice().to_vec();
-            key.sort_unstable();
-            self.intern_state(key.into_boxed_slice())?
+            let mut ids = set.as_slice().to_vec();
+            ids.sort_unstable();
+            self.intern_state(dfa, &ids)?
         };
-        self.dfa.trans[DfaCache::edge(sid, b)] = next;
+        dfa.trans[DfaCache::edge(sid, b)] = next;
         Some(next)
     }
 
-    /// Look up or create the DFA state for `key`; `None` when creation
-    /// would exceed the budget.
-    fn intern_state(&mut self, key: Box<[u32]>) -> Option<u32> {
-        if let Some(&sid) = self.dfa.by_key.get(&key) {
+    /// Look up or create the DFA state for the sorted set `ids`; `None`
+    /// when creation would exceed the budget.
+    fn intern_state(&self, dfa: &mut DfaCache, ids: &[u32]) -> Option<u32> {
+        let key = pack(ids);
+        if let Some(&sid) = dfa.by_key.get(key.as_slice()) {
             return Some(sid);
         }
-        if self.dfa.states.len() >= self.config.max_dfa_states {
+        if dfa.states.len() >= self.config.max_dfa_states {
             return None;
         }
         let mut accepts = Vec::new();
-        self.nfa.accepts_of(&key, &mut accepts);
+        self.nfa.accepts_of(ids, &mut accepts);
         accepts.sort_unstable();
-        let sid = self.dfa.states.len() as u32;
-        self.dfa.states.push(DfaState {
-            key: key.clone(),
+        let sid = dfa.states.len() as u32;
+        let key: Rc<[u8]> = key.into();
+        dfa.states.push(DfaState {
+            key: Rc::clone(&key),
             accepts: accepts.into_boxed_slice(),
         });
-        self.dfa.trans.extend([UNKNOWN; STRIDE]);
-        self.dfa.by_key.insert(key, sid);
+        dfa.trans.extend([UNKNOWN; STRIDE]);
+        dfa.by_key.insert(key, sid);
         Some(sid)
     }
 
-    /// Finish (or fully run) one value by NFA simulation from `seed` —
-    /// the graceful degradation path when the DFA budget is exhausted.
-    fn nfa_finish(&mut self, bytes: &[u8], seed: &[u32], out: &mut Vec<u32>) {
-        self.fallbacks += 1;
-        let live = self.nfa.run(seed, bytes, &mut self.scratch);
-        self.nfa.accepts_of(live, out);
-    }
-
     /// Recompute the start key (the ε-closure of every live fragment
-    /// entry) from scratch and re-point the start state: what a removal
-    /// or a compaction needs, and what every insert's append must equal.
+    /// entry) from scratch: what a removal or a compaction needs, and what
+    /// every insert's append must equal.
     fn rebuild_start(&mut self) {
-        let CatalogMatcher {
-            nfa,
-            fragments,
-            scratch,
-            ..
-        } = self;
-        let set = &mut scratch.current;
-        set.clear_resize(nfa.len());
-        for frag in fragments.values() {
-            nfa.add_closure(frag.entry, set);
+        let mut set = ThreadSet::default();
+        set.clear_resize(self.nfa.len());
+        for frag in self.fragments.values() {
+            self.nfa.add_closure(frag.entry, &mut set);
         }
-        self.start_key.clear();
-        self.start_key.extend_from_slice(set.as_slice());
+        self.start_key = set.as_slice().to_vec();
         self.start_key.sort_unstable();
-        self.dfa.start = UNKNOWN;
     }
 
     /// Squeeze removed fragments out of the arena. Every state id
-    /// changes; the caller flushes the cache and rebuilds the start key.
+    /// changes; the caller flushes the caches and rebuilds the start key.
     fn compact(&mut self) {
         let remapped = self
             .nfa
@@ -576,6 +711,19 @@ mod tests {
 
     fn compiled(p: &str) -> CompiledPattern {
         CompiledPattern::compile(&parse(p).unwrap())
+    }
+
+    #[test]
+    fn a_packed_state_set_unpacks_to_its_ids() {
+        for ids in [
+            vec![],
+            vec![0],
+            vec![0, 1, 127, 128, 300, 16_384, 70_000, u32::MAX],
+        ] {
+            let key = pack(&ids);
+            assert_eq!(unpack(&key).collect::<Vec<_>>(), ids);
+        }
+        assert_eq!(pack(&[5, 6, 7, 9]).len(), 4, "a small gap takes one byte");
     }
 
     #[test]

@@ -432,8 +432,8 @@ impl Nfa {
 
     /// Advance every state in `current` over byte `b` into `next` (one
     /// subset-construction / NFA-simulation step).
-    pub fn step(&self, current: &[u32], b: u8, next: &mut ThreadSet) {
-        for &sid in current {
+    pub fn step(&self, current: impl IntoIterator<Item = u32>, b: u8, next: &mut ThreadSet) {
+        for sid in current {
             if let NState::Byte { set, next: target } = self.states[sid as usize] {
                 if self.sets.contains(set, b) {
                     self.add_closure(target, next);
@@ -458,7 +458,7 @@ impl Nfa {
                 break;
             }
             next.clear_resize(self.len());
-            self.step(current.as_slice(), b, next);
+            self.step(current.as_slice().iter().copied(), b, next);
             std::mem::swap(&mut current, &mut next);
         }
         current.as_slice()

@@ -6,8 +6,8 @@
 //! part, and repeats are expanded exactly.
 
 use crate::ast::{parse, Ast, RegexError};
+use crate::matcher::with_scratch;
 use crate::nfa::{char_states, NState, Nfa, NfaScratch};
-use std::cell::RefCell;
 
 /// The most states a regex's automaton may have: bounded repeats expand
 /// exactly, so `((a{1000}){1000}){1000}` would ask for 10⁹.
@@ -15,10 +15,6 @@ const MAX_STATES: usize = 1 << 18;
 
 /// The accept state: the first one pushed.
 const ACCEPT: u32 = 0;
-
-thread_local! {
-    static SCRATCH: RefCell<NfaScratch> = RefCell::new(NfaScratch::new());
-}
 
 /// A compiled regular expression. Matching is NFA simulation, linear in
 /// `|input| × |states|` with no backtracking blow-up — important because
@@ -65,7 +61,7 @@ impl Regex {
     /// nothing; hot loops that want explicit control can pass their own
     /// via [`Regex::is_full_match_with`].
     pub fn is_full_match(&self, input: &str) -> bool {
-        SCRATCH.with(|s| self.is_full_match_with(input, &mut s.borrow_mut()))
+        with_scratch(|scratch| self.is_full_match_with(input, scratch))
     }
 
     /// [`Regex::is_full_match`] with caller-provided working memory.

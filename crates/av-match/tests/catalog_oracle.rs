@@ -10,9 +10,10 @@
 //! widths, a 10 000-token pattern, and the fusion / `<num>` / UTF-8 cases
 //! the compiled program is built around.
 
-use av_match::{CatalogMatcher, MatcherConfig};
+use av_match::{CatalogMatcher, MatcherConfig, Prefilter};
 use av_pattern::{matches, parse, CompiledPattern, Pattern, Token};
 use proptest::prelude::*;
+use std::sync::{Arc, Barrier, RwLock};
 
 /// One arbitrary token, covering every variant (widths include 0, which
 /// the hierarchy never emits but the automaton must still handle).
@@ -113,7 +114,7 @@ fn one_rule(pattern: &Pattern) -> CatalogMatcher {
 /// repeat that runs the states the first scan cached.
 fn assert_one_rule_equals_reference(pattern: &Pattern, value: &str) {
     let want = matches(pattern, value);
-    let mut matcher = one_rule(pattern);
+    let matcher = one_rule(pattern);
     assert_eq!(matcher.is_match(value), want, "{pattern} ~ {value:?}");
     assert_eq!(matcher.is_match(value), want, "warm: {pattern} ~ {value:?}");
 }
@@ -255,6 +256,78 @@ proptest! {
         }
     }
 
+    /// Threads share one matcher through `&self`, each scanning on its own
+    /// DFA caches: four threads keep their caches across rounds while
+    /// inserts and removes land between the rounds, under budgets 1, 3 and
+    /// the default. Every thread's every verdict, boolean and match-set,
+    /// equals a fresh single-threaded build's.
+    #[test]
+    fn threads_sharing_one_matcher_equal_a_fresh_build(
+        patterns in proptest::collection::vec(arbitrary_pattern(6), 2..8),
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
+        values in proptest::collection::vec(probe_value(), 1..6),
+        budget in prop_oneof![Just(Some(1)), Just(Some(3)), Just(None)],
+    ) {
+        const THREADS: usize = 4;
+        let programs: Vec<CompiledPattern> = patterns.iter().map(Pattern::compile).collect();
+        let shared = RwLock::new(match budget {
+            Some(states) => CatalogMatcher::with_config(MatcherConfig::with_budget(states)),
+            None => CatalogMatcher::new(),
+        });
+        let want: RwLock<Vec<Vec<u32>>> = RwLock::new(Vec::new());
+        let rounds = Barrier::new(THREADS + 1);
+        let mismatches: Vec<String> = std::thread::scope(|s| {
+            let scanners: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (shared, want, rounds, values) = (&shared, &want, &rounds, &values);
+                    let rounds_total = ops.len();
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        for round in 0..rounds_total {
+                            rounds.wait();
+                            let (matcher, want) = (shared.read().unwrap(), want.read().unwrap());
+                            for (v, set) in values.iter().zip(want.iter()) {
+                                let got = (matcher.classify(v), matcher.is_match(v));
+                                if got != (set.clone(), !set.is_empty()) {
+                                    seen.push(format!("thread {thread}, round {round}, {v:?}: {got:?} vs {set:?}"));
+                                }
+                            }
+                            drop((matcher, want));
+                            rounds.wait();
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            let n = programs.len() as u8;
+            let mut live: Vec<Option<usize>> = vec![None; programs.len()];
+            for &(sel, action) in &ops {
+                let slot = (sel % n) as usize;
+                let mut warm = shared.write().unwrap();
+                if action % 3 == 0 && live[slot].is_some() {
+                    warm.remove(slot as u32);
+                    live[slot] = None;
+                } else {
+                    let pick = (action as usize) % programs.len();
+                    warm.insert(slot as u32, &programs[pick]);
+                    live[slot] = Some(pick);
+                }
+                drop(warm);
+                let mut fresh = CatalogMatcher::new();
+                for (slot, pick) in live.iter().enumerate() {
+                    if let Some(pick) = pick {
+                        fresh.insert(slot as u32, &programs[*pick]);
+                    }
+                }
+                *want.write().unwrap() = values.iter().map(|v| fresh.classify(v)).collect();
+                rounds.wait();
+                rounds.wait();
+            }
+            scanners.into_iter().flat_map(|t| t.join().unwrap()).collect()
+        });
+        prop_assert!(mismatches.is_empty(), "{:?}", mismatches);
+    }
+
     /// Arbitrary pattern × arbitrary value: one-rule automaton ≡ reference.
     #[test]
     fn one_rule_automaton_equals_reference_on_arbitrary_inputs(
@@ -295,7 +368,7 @@ fn ten_thousand_token_pattern_is_one_automaton() {
     }
     let pattern = Pattern::new(tokens);
     assert_eq!(pattern.compile().num_instructions(), 10_000);
-    let mut matcher = one_rule(&pattern);
+    let matcher = one_rule(&pattern);
 
     let good = "1-".repeat(5_000);
     assert!(matcher.is_match(&good));
@@ -332,7 +405,7 @@ fn wide_pattern_agrees_with_reference_at_oracle_safe_width() {
 /// Each value's verdict on `pattern`, on the reference and on the
 /// one-rule automaton.
 fn assert_verdicts(pattern: &Pattern, values: &[(&str, bool)]) {
-    let mut matcher = one_rule(pattern);
+    let matcher = one_rule(pattern);
     for &(value, want) in values {
         assert_eq!(
             matches(pattern, value),
@@ -460,10 +533,49 @@ fn verdict_cases_equal_the_reference() {
     }
 
     // A warm automaton keeps its verdicts across many values.
-    let mut matcher = one_rule(&parse("<digit>+:<digit>{2}").unwrap());
+    let matcher = one_rule(&parse("<digit>+:<digit>{2}").unwrap());
     for i in 0..50 {
         let good = format!("{}:{:02}", i, i % 60);
         assert!(matcher.is_match(&good), "{good}");
         assert!(!matcher.is_match("drift"));
+    }
+}
+
+/// A residual check may itself scan an automaton on the same thread, as a
+/// catalog rule's check runs its own one-rule automaton: the outer scan
+/// must not hold the thread's caches while residuals run. Under every
+/// budget, both scans of the outer matcher answer what the rules say.
+#[test]
+fn a_residual_check_that_scans_an_automaton_does_not_panic() {
+    for budget in [Some(1), Some(3), None] {
+        let config = || match budget {
+            Some(states) => CatalogMatcher::with_config(MatcherConfig::with_budget(states)),
+            None => CatalogMatcher::new(),
+        };
+        let mut inner = config();
+        inner.insert(0, &parse("<digit>{4}-<digit>{2}").unwrap().compile());
+        let inner = Arc::new(inner);
+        let mut outer = config();
+        outer.insert(1, &parse("<lower>+").unwrap().compile());
+        let check = Arc::clone(&inner);
+        outer.insert_residual(7, Prefilter::any(), Box::new(move |v| check.is_match(v)));
+        for (value, want) in [
+            ("2019-03", vec![7]),
+            ("abc", vec![1]),
+            ("2019-3", vec![]),
+            ("", vec![]),
+        ] {
+            assert_eq!(outer.classify(value), want, "budget {budget:?}, {value:?}");
+            assert_eq!(
+                outer.is_match(value),
+                !want.is_empty(),
+                "budget {budget:?}, {value:?}"
+            );
+            assert_eq!(
+                inner.is_match(value),
+                want == [7],
+                "budget {budget:?}, {value:?}"
+            );
+        }
     }
 }

@@ -29,7 +29,7 @@ use crate::telemetry::RuleTelemetry;
 use av_core::{pct_decode, pct_encode, AnyRule, RuleSet};
 use av_durable::crc32;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A named rule plus provenance metadata.
 #[derive(Debug, Clone)]
@@ -57,16 +57,6 @@ pub(crate) enum CatalogError {
         /// What mismatched.
         detail: String,
     },
-}
-
-impl CatalogError {
-    /// Byte offset of the failure in the catalog text, when it has one.
-    pub(crate) fn offset(&self) -> Option<u64> {
-        match self {
-            CatalogError::Format(_) => None,
-            CatalogError::Corrupt { offset, .. } => Some(*offset),
-        }
-    }
 }
 
 impl std::fmt::Display for CatalogError {
@@ -104,8 +94,8 @@ pub struct RuleCatalog {
     /// The catalog automaton: every rule folded into one [`RuleSet`] so
     /// `classify` scans a value once instead of running N rules. Insert
     /// and remove patch it through `&mut self`; a reader holding the
-    /// catalog locks it (it keeps a scan buffer) and never changes it.
-    pub(crate) classifier: Mutex<RuleSet>,
+    /// catalog scans it through `&self`.
+    pub(crate) classifier: RuleSet,
 }
 
 impl RuleCatalog {
@@ -117,8 +107,7 @@ impl RuleCatalog {
     /// Insert (or replace) a rule and patch the automaton; returns the
     /// previous entry if any, whose telemetry is dropped with it.
     pub fn insert(&mut self, entry: CatalogEntry) -> Option<CatalogEntry> {
-        let classifier = self.classifier.get_mut().expect("classifier poisoned");
-        classifier.insert(&entry.name, Arc::clone(&entry.rule));
+        self.classifier.insert(&entry.name, Arc::clone(&entry.rule));
         let (name, telemetry) = (entry.name.clone(), OnceLock::new());
         let previous = self.slots.insert(name, Slot { entry, telemetry });
         previous.map(|slot| slot.entry)
@@ -136,8 +125,7 @@ impl RuleCatalog {
 
     /// Remove a rule, with its telemetry and its automaton entry.
     pub fn remove(&mut self, name: &str) -> Option<CatalogEntry> {
-        let classifier = self.classifier.get_mut().expect("classifier poisoned");
-        classifier.remove(name);
+        self.classifier.remove(name);
         self.slots.remove(name).map(|slot| slot.entry)
     }
 

@@ -61,10 +61,6 @@
 //! O(log since the last checkpoint) — bounded by the trigger above, never
 //! a corpus rebuild. Replayed records count toward the next trigger, as
 //! if they had just been logged.
-//!
-//! A directory with no manifest that holds the `index.avix` +
-//! `rules.avcat` pair an older release wrote loads that pair as generation
-//! 0; the first checkpoint moves it to the manifest layout.
 
 use crate::catalog::{self, CatalogEntry, RuleCatalog};
 use crate::lockorder;
@@ -78,11 +74,6 @@ use std::sync::{Arc, Mutex};
 pub(crate) const WAL_DIR: &str = "wal";
 /// Subdirectory corrupt checkpoint files are moved into.
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
-/// The index image of a directory an older release wrote, read once at
-/// recovery when no manifest exists.
-pub(crate) const INDEX_FILE: &str = "index.avix";
-/// The catalog that went with [`INDEX_FILE`].
-pub(crate) const CATALOG_FILE: &str = "rules.avcat";
 
 const REC_DELTA: u8 = 1;
 const REC_INFER: u8 = 2;
@@ -356,9 +347,7 @@ fn quarantine(storage: &dyn Storage, dir: &Path, name: &str) {
 impl DurableLog {
     /// Recover durable state from `dir` into `index`, a fresh service's:
     /// newest valid manifest → per-file CRC verification with quarantine →
-    /// WAL replay with torn-tail truncation. Falls back to legacy
-    /// `index.avix` + `rules.avcat` images (plus full WAL replay) when no
-    /// manifest exists. Returns the log, appending after the replayed
+    /// WAL replay with torn-tail truncation. Returns the log, appending after the replayed
     /// records and rotating at `segment_bytes`, and the recovered catalog.
     pub(crate) fn recover(
         storage: &Arc<dyn Storage>,
@@ -447,25 +436,6 @@ impl DurableLog {
             base.retained = referenced_files(&manifest);
             stats.checkpoint_generation = manifest.generation;
             stats.checkpoint_image_bytes = image_bytes(&manifest);
-        } else {
-            // Pre-durability layout: a frozen `index.avix` + `rules.avcat`
-            // pair. Load it as the base image; the WAL (if any) replays in
-            // full on top.
-            let index_path = dir.join(INDEX_FILE);
-            if storage.exists(&index_path) {
-                let data = storage.read(&index_path)?;
-                let decoded = PatternIndex::from_bytes(&data);
-                image = Some(decoded.map_err(|e| corrupt(INDEX_FILE, None, e))?);
-            }
-            let catalog_path = dir.join(CATALOG_FILE);
-            if storage.exists(&catalog_path) {
-                let text = String::from_utf8(storage.read(&catalog_path)?).map_err(|e| {
-                    let offset = e.utf8_error().valid_up_to() as u64;
-                    corrupt(CATALOG_FILE, Some(offset), "catalog is not UTF-8")
-                })?;
-                catalog = RuleCatalog::from_text(&text)
-                    .map_err(|e| corrupt(CATALOG_FILE, e.offset(), e))?;
-            }
         }
 
         if let Some(image) = image {

@@ -243,13 +243,19 @@ pub struct ClassifyOutcome {
     pub best: Option<String>,
 }
 
-/// The catalog automaton, held for [`ValidationService::classify_with`]:
-/// it can be read, not changed, so the automaton stays a function of the
-/// catalog.
+/// The catalog automaton, read for [`ValidationService::classify_with`]
+/// under the catalog's read guard, with this thread's ranking buffer.
 pub(crate) struct Classifier<'a> {
-    set: &'a mut RuleSet,
+    set: &'a RuleSet,
+    hits: Vec<u32>,
     /// Values classified, for the `classifications` counter.
     classified: u64,
+}
+
+thread_local! {
+    /// The ranking buffer a thread's classifications reuse, so a warm
+    /// `classify` allocates none.
+    static HITS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 impl Classifier<'_> {
@@ -262,7 +268,7 @@ impl Classifier<'_> {
     /// ([`RuleSet::ranked`]).
     pub(crate) fn ranked(&mut self, value: &str) -> impl ExactSizeIterator<Item = &str> + Clone {
         self.classified += 1;
-        self.set.ranked(value)
+        self.set.ranked(value, &mut self.hits)
     }
 }
 
@@ -583,17 +589,14 @@ impl ValidationService {
     }
 
     /// Validate one column against a named rule (§4's recurring check).
-    /// Dispatches through `dyn Validator` as one `tally` of the column — a
-    /// pattern rule takes its automaton's lock once — so no value is
-    /// copied. The rule's telemetry records the validation.
+    /// Dispatches through `dyn Validator` as one `tally` of the column, so
+    /// no value is copied. The rule's telemetry records the validation.
     pub fn validate<S: AsRef<str>>(
         &self,
         rule: &str,
         values: &[S],
     ) -> Result<ValidationReport, ServiceError> {
         let report = self.with_rule(rule, |_, slot| {
-            // A pattern rule's checks take its own automaton's lock.
-            let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
             let validator: &dyn Validator = slot.entry.rule.as_ref();
             let report = Validator::validate_batch(&validator, values.iter().map(AsRef::as_ref));
             let telemetry = slot.telemetry.get_or_init(Default::default);
@@ -632,20 +635,13 @@ impl ValidationService {
     pub fn explain(&self, rule: &str, value: &str) -> Result<ExplainOutcome, ServiceError> {
         self.with_rule(rule, |catalog, slot| {
             let failed = slot.entry.rule.as_ref();
-            let conforms = {
-                let _matcher_rank = lockorder::rank_guard(lockorder::MATCHER);
-                failed.check(value).is_conform()
-            };
+            let conforms = failed.check(value).is_conform();
             let (explanation, suggestion) = if conforms {
                 (None, None)
             } else {
                 (
                     failed.explain(value),
-                    catalog
-                        .classifier
-                        .lock()
-                        .expect("classifier poisoned")
-                        .nearest_conforming(value, failed, rule),
+                    catalog.classifier.nearest_conforming(value, failed, rule),
                 )
             };
             ExplainOutcome {
@@ -665,10 +661,10 @@ impl ValidationService {
         batch.pop().expect("one outcome per value")
     }
 
-    /// Classify a batch of values, holding the automaton lock once for the
-    /// whole batch so the lazy DFA's cache is hit back-to-back. Results
-    /// come back in input order, after the automaton's generation read
-    /// under the same lock hold: the generation the results are of.
+    /// Classify a batch of values under one hold of the catalog's read
+    /// guard. Results come back in input order, after the automaton's
+    /// generation read under the same hold: the generation the results
+    /// are of.
     pub fn classify_batch<S: AsRef<str>>(&self, values: &[S]) -> (u64, Vec<ClassifyOutcome>) {
         self.classify_with(|classifier| {
             let outcomes = values
@@ -685,30 +681,24 @@ impl ValidationService {
     }
 
     /// Run `f` on the catalog automaton under one hold of the catalog's
-    /// read guard and the automaton's lock: the path every classification
-    /// takes. What `f` reads through the [`Classifier`] — the generation,
-    /// and each value's ranked rule names, borrowed from the automaton —
-    /// is of one catalog state.
+    /// read guard, the one lock a classification takes. What `f` reads
+    /// through the [`Classifier`] — the generation, and each value's ranked
+    /// rule names, borrowed from the automaton — is of one catalog state.
     pub(crate) fn classify_with<R>(&self, f: impl FnOnce(&mut Classifier<'_>) -> R) -> R {
         let (_catalog_rank, catalog) = (
             lockorder::rank_guard(lockorder::CATALOG),
             self.catalog.read().expect("catalog lock poisoned"),
         );
-        let (_classifier_rank, mut set) = (
-            lockorder::rank_guard(lockorder::CLASSIFIER),
-            catalog.classifier.lock().expect("classifier poisoned"),
-        );
         let mut classifier = Classifier {
-            set: &mut set,
+            set: &catalog.classifier,
+            hits: HITS.take(),
             classified: 0,
         };
         let out = f(&mut classifier);
-        let classified = classifier.classified;
-        drop(set);
-        drop(catalog);
+        HITS.set(classifier.hits);
         self.counters
             .classifications
-            .fetch_add(classified, Ordering::Relaxed);
+            .fetch_add(classifier.classified, Ordering::Relaxed);
         out
     }
 

@@ -15,9 +15,7 @@
 //! | 10 | `ckpt` | `DurableLog` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
 //! | 20 | `wal` | `DurableLog` | The WAL fence: the outermost lock of every durable mutating path, which appends and applies its record under it. Holding it across the snapshot is what makes the checkpoint watermark exact. |
 //! | 50 | `epoch` | `av-index::ShardedIndex` | The live index epoch: a delta is applied under its write side (inside the WAL fence on durable paths) and a snapshot cloned under its read side, so readers never observe a half-merged epoch. Nothing else is acquired while it is held. |
-//! | 70 | `catalog` | `ValidationService` | The rule catalog, the one table of per-rule state: it owns the catalog automaton and each rule's telemetry, and its own insert and remove patch the automaton through `&mut`, so a writer takes no second lock. Written under the WAL fence on durable paths. |
-//! | 80 | `classifier` | `RuleCatalog` | The catalog automaton, reached only through a `catalog` guard: `classify` and `explain` lock it under the read guard for a scan. It must never wait on a lock of this service while held. |
-//! | 90 | `matcher` | `av-core::ValidationRule` | A pattern rule's one-rule automaton, which `validate` (once per column) and `explain`'s check run: taken under the `catalog` read lock, and nothing is acquired while it is held. No path takes it under `classifier` — the `explain` suggestion ranks the automaton's shortlist without re-checking it. |
+//! | 70 | `catalog` | `ValidationService` | The rule catalog, the one table of per-rule state: it owns the catalog automaton and each rule's telemetry, and its own insert and remove patch the automaton through `&mut`, so a writer takes no second lock. Readers take no second lock either: `classify`, `explain` and `validate` scan the catalog automaton and each rule's own automaton through `&self` under the read guard, each thread on its own DFA caches. Written under the WAL fence on durable paths. |
 //!
 //! # The runtime tracker
 //!
@@ -55,10 +53,6 @@ pub(crate) const WAL: u32 = 20;
 pub(crate) const EPOCH: u32 = 50;
 /// Rank of `ValidationService.catalog`.
 pub(crate) const CATALOG: u32 = 70;
-/// Rank of `RuleCatalog.classifier`, taken under the catalog guard.
-pub(crate) const CLASSIFIER: u32 = 80;
-/// Rank of a pattern rule's one-rule automaton (`av-core`), a leaf.
-pub(crate) const MATCHER: u32 = 90;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -116,18 +110,18 @@ mod tests {
 
     #[test]
     fn ascending_acquisition_passes() {
-        let _a = rank_guard(WAL);
-        let _b = rank_guard(CATALOG);
-        let _c = rank_guard(CLASSIFIER);
-        let _d = rank_guard(MATCHER);
+        let _a = rank_guard(CKPT);
+        let _b = rank_guard(WAL);
+        let _c = rank_guard(EPOCH);
+        let _d = rank_guard(CATALOG);
     }
 
     #[test]
     fn release_then_lower_is_fine() {
         {
-            let _a = rank_guard(CLASSIFIER);
+            let _a = rank_guard(CATALOG);
         }
-        let _b = rank_guard(CATALOG);
+        let _b = rank_guard(EPOCH);
     }
 
     #[test]

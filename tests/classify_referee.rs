@@ -8,7 +8,7 @@
 //! `classify_value` are held to the same ranking.
 
 use av_core::{AnyRule, DictionaryRule, FmdvConfig, RuleSet};
-use av_durable::MemStorage;
+use av_durable::{Manifest, MemStorage};
 use av_service::json::Json;
 use av_service::{handle_line, CatalogEntry, RuleCatalog, ServiceConfig, ValidationService};
 use proptest::prelude::*;
@@ -64,7 +64,8 @@ fn rule(kind: usize, a: usize, b: usize) -> AnyRule {
     }
 }
 
-/// A service whose catalog is `rules`, loaded from a data directory.
+/// A service whose catalog is `rules`, loaded from a data directory: a
+/// checkpoint manifest that lists the catalog file and no shard.
 fn service_with(rules: &BTreeMap<String, AnyRule>) -> ValidationService {
     let mut catalog = RuleCatalog::new();
     for (name, rule) in rules {
@@ -75,10 +76,22 @@ fn service_with(rules: &BTreeMap<String, AnyRule>) -> ValidationService {
             created_unix: 0,
         });
     }
-    let mem = MemStorage::new();
+    let (mem, text) = (MemStorage::new(), catalog.to_text());
     let dir = PathBuf::from("/data");
-    av_durable::write_atomic(&mem, &dir.join("rules.avcat"), catalog.to_text().as_bytes())
+    av_durable::write_atomic(&mem, &dir.join("rules.avcat"), text.as_bytes())
         .expect("write the catalog");
+    let manifest = Manifest {
+        generation: 1,
+        last_lsn: 0,
+        num_columns: 0,
+        tau: av_index::IndexConfig::default().tau as u64,
+        shard_bits: 0,
+        catalog_file: "rules.avcat".to_string(),
+        catalog_crc: av_durable::crc32(text.as_bytes()),
+        catalog_bytes: text.len() as u64,
+        shards: Vec::new(),
+    };
+    manifest.write(&mem, &dir).expect("publish the manifest");
     let mut config = ServiceConfig::durable(Path::new("/data"));
     config.storage = Arc::new(mem);
     ValidationService::open(config).expect("open the data directory")

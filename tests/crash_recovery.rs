@@ -14,7 +14,7 @@
 //! reference states built by a plain in-memory service.
 
 use av_corpus::{generate_lake, Column, LakeProfile};
-use av_durable::{DurableError, FaultPlan, MemStorage, OsStorage, Storage};
+use av_durable::{DurableError, FaultPlan, MemStorage, Storage};
 use av_service::{owned_column, RuleCatalog, ServiceConfig, ServiceError, ValidationService};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -228,71 +228,6 @@ fn corrupt_shard_is_quarantined_not_fatal() {
     );
 }
 
-#[test]
-fn legacy_plain_files_upgrade_into_durable_mode() {
-    let dir = std::env::temp_dir().join(format!("av_crash_legacy_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-
-    // A pre-durability release left a plain index.avix + rules.avcat
-    // pair: the index image and the catalog text of its state.
-    let legacy = ValidationService::new(ServiceConfig {
-        rule_clock_unix: Some(CLOCK),
-        ..ServiceConfig::default()
-    });
-    legacy.ingest(&lake(85, 25)).unwrap();
-    legacy.infer_rule("legacy/date", &dates(6), None).unwrap();
-    let want = state_of(&legacy);
-    write_legacy_pair(&OsStorage, &dir, &want.0, &want.1);
-    drop(legacy);
-
-    // Reopening the same directory in durable mode adopts the legacy
-    // files, and the first checkpoint moves it to manifest-based layout.
-    let mut config = ServiceConfig::durable(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let durable = ValidationService::open(config).unwrap();
-    assert_eq!(state_of(&durable), want);
-    durable.persist().unwrap();
-    assert!(durable.durability().unwrap().checkpoint_generation >= 1);
-    drop(durable);
-
-    // And the durable layout recovers on a plain OS-storage reopen too.
-    let mut config = ServiceConfig::durable(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let again = ValidationService::open(config).unwrap();
-    assert_eq!(state_of(&again), want);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Write the `index.avix` + `rules.avcat` pair an older release left in
-/// its data directory.
-fn write_legacy_pair(storage: &dyn Storage, dir: &Path, index: &[u8], catalog: &str) {
-    storage.create_dir_all(dir).unwrap();
-    av_durable::write_atomic(storage, &dir.join("index.avix"), index).unwrap();
-    av_durable::write_atomic(storage, &dir.join("rules.avcat"), catalog.as_bytes()).unwrap();
-}
-
-/// A truncated legacy index with no manifest is a clean startup error
-/// that names the file, not a panic and not an empty service.
-#[test]
-fn truncated_legacy_index_is_a_corrupt_error_naming_the_file() {
-    let mem = MemStorage::new();
-    let legacy = ValidationService::new(ServiceConfig::default());
-    legacy.ingest(&lake(85, 25)).unwrap();
-    let (index, catalog) = state_of(&legacy);
-    let truncated = &index[..index.len() / 2];
-    write_legacy_pair(&mem, Path::new("/data"), truncated, &catalog);
-
-    let err = match ValidationService::open(durable_config(&mem)) {
-        Ok(_) => panic!("a truncated index.avix must not open"),
-        Err(e) => e,
-    };
-    assert!(err.to_string().contains("index.avix"), "{err}");
-    match err {
-        ServiceError::Durable(DurableError::Corrupt { file, .. }) => assert_eq!(file, "index.avix"),
-        other => panic!("expected a Corrupt error, got {other:?}"),
-    }
-}
-
 /// Every path under `dir`, relative and sorted: directories too, so an
 /// empty directory created under it shows.
 fn listing(dir: &Path) -> Vec<PathBuf> {
@@ -311,32 +246,41 @@ fn listing(dir: &Path) -> Vec<PathBuf> {
     paths
 }
 
-/// An 8-byte `index.avix` with no manifest is refused, and the refusal
+/// A directory whose one manifest is damaged is refused, and the refusal
 /// leaves the directory as it was: no `wal/` or anything else is created
-/// before recovery has read what exists. The index decoder reports no
-/// offset, so the message gives none.
+/// before recovery has read what exists.
 #[test]
 fn refused_open_leaves_the_directory_as_it_found_it() {
     let dir = std::env::temp_dir().join(format!("av_crash_refused_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let legacy = ValidationService::new(ServiceConfig::default());
-    legacy.ingest(&lake(85, 25)).unwrap();
-    let (index, catalog) = state_of(&legacy);
-    write_legacy_pair(&OsStorage, &dir, &index[..8], &catalog);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = av_durable::Manifest {
+        generation: 1,
+        last_lsn: 0,
+        num_columns: 0,
+        tau: 0,
+        shard_bits: 0,
+        catalog_file: String::new(),
+        catalog_crc: 0,
+        catalog_bytes: 0,
+        shards: Vec::new(),
+    };
+    let mut bytes = manifest.to_bytes();
+    bytes[20] ^= 0x40;
+    let name = av_durable::Manifest::file_name(1);
+    std::fs::write(dir.join(&name), bytes).unwrap();
     let before = listing(&dir);
-    assert_eq!(
-        before,
-        [PathBuf::from("index.avix"), PathBuf::from("rules.avcat")]
-    );
+    assert_eq!(before, [PathBuf::from(&name)]);
 
     let err = match ValidationService::open(ServiceConfig::durable(&dir)) {
-        Ok(_) => panic!("an 8-byte index.avix must not open"),
+        Ok(_) => panic!("a damaged manifest must not open"),
         Err(e) => e,
     };
     assert_eq!(listing(&dir), before);
     assert_eq!(
         err.to_string(),
-        "durability failure: corrupt durability file index.avix: index format error: truncated header"
+        "durability failure: corrupt durability file manifest-0000000000000001.avman at byte 64: \
+         crc32 mismatch: stored 361131bf, computed bcb10eb1, and no older manifest verifies"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -259,8 +259,8 @@ fn hostile_values_are_explained_in_time_linear_in_their_length() {
         within_bound(&format!("explaining the {kib} KiB value"), took);
     }
 
-    // The catalog an older release left as `rules.avcat`, with no
-    // manifest: recovery loads it as generation 0.
+    // A checkpoint whose manifest lists the catalog and no shard: recovery
+    // loads the hostile rule from it.
     let storage = Arc::new(av_durable::MemStorage::new());
     let mut catalog = RuleCatalog::new();
     catalog.insert(CatalogEntry {
@@ -269,8 +269,22 @@ fn hostile_values_are_explained_in_time_linear_in_their_length() {
         variant: "FMDV-VH".to_string(),
         created_unix: 0,
     });
+    let text = catalog.to_text();
     let path = std::path::Path::new("/hostile/rules.avcat");
-    av_durable::write_atomic(storage.as_ref(), path, catalog.to_text().as_bytes()).unwrap();
+    av_durable::write_atomic(storage.as_ref(), path, text.as_bytes()).unwrap();
+    let manifest = av_durable::Manifest {
+        generation: 1,
+        last_lsn: 0,
+        num_columns: 0,
+        tau: IndexConfig::default().tau as u64,
+        shard_bits: 0,
+        catalog_file: "rules.avcat".to_string(),
+        catalog_crc: av_durable::crc32(text.as_bytes()),
+        catalog_bytes: text.len() as u64,
+        shards: Vec::new(),
+    };
+    let dir = std::path::Path::new("/hostile");
+    manifest.write(storage.as_ref(), dir).unwrap();
     let service = ValidationService::open(ServiceConfig {
         data_dir: Some("/hostile".into()),
         storage,
